@@ -24,6 +24,7 @@ from .core import (
 )
 from .measures import (
     WeightTable,
+    gram_matrix,
     hahn_weight,
     inner_product,
     krawtchouk_weight,
@@ -43,6 +44,7 @@ from .operators import (
 from .polynomials import (
     eigenpoly,
     eigenpoly_table,
+    eigenpoly_tables,
     eigenvalue,
     hahn,
     hahn_pair,
@@ -78,10 +80,12 @@ __all__ = [
     "degree_invariance_check",
     "eigenpoly",
     "eigenpoly_table",
+    "eigenpoly_tables",
     "eigenvalue",
     "enumerate_degrees",
     "enumerate_lattice",
     "family_lattice",
+    "gram_matrix",
     "hahn",
     "hahn_pair",
     "hahn_weight",

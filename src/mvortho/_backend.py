@@ -8,7 +8,8 @@ backends provide it:
 
 The backend is chosen once, at import time.  Set ``MVORTHO_BACKEND`` to
 ``gmpy2`` or ``fractions`` to force a choice; by default gmpy2 is used
-when importable.  ``benchmarks/bench_backends.py`` compares the two.
+when importable.  ``perfbench/run.py`` records the backend it ran on in
+its environment line; no benchmark compares the two.
 
 Both types follow the ``numbers.Rational`` protocol (``.numerator``,
 ``.denominator``, exact ``+ - * /``, comparisons, ``abs``), which is all

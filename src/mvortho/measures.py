@@ -11,6 +11,7 @@ equivalent (weight ratios, weighted self-adjointness).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from ._backend import R, ZERO, ONE, as_integer, is_integral
@@ -134,6 +135,23 @@ def meixner_shell_mass(params: MeixnerParams, s: int):
     return rising_factorial(params.beta, s) * params.a_total**s / math.factorial(s)
 
 
+def rising_over_factorial_coeffs(beta: int) -> list:
+    """Coefficients c_d with (beta)_s / s! = Sum_d c_d s^d, for an integer beta >= 1.
+
+    (beta)_s / s! = prod_{r=1}^{beta-1} (s + r) / (beta-1)!, a polynomial
+    in s of degree beta-1.
+    """
+    coeffs = [ONE]
+    for r in range(1, beta):
+        nxt = [ZERO] * (len(coeffs) + 1)
+        for d, c in enumerate(coeffs):
+            nxt[d] += c * r
+            nxt[d + 1] += c
+        coeffs = nxt
+    fact = math.factorial(beta - 1)
+    return [c / fact for c in coeffs]
+
+
 def meixner_tail_mass_bound(params: MeixnerParams, xmax: int, normalized: bool = True):
     """Exact upper bound on the weight mass beyond |x| <= xmax.
 
@@ -145,18 +163,9 @@ def meixner_tail_mass_bound(params: MeixnerParams, xmax: int, normalized: bool =
     """
     A = params.a_total
     if params.integral_beta:
-        beta = as_integer(params.beta)
-        # coefficients of prod_{r=1}^{beta-1} (s + r) / (beta-1)!
-        coeffs = [ONE]
-        for r in range(1, beta):
-            nxt = [ZERO] * (len(coeffs) + 1)
-            for d, c in enumerate(coeffs):
-                nxt[d] += c * r
-                nxt[d + 1] += c
-            coeffs = nxt
-        fact = R(math.factorial(beta - 1))
         bound = sum(
-            (c / fact) * tail_power_sum(A, xmax, d) for d, c in enumerate(coeffs)
+            c * tail_power_sum(A, xmax, d)
+            for d, c in enumerate(rising_over_factorial_coeffs(as_integer(params.beta)))
         )
     else:
         ratio_at = lambda s: A * (params.beta + s) / (s + 1)
@@ -206,15 +215,48 @@ def weight_table(params, xmax: int | None = None) -> WeightTable:
     return WeightTable(params, lattice, values, True)
 
 
-def inner_product(f: LatticeFunction, g: LatticeFunction, w: WeightTable):
-    """Exact weighted inner product Sum_x f(x) g(x) W(x)."""
+def _same_lattice(f: LatticeFunction, w: WeightTable, what: str) -> None:
     if f.lattice is not w.lattice and f.lattice != w.lattice:
-        raise ValueError("inner_product: f and weight live on different lattices")
-    if g.lattice is not w.lattice and g.lattice != w.lattice:
-        raise ValueError("inner_product: g and weight live on different lattices")
-    total = ZERO
-    for fv, gv, wv in zip(f.values, g.values, w.values):
-        if fv is None or gv is None:
-            raise ValueError("inner_product over a table with undefined entries")
-        total += fv * gv * wv
-    return total
+        raise ValueError(f"{what} and weight live on different lattices")
+
+
+def _integer_scaled(values) -> tuple[list, int]:
+    """Integer numerators of ``values`` over their lcm denominator, and that denominator."""
+    if any(v is None for v in values):
+        raise ValueError("inner_product over a table with undefined entries")
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def inner_product(f: LatticeFunction, g: LatticeFunction, w: WeightTable):
+    """Exact weighted inner product Sum_x f(x) g(x) W(x).
+
+    Each of f, g and W is scaled to integers over its lcm denominator;
+    the sum runs in ints and one rational is formed at the end.
+    """
+    _same_lattice(f, w, "inner_product: f")
+    _same_lattice(g, w, "inner_product: g")
+    fn, df = _integer_scaled(f.values)
+    gn, dg = _integer_scaled(g.values)
+    wn, dw = _integer_scaled(w.values)
+    return R(sum(a * b * c for a, b, c in zip(fn, gn, wn)), df * dg * dw)
+
+
+def gram_matrix(tables, w: WeightTable) -> list[list]:
+    """Symmetric matrix of inner_product(tables[i], tables[j], w).
+
+    Each table and the weight are scaled to integers once, not once per
+    entry; the weight is folded into the row table before the products.
+    """
+    for table in tables:
+        _same_lattice(table, w, "gram_matrix: table")
+    wn, dw = _integer_scaled(w.values)
+    scaled = [_integer_scaled(table.values) for table in tables]
+    size = len(tables)
+    G = [[ZERO] * size for _ in range(size)]
+    for i, (fn, df) in enumerate(scaled):
+        fw = [a * c for a, c in zip(fn, wn)]
+        for j in range(i, size):
+            gn, dg = scaled[j]
+            G[i][j] = G[j][i] = R(sum(map(operator.mul, fw, gn)), df * dg * dw)
+    return G

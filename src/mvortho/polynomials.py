@@ -21,6 +21,7 @@ from typing import Sequence
 
 from ._backend import R, ZERO, ONE
 from .core import (
+    FamilyParams,
     HahnParams,
     KrawtchoukParams,
     Lattice,
@@ -182,6 +183,11 @@ def _check_degree_index(m: Sequence[int], params) -> tuple[int, ...]:
     return m
 
 
+def _check_point(x: Sequence[int], params) -> None:
+    if len(x) != params.n:
+        raise ValueError(f"point needs {params.n} coordinates, got {len(x)}")
+
+
 def pair_product(i: int, m: Sequence[int], x: Sequence[int], params):
     """Product of pair factors j = i..n-1 with degree-shifted arguments.
 
@@ -193,6 +199,7 @@ def pair_product(i: int, m: Sequence[int], x: Sequence[int], params):
     if not 1 <= i <= n - 1:
         raise ValueError(f"sector index i = {i} outside [1, {n - 1}]")
     m = _check_degree_index(m, params)
+    _check_point(x, params)
     hahn_family = isinstance(params, HahnParams)
     out = ONE
     for j in range(i, n):
@@ -211,6 +218,7 @@ def pair_product(i: int, m: Sequence[int], x: Sequence[int], params):
 def multi_hahn(m: Sequence[int], x: Sequence[int], params: HahnParams):
     """Multivariate Hahn eigenpolynomial P_m(x)."""
     m = _check_degree_index(m, params)
+    _check_point(x, params)
     s1 = sum(m[1:])
     radial = hahn(
         m[0],
@@ -225,6 +233,7 @@ def multi_hahn(m: Sequence[int], x: Sequence[int], params: HahnParams):
 def multi_krawtchouk(m: Sequence[int], x: Sequence[int], params: KrawtchoukParams):
     """Multivariate Krawtchouk eigenpolynomial P_m(x)."""
     m = _check_degree_index(m, params)
+    _check_point(x, params)
     s1 = sum(m[1:])
     A = params.a_total
     radial = krawtchouk(m[0], sum(x) - s1, A / (A + 1), params.N - s1)
@@ -234,6 +243,7 @@ def multi_krawtchouk(m: Sequence[int], x: Sequence[int], params: KrawtchoukParam
 def multi_meixner(m: Sequence[int], x: Sequence[int], params: MeixnerParams):
     """Multivariate Meixner eigenpolynomial P_m(x)."""
     m = _check_degree_index(m, params)
+    _check_point(x, params)
     s1 = sum(m[1:])
     radial = meixner(m[0], sum(x) - s1, params.a_total, params.beta + s1)
     return pair_product(1, m, x, params) * radial
@@ -250,9 +260,68 @@ def eigenpoly(m: Sequence[int], x: Sequence[int], params):
     raise TypeError(f"unknown parameter bundle {type(params)!r}")
 
 
+def eigenpoly_tables(degrees, params, lattice: Lattice) -> list[LatticeFunction]:
+    """Value tables of P_m over an enumerated lattice, one per m in ``degrees``.
+
+    P_m(x) is built factor by factor, and each distinct factor is
+    evaluated once for all the tables: pair factor j depends only on
+    (m_j, shift, x_j, x_{>j}) with shift = sum_{k>j} m_k, the radial
+    factor only on (m_0, |m| - m_0, |x|).  The factors follow the same
+    closed forms and shift rules as :func:`eigenpoly`, which stays the
+    pointwise reference; every value equals it exactly.
+    """
+    if not isinstance(params, FamilyParams):
+        raise TypeError(f"unknown parameter bundle {type(params)!r}")
+    if lattice.n != params.n:
+        raise ValueError(f"lattice has {lattice.n} coordinates, params have {params.n}")
+    degrees = [_check_degree_index(m, params) for m in degrees]
+    n = params.n
+    A = params.a_total
+    # (x_j, x_{>j}) of every point, for the pair factors j = 1..n-1
+    coords = [[(x[j - 1], sum(x[j:])) for x in lattice.points] for j in range(1, n)]
+    sizes = [sum(x) for x in lattice.points]
+    pair_cache: dict = {}
+    radial_cache: dict = {}
+
+    def pair(j, mj, shift, u, t):
+        key = (j, mj, shift, u, t)
+        value = pair_cache.get(key)
+        if value is None:
+            alpha, gamma = params.a[j - 1], params.a_tail(j)
+            if isinstance(params, HahnParams):
+                value = hahn_pair(mj, u, t - shift, alpha, gamma + 2 * shift)
+            else:
+                value = km_pair(mj, u, t - shift, alpha, gamma)
+            pair_cache[key] = value
+        return value
+
+    def radial(m0, s1, size):
+        key = (m0, s1, size)
+        value = radial_cache.get(key)
+        if value is None:
+            if isinstance(params, HahnParams):
+                value = hahn(m0, size - s1, A + 2 * s1, params.b, params.N - s1)
+            elif isinstance(params, KrawtchoukParams):
+                value = krawtchouk(m0, size - s1, A / (A + 1), params.N - s1)
+            else:
+                value = meixner(m0, size - s1, A, params.beta + s1)
+            radial_cache[key] = value
+        return value
+
+    tables = []
+    for m in degrees:
+        s1 = sum(m[1:])
+        values = [radial(m[0], s1, size) for size in sizes]
+        for j, points in enumerate(coords, start=1):
+            shift = sum(m[j + 1 :])
+            values = [v * pair(j, m[j], shift, u, t) for v, (u, t) in zip(values, points)]
+        tables.append(LatticeFunction(lattice, tuple(values)))
+    return tables
+
+
 def eigenpoly_table(m: Sequence[int], params, lattice: Lattice) -> LatticeFunction:
     """Value table of P_m over an enumerated lattice."""
-    return LatticeFunction.from_callable(lattice, lambda x: eigenpoly(m, x, params))
+    return eigenpoly_tables([m], params, lattice)[0]
 
 
 def eigenvalue(params, kind: str, index: int | None, m: Sequence[int]):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 from ._backend import R
 
@@ -19,6 +20,33 @@ def rational_str(q) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def sci_str(q) -> str:
+    """``f"{float(q):.3e}"``, also for rationals too large for a float.
+
+    Beyond the float range the 4-digit mantissa is rounded exactly, half
+    to even.
+    """
+    try:
+        return f"{float(q):.3e}"
+    except OverflowError:
+        pass
+    q = R(q)
+    sign = "-" if q < 0 else ""
+    q = abs(q)
+    # floor(log10 q) from a float estimate, corrected exactly
+    exp = math.floor(math.log10(q.numerator) - math.log10(q.denominator))
+    while R(10) ** exp > q:
+        exp -= 1
+    while R(10) ** (exp + 1) <= q:
+        exp += 1
+    mantissa = round(q / R(10) ** (exp - 3))
+    if mantissa == 10**4:
+        mantissa //= 10
+        exp += 1
+    text = str(mantissa)
+    return f"{sign}{text[0]}.{text[1:]}e{exp:+03d}"
 
 
 def parse_rational(s: str):

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from ._backend import R, ZERO, ONE
+from ._backend import R, ZERO, ONE, as_integer
 from .core import (
     HahnParams,
     KrawtchoukParams,
@@ -32,8 +32,11 @@ from .core import (
 from .linalg import rank
 from .measures import (
     WeightTable,
+    gram_matrix,
     inner_product,
+    meixner_normalization,
     meixner_weight,
+    rising_over_factorial_coeffs,
     tail_power_sum,
     weight_table,
 )
@@ -50,6 +53,7 @@ from .operators import (
 from .polynomials import (
     eigenpoly,
     eigenpoly_table,
+    eigenpoly_tables,
     eigenvalue,
     hahn,
     hahn_pair,
@@ -96,11 +100,11 @@ class CheckReport:
         return out
 
     def text_row(self) -> str:
-        from .serialize import rational_str
+        from .serialize import rational_str, sci_str
 
         defect = "-" if self.max_defect is None else rational_str(self.max_defect)
         if len(defect) > 24:
-            defect = f"~{float(self.max_defect):.3e}"
+            defect = f"~{sci_str(self.max_defect)}"
         return (
             f"{self.status.upper():5s} {self.name:22s} {defect:>26s} "
             f"{self.wall_time:8.3f}s  {self.instance}"
@@ -166,7 +170,9 @@ def normalization_check(params, xmax: int | None = None) -> CheckReport:
                 missing = 1 - w.total
                 if not (0 < missing <= w.tail_bound):
                     return FAIL, missing, "missing mass outside tail bound"
-                return PASS, ZERO, f"1 - sum = {float(missing):.3e} <= bound {float(w.tail_bound):.3e}"
+                from .serialize import sci_str
+
+                return PASS, ZERO, f"1 - sum = {sci_str(missing)} <= bound {sci_str(w.tail_bound)}"
             return PASS, ZERO, "unnormalized weight (non-integer beta); monotone partial sums"
         w = weight_table(params)
         defect = abs(w.total - 1)
@@ -347,8 +353,8 @@ def eigen_suite(params, m_max: int, xmax: int | None = None) -> list[CheckReport
     t0 = time.perf_counter()
     worst = ZERO
     count = 0
-    for m in enumerate_degrees(params.n, m_max):
-        table = eigenpoly_table(m, params, lattice)
+    degrees = enumerate_degrees(params.n, m_max)
+    for m, table in zip(degrees, eigenpoly_tables(degrees, params, lattice)):
         for spec in specs:
             eig = eigenvalue(params, spec.kind, spec.index, m)
             defect, _ = residual_defect(spec, table, eig)
@@ -400,14 +406,6 @@ def type_one_value(params, J, m: int, x) -> object:
     return meixner(m, xJ, aJ / (1 - A + aJ), params.beta)
 
 
-def type_one_eigenvalue(params, m: int):
-    if isinstance(params, HahnParams):
-        return R(m) * (m + params.a_total + params.b - 1)
-    if isinstance(params, KrawtchoukParams):
-        return R(m) * (params.a_total + 1)
-    return R(m) * (1 - params.a_total)
-
-
 def type_one_check(params, J, m: int, xmax: int | None = None) -> CheckReport:
     """H_total on the subset polynomial: residual must vanish exactly."""
     J = tuple(sorted(set(J)))
@@ -420,7 +418,8 @@ def type_one_check(params, J, m: int, xmax: int | None = None) -> CheckReport:
             lattice, lambda x: type_one_value(params, J, m, x)
         )
         op = OperatorSpec(params, "total")
-        worst, _ = residual_defect(op, table, type_one_eigenvalue(params, m))
+        eig = eigenvalue(params, "total", None, (m,) + (0,) * (params.n - 1))
+        worst, _ = residual_defect(op, table, eig)
         return (PASS if worst == 0 else FAIL), worst
 
     (status, worst), dt = _timed(body)
@@ -698,14 +697,9 @@ def glue_check(params, i: int, m_i: int, m_im1: int, xmax: int | None = None) ->
             return hi * lo
 
         table = LatticeFunction.from_callable(lattice, value)
-        deg = m_i + m_im1
-        block = params.a[i - 2] + params.a_tail(i - 1)
-        if isinstance(params, HahnParams):
-            eig = R(deg) * (deg + block - 1)
-        elif isinstance(params, KrawtchoukParams):
-            eig = R(deg) * block
-        else:
-            eig = -R(deg) * block
+        m = [0] * params.n
+        m[i - 1], m[i] = m_im1, m_i
+        eig = eigenvalue(params, "exchange", i - 1, m)
         op = OperatorSpec(params, "exchange", i - 1)
         worst, _ = residual_defect(op, table, eig)
         return (PASS if worst == 0 else FAIL), worst
@@ -797,22 +791,12 @@ def meixner_product_tail_bound(params, coeff_p: dict, coeff_q: dict,
     A = params.a_total
     tail = ZERO
     if params.integral_beta:
-        from ._backend import as_integer
-
-        beta = as_integer(params.beta)
-        poly = [ONE]  # coefficients of (beta)_s / s! = prod_{r<beta} (s+r)/r!
-        for r in range(1, beta):
-            nxt = [ZERO] * (len(poly) + 1)
-            for d, c in enumerate(poly):
-                nxt[d] += c * r
-                nxt[d + 1] += c
-            poly = nxt
-        fact = R(math.factorial(beta - 1))
+        poly = rising_over_factorial_coeffs(as_integer(params.beta))
         for j, C in enumerate(Cj):
             if C == 0:
                 continue
             for d, c in enumerate(poly):
-                tail += C * (c / fact) * tail_power_sum(A, S, j + d)
+                tail += C * c * tail_power_sum(A, S, j + d)
     else:
         for j, C in enumerate(Cj):
             if C == 0:
@@ -830,8 +814,6 @@ def meixner_product_tail_bound(params, coeff_p: dict, coeff_q: dict,
             tail += C * first / (1 - q)
     norm = ONE
     if params.integral_beta:
-        from .measures import meixner_normalization
-
         norm = meixner_normalization(params)
     return head + tail * norm
 
@@ -870,14 +852,8 @@ def gram_check(params, m_max: int, xmax: int | None = None,
     w = weight_table(params, xmax=xmax)
     lattice = w.lattice
     degrees = enumerate_degrees(params.n, m_max)
-    tables = [eigenpoly_table(m, params, lattice) for m in degrees]
+    G = gram_matrix(eigenpoly_tables(degrees, params, lattice), w)
     size = len(degrees)
-    G = [[ZERO] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            val = inner_product(tables[i], tables[j], w)
-            G[i][j] = val
-            G[j][i] = val
 
     status = PASS
     detail = ""
@@ -902,9 +878,9 @@ def gram_check(params, m_max: int, xmax: int | None = None,
                     status = FAIL
                     detail = f"off-diagonal {degrees[i]},{degrees[j]} beyond tail bound"
         if status == PASS:
-            detail = (
-                f"max |offdiag| {float(worst):.3e} within tolerance {float(tolerance):.3e}"
-            )
+            from .serialize import sci_str
+
+            detail = f"max |offdiag| {sci_str(worst)} within tolerance {sci_str(tolerance)}"
     else:
         for i in range(size):
             for j in range(size):

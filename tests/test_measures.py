@@ -11,6 +11,7 @@ from mvortho import (
     KrawtchoukParams,
     LatticeFunction,
     MeixnerParams,
+    gram_matrix,
     hahn_weight,
     inner_product,
     krawtchouk_weight,
@@ -19,7 +20,11 @@ from mvortho import (
     weight_table,
 )
 from mvortho.core import family_lattice
-from mvortho.measures import meixner_shell_mass, tail_power_sum
+from mvortho.measures import (
+    meixner_shell_mass,
+    rising_over_factorial_coeffs,
+    tail_power_sum,
+)
 from mvortho.operators import down_rate, up_rate
 
 small_pos = st.integers(1, 12).flatmap(
@@ -200,6 +205,8 @@ def test_inner_product_rejects_mismatched_lattices():
     f = LatticeFunction.constant(other, 1)
     with pytest.raises(ValueError):
         inner_product(f, f, w)
+    with pytest.raises(ValueError):
+        gram_matrix([LatticeFunction.constant(w.lattice, 1), f], w)
 
 
 def test_inner_product_rejects_undefined_entries():
@@ -210,8 +217,56 @@ def test_inner_product_rejects_undefined_entries():
     f = LatticeFunction(w.lattice, tuple(vals))
     with pytest.raises(ValueError):
         inner_product(f, f, w)
+    with pytest.raises(ValueError):
+        gram_matrix([f], w)
 
 
 def test_meixner_origin_weight_is_normalization_constant():
     p = MeixnerParams((R(1, 8), R(1, 8), R(1, 4)), R(3))
     assert meixner_weight((0, 0, 0), p) == (1 - p.a_total) ** 3
+
+
+def fraction_inner_product(f, g, w):
+    """Reference: the plain rational sum loop the integer kernel must equal."""
+    total = R(0)
+    for fv, gv, wv in zip(f.values, g.values, w.values):
+        total += fv * gv * wv
+    return total
+
+
+signed_rational = st.integers(-30, 30).flatmap(
+    lambda p: st.integers(1, 40).map(lambda q: R(p, q))
+)
+
+
+@given(st.sampled_from(["hahn", "krawtchouk", "meixner"]), st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_integer_inner_product_matches_fraction_loop(family, data):
+    a = (data.draw(small_pos), data.draw(small_pos))
+    if family == "hahn":
+        params = HahnParams(a, data.draw(small_pos), 3)
+    elif family == "krawtchouk":
+        params = KrawtchoukParams(a, 3)
+    else:
+        params = MeixnerParams(tuple(v / 25 for v in a), data.draw(small_pos))
+    w = weight_table(params, xmax=3)
+    size = w.lattice.size
+    tables = [
+        LatticeFunction(w.lattice, tuple(data.draw(signed_rational) for _ in range(size)))
+        for _ in range(3)
+    ]
+    G = gram_matrix(tables, w)
+    for i, f in enumerate(tables):
+        for j, g in enumerate(tables):
+            want = fraction_inner_product(f, g, w)
+            assert inner_product(f, g, w) == want
+            assert G[i][j] == want
+
+
+def test_rising_over_factorial_coeffs():
+    for beta in range(1, 6):
+        coeffs = rising_over_factorial_coeffs(beta)
+        assert len(coeffs) == beta
+        for s in range(10):
+            want = R(math.comb(s + beta - 1, beta - 1))
+            assert sum(c * s**d for d, c in enumerate(coeffs)) == want

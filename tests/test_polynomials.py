@@ -9,8 +9,12 @@ from mvortho import (
     HahnParams,
     KrawtchoukParams,
     MeixnerParams,
+    LatticeFunction,
     eigenpoly,
+    eigenpoly_table,
+    eigenpoly_tables,
     eigenvalue,
+    family_lattice,
     hahn,
     hahn_pair,
     km_pair,
@@ -24,7 +28,7 @@ from mvortho import (
     rising_factorial,
     rodrigues_pair,
 )
-from mvortho.core import enumerate_lattice
+from mvortho.core import Lattice, enumerate_degrees, enumerate_lattice
 
 small_pos = st.integers(1, 10).flatmap(
     lambda p: st.integers(1, 10).map(lambda q: R(p, q))
@@ -342,3 +346,71 @@ class TestMultivariate:
         )
         with pytest.raises(TypeError):
             eigenpoly((0, 0), (0, 0), object())
+
+    def test_rejects_point_of_wrong_dimension(self):
+        p = HahnParams((1, 2), 2, 5)
+        with pytest.raises(ValueError):
+            eigenpoly((1, 1), (1, 2, 3), p)
+        with pytest.raises(ValueError):
+            pair_product(1, (1, 1), (1, 2, 3), p)
+        with pytest.raises(ValueError):
+            eigenpoly((0, 1, 0), (1, 2), self.kraw_params)
+
+
+def oracle_tables(degrees, params, lattice):
+    """The pointwise evaluator, point by point: the reference for the tables."""
+    return [
+        LatticeFunction.from_callable(lattice, lambda x, m=m: eigenpoly(m, x, params))
+        for m in degrees
+    ]
+
+
+class TestTables:
+    @pytest.mark.parametrize(
+        "params, xmax",
+        [
+            (HahnParams((R(1, 2), R(3, 2), R(2)), R(5, 4), 5), None),
+            (KrawtchoukParams((R(1, 3), R(1, 2), R(1, 4)), 5), None),
+            (MeixnerParams((R(1, 4), R(1, 4)), R(2)), 6),
+            # truncated box with a non-integer beta
+            (MeixnerParams((R(1, 5), R(1, 7), R(1, 4)), R(5, 2)), 4),
+        ],
+    )
+    def test_tables_match_pointwise_evaluator(self, params, xmax):
+        lattice = family_lattice(params, xmax=xmax)
+        degrees = enumerate_degrees(params.n, 3)
+        tables = eigenpoly_tables(degrees, params, lattice)
+        assert [t.values for t in tables] == [
+            t.values for t in oracle_tables(degrees, params, lattice)
+        ]
+        assert all(t.lattice is lattice for t in tables)
+        assert eigenpoly_table(degrees[-1], params, lattice) == tables[-1]
+
+    @given(st.sampled_from(["hahn", "krawtchouk", "meixner"]), st.integers(2, 3),
+           st.data())
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_tables_match_pointwise_evaluator_random(self, family, n, data):
+        a = tuple(data.draw(small_pos) for _ in range(n))
+        if family == "hahn":
+            params = HahnParams(a, data.draw(small_pos), n + 1)
+        elif family == "krawtchouk":
+            params = KrawtchoukParams(a, n + 1)
+        else:
+            params = MeixnerParams(tuple(v / (n * 11) for v in a), data.draw(small_pos))
+        lattice = family_lattice(params, xmax=n + 1)
+        degrees = enumerate_degrees(n, 3)
+        tables = eigenpoly_tables(degrees, params, lattice)
+        assert [t.values for t in tables] == [
+            t.values for t in oracle_tables(degrees, params, lattice)
+        ]
+
+    def test_tables_reject_bad_input(self):
+        p = TestMultivariate.hahn_params
+        lattice = family_lattice(p)
+        with pytest.raises(ValueError):
+            eigenpoly_tables([(0, 0, 0)], p, Lattice(2, 5))
+        with pytest.raises(ValueError):
+            eigenpoly_tables([(3, 2, 1)], p, lattice)  # |m| > N
+        with pytest.raises(TypeError):
+            eigenpoly_tables([(0, 0)], object(), Lattice(2, 3))
+        assert eigenpoly_tables([], p, lattice) == []

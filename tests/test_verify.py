@@ -232,3 +232,28 @@ def test_run_suite_all_green(params, xmax):
     again = V.run_suite(params, xmax=xmax)
     assert [r.name for r in reports] == [r.name for r in again]
     assert [r.status for r in reports] == [r.status for r in again]
+
+
+def test_text_row_and_details_format_huge_values():
+    from fractions import Fraction
+
+    from mvortho.serialize import sci_str
+
+    row = V.CheckReport("gram", "inst", "fail", max_defect=Fraction(10**400, 3)).text_row()
+    assert "~3.333e+399" in row
+    assert sci_str(-R(10**400) * 7) == "-7.000e+400"
+    assert sci_str(R(99995) * 10**400) == "1.000e+405"  # rounds half to even
+    for q in (R(1, 3), R(-22, 7), R(10**300, 7), R(1, 10**320), R(0)):
+        assert sci_str(q) == f"{float(q):.3e}"
+    row = V.CheckReport("gram", "inst", "fail", max_defect=R(10**30, 7)).text_row()
+    assert f"~{float(R(10**30, 7)):.3e}" in row
+
+
+def test_cli_rejects_point_of_wrong_dimension(capsys):
+    from mvortho.cli import main
+
+    argv = ["eval", "--family", "hahn", "--a", "1,2", "--b", "2", "--N", "5",
+            "--m", "1,1", "--x", "1,2,3"]
+    assert main(argv) == 2
+    assert "coordinates" in capsys.readouterr().err
+    assert main(argv[:-1] + ["1,2"]) == 0
