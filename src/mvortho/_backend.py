@@ -18,6 +18,7 @@ the rest of the package relies on.
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 
@@ -72,6 +73,14 @@ ONE = R(1)
 def is_integral(q) -> bool:
     """True when the rational is an integer."""
     return R(q).denominator == 1
+
+
+def integer_scaled(values) -> tuple[list, int]:
+    """Integer numerators of ``values`` over their lcm denominator, and that
+    denominator; None entries stay None."""
+    den = math.lcm(*(v.denominator for v in values if v is not None))
+    return [None if v is None else v.numerator * (den // v.denominator)
+            for v in values], den
 
 
 def as_integer(q) -> int:

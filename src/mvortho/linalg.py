@@ -1,73 +1,50 @@
-"""Exact dense linear algebra over rationals.
+"""Exact sparse kernels in integer arithmetic.
 
-Matrices are lists of lists of backend rationals.  Sizes here are
-desk-scale (a few hundred), so plain Gaussian elimination with exact
-pivoting is both simplest and fully rigorous.
+Matrices are sparse rows ``{column: value}``.  Degree questions use
+Newton interpolation on the principal lattice {|x| <= K} (Chung and Yao,
+SIAM J. Numer. Anal. 14, 1977): every function there is uniquely
+Sum_{|alpha| <= K} D^alpha f(0) prod_i C(x_i, alpha_i), so it has total
+degree <= M exactly when every D^alpha f(0) with |alpha| > M vanishes.
 """
 
 from __future__ import annotations
 
-from ._backend import R, ZERO
+from ._backend import R, integer_scaled
+from .core import enumerate_lattice
 
 
-def mat_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    out = [[ZERO] * cols for _ in range(rows)]
-    for i in range(rows):
-        Ai = A[i]
-        row = out[i]
-        for k in range(inner):
-            a = Ai[k]
-            if a == 0:
+def sparse_product(A, B) -> list[dict]:
+    """Rows of A B for matrices given as sparse rows {column: value}."""
+    out = []
+    for row in A:
+        acc: dict = {}
+        for k, a in row.items():
+            for j, b in B[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        out.append(acc)
+    return out
+
+
+def forward_differences(values, n: int, K: int) -> list:
+    """Newton coefficients D^alpha f(0), |alpha| <= K, of a table on {|x| <= K}.
+
+    ``values`` lists f in the graded-lex order of ``enumerate_lattice(n, K)``
+    and the coefficients come back in the same order, alpha in place of
+    x.  Differences are taken in place, axis by axis along each line of
+    the simplex, on integer numerators over the table's lcm denominator.
+    """
+    points = enumerate_lattice(n, K)
+    if len(values) != len(points):
+        raise ValueError(f"need {len(points)} values on the simplex |x| <= {K}")
+    index = {p: i for i, p in enumerate(points)}
+    num, den = integer_scaled(values)
+    for axis in range(n):
+        for x in points:
+            if x[axis]:
                 continue
-            Bk = B[k]
-            for j in range(cols):
-                if Bk[j] != 0:
-                    row[j] += a * Bk[j]
-    return out
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def max_abs(A, rows=None):
-    """Largest |entry|, optionally over a subset of row indices."""
-    out = ZERO
-    idx = range(len(A)) if rows is None else rows
-    for i in idx:
-        for v in A[i]:
-            if abs(v) > out:
-                out = abs(v)
-    return out
-
-
-def rank(A) -> int:
-    """Exact rank via fraction-exact Gaussian elimination."""
-    if not A:
-        return 0
-    M = [[R(v) for v in row] for row in A]
-    rows, cols = len(M), len(M[0])
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if M[i][c] != 0), None)
-        if pivot is None:
-            continue
-        M[r], M[pivot] = M[pivot], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [v * inv for v in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def in_column_span(A, b) -> bool:
-    """True when b is an exact linear combination of the columns of A."""
-    base = rank(A)
-    augmented = [row + [v] for row, v in zip(A, b)]
-    return rank(augmented) == base
+            line = [index[x[:axis] + (t,) + x[axis + 1:]]
+                    for t in range(K - sum(x) + 1)]
+            for k in range(1, len(line)):
+                for t in range(len(line) - 1, k - 1, -1):
+                    num[line[t]] -= num[line[t - 1]]
+    return [R(v, den) for v in num]

@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from ._backend import R, ZERO, ONE, as_integer, is_integral
+from ._backend import R, ZERO, ONE, as_integer, integer_scaled, is_integral
 from .core import (
     HahnParams,
     KrawtchoukParams,
@@ -224,8 +224,7 @@ def _integer_scaled(values) -> tuple[list, int]:
     """Integer numerators of ``values`` over their lcm denominator, and that denominator."""
     if any(v is None for v in values):
         raise ValueError("inner_product over a table with undefined entries")
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    return integer_scaled(values)
 
 
 def inner_product(f: LatticeFunction, g: LatticeFunction, w: WeightTable):

@@ -20,16 +20,20 @@ truncated Meixner box the up-shift coefficient does not vanish at the
 frontier |x| = xmax; those result entries are flagged invalid (None)
 rather than silently zeroed, and matrix rows there are marked invalid.
 
-Operators are applied directly to value tables; summation order is a
-fixed j-then-k loop (results are order-independent in exact arithmetic).
-Application is pure per lattice point; matrices are immutable.
+Each operator is built once per lattice as a sparse stencil
+(:class:`OperatorMatrix`): one row of at most 2n + n(n-1) + 1 integer
+numerators per point, over one common denominator.  Application,
+export, commutators, self-adjointness and the degree test all read that
+one representation; products and Newton differences run in Python ints
+(:mod:`mvortho.linalg`) and one rational is formed per result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from ._backend import R, ZERO
+from ._backend import R, ZERO, integer_scaled
 from .core import (
     HahnParams,
     KrawtchoukParams,
@@ -39,7 +43,7 @@ from .core import (
     enumerate_degrees,
     family_lattice,
 )
-from .linalg import in_column_span, mat_mul, max_abs
+from .linalg import forward_differences, sparse_product
 from .measures import WeightTable
 
 KINDS = ("total", "single", "exchange")
@@ -130,81 +134,89 @@ def _moves(op: OperatorSpec, x):
 
 
 def apply_operator(op: OperatorSpec, f: LatticeFunction) -> LatticeFunction:
-    """Apply the operator pointwise to a value table.
-
-    The result entry at x is sum over moves of coeff * (f(x) - f(y)).
-    On a truncated Meixner box, entries whose stencil leaves the box
-    come back as None.
-    """
-    lattice = f.lattice
-    if lattice.n != op.params.n:
-        raise ValueError("lattice dimension does not match the parameters")
-    if not isinstance(op.params, MeixnerParams) and lattice.bound != op.params.N:
-        raise ValueError("lattice bound does not match N")
-    index = lattice.index
-    out = []
-    for x, fx in zip(lattice.points, f.values):
-        acc = ZERO
-        ok = fx is not None
-        if ok:
-            for c, y in _moves(op, x):
-                pos = index.get(y)
-                if pos is None or f.values[pos] is None:
-                    ok = False
-                    break
-                acc += c * (fx - f.values[pos])
-        out.append(acc if ok else None)
-    return LatticeFunction(lattice, tuple(out))
+    """Apply the operator to a value table; see :func:`apply_matrix`."""
+    return apply_matrix(operator_matrix(op, f.lattice), f)
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense matrix realization on the enumerated lattice.
+    """Sparse matrix realization on the enumerated lattice.
 
-    Row x holds the coefficients of (Hf)(x) as a functional of f, so
-    column j equals the operator applied to the j-th delta function and
-    matrix-vector products agree with :func:`apply_operator`.  Rows
-    whose stencil leaves a truncated box are flagged invalid and zeroed.
+    Row x holds the coefficients of (Hf)(x) as a functional of f:
+    ``rows[x]`` maps columns to nonzero integer numerators over the
+    common denominator ``den``.  Rows whose stencil leaves a truncated
+    box are flagged invalid and left empty.
     """
 
     op: OperatorSpec
     lattice: Lattice
-    entries: tuple
+    rows: tuple
+    den: int
     valid_rows: tuple
 
     @property
     def size(self) -> int:
         return self.lattice.size
 
-    def row_list(self):
-        return [list(r) for r in self.entries]
+    @cached_property
+    def entries(self) -> tuple:
+        """Dense rows of rationals, derived from the sparse rows."""
+        return tuple(
+            tuple(R(row.get(j, 0), self.den) for j in range(self.size))
+            for row in self.rows
+        )
 
 
 def operator_matrix(op: OperatorSpec, lattice: Lattice | None = None) -> OperatorMatrix:
+    """The operator's stencil on the lattice, one sparse row per point."""
     if lattice is None:
         lattice = family_lattice(op.params)
-    size = lattice.size
+    if lattice.n != op.params.n:
+        raise ValueError("lattice dimension does not match the parameters")
+    if not isinstance(op.params, MeixnerParams) and lattice.bound != op.params.N:
+        raise ValueError("lattice bound does not match N")
     index = lattice.index
-    entries = []
+    rows = []
     valid = []
     for i, x in enumerate(lattice.points):
-        row = [ZERO] * size
-        ok = True
+        row = {}
         diag = ZERO
         for c, y in _moves(op, x):
             pos = index.get(y)
             if pos is None:
-                ok = False
+                row = None
                 break
             diag += c
-            row[pos] -= c
-        if ok:
-            row[i] += diag
+            row[pos] = -c
+        if row is not None and diag != 0:
+            row[i] = diag
+        rows.append(row or {})
+        valid.append(row is not None)
+    nums, den = integer_scaled([v for row in rows for v in row.values()])
+    nums = iter(nums)
+    rows = tuple({j: next(nums) for j in row} for row in rows)
+    return OperatorMatrix(op, lattice, rows, den, tuple(valid))
+
+
+def apply_matrix(H: OperatorMatrix, f: LatticeFunction) -> LatticeFunction:
+    """Matrix-vector product H f, exactly as pointwise application.
+
+    The result entry at x is sum over moves of coeff * (f(x) - f(y)).
+    It is None where the row is invalid (its stencil leaves a truncated
+    box) or reads an undefined entry of f.  The sums run on integer
+    numerators of f over its lcm denominator.
+    """
+    if f.lattice != H.lattice:
+        raise ValueError("table and operator live on different lattices")
+    num, den = integer_scaled(f.values)
+    scale = den * H.den
+    out = []
+    for i, (row, ok) in enumerate(zip(H.rows, H.valid_rows)):
+        if not ok or num[i] is None or any(num[j] is None for j in row):
+            out.append(None)
         else:
-            row = [ZERO] * size
-        entries.append(tuple(row))
-        valid.append(ok)
-    return OperatorMatrix(op, lattice, tuple(entries), tuple(valid))
+            out.append(R(sum(c * num[j] for j, c in row.items()), scale))
+    return LatticeFunction(H.lattice, tuple(out))
 
 
 def _product_valid_rows(M1: OperatorMatrix, M2: OperatorMatrix):
@@ -213,14 +225,8 @@ def _product_valid_rows(M1: OperatorMatrix, M2: OperatorMatrix):
     Row x of the product reads rows z of M2 wherever M1[x][z] != 0, so
     it is exact iff row x of M1 and all those rows of M2 are exact.
     """
-    out = []
-    for i, ok in enumerate(M1.valid_rows):
-        if not ok:
-            out.append(False)
-            continue
-        row = M1.entries[i]
-        out.append(all(M2.valid_rows[j] for j, v in enumerate(row) if v != 0))
-    return out
+    return [ok and all(M2.valid_rows[j] for j in row)
+            for row, ok in zip(M1.rows, M1.valid_rows)]
 
 
 def commutator_defect(op1: OperatorSpec, op2: OperatorSpec,
@@ -232,13 +238,15 @@ def commutator_defect(op1: OperatorSpec, op2: OperatorSpec,
         lattice = family_lattice(op1.params)
     M1 = operator_matrix(op1, lattice)
     M2 = operator_matrix(op2, lattice)
-    A = mat_mul(M1.row_list(), M2.row_list())
-    B = mat_mul(M2.row_list(), M1.row_list())
-    ok12 = _product_valid_rows(M1, M2)
-    ok21 = _product_valid_rows(M2, M1)
-    rows = [i for i in range(lattice.size) if ok12[i] and ok21[i]]
-    diff = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-    return max_abs(diff, rows=rows)
+    A = sparse_product(M1.rows, M2.rows)
+    B = sparse_product(M2.rows, M1.rows)
+    worst = 0
+    for a, b, ok12, ok21 in zip(A, B, _product_valid_rows(M1, M2),
+                                _product_valid_rows(M2, M1)):
+        if ok12 and ok21:
+            for j in a.keys() | b.keys():
+                worst = max(worst, abs(a.get(j, 0) - b.get(j, 0)))
+    return R(worst, M1.den * M2.den)
 
 
 def adjointness_defect(op: OperatorSpec, w: WeightTable):
@@ -246,22 +254,19 @@ def adjointness_defect(op: OperatorSpec, w: WeightTable):
 
     By linearity the defect over any spanning set of function pairs
     equals max_{x,y} |W(x) M[x][y] - W(y) M[y][x]| (delta functions span
-    everything, and monomials of degree <= N span the same space).  On a
-    truncated box the max runs over pairs of exact rows.
+    everything, and monomials of degree <= N span the same space).  The
+    term vanishes unless M[x][y] or M[y][x] is nonzero, so only stored
+    entries are visited, each with its transpose.  On a truncated box
+    the max runs over pairs of exact rows.
     """
     M = operator_matrix(op, w.lattice)
-    out = ZERO
-    size = w.lattice.size
-    for i in range(size):
-        if not M.valid_rows[i]:
-            continue
-        for j in range(size):
-            if not M.valid_rows[j]:
-                continue
-            d = abs(w.values[i] * M.entries[i][j] - w.values[j] * M.entries[j][i])
-            if d > out:
-                out = d
-    return out
+    wn, den = integer_scaled(w.values)
+    worst = 0
+    for i, row in enumerate(M.rows):
+        for j, v in row.items():
+            if M.valid_rows[j]:
+                worst = max(worst, abs(wn[i] * v - wn[j] * M.rows[j].get(i, 0)))
+    return R(worst, den * M.den)
 
 
 def monomial_table(exponents, lattice: Lattice) -> LatticeFunction:
@@ -275,28 +280,37 @@ def monomial_table(exponents, lattice: Lattice) -> LatticeFunction:
     return LatticeFunction.from_callable(lattice, mono)
 
 
-def degree_invariance_check(op: OperatorSpec, M: int,
-                            lattice: Lattice | None = None) -> bool:
-    """True when the operator maps degree <= M polynomials into the same.
+def image_degree(op: OperatorSpec, M: int, lattice: Lattice | None = None) -> int:
+    """Largest total degree of the images of the monomials of degree <= M.
 
-    Each monomial image (as a value table) must be exactly interpolable,
-    on the lattice, by monomials of total degree <= M; on a truncated
-    box only rows with defined images participate.
+    Each image is expanded in the Newton basis prod_i C(x_i, alpha_i) on
+    the rows with a defined image, which form the simplex |x| <= K (K is
+    the bound, or bound - 1 when the stencil leaves a truncated box); the
+    degree is the largest |alpha| with a nonzero coefficient, -1 when
+    every image vanishes or no row has a defined image.
     """
     if lattice is None:
         lattice = family_lattice(op.params)
     if not isinstance(op.params, MeixnerParams) and M > op.params.N:
         raise ValueError("need M <= N")
-    exps = enumerate_degrees(lattice.n, M)
-    basis = [monomial_table(e, lattice) for e in exps]
-    images = [apply_operator(op, b) for b in basis]
-    keep = [
-        i
-        for i in range(lattice.size)
-        if all(img.values[i] is not None for img in images)
-    ]
-    A = [[b.values[i] for b in basis] for i in keep]
-    for img in images:
-        if not in_column_span(A, [img.values[i] for i in keep]):
-            return False
-    return True
+    H = operator_matrix(op, lattice)
+    sums = [sum(x) for x in lattice.points]
+    K = max((s for s, ok in zip(sums, H.valid_rows) if ok), default=-1)
+    if any(ok != (s <= K) for s, ok in zip(sums, H.valid_rows)):
+        raise ValueError("rows with a defined image do not form a simplex")
+    if K < 0:
+        return -1
+    degree = -1
+    for e in enumerate_degrees(lattice.n, M):
+        image = apply_matrix(H, monomial_table(e, lattice))
+        # the defined rows are the graded-lex prefix |x| <= K
+        defined = [v for v in image.values if v is not None]
+        coeffs = forward_differences(defined, lattice.n, K)
+        degree = max([degree] + [s for s, c in zip(sums, coeffs) if c != 0])
+    return degree
+
+
+def degree_invariance_check(op: OperatorSpec, M: int,
+                            lattice: Lattice | None = None) -> bool:
+    """True when the operator maps degree <= M polynomials into the same."""
+    return image_degree(op, M, lattice) <= M

@@ -89,12 +89,11 @@ def weight_table_json(w, as_float: bool = False) -> dict:
 
 
 def matrix_triplets(M, as_float: bool = False):
-    """Sparse triplet rows (row, col, value) of an OperatorMatrix."""
+    """Sparse triplet rows (row, col, value) of an OperatorMatrix, column order."""
     rows = []
-    for i, row in enumerate(M.entries):
-        for j, v in enumerate(row):
-            if v != 0:
-                rows.append([str(i), str(j), value_str(v, as_float)])
+    for i, row in enumerate(M.rows):
+        for j, v in sorted(row.items()):
+            rows.append([str(i), str(j), value_str(R(v, M.den), as_float)])
     return ["row", "col", "value"], rows
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations
 
@@ -17,8 +18,17 @@ from mvortho import (
     operator_matrix,
     weight_table,
 )
-from mvortho.core import family_lattice
-from mvortho.operators import down_rate, exchange_coeff, up_rate
+from mvortho import operators
+from mvortho.core import enumerate_lattice, family_lattice
+from mvortho.linalg import forward_differences
+from mvortho.operators import (
+    _moves,
+    down_rate,
+    exchange_coeff,
+    image_degree,
+    monomial_table,
+    up_rate,
+)
 
 HAHN = HahnParams((R(1), R(2), R(3)), R(2), 4)
 KRAW = KrawtchoukParams((R(1, 3), R(1, 2), R(1, 4)), 4)
@@ -244,6 +254,22 @@ def test_degree_invariance():
 def test_degree_invariance_meixner_box():
     lat = family_lattice(MEIX, xmax=6)
     assert degree_invariance_check(OperatorSpec(MEIX, "total"), 2, lat)
+    assert image_degree(OperatorSpec(MEIX, "total"), 2, lat) == 2
+    assert image_degree(OperatorSpec(MEIX, "exchange", 1), 0, lat) == -1
+    # on the one-point box no row of the total operator has a defined image
+    point = family_lattice(MEIX, xmax=0)
+    assert image_degree(OperatorSpec(MEIX, "total"), 2, point) == -1
+
+
+def test_degree_needs_defined_rows_on_a_simplex(monkeypatch):
+    # with every up rate zero at (4, 0) that frontier row becomes exact
+    # while its neighbours on |x| = 4 do not
+    def patched(params, x, j):
+        return R(0) if x == (4, 0) else up_rate(params, x, j)
+
+    monkeypatch.setattr(operators, "up_rate", patched)
+    with pytest.raises(ValueError, match="simplex"):
+        image_degree(OperatorSpec(MEIX, "total"), 1, family_lattice(MEIX, xmax=4))
 
 
 def test_apply_rejects_mismatched_lattice():
@@ -251,3 +277,224 @@ def test_apply_rejects_mismatched_lattice():
     f = LatticeFunction.constant(other, 1)
     with pytest.raises(ValueError):
         apply_operator(OperatorSpec(HAHN, "total"), f)
+
+
+# ---------------------------------------------------------------------------
+# dense reference: the pointwise stencil walk and exact dense linear algebra
+# that the sparse kernels replaced, kept here as the slow oracle
+
+
+def mat_mul(A, B):
+    rows, inner, cols = len(A), len(B), len(B[0])
+    out = [[R(0)] * cols for _ in range(rows)]
+    for i in range(rows):
+        Ai = A[i]
+        row = out[i]
+        for k in range(inner):
+            a = Ai[k]
+            if a == 0:
+                continue
+            Bk = B[k]
+            for j in range(cols):
+                if Bk[j] != 0:
+                    row[j] += a * Bk[j]
+    return out
+
+
+def rank(A) -> int:
+    """Exact rank via fraction-exact Gaussian elimination."""
+    if not A:
+        return 0
+    M = [[R(v) for v in row] for row in A]
+    rows, cols = len(M), len(M[0])
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if M[i][c] != 0), None)
+        if pivot is None:
+            continue
+        M[r], M[pivot] = M[pivot], M[r]
+        inv = 1 / M[r][c]
+        M[r] = [v * inv for v in M[r]]
+        for i in range(rows):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def in_column_span(A, B) -> bool:
+    """True when every column of B is an exact linear combination of the
+    columns of A (A and B given as rows)."""
+    augmented = [ra + rb for ra, rb in zip(A, B)]
+    return rank(augmented) == rank(A)
+
+
+def pointwise_apply(op, f):
+    index = f.lattice.index
+    out = []
+    for x, fx in zip(f.lattice.points, f.values):
+        acc = R(0)
+        ok = fx is not None
+        if ok:
+            for c, y in _moves(op, x):
+                pos = index.get(y)
+                if pos is None or f.values[pos] is None:
+                    ok = False
+                    break
+                acc += c * (fx - f.values[pos])
+        out.append(acc if ok else None)
+    return LatticeFunction(f.lattice, tuple(out))
+
+
+def dense_matrix(op, lattice):
+    """(rows, valid) with invalid rows zeroed, built from the moves."""
+    entries, valid = [], []
+    for i, x in enumerate(lattice.points):
+        row = [R(0)] * lattice.size
+        ok = True
+        for c, y in _moves(op, x):
+            pos = lattice.index.get(y)
+            if pos is None:
+                ok = False
+                break
+            row[i] += c
+            row[pos] -= c
+        entries.append(row if ok else [R(0)] * lattice.size)
+        valid.append(ok)
+    return entries, valid
+
+
+def dense_commutator_defect(op1, op2, lattice):
+    (M1, v1), (M2, v2) = dense_matrix(op1, lattice), dense_matrix(op2, lattice)
+
+    def product_valid(M, va, vb):
+        return [ok and all(vb[j] for j, v in enumerate(row) if v != 0)
+                for row, ok in zip(M, va)]
+
+    A, B = mat_mul(M1, M2), mat_mul(M2, M1)
+    keep = [a and b for a, b in zip(product_valid(M1, v1, v2), product_valid(M2, v2, v1))]
+    return max((abs(a - b) for ra, rb, ok in zip(A, B, keep) if ok
+                for a, b in zip(ra, rb)), default=R(0))
+
+
+def dense_adjointness_defect(op, w):
+    M, valid = dense_matrix(op, w.lattice)
+    size = w.lattice.size
+    return max((abs(w.values[i] * M[i][j] - w.values[j] * M[j][i])
+                for i in range(size) for j in range(size) if valid[i] and valid[j]),
+               default=R(0))
+
+
+def dense_degree_invariant(op, M, lattice):
+    basis = [monomial_table(e, lattice) for e in enumerate_lattice(lattice.n, M)]
+    images = [pointwise_apply(op, b) for b in basis]
+    keep = [i for i in range(lattice.size)
+            if all(img.values[i] is not None for img in images)]
+    A = [[b.values[i] for b in basis] for i in keep]
+    return in_column_span(A, [[img.values[i] for img in images] for i in keep])
+
+
+def specs_of(params):
+    return [OperatorSpec(params, "total"), OperatorSpec(params, "single")] + [
+        OperatorSpec(params, "exchange", i) for i in range(1, params.n)
+    ]
+
+
+ORACLE_CASES = [
+    (HahnParams((R(1), R(2), R(3)), R(2), 5), None),
+    (KrawtchoukParams((R(1, 2), R(1, 3), R(2)), 6), None),
+    (MeixnerParams((R(1, 5), R(1, 4)), R(2)), 4),
+    (MeixnerParams((R(1, 8), R(1, 8), R(1, 4)), R(5, 2)), 5),
+]
+
+
+def exchange_perturbed(params, x, j, k):
+    """exchange_coeff plus x_j^2 / 7 on site j = 0: breaks every identity."""
+    c = exchange_coeff(params, x, j, k)
+    return c + R(x[j]) ** 2 / 7 if j == 0 else c
+
+
+@pytest.mark.parametrize("params,xmax", ORACLE_CASES)
+def test_sparse_stencil_matches_pointwise_moves(params, xmax):
+    lat = family_lattice(params, xmax=xmax)
+    rng = random.Random(5)
+    f = LatticeFunction(
+        lat, tuple(R(rng.randint(-9, 9), rng.randint(1, 9)) for _ in lat.points)
+    )
+    # on a truncated box g is undefined on the frontier |x| = xmax
+    g = apply_operator(OperatorSpec(params, "total"), f)
+    for spec in specs_of(params):
+        M = operator_matrix(spec, lat)
+        entries, valid = dense_matrix(spec, lat)
+        assert list(M.valid_rows) == valid
+        assert [list(r) for r in M.entries] == entries
+        assert apply_operator(spec, f) == pointwise_apply(spec, f)
+        assert apply_operator(spec, g) == pointwise_apply(spec, g)
+
+
+# the perturbed runs use the Hahn and the n=2 Meixner case: the dense
+# reference is slow on the larger lattices
+@pytest.mark.parametrize(
+    "params,xmax,perturbed",
+    [case + (False,) for case in ORACLE_CASES]
+    + [case + (True,) for case in ORACLE_CASES[::2]],
+)
+def test_sparse_checks_match_dense_oracle(params, xmax, perturbed, monkeypatch):
+    if perturbed:
+        monkeypatch.setattr(operators, "exchange_coeff", exchange_perturbed)
+    lat = family_lattice(params, xmax=xmax)
+    w = weight_table(params, xmax=xmax)
+    specs = specs_of(params)
+    for s1, s2 in combinations(specs, 2):
+        assert commutator_defect(s1, s2, lat) == dense_commutator_defect(s1, s2, lat)
+    for spec in specs:
+        assert adjointness_defect(spec, w) == dense_adjointness_defect(spec, w)
+        for M in (1, 2, 3):
+            assert degree_invariance_check(spec, M, lat) == dense_degree_invariant(
+                spec, M, lat
+            )
+
+
+@pytest.mark.parametrize("params,xmax", [(HAHN, None), (KRAW, None), (MEIX, 5)])
+def test_perturbed_exchange_fails_every_operator_check(params, xmax, monkeypatch):
+    monkeypatch.setattr(operators, "exchange_coeff", exchange_perturbed)
+    lat = family_lattice(params, xmax=xmax)
+    total = OperatorSpec(params, "total")
+    assert not degree_invariance_check(total, 2, lat)
+    assert image_degree(total, 2, lat) == 3
+    assert adjointness_defect(total, weight_table(params, xmax=xmax)) > 0
+    for other in specs_of(params)[1:]:
+        assert commutator_defect(total, other, lat) > 0
+
+
+def binomial_product(x, alpha):
+    out = 1
+    for xi, ai in zip(x, alpha):
+        out *= math.comb(xi, ai)
+    return out
+
+
+def test_forward_differences_of_binomial_basis_are_unit_vectors():
+    n, K = 3, 4
+    points = enumerate_lattice(n, K)
+    for beta in points:
+        table = [R(binomial_product(x, beta)) for x in points]
+        assert forward_differences(table, n, K) == [
+            R(1) if alpha == beta else R(0) for alpha in points
+        ]
+
+
+def test_newton_expansion_rebuilds_random_table():
+    rng = random.Random(9)
+    for n, K in ((2, 5), (3, 4), (4, 2)):
+        points = enumerate_lattice(n, K)
+        table = [R(rng.randint(-50, 50), rng.randint(1, 12)) for _ in points]
+        coeffs = forward_differences(table, n, K)
+        for x, fx in zip(points, table):
+            assert fx == sum(c * binomial_product(x, alpha)
+                             for alpha, c in zip(points, coeffs))
+    with pytest.raises(ValueError):
+        forward_differences(table[:-1], n, K)

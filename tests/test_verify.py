@@ -174,6 +174,26 @@ def test_completeness():
     assert V.completeness_check(MEIX).status == "skipped"
 
 
+def test_completeness_fails_on_non_diagonal_gram(monkeypatch):
+    gram = V.gram_matrix
+
+    def gram_with_offdiagonal(tables, w):
+        G = gram(tables, w)
+        G[0][1] = G[1][0] = R(1, 3)
+        return G
+
+    monkeypatch.setattr(V, "gram_matrix", gram_with_offdiagonal)
+    report = V.completeness_check(HAHN2)
+    assert report.status == "fail"
+    assert "diagonal" in report.detail
+
+
+def test_degree_invariance_report_gives_image_degree():
+    report = V.degree_invariance_report(KRAW, 2)
+    assert report.status == "pass" and report.max_defect == 0
+    assert report.detail == "largest image degree 2"
+
+
 def test_pair_orthogonality_reports():
     assert V.pair_orthogonality_report(HAHN, 1).status == "pass"
     assert V.pair_orthogonality_report(HAHN, 2).status == "pass"
@@ -257,3 +277,14 @@ def test_cli_rejects_point_of_wrong_dimension(capsys):
     assert main(argv) == 2
     assert "coordinates" in capsys.readouterr().err
     assert main(argv[:-1] + ["1,2"]) == 0
+
+
+def test_cli_float_overflow_exits_2_with_one_line(capsys):
+    from mvortho.cli import main
+
+    argv = ["export", "--family", "hahn", "--a", "1" + "0" * 400 + ",2", "--b", "2",
+            "--N", "3", "--what", "operator", "--op", "total", "--format", "json"]
+    assert main(argv + ["--float"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert main(argv) == 0
