@@ -9,11 +9,9 @@ gmpy2 / fractions backend selection.
 
 from ._backend import BACKEND, R
 from .core import (
-    HahnParams,
-    KrawtchoukParams,
+    FamilyParams,
     Lattice,
     LatticeFunction,
-    MeixnerParams,
     enumerate_degrees,
     enumerate_lattice,
     family_lattice,
@@ -22,6 +20,7 @@ from .core import (
     tail_param,
     tail_sum,
 )
+from .families import FAMILIES, HahnParams, KrawtchoukParams, MeixnerParams
 from .measures import (
     WeightTable,
     gram_matrix,
@@ -51,9 +50,6 @@ from .polynomials import (
     km_pair,
     krawtchouk,
     meixner,
-    multi_hahn,
-    multi_krawtchouk,
-    multi_meixner,
     pair_backward_table,
     pair_product,
     rodrigues_pair,
@@ -66,6 +62,8 @@ __all__ = [
     "BACKEND",
     "R",
     "CheckReport",
+    "FAMILIES",
+    "FamilyParams",
     "HahnParams",
     "KrawtchoukParams",
     "Lattice",
@@ -96,9 +94,6 @@ __all__ = [
     "meixner",
     "meixner_tail_mass_bound",
     "meixner_weight",
-    "multi_hahn",
-    "multi_krawtchouk",
-    "multi_meixner",
     "multinomial",
     "operator_matrix",
     "pair_backward_table",

@@ -10,10 +10,11 @@ included when --timings is passed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import fields
 
-from .core import HahnParams, KrawtchoukParams, MeixnerParams, family_lattice
+from .core import family_lattice
+from .families import FAMILIES
 from .measures import weight_table
 from .operators import OperatorSpec, operator_matrix
 from .polynomials import eigenpoly, eigenpoly_table
@@ -32,25 +33,6 @@ from .serialize import (
 )
 from . import verify as V
 
-CHECK_NAMES = (
-    "normalization",
-    "compatibility",
-    "boundary",
-    "adjointness",
-    "commutators",
-    "degree-invariance",
-    "eigen",
-    "type-one",
-    "shifts",
-    "rodrigues",
-    "glue",
-    "gram",
-    "completeness",
-    "pair-orthogonality",
-    "limits",
-)
-
-
 def _parse_rational_list(text: str):
     return tuple(parse_rational(part) for part in text.split(","))
 
@@ -60,27 +42,20 @@ def _parse_int_list(text: str):
 
 
 def build_params(args):
-    family = args.family
+    """The family bundle: --a, then the family's own fields (--b, --N, --beta)."""
     a = _parse_rational_list(args.a)
     if args.n is not None and len(a) != args.n:
         raise ValueError(f"--a has {len(a)} entries but --n is {args.n}")
-    if family == "hahn":
-        if args.b is None or args.N is None:
-            raise ValueError("hahn needs --b and --N")
-        return HahnParams(a, parse_rational(args.b), args.N)
-    if family == "krawtchouk":
-        if args.N is None:
-            raise ValueError("krawtchouk needs --N")
-        return KrawtchoukParams(a, args.N)
-    if family == "meixner":
-        if args.beta is None:
-            raise ValueError("meixner needs --beta")
-        return MeixnerParams(a, parse_rational(args.beta))
-    raise ValueError(f"unknown family {family!r}")
+    family = FAMILIES[args.family]
+    names = [f.name for f in fields(family)][1:]
+    values = [getattr(args, name) for name in names]
+    if None in values:
+        raise ValueError(f"{args.family} needs " + " and ".join(f"--{k}" for k in names))
+    return family(a, *(v if isinstance(v, int) else parse_rational(v) for v in values))
 
 
 def _family_args(p):
-    p.add_argument("--family", required=True, choices=("hahn", "krawtchouk", "meixner"))
+    p.add_argument("--family", required=True, choices=tuple(FAMILIES))
     p.add_argument("--n", type=int, help="number of variables (checked against --a)")
     p.add_argument("--N", type=int, help="lattice bound (hahn/krawtchouk)")
     p.add_argument("--a", required=True, help="comma-separated positive rationals, e.g. 1/2,3,2")
@@ -130,89 +105,24 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _run_checks(args, params) -> list:
-    name = args.check
-    xmax = args.xmax
-    m_max = args.m_max
-    if name is None:
-        return V.run_suite(params, m_max=m_max, xmax=xmax, seed=args.seed)
-    if name == "normalization":
-        return [V.normalization_check(params, xmax=xmax)]
-    if name == "compatibility":
-        return [V.compatibility_check(params, xmax=xmax)]
-    if name == "boundary":
-        return [V.boundary_safety_check(params)]
-    if name == "adjointness":
-        return [V.adjointness_check(params, xmax=xmax)]
-    if name == "commutators":
-        return [V.commutator_check(params, xmax=xmax)]
-    if name == "degree-invariance":
-        M = 2 if m_max is None else m_max
-        return [V.degree_invariance_report(params, M, xmax=xmax)]
-    if name == "eigen":
-        mm = m_max if m_max is not None else 3
-        return V.eigen_suite(params, mm, xmax=xmax)
-    if name == "type-one":
-        mm = m_max if m_max is not None else 3
-        return V.type_one_suite(params, mm, xmax=xmax)
-    if name == "shifts":
-        deg = m_max if m_max is not None else 5
-        box = 6
-        out = [V.pair_recursion_check(params.a[0], params.a_tail(1), deg, box,
-                                      "hahn" if params.family == "hahn" else "km")]
-        out.append(V.pair_shift_check(params.a[0], params.a_tail(1), deg, box,
-                                      "hahn" if params.family == "hahn" else "km"))
-        if params.family == "hahn":
-            out.append(V.sv_shift_check(params.a[0], params.b, params.N, deg))
-            out.append(V.sv_difference_equation_check(params.a[0], params.b, params.N, deg))
-        return out
-    if name == "rodrigues":
-        import random
-
-        rng = random.Random(args.seed)
-        deg = m_max if m_max is not None else 6
-        return [
-            V.rodrigues_check(deg, V.random_rational(rng), V.random_rational(rng), 6)
-            for _ in range(3)
-        ]
-    if name == "glue":
-        if params.n < 3:
-            return [V.CheckReport("glue", V.describe(params), V.SKIP, None, 0.0,
-                                  "needs n >= 3")]
-        return [V.glue_check(params, 2, mi, mj, xmax=xmax)
-                for mi, mj in ((1, 1), (2, 1), (1, 2))]
-    if name == "gram":
-        mm = m_max if m_max is not None else (1 if params.family == "meixner" else 3)
-        return [V.gram_check(params, mm, xmax=xmax).report]
-    if name == "completeness":
-        return [V.completeness_check(params)]
-    if name == "pair-orthogonality":
-        mm = m_max if m_max is not None else 1
-        return [V.pair_orthogonality_report(params, mm, xmax=xmax)]
-    if name == "limits":
-        if params.family == "hahn":
-            raise ValueError("limit checks apply to krawtchouk and meixner")
-        return V.limit_suite(params.family, params, seed=args.seed)
-    raise ValueError(f"unknown check {name!r}")
-
-
 def cmd_verify(args) -> int:
     params = build_params(args)
-    reports = _run_checks(args, params)
+    names = V.SUITE if args.check is None else (args.check,)
+    reports = V.run_checks(params, names, args.m_max, args.xmax, args.seed)
     failed = any(r.status == V.FAIL for r in reports)
     if args.format == "json":
         payload = {
-            "instance": V.describe(params),
+            "instance": params.label,
             "reports": [r.to_dict(with_timing=args.timings) for r in reports],
             "failed": failed,
         }
         _emit(args, json_text(payload))
     else:
         lines = [r.text_row() for r in reports]
-        summary = f"{sum(r.status == V.PASS for r in reports)} pass, " \
-                  f"{sum(r.status == V.FAIL for r in reports)} fail, " \
-                  f"{sum(r.status == V.SKIP for r in reports)} skipped"
-        _emit(args, "\n".join(lines) + "\n" + summary + "\n")
+        lines.append(f"{sum(r.status == V.PASS for r in reports)} pass, "
+                     f"{sum(r.status == V.FAIL for r in reports)} fail, "
+                     f"{sum(r.status == V.SKIP for r in reports)} skipped")
+        _emit(args, "\n".join(lines) + "\n")
     return 1 if failed else 0
 
 
@@ -245,7 +155,7 @@ def cmd_export(args) -> int:
         return 0
     if args.what == "gram":
         mm = args.m_max if args.m_max is not None else (
-            1 if params.family == "meixner" else min(params.N, 3)
+            1 if params.N is None else min(params.N, 3)
         )
         result = V.gram_check(params, mm, xmax=args.xmax)
         if args.format == "json":
@@ -274,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run identity checks")
     _family_args(p_verify)
-    p_verify.add_argument("--check", choices=CHECK_NAMES, help="run a single check")
+    p_verify.add_argument("--check", choices=tuple(V.CHECKS), help="run a single check")
     p_verify.add_argument("--m-max", type=int, dest="m_max")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")

@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from ._backend import R, ZERO, is_integral
+from ._backend import R, ZERO
+from .serialize import rational_str
 
 
 def rising_factorial(a, k: int):
@@ -157,7 +158,7 @@ class LatticeFunction:
         return out
 
 
-def _positive_rational(value, what: str):
+def positive_rational(value, what: str):
     q = R(value)
     if q <= 0:
         raise ValueError(f"{what} must be positive, got {q}")
@@ -165,82 +166,35 @@ def _positive_rational(value, what: str):
 
 
 @dataclass(frozen=True)
-class HahnParams:
-    """Hahn family: positive rationals a_1..a_n, b, integer N > n >= 2."""
+class FamilyParams:
+    """What the three families share: positive rationals a_1..a_n, n >= 2.
+
+    The subclasses in :mod:`mvortho.families` add their own parameters and
+    carry their family's formulas as methods.  ``N`` is the lattice bound,
+    None on the unbounded Meixner lattice.
+    """
 
     a: tuple
-    b: object
-    N: int
+
+    # Only the Hahn family has its single-variable shift identities and the
+    # Rodrigues construction of its pair polynomials checked.
+    hahn_checks = False
 
     def __post_init__(self):
-        a = tuple(_positive_rational(v, "a_i") for v in self.a)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", _positive_rational(self.b, "b"))
-        if len(a) < 2:
-            raise ValueError("need n >= 2 variables")
-        if not (isinstance(self.N, int) and self.N > len(a)):
-            raise ValueError(f"need integer N > n, got N={self.N}, n={len(a)}")
-
-    family = "hahn"
-
-    @property
-    def n(self) -> int:
-        return len(self.a)
-
-    @property
-    def a_total(self):
-        return sum(self.a, ZERO)
-
-    def a_tail(self, i: int):
-        return tail_param(self.a, i)
-
-
-@dataclass(frozen=True)
-class KrawtchoukParams:
-    """Krawtchouk family: positive rationals a_1..a_n, integer N > n >= 2."""
-
-    a: tuple
-    N: int
-
-    def __post_init__(self):
-        a = tuple(_positive_rational(v, "a_i") for v in self.a)
+        a = tuple(positive_rational(v, "a_i") for v in self.a)
         object.__setattr__(self, "a", a)
         if len(a) < 2:
             raise ValueError("need n >= 2 variables")
-        if not (isinstance(self.N, int) and self.N > len(a)):
-            raise ValueError(f"need integer N > n, got N={self.N}, n={len(a)}")
 
-    family = "krawtchouk"
+    def _check_bound(self) -> None:
+        if not (isinstance(self.N, int) and self.N > self.n):
+            raise ValueError(f"need integer N > n, got N={self.N}, n={self.n}")
 
-    @property
-    def n(self) -> int:
-        return len(self.a)
-
-    @property
-    def a_total(self):
-        return sum(self.a, ZERO)
-
-    def a_tail(self, i: int):
-        return tail_param(self.a, i)
-
-
-@dataclass(frozen=True)
-class MeixnerParams:
-    """Meixner family: positive rationals a_1..a_n with |a| < 1, beta > 0."""
-
-    a: tuple
-    beta: object
-
-    def __post_init__(self):
-        a = tuple(_positive_rational(v, "a_i") for v in self.a)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "beta", _positive_rational(self.beta, "beta"))
-        if len(a) < 2:
-            raise ValueError("need n >= 2 variables")
-        if sum(a, ZERO) >= 1:
-            raise ValueError(f"need |a| < 1, got |a| = {sum(a, ZERO)}")
-
-    family = "meixner"
+    @staticmethod
+    def require(params) -> None:
+        """Raise TypeError unless ``params`` is a family bundle."""
+        if not isinstance(params, FamilyParams):
+            raise TypeError(f"unknown parameter bundle {type(params)!r}")
 
     @property
     def n(self) -> int:
@@ -254,11 +208,33 @@ class MeixnerParams:
         return tail_param(self.a, i)
 
     @property
-    def integral_beta(self) -> bool:
-        return is_integral(self.beta)
+    def bound_label(self) -> str:
+        return f"N={self.N}"
 
+    @property
+    def label(self) -> str:
+        """Instance label of the reports, e.g. ``krawtchouk n=3 N=4 a=(1/2,1/3,2)``."""
+        a = ",".join(rational_str(v) for v in self.a)
+        return f"{self.family} n={self.n} {self.bound_label} a=({a})"
 
-FamilyParams = (HahnParams, KrawtchoukParams, MeixnerParams)
+    def degree_index(self, m: Sequence[int]) -> tuple[int, ...]:
+        """m as a tuple of n non-negative ints, with |m| <= N on a bounded lattice."""
+        m = tuple(int(d) for d in m)
+        if len(m) != self.n:
+            raise ValueError(f"degree index needs {self.n} entries, got {len(m)}")
+        if any(d < 0 for d in m):
+            raise ValueError("degrees must be non-negative")
+        if self.N is not None and sum(m) > self.N:
+            raise ValueError(f"|m| = {sum(m)} exceeds N = {self.N}")
+        return m
+
+    def check_point(self, x: Sequence[int]) -> None:
+        if len(x) != self.n:
+            raise ValueError(f"point needs {self.n} coordinates, got {len(x)}")
+
+    def hahn_limit(self, t):
+        """(a, b, N) of the Hahn bundle whose t -> infinity limit this is."""
+        raise ValueError("limit checks apply to krawtchouk and meixner")
 
 
 def family_lattice(params, xmax: int | None = None) -> Lattice:
@@ -267,8 +243,8 @@ def family_lattice(params, xmax: int | None = None) -> Lattice:
     Bounded families get their exact simplex |x| <= N.  Meixner needs a
     caller-supplied truncation bound ``xmax``.
     """
-    if isinstance(params, MeixnerParams):
-        if xmax is None:
-            raise ValueError("Meixner lattice needs an explicit xmax")
-        return Lattice(params.n, xmax, truncated=True)
-    return Lattice(params.n, params.N)
+    if params.N is not None:
+        return Lattice(params.n, params.N)
+    if xmax is None:
+        raise ValueError("Meixner lattice needs an explicit xmax")
+    return Lattice(params.n, xmax, truncated=True)

@@ -1,0 +1,230 @@
+"""The three families as parameter bundles that carry their own formulas.
+
+Krawtchouk and Meixner are limits of Hahn, so the family is a parameter
+of one construction: a Karlin-McGregor operator
+
+* single:      sum_j B_j(x) (1 - E_j^+) + D_j(x) (1 - E_j^-)
+* exchange(i): sum_{j != k >= i} c_{jk}(x) (1 - E_j^- E_k^+)
+* total:       single + exchange(1)
+
+and eigenpolynomials P_m(x) built as pair factors in (x_j, x_{>j}) times
+a radial factor in |x|.  Each class holds its family's rates, weight,
+factors, eigenvalue constants and label; every other module reads the
+family through these methods only.  Krawtchouk and Meixner share their
+pair polynomials.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from ._backend import R, ONE, is_integral
+from .core import FamilyParams, positive_rational
+from .measures import hahn_weight, krawtchouk_weight, meixner_weight
+from .polynomials import hahn, hahn_pair, km_pair, krawtchouk, meixner
+from .serialize import rational_str
+
+
+@dataclass(frozen=True)
+class HahnParams(FamilyParams):
+    """Hahn family: positive rationals a_1..a_n, b, integer N > n >= 2.
+
+    B_j = (N-|x|)(x_j+a_j),  D_j = x_j(N-|x|+b),  c_jk = x_j(x_k+a_k)
+    """
+
+    b: object
+    N: int
+
+    family = "hahn"
+    pair_name = "hahn"
+    hahn_checks = True
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "b", positive_rational(self.b, "b"))
+        self._check_bound()
+
+    @property
+    def label(self) -> str:
+        return f"{super().label} b={rational_str(self.b)}"
+
+    def up_rate(self, x, j: int):
+        return R(self.N - sum(x)) * (x[j] + self.a[j])
+
+    def down_rate(self, x, j: int):
+        return R(x[j]) * (self.N - sum(x) + self.b)
+
+    def exchange_coeff(self, x, j: int, k: int):
+        return R(x[j]) * (x[k] + self.a[k])
+
+    def weight(self, x):
+        return hahn_weight(x, self)
+
+    def radial(self, m0: int, s1: int, size: int):
+        """Radial factor of P_m at |x| = size, with s1 = |m| - m_0."""
+        return hahn(m0, size - s1, self.a_total + 2 * s1, self.b, self.N - s1)
+
+    def pair_factor(self, j: int, mj: int, shift: int, u, t):
+        """Pair factor j of degree mj at (x_j, x_{>j}) = (u, t), with
+        shift = sum_{k>j} m_k; Hahn also moves the tail slot to a_{>j} + 2 shift."""
+        return hahn_pair(mj, u, t - shift, self.a[j - 1], self.a_tail(j) + 2 * shift)
+
+    def type_one(self, m: int, xJ, aJ):
+        """Degree-m polynomial in the subset sum x_J, with a_J = sum_{j in J} a_j."""
+        return hahn(m, xJ, aJ, self.a_total + self.b - aJ, self.N)
+
+    @property
+    def total_block(self):
+        """Parameter sum c of the total operator, for block_eigenvalue."""
+        return self.a_total + self.b
+
+    @staticmethod
+    def block_eigenvalue(d: int, c):
+        """Eigenvalue at degree d on a block whose parameters sum to c."""
+        return R(d) * (d + c - 1)
+
+    @staticmethod
+    def pair_poly(m: int, u, v, alpha, gamma):
+        return hahn_pair(m, u, v, alpha, gamma)
+
+    @staticmethod
+    def pair_rate(u, alpha):
+        """Coefficient of the forward shift in u: the rates carry x_j + a_j."""
+        return u + alpha
+
+    @staticmethod
+    def pair_shift(m: int, alpha, gamma) -> tuple:
+        """(c, d, alpha', gamma') of the pair shift relations
+
+        P_m(u, v+1) - P_m(u+1, v) = c P_{m-1}(u, v; alpha', gamma')
+        v rate(u, alpha) P_m(u, v-1; alpha', gamma')
+            - u rate(v, gamma) P_m(u-1, v; alpha', gamma') = d P_{m+1}(u, v)
+        """
+        return R(m) * (m + alpha + gamma - 1), ONE, alpha + 1, gamma + 1
+
+
+class _KMPairs:
+    """The pair polynomials and death rates Krawtchouk and Meixner share."""
+
+    pair_name = "km"
+
+    def down_rate(self, x, j: int):
+        return R(x[j])
+
+    def pair_factor(self, j: int, mj: int, shift: int, u, t):
+        """Pair factor j of degree mj at (x_j, x_{>j}) = (u, t), with
+        shift = sum_{k>j} m_k; the tail slot stays a_{>j}."""
+        return km_pair(mj, u, t - shift, self.a[j - 1], self.a_tail(j))
+
+    @staticmethod
+    def pair_poly(m: int, u, v, alpha, gamma):
+        return km_pair(m, u, v, alpha, gamma)
+
+    @staticmethod
+    def pair_rate(u, alpha):
+        return alpha
+
+    @staticmethod
+    def pair_shift(m: int, alpha, gamma) -> tuple:
+        return -R(m) * (alpha + gamma) / alpha, -alpha, alpha, gamma
+
+
+@dataclass(frozen=True)
+class KrawtchoukParams(_KMPairs, FamilyParams):
+    """Krawtchouk family: positive rationals a_1..a_n, integer N > n >= 2.
+
+    B_j = (N-|x|) a_j,  D_j = x_j,  c_jk = x_j a_k
+    """
+
+    N: int
+
+    family = "krawtchouk"
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._check_bound()
+
+    def up_rate(self, x, j: int):
+        return R(self.N - sum(x)) * self.a[j]
+
+    def exchange_coeff(self, x, j: int, k: int):
+        return R(x[j]) * self.a[k]
+
+    def weight(self, x):
+        return krawtchouk_weight(x, self)
+
+    def radial(self, m0: int, s1: int, size: int):
+        A = self.a_total
+        return krawtchouk(m0, size - s1, A / (A + 1), self.N - s1)
+
+    def type_one(self, m: int, xJ, aJ):
+        return krawtchouk(m, xJ, aJ / (1 + self.a_total), self.N)
+
+    @property
+    def total_block(self):
+        return self.a_total + 1
+
+    @staticmethod
+    def block_eigenvalue(d: int, c):
+        return R(d) * c
+
+    def hahn_limit(self, t):
+        """a_j -> a_j t, b = t."""
+        return tuple(v * t for v in self.a), t, self.N
+
+
+@dataclass(frozen=True)
+class MeixnerParams(_KMPairs, FamilyParams):
+    """Meixner family: positive rationals a_1..a_n with |a| < 1, beta > 0.
+
+    B_j = (beta+|x|) a_j,  D_j = x_j,  c_jk = -x_j a_k
+    """
+
+    beta: object
+
+    family = "meixner"
+    N = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "beta", positive_rational(self.beta, "beta"))
+        if self.a_total >= 1:
+            raise ValueError(f"need |a| < 1, got |a| = {self.a_total}")
+
+    @property
+    def bound_label(self) -> str:
+        return f"beta={rational_str(self.beta)}"
+
+    @property
+    def integral_beta(self) -> bool:
+        return is_integral(self.beta)
+
+    def up_rate(self, x, j: int):
+        return (self.beta + sum(x)) * self.a[j]
+
+    def exchange_coeff(self, x, j: int, k: int):
+        return -R(x[j]) * self.a[k]
+
+    def weight(self, x):
+        return meixner_weight(x, self)
+
+    def radial(self, m0: int, s1: int, size: int):
+        return meixner(m0, size - s1, self.a_total, self.beta + s1)
+
+    def type_one(self, m: int, xJ, aJ):
+        return meixner(m, xJ, aJ / (1 - self.a_total + aJ), self.beta)
+
+    @property
+    def total_block(self):
+        return self.a_total - 1
+
+    @staticmethod
+    def block_eigenvalue(d: int, c):
+        return -R(d) * c
+
+    def hahn_limit(self, t):
+        """a_j -> -a_j t, b = t, N -> -beta."""
+        return tuple(-v * t for v in self.a), t, -self.beta
+
+
+FAMILIES = {cls.family: cls for cls in (HahnParams, KrawtchoukParams, MeixnerParams)}

@@ -14,20 +14,11 @@ import math
 import operator
 from dataclasses import dataclass
 
-from ._backend import R, ZERO, ONE, as_integer, integer_scaled, is_integral
-from .core import (
-    HahnParams,
-    KrawtchoukParams,
-    Lattice,
-    LatticeFunction,
-    MeixnerParams,
-    family_lattice,
-    multinomial,
-    rising_factorial,
-)
+from ._backend import R, ZERO, ONE, as_integer, integer_scaled
+from .core import Lattice, LatticeFunction, family_lattice, multinomial, rising_factorial
 
 
-def hahn_weight(x, params: HahnParams):
+def hahn_weight(x, params):
     """Hypergeometric multinomial weight at x, |x| <= N.
 
     multinomial(N; x) * prod (a_i)_{x_i} * (b)_{N-|x|} / (|a|+b)_N
@@ -42,7 +33,7 @@ def hahn_weight(x, params: HahnParams):
     return out / rising_factorial(params.a_total + params.b, params.N)
 
 
-def krawtchouk_weight(x, params: KrawtchoukParams):
+def krawtchouk_weight(x, params):
     """Multinomial weight at x: multinomial(N; x) * prod a_i^{x_i} / (1+|a|)^N."""
     rest = params.N - sum(x)
     if rest < 0:
@@ -53,7 +44,7 @@ def krawtchouk_weight(x, params: KrawtchoukParams):
     return out / (1 + params.a_total) ** params.N
 
 
-def meixner_normalization(params: MeixnerParams):
+def meixner_normalization(params):
     """(1-|a|)^beta when beta is a non-negative integer, else None.
 
     For non-integer rational beta the constant is irrational, so the
@@ -65,7 +56,7 @@ def meixner_normalization(params: MeixnerParams):
     return None
 
 
-def meixner_weight(x, params: MeixnerParams, normalized: bool | None = None):
+def meixner_weight(x, params, normalized: bool | None = None):
     """Negative multinomial weight at x: (beta)_{|x|} prod a_i^{x_i}/x_i!.
 
     The constant factor (1-|a|)^beta is applied when beta is integral
@@ -83,16 +74,6 @@ def meixner_weight(x, params: MeixnerParams, normalized: bool | None = None):
     if norm is not None and normalized is not False:
         out *= norm
     return out
-
-
-def weight_value(x, params):
-    if isinstance(params, HahnParams):
-        return hahn_weight(x, params)
-    if isinstance(params, KrawtchoukParams):
-        return krawtchouk_weight(x, params)
-    if isinstance(params, MeixnerParams):
-        return meixner_weight(x, params)
-    raise TypeError(f"unknown parameter bundle {type(params)!r}")
 
 
 def stirling2_table(t: int) -> list[list[int]]:
@@ -130,7 +111,7 @@ def tail_power_sum(q, X: int, t: int):
     return total
 
 
-def meixner_shell_mass(params: MeixnerParams, s: int):
+def meixner_shell_mass(params, s: int):
     """Unnormalized weight mass of the shell |x| = s: (beta)_s |a|^s / s!."""
     return rising_factorial(params.beta, s) * params.a_total**s / math.factorial(s)
 
@@ -152,7 +133,7 @@ def rising_over_factorial_coeffs(beta: int) -> list:
     return [c / fact for c in coeffs]
 
 
-def meixner_tail_mass_bound(params: MeixnerParams, xmax: int, normalized: bool = True):
+def meixner_tail_mass_bound(params, xmax: int, normalized: bool = True):
     """Exact upper bound on the weight mass beyond |x| <= xmax.
 
     For integral beta, (beta)_s/s! is a polynomial in s of degree
@@ -206,13 +187,12 @@ class WeightTable:
 def weight_table(params, xmax: int | None = None) -> WeightTable:
     """Tabulate the family weight on its canonical (or truncated) lattice."""
     lattice = family_lattice(params, xmax=xmax)
-    if isinstance(params, MeixnerParams):
-        normalized = params.integral_beta
-        values = tuple(meixner_weight(x, params) for x in lattice.points)
-        bound = meixner_tail_mass_bound(params, lattice.bound, normalized=normalized)
-        return WeightTable(params, lattice, values, normalized, bound)
-    values = tuple(weight_value(x, params) for x in lattice.points)
-    return WeightTable(params, lattice, values, True)
+    values = tuple(params.weight(x) for x in lattice.points)
+    if not lattice.truncated:
+        return WeightTable(params, lattice, values, True)
+    normalized = params.integral_beta
+    bound = meixner_tail_mass_bound(params, lattice.bound, normalized=normalized)
+    return WeightTable(params, lattice, values, normalized, bound)
 
 
 def _same_lattice(f: LatticeFunction, w: WeightTable, what: str) -> None:

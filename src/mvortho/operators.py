@@ -7,13 +7,9 @@ nested chain of exchange operators:
 * exchange(i): sum_{j != k >= i} c_{jk}(x) (1 - E_j^- E_k^+)
 * total:       single + exchange(1)
 
-where E_j^+- shifts x_j by one and, per family,
-
-    Hahn:        B_j = (N-|x|)(x_j+a_j),  D_j = x_j(N-|x|+b),  c_jk = x_j(x_k+a_k)
-    Krawtchouk:  B_j = (N-|x|) a_j,       D_j = x_j,           c_jk = x_j a_k
-    Meixner:     B_j = (beta+|x|) a_j,    D_j = x_j,           c_jk = -x_j a_k
-
-B_j and D_j are the birth and death rates of the j-th population group.
+where E_j^+- shifts x_j by one.  The rates B_j, D_j and c_jk are the
+family's (:mod:`mvortho.families`); B_j and D_j are the birth and death
+rates of the j-th population group.
 On the bounded simplices every coefficient multiplying an out-of-domain
 shift vanishes exactly, so no out-of-lattice value is ever read.  On a
 truncated Meixner box the up-shift coefficient does not vanish at the
@@ -34,15 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ._backend import R, ZERO, integer_scaled
-from .core import (
-    HahnParams,
-    KrawtchoukParams,
-    Lattice,
-    LatticeFunction,
-    MeixnerParams,
-    enumerate_degrees,
-    family_lattice,
-)
+from .core import Lattice, LatticeFunction, enumerate_degrees, family_lattice
 from .linalg import forward_differences, sparse_product
 from .measures import WeightTable
 
@@ -75,31 +63,6 @@ class OperatorSpec:
         return self.kind
 
 
-def up_rate(params, x, j: int):
-    """Birth rate B_j(x) (0-based site j)."""
-    if isinstance(params, HahnParams):
-        return R(params.N - sum(x)) * (x[j] + params.a[j])
-    if isinstance(params, KrawtchoukParams):
-        return R(params.N - sum(x)) * params.a[j]
-    return (params.beta + sum(x)) * params.a[j]
-
-
-def down_rate(params, x, j: int):
-    """Death rate D_j(x) (0-based site j)."""
-    if isinstance(params, HahnParams):
-        return R(x[j]) * (params.N - sum(x) + params.b)
-    return R(x[j])
-
-
-def exchange_coeff(params, x, j: int, k: int):
-    """Coefficient of the move x -> x - e_j + e_k (0-based sites)."""
-    if isinstance(params, HahnParams):
-        return R(x[j]) * (x[k] + params.a[k])
-    if isinstance(params, KrawtchoukParams):
-        return R(x[j]) * params.a[k]
-    return -R(x[j]) * params.a[k]
-
-
 def _moves(op: OperatorSpec, x):
     """Yield (coefficient, shifted point) pairs with nonzero coefficient.
 
@@ -111,10 +74,10 @@ def _moves(op: OperatorSpec, x):
     n = params.n
     if op.kind in ("total", "single"):
         for j in range(n):
-            b = up_rate(params, x, j)
+            b = params.up_rate(x, j)
             if b != 0:
                 yield b, x[:j] + (x[j] + 1,) + x[j + 1 :]
-            d = down_rate(params, x, j)
+            d = params.down_rate(x, j)
             if d != 0:
                 yield d, x[:j] + (x[j] - 1,) + x[j + 1 :]
     if op.kind in ("total", "exchange"):
@@ -125,7 +88,7 @@ def _moves(op: OperatorSpec, x):
             for k in range(lo, n):
                 if k == j:
                     continue
-                c = exchange_coeff(params, x, j, k)
+                c = params.exchange_coeff(x, j, k)
                 if c != 0:
                     y = list(x)
                     y[j] -= 1
@@ -173,7 +136,7 @@ def operator_matrix(op: OperatorSpec, lattice: Lattice | None = None) -> Operato
         lattice = family_lattice(op.params)
     if lattice.n != op.params.n:
         raise ValueError("lattice dimension does not match the parameters")
-    if not isinstance(op.params, MeixnerParams) and lattice.bound != op.params.N:
+    if op.params.N is not None and lattice.bound != op.params.N:
         raise ValueError("lattice bound does not match N")
     index = lattice.index
     rows = []
@@ -291,7 +254,7 @@ def image_degree(op: OperatorSpec, M: int, lattice: Lattice | None = None) -> in
     """
     if lattice is None:
         lattice = family_lattice(op.params)
-    if not isinstance(op.params, MeixnerParams) and M > op.params.N:
+    if op.params.N is not None and M > op.params.N:
         raise ValueError("need M <= N")
     H = operator_matrix(op, lattice)
     sums = [sum(x) for x in lattice.points]

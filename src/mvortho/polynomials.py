@@ -20,17 +20,7 @@ import math
 from typing import Sequence
 
 from ._backend import R, ZERO, ONE
-from .core import (
-    FamilyParams,
-    HahnParams,
-    KrawtchoukParams,
-    Lattice,
-    LatticeFunction,
-    MeixnerParams,
-    rising_factorial,
-    tail_param,
-    tail_sum,
-)
+from .core import FamilyParams, Lattice, LatticeFunction, rising_factorial, tail_sum
 
 
 def _terminating_sum(m: int, num_factors, den_factors, z=None):
@@ -172,22 +162,6 @@ def km_pair(m: int, u, v, alpha, gamma):
     return total
 
 
-def _check_degree_index(m: Sequence[int], params) -> tuple[int, ...]:
-    m = tuple(int(d) for d in m)
-    if len(m) != params.n:
-        raise ValueError(f"degree index needs {params.n} entries, got {len(m)}")
-    if any(d < 0 for d in m):
-        raise ValueError("degrees must be non-negative")
-    if not isinstance(params, MeixnerParams) and sum(m) > params.N:
-        raise ValueError(f"|m| = {sum(m)} exceeds N = {params.N}")
-    return m
-
-
-def _check_point(x: Sequence[int], params) -> None:
-    if len(x) != params.n:
-        raise ValueError(f"point needs {params.n} coordinates, got {len(x)}")
-
-
 def pair_product(i: int, m: Sequence[int], x: Sequence[int], params):
     """Product of pair factors j = i..n-1 with degree-shifted arguments.
 
@@ -198,66 +172,20 @@ def pair_product(i: int, m: Sequence[int], x: Sequence[int], params):
     n = params.n
     if not 1 <= i <= n - 1:
         raise ValueError(f"sector index i = {i} outside [1, {n - 1}]")
-    m = _check_degree_index(m, params)
-    _check_point(x, params)
-    hahn_family = isinstance(params, HahnParams)
+    m = params.degree_index(m)
+    params.check_point(x)
     out = ONE
     for j in range(i, n):
-        shift = sum(m[j + 1 :])
-        u = x[j - 1]
-        v = tail_sum(x, j) - shift
-        alpha = params.a[j - 1]
-        gamma = params.a_tail(j)
-        if hahn_family:
-            out *= hahn_pair(m[j], u, v, alpha, gamma + 2 * shift)
-        else:
-            out *= km_pair(m[j], u, v, alpha, gamma)
+        out *= params.pair_factor(j, m[j], sum(m[j + 1 :]), x[j - 1], tail_sum(x, j))
     return out
 
 
-def multi_hahn(m: Sequence[int], x: Sequence[int], params: HahnParams):
-    """Multivariate Hahn eigenpolynomial P_m(x)."""
-    m = _check_degree_index(m, params)
-    _check_point(x, params)
-    s1 = sum(m[1:])
-    radial = hahn(
-        m[0],
-        sum(x) - s1,
-        params.a_total + 2 * s1,
-        params.b,
-        params.N - s1,
-    )
-    return pair_product(1, m, x, params) * radial
-
-
-def multi_krawtchouk(m: Sequence[int], x: Sequence[int], params: KrawtchoukParams):
-    """Multivariate Krawtchouk eigenpolynomial P_m(x)."""
-    m = _check_degree_index(m, params)
-    _check_point(x, params)
-    s1 = sum(m[1:])
-    A = params.a_total
-    radial = krawtchouk(m[0], sum(x) - s1, A / (A + 1), params.N - s1)
-    return pair_product(1, m, x, params) * radial
-
-
-def multi_meixner(m: Sequence[int], x: Sequence[int], params: MeixnerParams):
-    """Multivariate Meixner eigenpolynomial P_m(x)."""
-    m = _check_degree_index(m, params)
-    _check_point(x, params)
-    s1 = sum(m[1:])
-    radial = meixner(m[0], sum(x) - s1, params.a_total, params.beta + s1)
-    return pair_product(1, m, x, params) * radial
-
-
 def eigenpoly(m: Sequence[int], x: Sequence[int], params):
-    """Family-dispatching evaluator for the eigenpolynomial P_m(x)."""
-    if isinstance(params, HahnParams):
-        return multi_hahn(m, x, params)
-    if isinstance(params, KrawtchoukParams):
-        return multi_krawtchouk(m, x, params)
-    if isinstance(params, MeixnerParams):
-        return multi_meixner(m, x, params)
-    raise TypeError(f"unknown parameter bundle {type(params)!r}")
+    """The eigenpolynomial P_m(x): pair factors times the radial factor."""
+    FamilyParams.require(params)
+    m = params.degree_index(m)
+    params.check_point(x)
+    return pair_product(1, m, x, params) * params.radial(m[0], sum(m[1:]), sum(x))
 
 
 def eigenpoly_tables(degrees, params, lattice: Lattice) -> list[LatticeFunction]:
@@ -266,46 +194,30 @@ def eigenpoly_tables(degrees, params, lattice: Lattice) -> list[LatticeFunction]
     P_m(x) is built factor by factor, and each distinct factor is
     evaluated once for all the tables: pair factor j depends only on
     (m_j, shift, x_j, x_{>j}) with shift = sum_{k>j} m_k, the radial
-    factor only on (m_0, |m| - m_0, |x|).  The factors follow the same
-    closed forms and shift rules as :func:`eigenpoly`, which stays the
-    pointwise reference; every value equals it exactly.
+    factor only on (m_0, |m| - m_0, |x|).  The factors are the family's,
+    as in :func:`eigenpoly`, which stays the pointwise reference; every
+    value equals it exactly.
     """
-    if not isinstance(params, FamilyParams):
-        raise TypeError(f"unknown parameter bundle {type(params)!r}")
+    FamilyParams.require(params)
     if lattice.n != params.n:
         raise ValueError(f"lattice has {lattice.n} coordinates, params have {params.n}")
-    degrees = [_check_degree_index(m, params) for m in degrees]
-    n = params.n
-    A = params.a_total
+    degrees = [params.degree_index(m) for m in degrees]
     # (x_j, x_{>j}) of every point, for the pair factors j = 1..n-1
-    coords = [[(x[j - 1], sum(x[j:])) for x in lattice.points] for j in range(1, n)]
+    coords = [[(x[j - 1], sum(x[j:])) for x in lattice.points] for j in range(1, params.n)]
     sizes = [sum(x) for x in lattice.points]
     pair_cache: dict = {}
     radial_cache: dict = {}
 
-    def pair(j, mj, shift, u, t):
-        key = (j, mj, shift, u, t)
+    def pair(*key):
         value = pair_cache.get(key)
         if value is None:
-            alpha, gamma = params.a[j - 1], params.a_tail(j)
-            if isinstance(params, HahnParams):
-                value = hahn_pair(mj, u, t - shift, alpha, gamma + 2 * shift)
-            else:
-                value = km_pair(mj, u, t - shift, alpha, gamma)
-            pair_cache[key] = value
+            value = pair_cache[key] = params.pair_factor(*key)
         return value
 
-    def radial(m0, s1, size):
-        key = (m0, s1, size)
+    def radial(*key):
         value = radial_cache.get(key)
         if value is None:
-            if isinstance(params, HahnParams):
-                value = hahn(m0, size - s1, A + 2 * s1, params.b, params.N - s1)
-            elif isinstance(params, KrawtchoukParams):
-                value = krawtchouk(m0, size - s1, A / (A + 1), params.N - s1)
-            else:
-                value = meixner(m0, size - s1, A, params.beta + s1)
-            radial_cache[key] = value
+            value = radial_cache[key] = params.radial(*key)
         return value
 
     tables = []
@@ -333,25 +245,12 @@ def eigenvalue(params, kind: str, index: int | None, m: Sequence[int]):
     an exchange confined to sites >= i.  kind 'single' is total minus
     the full exchange part (the operators commute and share P_m).
     """
-    m = _check_degree_index(m, params)
-    total = sum(m)
+    m = params.degree_index(m)
 
     def exchange_eig(i: int):
-        s_i = sum(m[i:])
-        block = params.a[i - 1] + params.a_tail(i)
-        if isinstance(params, HahnParams):
-            return R(s_i) * (s_i + block - 1)
-        if isinstance(params, KrawtchoukParams):
-            return R(s_i) * block
-        return -R(s_i) * block
+        return params.block_eigenvalue(sum(m[i:]), params.a[i - 1] + params.a_tail(i))
 
-    if isinstance(params, HahnParams):
-        total_eig = R(total) * (total + params.a_total + params.b - 1)
-    elif isinstance(params, KrawtchoukParams):
-        total_eig = R(total) * (params.a_total + 1)
-    else:
-        total_eig = R(total) * (1 - params.a_total)
-
+    total_eig = params.block_eigenvalue(sum(m), params.total_block)
     if kind == "total":
         return total_eig
     if kind == "single":
@@ -396,7 +295,7 @@ def pair_backward_table(m: int, alpha, gamma, box: int) -> LatticeFunction:
     return LatticeFunction(lattice, tuple(values[pt] for pt in lattice.points))
 
 
-def rodrigues_pair(i: int, m: int, params: HahnParams) -> LatticeFunction:
+def rodrigues_pair(i: int, m: int, params) -> LatticeFunction:
     """Backward-shift construction in sector i on the (u, v) box of size N."""
     if not 1 <= i <= params.n - 1:
         raise ValueError(f"sector index i = {i} outside [1, {params.n - 1}]")

@@ -17,20 +17,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from ._backend import R, ZERO, ONE, as_integer
-from .core import (
-    HahnParams,
-    KrawtchoukParams,
-    Lattice,
-    LatticeFunction,
-    MeixnerParams,
-    compositions,
-    enumerate_degrees,
-    family_lattice,
-    tail_param,
-    tail_sum,
-)
+from .core import LatticeFunction, compositions, enumerate_degrees, family_lattice, tail_sum
 from .measures import (
-    WeightTable,
     gram_matrix,
     inner_product,
     meixner_normalization,
@@ -40,15 +28,13 @@ from .measures import (
     weight_table,
 )
 from .operators import (
+    OperatorMatrix,
     OperatorSpec,
     adjointness_defect,
     apply_matrix,
     commutator_defect,
-    down_rate,
-    exchange_coeff,
     image_degree,
     operator_matrix,
-    up_rate,
 )
 from .polynomials import (
     eigenpoly,
@@ -57,11 +43,6 @@ from .polynomials import (
     eigenvalue,
     hahn,
     hahn_pair,
-    km_pair,
-    krawtchouk,
-    meixner,
-    multi_krawtchouk,
-    multi_meixner,
     pair_backward_table,
     pair_product,
     rising_factorial,
@@ -118,37 +99,9 @@ def _timed(fn):
     return out, time.perf_counter() - t0
 
 
-def describe(params) -> str:
-    from .serialize import rational_str
-
-    a = ",".join(rational_str(v) for v in params.a)
-    if isinstance(params, HahnParams):
-        return f"hahn n={params.n} N={params.N} a=({a}) b={rational_str(params.b)}"
-    if isinstance(params, KrawtchoukParams):
-        return f"krawtchouk n={params.n} N={params.N} a=({a})"
-    return f"meixner n={params.n} beta={rational_str(params.beta)} a=({a})"
-
-
 def random_rational(rng: random.Random, max_part: int = 20):
     """Positive rational with numerator and denominator <= max_part."""
     return R(rng.randint(1, max_part), rng.randint(1, max_part))
-
-
-def random_params(family: str, n: int, N: int | None = None, rng=None, seed: int = 0):
-    """Generic small-rational parameter draw for a family."""
-    if rng is None:
-        rng = random.Random(seed)
-    if family == "hahn":
-        return HahnParams(
-            tuple(random_rational(rng) for _ in range(n)), random_rational(rng), N
-        )
-    if family == "krawtchouk":
-        return KrawtchoukParams(tuple(random_rational(rng) for _ in range(n)), N)
-    if family == "meixner":
-        # numerators <= 20 over a denominator large enough that |a| < 1
-        a = tuple(R(rng.randint(1, 20), 40 * n) for _ in range(n))
-        return MeixnerParams(a, R(rng.randint(1, 20), rng.randint(1, 10)))
-    raise ValueError(f"unknown family {family!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +113,7 @@ def normalization_check(params, xmax: int | None = None) -> CheckReport:
     sums increase with the box and the missing mass obeys the tail bound."""
 
     def body():
-        if isinstance(params, MeixnerParams):
+        if params.N is None:
             X = 12 if xmax is None else xmax
             totals = [weight_table(params, xmax=x) for x in (X // 2, X)]
             if not totals[0].total < totals[1].total:
@@ -179,7 +132,7 @@ def normalization_check(params, xmax: int | None = None) -> CheckReport:
         return (PASS if defect == 0 else FAIL), defect, ""
 
     (status, defect, detail), dt = _timed(body)
-    return CheckReport("normalization", describe(params), status, defect, dt, detail)
+    return CheckReport("normalization", params.label, status, defect, dt, detail)
 
 
 def compatibility_check(params, xmax: int | None = None) -> CheckReport:
@@ -199,8 +152,8 @@ def compatibility_check(params, xmax: int | None = None) -> CheckReport:
                 yj = x[:j] + (x[j] + 1,) + x[j + 1 :]
                 if yj not in lattice.index:
                     continue
-                lhs = w(yj) * down_rate(params, yj, j)
-                rhs = w(x) * up_rate(params, x, j)
+                lhs = w(yj) * params.down_rate(yj, j)
+                rhs = w(x) * params.up_rate(x, j)
                 worst = max(worst, abs(lhs - rhs))
                 for k in range(j + 1, n):
                     yk = x[:k] + (x[k] + 1,) + x[k + 1 :]
@@ -210,48 +163,48 @@ def compatibility_check(params, xmax: int | None = None) -> CheckReport:
                     # B_j(x) B_k(x+e_j) / (D_j(x+e_j) D_k(x+e_j+e_k)) is
                     # symmetric in j,k; compare cross-multiplied.
                     lhs = (
-                        up_rate(params, x, j)
-                        * up_rate(params, yj, k)
-                        * down_rate(params, yk, k)
-                        * down_rate(params, yjk, j)
+                        params.up_rate(x, j)
+                        * params.up_rate(yj, k)
+                        * params.down_rate(yk, k)
+                        * params.down_rate(yjk, j)
                     )
                     rhs = (
-                        up_rate(params, x, k)
-                        * up_rate(params, yk, j)
-                        * down_rate(params, yj, j)
-                        * down_rate(params, yjk, k)
+                        params.up_rate(x, k)
+                        * params.up_rate(yk, j)
+                        * params.down_rate(yj, j)
+                        * params.down_rate(yjk, k)
                     )
                     worst = max(worst, abs(lhs - rhs))
         return (PASS if worst == 0 else FAIL), worst
 
     (status, worst), dt = _timed(body)
-    return CheckReport("compatibility", describe(params), status, worst, dt)
+    return CheckReport("compatibility", params.label, status, worst, dt)
 
 
 def boundary_safety_check(params) -> CheckReport:
     """Every coefficient that would multiply an out-of-lattice shift is 0."""
 
     def body():
-        if isinstance(params, MeixnerParams):
+        if params.N is None:
             return SKIP, None, "semi-infinite lattice; frontier entries are flagged instead"
         lattice = family_lattice(params)
         n = params.n
         for x in lattice.points:
             if sum(x) == params.N:
                 for j in range(n):
-                    if up_rate(params, x, j) != 0:
-                        return FAIL, up_rate(params, x, j), f"up rate nonzero at {x}"
+                    if params.up_rate(x, j) != 0:
+                        return FAIL, params.up_rate(x, j), f"up rate nonzero at {x}"
             for j in range(n):
                 if x[j] == 0:
-                    if down_rate(params, x, j) != 0:
-                        return FAIL, down_rate(params, x, j), f"down rate nonzero at {x}"
+                    if params.down_rate(x, j) != 0:
+                        return FAIL, params.down_rate(x, j), f"down rate nonzero at {x}"
                     for k in range(n):
-                        if k != j and exchange_coeff(params, x, j, k) != 0:
-                            return FAIL, exchange_coeff(params, x, j, k), f"exchange nonzero at {x}"
+                        if k != j and params.exchange_coeff(x, j, k) != 0:
+                            return FAIL, params.exchange_coeff(x, j, k), f"exchange nonzero at {x}"
         return PASS, ZERO, ""
 
     (status, defect, detail), dt = _timed(body)
-    return CheckReport("boundary-safety", describe(params), status, defect, dt, detail)
+    return CheckReport("boundary-safety", params.label, status, defect, dt, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +226,7 @@ def adjointness_check(params, xmax: int | None = None) -> CheckReport:
         return (PASS if worst == 0 else FAIL), worst
 
     (status, worst), dt = _timed(body)
-    return CheckReport("adjointness", describe(params), status, worst, dt)
+    return CheckReport("adjointness", params.label, status, worst, dt)
 
 
 def commutator_check(params, xmax: int | None = None) -> CheckReport:
@@ -283,11 +236,11 @@ def commutator_check(params, xmax: int | None = None) -> CheckReport:
         worst = ZERO
         for s1, s2 in combinations(specs, 2):
             worst = max(worst, commutator_defect(s1, s2, lattice))
-        return (PASS if worst == 0 else FAIL), worst
+        detail = "interior-restricted rows" if lattice.truncated else ""
+        return (PASS if worst == 0 else FAIL), worst, detail
 
-    (status, worst), dt = _timed(body)
-    detail = "interior-restricted rows" if isinstance(params, MeixnerParams) else ""
-    return CheckReport("commutators", describe(params), status, worst, dt, detail)
+    (status, worst, detail), dt = _timed(body)
+    return CheckReport("commutators", params.label, status, worst, dt, detail)
 
 
 def degree_invariance_report(params, M: int, xmax: int | None = None) -> CheckReport:
@@ -300,7 +253,7 @@ def degree_invariance_report(params, M: int, xmax: int | None = None) -> CheckRe
 
     (status, defect, degree), dt = _timed(body)
     return CheckReport(
-        "degree-invariance", f"{describe(params)} M={M}", status, defect, dt,
+        "degree-invariance", f"{params.label} M={M}", status, defect, dt,
         f"largest image degree {degree}",
     )
 
@@ -309,12 +262,9 @@ def degree_invariance_report(params, M: int, xmax: int | None = None) -> CheckRe
 # eigen checks
 
 
-def residual_defect(op, table: LatticeFunction, eig) -> tuple:
-    """Max |(H f)(x) - eig * f(x)| over points with a defined image; ``op``
-    is an OperatorSpec, or its OperatorMatrix built on the table's lattice."""
-    if isinstance(op, OperatorSpec):
-        op = operator_matrix(op, table.lattice)
-    image = apply_matrix(op, table)
+def residual_defect(H: OperatorMatrix, table: LatticeFunction, eig) -> tuple:
+    """Max |(H f)(x) - eig * f(x)| over points with a defined image."""
+    image = apply_matrix(H, table)
     worst = ZERO
     checked = 0
     for fv, gv in zip(table.values, image.values):
@@ -334,9 +284,9 @@ def eigen_check(params, kind: str, m, index: int | None = None,
     def body():
         lattice = family_lattice(params, xmax=xmax)
         table = eigenpoly_table(m, params, lattice)
-        op = OperatorSpec(params, kind, index)
+        H = operator_matrix(OperatorSpec(params, kind, index), lattice)
         eig = eigenvalue(params, kind, index, m)
-        worst, checked = residual_defect(op, table, eig)
+        worst, checked = residual_defect(H, table, eig)
         from .serialize import rational_str
 
         detail = f"eigenvalue {rational_str(eig)} on {checked} points"
@@ -344,7 +294,7 @@ def eigen_check(params, kind: str, m, index: int | None = None,
 
     (status, worst, detail), dt = _timed(body)
     op_label = kind if kind != "exchange" else f"exchange{index}"
-    inst = f"{describe(params)} m={tuple(m)} op={op_label}"
+    inst = f"{params.label} m={tuple(m)} op={op_label}"
     return CheckReport("eigen", inst, status, worst, dt, detail)
 
 
@@ -364,7 +314,7 @@ def eigen_suite(params, m_max: int, xmax: int | None = None) -> list[CheckReport
             worst = max(worst, defect)
             count += 1
     dt = time.perf_counter() - t0
-    inst = f"{describe(params)} all |m|<={m_max}"
+    inst = f"{params.label} all |m|<={m_max}"
     reports.append(
         CheckReport(
             "eigen-suite", inst, PASS if worst == 0 else FAIL, worst, dt,
@@ -389,7 +339,7 @@ def eigen_degeneracy_check(params, m_max: int) -> CheckReport:
 
     (status, defect), dt = _timed(body)
     return CheckReport(
-        "eigen-degeneracy", f"{describe(params)} |m|<={m_max}", status, defect, dt
+        "eigen-degeneracy", f"{params.label} |m|<={m_max}", status, defect, dt
     )
 
 
@@ -400,13 +350,7 @@ def eigen_degeneracy_check(params, m_max: int) -> CheckReport:
 def type_one_value(params, J, m: int, x) -> object:
     """Single-variable polynomial in the subset-sum variable x_J."""
     xJ = sum(x[j - 1] for j in J)
-    aJ = sum((params.a[j - 1] for j in J), ZERO)
-    A = params.a_total
-    if isinstance(params, HahnParams):
-        return hahn(m, xJ, aJ, A + params.b - aJ, params.N)
-    if isinstance(params, KrawtchoukParams):
-        return krawtchouk(m, xJ, aJ / (1 + A), params.N)
-    return meixner(m, xJ, aJ / (1 - A + aJ), params.beta)
+    return params.type_one(m, xJ, sum((params.a[j - 1] for j in J), ZERO))
 
 
 def type_one_check(params, J, m: int, xmax: int | None = None) -> CheckReport:
@@ -414,29 +358,32 @@ def type_one_check(params, J, m: int, xmax: int | None = None) -> CheckReport:
     J = tuple(sorted(set(J)))
     if not J or any(not 1 <= j <= params.n for j in J):
         raise ValueError(f"J must be a nonempty subset of 1..{params.n}")
+    lattice = family_lattice(params, xmax=xmax)
+    return _type_one_report(operator_matrix(OperatorSpec(params, "total"), lattice), J, m)
+
+
+def _type_one_report(total: OperatorMatrix, J, m: int) -> CheckReport:
+    params = total.op.params
 
     def body():
-        lattice = family_lattice(params, xmax=xmax)
         table = LatticeFunction.from_callable(
-            lattice, lambda x: type_one_value(params, J, m, x)
+            total.lattice, lambda x: type_one_value(params, J, m, x)
         )
-        op = OperatorSpec(params, "total")
         eig = eigenvalue(params, "total", None, (m,) + (0,) * (params.n - 1))
-        worst, _ = residual_defect(op, table, eig)
+        worst, _ = residual_defect(total, table, eig)
         return (PASS if worst == 0 else FAIL), worst
 
     (status, worst), dt = _timed(body)
-    inst = f"{describe(params)} J={set(J)} m={m}"
+    inst = f"{params.label} J={set(J)} m={m}"
     return CheckReport("type-one", inst, status, worst, dt)
 
 
 def type_one_suite(params, m_max: int, xmax: int | None = None) -> list[CheckReport]:
-    reports = []
+    """Type-one residuals for every subset J and m <= m_max, on one stencil."""
+    total = operator_matrix(OperatorSpec(params, "total"), family_lattice(params, xmax=xmax))
     sites = range(1, params.n + 1)
-    for size in sites:
-        for J in combinations(sites, size):
-            for m in range(0, m_max + 1):
-                reports.append(type_one_check(params, J, m, xmax=xmax))
+    reports = [_type_one_report(total, J, m) for size in sites
+               for J in combinations(sites, size) for m in range(m_max + 1)]
     reports.append(same_degree_overlap_check(params, max(1, min(m_max, 2)), xmax=xmax))
     return reports
 
@@ -466,7 +413,7 @@ def same_degree_overlap_check(params, m: int, xmax: int | None = None) -> CheckR
 
     (status, detail), dt = _timed(body)
     return CheckReport(
-        "type-one-overlap", f"{describe(params)} m={m}", status, None, dt, detail
+        "type-one-overlap", f"{params.label} m={m}", status, None, dt, detail
     )
 
 
@@ -527,129 +474,95 @@ def sv_difference_equation_check(a, b, N: int, deg_max: int) -> CheckReport:
     return CheckReport("sv-difference-eq", f"hahn-1v N={N} m<={deg_max}", status, worst, dt)
 
 
-def pair_shift_check(alpha, gamma, deg_max: int, box: int, family: str) -> CheckReport:
-    """Forward/backward shift relations for the pair polynomials."""
+def pair_shift_check(alpha, gamma, deg_max: int, box: int, family) -> CheckReport:
+    """Forward/backward shift relations for the pair polynomials of
+    ``family`` (a family class or bundle; see its ``pair_shift``)."""
     alpha, gamma = R(alpha), R(gamma)
+    P, rate = family.pair_poly, family.pair_rate
 
     def body():
         worst = ZERO
         for m in range(deg_max + 1):
+            c, d, alpha1, gamma1 = family.pair_shift(m, alpha, gamma)
             for u in range(box + 1):
                 for v in range(box + 1 - u):
-                    if family == "hahn":
-                        if m >= 1:
-                            lhs = hahn_pair(m, u, v + 1, alpha, gamma) - hahn_pair(
-                                m, u + 1, v, alpha, gamma
-                            )
-                            rhs = (
-                                R(m) * (m + alpha + gamma - 1)
-                                * hahn_pair(m - 1, u, v, alpha + 1, gamma + 1)
-                            )
-                            worst = max(worst, abs(lhs - rhs))
-                        lhs = R(v) * (u + alpha) * hahn_pair(
-                            m, u, v - 1, alpha + 1, gamma + 1
-                        ) - R(u) * (v + gamma) * hahn_pair(
-                            m, u - 1, v, alpha + 1, gamma + 1
-                        )
-                        rhs = hahn_pair(m + 1, u, v, alpha, gamma)
-                        worst = max(worst, abs(lhs - rhs))
-                    else:
-                        if m >= 1:
-                            lhs = km_pair(m, u, v + 1, alpha, gamma) - km_pair(
-                                m, u + 1, v, alpha, gamma
-                            )
-                            rhs = (
-                                -R(m) * (alpha + gamma) / alpha
-                                * km_pair(m - 1, u, v, alpha, gamma)
-                            )
-                            worst = max(worst, abs(lhs - rhs))
-                        lhs = R(v) * alpha * km_pair(m, u, v - 1, alpha, gamma) - R(
-                            u
-                        ) * gamma * km_pair(m, u - 1, v, alpha, gamma)
-                        rhs = -alpha * km_pair(m + 1, u, v, alpha, gamma)
-                        worst = max(worst, abs(lhs - rhs))
+                    if m >= 1:
+                        lhs = P(m, u, v + 1, alpha, gamma) - P(m, u + 1, v, alpha, gamma)
+                        worst = max(worst, abs(lhs - c * P(m - 1, u, v, alpha1, gamma1)))
+                    lhs = (v * rate(u, alpha) * P(m, u, v - 1, alpha1, gamma1)
+                           - u * rate(v, gamma) * P(m, u - 1, v, alpha1, gamma1))
+                    worst = max(worst, abs(lhs - d * P(m + 1, u, v, alpha, gamma)))
         return (PASS if worst == 0 else FAIL), worst
 
     (status, worst), dt = _timed(body)
     from .serialize import rational_str
 
     inst = (
-        f"{family}-pair alpha={rational_str(alpha)} gamma={rational_str(gamma)} "
+        f"{family.pair_name}-pair alpha={rational_str(alpha)} gamma={rational_str(gamma)} "
         f"m<={deg_max} box={box}"
     )
     return CheckReport("pair-shifts", inst, status, worst, dt)
 
 
-def pair_recursion_check(alpha, gamma, deg_max: int, box: int, family: str) -> CheckReport:
-    """Forward/backward three-term recursions for the pair polynomials."""
+def pair_recursion_check(alpha, gamma, deg_max: int, box: int, family) -> CheckReport:
+    """Forward/backward three-term recursions for the pair polynomials:
+    rate(u, alpha) P(u+1, v) + rate(v, gamma) P(u, v+1) = rate(u+v+m, alpha+gamma) P
+    and u P(u-1, v) + v P(u, v-1) = (u+v-m) P."""
     alpha, gamma = R(alpha), R(gamma)
+    rate = family.pair_rate
 
     def body():
         worst = ZERO
         for m in range(deg_max + 1):
+            P = lambda uu, vv: family.pair_poly(m, uu, vv, alpha, gamma)
             for u in range(box + 1):
                 for v in range(box + 1 - u):
-                    if family == "hahn":
-                        P = lambda uu, vv: hahn_pair(m, uu, vv, alpha, gamma)
-                        fwd = (u + alpha) * P(u + 1, v) + (v + gamma) * P(u, v + 1)
-                        worst = max(
-                            worst, abs(fwd - (u + v + alpha + gamma + m) * P(u, v))
-                        )
-                    else:
-                        P = lambda uu, vv: km_pair(m, uu, vv, alpha, gamma)
-                        fwd = alpha * P(u + 1, v) + gamma * P(u, v + 1)
-                        worst = max(worst, abs(fwd - (alpha + gamma) * P(u, v)))
+                    fwd = rate(u, alpha) * P(u + 1, v) + rate(v, gamma) * P(u, v + 1)
+                    worst = max(worst, abs(fwd - rate(u + v + m, alpha + gamma) * P(u, v)))
                     bwd = R(u) * P(u - 1, v) + R(v) * P(u, v - 1)
                     worst = max(worst, abs(bwd - (R(u + v) - m) * P(u, v)))
         return (PASS if worst == 0 else FAIL), worst
 
     (status, worst), dt = _timed(body)
-    inst = f"{family}-pair m<={deg_max} box={box}"
+    inst = f"{family.pair_name}-pair m<={deg_max} box={box}"
     return CheckReport("pair-recursions", inst, status, worst, dt)
 
 
 def generalized_recursion_check(params, i: int, m, xmax: int | None = None) -> CheckReport:
     """Forward/backward recursions for the chained pair product.
 
-    With R(x) the product of pair factors i..n-1 (degree-shifted) and
-    sums over k = i..n (1-based sites):
+    With R(x) the product of pair factors i..n-1 (degree-shifted), sums
+    over k = i..n (1-based sites), D = sum_{k>=i} m_k and the family's
+    pair rate (x_k + a_k for Hahn, a_k for Krawtchouk/Meixner):
 
-        Hahn:  sum (x_k+a_k) R(x+e_k) = (sum (x_k+a_k) + sum_{k>=i} m_k) R(x)
-        K/M:   sum a_k R(x+e_k)       = (sum a_k) R(x)
-        both:  sum x_k R(x-e_k)       = (sum x_k - sum_{k>=i} m_k) R(x)
+        sum rate(x_k, a_k) R(x+e_k) = rate(sum x_k + D, sum a_k) R(x)
+        sum x_k R(x-e_k)            = (sum x_k - D) R(x)
     """
 
     def body():
         lattice = family_lattice(params, xmax=xmax)
         n = params.n
-        hahn_family = isinstance(params, HahnParams)
         deg = sum(m[i:])
+        a_sum = sum(params.a[i - 1 :], ZERO)
         worst = ZERO
         for x in lattice.points:
             base = pair_product(i, m, x, params)
             fwd = ZERO
             bwd = ZERO
-            coeff_fwd = ZERO
             for k in range(i, n + 1):
                 xk = x[k - 1]
-                ak = params.a[k - 1]
                 up = x[: k - 1] + (xk + 1,) + x[k:]
                 dn = x[: k - 1] + (xk - 1,) + x[k:]
-                cf = (xk + ak) if hahn_family else ak
-                coeff_fwd += cf
-                fwd += cf * pair_product(i, m, up, params)
+                fwd += params.pair_rate(xk, params.a[k - 1]) * pair_product(i, m, up, params)
                 if xk:
                     bwd += xk * pair_product(i, m, dn, params)
-            if hahn_family:
-                worst = max(worst, abs(fwd - (coeff_fwd + deg) * base))
-            else:
-                worst = max(worst, abs(fwd - coeff_fwd * base))
             tailx = sum(x[i - 1 :])
+            worst = max(worst, abs(fwd - params.pair_rate(tailx + deg, a_sum) * base))
             worst = max(worst, abs(bwd - (tailx - deg) * base))
         return (PASS if worst == 0 else FAIL), worst
 
     (status, worst), dt = _timed(body)
-    inst = f"{describe(params)} i={i} m={tuple(m)}"
+    inst = f"{params.label} i={i} m={tuple(m)}"
     return CheckReport("generalized-recursions", inst, status, worst, dt)
 
 
@@ -681,34 +594,29 @@ def glue_check(params, i: int, m_i: int, m_im1: int, xmax: int | None = None) ->
     """
     if not 2 <= i <= params.n - 1:
         raise ValueError(f"glue index i = {i} outside [2, {params.n - 1}]")
+    lattice = family_lattice(params, xmax=xmax)
+    return _glue_report(operator_matrix(OperatorSpec(params, "exchange", i - 1), lattice),
+                        i, m_i, m_im1)
+
+
+def _glue_report(exchange: OperatorMatrix, i: int, m_i: int, m_im1: int) -> CheckReport:
+    params = exchange.op.params
 
     def body():
-        lattice = family_lattice(params, xmax=xmax)
-        hahn_family = isinstance(params, HahnParams)
-
         def value(x):
-            u_hi, v_hi = x[i - 1], tail_sum(x, i)
-            u_lo, v_lo = x[i - 2], tail_sum(x, i - 1) - m_i
-            if hahn_family:
-                hi = hahn_pair(m_i, u_hi, v_hi, params.a[i - 1], params.a_tail(i))
-                lo = hahn_pair(
-                    m_im1, u_lo, v_lo, params.a[i - 2], params.a_tail(i - 1) + 2 * m_i
-                )
-            else:
-                hi = km_pair(m_i, u_hi, v_hi, params.a[i - 1], params.a_tail(i))
-                lo = km_pair(m_im1, u_lo, v_lo, params.a[i - 2], params.a_tail(i - 1))
+            hi = params.pair_factor(i, m_i, 0, x[i - 1], tail_sum(x, i))
+            lo = params.pair_factor(i - 1, m_im1, m_i, x[i - 2], tail_sum(x, i - 1))
             return hi * lo
 
-        table = LatticeFunction.from_callable(lattice, value)
+        table = LatticeFunction.from_callable(exchange.lattice, value)
         m = [0] * params.n
         m[i - 1], m[i] = m_im1, m_i
         eig = eigenvalue(params, "exchange", i - 1, m)
-        op = OperatorSpec(params, "exchange", i - 1)
-        worst, _ = residual_defect(op, table, eig)
+        worst, _ = residual_defect(exchange, table, eig)
         return (PASS if worst == 0 else FAIL), worst
 
     (status, worst), dt = _timed(body)
-    inst = f"{describe(params)} i={i} degrees=({m_i},{m_im1})"
+    inst = f"{params.label} i={i} degrees=({m_i},{m_im1})"
     return CheckReport("glue", inst, status, worst, dt)
 
 
@@ -850,7 +758,7 @@ def gram_check(params, m_max: int, xmax: int | None = None,
     is the largest such bound.
     """
     t0 = time.perf_counter()
-    if not isinstance(params, MeixnerParams) and m_max > params.N:
+    if params.N is not None and m_max > params.N:
         raise ValueError("need m_max <= N")
     w = weight_table(params, xmax=xmax)
     lattice = w.lattice
@@ -863,7 +771,7 @@ def gram_check(params, m_max: int, xmax: int | None = None,
     tolerance = None
     bounds: list = []
     worst = ZERO
-    if isinstance(params, MeixnerParams):
+    if lattice.truncated:
         coeffs = [
             poly_coefficients(lambda x, m=m: eigenpoly(m, x, params), params.n, m_max)
             for m in degrees
@@ -896,7 +804,7 @@ def gram_check(params, m_max: int, xmax: int | None = None,
             detail = f"non-positive diagonal at {degrees[i]}"
     dt = time.perf_counter() - t0
     report = CheckReport(
-        "gram", f"{describe(params)} |m|<={m_max}", status, worst, dt, detail
+        "gram", f"{params.label} |m|<={m_max}", status, worst, dt, detail
     )
     return GramResult(degrees, G, report, tolerance, bounds)
 
@@ -906,7 +814,7 @@ def completeness_check(params, xmax: int | None = None) -> CheckReport:
     which holds once ``gram_check`` finds it diagonal with positive entries."""
 
     def body():
-        if isinstance(params, MeixnerParams):
+        if params.N is None:
             return SKIP, None, "unbounded degree set on the semi-infinite lattice"
         lattice = family_lattice(params)
         degrees = enumerate_degrees(params.n, params.N)
@@ -917,7 +825,7 @@ def completeness_check(params, xmax: int | None = None) -> CheckReport:
         return PASS, ZERO, f"count {lattice.size}, Gram diagonal positive, full rank"
 
     (status, defect, detail), dt = _timed(body)
-    return CheckReport("completeness", describe(params), status, defect, dt, detail)
+    return CheckReport("completeness", params.label, status, defect, dt, detail)
 
 
 def pair_orthogonality_report(params, m: int, xmax: int | None = None) -> CheckReport:
@@ -930,13 +838,9 @@ def pair_orthogonality_report(params, m: int, xmax: int | None = None) -> CheckR
     def body():
         w = weight_table(params, xmax=xmax)
         lattice = w.lattice
-        hahn_family = isinstance(params, HahnParams)
 
         def sector_value(i, x):
-            u, v = x[i - 1], tail_sum(x, i)
-            if hahn_family:
-                return hahn_pair(m, u, v, params.a[i - 1], params.a_tail(i))
-            return km_pair(m, u, v, params.a[i - 1], params.a_tail(i))
+            return params.pair_factor(i, m, 0, x[i - 1], tail_sum(x, i))
 
         tables = {
             i: LatticeFunction.from_callable(lattice, lambda x, i=i: sector_value(i, x))
@@ -947,7 +851,7 @@ def pair_orthogonality_report(params, m: int, xmax: int | None = None) -> CheckR
         for i, j in combinations(range(1, params.n), 2):
             val = abs(inner_product(tables[i], tables[j], w))
             worst = max(worst, val)
-            if isinstance(params, MeixnerParams):
+            if lattice.truncated:
                 coeff_i = poly_coefficients(
                     lambda pt, i=i: sector_value(i, pt), params.n, m
                 )
@@ -962,15 +866,13 @@ def pair_orthogonality_report(params, m: int, xmax: int | None = None) -> CheckR
             elif val != 0:
                 status = FAIL
         detail = (
-            "within truncation tail bounds"
-            if isinstance(params, MeixnerParams)
-            else "full-weight inner product"
+            "within truncation tail bounds" if lattice.truncated else "full-weight inner product"
         )
         return status, worst, detail
 
     (status, worst, detail), dt = _timed(body)
     return CheckReport(
-        "pair-orthogonality", f"{describe(params)} m={m}", status, worst, dt, detail
+        "pair-orthogonality", f"{params.label} m={m}", status, worst, dt, detail
     )
 
 
@@ -990,98 +892,160 @@ def _limit_protocol(deviations, t_values) -> tuple:
     return PASS, abs(deviations[-1])
 
 
-def rescaled_hahn_limit_value(m, x, a, scale, N, target: str, beta=None):
-    """Multivariate Hahn value at blown-up parameters, rescaled per factor.
+def rescaled_hahn_limit_value(m, x, params, scale):
+    """Multivariate Hahn value at the blown-up parameters of which ``params``
+    is the limit (``params.hahn_limit``), rescaled per factor.
 
     Krawtchouk target: a_j -> a_j t, b = t; Meixner target: a_j -> -a_j t,
     b = t, N -> -beta.  Each pair factor is divided by (-1)^{m_i} (alpha_t)_{m_i},
     which keeps it finite and oriented like the limit family's factor.
     """
-    t = R(scale)
-    n = len(a)
-    sign = 1 if target == "krawtchouk" else -1
-    A = sum((R(v) for v in a), ZERO)
+    a_t, b_t, N_t = params.hahn_limit(R(scale))
     s1 = sum(m[1:])
     val = ONE
-    for i in range(1, n):
+    for i in range(1, len(a_t)):
         shift = sum(m[i + 1 :])
-        u = x[i - 1]
-        v = tail_sum(x, i) - shift
-        alpha_t = sign * R(a[i - 1]) * t
-        gamma_t = sign * tail_param(a, i) * t + 2 * shift
-        fac = hahn_pair(m[i], u, v, alpha_t, gamma_t)
+        alpha_t = a_t[i - 1]
+        gamma_t = sum(a_t[i:], ZERO) + 2 * shift
+        fac = hahn_pair(m[i], x[i - 1], tail_sum(x, i) - shift, alpha_t, gamma_t)
         den = rising_factorial(alpha_t, m[i])
         if m[i] % 2:
             den = -den
         val *= fac / den
-    if target == "krawtchouk":
-        radial = hahn(m[0], sum(x) - s1, A * t + 2 * s1, t, R(N) - s1)
-    else:
-        radial = hahn(m[0], sum(x) - s1, -A * t + 2 * s1, t, -R(beta) - s1)
+    radial = hahn(m[0], sum(x) - s1, sum(a_t, ZERO) + 2 * s1, b_t, N_t - s1)
     return val * radial
 
 
-def limit_check_krawtchouk(t_values, m, x, a, N: int) -> CheckReport:
-    """Hahn -> Krawtchouk limit at increasing scales t."""
+def limit_check(t_values, m, x, params) -> CheckReport:
+    """Hahn -> Krawtchouk or Meixner limit of P_m(x) at increasing scales t."""
 
     def body():
-        params = KrawtchoukParams(tuple(R(v) for v in a), N)
-        target = multi_krawtchouk(m, x, params)
-        devs = [
-            rescaled_hahn_limit_value(m, x, params.a, t, N, "krawtchouk") - target
-            for t in t_values
-        ]
+        target = eigenpoly(m, x, params)
+        devs = [rescaled_hahn_limit_value(m, x, params, t) - target for t in t_values]
         return _limit_protocol(devs, t_values)
 
     (status, worst), dt = _timed(body)
-    inst = f"krawtchouk-limit n={len(a)} N={N} m={tuple(m)} x={tuple(x)} t={list(t_values)}"
+    inst = (f"{params.family}-limit n={params.n} {params.bound_label} m={tuple(m)} "
+            f"x={tuple(x)} t={list(t_values)}")
     return CheckReport("limit", inst, status, worst, dt)
 
 
-def limit_check_meixner(t_values, m, x, a, beta) -> CheckReport:
-    """Hahn -> Meixner limit at increasing scales t."""
-
-    def body():
-        params = MeixnerParams(tuple(R(v) for v in a), R(beta))
-        target = multi_meixner(m, x, params)
-        devs = [
-            rescaled_hahn_limit_value(m, x, params.a, t, None, "meixner", beta=beta)
-            - target
-            for t in t_values
-        ]
-        return _limit_protocol(devs, t_values)
-
-    (status, worst), dt = _timed(body)
-    inst = f"meixner-limit n={len(a)} beta={beta} m={tuple(m)} x={tuple(x)} t={list(t_values)}"
-    return CheckReport("limit", inst, status, worst, dt)
-
-
-def limit_suite(family: str, params, count: int = 3, seed: int = 0,
+def limit_suite(params, rng: random.Random, count: int = 3,
                 t_values=(100, 10_000, 1_000_000), xmax: int = 8) -> list[CheckReport]:
-    """Random (m, x) draws for the limit transition of one family."""
-    rng = random.Random(seed)
-    reports = []
+    """Random (m, x) draws for the limit transition of a Krawtchouk or
+    Meixner bundle: m in {0,1,2}^n redrawn until |m| <= N, x on the lattice
+    (the box |x| <= xmax for Meixner)."""
     n = params.n
+    bound = xmax if params.N is None else params.N
+    reports = []
     for _ in range(count):
-        m = tuple(rng.randint(0, 2) for _ in range(n))
-        if family == "krawtchouk":
-            x = _random_point(rng, n, params.N)
-            reports.append(limit_check_krawtchouk(t_values, m, x, params.a, params.N))
-        else:
-            x = _random_point(rng, n, xmax)
-            reports.append(limit_check_meixner(t_values, m, x, params.a, params.beta))
+        m = _random_point(rng, n, 2, params.N)
+        x = _random_point(rng, n, bound, bound)
+        reports.append(limit_check(t_values, m, x, params))
     return reports
 
 
-def _random_point(rng, n: int, bound: int):
+def _random_point(rng, n: int, top: int, bound: int | None):
+    """n ints in [0, top], redrawn until they sum to at most ``bound`` (if any)."""
     while True:
-        x = tuple(rng.randint(0, bound) for _ in range(n))
-        if sum(x) <= bound:
+        x = tuple(rng.randint(0, top) for _ in range(n))
+        if bound is None or sum(x) <= bound:
             return x
 
 
 # ---------------------------------------------------------------------------
-# the suite
+# the registry and the suite
+
+
+class SuiteContext:
+    """The suite's defaults for one bundle, resolved once: xmax 12 on the
+    truncated Meixner box, m_max 3 (at most N), the degrees of the
+    invariance and Gram checks (smaller on the Meixner box, where every
+    Gram entry needs its own tail bound), the box of the pair identities,
+    and one seeded stream for every random draw."""
+
+    def __init__(self, params, m_max: int | None = None, xmax: int | None = None,
+                 seed: int = 0):
+        unbounded = params.N is None
+        self.params = params
+        self.xmax = 12 if unbounded and xmax is None else xmax
+        if m_max is None:
+            m_max = 3 if unbounded else min(params.N, 3)
+        self.m_max = m_max
+        self.invariance_degree = min(2, m_max if unbounded else params.N)
+        self.gram_degree = min(m_max, 1) if unbounded else m_max
+        self.box = min(self.xmax if unbounded else params.N, 6)
+        self.rng = random.Random(seed)
+
+
+def _shifts(ctx: SuiteContext) -> list[CheckReport]:
+    p = ctx.params
+    deg = min(5, ctx.m_max + 2)
+    reports = []
+    if p.hahn_checks:
+        # the backward shift references degree m+1 at bound N-1
+        sv_deg = min(deg, p.N - 2)
+        reports.append(sv_shift_check(p.a[0], p.b, p.N, sv_deg))
+        reports.append(sv_difference_equation_check(p.a[0], p.b, p.N, sv_deg))
+    reports.append(pair_shift_check(p.a[0], p.a_tail(1), deg, ctx.box, p))
+    reports.append(pair_recursion_check(p.a[0], p.a_tail(1), deg, ctx.box, p))
+    return reports
+
+
+def _generalized_recursions(ctx: SuiteContext) -> list[CheckReport]:
+    p = ctx.params
+    reports = []
+    for i in (1, p.n - 1):
+        m = (0,) + tuple(ctx.rng.randint(0, 2) for _ in range(p.n - 1))
+        reports.append(generalized_recursion_check(p, i, m, xmax=ctx.xmax))
+    return reports
+
+
+def _rodrigues(ctx: SuiteContext) -> list[CheckReport]:
+    if not ctx.params.hahn_checks:
+        return []
+    deg = min(ctx.m_max + 2, 6)
+    return [rodrigues_check(deg, random_rational(ctx.rng), random_rational(ctx.rng), ctx.box)
+            for _ in range(3)]
+
+
+def _glue(ctx: SuiteContext) -> list[CheckReport]:
+    p = ctx.params
+    if p.n < 3:
+        return [CheckReport("glue", p.label, SKIP, None, 0.0, "adjacent sectors need n >= 3")]
+    exchange = operator_matrix(OperatorSpec(p, "exchange", 1), family_lattice(p, xmax=ctx.xmax))
+    return [_glue_report(exchange, 2, mi, mim1) for mi, mim1 in ((1, 1), (2, 1), (1, 2))]
+
+
+# name -> fn(ctx) returning that entry's reports, in suite order.  "limits"
+# is not part of the suite: it needs a Krawtchouk or Meixner bundle.
+CHECKS = {
+    "normalization": lambda c: [normalization_check(c.params, xmax=c.xmax)],
+    "compatibility": lambda c: [compatibility_check(c.params, xmax=c.xmax)],
+    "boundary": lambda c: [boundary_safety_check(c.params)],
+    "adjointness": lambda c: [adjointness_check(c.params, xmax=c.xmax)],
+    "commutators": lambda c: [commutator_check(c.params, xmax=c.xmax)],
+    "degree-invariance": lambda c: [
+        degree_invariance_report(c.params, c.invariance_degree, xmax=c.xmax)],
+    "eigen": lambda c: eigen_suite(c.params, c.m_max, xmax=c.xmax),
+    "type-one": lambda c: type_one_suite(c.params, min(c.m_max, 3), xmax=c.xmax),
+    "shifts": _shifts,
+    "generalized-recursions": _generalized_recursions,
+    "rodrigues": _rodrigues,
+    "glue": _glue,
+    "gram": lambda c: [gram_check(c.params, c.gram_degree, xmax=c.xmax).report],
+    "pair-orthogonality": lambda c: [pair_orthogonality_report(c.params, 1, xmax=c.xmax)],
+    "completeness": lambda c: [completeness_check(c.params)],
+    "limits": lambda c: limit_suite(c.params, c.rng),
+}
+SUITE = tuple(name for name in CHECKS if name != "limits")
+
+
+def run_checks(params, names, m_max: int | None = None, xmax: int | None = None,
+               seed: int = 0) -> list[CheckReport]:
+    """The reports of the named registry entries, in the order given, on one context."""
+    ctx = SuiteContext(params, m_max, xmax, seed)
+    return [report for name in names for report in CHECKS[name](ctx)]
 
 
 def run_suite(params, m_max: int | None = None, xmax: int | None = None,
@@ -1090,63 +1054,4 @@ def run_suite(params, m_max: int | None = None, xmax: int | None = None,
 
     Returns every report; overall failure is any report with status FAIL.
     """
-    rng = random.Random(seed)
-    meixner = isinstance(params, MeixnerParams)
-    if meixner and xmax is None:
-        xmax = 12
-    if m_max is None:
-        m_max = 3 if meixner else min(params.N, 3)
-
-    reports: list[CheckReport] = []
-    reports.append(normalization_check(params, xmax=xmax))
-    reports.append(compatibility_check(params, xmax=xmax))
-    reports.append(boundary_safety_check(params))
-    reports.append(adjointness_check(params, xmax=xmax))
-    reports.append(commutator_check(params, xmax=xmax))
-    M = min(2, m_max) if meixner else min(params.N, 2)
-    reports.append(degree_invariance_report(params, M, xmax=xmax))
-    reports.extend(eigen_suite(params, m_max, xmax=xmax))
-    reports.extend(type_one_suite(params, min(m_max, 3), xmax=xmax))
-
-    shift_deg = min(5, m_max + 2)
-    box = min(params.N, 6) if not meixner else min(xmax, 6)
-    if isinstance(params, HahnParams):
-        # the backward shift references degree m+1 at bound N-1
-        sv_deg = min(shift_deg, params.N - 2)
-        reports.append(sv_shift_check(params.a[0], params.b, params.N, sv_deg))
-        reports.append(sv_difference_equation_check(params.a[0], params.b, params.N, sv_deg))
-        reports.append(
-            pair_shift_check(params.a[0], params.a_tail(1), shift_deg, box, "hahn")
-        )
-        reports.append(
-            pair_recursion_check(params.a[0], params.a_tail(1), shift_deg, box, "hahn")
-        )
-    else:
-        reports.append(
-            pair_shift_check(params.a[0], params.a_tail(1), shift_deg, box, "km")
-        )
-        reports.append(
-            pair_recursion_check(params.a[0], params.a_tail(1), shift_deg, box, "km")
-        )
-    for i in (1, params.n - 1):
-        m = tuple(0 for _ in range(params.n))
-        m = m[:1] + tuple(rng.randint(0, 2) for _ in range(params.n - 1))
-        reports.append(generalized_recursion_check(params, i, m, xmax=xmax))
-
-    if isinstance(params, HahnParams):
-        for _ in range(3):
-            alpha, gamma = random_rational(rng), random_rational(rng)
-            reports.append(rodrigues_check(min(m_max + 2, 6), alpha, gamma, box))
-    if params.n >= 3:
-        for mi, mim1 in ((1, 1), (2, 1), (1, 2)):
-            reports.append(glue_check(params, 2, mi, mim1, xmax=xmax))
-    else:
-        reports.append(
-            CheckReport("glue", describe(params), SKIP, None, 0.0,
-                        "adjacent sectors need n >= 3")
-        )
-    gram_mmax = min(m_max, 1) if meixner else m_max
-    reports.append(gram_check(params, gram_mmax, xmax=xmax).report)
-    reports.append(pair_orthogonality_report(params, 1, xmax=xmax))
-    reports.append(completeness_check(params))
-    return reports
+    return run_checks(params, SUITE, m_max, xmax, seed)

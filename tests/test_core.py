@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvortho import R, enumerate_lattice, multinomial, rising_factorial, tail_param, tail_sum
-from mvortho.core import HahnParams, KrawtchoukParams, Lattice, MeixnerParams
+from mvortho.core import Lattice
+from mvortho.families import HahnParams, KrawtchoukParams, MeixnerParams
 
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=12

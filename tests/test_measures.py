@@ -25,7 +25,6 @@ from mvortho.measures import (
     rising_over_factorial_coeffs,
     tail_power_sum,
 )
-from mvortho.operators import down_rate, up_rate
 
 small_pos = st.integers(1, 12).flatmap(
     lambda p: st.integers(1, 12).map(lambda q: R(p, q))
@@ -176,7 +175,7 @@ def test_weight_ratio_identity(params, xmax):
             y = x[:j] + (x[j] + 1,) + x[j + 1 :]
             if y not in lat.index:
                 continue
-            assert w(y) * down_rate(params, y, j) == w(x) * up_rate(params, x, j)
+            assert w(y) * params.down_rate(y, j) == w(x) * params.up_rate(x, j)
 
 
 def test_inner_product_examples():

@@ -18,17 +18,9 @@ from mvortho import (
     operator_matrix,
     weight_table,
 )
-from mvortho import operators
 from mvortho.core import enumerate_lattice, family_lattice
 from mvortho.linalg import forward_differences
-from mvortho.operators import (
-    _moves,
-    down_rate,
-    exchange_coeff,
-    image_degree,
-    monomial_table,
-    up_rate,
-)
+from mvortho.operators import _moves, image_degree, monomial_table
 
 HAHN = HahnParams((R(1), R(2), R(3)), R(2), 4)
 KRAW = KrawtchoukParams((R(1, 3), R(1, 2), R(1, 4)), 4)
@@ -123,13 +115,13 @@ def test_boundary_coefficients_vanish_exactly():
         for x in lat.points:
             if sum(x) == params.N:
                 for j in range(n):
-                    assert up_rate(params, x, j) == 0
+                    assert params.up_rate(x, j) == 0
             for j in range(n):
                 if x[j] == 0:
-                    assert down_rate(params, x, j) == 0
+                    assert params.down_rate(x, j) == 0
                     for k in range(n):
                         if k != j:
-                            assert exchange_coeff(params, x, j, k) == 0
+                            assert params.exchange_coeff(x, j, k) == 0
 
 
 def test_apply_operator_never_reads_outside_bounded_lattice():
@@ -264,10 +256,12 @@ def test_degree_invariance_meixner_box():
 def test_degree_needs_defined_rows_on_a_simplex(monkeypatch):
     # with every up rate zero at (4, 0) that frontier row becomes exact
     # while its neighbours on |x| = 4 do not
+    up_rate = MeixnerParams.up_rate
+
     def patched(params, x, j):
         return R(0) if x == (4, 0) else up_rate(params, x, j)
 
-    monkeypatch.setattr(operators, "up_rate", patched)
+    monkeypatch.setattr(MeixnerParams, "up_rate", patched)
     with pytest.raises(ValueError, match="simplex"):
         image_degree(OperatorSpec(MEIX, "total"), 1, family_lattice(MEIX, xmax=4))
 
@@ -411,9 +405,13 @@ ORACLE_CASES = [
 ]
 
 
+EXCHANGE_COEFF = {cls: cls.exchange_coeff
+                  for cls in (HahnParams, KrawtchoukParams, MeixnerParams)}
+
+
 def exchange_perturbed(params, x, j, k):
     """exchange_coeff plus x_j^2 / 7 on site j = 0: breaks every identity."""
-    c = exchange_coeff(params, x, j, k)
+    c = EXCHANGE_COEFF[type(params)](params, x, j, k)
     return c + R(x[j]) ** 2 / 7 if j == 0 else c
 
 
@@ -444,7 +442,7 @@ def test_sparse_stencil_matches_pointwise_moves(params, xmax):
 )
 def test_sparse_checks_match_dense_oracle(params, xmax, perturbed, monkeypatch):
     if perturbed:
-        monkeypatch.setattr(operators, "exchange_coeff", exchange_perturbed)
+        monkeypatch.setattr(type(params), "exchange_coeff", exchange_perturbed)
     lat = family_lattice(params, xmax=xmax)
     w = weight_table(params, xmax=xmax)
     specs = specs_of(params)
@@ -460,7 +458,7 @@ def test_sparse_checks_match_dense_oracle(params, xmax, perturbed, monkeypatch):
 
 @pytest.mark.parametrize("params,xmax", [(HAHN, None), (KRAW, None), (MEIX, 5)])
 def test_perturbed_exchange_fails_every_operator_check(params, xmax, monkeypatch):
-    monkeypatch.setattr(operators, "exchange_coeff", exchange_perturbed)
+    monkeypatch.setattr(type(params), "exchange_coeff", exchange_perturbed)
     lat = family_lattice(params, xmax=xmax)
     total = OperatorSpec(params, "total")
     assert not degree_invariance_check(total, 2, lat)

@@ -20,9 +20,6 @@ from mvortho import (
     km_pair,
     krawtchouk,
     meixner,
-    multi_hahn,
-    multi_krawtchouk,
-    multi_meixner,
     pair_backward_table,
     pair_product,
     rising_factorial,
@@ -257,27 +254,27 @@ class TestMultivariate:
 
     def test_degree_zero_is_one(self):
         for x in enumerate_lattice(3, 5):
-            assert multi_hahn((0, 0, 0), x, self.hahn_params) == 1
-            assert multi_krawtchouk((0, 0, 0), x, self.kraw_params) == 1
+            assert eigenpoly((0, 0, 0), x, self.hahn_params) == 1
+            assert eigenpoly((0, 0, 0), x, self.kraw_params) == 1
         for x in enumerate_lattice(2, 6):
-            assert multi_meixner((0, 0), x, self.meix_params) == 1
+            assert eigenpoly((0, 0), x, self.meix_params) == 1
 
     def test_radial_reduction(self):
         p = self.hahn_params
         A = p.a_total
         for x in enumerate_lattice(3, 5):
             want = hahn(1, sum(x), A, p.b, p.N)
-            assert multi_hahn((1, 0, 0), x, p) == want
+            assert eigenpoly((1, 0, 0), x, p) == want
             assert want == 1 - (A + p.b) * sum(x) / (A * p.N)
         pk = self.kraw_params
         AK = pk.a_total
         for x in enumerate_lattice(3, 5):
-            assert multi_krawtchouk((1, 0, 0), x, pk) == krawtchouk(
+            assert eigenpoly((1, 0, 0), x, pk) == krawtchouk(
                 1, sum(x), AK / (AK + 1), pk.N
             )
         pm = self.meix_params
         for x in enumerate_lattice(2, 6):
-            assert multi_meixner((1, 0), x, pm) == meixner(
+            assert eigenpoly((1, 0), x, pm) == meixner(
                 1, sum(x), pm.a_total, pm.beta
             )
 
@@ -285,7 +282,7 @@ class TestMultivariate:
         # m = (0,...,0,1) is a_{n-1} x_n - a_n x_{n-1}
         p = self.hahn_params
         for x in enumerate_lattice(3, 5):
-            assert multi_hahn((0, 0, 1), x, p) == p.a[1] * x[2] - p.a[2] * x[1]
+            assert eigenpoly((0, 0, 1), x, p) == p.a[1] * x[2] - p.a[2] * x[1]
 
     def test_pair_product_trivial_cases(self):
         p = self.hahn_params
@@ -314,9 +311,9 @@ class TestMultivariate:
 
     def test_rejects_bad_degree_index(self):
         with pytest.raises(ValueError):
-            multi_hahn((3, 2, 1), (0, 0, 0), self.hahn_params)  # |m| > N
+            eigenpoly((3, 2, 1), (0, 0, 0), self.hahn_params)  # |m| > N
         with pytest.raises(ValueError):
-            multi_hahn((1, 1), (0, 0, 0), self.hahn_params)  # wrong length
+            eigenpoly((1, 1), (0, 0, 0), self.hahn_params)  # wrong length
         with pytest.raises(ValueError):
             eigenvalue(self.hahn_params, "exchange", 3, (0, 0, 0))
 
@@ -341,9 +338,23 @@ class TestMultivariate:
         assert eigenvalue(pm, "exchange", 1, (1, 1)) == -(pm.a[0] + pm.a[1])
 
     def test_eigenpoly_dispatch(self):
-        assert eigenpoly((1, 0, 0), (1, 1, 0), self.hahn_params) == multi_hahn(
-            (1, 0, 0), (1, 1, 0), self.hahn_params
-        )
+        # pair factors times the family's radial factor, with s1 = |m| - m_0 = 1
+        p, pk, pm = self.hahn_params, self.kraw_params, self.meix_params
+        A, AK, AM = p.a_total, pk.a_total, pm.a_total
+        for x in enumerate_lattice(3, 5):
+            pairs = pair_product(1, (1, 1, 0), x, p)
+            assert eigenpoly((1, 1, 0), x, p) == pairs * hahn(
+                1, sum(x) - 1, A + 2, p.b, p.N - 1
+            )
+            pairs = pair_product(1, (1, 1, 0), x, pk)
+            assert eigenpoly((1, 1, 0), x, pk) == pairs * krawtchouk(
+                1, sum(x) - 1, AK / (AK + 1), pk.N - 1
+            )
+        for x in enumerate_lattice(2, 6):
+            pairs = pair_product(1, (1, 1), x, pm)
+            assert eigenpoly((1, 1), x, pm) == pairs * meixner(
+                1, sum(x) - 1, AM, pm.beta + 1
+            )
         with pytest.raises(TypeError):
             eigenpoly((0, 0), (0, 0), object())
 

@@ -56,13 +56,13 @@ def test_eigen_suite_and_degeneracy():
 
 
 def test_wrong_eigenvalue_fails():
-    from mvortho import OperatorSpec, eigenpoly_table
+    from mvortho import OperatorSpec, eigenpoly_table, operator_matrix
     from mvortho.core import family_lattice
 
     lat = family_lattice(HAHN)
     table = eigenpoly_table((1, 0, 0), HAHN, lat)
-    op = OperatorSpec(HAHN, "total")
-    defect, _ = V.residual_defect(op, table, R(0))
+    total = operator_matrix(OperatorSpec(HAHN, "total"), lat)
+    defect, _ = V.residual_defect(total, table, R(0))
     assert defect > 0
 
 
@@ -85,10 +85,10 @@ def test_same_degree_type_one_not_orthogonal():
 def test_shift_and_recursion_reports():
     assert V.sv_shift_check(R(3, 2), R(5, 4), 7, 5).status == "pass"
     assert V.sv_difference_equation_check(R(3, 2), R(5, 4), 6, 5).status == "pass"
-    assert V.pair_shift_check(R(1, 2), R(7, 3), 5, 6, "hahn").status == "pass"
-    assert V.pair_shift_check(R(1, 2), R(7, 3), 5, 6, "km").status == "pass"
-    assert V.pair_recursion_check(R(3, 4), R(5, 3), 5, 6, "hahn").status == "pass"
-    assert V.pair_recursion_check(R(3, 4), R(5, 3), 5, 6, "km").status == "pass"
+    for family, name in ((HahnParams, "hahn"), (KrawtchoukParams, "km"), (MEIX, "km")):
+        r = V.pair_shift_check(R(1, 2), R(7, 3), 5, 6, family)
+        assert r.status == "pass" and r.instance.startswith(f"{name}-pair")
+        assert V.pair_recursion_check(R(3, 4), R(5, 3), 5, 6, family).status == "pass"
 
 
 @pytest.mark.parametrize("params, xmax", [(HAHN, None), (KRAW, None), (MEIX, 8)])
@@ -205,11 +205,14 @@ def test_pair_orthogonality_reports():
 def test_limit_checks():
     ts = (100, 10_000, 1_000_000)
     a3 = (R(1, 3), R(1, 2), R(1, 4))
-    assert V.limit_check_krawtchouk(ts, (1, 1, 0), (1, 1, 2), a3, 5).status == "pass"
-    assert V.limit_check_krawtchouk(ts, (0, 0, 0), (1, 0, 1), a3, 5).status == "pass"
-    a2 = (R(1, 4), R(1, 4))
-    assert V.limit_check_meixner(ts, (1, 1), (2, 1), a2, R(2)).status == "pass"
-    assert V.limit_check_meixner(ts, (0, 3), (2, 1), a2, R(2)).status == "pass"
+    kraw = KrawtchoukParams(a3, 5)
+    assert V.limit_check(ts, (1, 1, 0), (1, 1, 2), kraw).status == "pass"
+    assert V.limit_check(ts, (0, 0, 0), (1, 0, 1), kraw).status == "pass"
+    meix = MeixnerParams((R(1, 4), R(1, 4)), R(2))
+    assert V.limit_check(ts, (1, 1), (2, 1), meix).status == "pass"
+    assert V.limit_check(ts, (0, 3), (2, 1), meix).status == "pass"
+    with pytest.raises(ValueError, match="krawtchouk and meixner"):
+        V.limit_check(ts, (1, 0, 0), (1, 0, 1), HAHN)
 
 
 def test_limit_single_variable_sanity():
@@ -231,12 +234,21 @@ def test_limit_protocol_rejects_slow_convergence():
     assert status == "fail"
 
 
-def test_random_params_are_valid_and_seeded():
-    p1 = V.random_params("hahn", 3, 6, seed=5)
-    p2 = V.random_params("hahn", 3, 6, seed=5)
-    assert p1 == p2
-    m = V.random_params("meixner", 4, seed=9)
-    assert m.a_total < 1
+@pytest.mark.parametrize("params", [HAHN, KRAW])
+def test_doubled_weight_fails_compatibility_and_adjointness(params, monkeypatch):
+    weight = type(params).weight
+    interior = (1, 1, 1)  # |x| = 3 < N = 4, every coordinate positive
+
+    def doubled(self, x):
+        return 2 * weight(self, x) if tuple(x) == interior else weight(self, x)
+
+    assert V.compatibility_check(params).status == "pass"
+    assert V.adjointness_check(params).status == "pass"
+    monkeypatch.setattr(type(params), "weight", doubled)
+    compat = V.compatibility_check(params)
+    adjoint = V.adjointness_check(params)
+    assert compat.status == "fail" and compat.max_defect > 0
+    assert adjoint.status == "fail" and adjoint.max_defect > 0
 
 
 @pytest.mark.parametrize(
