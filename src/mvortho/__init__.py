@@ -3,8 +3,8 @@
 Evaluation of the eigenpolynomial families, application of the
 commuting difference operators on integer lattices, orthogonality
 weights, and an exact identity-verification suite.  Every scalar is an
-arbitrary-precision rational; see :mod:`mvortho._backend` for the
-gmpy2 / fractions backend selection.
+arbitrary-precision rational, a stdlib ``fractions.Fraction`` (see
+:mod:`mvortho._backend`).
 """
 
 from ._backend import BACKEND, R
@@ -37,7 +37,6 @@ from .operators import (
     adjointness_defect,
     apply_operator,
     commutator_defect,
-    degree_invariance_check,
     operator_matrix,
 )
 from .polynomials import (
@@ -75,7 +74,6 @@ __all__ = [
     "adjointness_defect",
     "apply_operator",
     "commutator_defect",
-    "degree_invariance_check",
     "eigenpoly",
     "eigenpoly_table",
     "eigenpoly_tables",

@@ -13,11 +13,11 @@ import argparse
 import sys
 from dataclasses import fields
 
-from .core import family_lattice
+from .core import enumerate_degrees, family_lattice
 from .families import FAMILIES
-from .measures import weight_table
+from .measures import gram_matrix, weight_table
 from .operators import OperatorSpec, operator_matrix
-from .polynomials import eigenpoly, eigenpoly_table
+from .polynomials import eigenpoly, eigenpoly_table, eigenpoly_tables
 from .serialize import (
     csv_text,
     gram_json,
@@ -157,11 +157,15 @@ def cmd_export(args) -> int:
         mm = args.m_max if args.m_max is not None else (
             1 if params.N is None else min(params.N, 3)
         )
-        result = V.gram_check(params, mm, xmax=args.xmax)
+        if params.N is not None and mm > params.N:
+            raise ValueError("need m_max <= N")
+        w = weight_table(params, xmax=args.xmax)
+        degrees = enumerate_degrees(params.n, mm)
+        G = gram_matrix(eigenpoly_tables(degrees, params, w.lattice), w)
         if args.format == "json":
-            _emit(args, json_text(gram_json(result.degrees, result.matrix, as_float)))
+            _emit(args, json_text(gram_json(degrees, G, as_float)))
         else:
-            _emit(args, csv_text(*gram_rows(result.degrees, result.matrix, as_float)))
+            _emit(args, csv_text(*gram_rows(degrees, G, as_float)))
         return 0
     raise ValueError(f"unknown export target {args.what!r}")
 

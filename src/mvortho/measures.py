@@ -221,9 +221,11 @@ def inner_product(f: LatticeFunction, g: LatticeFunction, w: WeightTable):
     return R(sum(a * b * c for a, b, c in zip(fn, gn, wn)), df * dg * dw)
 
 
-def gram_matrix(tables, w: WeightTable) -> list[list]:
+def gram_matrix(tables, w: WeightTable, known=()) -> list[list]:
     """Symmetric matrix of inner_product(tables[i], tables[j], w).
 
+    ``known`` is the Gram matrix of a leading run of ``tables``; its
+    entries are kept, and only the new rows and columns are computed.
     Each table and the weight are scaled to integers once, not once per
     entry; the weight is folded into the row table before the products.
     """
@@ -231,11 +233,12 @@ def gram_matrix(tables, w: WeightTable) -> list[list]:
         _same_lattice(table, w, "gram_matrix: table")
     wn, dw = _integer_scaled(w.values)
     scaled = [_integer_scaled(table.values) for table in tables]
-    size = len(tables)
-    G = [[ZERO] * size for _ in range(size)]
+    size, done = len(tables), len(known)
+    G = [list(row) + [ZERO] * (size - done) for row in known]
+    G += [[ZERO] * size for _ in range(size - done)]
     for i, (fn, df) in enumerate(scaled):
         fw = [a * c for a, c in zip(fn, wn)]
-        for j in range(i, size):
+        for j in range(max(i, done), size):
             gn, dg = scaled[j]
             G[i][j] = G[j][i] = R(sum(map(operator.mul, fw, gn)), df * dg * dw)
     return G

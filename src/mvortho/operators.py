@@ -192,15 +192,10 @@ def _product_valid_rows(M1: OperatorMatrix, M2: OperatorMatrix):
             for row, ok in zip(M1.rows, M1.valid_rows)]
 
 
-def commutator_defect(op1: OperatorSpec, op2: OperatorSpec,
-                      lattice: Lattice | None = None):
+def commutator_defect(M1: OperatorMatrix, M2: OperatorMatrix):
     """Exact max |entry| of M1 M2 - M2 M1 over rows valid for both orders."""
-    if op1.params != op2.params:
-        raise ValueError("operators must share one parameter bundle")
-    if lattice is None:
-        lattice = family_lattice(op1.params)
-    M1 = operator_matrix(op1, lattice)
-    M2 = operator_matrix(op2, lattice)
+    if M1.op.params != M2.op.params or M1.lattice != M2.lattice:
+        raise ValueError("stencils must share one parameter bundle and one lattice")
     A = sparse_product(M1.rows, M2.rows)
     B = sparse_product(M2.rows, M1.rows)
     worst = 0
@@ -212,8 +207,8 @@ def commutator_defect(op1: OperatorSpec, op2: OperatorSpec,
     return R(worst, M1.den * M2.den)
 
 
-def adjointness_defect(op: OperatorSpec, w: WeightTable):
-    """Exact self-adjointness defect of the operator under the weight.
+def adjointness_defect(M: OperatorMatrix, w: WeightTable):
+    """Exact self-adjointness defect of the stencil under the weight.
 
     By linearity the defect over any spanning set of function pairs
     equals max_{x,y} |W(x) M[x][y] - W(y) M[y][x]| (delta functions span
@@ -222,7 +217,8 @@ def adjointness_defect(op: OperatorSpec, w: WeightTable):
     entries are visited, each with its transpose.  On a truncated box
     the max runs over pairs of exact rows.
     """
-    M = operator_matrix(op, w.lattice)
+    if M.lattice != w.lattice:
+        raise ValueError("stencil and weight live on different lattices")
     wn, den = integer_scaled(w.values)
     worst = 0
     for i, row in enumerate(M.rows):
@@ -243,37 +239,34 @@ def monomial_table(exponents, lattice: Lattice) -> LatticeFunction:
     return LatticeFunction.from_callable(lattice, mono)
 
 
-def image_degree(op: OperatorSpec, M: int, lattice: Lattice | None = None) -> int:
-    """Largest total degree of the images of the monomials of degree <= M.
+def image_degree(stencils, M: int) -> int:
+    """Largest total degree of the images of the monomials of degree <= M
+    under the stencils, which share one lattice.
 
     Each image is expanded in the Newton basis prod_i C(x_i, alpha_i) on
     the rows with a defined image, which form the simplex |x| <= K (K is
     the bound, or bound - 1 when the stencil leaves a truncated box); the
     degree is the largest |alpha| with a nonzero coefficient, -1 when
-    every image vanishes or no row has a defined image.
+    every image vanishes or no row has a defined image.  Each monomial
+    table is built once for all the stencils.
     """
-    if lattice is None:
-        lattice = family_lattice(op.params)
-    if op.params.N is not None and M > op.params.N:
+    lattice = stencils[0].lattice
+    N = stencils[0].op.params.N
+    if N is not None and M > N:
         raise ValueError("need M <= N")
-    H = operator_matrix(op, lattice)
     sums = [sum(x) for x in lattice.points]
-    K = max((s for s, ok in zip(sums, H.valid_rows) if ok), default=-1)
-    if any(ok != (s <= K) for s, ok in zip(sums, H.valid_rows)):
-        raise ValueError("rows with a defined image do not form a simplex")
-    if K < 0:
-        return -1
+    monomials = [monomial_table(e, lattice) for e in enumerate_degrees(lattice.n, M)]
     degree = -1
-    for e in enumerate_degrees(lattice.n, M):
-        image = apply_matrix(H, monomial_table(e, lattice))
-        # the defined rows are the graded-lex prefix |x| <= K
-        defined = [v for v in image.values if v is not None]
-        coeffs = forward_differences(defined, lattice.n, K)
-        degree = max([degree] + [s for s, c in zip(sums, coeffs) if c != 0])
+    for H in stencils:
+        K = max((s for s, ok in zip(sums, H.valid_rows) if ok), default=-1)
+        if any(ok != (s <= K) for s, ok in zip(sums, H.valid_rows)):
+            raise ValueError("rows with a defined image do not form a simplex")
+        if K < 0:
+            continue
+        for mono in monomials:
+            image = apply_matrix(H, mono)
+            # the defined rows are the graded-lex prefix |x| <= K
+            defined = [v for v in image.values if v is not None]
+            coeffs = forward_differences(defined, lattice.n, K)
+            degree = max([degree] + [s for s, c in zip(sums, coeffs) if c != 0])
     return degree
-
-
-def degree_invariance_check(op: OperatorSpec, M: int,
-                            lattice: Lattice | None = None) -> bool:
-    """True when the operator maps degree <= M polynomials into the same."""
-    return image_degree(op, M, lattice) <= M

@@ -4,8 +4,15 @@ Every check is exact: on the bounded families a pass requires the
 defect to be exactly zero (no epsilon anywhere).  The only approximate
 object in the package is the truncated Meixner box, and there the
 tolerance is a rigorously computed tail bound, never an arbitrary
-epsilon.  Checks are independent and share no mutable state, so they
-may run concurrently.
+epsilon.
+
+Every check of an instance takes one :class:`SuiteContext`.  The
+context builds the lattice, the weight tables, the operator stencils,
+the eigenpolynomial tables and the Gram entries on first use and hands
+the same objects to every later check, so a suite builds each of them
+once.  Checks only read what the context built; the context fills its
+caches as checks ask, so one context serves one thread.  Nothing is
+cached beyond a context: a fresh context sees patched rates or weights.
 """
 
 from __future__ import annotations
@@ -14,15 +21,16 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, product
 
 from ._backend import R, ZERO, ONE, as_integer
-from .core import LatticeFunction, compositions, enumerate_degrees, family_lattice, tail_sum
+from .core import LatticeFunction, enumerate_degrees, enumerate_lattice, family_lattice, tail_sum
+from .linalg import forward_differences
 from .measures import (
     gram_matrix,
     inner_product,
     meixner_normalization,
-    meixner_weight,
     rising_over_factorial_coeffs,
     tail_power_sum,
     weight_table,
@@ -38,7 +46,6 @@ from .operators import (
 )
 from .polynomials import (
     eigenpoly,
-    eigenpoly_table,
     eigenpoly_tables,
     eigenvalue,
     hahn,
@@ -47,8 +54,11 @@ from .polynomials import (
     pair_product,
     rising_factorial,
 )
+from .serialize import rational_str, sci_str
 
 PASS, FAIL, SKIP = "pass", "fail", "skipped"
+# shells beyond the Meixner box that tail bounds sum exactly before the closed form
+TAIL_SHELLS = 40
 
 
 @dataclass
@@ -67,8 +77,6 @@ class CheckReport:
         return self.status != FAIL
 
     def to_dict(self, with_timing: bool = False) -> dict:
-        from .serialize import rational_str
-
         out = {
             "name": self.name,
             "instance": self.instance,
@@ -81,8 +89,6 @@ class CheckReport:
         return out
 
     def text_row(self) -> str:
-        from .serialize import rational_str, sci_str
-
         defect = "-" if self.max_defect is None else rational_str(self.max_defect)
         if len(defect) > 24:
             defect = f"~{sci_str(self.max_defect)}"
@@ -93,10 +99,11 @@ class CheckReport:
         )
 
 
-def _timed(fn):
+def _report(name: str, instance: str, body) -> CheckReport:
+    """Time ``body() -> (status, defect[, detail])`` into a report."""
     t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
+    status, defect, *detail = body()
+    return CheckReport(name, instance, status, defect, time.perf_counter() - t0, *detail)
 
 
 def random_rational(rng: random.Random, max_part: int = 20):
@@ -108,42 +115,39 @@ def random_rational(rng: random.Random, max_part: int = 20):
 # measure-level checks
 
 
-def normalization_check(params, xmax: int | None = None) -> CheckReport:
+def normalization_check(ctx: SuiteContext) -> CheckReport:
     """Bounded families: the weight sums to 1 exactly.  Meixner: partial
     sums increase with the box and the missing mass obeys the tail bound."""
+    params = ctx.params
 
     def body():
+        w = ctx.weights()
         if params.N is None:
-            X = 12 if xmax is None else xmax
-            totals = [weight_table(params, xmax=x) for x in (X // 2, X)]
-            if not totals[0].total < totals[1].total:
-                return FAIL, totals[1].total - totals[0].total, "partial sums not increasing"
-            w = totals[1]
+            half = ctx.weights(ctx.xmax // 2)
+            if not half.total < w.total:
+                return FAIL, w.total - half.total, "partial sums not increasing"
             if w.normalized:
                 missing = 1 - w.total
                 if not (0 < missing <= w.tail_bound):
                     return FAIL, missing, "missing mass outside tail bound"
-                from .serialize import sci_str
-
                 return PASS, ZERO, f"1 - sum = {sci_str(missing)} <= bound {sci_str(w.tail_bound)}"
             return PASS, ZERO, "unnormalized weight (non-integer beta); monotone partial sums"
-        w = weight_table(params)
         defect = abs(w.total - 1)
         return (PASS if defect == 0 else FAIL), defect, ""
 
-    (status, defect, detail), dt = _timed(body)
-    return CheckReport("normalization", params.label, status, defect, dt, detail)
+    return _report("normalization", params.label, body)
 
 
-def compatibility_check(params, xmax: int | None = None) -> CheckReport:
+def compatibility_check(ctx: SuiteContext) -> CheckReport:
     """Weight-ratio identity and the pairwise compatibility condition.
 
     W(x+e_j)/W(x) = B_j(x)/D_j(x+e_j) for all interior x and j, and the
     two-step ratio B_j/D_j * B_k/D_k is invariant under swapping j,k.
     """
+    params = ctx.params
 
     def body():
-        w = weight_table(params, xmax=xmax)
+        w = ctx.weights()
         lattice = w.lattice
         n = params.n
         worst = ZERO
@@ -177,19 +181,18 @@ def compatibility_check(params, xmax: int | None = None) -> CheckReport:
                     worst = max(worst, abs(lhs - rhs))
         return (PASS if worst == 0 else FAIL), worst
 
-    (status, worst), dt = _timed(body)
-    return CheckReport("compatibility", params.label, status, worst, dt)
+    return _report("compatibility", params.label, body)
 
 
-def boundary_safety_check(params) -> CheckReport:
+def boundary_safety_check(ctx: SuiteContext) -> CheckReport:
     """Every coefficient that would multiply an out-of-lattice shift is 0."""
+    params = ctx.params
 
     def body():
         if params.N is None:
             return SKIP, None, "semi-infinite lattice; frontier entries are flagged instead"
-        lattice = family_lattice(params)
         n = params.n
-        for x in lattice.points:
+        for x in ctx.lattice.points:
             if sum(x) == params.N:
                 for j in range(n):
                     if params.up_rate(x, j) != 0:
@@ -203,59 +206,38 @@ def boundary_safety_check(params) -> CheckReport:
                             return FAIL, params.exchange_coeff(x, j, k), f"exchange nonzero at {x}"
         return PASS, ZERO, ""
 
-    (status, defect, detail), dt = _timed(body)
-    return CheckReport("boundary-safety", params.label, status, defect, dt, detail)
+    return _report("boundary-safety", params.label, body)
 
 
 # ---------------------------------------------------------------------------
 # operator-level checks
 
 
-def all_operator_specs(params) -> list[OperatorSpec]:
-    specs = [OperatorSpec(params, "total"), OperatorSpec(params, "single")]
-    specs += [OperatorSpec(params, "exchange", i) for i in range(1, params.n)]
-    return specs
-
-
-def adjointness_check(params, xmax: int | None = None) -> CheckReport:
+def adjointness_check(ctx: SuiteContext) -> CheckReport:
     def body():
-        w = weight_table(params, xmax=xmax)
-        worst = ZERO
-        for spec in all_operator_specs(params):
-            worst = max(worst, adjointness_defect(spec, w))
+        w = ctx.weights()
+        worst = max(adjointness_defect(H, w) for H in ctx.stencils)
         return (PASS if worst == 0 else FAIL), worst
 
-    (status, worst), dt = _timed(body)
-    return CheckReport("adjointness", params.label, status, worst, dt)
+    return _report("adjointness", ctx.params.label, body)
 
 
-def commutator_check(params, xmax: int | None = None) -> CheckReport:
+def commutator_check(ctx: SuiteContext) -> CheckReport:
     def body():
-        lattice = family_lattice(params, xmax=xmax)
-        specs = all_operator_specs(params)
-        worst = ZERO
-        for s1, s2 in combinations(specs, 2):
-            worst = max(worst, commutator_defect(s1, s2, lattice))
-        detail = "interior-restricted rows" if lattice.truncated else ""
+        worst = max(commutator_defect(M1, M2) for M1, M2 in combinations(ctx.stencils, 2))
+        detail = "interior-restricted rows" if ctx.lattice.truncated else ""
         return (PASS if worst == 0 else FAIL), worst, detail
 
-    (status, worst, detail), dt = _timed(body)
-    return CheckReport("commutators", params.label, status, worst, dt, detail)
+    return _report("commutators", ctx.params.label, body)
 
 
-def degree_invariance_report(params, M: int, xmax: int | None = None) -> CheckReport:
+def degree_invariance_report(ctx: SuiteContext, M: int) -> CheckReport:
     def body():
-        lattice = family_lattice(params, xmax=xmax)
-        specs = all_operator_specs(params)
-        degree = max(image_degree(spec, M, lattice) for spec in specs)
+        degree = image_degree(ctx.stencils, M)
         ok = degree <= M
-        return (PASS if ok else FAIL), (ZERO if ok else None), degree
+        return (PASS if ok else FAIL), (ZERO if ok else None), f"largest image degree {degree}"
 
-    (status, defect, degree), dt = _timed(body)
-    return CheckReport(
-        "degree-invariance", f"{params.label} M={M}", status, defect, dt,
-        f"largest image degree {degree}",
-    )
+    return _report("degree-invariance", f"{ctx.params.label} M={M}", body)
 
 
 # ---------------------------------------------------------------------------
@@ -277,56 +259,44 @@ def residual_defect(H: OperatorMatrix, table: LatticeFunction, eig) -> tuple:
     return worst, checked
 
 
-def eigen_check(params, kind: str, m, index: int | None = None,
-                xmax: int | None = None) -> CheckReport:
+def eigen_check(ctx: SuiteContext, kind: str, m, index: int | None = None) -> CheckReport:
     """Residual of the eigenvalue equation for P_m under one operator."""
+    params = ctx.params
 
     def body():
-        lattice = family_lattice(params, xmax=xmax)
-        table = eigenpoly_table(m, params, lattice)
-        H = operator_matrix(OperatorSpec(params, kind, index), lattice)
+        (table,) = ctx.tables([m])
         eig = eigenvalue(params, kind, index, m)
-        worst, checked = residual_defect(H, table, eig)
-        from .serialize import rational_str
-
+        worst, checked = residual_defect(ctx.stencil(kind, index), table, eig)
         detail = f"eigenvalue {rational_str(eig)} on {checked} points"
         return (PASS if worst == 0 else FAIL), worst, detail
 
-    (status, worst, detail), dt = _timed(body)
     op_label = kind if kind != "exchange" else f"exchange{index}"
-    inst = f"{params.label} m={tuple(m)} op={op_label}"
-    return CheckReport("eigen", inst, status, worst, dt, detail)
+    return _report("eigen", f"{params.label} m={tuple(m)} op={op_label}", body)
 
 
-def eigen_suite(params, m_max: int, xmax: int | None = None) -> list[CheckReport]:
+def eigen_suite(ctx: SuiteContext, m_max: int) -> list[CheckReport]:
     """Eigen residuals for every |m| <= m_max and every operator."""
-    reports = []
-    lattice = family_lattice(params, xmax=xmax)
-    t0 = time.perf_counter()
-    matrices = [operator_matrix(spec, lattice) for spec in all_operator_specs(params)]
-    worst = ZERO
-    count = 0
-    degrees = enumerate_degrees(params.n, m_max)
-    for m, table in zip(degrees, eigenpoly_tables(degrees, params, lattice)):
-        for H in matrices:
-            eig = eigenvalue(params, H.op.kind, H.op.index, m)
-            defect, _ = residual_defect(H, table, eig)
-            worst = max(worst, defect)
-            count += 1
-    dt = time.perf_counter() - t0
-    inst = f"{params.label} all |m|<={m_max}"
-    reports.append(
-        CheckReport(
-            "eigen-suite", inst, PASS if worst == 0 else FAIL, worst, dt,
-            f"{count} (m, operator) pairs",
-        )
-    )
-    reports.append(eigen_degeneracy_check(params, m_max))
-    return reports
+    params = ctx.params
+
+    def body():
+        worst = ZERO
+        count = 0
+        degrees = enumerate_degrees(params.n, m_max)
+        for m, table in zip(degrees, ctx.tables(degrees)):
+            for H in ctx.stencils:
+                eig = eigenvalue(params, H.op.kind, H.op.index, m)
+                defect, _ = residual_defect(H, table, eig)
+                worst = max(worst, defect)
+                count += 1
+        return (PASS if worst == 0 else FAIL), worst, f"{count} (m, operator) pairs"
+
+    return [_report("eigen-suite", f"{params.label} all |m|<={m_max}", body),
+            eigen_degeneracy_check(ctx, m_max)]
 
 
-def eigen_degeneracy_check(params, m_max: int) -> CheckReport:
+def eigen_degeneracy_check(ctx: SuiteContext, m_max: int) -> CheckReport:
     """All P_m of equal total degree share the total-operator eigenvalue."""
+    params = ctx.params
 
     def body():
         by_degree: dict[int, set] = {}
@@ -337,10 +307,7 @@ def eigen_degeneracy_check(params, m_max: int) -> CheckReport:
         bad = [d for d, vals in by_degree.items() if len(vals) != 1]
         return (PASS if not bad else FAIL), (ZERO if not bad else None)
 
-    (status, defect), dt = _timed(body)
-    return CheckReport(
-        "eigen-degeneracy", f"{params.label} |m|<={m_max}", status, defect, dt
-    )
+    return _report("eigen-degeneracy", f"{params.label} |m|<={m_max}", body)
 
 
 # ---------------------------------------------------------------------------
@@ -353,68 +320,57 @@ def type_one_value(params, J, m: int, x) -> object:
     return params.type_one(m, xJ, sum((params.a[j - 1] for j in J), ZERO))
 
 
-def type_one_check(params, J, m: int, xmax: int | None = None) -> CheckReport:
+def type_one_check(ctx: SuiteContext, J, m: int) -> CheckReport:
     """H_total on the subset polynomial: residual must vanish exactly."""
+    params = ctx.params
     J = tuple(sorted(set(J)))
     if not J or any(not 1 <= j <= params.n for j in J):
         raise ValueError(f"J must be a nonempty subset of 1..{params.n}")
-    lattice = family_lattice(params, xmax=xmax)
-    return _type_one_report(operator_matrix(OperatorSpec(params, "total"), lattice), J, m)
-
-
-def _type_one_report(total: OperatorMatrix, J, m: int) -> CheckReport:
-    params = total.op.params
 
     def body():
         table = LatticeFunction.from_callable(
-            total.lattice, lambda x: type_one_value(params, J, m, x)
+            ctx.lattice, lambda x: type_one_value(params, J, m, x)
         )
         eig = eigenvalue(params, "total", None, (m,) + (0,) * (params.n - 1))
-        worst, _ = residual_defect(total, table, eig)
+        worst, _ = residual_defect(ctx.stencil("total"), table, eig)
         return (PASS if worst == 0 else FAIL), worst
 
-    (status, worst), dt = _timed(body)
-    inst = f"{params.label} J={set(J)} m={m}"
-    return CheckReport("type-one", inst, status, worst, dt)
+    return _report("type-one", f"{params.label} J={set(J)} m={m}", body)
 
 
-def type_one_suite(params, m_max: int, xmax: int | None = None) -> list[CheckReport]:
-    """Type-one residuals for every subset J and m <= m_max, on one stencil."""
-    total = operator_matrix(OperatorSpec(params, "total"), family_lattice(params, xmax=xmax))
-    sites = range(1, params.n + 1)
-    reports = [_type_one_report(total, J, m) for size in sites
+def type_one_suite(ctx: SuiteContext, m_max: int) -> list[CheckReport]:
+    """Type-one residuals for every subset J and m <= m_max."""
+    sites = range(1, ctx.params.n + 1)
+    reports = [type_one_check(ctx, J, m) for size in sites
                for J in combinations(sites, size) for m in range(m_max + 1)]
-    reports.append(same_degree_overlap_check(params, max(1, min(m_max, 2)), xmax=xmax))
+    reports.append(same_degree_overlap_check(ctx, max(1, min(m_max, 2))))
     return reports
 
 
-def same_degree_overlap_check(params, m: int, xmax: int | None = None) -> CheckReport:
+def same_degree_overlap_check(ctx: SuiteContext, m: int) -> CheckReport:
     """Same-degree subset polynomials are NOT orthogonal in general.
 
     Records at least one pair J != J' of equal degree with a nonzero
     inner product; failing to find one on a generic instance is a FAIL.
     """
+    params = ctx.params
 
     def body():
-        w = weight_table(params, xmax=xmax)
-        lattice = w.lattice
+        w = ctx.weights()
         sites = range(1, params.n + 1)
         subsets = [J for size in sites for J in combinations(sites, size)]
         tables = {
             J: LatticeFunction.from_callable(
-                lattice, lambda x, J=J: type_one_value(params, J, m, x)
+                ctx.lattice, lambda x, J=J: type_one_value(params, J, m, x)
             )
             for J in subsets
         }
         for J1, J2 in combinations(subsets, 2):
             if inner_product(tables[J1], tables[J2], w) != 0:
-                return PASS, f"({set(J1)}, {set(J2)}) overlap at degree {m}"
-        return FAIL, "all same-degree pairs orthogonal (unexpected)"
+                return PASS, None, f"({set(J1)}, {set(J2)}) overlap at degree {m}"
+        return FAIL, None, "all same-degree pairs orthogonal (unexpected)"
 
-    (status, detail), dt = _timed(body)
-    return CheckReport(
-        "type-one-overlap", f"{params.label} m={m}", status, None, dt, detail
-    )
+    return _report("type-one-overlap", f"{params.label} m={m}", body)
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +404,8 @@ def sv_shift_check(a, b, N: int, deg_max: int) -> CheckReport:
                 worst = max(worst, abs(lhs - rhs))
         return (PASS if worst == 0 else FAIL), worst
 
-    (status, worst), dt = _timed(body)
-    from .serialize import rational_str
-
     inst = f"hahn-1v a={rational_str(a)} b={rational_str(b)} N={N} m<={deg_max}"
-    return CheckReport("sv-shifts", inst, status, worst, dt)
+    return _report("sv-shifts", inst, body)
 
 
 def sv_difference_equation_check(a, b, N: int, deg_max: int) -> CheckReport:
@@ -470,8 +423,7 @@ def sv_difference_equation_check(a, b, N: int, deg_max: int) -> CheckReport:
                 worst = max(worst, abs(lhs - R(m) * (m + a + b - 1) * h(x)))
         return (PASS if worst == 0 else FAIL), worst
 
-    (status, worst), dt = _timed(body)
-    return CheckReport("sv-difference-eq", f"hahn-1v N={N} m<={deg_max}", status, worst, dt)
+    return _report("sv-difference-eq", f"hahn-1v N={N} m<={deg_max}", body)
 
 
 def pair_shift_check(alpha, gamma, deg_max: int, box: int, family) -> CheckReport:
@@ -494,14 +446,11 @@ def pair_shift_check(alpha, gamma, deg_max: int, box: int, family) -> CheckRepor
                     worst = max(worst, abs(lhs - d * P(m + 1, u, v, alpha, gamma)))
         return (PASS if worst == 0 else FAIL), worst
 
-    (status, worst), dt = _timed(body)
-    from .serialize import rational_str
-
     inst = (
         f"{family.pair_name}-pair alpha={rational_str(alpha)} gamma={rational_str(gamma)} "
         f"m<={deg_max} box={box}"
     )
-    return CheckReport("pair-shifts", inst, status, worst, dt)
+    return _report("pair-shifts", inst, body)
 
 
 def pair_recursion_check(alpha, gamma, deg_max: int, box: int, family) -> CheckReport:
@@ -523,12 +472,10 @@ def pair_recursion_check(alpha, gamma, deg_max: int, box: int, family) -> CheckR
                     worst = max(worst, abs(bwd - (R(u + v) - m) * P(u, v)))
         return (PASS if worst == 0 else FAIL), worst
 
-    (status, worst), dt = _timed(body)
-    inst = f"{family.pair_name}-pair m<={deg_max} box={box}"
-    return CheckReport("pair-recursions", inst, status, worst, dt)
+    return _report("pair-recursions", f"{family.pair_name}-pair m<={deg_max} box={box}", body)
 
 
-def generalized_recursion_check(params, i: int, m, xmax: int | None = None) -> CheckReport:
+def generalized_recursion_check(ctx: SuiteContext, i: int, m) -> CheckReport:
     """Forward/backward recursions for the chained pair product.
 
     With R(x) the product of pair factors i..n-1 (degree-shifted), sums
@@ -539,8 +486,10 @@ def generalized_recursion_check(params, i: int, m, xmax: int | None = None) -> C
         sum x_k R(x-e_k)            = (sum x_k - D) R(x)
     """
 
+    params = ctx.params
+
     def body():
-        lattice = family_lattice(params, xmax=xmax)
+        lattice = ctx.lattice
         n = params.n
         deg = sum(m[i:])
         a_sum = sum(params.a[i - 1 :], ZERO)
@@ -561,9 +510,7 @@ def generalized_recursion_check(params, i: int, m, xmax: int | None = None) -> C
             worst = max(worst, abs(bwd - (tailx - deg) * base))
         return (PASS if worst == 0 else FAIL), worst
 
-    (status, worst), dt = _timed(body)
-    inst = f"{params.label} i={i} m={tuple(m)}"
-    return CheckReport("generalized-recursions", inst, status, worst, dt)
+    return _report("generalized-recursions", f"{params.label} i={i} m={tuple(m)}", body)
 
 
 def rodrigues_check(m_max: int, alpha, gamma, box: int) -> CheckReport:
@@ -578,29 +525,20 @@ def rodrigues_check(m_max: int, alpha, gamma, box: int) -> CheckReport:
                 worst = max(worst, abs(got - want))
         return (PASS if worst == 0 else FAIL), worst
 
-    (status, worst), dt = _timed(body)
-    from .serialize import rational_str
-
     inst = f"alpha={rational_str(R(alpha))} gamma={rational_str(R(gamma))} m<={m_max} box={box}"
-    return CheckReport("rodrigues", inst, status, worst, dt)
+    return _report("rodrigues", inst, body)
 
 
-def glue_check(params, i: int, m_i: int, m_im1: int, xmax: int | None = None) -> CheckReport:
+def glue_check(ctx: SuiteContext, i: int, m_i: int, m_im1: int) -> CheckReport:
     """Adjacent pair factors glue into an eigenfunction of exchange(i-1).
 
     The lower factor is evaluated at (x_{i-1}, x_{>i-1} - m_i) and, for
     Hahn, with its tail parameter shifted to a_{>i-1} + 2 m_i; the glued
     eigenvalue adds the degrees.
     """
+    params = ctx.params
     if not 2 <= i <= params.n - 1:
         raise ValueError(f"glue index i = {i} outside [2, {params.n - 1}]")
-    lattice = family_lattice(params, xmax=xmax)
-    return _glue_report(operator_matrix(OperatorSpec(params, "exchange", i - 1), lattice),
-                        i, m_i, m_im1)
-
-
-def _glue_report(exchange: OperatorMatrix, i: int, m_i: int, m_im1: int) -> CheckReport:
-    params = exchange.op.params
 
     def body():
         def value(x):
@@ -608,60 +546,45 @@ def _glue_report(exchange: OperatorMatrix, i: int, m_i: int, m_im1: int) -> Chec
             lo = params.pair_factor(i - 1, m_im1, m_i, x[i - 2], tail_sum(x, i - 1))
             return hi * lo
 
-        table = LatticeFunction.from_callable(exchange.lattice, value)
+        table = LatticeFunction.from_callable(ctx.lattice, value)
         m = [0] * params.n
         m[i - 1], m[i] = m_im1, m_i
         eig = eigenvalue(params, "exchange", i - 1, m)
-        worst, _ = residual_defect(exchange, table, eig)
+        worst, _ = residual_defect(ctx.stencil("exchange", i - 1), table, eig)
         return (PASS if worst == 0 else FAIL), worst
 
-    (status, worst), dt = _timed(body)
-    inst = f"{params.label} i={i} degrees=({m_i},{m_im1})"
-    return CheckReport("glue", inst, status, worst, dt)
+    return _report("glue", f"{params.label} i={i} degrees=({m_i},{m_im1})", body)
 
 
 # ---------------------------------------------------------------------------
 # Gram / orthogonality
 
 
-def _uni_coeffs(values):
-    """Monomial coefficients of the poly through (0, v0) .. (d, vd)."""
-    d = len(values) - 1
-    dd = [R(v) for v in values]
-    # divided differences on nodes 0..d (in place)
-    for level in range(1, d + 1):
-        for idx in range(d, level - 1, -1):
-            dd[idx] = (dd[idx] - dd[idx - 1]) / level
-    coeffs = [dd[d]]
-    for k in range(d - 1, -1, -1):
-        # multiply by (x - k), then add dd[k]
-        coeffs = [ZERO] + coeffs
-        coeffs = [c - k * nxt for c, nxt in zip(coeffs, coeffs[1:] + [ZERO])]
-        coeffs[0] += dd[k]
-    return coeffs
-
-
 def poly_coefficients(fn, nvars: int, deg: int) -> dict:
-    """Exact monomial coefficients of a polynomial evaluator.
+    """Exact monomial coefficients of a polynomial of total degree <= deg.
 
-    Interpolates on the grid {0..deg}^nvars, one variable at a time.
+    Takes the Newton coefficients D^alpha f(0) on the simplex |x| <= deg
+    (:func:`mvortho.linalg.forward_differences`) and expands each
+    C(x, a) = x (x-1) ... (x-a+1) / a! = Sum_e s(a, e) x^e / a!, with s
+    the signed Stirling numbers of the first kind.
     """
-    if nvars == 1:
-        cs = _uni_coeffs([fn((t,)) for t in range(deg + 1)])
-        return {(e,): c for e, c in enumerate(cs) if c != 0}
-    slices = [
-        poly_coefficients(lambda rest, t=t: fn((t,) + rest), nvars - 1, deg)
-        for t in range(deg + 1)
-    ]
-    keys = set()
-    for s in slices:
-        keys.update(s.keys())
-    out = {}
-    for key in keys:
-        for e, c in enumerate(_uni_coeffs([s.get(key, ZERO) for s in slices])):
-            if c != 0:
-                out[(e,) + key] = c
-    return out
+    points = enumerate_lattice(nvars, deg)
+    newton = forward_differences([fn(x) for x in points], nvars, deg)
+    # s[a][e], from x (x-1) ... (x-a) = (x (x-1) ... (x-a+1)) (x - a)
+    s = [[1]]
+    for a in range(deg):
+        s.append([(s[a][e - 1] if e else 0) - (a * s[a][e] if e <= a else 0)
+                  for e in range(a + 2)])
+    out: dict = {}
+    for alpha, c in zip(points, newton):
+        if c == 0:
+            continue
+        c /= math.prod(math.factorial(a) for a in alpha)
+        for exps in product(*(range(a + 1) for a in alpha)):
+            term = math.prod(s[a][e] for a, e in zip(alpha, exps))
+            if term:
+                out[exps] = out.get(exps, ZERO) + c * term
+    return {e: c for e, c in out.items() if c != 0}
 
 
 def coeff_degree_sums(coeffs: dict, deg: int):
@@ -672,16 +595,17 @@ def coeff_degree_sums(coeffs: dict, deg: int):
     return out
 
 
-def meixner_product_tail_bound(params, coeff_p: dict, coeff_q: dict,
-                               xmax: int, extend: int = 40):
+def meixner_product_tail_bound(w, coeff_p: dict, coeff_q: dict, xmax: int):
     """Rigorous bound on |sum_{|x| > xmax} p(x) q(x) W(x)|.
 
-    Exact shell sums of |p q| W are accumulated for xmax < s <= xmax+extend;
-    beyond that the product is dominated by sum_j C_j s^j (C_j from the
-    absolute coefficients of p*q) and the remaining series has an exact
-    closed form for integral beta, or a geometric bound otherwise.
+    ``w`` is the Meixner weight table on a box |x| <= xmax + extend.
+    Exact shell sums of |p q| W are accumulated over its points with
+    |x| > xmax; beyond the box the product is dominated by sum_j C_j s^j
+    (C_j from the absolute coefficients of p*q) and the remaining series
+    has an exact closed form for integral beta, or a geometric bound
+    otherwise.
     """
-    n = params.n
+    params = w.params
     # |p*q| coefficient degree sums
     prod: dict = {}
     for e1, c1 in coeff_p.items():
@@ -692,13 +616,11 @@ def meixner_product_tail_bound(params, coeff_p: dict, coeff_q: dict,
     Cj = coeff_degree_sums(prod, deg)
 
     head = ZERO
-    for s in range(xmax + 1, xmax + extend + 1):
-        for x in compositions(s, n):
-            pv = _eval_coeffs(coeff_p, x)
-            qv = _eval_coeffs(coeff_q, x)
-            head += abs(pv * qv) * meixner_weight(x, params)
+    for x, wx in zip(w.lattice.points, w.values):
+        if sum(x) > xmax:
+            head += abs(_eval_coeffs(coeff_p, x) * _eval_coeffs(coeff_q, x)) * wx
 
-    S = xmax + extend
+    S = w.lattice.bound
     A = params.a_total
     tail = ZERO
     if params.integral_beta:
@@ -748,22 +670,22 @@ class GramResult:
     bounds: list = field(default_factory=list)
 
 
-def gram_check(params, m_max: int, xmax: int | None = None,
-               extend: int = 40) -> GramResult:
+def gram_check(ctx: SuiteContext, m_max: int, extend: int = TAIL_SHELLS) -> GramResult:
     """Gram matrix of {P_m : |m| <= m_max} under the family weight.
 
     Bounded families: every off-diagonal entry must be exactly zero and
     every diagonal positive.  Meixner: off-diagonal entries must lie
-    within their per-pair truncation-tail bounds; the reported tolerance
-    is the largest such bound.
+    within their per-pair truncation-tail bounds, with exact shell sums
+    over ``extend`` more shells; the reported tolerance is the largest
+    such bound.
     """
     t0 = time.perf_counter()
+    params = ctx.params
     if params.N is not None and m_max > params.N:
         raise ValueError("need m_max <= N")
-    w = weight_table(params, xmax=xmax)
-    lattice = w.lattice
+    lattice = ctx.lattice
     degrees = enumerate_degrees(params.n, m_max)
-    G = gram_matrix(eigenpoly_tables(degrees, params, lattice), w)
+    G = ctx.gram(m_max)
     size = len(degrees)
 
     status = PASS
@@ -780,7 +702,7 @@ def gram_check(params, m_max: int, xmax: int | None = None,
         for i in range(size):
             for j in range(i + 1, size):
                 bound = meixner_product_tail_bound(
-                    params, coeffs[i], coeffs[j], lattice.bound, extend
+                    ctx.weights(lattice.bound + extend), coeffs[i], coeffs[j], lattice.bound
                 )
                 bounds.append(((degrees[i], degrees[j]), bound))
                 tolerance = max(tolerance, bound)
@@ -789,8 +711,6 @@ def gram_check(params, m_max: int, xmax: int | None = None,
                     status = FAIL
                     detail = f"off-diagonal {degrees[i]},{degrees[j]} beyond tail bound"
         if status == PASS:
-            from .serialize import sci_str
-
             detail = f"max |offdiag| {sci_str(worst)} within tolerance {sci_str(tolerance)}"
     else:
         for i in range(size):
@@ -809,57 +729,58 @@ def gram_check(params, m_max: int, xmax: int | None = None,
     return GramResult(degrees, G, report, tolerance, bounds)
 
 
-def completeness_check(params, xmax: int | None = None) -> CheckReport:
+def completeness_check(ctx: SuiteContext) -> CheckReport:
     """#{m : |m| <= N} equals |lattice| and the Gram matrix is nonsingular,
-    which holds once ``gram_check`` finds it diagonal with positive entries."""
+    which holds once it is diagonal with positive entries.  The Gram
+    entries and tables of a preceding gram check are reused."""
+    params = ctx.params
 
     def body():
         if params.N is None:
             return SKIP, None, "unbounded degree set on the semi-infinite lattice"
-        lattice = family_lattice(params)
-        degrees = enumerate_degrees(params.n, params.N)
-        if len(degrees) != lattice.size:
+        size = ctx.lattice.size
+        if len(enumerate_degrees(params.n, params.N)) != size:
             return FAIL, None, "degree count differs from lattice size"
-        if gram_check(params, params.N).report.status != PASS:
+        G = ctx.gram(params.N)
+        if any(G[i][j] != 0 if i != j else G[i][i] <= 0
+               for i in range(size) for j in range(size)):
             return FAIL, None, "Gram matrix not diagonal with positive entries"
-        return PASS, ZERO, f"count {lattice.size}, Gram diagonal positive, full rank"
+        return PASS, ZERO, f"count {size}, Gram diagonal positive, full rank"
 
-    (status, defect, detail), dt = _timed(body)
-    return CheckReport("completeness", params.label, status, defect, dt, detail)
+    return _report("completeness", params.label, body)
 
 
-def pair_orthogonality_report(params, m: int, xmax: int | None = None) -> CheckReport:
+def pair_orthogonality_report(ctx: SuiteContext, m: int) -> CheckReport:
     """Literal cross-sector orthogonality of the raw pair polynomials.
 
     Tests (P_m in sector i, P_m in sector j) under the full weight for
     every i < j and reports the outcome.
     """
+    params = ctx.params
 
     def body():
-        w = weight_table(params, xmax=xmax)
-        lattice = w.lattice
+        w = ctx.weights()
+        lattice = ctx.lattice
+        sectors = range(1, params.n)
 
         def sector_value(i, x):
             return params.pair_factor(i, m, 0, x[i - 1], tail_sum(x, i))
 
         tables = {
             i: LatticeFunction.from_callable(lattice, lambda x, i=i: sector_value(i, x))
-            for i in range(1, params.n)
+            for i in sectors
         }
+        if lattice.truncated:
+            coeffs = {i: poly_coefficients(lambda pt, i=i: sector_value(i, pt), params.n, m)
+                      for i in sectors}
         worst = ZERO
         status = PASS
-        for i, j in combinations(range(1, params.n), 2):
+        for i, j in combinations(sectors, 2):
             val = abs(inner_product(tables[i], tables[j], w))
             worst = max(worst, val)
             if lattice.truncated:
-                coeff_i = poly_coefficients(
-                    lambda pt, i=i: sector_value(i, pt), params.n, m
-                )
-                coeff_j = poly_coefficients(
-                    lambda pt, j=j: sector_value(j, pt), params.n, m
-                )
                 bound = meixner_product_tail_bound(
-                    params, coeff_i, coeff_j, lattice.bound
+                    ctx.weights(lattice.bound + TAIL_SHELLS), coeffs[i], coeffs[j], lattice.bound
                 )
                 if val > bound:
                     status = FAIL
@@ -870,10 +791,7 @@ def pair_orthogonality_report(params, m: int, xmax: int | None = None) -> CheckR
         )
         return status, worst, detail
 
-    (status, worst, detail), dt = _timed(body)
-    return CheckReport(
-        "pair-orthogonality", f"{params.label} m={m}", status, worst, dt, detail
-    )
+    return _report("pair-orthogonality", f"{params.label} m={m}", body)
 
 
 # ---------------------------------------------------------------------------
@@ -924,10 +842,9 @@ def limit_check(t_values, m, x, params) -> CheckReport:
         devs = [rescaled_hahn_limit_value(m, x, params, t) - target for t in t_values]
         return _limit_protocol(devs, t_values)
 
-    (status, worst), dt = _timed(body)
     inst = (f"{params.family}-limit n={params.n} {params.bound_label} m={tuple(m)} "
             f"x={tuple(x)} t={list(t_values)}")
-    return CheckReport("limit", inst, status, worst, dt)
+    return _report("limit", inst, body)
 
 
 def limit_suite(params, rng: random.Random, count: int = 3,
@@ -958,24 +875,80 @@ def _random_point(rng, n: int, top: int, bound: int | None):
 
 
 class SuiteContext:
-    """The suite's defaults for one bundle, resolved once: xmax 12 on the
-    truncated Meixner box, m_max 3 (at most N), the degrees of the
+    """One instance, the suite's defaults for it, and the objects its checks read.
+
+    The defaults are resolved once: xmax 12 on the truncated Meixner box
+    (which needs xmax >= 1), m_max 3 (at most N), the degrees of the
     invariance and Gram checks (smaller on the Meixner box, where every
     Gram entry needs its own tail bound), the box of the pair identities,
-    and one seeded stream for every random draw."""
+    and one seeded stream for every random draw.
+
+    The lattice, the weight tables (one per box), the operator stencils,
+    the eigenpolynomial tables (one per degree m) and the Gram entries
+    are built on first use and kept for the life of the context.
+    """
 
     def __init__(self, params, m_max: int | None = None, xmax: int | None = None,
                  seed: int = 0):
         unbounded = params.N is None
+        if unbounded:
+            xmax = 12 if xmax is None else xmax
+            if xmax < 1:
+                raise ValueError(f"the truncated Meixner box needs xmax >= 1, got {xmax}")
         self.params = params
-        self.xmax = 12 if unbounded and xmax is None else xmax
+        self.xmax = xmax
         if m_max is None:
             m_max = 3 if unbounded else min(params.N, 3)
         self.m_max = m_max
         self.invariance_degree = min(2, m_max if unbounded else params.N)
         self.gram_degree = min(m_max, 1) if unbounded else m_max
-        self.box = min(self.xmax if unbounded else params.N, 6)
+        self.box = min(xmax if unbounded else params.N, 6)
         self.rng = random.Random(seed)
+        self._weights: dict = {}
+        self._stencils: dict = {}
+        self._tables: dict = {}
+        self._gram: list = []
+
+    @cached_property
+    def lattice(self):
+        return family_lattice(self.params, xmax=self.xmax)
+
+    def weights(self, xmax: int | None = None):
+        """The weight table on the instance lattice, or on the Meixner box |x| <= xmax."""
+        key = self.xmax if xmax is None else xmax
+        if key not in self._weights:
+            self._weights[key] = weight_table(self.params, xmax=key)
+        return self._weights[key]
+
+    def stencil(self, kind: str, index: int | None = None) -> OperatorMatrix:
+        key = (kind, index)
+        if key not in self._stencils:
+            spec = OperatorSpec(self.params, kind, index)
+            self._stencils[key] = operator_matrix(spec, self.lattice)
+        return self._stencils[key]
+
+    @property
+    def stencils(self) -> list[OperatorMatrix]:
+        """The n+1 operators: total, single, exchange(1) .. exchange(n-1)."""
+        return [self.stencil("total"), self.stencil("single")] + [
+            self.stencil("exchange", i) for i in range(1, self.params.n)]
+
+    def tables(self, degrees) -> list[LatticeFunction]:
+        """Tables of P_m for m in ``degrees``; the missing ones are built in one call."""
+        degrees = [self.params.degree_index(m) for m in degrees]
+        missing = [m for m in dict.fromkeys(degrees) if m not in self._tables]
+        if missing:
+            self._tables.update(zip(missing, eigenpoly_tables(missing, self.params, self.lattice)))
+        return [self._tables[m] for m in degrees]
+
+    def gram(self, m_max: int) -> list[list]:
+        """Gram matrix of P_m, |m| <= m_max.  The degrees of a smaller m_max
+        are a graded-lex prefix, so their block is kept, not recomputed."""
+        degrees = enumerate_degrees(self.params.n, m_max)
+        size = len(degrees)
+        if size > len(self._gram):
+            self._gram = gram_matrix(self.tables(degrees), self.weights(), self._gram)
+        return [row[:size] for row in self._gram[:size]]
 
 
 def _shifts(ctx: SuiteContext) -> list[CheckReport]:
@@ -993,11 +966,11 @@ def _shifts(ctx: SuiteContext) -> list[CheckReport]:
 
 
 def _generalized_recursions(ctx: SuiteContext) -> list[CheckReport]:
-    p = ctx.params
+    n = ctx.params.n
     reports = []
-    for i in (1, p.n - 1):
-        m = (0,) + tuple(ctx.rng.randint(0, 2) for _ in range(p.n - 1))
-        reports.append(generalized_recursion_check(p, i, m, xmax=ctx.xmax))
+    for i in (1, n - 1):
+        m = (0,) + tuple(ctx.rng.randint(0, 2) for _ in range(n - 1))
+        reports.append(generalized_recursion_check(ctx, i, m))
     return reports
 
 
@@ -1013,29 +986,27 @@ def _glue(ctx: SuiteContext) -> list[CheckReport]:
     p = ctx.params
     if p.n < 3:
         return [CheckReport("glue", p.label, SKIP, None, 0.0, "adjacent sectors need n >= 3")]
-    exchange = operator_matrix(OperatorSpec(p, "exchange", 1), family_lattice(p, xmax=ctx.xmax))
-    return [_glue_report(exchange, 2, mi, mim1) for mi, mim1 in ((1, 1), (2, 1), (1, 2))]
+    return [glue_check(ctx, 2, mi, mim1) for mi, mim1 in ((1, 1), (2, 1), (1, 2))]
 
 
 # name -> fn(ctx) returning that entry's reports, in suite order.  "limits"
 # is not part of the suite: it needs a Krawtchouk or Meixner bundle.
 CHECKS = {
-    "normalization": lambda c: [normalization_check(c.params, xmax=c.xmax)],
-    "compatibility": lambda c: [compatibility_check(c.params, xmax=c.xmax)],
-    "boundary": lambda c: [boundary_safety_check(c.params)],
-    "adjointness": lambda c: [adjointness_check(c.params, xmax=c.xmax)],
-    "commutators": lambda c: [commutator_check(c.params, xmax=c.xmax)],
-    "degree-invariance": lambda c: [
-        degree_invariance_report(c.params, c.invariance_degree, xmax=c.xmax)],
-    "eigen": lambda c: eigen_suite(c.params, c.m_max, xmax=c.xmax),
-    "type-one": lambda c: type_one_suite(c.params, min(c.m_max, 3), xmax=c.xmax),
+    "normalization": lambda c: [normalization_check(c)],
+    "compatibility": lambda c: [compatibility_check(c)],
+    "boundary": lambda c: [boundary_safety_check(c)],
+    "adjointness": lambda c: [adjointness_check(c)],
+    "commutators": lambda c: [commutator_check(c)],
+    "degree-invariance": lambda c: [degree_invariance_report(c, c.invariance_degree)],
+    "eigen": lambda c: eigen_suite(c, c.m_max),
+    "type-one": lambda c: type_one_suite(c, min(c.m_max, 3)),
     "shifts": _shifts,
     "generalized-recursions": _generalized_recursions,
     "rodrigues": _rodrigues,
     "glue": _glue,
-    "gram": lambda c: [gram_check(c.params, c.gram_degree, xmax=c.xmax).report],
-    "pair-orthogonality": lambda c: [pair_orthogonality_report(c.params, 1, xmax=c.xmax)],
-    "completeness": lambda c: [completeness_check(c.params)],
+    "gram": lambda c: [gram_check(c, c.gram_degree).report],
+    "pair-orthogonality": lambda c: [pair_orthogonality_report(c, 1)],
+    "completeness": lambda c: [completeness_check(c)],
     "limits": lambda c: limit_suite(c.params, c.rng),
 }
 SUITE = tuple(name for name in CHECKS if name != "limits")

@@ -14,7 +14,6 @@ from mvortho import (
     adjointness_defect,
     apply_operator,
     commutator_defect,
-    degree_invariance_check,
     operator_matrix,
     weight_table,
 )
@@ -189,12 +188,23 @@ def test_all_pairs_commute_bounded(params):
         OperatorSpec(params, "exchange", i) for i in range(1, params.n)
     ]
     for s1, s2 in combinations(specs, 2):
-        assert commutator_defect(s1, s2, lat) == 0
+        assert commutator_defect(operator_matrix(s1, lat), operator_matrix(s2, lat)) == 0
 
 
 def test_self_commutator_is_zero():
-    spec = OperatorSpec(HAHN, "total")
-    assert commutator_defect(spec, spec) == 0
+    M = operator_matrix(OperatorSpec(HAHN, "total"))
+    assert commutator_defect(M, M) == 0
+
+
+def test_kernels_reject_stencils_of_other_lattices():
+    M = operator_matrix(OperatorSpec(MEIX, "total"), family_lattice(MEIX, xmax=4))
+    other = operator_matrix(OperatorSpec(MEIX, "single"), family_lattice(MEIX, xmax=5))
+    with pytest.raises(ValueError):
+        commutator_defect(M, other)
+    with pytest.raises(ValueError):
+        adjointness_defect(M, weight_table(MEIX, xmax=5))
+    with pytest.raises(ValueError):
+        image_degree([M, other], 1)
 
 
 def test_meixner_commutators_interior_restricted():
@@ -202,7 +212,7 @@ def test_meixner_commutators_interior_restricted():
     specs = [OperatorSpec(MEIX, "total"), OperatorSpec(MEIX, "single"),
              OperatorSpec(MEIX, "exchange", 1)]
     for s1, s2 in combinations(specs, 2):
-        assert commutator_defect(s1, s2, lat) == 0
+        assert commutator_defect(operator_matrix(s1, lat), operator_matrix(s2, lat)) == 0
 
 
 def test_meixner_exchange_negates_krawtchouk_exchange():
@@ -225,32 +235,37 @@ def test_adjointness_bounded(params):
     w = weight_table(params)
     for kind, index in (("total", None), ("single", None), ("exchange", 1),
                         ("exchange", 2)):
-        assert adjointness_defect(OperatorSpec(params, kind, index), w) == 0
+        H = operator_matrix(OperatorSpec(params, kind, index), w.lattice)
+        assert adjointness_defect(H, w) == 0
 
 
 def test_adjointness_meixner_interior():
     w = weight_table(MEIX, xmax=8)
     for kind, index in (("total", None), ("single", None), ("exchange", 1)):
-        assert adjointness_defect(OperatorSpec(MEIX, kind, index), w) == 0
+        H = operator_matrix(OperatorSpec(MEIX, kind, index), w.lattice)
+        assert adjointness_defect(H, w) == 0
 
 
 def test_degree_invariance():
+    total = operator_matrix(OperatorSpec(HAHN, "total"))
+    exchange = operator_matrix(OperatorSpec(HAHN, "exchange", 1))
     for M in (0, 1, 2):
-        assert degree_invariance_check(OperatorSpec(HAHN, "total"), M)
-        assert degree_invariance_check(OperatorSpec(HAHN, "exchange", 1), M)
-    assert degree_invariance_check(OperatorSpec(HAHN, "total"), HAHN.N)
+        assert image_degree([total], M) <= M
+        assert image_degree([exchange], M) <= M
+    assert image_degree([total], HAHN.N) <= HAHN.N
     with pytest.raises(ValueError):
-        degree_invariance_check(OperatorSpec(HAHN, "total"), HAHN.N + 1)
+        image_degree([total], HAHN.N + 1)
 
 
 def test_degree_invariance_meixner_box():
     lat = family_lattice(MEIX, xmax=6)
-    assert degree_invariance_check(OperatorSpec(MEIX, "total"), 2, lat)
-    assert image_degree(OperatorSpec(MEIX, "total"), 2, lat) == 2
-    assert image_degree(OperatorSpec(MEIX, "exchange", 1), 0, lat) == -1
+    total = operator_matrix(OperatorSpec(MEIX, "total"), lat)
+    assert image_degree([total], 2) <= 2
+    assert image_degree([total], 2) == 2
+    assert image_degree([operator_matrix(OperatorSpec(MEIX, "exchange", 1), lat)], 0) == -1
     # on the one-point box no row of the total operator has a defined image
     point = family_lattice(MEIX, xmax=0)
-    assert image_degree(OperatorSpec(MEIX, "total"), 2, point) == -1
+    assert image_degree([operator_matrix(OperatorSpec(MEIX, "total"), point)], 2) == -1
 
 
 def test_degree_needs_defined_rows_on_a_simplex(monkeypatch):
@@ -262,8 +277,9 @@ def test_degree_needs_defined_rows_on_a_simplex(monkeypatch):
         return R(0) if x == (4, 0) else up_rate(params, x, j)
 
     monkeypatch.setattr(MeixnerParams, "up_rate", patched)
+    total = operator_matrix(OperatorSpec(MEIX, "total"), family_lattice(MEIX, xmax=4))
     with pytest.raises(ValueError, match="simplex"):
-        image_degree(OperatorSpec(MEIX, "total"), 1, family_lattice(MEIX, xmax=4))
+        image_degree([total], 1)
 
 
 def test_apply_rejects_mismatched_lattice():
@@ -446,26 +462,31 @@ def test_sparse_checks_match_dense_oracle(params, xmax, perturbed, monkeypatch):
     lat = family_lattice(params, xmax=xmax)
     w = weight_table(params, xmax=xmax)
     specs = specs_of(params)
+    built = {spec: operator_matrix(spec, lat) for spec in specs}
     for s1, s2 in combinations(specs, 2):
-        assert commutator_defect(s1, s2, lat) == dense_commutator_defect(s1, s2, lat)
+        assert commutator_defect(built[s1], built[s2]) == dense_commutator_defect(s1, s2, lat)
     for spec in specs:
-        assert adjointness_defect(spec, w) == dense_adjointness_defect(spec, w)
+        assert adjointness_defect(built[spec], w) == dense_adjointness_defect(spec, w)
         for M in (1, 2, 3):
-            assert degree_invariance_check(spec, M, lat) == dense_degree_invariant(
+            assert (image_degree([built[spec]], M) <= M) == dense_degree_invariant(
                 spec, M, lat
             )
+    # over several stencils, the largest of their image degrees
+    for M in (1, 2, 3):
+        assert image_degree(list(built.values()), M) == max(
+            image_degree([H], M) for H in built.values())
 
 
 @pytest.mark.parametrize("params,xmax", [(HAHN, None), (KRAW, None), (MEIX, 5)])
 def test_perturbed_exchange_fails_every_operator_check(params, xmax, monkeypatch):
     monkeypatch.setattr(type(params), "exchange_coeff", exchange_perturbed)
     lat = family_lattice(params, xmax=xmax)
-    total = OperatorSpec(params, "total")
-    assert not degree_invariance_check(total, 2, lat)
-    assert image_degree(total, 2, lat) == 3
+    total = operator_matrix(OperatorSpec(params, "total"), lat)
+    assert not image_degree([total], 2) <= 2
+    assert image_degree([total], 2) == 3
     assert adjointness_defect(total, weight_table(params, xmax=xmax)) > 0
     for other in specs_of(params)[1:]:
-        assert commutator_defect(total, other, lat) > 0
+        assert commutator_defect(total, operator_matrix(other, lat)) > 0
 
 
 def binomial_product(x, alpha):

@@ -10,32 +10,32 @@ MEIX = MeixnerParams((R(1, 4), R(1, 4)), R(2))
 
 
 def test_normalization_reports():
-    assert V.normalization_check(HAHN).status == "pass"
-    assert V.normalization_check(KRAW).status == "pass"
-    r = V.normalization_check(MEIX, xmax=12)
+    assert V.normalization_check(V.SuiteContext(HAHN)).status == "pass"
+    assert V.normalization_check(V.SuiteContext(KRAW)).status == "pass"
+    r = V.normalization_check(V.SuiteContext(MEIX, xmax=12))
     assert r.status == "pass"
     assert "bound" in r.detail
 
 
 def test_compatibility_and_boundary():
     for params, xmax in ((HAHN, None), (KRAW, None), (MEIX, 8)):
-        assert V.compatibility_check(params, xmax=xmax).status == "pass"
-    assert V.boundary_safety_check(HAHN).status == "pass"
-    assert V.boundary_safety_check(MEIX).status == "skipped"
+        assert V.compatibility_check(V.SuiteContext(params, xmax=xmax)).status == "pass"
+    assert V.boundary_safety_check(V.SuiteContext(HAHN)).status == "pass"
+    assert V.boundary_safety_check(V.SuiteContext(MEIX)).status == "skipped"
 
 
 def test_eigen_check_single_instances():
-    r = V.eigen_check(HAHN, "total", (1, 1, 0))
+    r = V.eigen_check(V.SuiteContext(HAHN), "total", (1, 1, 0))
     assert r.status == "pass" and r.max_defect == 0
-    r = V.eigen_check(HAHN, "exchange", (1, 1, 0), index=2)
+    r = V.eigen_check(V.SuiteContext(HAHN), "exchange", (1, 1, 0), index=2)
     assert r.status == "pass"
-    r = V.eigen_check(MEIX, "total", (2, 1), xmax=10)
+    r = V.eigen_check(V.SuiteContext(MEIX, xmax=10), "total", (2, 1))
     assert r.status == "pass"
 
 
 def test_eigen_check_m0_zero_mode():
     for kind, index in (("total", None), ("single", None), ("exchange", 1)):
-        r = V.eigen_check(HAHN, kind, (0, 0, 0), index=index)
+        r = V.eigen_check(V.SuiteContext(HAHN), kind, (0, 0, 0), index=index)
         assert r.status == "pass" and r.max_defect == 0
 
 
@@ -45,11 +45,11 @@ def test_degree_one_total_eigenvalue_is_parameter_sum():
 
     for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         assert eigenvalue(HAHN, "total", None, m) == HAHN.a_total + HAHN.b
-        assert V.eigen_check(HAHN, "total", m).status == "pass"
+        assert V.eigen_check(V.SuiteContext(HAHN), "total", m).status == "pass"
 
 
 def test_eigen_suite_and_degeneracy():
-    reports = V.eigen_suite(HAHN2, 3)
+    reports = V.eigen_suite(V.SuiteContext(HAHN2), 3)
     assert all(r.status == "pass" for r in reports)
     names = {r.name for r in reports}
     assert "eigen-suite" in names and "eigen-degeneracy" in names
@@ -67,17 +67,18 @@ def test_wrong_eigenvalue_fails():
 
 
 def test_type_one_checks():
+    ctx = V.SuiteContext(HAHN)
     for J in ((1,), (2,), (1, 3), (1, 2, 3)):
         for m in (0, 1, 2):
-            assert V.type_one_check(HAHN, J, m).status == "pass"
-    assert V.type_one_check(KRAW, (2, 3), 2).status == "pass"
-    assert V.type_one_check(MEIX, (1,), 2, xmax=10).status == "pass"
+            assert V.type_one_check(ctx, J, m).status == "pass"
+    assert V.type_one_check(V.SuiteContext(KRAW), (2, 3), 2).status == "pass"
+    assert V.type_one_check(V.SuiteContext(MEIX, xmax=10), (1,), 2).status == "pass"
     with pytest.raises(ValueError):
-        V.type_one_check(HAHN, (), 1)
+        V.type_one_check(ctx, (), 1)
 
 
 def test_same_degree_type_one_not_orthogonal():
-    r = V.same_degree_overlap_check(HAHN, 2)
+    r = V.same_degree_overlap_check(V.SuiteContext(HAHN), 2)
     assert r.status == "pass"
     assert "overlap" in r.detail
 
@@ -93,9 +94,10 @@ def test_shift_and_recursion_reports():
 
 @pytest.mark.parametrize("params, xmax", [(HAHN, None), (KRAW, None), (MEIX, 8)])
 def test_generalized_recursions(params, xmax):
+    ctx = V.SuiteContext(params, xmax=xmax)
     for i in range(1, params.n):
         for m in ((0,) * params.n, (0, 1) + (2,) * (params.n - 2)):
-            r = V.generalized_recursion_check(params, i, m, xmax=xmax)
+            r = V.generalized_recursion_check(ctx, i, m)
             assert r.status == "pass", r.instance
 
 
@@ -104,17 +106,18 @@ def test_rodrigues_report():
 
 
 def test_glue_checks():
-    for params, xmax in ((HAHN, None), (KRAW, None)):
+    for params in (HAHN, KRAW):
+        ctx = V.SuiteContext(params)
         for mi, mj in ((0, 0), (1, 0), (1, 1), (2, 1)):
-            assert V.glue_check(params, 2, mi, mj, xmax=xmax).status == "pass"
+            assert V.glue_check(ctx, 2, mi, mj).status == "pass"
     meix3 = MeixnerParams((R(1, 8), R(1, 8), R(1, 8)), R(2))
-    assert V.glue_check(meix3, 2, 1, 1, xmax=8).status == "pass"
+    assert V.glue_check(V.SuiteContext(meix3, xmax=8), 2, 1, 1).status == "pass"
     with pytest.raises(ValueError):
-        V.glue_check(HAHN2, 2, 1, 1)  # n=2 has no adjacent sectors
+        V.glue_check(V.SuiteContext(HAHN2), 2, 1, 1)  # n=2 has no adjacent sectors
 
 
 def test_gram_bounded_families():
-    res = V.gram_check(HAHN2, 4)
+    res = V.gram_check(V.SuiteContext(HAHN2), 4)
     assert res.report.status == "pass"
     size = len(res.degrees)
     for i in range(size):
@@ -122,11 +125,11 @@ def test_gram_bounded_families():
         for j in range(size):
             if i != j:
                 assert res.matrix[i][j] == 0
-    assert V.gram_check(KRAW, 3).report.status == "pass"
+    assert V.gram_check(V.SuiteContext(KRAW), 3).report.status == "pass"
 
 
 def test_gram_meixner_within_tail_bounds():
-    res = V.gram_check(MEIX, 1, xmax=20)
+    res = V.gram_check(V.SuiteContext(MEIX, xmax=20), 1)
     assert res.report.status == "pass"
     assert res.tolerance is not None and res.tolerance > 0
     for (pair, bound) in res.bounds:
@@ -139,7 +142,7 @@ def test_gram_meixner_within_tail_bounds():
 
 def test_gram_meixner_larger_degrees_need_larger_box():
     # at a deep box even the degree <= 2 Gram passes its tail bounds
-    res = V.gram_check(MEIX, 2, xmax=40, extend=30)
+    res = V.gram_check(V.SuiteContext(MEIX, xmax=40), 2, extend=30)
     assert res.report.status == "pass"
 
 
@@ -151,14 +154,69 @@ def test_poly_coefficients_round_trip():
     assert coeffs[(0, 1)] == R(-7, 2)
     assert coeffs[(0, 0)] == 1
     assert set(coeffs) == {(2, 1), (0, 1), (0, 0)}
+    assert coeffs == grid_poly_coefficients(
+        lambda x: 3 * R(x[0]) ** 2 * x[1] - R(7, 2) * x[1] + 1, 2, 3
+    )
+
+
+# the grid interpolation that the simplex routine replaced, kept as the oracle
+
+
+def uni_coeffs(values):
+    """Monomial coefficients of the poly through (0, v0) .. (d, vd)."""
+    d = len(values) - 1
+    dd = [R(v) for v in values]
+    # divided differences on nodes 0..d (in place)
+    for level in range(1, d + 1):
+        for idx in range(d, level - 1, -1):
+            dd[idx] = (dd[idx] - dd[idx - 1]) / level
+    coeffs = [dd[d]]
+    for k in range(d - 1, -1, -1):
+        # multiply by (x - k), then add dd[k]
+        coeffs = [R(0)] + coeffs
+        coeffs = [c - k * nxt for c, nxt in zip(coeffs, coeffs[1:] + [R(0)])]
+        coeffs[0] += dd[k]
+    return coeffs
+
+
+def grid_poly_coefficients(fn, nvars, deg):
+    """Interpolates on the grid {0..deg}^nvars, one variable at a time."""
+    if nvars == 1:
+        cs = uni_coeffs([fn((t,)) for t in range(deg + 1)])
+        return {(e,): c for e, c in enumerate(cs) if c != 0}
+    slices = [
+        grid_poly_coefficients(lambda rest, t=t: fn((t,) + rest), nvars - 1, deg)
+        for t in range(deg + 1)
+    ]
+    keys = set()
+    for s in slices:
+        keys.update(s.keys())
+    out = {}
+    for key in keys:
+        for e, c in enumerate(uni_coeffs([s.get(key, R(0)) for s in slices])):
+            if c != 0:
+                out[(e,) + key] = c
+    return out
+
+
+@pytest.mark.parametrize("params", [HAHN, KRAW, MEIX])
+def test_simplex_coefficients_match_grid_interpolation(params):
+    from mvortho import eigenpoly
+    from mvortho.core import enumerate_degrees
+
+    for m in enumerate_degrees(params.n, 3):
+        fn = lambda x, m=m: eigenpoly(m, x, params)
+        coeffs = V.poly_coefficients(fn, params.n, 3)
+        assert coeffs == grid_poly_coefficients(fn, params.n, 3), m
+        assert max(map(sum, coeffs)) == sum(m)
 
 
 def test_meixner_product_tail_bound_dominates_true_tail():
     # true absolute tail of sum p*q*W beyond the box, brute-forced deep
-    from mvortho.measures import meixner_weight
+    from mvortho.measures import meixner_weight, weight_table
 
     coeffs = V.poly_coefficients(lambda x: R(x[0]) - x[1], 2, 1)
-    bound = V.meixner_product_tail_bound(MEIX, coeffs, coeffs, 10, extend=20)
+    bound = V.meixner_product_tail_bound(weight_table(MEIX, xmax=30), coeffs, coeffs, 10)
     from mvortho.core import compositions
 
     true_tail = R(0)
@@ -170,36 +228,74 @@ def test_meixner_product_tail_bound_dominates_true_tail():
 
 
 def test_completeness():
-    assert V.completeness_check(HAHN2).status == "pass"
-    assert V.completeness_check(MEIX).status == "skipped"
+    assert V.completeness_check(V.SuiteContext(HAHN2)).status == "pass"
+    assert V.completeness_check(V.SuiteContext(MEIX)).status == "skipped"
 
 
 def test_completeness_fails_on_non_diagonal_gram(monkeypatch):
     gram = V.gram_matrix
 
-    def gram_with_offdiagonal(tables, w):
-        G = gram(tables, w)
+    def gram_with_offdiagonal(tables, w, known=()):
+        G = gram(tables, w, known)
         G[0][1] = G[1][0] = R(1, 3)
         return G
 
     monkeypatch.setattr(V, "gram_matrix", gram_with_offdiagonal)
-    report = V.completeness_check(HAHN2)
+    report = V.completeness_check(V.SuiteContext(HAHN2))
     assert report.status == "fail"
     assert "diagonal" in report.detail
 
 
+def test_context_gram_keeps_the_block_of_a_smaller_degree():
+    from mvortho import eigenpoly_tables, gram_matrix, weight_table
+    from mvortho.core import enumerate_degrees, family_lattice
+
+    ctx = V.SuiteContext(HAHN)
+    small = ctx.gram(2)
+    full = ctx.gram(HAHN.N)
+    tables = eigenpoly_tables(enumerate_degrees(3, HAHN.N), HAHN, family_lattice(HAHN))
+    fresh = gram_matrix(tables, weight_table(HAHN))
+    assert full == fresh
+    assert small == [row[:len(small)] for row in fresh[:len(small)]]
+    assert ctx.gram(3) == [row[:20] for row in fresh[:20]]
+    assert gram_matrix(tables, weight_table(HAHN), small) == fresh
+
+
+def test_suite_builds_each_stencil_and_table_once(monkeypatch):
+    from mvortho.core import enumerate_degrees
+
+    params = HahnParams((R(1), R(2), R(3)), R(2), 5)
+    built, degrees = [], []
+    build, tabulate = V.operator_matrix, V.eigenpoly_tables
+
+    def counted_build(op, lattice=None):
+        built.append(op.label)
+        return build(op, lattice)
+
+    def counted_tables(degs, params, lattice):
+        degrees.extend(tuple(m) for m in degs)
+        return tabulate(degs, params, lattice)
+
+    monkeypatch.setattr(V, "operator_matrix", counted_build)
+    monkeypatch.setattr(V, "eigenpoly_tables", counted_tables)
+    reports = V.run_suite(params)
+    assert reports and not any(r.status == "fail" for r in reports)
+    assert sorted(built) == ["exchange1", "exchange2", "single", "total"]
+    assert sorted(degrees) == sorted(enumerate_degrees(3, 5))
+
+
 def test_degree_invariance_report_gives_image_degree():
-    report = V.degree_invariance_report(KRAW, 2)
+    report = V.degree_invariance_report(V.SuiteContext(KRAW), 2)
     assert report.status == "pass" and report.max_defect == 0
     assert report.detail == "largest image degree 2"
 
 
 def test_pair_orthogonality_reports():
-    assert V.pair_orthogonality_report(HAHN, 1).status == "pass"
-    assert V.pair_orthogonality_report(HAHN, 2).status == "pass"
-    assert V.pair_orthogonality_report(KRAW, 2).status == "pass"
+    assert V.pair_orthogonality_report(V.SuiteContext(HAHN), 1).status == "pass"
+    assert V.pair_orthogonality_report(V.SuiteContext(HAHN), 2).status == "pass"
+    assert V.pair_orthogonality_report(V.SuiteContext(KRAW), 2).status == "pass"
     meix3 = MeixnerParams((R(1, 8), R(1, 8), R(1, 8)), R(2))
-    assert V.pair_orthogonality_report(meix3, 1, xmax=20).status == "pass"
+    assert V.pair_orthogonality_report(V.SuiteContext(meix3, xmax=20), 1).status == "pass"
 
 
 def test_limit_checks():
@@ -242,11 +338,11 @@ def test_doubled_weight_fails_compatibility_and_adjointness(params, monkeypatch)
     def doubled(self, x):
         return 2 * weight(self, x) if tuple(x) == interior else weight(self, x)
 
-    assert V.compatibility_check(params).status == "pass"
-    assert V.adjointness_check(params).status == "pass"
+    assert V.compatibility_check(V.SuiteContext(params)).status == "pass"
+    assert V.adjointness_check(V.SuiteContext(params)).status == "pass"
     monkeypatch.setattr(type(params), "weight", doubled)
-    compat = V.compatibility_check(params)
-    adjoint = V.adjointness_check(params)
+    compat = V.compatibility_check(V.SuiteContext(params))
+    adjoint = V.adjointness_check(V.SuiteContext(params))
     assert compat.status == "fail" and compat.max_defect > 0
     assert adjoint.status == "fail" and adjoint.max_defect > 0
 
@@ -300,3 +396,18 @@ def test_cli_float_overflow_exits_2_with_one_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert main(argv) == 0
+
+
+def test_cli_rejects_a_meixner_box_below_one(capsys):
+    from mvortho.cli import main
+
+    base = ["--family", "meixner", "--a", "1/5,1/4", "--beta", "2"]
+    for extra in ([], ["--check", "normalization"], ["--check", "gram"]):
+        assert main(["verify", *base, "--xmax", "0", *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "xmax" in err
+    # eval and export keep the one-point box; one shell is enough for the suite
+    assert main(["eval", *base, "--xmax", "0", "--m", "0,1"]) == 0
+    assert main(["export", *base, "--xmax", "0", "--what", "weights"]) == 0
+    assert main(["export", *base, "--xmax", "0", "--what", "gram"]) == 0
+    assert main(["verify", *base, "--xmax", "1"]) == 0
