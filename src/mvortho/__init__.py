@@ -35,7 +35,6 @@ from .operators import (
     OperatorMatrix,
     OperatorSpec,
     adjointness_defect,
-    apply_operator,
     commutator_defect,
     operator_matrix,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "OperatorSpec",
     "WeightTable",
     "adjointness_defect",
-    "apply_operator",
     "commutator_defect",
     "eigenpoly",
     "eigenpoly_table",

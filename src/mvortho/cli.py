@@ -41,6 +41,23 @@ def _parse_int_list(text: str):
     return tuple(int(part) for part in text.split(","))
 
 
+def _lattice_point(params, text: str):
+    """--x as a point of the family's lattice: x >= 0, and |x| <= N if bounded."""
+    x = _parse_int_list(text)
+    params.check_point(x)
+    if any(c < 0 for c in x):
+        raise ValueError(f"coordinates must be non-negative, got {text}")
+    if params.N is not None and sum(x) > params.N:
+        raise ValueError(f"|x| = {sum(x)} exceeds N = {params.N}")
+    return x
+
+
+def _m_max(args):
+    if args.m_max is not None and args.m_max < 0:
+        raise ValueError(f"--m-max must be >= 0, got {args.m_max}")
+    return args.m_max
+
+
 def build_params(args):
     """The family bundle: --a, then the family's own fields (--b, --N, --beta)."""
     a = _parse_rational_list(args.a)
@@ -76,8 +93,7 @@ def cmd_eval(args) -> int:
     params = build_params(args)
     m = _parse_int_list(args.m)
     if args.x is not None:
-        x = _parse_int_list(args.x)
-        value = eigenpoly(m, x, params)
+        value = eigenpoly(m, _lattice_point(params, args.x), params)
         _emit(args, rational_str(value) + "\n")
         return 0
     lattice = family_lattice(params, xmax=args.xmax)
@@ -108,7 +124,7 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     params = build_params(args)
     names = V.SUITE if args.check is None else (args.check,)
-    reports = V.run_checks(params, names, args.m_max, args.xmax, args.seed)
+    reports = V.run_checks(params, names, _m_max(args), args.xmax, args.seed)
     failed = any(r.status == V.FAIL for r in reports)
     if args.format == "json":
         payload = {
@@ -154,9 +170,9 @@ def cmd_export(args) -> int:
             _emit(args, csv_text(*matrix_triplets(M, as_float)))
         return 0
     if args.what == "gram":
-        mm = args.m_max if args.m_max is not None else (
-            1 if params.N is None else min(params.N, 3)
-        )
+        mm = _m_max(args)
+        if mm is None:
+            mm = 1 if params.N is None else min(params.N, 3)
         if params.N is not None and mm > params.N:
             raise ValueError("need m_max <= N")
         w = weight_table(params, xmax=args.xmax)

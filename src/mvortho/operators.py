@@ -27,7 +27,6 @@ one representation; products and Newton differences run in Python ints
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from ._backend import R, ZERO, integer_scaled
 from .core import Lattice, LatticeFunction, enumerate_degrees, family_lattice
@@ -96,11 +95,6 @@ def _moves(op: OperatorSpec, x):
                     yield c, tuple(y)
 
 
-def apply_operator(op: OperatorSpec, f: LatticeFunction) -> LatticeFunction:
-    """Apply the operator to a value table; see :func:`apply_matrix`."""
-    return apply_matrix(operator_matrix(op, f.lattice), f)
-
-
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Sparse matrix realization on the enumerated lattice.
@@ -120,14 +114,6 @@ class OperatorMatrix:
     @property
     def size(self) -> int:
         return self.lattice.size
-
-    @cached_property
-    def entries(self) -> tuple:
-        """Dense rows of rationals, derived from the sparse rows."""
-        return tuple(
-            tuple(R(row.get(j, 0), self.den) for j in range(self.size))
-            for row in self.rows
-        )
 
 
 def operator_matrix(op: OperatorSpec, lattice: Lattice | None = None) -> OperatorMatrix:

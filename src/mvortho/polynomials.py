@@ -1,10 +1,20 @@
-"""Closed-form evaluation of the polynomial families.
+"""Exact evaluation of the polynomial families from cached coefficient rows.
 
 Single-variable Hahn / Krawtchouk / Meixner polynomials are terminating
 hypergeometric sums.  The multivariate eigenpolynomials are products of
 two-variable "pair" polynomials in (x_i, x_{>i}) -- where x_{>i} is the
 tail sum x_{i+1} + ... + x_n -- chained with degree-dependent argument
 shifts, times a single-variable polynomial in |x|.
+
+Each polynomial is a sum over k of an argument-free coefficient c_k
+times rising factorials of its arguments.  The coefficients of one
+(degree, parameters) form a *row*, built once in O(m) from the term
+ratios (Koekoek, Lesky & Swarttouw 2010, sections 9.5, 9.10, 9.11) and
+kept as Python ints over one lcm denominator in a bounded LRU cache.
+A value is one integer sum of the row against the rising factorials of
+its arguments, scaled to their denominators, and one rational at the
+end.  The term-by-term closed forms stay in ``tests/test_polynomials.py``
+as the pointwise oracle; every value equals theirs exactly.
 
 Degree multi-indices are tuples m = (m_0, m_1, ..., m_{n-1}); m_0 is the
 degree of the radial (|x|-dependent) factor and m_i the degree of the
@@ -17,43 +27,63 @@ All evaluation is exact rational arithmetic; no rounding ever occurs.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Sequence
 
-from ._backend import R, ZERO, ONE
-from .core import FamilyParams, Lattice, LatticeFunction, rising_factorial, tail_sum
+from ._backend import R, ZERO, ONE, integer_scaled
+from .core import FamilyParams, Lattice, LatticeFunction, tail_sum
+
+# Rows kept per cached builder; a row is one (degree, parameters).
+ROW_CACHE_SIZE = 4096
 
 
-def _terminating_sum(m: int, num_factors, den_factors, z=None):
-    """Sum_{k=0..m} term_k with term ratios built from linear factors.
+def _rising_nums(x, m: int) -> tuple[list, int]:
+    """Numerators of (-x)_i, i = 0..m, over their common denominator q^m (x = p/q)."""
+    p, q = x.numerator, x.denominator
+    out = [1]
+    for j in range(m):
+        out.append(out[-1] * (j * q - p))
+    return [c * q ** (m - i) for i, c in enumerate(out)], q**m
 
-    ``num_factors``/``den_factors`` are callables giving the k-th new
-    factor of each Pochhammer in the numerator/denominator (already
-    including the k! slot).  A zero numerator factor terminates the sum
-    (the corresponding Pochhammer stays zero from then on); a zero
-    denominator factor before that is a genuine pole and raises.
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _series_row(m: int, upper: tuple, lower: tuple, z) -> tuple:
+    """Row of Sum_k (-m)_k prod (upper)_k (-x)_k / (prod (lower)_k k!) z^k.
+
+    Returns (numerators of c_k, their denominator, pole).  The row stops
+    at the first vanishing upper factor: the series terminates there for
+    every x.  It also stops at the first vanishing lower factor, at index
+    ``pole``: the terms past it exist only for the x whose own factor
+    (-x)_k terminates the series first.
     """
-    total = ONE
-    term = ONE
-    zq = None if z is None else R(z)
-    for k in range(1, m + 1):
-        num = ONE
-        for f in num_factors:
-            num *= f(k - 1)
+    if m < 0:
+        raise ValueError("degree m must be >= 0")
+    row, pole = [ONE], None
+    for j in range(m):
+        num = math.prod((u + j for u in upper), start=R(j - m))
         if num == 0:
             break
-        den = ONE
-        for f in den_factors:
-            den *= f(k - 1)
+        den = math.prod((l + j for l in lower), start=R(j + 1))
         if den == 0:
-            raise ZeroDivisionError(
-                f"lower-parameter Pochhammer vanished at k = {k} "
-                "before the series terminated"
-            )
-        term = term * num / den
-        if zq is not None:
-            term *= zq
-        total += term
-    return total
+            pole = j
+            break
+        row.append(row[-1] * num * z / den)
+    nums, den = integer_scaled(row)
+    return tuple(nums), den, pole
+
+
+def _series(row: tuple, x):
+    """Value at x of the series whose row is ``row`` (see :func:`_series_row`)."""
+    nums, den, pole = row
+    x = R(x)
+    top = len(nums) - 1
+    if x.denominator == 1 and 0 <= x.numerator <= top:
+        top = x.numerator  # (-x)_k vanishes for k > x
+    elif pole is not None:
+        raise ZeroDivisionError(f"lower-parameter Pochhammer vanished at k = {pole + 1} "
+                                "before the series terminated")
+    xs, xden = _rising_nums(x, top)
+    return R(sum(c * s for c, s in zip(nums, xs)), den * xden)
 
 
 def hahn(m: int, x, a, b, N):
@@ -64,54 +94,43 @@ def hahn(m: int, x, a, b, N):
     multivariate polynomials call this with non-integer or negative
     degree slots, and termination is enforced by the (-m)_k factor.
     """
-    if m < 0:
-        raise ValueError("degree m must be >= 0")
-    a, b, N, x = R(a), R(b), R(N), R(x)
-    return _terminating_sum(
-        m,
-        num_factors=(
-            lambda j: -m + j,
-            lambda j: m + a + b - 1 + j,
-            lambda j: -x + j,
-        ),
-        den_factors=(
-            lambda j: a + j,
-            lambda j: -N + j,
-            lambda j: j + 1,
-        ),
-    )
+    a, b, N = R(a), R(b), R(N)
+    return _series(_series_row(m, (m + a + b - 1,), (a, -N), ONE), x)
 
 
 def krawtchouk(m: int, x, p, N):
     """Single-variable Krawtchouk polynomial: 2F1(-m, -x; -N | 1/p)."""
-    if m < 0:
-        raise ValueError("degree m must be >= 0")
     p = R(p)
     if p == 0:
         raise ValueError("p must be nonzero")
-    x, N = R(x), R(N)
-    return _terminating_sum(
-        m,
-        num_factors=(lambda j: -m + j, lambda j: -x + j),
-        den_factors=(lambda j: -N + j, lambda j: j + 1),
-        z=1 / p,
-    )
+    return _series(_series_row(m, (), (-R(N),), 1 / p), x)
 
 
 def meixner(m: int, x, c, beta):
     """Single-variable Meixner polynomial: 2F1(-m, -x; beta | 1 - 1/c)."""
-    if m < 0:
-        raise ValueError("degree m must be >= 0")
     c = R(c)
     if c == 0:
         raise ValueError("c must be nonzero")
-    x, beta = R(x), R(beta)
-    return _terminating_sum(
-        m,
-        num_factors=(lambda j: -m + j, lambda j: -x + j),
-        den_factors=(lambda j: beta + j, lambda j: j + 1),
-        z=1 - 1 / c,
-    )
+    return _series(_series_row(m, (), (R(beta),), 1 - 1 / c), x)
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _hahn_pair_row(m: int, alpha, gamma) -> tuple:
+    """Numerators of c_k = (-1)^k C(m,k) (gamma+k)_{m-k} (alpha+m-k)_k,
+    k = 0..m, and their denominator."""
+    if m < 0:
+        raise ValueError("degree m must be >= 0")
+    tails = [ONE]  # (gamma+k)_{m-k}, from k = m down to 0
+    for k in range(m - 1, -1, -1):
+        tails.append(tails[-1] * (gamma + k))
+    row, heads = [], ONE  # heads = (alpha+m-k)_k
+    for k in range(m + 1):
+        if k:
+            heads *= alpha + m - k
+        c = math.comb(m, k) * tails[m - k] * heads
+        row.append(-c if k % 2 else c)
+    nums, den = integer_scaled(row)
+    return tuple(nums), den
 
 
 def hahn_pair(m: int, u, v, alpha, gamma):
@@ -122,20 +141,19 @@ def hahn_pair(m: int, u, v, alpha, gamma):
     Eigenfunction of the exchange operator restricted to the sector
     spanned by (u, v) = (x_i, x_{>i}); degree one gives alpha*v - gamma*u.
     """
+    row, den = _hahn_pair_row(m, R(alpha), R(gamma))
+    us, uden = _rising_nums(R(u), m)
+    vs, vden = _rising_nums(R(v), m)
+    return R(sum(c * us[m - k] * vs[k] for k, c in enumerate(row)), den * uden * vden)
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _km_pair_row(m: int, ratio) -> tuple:
+    """Numerators of c_k = (-1)^k C(m,k) ratio^k, k = 0..m, and their denominator."""
     if m < 0:
         raise ValueError("degree m must be >= 0")
-    u, v, alpha, gamma = R(u), R(v), R(alpha), R(gamma)
-    total = ZERO
-    for k in range(m + 1):
-        term = (
-            R(math.comb(m, k))
-            * rising_factorial(gamma + k, m - k)
-            * rising_factorial(alpha + m - k, k)
-            * rising_factorial(-u, m - k)
-            * rising_factorial(-v, k)
-        )
-        total += -term if k % 2 else term
-    return total
+    nums, den = integer_scaled([math.comb(m, k) * (-ratio) ** k for k in range(m + 1)])
+    return tuple(nums), den
 
 
 def km_pair(m: int, u, v, alpha, gamma):
@@ -143,23 +161,13 @@ def km_pair(m: int, u, v, alpha, gamma):
 
     Sum_{k=0..m} (-1)^k C(m,k) (gamma/alpha)^k (-u)_k (-v)_{m-k}.
     """
-    if m < 0:
-        raise ValueError("degree m must be >= 0")
     alpha = R(alpha)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    u, v = R(u), R(v)
-    ratio = R(gamma) / alpha
-    total = ZERO
-    for k in range(m + 1):
-        term = (
-            R(math.comb(m, k))
-            * ratio**k
-            * rising_factorial(-u, k)
-            * rising_factorial(-v, m - k)
-        )
-        total += -term if k % 2 else term
-    return total
+    row, den = _km_pair_row(m, R(gamma) / alpha)
+    us, uden = _rising_nums(R(u), m)
+    vs, vden = _rising_nums(R(v), m)
+    return R(sum(c * us[k] * vs[m - k] for k, c in enumerate(row)), den * uden * vden)
 
 
 def pair_product(i: int, m: Sequence[int], x: Sequence[int], params):
@@ -275,8 +283,6 @@ def pair_backward_table(m: int, alpha, gamma, box: int) -> LatticeFunction:
     Boundary reads never occur: the coefficient of each shifted value
     vanishes at u = 0 resp. v = 0.
     """
-    if m < 0:
-        raise ValueError("degree m must be >= 0")
     alpha, gamma = R(alpha), R(gamma)
     lattice = Lattice(2, box)
     values = {pt: ONE for pt in lattice.points}

@@ -150,12 +150,3 @@ def parse_weight_csv(text: str):
         values.append(parse_rational(row[ncoords]))
     return points, values
 
-
-def parse_triplet_csv(text: str, size: int):
-    """Round-trip reader for sparse triplet CSV into a dense matrix."""
-    reader = csv.reader(io.StringIO(text))
-    next(reader)
-    M = [[R(0)] * size for _ in range(size)]
-    for r, c, v in reader:
-        M[int(r)][int(c)] = parse_rational(v)
-    return M

@@ -25,7 +25,8 @@ from functools import cached_property
 from itertools import combinations, product
 
 from ._backend import R, ZERO, ONE, as_integer
-from .core import LatticeFunction, enumerate_degrees, enumerate_lattice, family_lattice, tail_sum
+from .core import (LatticeFunction, enumerate_degrees, enumerate_lattice, family_lattice,
+                   rising_factorial, tail_sum)
 from .linalg import forward_differences
 from .measures import (
     gram_matrix,
@@ -52,7 +53,6 @@ from .polynomials import (
     hahn_pair,
     pair_backward_table,
     pair_product,
-    rising_factorial,
 )
 from .serialize import rational_str, sci_str
 

@@ -8,6 +8,7 @@ reports for its registry entry.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import re
@@ -19,6 +20,7 @@ from mvortho import cli
 from mvortho.verify import CHECKS
 
 GOLDEN = Path(__file__).parent / "golden"
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 INSTANCES = {
     "hahn": ["--family", "hahn", "--a", "1,2,1/2", "--b", "2", "--N", "4"],
@@ -101,3 +103,17 @@ def test_limits_draw_degrees_within_N(seed):
     golden = GOLDEN / f"limits_krawtchouk_seed{seed}.json"
     if seed in (1, 2, 4):
         assert text == golden.read_text()
+
+
+@pytest.mark.parametrize("workload", sorted(json.loads((BENCH / "expected.json").read_text())))
+def test_benchmark_outputs_match_their_seed_0_digests(workload):
+    """One seed-0 sample of each benchmark workload, run in a fresh
+    interpreter by ``perfbench/worker.py``, against the committed digests:
+    a kernel that changes any output bit fails here."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", BENCH / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    w = bench.WORKLOADS[workload]
+    record = bench.run_sample(w.calls(0), w.xmax(), False, timeout=300)
+    attempted, failed, problems = bench.check_sample(record, bench.load_expected(workload))
+    assert attempted and failed == 0, problems

@@ -35,8 +35,7 @@ def test_hahn_weight_hand_values():
     # hand evaluation of the n=2, N=1, a=(1,1), b=1 weight: all three
     # points carry 1/3.  N > n forbids that bundle, so evaluate the raw
     # formula; the bundled path is then checked on N=3.
-    from mvortho.core import multinomial
-    from mvortho.polynomials import rising_factorial
+    from mvortho.core import multinomial, rising_factorial
 
     def w(x, a, b, N):
         rest = N - sum(x)
@@ -269,3 +268,24 @@ def test_rising_over_factorial_coeffs():
         for s in range(10):
             want = R(math.comb(s + beta - 1, beta - 1))
             assert sum(c * s**d for d, c in enumerate(coeffs)) == want
+
+
+@given(st.integers(1, 11).flatmap(lambda p: st.integers(p + 1, 12).map(lambda q: R(p, q))),
+       st.integers(1, 5), st.integers(1, 12), st.integers(1, 4), st.integers(0, 8))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_meixner_tail_mass_bound_dominates_deep_shell_sums(A, split, p, q, extra):
+    """For random rational 0 < |a| < 1 and beta > 0, integral or not, the bound
+    is at least the 40 shells beyond the box, a lower bound of the true tail."""
+    beta = R(p, q)
+    params = MeixnerParams((A * split / 6, A * (6 - split) / 6), beta)
+    # the smallest X whose shell ratio A (beta + X + 1) / (X + 2) is below 1
+    X = max(0, math.floor((A * (beta + 1) - 2) / (1 - A)) + 1) + extra
+    shell = R(1)  # (beta)_s A^s / s!, from s = 0 up
+    partial = R(0)
+    for s in range(1, X + 41):
+        shell *= (beta + s - 1) * A / s
+        if s > X:
+            partial += shell
+    assert meixner_tail_mass_bound(params, X, normalized=False) >= partial
+    norm = (1 - A) ** beta if params.integral_beta else 1
+    assert meixner_tail_mass_bound(params, X) >= norm * partial

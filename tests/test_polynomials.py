@@ -425,3 +425,138 @@ class TestTables:
         with pytest.raises(TypeError):
             eigenpoly_tables([(0, 0)], object(), Lattice(2, 3))
         assert eigenpoly_tables([], p, lattice) == []
+
+
+# ---------------------------------------------------------------------------
+# pointwise reference: the term-by-term closed forms that the cached
+# coefficient rows replaced, kept here as the slow oracle
+
+
+def terminating_sum(m, num_factors, den_factors, z=None):
+    """Sum_{k=0..m} term_k with term ratios built from linear factors.
+
+    A zero numerator factor terminates the sum; a zero denominator factor
+    before that is a genuine pole and raises.
+    """
+    total = term = R(1)
+    for k in range(1, m + 1):
+        num = math.prod((f(k - 1) for f in num_factors), start=R(1))
+        if num == 0:
+            break
+        den = math.prod((f(k - 1) for f in den_factors), start=R(1))
+        if den == 0:
+            raise ZeroDivisionError(f"pole at k = {k}")
+        term = term * num / den
+        if z is not None:
+            term *= R(z)
+        total += term
+    return total
+
+
+def oracle_hahn(m, x, a, b, N):
+    a, b, N, x = R(a), R(b), R(N), R(x)
+    return terminating_sum(
+        m,
+        (lambda j: -m + j, lambda j: m + a + b - 1 + j, lambda j: -x + j),
+        (lambda j: a + j, lambda j: -N + j, lambda j: j + 1),
+    )
+
+
+def oracle_krawtchouk(m, x, p, N):
+    x, N = R(x), R(N)
+    return terminating_sum(m, (lambda j: -m + j, lambda j: -x + j),
+                           (lambda j: -N + j, lambda j: j + 1), z=1 / R(p))
+
+
+def oracle_meixner(m, x, c, beta):
+    x, beta = R(x), R(beta)
+    return terminating_sum(m, (lambda j: -m + j, lambda j: -x + j),
+                           (lambda j: beta + j, lambda j: j + 1), z=1 - 1 / R(c))
+
+
+def oracle_hahn_pair(m, u, v, alpha, gamma):
+    u, v, alpha, gamma = R(u), R(v), R(alpha), R(gamma)
+    return sum((R(-1) ** k * math.comb(m, k)
+                * rising_factorial(gamma + k, m - k) * rising_factorial(alpha + m - k, k)
+                * rising_factorial(-u, m - k) * rising_factorial(-v, k)
+                for k in range(m + 1)), R(0))
+
+
+def oracle_km_pair(m, u, v, alpha, gamma):
+    u, v, ratio = R(u), R(v), R(gamma) / R(alpha)
+    return sum((R(-1) ** k * math.comb(m, k) * ratio**k
+                * rising_factorial(-u, k) * rising_factorial(-v, m - k)
+                for k in range(m + 1)), R(0))
+
+
+def outcome(fn, *args):
+    """(value, its type), or ZeroDivisionError if that is raised; the oracle's
+    values are Fractions, so equal outcomes mean equal Fraction values."""
+    try:
+        value = fn(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    return value, type(value)
+
+
+class TestRowKernelsMatchOracle:
+    # integral and non-integral (alpha, gamma); the shift checks read u, v = -1
+    PAIR_PARAMS = [(R(1), R(2)), (R(3), R(5)), (R(1, 2), R(7, 3)), (R(9, 7), R(4)),
+                   (R(-3, 2), R(2, 5))]
+    # rational x, and rational or negative degree slots as the shifted radial
+    # factors and the limit checks pass them
+    POINTS = list(range(-2, 11)) + [R(1, 2), R(7, 3), R(-5, 2), R(13, 4)]
+
+    @pytest.mark.parametrize("alpha, gamma", PAIR_PARAMS)
+    def test_pair_polynomials(self, alpha, gamma):
+        for m in range(8):
+            for u in range(-1, 9):
+                for v in range(-1, 9):
+                    for fast, slow in ((hahn_pair, oracle_hahn_pair),
+                                       (km_pair, oracle_km_pair)):
+                        assert outcome(fast, m, u, v, alpha, gamma) == outcome(
+                            slow, m, u, v, alpha, gamma)
+
+    def test_pair_polynomials_at_rational_points(self):
+        for m in range(6):
+            for u, v in ((R(1, 2), 3), (2, R(-7, 3)), (R(5, 4), R(2, 3))):
+                for alpha, gamma in self.PAIR_PARAMS:
+                    assert hahn_pair(m, u, v, alpha, gamma) == oracle_hahn_pair(
+                        m, u, v, alpha, gamma)
+                    assert km_pair(m, u, v, alpha, gamma) == oracle_km_pair(
+                        m, u, v, alpha, gamma)
+
+    @pytest.mark.parametrize("a, b, N", [
+        (R(1), R(2), 10), (R(3, 2), R(5, 4), 7), (R(1, 2), R(1, 3), R(17, 2)),
+        (R(1, 2), R(1, 3), R(-7, 2)), (R(2), R(1), 3), (R(-1), R(2), 10),
+        (R(-3, 2), R(2), R(-5, 2)), (R(-2), R(-1), -4)])
+    def test_hahn(self, a, b, N):
+        for m in range(8):
+            for x in self.POINTS:
+                assert outcome(hahn, m, x, a, b, N) == outcome(oracle_hahn, m, x, a, b, N)
+
+    @pytest.mark.parametrize("p, N", [(R(2, 5), 6), (R(3), R(9, 2)), (R(-1, 3), 4),
+                                      (R(1, 2), -3)])
+    def test_krawtchouk(self, p, N):
+        for m in range(8):
+            for x in self.POINTS:
+                assert outcome(krawtchouk, m, x, p, N) == outcome(
+                    oracle_krawtchouk, m, x, p, N)
+
+    @pytest.mark.parametrize("c, beta", [(R(1, 3), R(5, 2)), (R(1), R(2)), (R(-2), R(-3)),
+                                         (R(3, 4), R(-5, 2)), (R(1, 5), R(7))])
+    def test_meixner(self, c, beta):
+        for m in range(8):
+            for x in self.POINTS:
+                assert outcome(meixner, m, x, c, beta) == outcome(
+                    oracle_meixner, m, x, c, beta)
+
+    def test_pole_raises_for_the_same_points(self):
+        # (a)_k = (-1)_k vanishes at k = 2: only x = 0, 1 terminate before it
+        assert hahn(3, 0, -1, 2, 10) == 1
+        assert hahn(3, 1, -1, 2, 10) == R(19, 10)
+        for x in list(range(2, 11)) + [-1, R(1, 2)]:
+            with pytest.raises(ZeroDivisionError):
+                hahn(3, x, -1, 2, 10)
+            with pytest.raises(ZeroDivisionError):
+                oracle_hahn(3, x, -1, 2, 10)

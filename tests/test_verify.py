@@ -284,6 +284,23 @@ def test_suite_builds_each_stencil_and_table_once(monkeypatch):
     assert sorted(degrees) == sorted(enumerate_degrees(3, 5))
 
 
+def test_perturbed_pair_row_fails_eigen_and_pair_shifts(monkeypatch):
+    """The checks read the cached row kernel: c_m + 1 in every Hahn pair row
+    must fail them.  The wrapper sits in front of the cache, so no perturbed
+    row is ever cached."""
+    from mvortho import polynomials as P
+
+    cached = P._hahn_pair_row
+
+    def perturbed(m, alpha, gamma):
+        nums, den = cached(m, alpha, gamma)
+        return nums[:-1] + (nums[-1] + den,), den
+
+    monkeypatch.setattr(P, "_hahn_pair_row", perturbed)
+    failed = {r.name for r in V.run_suite(HAHN) if r.status == "fail"}
+    assert {"eigen-suite", "pair-shifts"} <= failed
+
+
 def test_degree_invariance_report_gives_image_degree():
     report = V.degree_invariance_report(V.SuiteContext(KRAW), 2)
     assert report.status == "pass" and report.max_defect == 0
@@ -411,3 +428,33 @@ def test_cli_rejects_a_meixner_box_below_one(capsys):
     assert main(["export", *base, "--xmax", "0", "--what", "weights"]) == 0
     assert main(["export", *base, "--xmax", "0", "--what", "gram"]) == 0
     assert main(["verify", *base, "--xmax", "1"]) == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--family", "hahn", "--a", "1,2", "--b", "2", "--N", "3", "--m", "1,1",
+      "--x", "9,9"], "exceeds N"),
+    (["eval", "--family", "hahn", "--a", "1,2", "--b", "2", "--N", "3", "--m", "1,1",
+      "--x=-1,2"], "non-negative"),
+    (["eval", "--family", "meixner", "--a", "1/2,1/3", "--beta", "2", "--m", "1,1",
+      "--x", "2,-1"], "non-negative"),
+    (["verify", "--family", "hahn", "--a", "1,2", "--b", "2", "--N", "3", "--m-max", "-1"],
+     "--m-max"),
+    (["export", "--family", "krawtchouk", "--a", "1,2", "--N", "3", "--what", "gram",
+      "--m-max", "-1"], "--m-max"),
+])
+def test_cli_rejects_points_off_the_lattice_and_negative_degrees(argv, message, capsys):
+    from mvortho.cli import main
+
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_cli_accepts_the_lattice_edge():
+    from mvortho.cli import main
+
+    hahn = ["--family", "hahn", "--a", "1,2", "--b", "2", "--N", "3"]
+    assert main(["eval", *hahn, "--m", "1,1", "--x", "3,0"]) == 0
+    assert main(["eval", "--family", "meixner", "--a", "1/2,1/3", "--beta", "2",
+                 "--m", "1,1", "--x", "20,0"]) == 0
+    assert main(["verify", *hahn, "--m-max", "0", "--check", "eigen"]) == 0
