@@ -52,10 +52,12 @@ def _lattice_point(params, text: str):
     return x
 
 
-def _m_max(args):
-    if args.m_max is not None and args.m_max < 0:
-        raise ValueError(f"--m-max must be >= 0, got {args.m_max}")
-    return args.m_max
+def _non_negative(args, dest: str):
+    """The integer option ``dest`` of ``args``, None when absent; a negative value is an error."""
+    value = getattr(args, dest)
+    if value is not None and value < 0:
+        raise ValueError(f"--{dest.replace('_', '-')} must be >= 0, got {value}")
+    return value
 
 
 def build_params(args):
@@ -96,7 +98,7 @@ def cmd_eval(args) -> int:
         value = eigenpoly(m, _lattice_point(params, args.x), params)
         _emit(args, rational_str(value) + "\n")
         return 0
-    lattice = family_lattice(params, xmax=args.xmax)
+    lattice = family_lattice(params, xmax=_non_negative(args, "xmax"))
     table = eigenpoly_table(m, params, lattice)
     if args.format == "json":
         payload = {
@@ -124,7 +126,8 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     params = build_params(args)
     names = V.SUITE if args.check is None else (args.check,)
-    reports = V.run_checks(params, names, _m_max(args), args.xmax, args.seed)
+    reports = V.run_checks(params, names, _non_negative(args, "m_max"),
+                           _non_negative(args, "xmax"), args.seed)
     failed = any(r.status == V.FAIL for r in reports)
     if args.format == "json":
         payload = {
@@ -154,7 +157,7 @@ def cmd_export(args) -> int:
     params = build_params(args)
     as_float = args.float
     if args.what == "weights":
-        w = weight_table(params, xmax=args.xmax)
+        w = weight_table(params, xmax=_non_negative(args, "xmax"))
         if args.format == "json":
             _emit(args, json_text(weight_table_json(w, as_float)))
         else:
@@ -163,19 +166,19 @@ def cmd_export(args) -> int:
     if args.what == "operator":
         kind, index = _parse_op(args.op)
         spec = OperatorSpec(params, kind, index)
-        M = operator_matrix(spec, family_lattice(params, xmax=args.xmax))
+        M = operator_matrix(spec, family_lattice(params, xmax=_non_negative(args, "xmax")))
         if args.format == "json":
             _emit(args, json_text(matrix_json(M, as_float)))
         else:
             _emit(args, csv_text(*matrix_triplets(M, as_float)))
         return 0
     if args.what == "gram":
-        mm = _m_max(args)
+        mm = _non_negative(args, "m_max")
         if mm is None:
             mm = 1 if params.N is None else min(params.N, 3)
         if params.N is not None and mm > params.N:
             raise ValueError("need m_max <= N")
-        w = weight_table(params, xmax=args.xmax)
+        w = weight_table(params, xmax=_non_negative(args, "xmax"))
         degrees = enumerate_degrees(params.n, mm)
         G = gram_matrix(eigenpoly_tables(degrees, params, w.lattice), w)
         if args.format == "json":

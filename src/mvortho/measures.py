@@ -3,9 +3,11 @@
 Hahn and Krawtchouk weights are probability distributions on the
 simplex |x| <= N and sum to 1 exactly.  The Meixner weight lives on all
 of N_0^n; tabulating it on a box |x| <= xmax leaves an exactly bounded
-tail.  The square root of the weight is deliberately never formed:
-every identity that involves it is verified through a rational
-equivalent (weight ratios, weighted self-adjointness).
+tail, and inner products of polynomials over all of N_0^n are exact
+finite sums against its factorial moments.  The square root of the
+weight is deliberately never formed: every identity that involves it
+is verified through a rational equivalent (weight ratios, weighted
+self-adjointness).
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import operator
 from dataclasses import dataclass
 
 from ._backend import R, ZERO, ONE, as_integer, integer_scaled
-from .core import Lattice, LatticeFunction, family_lattice, multinomial, rising_factorial
+from .core import (Lattice, LatticeFunction, enumerate_lattice, family_lattice, multinomial,
+                   rising_factorial)
+from .linalg import forward_differences
 
 
 def hahn_weight(x, params):
@@ -138,9 +142,11 @@ def meixner_tail_mass_bound(params, xmax: int, normalized: bool = True):
 
     For integral beta, (beta)_s/s! is a polynomial in s of degree
     beta-1, so the tail Sum_{s>X} (beta)_s |a|^s / s! has an exact
-    closed form.  Otherwise the term ratio |a|(beta+s)/(s+1) is bounded
-    by a q < 1 (it decreases in s once beta > 1) and a geometric bound
-    is returned.  Scaled by (1-|a|)^beta when the weight is normalized.
+    closed form.  Otherwise the term ratio |a|(beta+s)/(s+1) is monotone
+    in s with limit |a| < 1: the shells are summed exactly up to the
+    first s whose q = max(|a|, ratio) is below 1, and the rest is bounded
+    geometrically from there.  Scaled by (1-|a|)^beta when the weight is
+    normalized.
     """
     A = params.a_total
     if params.integral_beta:
@@ -149,16 +155,48 @@ def meixner_tail_mass_bound(params, xmax: int, normalized: bool = True):
             for d, c in enumerate(rising_over_factorial_coeffs(as_integer(params.beta)))
         )
     else:
-        ratio_at = lambda s: A * (params.beta + s) / (s + 1)
-        q = max(A, ratio_at(xmax + 1))
-        if q >= 1:
-            raise ValueError(f"xmax = {xmax} too small for a geometric tail bound")
-        bound = meixner_shell_mass(params, xmax + 1) / (1 - q)
+        bound, s = ZERO, xmax + 1
+        while (q := max(A, A * (params.beta + s) / (s + 1))) >= 1:
+            bound += meixner_shell_mass(params, s)
+            s += 1
+        bound += meixner_shell_mass(params, s) / (1 - q)
     if normalized:
         norm = meixner_normalization(params)
         if norm is not None:
             bound *= norm
     return bound
+
+
+def meixner_moments(params, K: int) -> list:
+    """Factorial moments of the normalized Meixner weight, |alpha| <= K.
+
+    Sum_x C(x, alpha) W(x) / Sum_x W(x) = (beta)_{|alpha|} prod_i
+    c_i^{alpha_i} / alpha_i!, with c_i = a_i / (1 - |a|) and C(x, alpha) =
+    prod_i C(x_i, alpha_i): the negative multinomial law (Johnson, Kotz &
+    Balakrishnan, *Discrete Multivariate Distributions*, 1997, ch. 36).
+    Rational for every rational beta; alpha runs in the graded-lex order
+    of ``enumerate_lattice(n, K)``.
+    """
+    c = [ai / (1 - params.a_total) for ai in params.a]
+    return [rising_factorial(params.beta, sum(alpha))
+            * math.prod(ci**k / math.factorial(k) for ci, k in zip(c, alpha))
+            for alpha in enumerate_lattice(params.n, K)]
+
+
+def lattice_inner_product(f: LatticeFunction, g: LatticeFunction, moments):
+    """Exact Sum_x f(x) g(x) W(x) / Sum_x W(x) over all of N_0^n.
+
+    f and g are tables of polynomials with deg f + deg g <= K on the
+    simplex |x| <= K, and ``moments`` is ``meixner_moments(params, K)``.
+    The Newton expansion f g = Sum_alpha D^alpha(f g)(0) C(x, alpha) on
+    that simplex (:func:`mvortho.linalg.forward_differences`) holds on all
+    of N_0^n, so the sum is Sum_alpha D^alpha(f g)(0) moments[alpha].
+    """
+    if g.lattice != f.lattice:
+        raise ValueError("lattice_inner_product: f and g live on different lattices")
+    values = [a * b for a, b in zip(f.values, g.values)]
+    newton = forward_differences(values, f.lattice.n, f.lattice.bound)
+    return sum((d * mu for d, mu in zip(newton, moments, strict=True)), ZERO)
 
 
 @dataclass(frozen=True)

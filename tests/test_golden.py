@@ -3,8 +3,12 @@
 The files under ``golden/`` hold the exact bytes that ``verify --format
 json`` printed for full suites before the family classes and the check
 registry replaced the family dispatch; they are never regenerated to make
-a change pass.  Every single ``--check`` must print exactly the suite's
-reports for its registry entry.
+a change pass.  One hand edit since: when the Meixner ``gram`` and
+``pair-orthogonality`` checks moved from truncated-box tail bounds to
+exact sums against the factorial moments, the ``detail`` strings of
+those two reports in ``suite_meixner.json`` were edited by hand, and
+nothing else in any file changed.  Every single ``--check`` must print
+exactly the suite's reports for its registry entry.
 """
 
 import contextlib

@@ -146,6 +146,15 @@ def test_meixner_tail_mass_bound_geometric_for_rational_beta():
     assert brute <= bound
 
 
+def test_meixner_tail_mass_bound_on_boxes_below_the_geometric_regime():
+    # the term ratio |a| (beta+s)/(s+1) is 7/6 at s = 1 and 1 at s = 2
+    p = MeixnerParams((R(1, 3), R(1, 3)), R(5, 2))
+    for X in (0, 1, 2, 3):
+        bound = meixner_tail_mass_bound(p, X, normalized=False)
+        brute = sum(meixner_shell_mass(p, s) for s in range(X + 1, 150))
+        assert brute <= bound
+
+
 def test_all_weights_positive():
     rng = random.Random(7)
     p = HahnParams((R(3, 2), R(5, 7)), R(9, 4), 5)

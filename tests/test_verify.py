@@ -1,7 +1,18 @@
-import pytest
+import dataclasses
+import itertools
+import math
 
-from mvortho import R, HahnParams, KrawtchoukParams, MeixnerParams
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mvortho import (R, HahnParams, KrawtchoukParams, MeixnerParams, eigenpoly, eigenpoly_tables,
+                     weight_table)
 from mvortho import verify as V
+from mvortho.core import enumerate_degrees, enumerate_lattice, family_lattice, rising_factorial
+from mvortho.linalg import forward_differences
+from mvortho.measures import (lattice_inner_product, meixner_moments, meixner_normalization,
+                              meixner_weight, rising_over_factorial_coeffs, tail_power_sum)
 
 HAHN = HahnParams((R(1), R(2), R(3)), R(2), 4)
 HAHN2 = HahnParams((R(1), R(2)), R(3), 4)
@@ -117,37 +128,170 @@ def test_glue_checks():
 
 
 def test_gram_bounded_families():
-    res = V.gram_check(V.SuiteContext(HAHN2), 4)
-    assert res.report.status == "pass"
-    size = len(res.degrees)
-    for i in range(size):
-        assert res.matrix[i][i] > 0
-        for j in range(size):
+    ctx = V.SuiteContext(HAHN2)
+    report = V.gram_check(ctx, 4)
+    assert report.status == "pass" and report.max_defect == 0
+    G = ctx.gram(4)
+    for i in range(len(G)):
+        assert G[i][i] > 0
+        for j in range(len(G)):
             if i != j:
-                assert res.matrix[i][j] == 0
-    assert V.gram_check(V.SuiteContext(KRAW), 3).report.status == "pass"
+                assert G[i][j] == 0
+    assert V.gram_check(V.SuiteContext(KRAW), 3).status == "pass"
+
+
+# The tail-bound route that the factorial moments replaced in the Meixner
+# gram and pair-orthogonality checks, kept as the oracle for the exact sums.
+
+
+def poly_coefficients(fn, nvars: int, deg: int) -> dict:
+    """Exact monomial coefficients of a polynomial of total degree <= deg.
+
+    Takes the Newton coefficients D^alpha f(0) on the simplex |x| <= deg
+    and expands each C(x, a) = Sum_e s(a, e) x^e / a!, with s the signed
+    Stirling numbers of the first kind.
+    """
+    points = enumerate_lattice(nvars, deg)
+    newton = forward_differences([fn(x) for x in points], nvars, deg)
+    # s[a][e], from x (x-1) ... (x-a) = (x (x-1) ... (x-a+1)) (x - a)
+    s = [[1]]
+    for a in range(deg):
+        s.append([(s[a][e - 1] if e else 0) - (a * s[a][e] if e <= a else 0)
+                  for e in range(a + 2)])
+    out: dict = {}
+    for alpha, c in zip(points, newton):
+        if c == 0:
+            continue
+        c /= math.prod(math.factorial(a) for a in alpha)
+        for exps in itertools.product(*(range(a + 1) for a in alpha)):
+            term = math.prod(s[a][e] for a, e in zip(alpha, exps))
+            if term:
+                out[exps] = out.get(exps, R(0)) + c * term
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def eval_coeffs(coeffs: dict, x):
+    return sum((c * math.prod(R(xi) ** e for xi, e in zip(x, exps))
+                for exps, c in coeffs.items()), R(0))
+
+
+def meixner_product_tail_bound(w, coeff_p: dict, coeff_q: dict, xmax: int):
+    """Rigorous bound on sum_{|x| > xmax} |p(x) q(x)| W(x).
+
+    ``w`` is the Meixner weight table on a box |x| <= xmax + extend.
+    Exact sums of |p q| W over its points with |x| > xmax; beyond the
+    box |p q| is dominated by sum_j C_j s^j (C_j the sum of the absolute
+    coefficients of p q of degree j), and the remaining series has an
+    exact closed form for integral beta, or a geometric bound otherwise.
+    """
+    params = w.params
+    prod: dict = {}
+    for e1, c1 in coeff_p.items():
+        for e2, c2 in coeff_q.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            prod[key] = prod.get(key, R(0)) + c1 * c2
+    Cj = [R(0)] * (max((sum(e) for e in prod), default=0) + 1)
+    for exps, c in prod.items():
+        Cj[sum(exps)] += abs(c)
+
+    head = sum((abs(eval_coeffs(coeff_p, x) * eval_coeffs(coeff_q, x)) * wx
+                for x, wx in zip(w.lattice.points, w.values) if sum(x) > xmax), R(0))
+    S = w.lattice.bound
+    A = params.a_total
+    tail = R(0)
+    for j, C in enumerate(Cj):
+        if C == 0:
+            continue
+        if params.integral_beta:
+            poly = rising_over_factorial_coeffs(int(params.beta))
+            tail += C * sum(c * tail_power_sum(A, S, j + d) for d, c in enumerate(poly))
+        else:
+            # term ratio <= |a| * max(1, (beta+s)/(s+1)) * ((s+1)/s)^j, decreasing
+            q = A * max(R(1), (params.beta + S + 1) / (S + 2)) * (R(S + 2) / (S + 1)) ** j
+            assert q < 1, "extension too small for a geometric tail bound"
+            first = (rising_factorial(params.beta, S + 1) * A ** (S + 1)
+                     / math.factorial(S + 1) * R(S + 1) ** j)
+            tail += C * first / (1 - q)
+    norm = meixner_normalization(params) if params.integral_beta else 1
+    return head + tail * norm
 
 
 def test_gram_meixner_within_tail_bounds():
-    res = V.gram_check(V.SuiteContext(MEIX, xmax=20), 1)
-    assert res.report.status == "pass"
-    assert res.tolerance is not None and res.tolerance > 0
-    for (pair, bound) in res.bounds:
-        assert bound > 0
-    # all diagonals positive, off-diagonals within their bounds
-    size = len(res.degrees)
-    for i in range(size):
-        assert res.matrix[i][i] > 0
+    """Every full-lattice Gram entry, the diagonal included, lies within the
+    old product tail bound of the box entry (n=2, integral beta)."""
+    for params, xmax, extend, degree in [
+        (MEIX, 10, 20, 1),
+        (MeixnerParams((R(1, 5), R(1, 4)), R(2)), 6, 14, 2),
+        (MeixnerParams((R(1, 3), R(1, 6)), R(3)), 4, 16, 1),
+    ]:
+        ctx = V.SuiteContext(params, xmax=xmax)
+        assert V.gram_check(ctx, degree).status == "pass"
+        degrees = enumerate_degrees(params.n, degree)
+        G = ctx.gram(degree)
+        exact = eigenpoly_tables(degrees, params, family_lattice(params, xmax=2 * degree))
+        moments = meixner_moments(params, 2 * degree)
+        coeffs = [poly_coefficients(lambda x, m=m: eigenpoly(m, x, params), params.n, degree)
+                  for m in degrees]
+        wide = weight_table(params, xmax=xmax + extend)
+        for i, j in itertools.combinations_with_replacement(range(len(degrees)), 2):
+            value = lattice_inner_product(exact[i], exact[j], moments)
+            assert (value == 0) == (i != j)
+            bound = meixner_product_tail_bound(wide, coeffs[i], coeffs[j], xmax)
+            assert abs(value - G[i][j]) <= bound, (params.label, degrees[i], degrees[j])
 
 
-def test_gram_meixner_larger_degrees_need_larger_box():
-    # at a deep box even the degree <= 2 Gram passes its tail bounds
-    res = V.gram_check(V.SuiteContext(MEIX, xmax=40), 2, extend=30)
-    assert res.report.status == "pass"
+def test_gram_meixner_degree_two_passes_at_every_box():
+    # the entries are exact on all of N^n, whatever the box; at xmax = 1,
+    # P_(0,2) vanishes at every box point, so its box diagonal is 0
+    assert V.SuiteContext(MEIX, xmax=1).gram(2)[3][3] == 0
+    for xmax in range(1, 8):
+        ctx = V.SuiteContext(MEIX, xmax=xmax)
+        report = V.gram_check(ctx, 2)
+        assert report.status == "pass", xmax
+        G = ctx.gram(2)
+        assert report.max_defect == max(abs(G[i][j]) for i in range(len(G)) for j in range(i))
+
+
+def test_moments_of_another_beta_fail_meixner_gram(monkeypatch):
+    params = MeixnerParams((R(1, 5), R(1, 4)), R(2))
+    moments = V.meixner_moments
+    assert V.gram_check(V.SuiteContext(params), 1).status == "pass"
+    monkeypatch.setattr(V, "meixner_moments",
+                        lambda p, K: moments(dataclasses.replace(p, beta=p.beta + 1), K))
+    report = V.gram_check(V.SuiteContext(params), 1)
+    assert report.status == "fail"
+    assert report.detail == "off-diagonal (0, 0),(1, 0) nonzero"
+    lattice = family_lattice(params, xmax=2)
+    one, radial = eigenpoly_tables([(0, 0), (1, 0)], params, lattice)
+    assert lattice_inner_product(one, radial, V.meixner_moments(params, 2)) == R(-1, 2)
+
+
+def test_perturbed_km_pair_row_fails_meixner_orthogonality(monkeypatch):
+    """c_m + 1 in every Krawtchouk/Meixner pair row must fail the Meixner
+    gram and pair-orthogonality checks; the wrapper sits in front of the
+    cache, so no perturbed row is ever cached."""
+    from mvortho import polynomials as P
+
+    params = MeixnerParams((R(1, 5), R(1, 4)), R(2))
+    meix3 = MeixnerParams((R(1, 8), R(1, 8), R(1, 4)), R(2))
+    cached = P._km_pair_row
+
+    def perturbed(m, ratio):
+        nums, den = cached(m, ratio)
+        return nums[:-1] + (nums[-1] + den,), den
+
+    monkeypatch.setattr(P, "_km_pair_row", perturbed)
+    report = V.gram_check(V.SuiteContext(params), 1)
+    assert report.status == "fail"
+    assert report.detail == "off-diagonal (0, 0),(0, 1) nonzero"
+    lattice = family_lattice(params, xmax=2)
+    one, pair = eigenpoly_tables([(0, 0), (0, 1)], params, lattice)
+    assert lattice_inner_product(one, pair, V.meixner_moments(params, 2)) == R(-16, 11)
+    assert V.pair_orthogonality_report(V.SuiteContext(meix3, xmax=4), 1).status == "fail"
 
 
 def test_poly_coefficients_round_trip():
-    coeffs = V.poly_coefficients(
+    coeffs = poly_coefficients(
         lambda x: 3 * R(x[0]) ** 2 * x[1] - R(7, 2) * x[1] + 1, 2, 3
     )
     assert coeffs[(2, 1)] == 3
@@ -201,29 +345,28 @@ def grid_poly_coefficients(fn, nvars, deg):
 
 @pytest.mark.parametrize("params", [HAHN, KRAW, MEIX])
 def test_simplex_coefficients_match_grid_interpolation(params):
-    from mvortho import eigenpoly
-    from mvortho.core import enumerate_degrees
-
     for m in enumerate_degrees(params.n, 3):
         fn = lambda x, m=m: eigenpoly(m, x, params)
-        coeffs = V.poly_coefficients(fn, params.n, 3)
+        coeffs = poly_coefficients(fn, params.n, 3)
         assert coeffs == grid_poly_coefficients(fn, params.n, 3), m
         assert max(map(sum, coeffs)) == sum(m)
 
 
 def test_meixner_product_tail_bound_dominates_true_tail():
-    # true absolute tail of sum p*q*W beyond the box, brute-forced deep
-    from mvortho.measures import meixner_weight, weight_table
-
-    coeffs = V.poly_coefficients(lambda x: R(x[0]) - x[1], 2, 1)
-    bound = V.meixner_product_tail_bound(weight_table(MEIX, xmax=30), coeffs, coeffs, 10)
-    from mvortho.core import compositions
-
+    # true absolute tail of sum p*q*W beyond the box, brute-forced deep; each
+    # weight comes from its neighbour by the ratios of the Meixner weight
+    coeffs = poly_coefficients(lambda x: R(x[0]) - x[1], 2, 1)
+    bound = meixner_product_tail_bound(weight_table(MEIX, xmax=30), coeffs, coeffs, 10)
+    (a1, a2), beta = MEIX.a, MEIX.beta
+    edge = meixner_weight((0, 10), MEIX)  # W(0, s)
     true_tail = R(0)
     for s in range(11, 200):
-        for x in compositions(s, 2):
-            v = (R(x[0]) - x[1]) ** 2 * meixner_weight(x, MEIX)
-            true_tail += v
+        edge *= (beta + s - 1) * a2 / s
+        wx = edge  # W(k, s - k)
+        for k in range(s + 1):
+            true_tail += (R(k) - (s - k)) ** 2 * wx
+            wx *= a1 * (s - k) / ((k + 1) * a2)
+    assert edge == meixner_weight((0, 199), MEIX)
     assert true_tail <= bound
 
 
@@ -364,6 +507,36 @@ def test_doubled_weight_fails_compatibility_and_adjointness(params, monkeypatch)
     assert adjoint.status == "fail" and adjoint.max_defect > 0
 
 
+def rationals(top: int, den_max: int = 12):
+    """Positive rationals p/q with p <= top and q <= den_max."""
+    return st.builds(R, st.integers(1, top), st.integers(1, den_max))
+
+
+@st.composite
+def small_instances(draw):
+    """A small instance of any family, n=2: N <= 4, or a Meixner box xmax <= 4
+    with |a| < 1 and beta = p/q, q <= 4."""
+    family = draw(st.sampled_from(["hahn", "krawtchouk", "meixner"]))
+    if family == "meixner":
+        q = draw(st.integers(3, 12))
+        p1 = draw(st.integers(1, q - 2))
+        a = (R(p1, q), R(draw(st.integers(1, q - 1 - p1)), q))
+        return MeixnerParams(a, draw(rationals(12, 4))), draw(st.integers(1, 4))
+    a = (draw(rationals(6)), draw(rationals(6)))
+    N = draw(st.integers(3, 4))  # the bounded families need N > n
+    if family == "hahn":
+        return HahnParams(a, draw(rationals(6)), N), None
+    return KrawtchoukParams(a, N), None
+
+
+@given(small_instances())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_small_random_instances_pass_the_suite(instance):
+    params, xmax = instance
+    bad = [r.instance for r in V.run_suite(params, xmax=xmax) if r.status == "fail"]
+    assert not bad, (params.label, xmax, bad)
+
+
 @pytest.mark.parametrize(
     "params, xmax",
     [(HAHN2, None), (KRAW, None), (MEIX, 10)],
@@ -448,6 +621,22 @@ def test_cli_rejects_points_off_the_lattice_and_negative_degrees(argv, message, 
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--m", "1,1"],
+    ["export", "--what", "weights"],
+    ["export", "--what", "operator"],
+    ["export", "--what", "gram"],
+    ["verify"],
+])
+def test_cli_rejects_a_negative_xmax_where_it_is_read(argv, capsys):
+    from mvortho.cli import main
+
+    meixner = ["--family", "meixner", "--a", "1/2,1/3", "--beta", "2"]
+    assert main([*argv, *meixner, "--xmax", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --xmax must be >= 0, got -1\n"
 
 
 def test_cli_accepts_the_lattice_edge():
