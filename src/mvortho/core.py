@@ -145,10 +145,6 @@ class LatticeFunction:
     def __call__(self, x):
         return self.values[self.lattice.index[tuple(x)]]
 
-    def valid_points(self):
-        """Points whose value is actually defined."""
-        return [p for p, v in zip(self.lattice.points, self.values) if v is not None]
-
     def max_abs(self):
         """Largest |value| over defined points; 0 on an all-None table."""
         out = ZERO

@@ -16,7 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from ._backend import R, ZERO, ONE, as_integer, integer_scaled
+from ._backend import R, ZERO, as_integer, integer_scaled
 from .core import (Lattice, LatticeFunction, enumerate_lattice, family_lattice, multinomial,
                    rising_factorial)
 from .linalg import forward_differences
@@ -60,12 +60,11 @@ def meixner_normalization(params):
     return None
 
 
-def meixner_weight(x, params, normalized: bool | None = None):
+def meixner_weight(x, params):
     """Negative multinomial weight at x: (beta)_{|x|} prod a_i^{x_i}/x_i!.
 
-    The constant factor (1-|a|)^beta is applied when beta is integral
-    (or when ``normalized=True`` is requested, which then requires an
-    integral beta); otherwise the value is the unnormalized weight.
+    The constant factor (1-|a|)^beta is applied when beta is integral;
+    otherwise the value is the unnormalized weight.
     """
     if any(c < 0 for c in x):
         raise ValueError("coordinates must be non-negative")
@@ -73,46 +72,9 @@ def meixner_weight(x, params, normalized: bool | None = None):
     for ai, xi in zip(params.a, x):
         out *= R(ai) ** xi / math.factorial(xi)
     norm = meixner_normalization(params)
-    if normalized and norm is None:
-        raise ValueError("(1-|a|)^beta is irrational for non-integer beta")
-    if norm is not None and normalized is not False:
+    if norm is not None:
         out *= norm
     return out
-
-
-def stirling2_table(t: int) -> list[list[int]]:
-    """Stirling numbers of the second kind S(i, j) for i, j <= t."""
-    S = [[0] * (t + 1) for _ in range(t + 1)]
-    S[0][0] = 1
-    for i in range(1, t + 1):
-        for j in range(1, i + 1):
-            S[i][j] = j * S[i - 1][j] + S[i - 1][j - 1]
-    return S
-
-
-def tail_power_sum(q, X: int, t: int):
-    """Exact Sum_{s > X} s^t q^s for rational 0 < q < 1.
-
-    Expands s^t in falling factorials; each Sum_{s>=0} s(s-1)..(s-k+1) q^s
-    is k! q^k / (1-q)^{k+1}, and the finite head is subtracted exactly.
-    """
-    q = R(q)
-    if not 0 < q < 1:
-        raise ValueError("need 0 < q < 1")
-    S2 = stirling2_table(t)
-    total = ZERO
-    for k in range(t + 1):
-        if S2[t][k] == 0:
-            continue
-        full = R(math.factorial(k)) * q**k / (1 - q) ** (k + 1)
-        head = ZERO
-        for s in range(X + 1):
-            ff = ONE
-            for j in range(k):
-                ff *= s - j
-            head += ff * q**s
-        total += S2[t][k] * (full - head)
-    return total
 
 
 def meixner_shell_mass(params, s: int):
@@ -120,51 +82,29 @@ def meixner_shell_mass(params, s: int):
     return rising_factorial(params.beta, s) * params.a_total**s / math.factorial(s)
 
 
-def rising_over_factorial_coeffs(beta: int) -> list:
-    """Coefficients c_d with (beta)_s / s! = Sum_d c_d s^d, for an integer beta >= 1.
-
-    (beta)_s / s! = prod_{r=1}^{beta-1} (s + r) / (beta-1)!, a polynomial
-    in s of degree beta-1.
-    """
-    coeffs = [ONE]
-    for r in range(1, beta):
-        nxt = [ZERO] * (len(coeffs) + 1)
-        for d, c in enumerate(coeffs):
-            nxt[d] += c * r
-            nxt[d + 1] += c
-        coeffs = nxt
-    fact = math.factorial(beta - 1)
-    return [c / fact for c in coeffs]
-
-
-def meixner_tail_mass_bound(params, xmax: int, normalized: bool = True):
+def meixner_tail_mass_bound(params, xmax: int):
     """Exact upper bound on the weight mass beyond |x| <= xmax.
 
-    For integral beta, (beta)_s/s! is a polynomial in s of degree
-    beta-1, so the tail Sum_{s>X} (beta)_s |a|^s / s! has an exact
-    closed form.  Otherwise the term ratio |a|(beta+s)/(s+1) is monotone
-    in s with limit |a| < 1: the shells are summed exactly up to the
-    first s whose q = max(|a|, ratio) is below 1, and the rest is bounded
-    geometrically from there.  Scaled by (1-|a|)^beta when the weight is
-    normalized.
+    For integral beta the bound is the exact tail: the negative binomial
+    series Sum_{s>=0} (beta)_s |a|^s / s! = (1-|a|)^{-beta} less the
+    shells s <= xmax.  Otherwise the term ratio |a|(beta+s)/(s+1) is
+    monotone in s with limit |a| < 1: the shells are summed exactly up to
+    the first s whose q = max(|a|, ratio) is below 1, and the rest is
+    bounded geometrically from there.  Scaled by (1-|a|)^beta when beta
+    is integral, like the weight.
     """
     A = params.a_total
     if params.integral_beta:
-        bound = sum(
-            c * tail_power_sum(A, xmax, d)
-            for d, c in enumerate(rising_over_factorial_coeffs(as_integer(params.beta)))
-        )
+        bound = (1 - A) ** -as_integer(params.beta) - sum(
+            meixner_shell_mass(params, s) for s in range(xmax + 1))
     else:
         bound, s = ZERO, xmax + 1
         while (q := max(A, A * (params.beta + s) / (s + 1))) >= 1:
             bound += meixner_shell_mass(params, s)
             s += 1
         bound += meixner_shell_mass(params, s) / (1 - q)
-    if normalized:
-        norm = meixner_normalization(params)
-        if norm is not None:
-            bound *= norm
-    return bound
+    norm = meixner_normalization(params)
+    return bound if norm is None else bound * norm
 
 
 def meixner_moments(params, K: int) -> list:
@@ -228,9 +168,8 @@ def weight_table(params, xmax: int | None = None) -> WeightTable:
     values = tuple(params.weight(x) for x in lattice.points)
     if not lattice.truncated:
         return WeightTable(params, lattice, values, True)
-    normalized = params.integral_beta
-    bound = meixner_tail_mass_bound(params, lattice.bound, normalized=normalized)
-    return WeightTable(params, lattice, values, normalized, bound)
+    bound = meixner_tail_mass_bound(params, lattice.bound)
+    return WeightTable(params, lattice, values, params.integral_beta, bound)
 
 
 def _same_lattice(f: LatticeFunction, w: WeightTable, what: str) -> None:

@@ -196,15 +196,18 @@ def eigenpoly(m: Sequence[int], x: Sequence[int], params):
     return pair_product(1, m, x, params) * params.radial(m[0], sum(m[1:]), sum(x))
 
 
-def eigenpoly_tables(degrees, params, lattice: Lattice) -> list[LatticeFunction]:
+def eigenpoly_tables(degrees, params, lattice: Lattice, factors: dict | None = None
+                     ) -> list[LatticeFunction]:
     """Value tables of P_m over an enumerated lattice, one per m in ``degrees``.
 
     P_m(x) is built factor by factor, and each distinct factor is
-    evaluated once for all the tables: pair factor j depends only on
-    (m_j, shift, x_j, x_{>j}) with shift = sum_{k>j} m_k, the radial
-    factor only on (m_0, |m| - m_0, |x|).  The factors are the family's,
-    as in :func:`eigenpoly`, which stays the pointwise reference; every
-    value equals it exactly.
+    evaluated once: pair factor j depends only on (j, m_j, shift, x_j,
+    x_{>j}) with shift = sum_{k>j} m_k, the radial factor only on (m_0,
+    |m| - m_0, |x|).  ``factors`` maps these 5- and 3-tuples to their
+    values; a caller that passes the same dict to several calls, on any
+    lattices of the same bundle, evaluates each factor once in all.  The
+    factors are the family's, as in :func:`eigenpoly`, which stays the
+    pointwise reference; every value equals it exactly.
     """
     FamilyParams.require(params)
     if lattice.n != params.n:
@@ -213,28 +216,23 @@ def eigenpoly_tables(degrees, params, lattice: Lattice) -> list[LatticeFunction]
     # (x_j, x_{>j}) of every point, for the pair factors j = 1..n-1
     coords = [[(x[j - 1], sum(x[j:])) for x in lattice.points] for j in range(1, params.n)]
     sizes = [sum(x) for x in lattice.points]
-    pair_cache: dict = {}
-    radial_cache: dict = {}
+    factors = {} if factors is None else factors
+    pair, radial = params.pair_factor, params.radial
 
-    def pair(*key):
-        value = pair_cache.get(key)
+    def factor(fn, *key):
+        value = factors.get(key)
         if value is None:
-            value = pair_cache[key] = params.pair_factor(*key)
-        return value
-
-    def radial(*key):
-        value = radial_cache.get(key)
-        if value is None:
-            value = radial_cache[key] = params.radial(*key)
+            value = factors[key] = fn(*key)
         return value
 
     tables = []
     for m in degrees:
         s1 = sum(m[1:])
-        values = [radial(m[0], s1, size) for size in sizes]
+        values = [factor(radial, m[0], s1, size) for size in sizes]
         for j, points in enumerate(coords, start=1):
             shift = sum(m[j + 1 :])
-            values = [v * pair(j, m[j], shift, u, t) for v, (u, t) in zip(values, points)]
+            values = [v * factor(pair, j, m[j], shift, u, t)
+                      for v, (u, t) in zip(values, points)]
         tables.append(LatticeFunction(lattice, tuple(values)))
     return tables
 

@@ -11,9 +11,14 @@ Every check of an instance takes one :class:`SuiteContext`.  The
 context builds the lattice, the weight tables, the operator stencils,
 the eigenpolynomial tables and the Gram entries on first use and hands
 the same objects to every later check, so a suite builds each of them
-once.  Checks only read what the context built; the context fills its
-caches as checks ask, so one context serves one thread.  Nothing is
-cached beyond a context: a fresh context sees patched rates or weights.
+once.  The eigenpolynomials and pair products the checks read on the
+lattice are all P_m tables of the context (a pair product is P_m with
+the other degrees 0), on the instance lattice or on another simplex,
+and all tables share one factor dict.  Checks only read what the context built; the context fills
+its caches as checks ask, so one context serves one thread.  Nothing is
+cached beyond a context: a fresh context sees patched rates, weights or
+factors.  An identity check passes iff its largest |lhs - rhs| is
+exactly 0 (:func:`_exact`).
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 
 from ._backend import R, ZERO, ONE
-from .core import LatticeFunction, enumerate_degrees, family_lattice, rising_factorial, tail_sum
+from .core import (Lattice, LatticeFunction, enumerate_degrees, family_lattice,
+                   rising_factorial, tail_sum)
 from .measures import (
     gram_matrix,
     inner_product,
@@ -49,7 +55,6 @@ from .polynomials import (
     hahn,
     hahn_pair,
     pair_backward_table,
-    pair_product,
 )
 from .serialize import rational_str, sci_str
 
@@ -101,6 +106,12 @@ def _report(name: str, instance: str, body) -> CheckReport:
     return CheckReport(name, instance, status, defect, time.perf_counter() - t0, *detail)
 
 
+def _exact(defects, detail: str = "") -> tuple:
+    """(PASS iff every defect is exactly 0, the largest |defect|, detail)."""
+    worst = max(map(abs, defects), default=ZERO)
+    return (PASS if worst == 0 else FAIL), worst, detail
+
+
 def random_rational(rng: random.Random, max_part: int = 20):
     """Positive rational with numerator and denominator <= max_part."""
     return R(rng.randint(1, max_part), rng.randint(1, max_part))
@@ -127,8 +138,7 @@ def normalization_check(ctx: SuiteContext) -> CheckReport:
                     return FAIL, missing, "missing mass outside tail bound"
                 return PASS, ZERO, f"1 - sum = {sci_str(missing)} <= bound {sci_str(w.tail_bound)}"
             return PASS, ZERO, "unnormalized weight (non-integer beta); monotone partial sums"
-        defect = abs(w.total - 1)
-        return (PASS if defect == 0 else FAIL), defect, ""
+        return _exact([w.total - 1])
 
     return _report("normalization", params.label, body)
 
@@ -141,19 +151,16 @@ def compatibility_check(ctx: SuiteContext) -> CheckReport:
     """
     params = ctx.params
 
-    def body():
+    def defects():
         w = ctx.weights()
         lattice = w.lattice
         n = params.n
-        worst = ZERO
         for x in lattice.points:
             for j in range(n):
                 yj = x[:j] + (x[j] + 1,) + x[j + 1 :]
                 if yj not in lattice.index:
                     continue
-                lhs = w(yj) * params.down_rate(yj, j)
-                rhs = w(x) * params.up_rate(x, j)
-                worst = max(worst, abs(lhs - rhs))
+                yield w(yj) * params.down_rate(yj, j) - w(x) * params.up_rate(x, j)
                 for k in range(j + 1, n):
                     yk = x[:k] + (x[k] + 1,) + x[k + 1 :]
                     yjk = yj[:k] + (yj[k] + 1,) + yj[k + 1 :]
@@ -161,22 +168,12 @@ def compatibility_check(ctx: SuiteContext) -> CheckReport:
                         continue
                     # B_j(x) B_k(x+e_j) / (D_j(x+e_j) D_k(x+e_j+e_k)) is
                     # symmetric in j,k; compare cross-multiplied.
-                    lhs = (
-                        params.up_rate(x, j)
-                        * params.up_rate(yj, k)
-                        * params.down_rate(yk, k)
-                        * params.down_rate(yjk, j)
-                    )
-                    rhs = (
-                        params.up_rate(x, k)
-                        * params.up_rate(yk, j)
-                        * params.down_rate(yj, j)
-                        * params.down_rate(yjk, k)
-                    )
-                    worst = max(worst, abs(lhs - rhs))
-        return (PASS if worst == 0 else FAIL), worst
+                    yield (params.up_rate(x, j) * params.up_rate(yj, k)
+                           * params.down_rate(yk, k) * params.down_rate(yjk, j)
+                           - params.up_rate(x, k) * params.up_rate(yk, j)
+                           * params.down_rate(yj, j) * params.down_rate(yjk, k))
 
-    return _report("compatibility", params.label, body)
+    return _report("compatibility", params.label, lambda: _exact(defects()))
 
 
 def boundary_safety_check(ctx: SuiteContext) -> CheckReport:
@@ -211,17 +208,16 @@ def boundary_safety_check(ctx: SuiteContext) -> CheckReport:
 def adjointness_check(ctx: SuiteContext) -> CheckReport:
     def body():
         w = ctx.weights()
-        worst = max(adjointness_defect(H, w) for H in ctx.stencils)
-        return (PASS if worst == 0 else FAIL), worst
+        return _exact(adjointness_defect(H, w) for H in ctx.stencils)
 
     return _report("adjointness", ctx.params.label, body)
 
 
 def commutator_check(ctx: SuiteContext) -> CheckReport:
     def body():
-        worst = max(commutator_defect(M1, M2) for M1, M2 in combinations(ctx.stencils, 2))
         detail = "interior-restricted rows" if ctx.lattice.truncated else ""
-        return (PASS if worst == 0 else FAIL), worst, detail
+        return _exact((commutator_defect(M1, M2) for M1, M2 in combinations(ctx.stencils, 2)),
+                      detail)
 
     return _report("commutators", ctx.params.label, body)
 
@@ -240,18 +236,10 @@ def degree_invariance_report(ctx: SuiteContext, M: int) -> CheckReport:
 
 
 def residual_defect(H: OperatorMatrix, table: LatticeFunction, eig) -> tuple:
-    """Max |(H f)(x) - eig * f(x)| over points with a defined image."""
+    """Max |(H f)(x) - eig * f(x)| over the points with a defined image, and their count."""
     image = apply_matrix(H, table)
-    worst = ZERO
-    checked = 0
-    for fv, gv in zip(table.values, image.values):
-        if gv is None:
-            continue
-        checked += 1
-        d = abs(gv - eig * fv)
-        if d > worst:
-            worst = d
-    return worst, checked
+    residuals = [gv - eig * fv for fv, gv in zip(table.values, image.values) if gv is not None]
+    return max(map(abs, residuals), default=ZERO), len(residuals)
 
 
 def eigen_check(ctx: SuiteContext, kind: str, m, index: int | None = None) -> CheckReport:
@@ -262,8 +250,7 @@ def eigen_check(ctx: SuiteContext, kind: str, m, index: int | None = None) -> Ch
         (table,) = ctx.tables([m])
         eig = eigenvalue(params, kind, index, m)
         worst, checked = residual_defect(ctx.stencil(kind, index), table, eig)
-        detail = f"eigenvalue {rational_str(eig)} on {checked} points"
-        return (PASS if worst == 0 else FAIL), worst, detail
+        return _exact([worst], f"eigenvalue {rational_str(eig)} on {checked} points")
 
     op_label = kind if kind != "exchange" else f"exchange{index}"
     return _report("eigen", f"{params.label} m={tuple(m)} op={op_label}", body)
@@ -274,16 +261,11 @@ def eigen_suite(ctx: SuiteContext, m_max: int) -> list[CheckReport]:
     params = ctx.params
 
     def body():
-        worst = ZERO
-        count = 0
         degrees = enumerate_degrees(params.n, m_max)
-        for m, table in zip(degrees, ctx.tables(degrees)):
-            for H in ctx.stencils:
-                eig = eigenvalue(params, H.op.kind, H.op.index, m)
-                defect, _ = residual_defect(H, table, eig)
-                worst = max(worst, defect)
-                count += 1
-        return (PASS if worst == 0 else FAIL), worst, f"{count} (m, operator) pairs"
+        stencils = ctx.stencils
+        defects = (residual_defect(H, table, eigenvalue(params, H.op.kind, H.op.index, m))[0]
+                   for m, table in zip(degrees, ctx.tables(degrees)) for H in stencils)
+        return _exact(defects, f"{len(degrees) * len(stencils)} (m, operator) pairs")
 
     return [_report("eigen-suite", f"{params.label} all |m|<={m_max}", body),
             eigen_degeneracy_check(ctx, m_max)]
@@ -327,8 +309,7 @@ def type_one_check(ctx: SuiteContext, J, m: int) -> CheckReport:
             ctx.lattice, lambda x: type_one_value(params, J, m, x)
         )
         eig = eigenvalue(params, "total", None, (m,) + (0,) * (params.n - 1))
-        worst, _ = residual_defect(ctx.stencil("total"), table, eig)
-        return (PASS if worst == 0 else FAIL), worst
+        return _exact([residual_defect(ctx.stencil("total"), table, eig)[0]])
 
     return _report("type-one", f"{params.label} J={set(J)} m={m}", body)
 
@@ -381,44 +362,34 @@ def sv_shift_check(a, b, N: int, deg_max: int) -> CheckReport:
     """
     a, b = R(a), R(b)
 
-    def body():
-        worst = ZERO
+    def defects():
         for m in range(deg_max + 1):
             for x in range(N + 1):
                 if m >= 1:
-                    lhs = hahn(m, x, a, b, N) - hahn(m, x + 1, a, b, N)
-                    rhs = (
-                        R(m) * (m + a + b - 1) / (a * N)
-                        * hahn(m - 1, x, a + 1, b + 1, N - 1)
-                    )
-                    worst = max(worst, abs(lhs - rhs))
-                lhs = (N - x) * (x + a) * hahn(m, x, a + 1, b + 1, N - 1) - R(x) * (
-                    N - x + b
-                ) * hahn(m, x - 1, a + 1, b + 1, N - 1)
-                rhs = a * N * hahn(m + 1, x, a, b, N)
-                worst = max(worst, abs(lhs - rhs))
-        return (PASS if worst == 0 else FAIL), worst
+                    yield (hahn(m, x, a, b, N) - hahn(m, x + 1, a, b, N)
+                           - R(m) * (m + a + b - 1) / (a * N)
+                           * hahn(m - 1, x, a + 1, b + 1, N - 1))
+                yield ((N - x) * (x + a) * hahn(m, x, a + 1, b + 1, N - 1)
+                       - R(x) * (N - x + b) * hahn(m, x - 1, a + 1, b + 1, N - 1)
+                       - a * N * hahn(m + 1, x, a, b, N))
 
     inst = f"hahn-1v a={rational_str(a)} b={rational_str(b)} N={N} m<={deg_max}"
-    return _report("sv-shifts", inst, body)
+    return _report("sv-shifts", inst, lambda: _exact(defects()))
 
 
 def sv_difference_equation_check(a, b, N: int, deg_max: int) -> CheckReport:
     """(N-x)(x+a)(H_m(x)-H_m(x+1)) + x(N-x+b)(H_m(x)-H_m(x-1)) = m(m+a+b-1)H_m."""
     a, b = R(a), R(b)
 
-    def body():
-        worst = ZERO
+    def defects():
         for m in range(deg_max + 1):
             for x in range(N + 1):
                 h = lambda t: hahn(m, t, a, b, N)
-                lhs = (N - x) * (x + a) * (h(x) - h(x + 1)) + R(x) * (N - x + b) * (
-                    h(x) - h(x - 1)
-                )
-                worst = max(worst, abs(lhs - R(m) * (m + a + b - 1) * h(x)))
-        return (PASS if worst == 0 else FAIL), worst
+                yield ((N - x) * (x + a) * (h(x) - h(x + 1))
+                       + R(x) * (N - x + b) * (h(x) - h(x - 1))
+                       - R(m) * (m + a + b - 1) * h(x))
 
-    return _report("sv-difference-eq", f"hahn-1v N={N} m<={deg_max}", body)
+    return _report("sv-difference-eq", f"hahn-1v N={N} m<={deg_max}", lambda: _exact(defects()))
 
 
 def pair_shift_check(alpha, gamma, deg_max: int, box: int, family) -> CheckReport:
@@ -427,25 +398,23 @@ def pair_shift_check(alpha, gamma, deg_max: int, box: int, family) -> CheckRepor
     alpha, gamma = R(alpha), R(gamma)
     P, rate = family.pair_poly, family.pair_rate
 
-    def body():
-        worst = ZERO
+    def defects():
         for m in range(deg_max + 1):
             c, d, alpha1, gamma1 = family.pair_shift(m, alpha, gamma)
             for u in range(box + 1):
                 for v in range(box + 1 - u):
                     if m >= 1:
-                        lhs = P(m, u, v + 1, alpha, gamma) - P(m, u + 1, v, alpha, gamma)
-                        worst = max(worst, abs(lhs - c * P(m - 1, u, v, alpha1, gamma1)))
-                    lhs = (v * rate(u, alpha) * P(m, u, v - 1, alpha1, gamma1)
-                           - u * rate(v, gamma) * P(m, u - 1, v, alpha1, gamma1))
-                    worst = max(worst, abs(lhs - d * P(m + 1, u, v, alpha, gamma)))
-        return (PASS if worst == 0 else FAIL), worst
+                        yield (P(m, u, v + 1, alpha, gamma) - P(m, u + 1, v, alpha, gamma)
+                               - c * P(m - 1, u, v, alpha1, gamma1))
+                    yield (v * rate(u, alpha) * P(m, u, v - 1, alpha1, gamma1)
+                           - u * rate(v, gamma) * P(m, u - 1, v, alpha1, gamma1)
+                           - d * P(m + 1, u, v, alpha, gamma))
 
     inst = (
         f"{family.pair_name}-pair alpha={rational_str(alpha)} gamma={rational_str(gamma)} "
         f"m<={deg_max} box={box}"
     )
-    return _report("pair-shifts", inst, body)
+    return _report("pair-shifts", inst, lambda: _exact(defects()))
 
 
 def pair_recursion_check(alpha, gamma, deg_max: int, box: int, family) -> CheckReport:
@@ -455,80 +424,79 @@ def pair_recursion_check(alpha, gamma, deg_max: int, box: int, family) -> CheckR
     alpha, gamma = R(alpha), R(gamma)
     rate = family.pair_rate
 
-    def body():
-        worst = ZERO
+    def defects():
         for m in range(deg_max + 1):
             P = lambda uu, vv: family.pair_poly(m, uu, vv, alpha, gamma)
             for u in range(box + 1):
                 for v in range(box + 1 - u):
                     fwd = rate(u, alpha) * P(u + 1, v) + rate(v, gamma) * P(u, v + 1)
-                    worst = max(worst, abs(fwd - rate(u + v + m, alpha + gamma) * P(u, v)))
+                    yield fwd - rate(u + v + m, alpha + gamma) * P(u, v)
                     bwd = R(u) * P(u - 1, v) + R(v) * P(u, v - 1)
-                    worst = max(worst, abs(bwd - (R(u + v) - m) * P(u, v)))
-        return (PASS if worst == 0 else FAIL), worst
+                    yield bwd - (R(u + v) - m) * P(u, v)
 
-    return _report("pair-recursions", f"{family.pair_name}-pair m<={deg_max} box={box}", body)
+    inst = f"{family.pair_name}-pair m<={deg_max} box={box}"
+    return _report("pair-recursions", inst, lambda: _exact(defects()))
 
 
 def generalized_recursion_check(ctx: SuiteContext, i: int, m) -> CheckReport:
     """Forward/backward recursions for the chained pair product.
 
-    With R(x) the product of pair factors i..n-1 (degree-shifted), sums
-    over k = i..n (1-based sites), D = sum_{k>=i} m_k and the family's
-    pair rate (x_k + a_k for Hahn, a_k for Krawtchouk/Meixner):
+    R(x), the product of the degree-shifted pair factors i..n-1, is P_m
+    with m_0 .. m_{i-1} set to 0.  With sums over k = i..n (1-based
+    sites), D = sum_{k>=i} m_k and the family's pair rate (x_k + a_k for
+    Hahn, a_k for Krawtchouk/Meixner):
 
         sum rate(x_k, a_k) R(x+e_k) = rate(sum x_k + D, sum a_k) R(x)
         sum x_k R(x-e_k)            = (sum x_k - D) R(x)
+
+    x + e_k leaves the lattice, so R is tabulated one shell further out.
     """
 
     params = ctx.params
+    if not 1 <= i <= params.n - 1:
+        raise ValueError(f"sector index i = {i} outside [1, {params.n - 1}]")
 
-    def body():
-        lattice = ctx.lattice
+    def defects():
         n = params.n
         deg = sum(m[i:])
         a_sum = sum(params.a[i - 1 :], ZERO)
-        worst = ZERO
-        for x in lattice.points:
-            base = pair_product(i, m, x, params)
+        (chain,) = ctx.tables([(0,) * i + tuple(m[i:])], ctx.lattice.bound + 1)
+        for x in ctx.lattice.points:
+            base = chain(x)
             fwd = ZERO
             bwd = ZERO
             for k in range(i, n + 1):
                 xk = x[k - 1]
-                up = x[: k - 1] + (xk + 1,) + x[k:]
-                dn = x[: k - 1] + (xk - 1,) + x[k:]
-                fwd += params.pair_rate(xk, params.a[k - 1]) * pair_product(i, m, up, params)
+                fwd += params.pair_rate(xk, params.a[k - 1]) * chain(x[: k - 1] + (xk + 1,) + x[k:])
                 if xk:
-                    bwd += xk * pair_product(i, m, dn, params)
+                    bwd += xk * chain(x[: k - 1] + (xk - 1,) + x[k:])
             tailx = sum(x[i - 1 :])
-            worst = max(worst, abs(fwd - params.pair_rate(tailx + deg, a_sum) * base))
-            worst = max(worst, abs(bwd - (tailx - deg) * base))
-        return (PASS if worst == 0 else FAIL), worst
+            yield fwd - params.pair_rate(tailx + deg, a_sum) * base
+            yield bwd - (tailx - deg) * base
 
-    return _report("generalized-recursions", f"{params.label} i={i} m={tuple(m)}", body)
+    return _report("generalized-recursions", f"{params.label} i={i} m={tuple(m)}",
+                   lambda: _exact(defects()))
 
 
 def rodrigues_check(m_max: int, alpha, gamma, box: int) -> CheckReport:
     """Backward-shift chain reproduces the closed-form pair polynomial."""
 
-    def body():
-        worst = ZERO
+    def defects():
         for m in range(m_max + 1):
             built = pair_backward_table(m, alpha, gamma, box)
             for (u, v), got in zip(built.lattice.points, built.values):
-                want = hahn_pair(m, u, v, alpha, gamma)
-                worst = max(worst, abs(got - want))
-        return (PASS if worst == 0 else FAIL), worst
+                yield got - hahn_pair(m, u, v, alpha, gamma)
 
     inst = f"alpha={rational_str(R(alpha))} gamma={rational_str(R(gamma))} m<={m_max} box={box}"
-    return _report("rodrigues", inst, body)
+    return _report("rodrigues", inst, lambda: _exact(defects()))
 
 
 def glue_check(ctx: SuiteContext, i: int, m_i: int, m_im1: int) -> CheckReport:
     """Adjacent pair factors glue into an eigenfunction of exchange(i-1).
 
     The lower factor is evaluated at (x_{i-1}, x_{>i-1} - m_i) and, for
-    Hahn, with its tail parameter shifted to a_{>i-1} + 2 m_i; the glued
+    Hahn, with its tail parameter shifted to a_{>i-1} + 2 m_i: the glued
+    product is P_m with only m_{i-1} and m_i nonzero, and the glued
     eigenvalue adds the degrees.
     """
     params = ctx.params
@@ -536,17 +504,11 @@ def glue_check(ctx: SuiteContext, i: int, m_i: int, m_im1: int) -> CheckReport:
         raise ValueError(f"glue index i = {i} outside [2, {params.n - 1}]")
 
     def body():
-        def value(x):
-            hi = params.pair_factor(i, m_i, 0, x[i - 1], tail_sum(x, i))
-            lo = params.pair_factor(i - 1, m_im1, m_i, x[i - 2], tail_sum(x, i - 1))
-            return hi * lo
-
-        table = LatticeFunction.from_callable(ctx.lattice, value)
         m = [0] * params.n
         m[i - 1], m[i] = m_im1, m_i
+        (table,) = ctx.tables([m])
         eig = eigenvalue(params, "exchange", i - 1, m)
-        worst, _ = residual_defect(ctx.stencil("exchange", i - 1), table, eig)
-        return (PASS if worst == 0 else FAIL), worst
+        return _exact([residual_defect(ctx.stencil("exchange", i - 1), table, eig)[0]])
 
     return _report("glue", f"{params.label} i={i} degrees=({m_i},{m_im1})", body)
 
@@ -582,18 +544,12 @@ def gram_check(ctx: SuiteContext, m_max: int) -> CheckReport:
     if params.N is not None and m_max > params.N:
         raise ValueError("need m_max <= N")
     degrees = enumerate_degrees(params.n, m_max)
-    pairs = list(combinations_with_replacement(range(len(degrees)), 2))
 
     def body():
-        G = ctx.gram(m_max)
-        worst = max((abs(G[i][j]) for i, j in pairs if i != j), default=ZERO)
-        if not ctx.lattice.truncated:
-            exact, note = {(i, j): G[i][j] for i, j in pairs}, ""
-        else:
-            simplex = eigenpoly_tables(degrees, params, family_lattice(params, xmax=2 * m_max))
-            exact = ctx.full_lattice_products(simplex, pairs)
-            note = (f"exact zeros on N^{params.n} by factorial moments; "
-                    f"box max |offdiag| {sci_str(worst)}")
+        worst, exact = ctx.orthogonality(
+            m_max, combinations_with_replacement(range(len(degrees)), 2))
+        note = (f"exact zeros on N^{params.n} by factorial moments; "
+                f"box max |offdiag| {sci_str(worst)}") if ctx.lattice.truncated else ""
         defect = _orthogonality_defect(exact, degrees)
         return (FAIL, worst, defect) if defect else (PASS, worst, note)
 
@@ -613,9 +569,8 @@ def completeness_check(ctx: SuiteContext) -> CheckReport:
         degrees = enumerate_degrees(params.n, params.N)
         if len(degrees) != size:
             return FAIL, None, "degree count differs from lattice size"
-        G = ctx.gram(params.N)
-        pairs = combinations_with_replacement(range(size), 2)
-        defect = _orthogonality_defect({(i, j): G[i][j] for i, j in pairs}, degrees)
+        _, exact = ctx.orthogonality(params.N, combinations_with_replacement(range(size), 2))
+        defect = _orthogonality_defect(exact, degrees)
         if defect:
             return FAIL, None, f"Gram matrix not diagonal with positive entries: {defect}"
         return PASS, ZERO, f"count {size}, Gram diagonal positive, full rank"
@@ -633,25 +588,16 @@ def pair_orthogonality_report(ctx: SuiteContext, m: int) -> CheckReport:
     instance lattice, the truncation error of the box on Meixner.
     """
     params = ctx.params
-    sectors = range(1, params.n)
-    pairs = list(combinations(range(len(sectors)), 2))
+    degrees = enumerate_degrees(params.n, m)
+    # the pair polynomial of sector i is P_{m e_i}
+    sectors = [degrees.index(tuple(m if k == i else 0 for k in range(params.n)))
+               for i in range(1, params.n)]
 
     def body():
-        def sector_tables(lattice):
-            return [LatticeFunction.from_callable(
-                lattice, lambda x, i=i: params.pair_factor(i, m, 0, x[i - 1], tail_sum(x, i)))
-                for i in sectors]
-
-        tables = sector_tables(ctx.lattice)
-        box = {(i, j): inner_product(tables[i], tables[j], ctx.weights()) for i, j in pairs}
-        worst = max(map(abs, box.values()), default=ZERO)
-        if not ctx.lattice.truncated:
-            exact, detail = box, "full-weight inner product"
-        else:
-            simplex = sector_tables(family_lattice(params, xmax=2 * m))
-            exact = ctx.full_lattice_products(simplex, pairs)
-            detail = "full-lattice inner product by factorial moments"
-        return (FAIL if _orthogonality_defect(exact, sectors) else PASS), worst, detail
+        worst, exact = ctx.orthogonality(m, combinations(sectors, 2))
+        detail = ("full-lattice inner product by factorial moments" if ctx.lattice.truncated
+                  else "full-weight inner product")
+        return (FAIL if _orthogonality_defect(exact, degrees) else PASS), worst, detail
 
     return _report("pair-orthogonality", f"{params.label} m={m}", body)
 
@@ -747,9 +693,11 @@ class SuiteContext:
     benchmark's recorded digests pin the report instances of degree 1.
 
     The lattice, the weight tables (one per box), the operator stencils,
-    the eigenpolynomial tables (one per degree m), the Gram entries and
-    the Meixner factorial moments are built on first use and kept for
-    the life of the context.
+    the eigenpolynomial tables (one per simplex bound and degree m), the
+    Gram entries and the Meixner factorial moments are built on first use
+    and kept for the life of the context.  Every table, on whatever
+    simplex, is filled from one factor dict, so each pair and radial
+    factor is evaluated once per context.
     """
 
     def __init__(self, params, m_max: int | None = None, xmax: int | None = None,
@@ -771,6 +719,7 @@ class SuiteContext:
         self._weights: dict = {}
         self._stencils: dict = {}
         self._tables: dict = {}
+        self._factors: dict = {}
         self._gram: list = []
         self._moments: dict = {}
 
@@ -785,18 +734,27 @@ class SuiteContext:
             self._weights[key] = weight_table(self.params, xmax=key)
         return self._weights[key]
 
-    def full_lattice_products(self, tables, pairs) -> dict:
-        """{(i, j): inner product of tables[i] and tables[j] over all of N^n}, (i, j) in pairs.
+    def orthogonality(self, m_max: int, pairs) -> tuple:
+        """(largest |off-diagonal| box entry, exact entries) of the Gram
+        matrix of P_m, |m| <= m_max, at the index ``pairs``.
 
-        The tables are polynomials on one simplex |x| <= K whose products
-        have degree at most K; each entry is an exact finite sum against
-        the Meixner factorial moments of order <= K, built once per K.
+        The box entries are those of :meth:`gram` on the instance lattice.
+        The exact entries are the same on the bounded families; on the
+        Meixner box they are the inner products over all of N^n, exact
+        finite sums against the factorial moments of order <= K = 2 m_max
+        of tables on the simplex |x| <= K (the moments are built once per K).
         """
-        K = tables[0].lattice.bound
+        G = self.gram(m_max)
+        box = {(i, j): G[i][j] for i, j in pairs}
+        worst = max((abs(v) for (i, j), v in box.items() if i != j and v), default=ZERO)
+        if not self.lattice.truncated:
+            return worst, box
+        K = 2 * m_max
         if K not in self._moments:
             self._moments[K] = meixner_moments(self.params, K)
-        return {(i, j): lattice_inner_product(tables[i], tables[j], self._moments[K])
-                for i, j in pairs}
+        tables = self.tables(enumerate_degrees(self.params.n, m_max), K)
+        return worst, {(i, j): lattice_inner_product(tables[i], tables[j], self._moments[K])
+                       for i, j in box}
 
     def stencil(self, kind: str, index: int | None = None) -> OperatorMatrix:
         key = (kind, index)
@@ -811,13 +769,19 @@ class SuiteContext:
         return [self.stencil("total"), self.stencil("single")] + [
             self.stencil("exchange", i) for i in range(1, self.params.n)]
 
-    def tables(self, degrees) -> list[LatticeFunction]:
-        """Tables of P_m for m in ``degrees``; the missing ones are built in one call."""
-        degrees = [self.params.degree_index(m) for m in degrees]
-        missing = [m for m in dict.fromkeys(degrees) if m not in self._tables]
+    def tables(self, degrees, bound: int | None = None) -> list[LatticeFunction]:
+        """Tables of P_m for m in ``degrees`` on the instance lattice, or on the
+        simplex |x| <= bound with the same truncation flag.  The missing ones
+        are built in one call, from the context's factor dict."""
+        lattice = self.lattice
+        if bound not in (None, lattice.bound):
+            lattice = Lattice(self.params.n, bound, lattice.truncated)
+        keys = [(lattice.bound, self.params.degree_index(m)) for m in degrees]
+        missing = [key for key in dict.fromkeys(keys) if key not in self._tables]
         if missing:
-            self._tables.update(zip(missing, eigenpoly_tables(missing, self.params, self.lattice)))
-        return [self._tables[m] for m in degrees]
+            built = eigenpoly_tables([m for _, m in missing], self.params, lattice, self._factors)
+            self._tables.update(zip(missing, built))
+        return [self._tables[key] for key in keys]
 
     def gram(self, m_max: int) -> list[list]:
         """Gram matrix of P_m, |m| <= m_max.  The degrees of a smaller m_max

@@ -20,11 +20,7 @@ from mvortho import (
     weight_table,
 )
 from mvortho.core import family_lattice
-from mvortho.measures import (
-    meixner_shell_mass,
-    rising_over_factorial_coeffs,
-    tail_power_sum,
-)
+from mvortho.measures import meixner_normalization, meixner_shell_mass
 
 small_pos = st.integers(1, 12).flatmap(
     lambda p: st.integers(1, 12).map(lambda q: R(p, q))
@@ -97,8 +93,8 @@ def test_meixner_weight_hand_values():
     p = MeixnerParams((R(1, 4), R(1, 4)), R(2))
     assert meixner_weight((0, 0), p) == R(1, 4)  # (1-1/2)^2
     assert meixner_weight((1, 0), p) == R(1, 8)  # (2)_1 * 1/4 * (1/2)^2
-    # unnormalized value on request
-    assert meixner_weight((1, 0), p, normalized=False) == R(1, 2)
+    # the unnormalized value
+    assert meixner_weight((1, 0), p) / meixner_normalization(p) == R(1, 2)
 
 
 def test_meixner_non_integer_beta_unnormalized():
@@ -106,8 +102,7 @@ def test_meixner_non_integer_beta_unnormalized():
     w = weight_table(p, xmax=6)
     assert not w.normalized
     assert meixner_weight((0, 0), p) == 1
-    with pytest.raises(ValueError):
-        meixner_weight((0, 0), p, normalized=True)
+    assert meixner_normalization(p) is None
 
 
 def test_meixner_partial_sums_increase_toward_one():
@@ -117,6 +112,73 @@ def test_meixner_partial_sums_increase_toward_one():
     assert all(t < 1 for t in totals)
     w = weight_table(p, xmax=16)
     assert 1 - w.total <= w.tail_bound
+
+
+# The closed form the negative binomial identity replaced in the integral-beta
+# tail: (beta)_s / s! as a polynomial in s, times power sums against |a|^s.
+# Kept as the oracle of meixner_tail_mass_bound and of the product tail
+# bound in test_verify.py.
+
+
+def stirling2_table(t: int) -> list[list[int]]:
+    """Stirling numbers of the second kind S(i, j) for i, j <= t."""
+    S = [[0] * (t + 1) for _ in range(t + 1)]
+    S[0][0] = 1
+    for i in range(1, t + 1):
+        for j in range(1, i + 1):
+            S[i][j] = j * S[i - 1][j] + S[i - 1][j - 1]
+    return S
+
+
+def tail_power_sum(q, X: int, t: int):
+    """Exact Sum_{s > X} s^t q^s for rational 0 < q < 1.
+
+    Expands s^t in falling factorials; each Sum_{s>=0} s(s-1)..(s-k+1) q^s
+    is k! q^k / (1-q)^{k+1}, and the finite head is subtracted exactly.
+    """
+    q = R(q)
+    assert 0 < q < 1
+    S2 = stirling2_table(t)
+    total = R(0)
+    for k in range(t + 1):
+        if S2[t][k] == 0:
+            continue
+        full = R(math.factorial(k)) * q**k / (1 - q) ** (k + 1)
+        head = R(0)
+        for s in range(X + 1):
+            head += math.prod(range(s - k + 1, s + 1)) * q**s
+        total += S2[t][k] * (full - head)
+    return total
+
+
+def rising_over_factorial_coeffs(beta: int) -> list:
+    """Coefficients c_d with (beta)_s / s! = Sum_d c_d s^d, for an integer beta >= 1:
+    prod_{r=1}^{beta-1} (s + r) / (beta-1)!, a polynomial of degree beta-1."""
+    coeffs = [R(1)]
+    for r in range(1, beta):
+        nxt = [R(0)] * (len(coeffs) + 1)
+        for d, c in enumerate(coeffs):
+            nxt[d] += c * r
+            nxt[d + 1] += c
+        coeffs = nxt
+    return [c / math.factorial(beta - 1) for c in coeffs]
+
+
+def power_sum_tail(params, X: int):
+    """Sum_{s>X} (beta)_s |a|^s / s! by the power-sum closed form (integral beta)."""
+    coeffs = rising_over_factorial_coeffs(int(params.beta))
+    return sum(c * tail_power_sum(params.a_total, X, d) for d, c in enumerate(coeffs))
+
+
+def test_integral_beta_tail_equals_the_power_sum_closed_form():
+    for n in (2, 3, 4):
+        for beta in range(1, 7):
+            for a in ((R(1, 5),) * n, tuple(R(k, 4 * n + 1) for k in range(1, n + 1))):
+                params = MeixnerParams(a, beta)
+                norm = meixner_normalization(params)
+                for X in range(12):
+                    bound = meixner_tail_mass_bound(params, X)
+                    assert bound / norm == power_sum_tail(params, X), (params.label, X)
 
 
 def test_tail_power_sum_against_brute_force():
@@ -131,7 +193,7 @@ def test_tail_power_sum_against_brute_force():
 def test_meixner_tail_mass_bound_is_exact_for_integer_beta():
     p = MeixnerParams((R(1, 4), R(1, 4)), R(2))
     X = 10
-    bound = meixner_tail_mass_bound(p, X, normalized=False)
+    bound = meixner_tail_mass_bound(p, X) / meixner_normalization(p)
     brute = sum(meixner_shell_mass(p, s) for s in range(X + 1, 500))
     assert brute <= bound
     # for integral beta the bound is the exact tail (up to the cut at 500)
@@ -141,7 +203,7 @@ def test_meixner_tail_mass_bound_is_exact_for_integer_beta():
 def test_meixner_tail_mass_bound_geometric_for_rational_beta():
     p = MeixnerParams((R(1, 4), R(1, 4)), R(3, 2))
     X = 10
-    bound = meixner_tail_mass_bound(p, X, normalized=False)
+    bound = meixner_tail_mass_bound(p, X)  # unnormalized for non-integral beta
     brute = sum(meixner_shell_mass(p, s) for s in range(X + 1, 500))
     assert brute <= bound
 
@@ -150,7 +212,7 @@ def test_meixner_tail_mass_bound_on_boxes_below_the_geometric_regime():
     # the term ratio |a| (beta+s)/(s+1) is 7/6 at s = 1 and 1 at s = 2
     p = MeixnerParams((R(1, 3), R(1, 3)), R(5, 2))
     for X in (0, 1, 2, 3):
-        bound = meixner_tail_mass_bound(p, X, normalized=False)
+        bound = meixner_tail_mass_bound(p, X)
         brute = sum(meixner_shell_mass(p, s) for s in range(X + 1, 150))
         assert brute <= bound
 
@@ -295,6 +357,5 @@ def test_meixner_tail_mass_bound_dominates_deep_shell_sums(A, split, p, q, extra
         shell *= (beta + s - 1) * A / s
         if s > X:
             partial += shell
-    assert meixner_tail_mass_bound(params, X, normalized=False) >= partial
     norm = (1 - A) ** beta if params.integral_beta else 1
     assert meixner_tail_mass_bound(params, X) >= norm * partial

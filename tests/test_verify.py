@@ -12,7 +12,8 @@ from mvortho import verify as V
 from mvortho.core import enumerate_degrees, enumerate_lattice, family_lattice, rising_factorial
 from mvortho.linalg import forward_differences
 from mvortho.measures import (lattice_inner_product, meixner_moments, meixner_normalization,
-                              meixner_weight, rising_over_factorial_coeffs, tail_power_sum)
+                              meixner_weight)
+from test_measures import rising_over_factorial_coeffs, tail_power_sum
 
 HAHN = HahnParams((R(1), R(2), R(3)), R(2), 4)
 HAHN2 = HahnParams((R(1), R(2)), R(3), 4)
@@ -110,6 +111,9 @@ def test_generalized_recursions(params, xmax):
         for m in ((0,) * params.n, (0, 1) + (2,) * (params.n - 2)):
             r = V.generalized_recursion_check(ctx, i, m)
             assert r.status == "pass", r.instance
+    for i in (0, params.n):
+        with pytest.raises(ValueError, match="sector index"):
+            V.generalized_recursion_check(ctx, i, (0,) * params.n)
 
 
 def test_rodrigues_report():
@@ -405,31 +409,58 @@ def test_context_gram_keeps_the_block_of_a_smaller_degree():
 
 
 def test_suite_builds_each_stencil_and_table_once(monkeypatch):
+    from collections import Counter
+
     from mvortho.core import enumerate_degrees
 
     params = HahnParams((R(1), R(2), R(3)), R(2), 5)
-    built, degrees = [], []
+    built, tables = [], []
     build, tabulate = V.operator_matrix, V.eigenpoly_tables
 
     def counted_build(op, lattice=None):
         built.append(op.label)
         return build(op, lattice)
 
-    def counted_tables(degs, params, lattice):
-        degrees.extend(tuple(m) for m in degs)
-        return tabulate(degs, params, lattice)
+    def counted_tables(degs, params, lattice, factors=None):
+        tables.extend((lattice.bound, tuple(m)) for m in degs)
+        return tabulate(degs, params, lattice, factors)
 
     monkeypatch.setattr(V, "operator_matrix", counted_build)
     monkeypatch.setattr(V, "eigenpoly_tables", counted_tables)
     reports = V.run_suite(params)
     assert reports and not any(r.status == "fail" for r in reports)
     assert sorted(built) == ["exchange1", "exchange2", "single", "total"]
-    assert sorted(degrees) == sorted(enumerate_degrees(3, 5))
+    # each (lattice, m) once: every |m| <= N on the instance lattice, and the
+    # chained products of generalized-recursions one shell further out
+    assert max(Counter(tables).values()) == 1
+    assert sorted(m for bound, m in tables if bound == 5) == sorted(enumerate_degrees(3, 5))
+    assert {bound for bound, _ in tables} == {5, 6}
+
+
+def test_suite_evaluates_each_factor_once(monkeypatch):
+    """One factor dict per context: no pair or radial factor key is evaluated
+    twice in a whole suite, across the tables of every check and simplex."""
+    params = HahnParams((R(1), R(2), R(3)), R(2), 5)
+    keys = []
+
+    def counted(method):
+        def wrapper(self, *key):
+            keys.append((method.__name__, key))
+            return method(self, *key)
+        return wrapper
+
+    for name in ("pair_factor", "radial"):
+        monkeypatch.setattr(HahnParams, name, counted(getattr(HahnParams, name)))
+    reports = V.run_suite(params)
+    assert not any(r.status == "fail" for r in reports)
+    assert {name for name, _ in keys} == {"pair_factor", "radial"}
+    assert len(keys) == len(set(keys))
 
 
 def test_perturbed_pair_row_fails_eigen_and_pair_shifts(monkeypatch):
     """The checks read the cached row kernel: c_m + 1 in every Hahn pair row
-    must fail them.  The wrapper sits in front of the cache, so no perturbed
+    must fail them, the ones that read pair factors through the context's
+    tables (glue, generalized-recursions, pair-orthogonality) included.  The wrapper sits in front of the cache, so no perturbed
     row is ever cached."""
     from mvortho import polynomials as P
 
@@ -441,7 +472,8 @@ def test_perturbed_pair_row_fails_eigen_and_pair_shifts(monkeypatch):
 
     monkeypatch.setattr(P, "_hahn_pair_row", perturbed)
     failed = {r.name for r in V.run_suite(HAHN) if r.status == "fail"}
-    assert {"eigen-suite", "pair-shifts"} <= failed
+    assert {"eigen-suite", "pair-shifts", "glue", "generalized-recursions",
+            "pair-orthogonality"} <= failed
 
 
 def test_degree_invariance_report_gives_image_degree():
