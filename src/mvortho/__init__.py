@@ -25,7 +25,6 @@ from .measures import (
     WeightTable,
     gram_matrix,
     hahn_weight,
-    inner_product,
     krawtchouk_weight,
     meixner_tail_mass_bound,
     meixner_weight,
@@ -50,7 +49,6 @@ from .polynomials import (
     meixner,
     pair_backward_table,
     pair_product,
-    rodrigues_pair,
 )
 from .verify import CheckReport, run_suite
 
@@ -83,7 +81,6 @@ __all__ = [
     "hahn",
     "hahn_pair",
     "hahn_weight",
-    "inner_product",
     "km_pair",
     "krawtchouk",
     "krawtchouk_weight",
@@ -95,7 +92,6 @@ __all__ = [
     "pair_backward_table",
     "pair_product",
     "rising_factorial",
-    "rodrigues_pair",
     "run_suite",
     "tail_param",
     "tail_sum",

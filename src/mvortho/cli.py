@@ -67,6 +67,12 @@ def build_params(args):
         raise ValueError(f"--a has {len(a)} entries but --n is {args.n}")
     family = FAMILIES[args.family]
     names = [f.name for f in fields(family)][1:]
+    # a bounded family takes --N; only the unbounded one takes the box --xmax
+    takes = set(names) if "N" in names else {*names, "xmax"}
+    foreign = [k for k in ("b", "N", "beta", "xmax") if getattr(args, k) is not None
+               and k not in takes]
+    if foreign:
+        raise ValueError(f"{args.family} takes no --{foreign[0]}")
     values = [getattr(args, name) for name in names]
     if None in values:
         raise ValueError(f"{args.family} needs " + " and ".join(f"--{k}" for k in names))

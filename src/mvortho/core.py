@@ -111,9 +111,6 @@ class Lattice:
     def size(self) -> int:
         return len(self.points)
 
-    def __iter__(self):
-        return iter(self.points)
-
 
 @dataclass(frozen=True)
 class LatticeFunction:

@@ -172,42 +172,24 @@ def weight_table(params, xmax: int | None = None) -> WeightTable:
     return WeightTable(params, lattice, values, params.integral_beta, bound)
 
 
-def _same_lattice(f: LatticeFunction, w: WeightTable, what: str) -> None:
-    if f.lattice is not w.lattice and f.lattice != w.lattice:
-        raise ValueError(f"{what} and weight live on different lattices")
-
-
 def _integer_scaled(values) -> tuple[list, int]:
     """Integer numerators of ``values`` over their lcm denominator, and that denominator."""
     if any(v is None for v in values):
-        raise ValueError("inner_product over a table with undefined entries")
+        raise ValueError("inner product over a table with undefined entries")
     return integer_scaled(values)
 
 
-def inner_product(f: LatticeFunction, g: LatticeFunction, w: WeightTable):
-    """Exact weighted inner product Sum_x f(x) g(x) W(x).
-
-    Each of f, g and W is scaled to integers over its lcm denominator;
-    the sum runs in ints and one rational is formed at the end.
-    """
-    _same_lattice(f, w, "inner_product: f")
-    _same_lattice(g, w, "inner_product: g")
-    fn, df = _integer_scaled(f.values)
-    gn, dg = _integer_scaled(g.values)
-    wn, dw = _integer_scaled(w.values)
-    return R(sum(a * b * c for a, b, c in zip(fn, gn, wn)), df * dg * dw)
-
-
 def gram_matrix(tables, w: WeightTable, known=()) -> list[list]:
-    """Symmetric matrix of inner_product(tables[i], tables[j], w).
+    """Symmetric matrix of the exact weighted inner products
+    Sum_x tables[i](x) tables[j](x) W(x).
 
     ``known`` is the Gram matrix of a leading run of ``tables``; its
     entries are kept, and only the new rows and columns are computed.
     Each table and the weight are scaled to integers once, not once per
     entry; the weight is folded into the row table before the products.
     """
-    for table in tables:
-        _same_lattice(table, w, "gram_matrix: table")
+    if any(table.lattice != w.lattice for table in tables):
+        raise ValueError("gram_matrix: a table and the weight live on different lattices")
     wn, dw = _integer_scaled(w.values)
     scaled = [_integer_scaled(table.values) for table in tables]
     size, done = len(tables), len(known)

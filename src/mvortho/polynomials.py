@@ -298,9 +298,3 @@ def pair_backward_table(m: int, alpha, gamma, box: int) -> LatticeFunction:
         values = new
     return LatticeFunction(lattice, tuple(values[pt] for pt in lattice.points))
 
-
-def rodrigues_pair(i: int, m: int, params) -> LatticeFunction:
-    """Backward-shift construction in sector i on the (u, v) box of size N."""
-    if not 1 <= i <= params.n - 1:
-        raise ValueError(f"sector index i = {i} outside [1, {params.n - 1}]")
-    return pair_backward_table(m, params.a[i - 1], params.a_tail(i), params.N)

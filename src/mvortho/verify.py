@@ -9,16 +9,18 @@ weight; the only tail bound left is the missing weight mass that
 
 Every check of an instance takes one :class:`SuiteContext`.  The
 context builds the lattice, the weight tables, the operator stencils,
-the eigenpolynomial tables and the Gram entries on first use and hands
-the same objects to every later check, so a suite builds each of them
-once.  The eigenpolynomials and pair products the checks read on the
-lattice are all P_m tables of the context (a pair product is P_m with
-the other degrees 0), on the instance lattice or on another simplex,
-and all tables share one factor dict.  Checks only read what the context built; the context fills
-its caches as checks ask, so one context serves one thread.  Nothing is
-cached beyond a context: a fresh context sees patched rates, weights or
-factors.  An identity check passes iff its largest |lhs - rhs| is
-exactly 0 (:func:`_exact`).
+the eigenpolynomial tables, the type-one tables and the Gram entries on
+first use and hands the same objects to every later check, so a suite
+builds each of them once.  The eigenpolynomials and pair products the
+checks read on the lattice are all P_m tables of the context (a pair
+product is P_m with the other degrees 0), on the instance lattice or on
+another simplex, and all tables share one factor dict.  A type-one
+polynomial depends on x only through the subset sum x_J, so its table
+is filled from one value per x_J.  Checks only read what the context
+built; the context fills its caches as checks ask, so one context
+serves one thread.  Nothing is cached beyond a context: a fresh context
+sees patched rates, weights or factors.  An identity check passes iff
+its largest |lhs - rhs| is exactly 0 (:func:`_exact`).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .core import (Lattice, LatticeFunction, enumerate_degrees, family_lattice,
                    rising_factorial, tail_sum)
 from .measures import (
     gram_matrix,
-    inner_product,
     lattice_inner_product,
     meixner_moments,
     weight_table,
@@ -112,9 +113,9 @@ def _exact(defects, detail: str = "") -> tuple:
     return (PASS if worst == 0 else FAIL), worst, detail
 
 
-def random_rational(rng: random.Random, max_part: int = 20):
-    """Positive rational with numerator and denominator <= max_part."""
-    return R(rng.randint(1, max_part), rng.randint(1, max_part))
+def random_rational(rng: random.Random):
+    """Positive rational with numerator and denominator <= 20."""
+    return R(rng.randint(1, 20), rng.randint(1, 20))
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +292,6 @@ def eigen_degeneracy_check(ctx: SuiteContext, m_max: int) -> CheckReport:
 # type-one checks
 
 
-def type_one_value(params, J, m: int, x) -> object:
-    """Single-variable polynomial in the subset-sum variable x_J."""
-    xJ = sum(x[j - 1] for j in J)
-    return params.type_one(m, xJ, sum((params.a[j - 1] for j in J), ZERO))
-
-
 def type_one_check(ctx: SuiteContext, J, m: int) -> CheckReport:
     """H_total on the subset polynomial: residual must vanish exactly."""
     params = ctx.params
@@ -305,11 +300,8 @@ def type_one_check(ctx: SuiteContext, J, m: int) -> CheckReport:
         raise ValueError(f"J must be a nonempty subset of 1..{params.n}")
 
     def body():
-        table = LatticeFunction.from_callable(
-            ctx.lattice, lambda x: type_one_value(params, J, m, x)
-        )
         eig = eigenvalue(params, "total", None, (m,) + (0,) * (params.n - 1))
-        return _exact([residual_defect(ctx.stencil("total"), table, eig)[0]])
+        return _exact([residual_defect(ctx.stencil("total"), ctx.type_one(J, m), eig)[0]])
 
     return _report("type-one", f"{params.label} J={set(J)} m={m}", body)
 
@@ -332,18 +324,12 @@ def same_degree_overlap_check(ctx: SuiteContext, m: int) -> CheckReport:
     params = ctx.params
 
     def body():
-        w = ctx.weights()
         sites = range(1, params.n + 1)
         subsets = [J for size in sites for J in combinations(sites, size)]
-        tables = {
-            J: LatticeFunction.from_callable(
-                ctx.lattice, lambda x, J=J: type_one_value(params, J, m, x)
-            )
-            for J in subsets
-        }
-        for J1, J2 in combinations(subsets, 2):
-            if inner_product(tables[J1], tables[J2], w) != 0:
-                return PASS, None, f"({set(J1)}, {set(J2)}) overlap at degree {m}"
+        G = gram_matrix([ctx.type_one(J, m) for J in subsets], ctx.weights())
+        for i, j in combinations(range(len(subsets)), 2):
+            if G[i][j] != 0:
+                return PASS, None, f"({set(subsets[i])}, {set(subsets[j])}) overlap at degree {m}"
         return FAIL, None, "all same-degree pairs orthogonal (unexpected)"
 
     return _report("type-one-overlap", f"{params.label} m={m}", body)
@@ -655,18 +641,17 @@ def limit_check(t_values, m, x, params) -> CheckReport:
     return _report("limit", inst, body)
 
 
-def limit_suite(params, rng: random.Random, count: int = 3,
-                t_values=(100, 10_000, 1_000_000), xmax: int = 8) -> list[CheckReport]:
-    """Random (m, x) draws for the limit transition of a Krawtchouk or
-    Meixner bundle: m in {0,1,2}^n redrawn until |m| <= N, x on the lattice
-    (the box |x| <= xmax for Meixner)."""
+def limit_suite(params, rng: random.Random) -> list[CheckReport]:
+    """Three random (m, x) draws for the limit transition of a Krawtchouk
+    or Meixner bundle at t = 10^2, 10^4, 10^6: m in {0,1,2}^n redrawn until
+    |m| <= N, x on the lattice (the box |x| <= 8 for Meixner)."""
     n = params.n
-    bound = xmax if params.N is None else params.N
+    bound = 8 if params.N is None else params.N
     reports = []
-    for _ in range(count):
+    for _ in range(3):
         m = _random_point(rng, n, 2, params.N)
         x = _random_point(rng, n, bound, bound)
-        reports.append(limit_check(t_values, m, x, params))
+        reports.append(limit_check((100, 10_000, 1_000_000), m, x, params))
     return reports
 
 
@@ -694,10 +679,11 @@ class SuiteContext:
 
     The lattice, the weight tables (one per box), the operator stencils,
     the eigenpolynomial tables (one per simplex bound and degree m), the
-    Gram entries and the Meixner factorial moments are built on first use
-    and kept for the life of the context.  Every table, on whatever
-    simplex, is filled from one factor dict, so each pair and radial
-    factor is evaluated once per context.
+    type-one tables (one per subset J and degree m), the Gram entries and
+    the Meixner factorial moments are built on first use and kept for the
+    life of the context.  Every table, on whatever simplex, is filled
+    from one factor dict, so each pair and radial factor is evaluated
+    once per context.
     """
 
     def __init__(self, params, m_max: int | None = None, xmax: int | None = None,
@@ -719,6 +705,7 @@ class SuiteContext:
         self._weights: dict = {}
         self._stencils: dict = {}
         self._tables: dict = {}
+        self._type_one: dict = {}
         self._factors: dict = {}
         self._gram: list = []
         self._moments: dict = {}
@@ -782,6 +769,19 @@ class SuiteContext:
             built = eigenpoly_tables([m for _, m in missing], self.params, lattice, self._factors)
             self._tables.update(zip(missing, built))
         return [self._tables[key] for key in keys]
+
+    def type_one(self, J: tuple, m: int) -> LatticeFunction:
+        """Table of the degree-m type-one polynomial in x_J on the instance
+        lattice, for a sorted subset J of 1..n.  It depends on x only through
+        x_J, so it is evaluated once per value x_J = 0..bound."""
+        key = (J, m)
+        if key not in self._type_one:
+            params, lattice = self.params, self.lattice
+            a_J = sum((params.a[j - 1] for j in J), ZERO)
+            by_sum = [params.type_one(m, s, a_J) for s in range(lattice.bound + 1)]
+            self._type_one[key] = LatticeFunction(
+                lattice, tuple(by_sum[sum(x[j - 1] for j in J)] for x in lattice.points))
+        return self._type_one[key]
 
     def gram(self, m_max: int) -> list[list]:
         """Gram matrix of P_m, |m| <= m_max.  The degrees of a smaller m_max

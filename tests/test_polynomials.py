@@ -23,7 +23,6 @@ from mvortho import (
     pair_backward_table,
     pair_product,
     rising_factorial,
-    rodrigues_pair,
 )
 from mvortho.core import Lattice, enumerate_degrees, enumerate_lattice
 
@@ -240,9 +239,10 @@ class TestRodrigues:
             for (u, v), got in zip(table.lattice.points, table.values):
                 assert got == hahn_pair(m, u, v, alpha, gamma)
 
-    def test_param_bundle_wrapper(self):
+    def test_sector_of_a_param_bundle(self):
+        # sector 2 of a bundle: (alpha, gamma) = (a_2, a_{>2}) on the box of size N
         p = HahnParams((R(1), R(2), R(3)), R(2), 4)
-        t = rodrigues_pair(2, 3, p)
+        t = pair_backward_table(3, p.a[1], p.a_tail(2), p.N)
         for (u, v), got in zip(t.lattice.points, t.values):
             assert got == hahn_pair(3, u, v, R(2), R(3))
 

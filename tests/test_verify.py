@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvortho import (R, HahnParams, KrawtchoukParams, MeixnerParams, eigenpoly, eigenpoly_tables,
-                     weight_table)
+from mvortho import (R, HahnParams, KrawtchoukParams, LatticeFunction, MeixnerParams, eigenpoly,
+                     eigenpoly_tables, weight_table)
 from mvortho import verify as V
 from mvortho.core import enumerate_degrees, enumerate_lattice, family_lattice, rising_factorial
 from mvortho.linalg import forward_differences
@@ -93,6 +93,35 @@ def test_same_degree_type_one_not_orthogonal():
     r = V.same_degree_overlap_check(V.SuiteContext(HAHN), 2)
     assert r.status == "pass"
     assert "overlap" in r.detail
+
+
+def test_perturbed_type_one_fails_type_one(monkeypatch):
+    """P + 1 is no eigenfunction of H_total for m >= 1 (H 1 = 0, eigenvalue != 0)."""
+    type_one = HahnParams.type_one
+
+    def perturbed(self, m, xJ, aJ):
+        return type_one(self, m, xJ, aJ) + (1 if m else 0)
+
+    monkeypatch.setattr(HahnParams, "type_one", perturbed)
+    params = HahnParams((R(1), R(2), R(3)), R(2), 5)
+    reports = [r for r in V.run_checks(params, ["type-one"]) if r.name == "type-one"]
+    failed = [r for r in reports if r.status == "fail"]
+    assert len(reports) == 28 and len(failed) == 21
+    assert all(not r.instance.endswith("m=0") for r in failed)
+
+
+def test_orthogonal_subset_tables_fail_type_one_overlap(monkeypatch):
+    """Delta tables at a distinct point per subset are pairwise orthogonal."""
+    points = {}
+
+    def delta(self, J, m):
+        at = self.lattice.points[points.setdefault(J, len(points))]
+        return LatticeFunction.delta(self.lattice, at)
+
+    monkeypatch.setattr(V.SuiteContext, "type_one", delta)
+    report = V.same_degree_overlap_check(V.SuiteContext(HAHN), 2)
+    assert report.status == "fail" and "orthogonal" in report.detail
+    assert len(points) == 7
 
 
 def test_shift_and_recursion_reports():
@@ -457,6 +486,22 @@ def test_suite_evaluates_each_factor_once(monkeypatch):
     assert len(keys) == len(set(keys))
 
 
+def test_suite_evaluates_each_type_one_value_once(monkeypatch):
+    """A type-one table depends on x only through x_J: the suite evaluates
+    each (J, m, x_J) once, 7 subsets x degrees 0..3 x values 0..N."""
+    params = HahnParams((R(1), R(2), R(3)), R(2), 5)
+    type_one, calls = HahnParams.type_one, []
+
+    def counted(self, m, xJ, aJ):
+        calls.append((m, xJ, aJ))
+        return type_one(self, m, xJ, aJ)
+
+    monkeypatch.setattr(HahnParams, "type_one", counted)
+    reports = V.run_suite(params)
+    assert not any(r.status == "fail" for r in reports)
+    assert len(calls) == 7 * 4 * (params.N + 1) == 168
+
+
 def test_perturbed_pair_row_fails_eigen_and_pair_shifts(monkeypatch):
     """The checks read the cached row kernel: c_m + 1 in every Hahn pair row
     must fail them, the ones that read pair factors through the context's
@@ -646,6 +691,19 @@ def test_cli_rejects_a_meixner_box_below_one(capsys):
      "--m-max"),
     (["export", "--family", "krawtchouk", "--a", "1,2", "--N", "3", "--what", "gram",
       "--m-max", "-1"], "--m-max"),
+    # a flag the family does not take
+    (["verify", "--family", "meixner", "--a", "1/2,1/3", "--beta", "2", "--N", "5"],
+     "meixner takes no --N"),
+    (["verify", "--family", "meixner", "--a", "1/2,1/3", "--beta", "2", "--b", "2"],
+     "meixner takes no --b"),
+    (["verify", "--family", "hahn", "--a", "1,2", "--b", "2", "--N", "3", "--beta", "9",
+      "--xmax", "3"], "hahn takes no --beta"),
+    (["verify", "--family", "hahn", "--a", "1,2", "--b", "2", "--N", "3", "--xmax", "3"],
+     "hahn takes no --xmax"),
+    (["eval", "--family", "krawtchouk", "--a", "1,2", "--N", "3", "--m", "1,0", "--b", "7"],
+     "krawtchouk takes no --b"),
+    (["export", "--family", "krawtchouk", "--a", "1,2", "--N", "3", "--what", "weights",
+      "--xmax", "0"], "krawtchouk takes no --xmax"),
 ])
 def test_cli_rejects_points_off_the_lattice_and_negative_degrees(argv, message, capsys):
     from mvortho.cli import main
