@@ -4,7 +4,9 @@ Every scalar in this package is an exact rational, a stdlib
 ``fractions.Fraction``.  ``BACKEND`` names it; ``perfbench/run.py``
 records it in its environment line.  The hot kernels scale rationals to
 Python ints over one common denominator (:func:`integer_scaled`) and
-form one rational per result.
+form one rational per result.  Value tables carry that integer form
+(:meth:`mvortho.core.LatticeFunction.integer_form`); the eigenpolynomial
+tables are built in it, so the kernels that read them rescale nothing.
 """
 
 from __future__ import annotations

@@ -37,13 +37,16 @@ def _parse_rational_list(text: str):
     return tuple(parse_rational(part) for part in text.split(","))
 
 
-def _parse_int_list(text: str):
-    return tuple(int(part) for part in text.split(","))
+def _parse_int_list(text: str, flag: str):
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
 def _lattice_point(params, text: str):
     """--x as a point of the family's lattice: x >= 0, and |x| <= N if bounded."""
-    x = _parse_int_list(text)
+    x = _parse_int_list(text, "--x")
     params.check_point(x)
     if any(c < 0 for c in x):
         raise ValueError(f"coordinates must be non-negative, got {text}")
@@ -99,7 +102,7 @@ def _emit(args, text: str) -> None:
 
 def cmd_eval(args) -> int:
     params = build_params(args)
-    m = _parse_int_list(args.m)
+    m = _parse_int_list(args.m, "--m")
     if args.x is not None:
         value = eigenpoly(m, _lattice_point(params, args.x), params)
         _emit(args, rational_str(value) + "\n")

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from ._backend import R, ZERO
+from ._backend import R, ZERO, integer_scaled
 from .serialize import rational_str
 
 
@@ -119,11 +119,31 @@ class LatticeFunction:
     Values are stored in the lattice's canonical order.  An entry may be
     None only to flag a point whose value could not be computed without
     leaving a truncated box (see operators); exact summation helpers
-    refuse such entries rather than treating them as zero.
+    refuse such entries rather than treating them as zero.  The integer
+    kernels read the table through :meth:`integer_form`, which is built
+    once per table.
     """
 
     lattice: Lattice
     values: tuple
+    _integers: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def from_integers(cls, lattice: Lattice, nums, den: int) -> "LatticeFunction":
+        """The table nums[i] / den, which keeps (nums, den) as its integer
+        form; den must be the lcm of the reduced denominators of the values."""
+        f = cls(lattice, tuple(R(v, den) for v in nums))
+        object.__setattr__(f, "_integers", (tuple(nums), den))
+        return f
+
+    def integer_form(self) -> tuple:
+        """(numerators, denominator): the values as Python ints over their lcm
+        denominator, as :func:`mvortho._backend.integer_scaled` gives them
+        (None entries stay None)."""
+        if self._integers is None:
+            nums, den = integer_scaled(self.values)
+            object.__setattr__(self, "_integers", (tuple(nums), den))
+        return self._integers
 
     @classmethod
     def from_callable(cls, lattice: Lattice, fn) -> "LatticeFunction":
@@ -141,14 +161,6 @@ class LatticeFunction:
 
     def __call__(self, x):
         return self.values[self.lattice.index[tuple(x)]]
-
-    def max_abs(self):
-        """Largest |value| over defined points; 0 on an all-None table."""
-        out = ZERO
-        for v in self.values:
-            if v is not None and abs(v) > out:
-                out = abs(v)
-        return out
 
 
 def positive_rational(value, what: str):

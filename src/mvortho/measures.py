@@ -172,11 +172,11 @@ def weight_table(params, xmax: int | None = None) -> WeightTable:
     return WeightTable(params, lattice, values, params.integral_beta, bound)
 
 
-def _integer_scaled(values) -> tuple[list, int]:
-    """Integer numerators of ``values`` over their lcm denominator, and that denominator."""
-    if any(v is None for v in values):
+def _defined(scaled: tuple) -> tuple:
+    """``scaled``, an integer form (numerators, denominator), with every entry defined."""
+    if None in scaled[0]:
         raise ValueError("inner product over a table with undefined entries")
-    return integer_scaled(values)
+    return scaled
 
 
 def gram_matrix(tables, w: WeightTable, known=()) -> list[list]:
@@ -185,13 +185,14 @@ def gram_matrix(tables, w: WeightTable, known=()) -> list[list]:
 
     ``known`` is the Gram matrix of a leading run of ``tables``; its
     entries are kept, and only the new rows and columns are computed.
-    Each table and the weight are scaled to integers once, not once per
-    entry; the weight is folded into the row table before the products.
+    The tables are read in their integer form, and the weight is scaled
+    to integers once, not once per entry; the weight is folded into the
+    row table before the products.
     """
     if any(table.lattice != w.lattice for table in tables):
         raise ValueError("gram_matrix: a table and the weight live on different lattices")
-    wn, dw = _integer_scaled(w.values)
-    scaled = [_integer_scaled(table.values) for table in tables]
+    wn, dw = _defined(integer_scaled(w.values))
+    scaled = [_defined(table.integer_form()) for table in tables]
     size, done = len(tables), len(known)
     G = [list(row) + [ZERO] * (size - done) for row in known]
     G += [[ZERO] * size for _ in range(size - done)]

@@ -18,18 +18,20 @@ rather than silently zeroed, and matrix rows there are marked invalid.
 
 Each operator is built once per lattice as a sparse stencil
 (:class:`OperatorMatrix`): one row of at most 2n + n(n-1) + 1 integer
-numerators per point, over one common denominator.  Application,
-export, commutators, self-adjointness and the degree test all read that
-one representation; products and Newton differences run in Python ints
+numerators per point, over one common denominator.  Eigen residuals
+(:func:`mvortho.verify.residual_defect`), export, commutators,
+self-adjointness and the degree test all read that one representation;
+products, images and Newton differences run in Python ints
 (:mod:`mvortho.linalg`) and one rational is formed per result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from ._backend import R, ZERO, integer_scaled
-from .core import Lattice, LatticeFunction, enumerate_degrees, family_lattice
+from ._backend import R, integer_scaled
+from .core import Lattice, enumerate_degrees, family_lattice
 from .linalg import forward_differences, sparse_product
 from .measures import WeightTable
 
@@ -125,47 +127,30 @@ def operator_matrix(op: OperatorSpec, lattice: Lattice | None = None) -> Operato
     if op.params.N is not None and lattice.bound != op.params.N:
         raise ValueError("lattice bound does not match N")
     index = lattice.index
-    rows = []
-    valid = []
-    for i, x in enumerate(lattice.points):
+    moves, valid = [], []
+    for x in lattice.points:
         row = {}
-        diag = ZERO
         for c, y in _moves(op, x):
             pos = index.get(y)
             if pos is None:
                 row = None
                 break
-            diag += c
-            row[pos] = -c
-        if row is not None and diag != 0:
-            row[i] = diag
-        rows.append(row or {})
+            row[pos] = c
+        moves.append(row or {})
         valid.append(row is not None)
-    nums, den = integer_scaled([v for row in rows for v in row.values()])
+    # The diagonal, the sum of the row's move coefficients, has a denominator
+    # dividing the lcm of theirs, so the lcm of the moves is the stencil's.
+    nums, den = integer_scaled([c for row in moves for c in row.values()])
     nums = iter(nums)
-    rows = tuple({j: next(nums) for j in row} for row in rows)
+    rows = []
+    for i, row in enumerate(moves):
+        row = {j: -next(nums) for j in row}
+        diag = -sum(row.values())
+        if diag:
+            row[i] = diag
+        rows.append(row)
+    rows = tuple(rows)
     return OperatorMatrix(op, lattice, rows, den, tuple(valid))
-
-
-def apply_matrix(H: OperatorMatrix, f: LatticeFunction) -> LatticeFunction:
-    """Matrix-vector product H f, exactly as pointwise application.
-
-    The result entry at x is sum over moves of coeff * (f(x) - f(y)).
-    It is None where the row is invalid (its stencil leaves a truncated
-    box) or reads an undefined entry of f.  The sums run on integer
-    numerators of f over its lcm denominator.
-    """
-    if f.lattice != H.lattice:
-        raise ValueError("table and operator live on different lattices")
-    num, den = integer_scaled(f.values)
-    scale = den * H.den
-    out = []
-    for i, (row, ok) in enumerate(zip(H.rows, H.valid_rows)):
-        if not ok or num[i] is None or any(num[j] is None for j in row):
-            out.append(None)
-        else:
-            out.append(R(sum(c * num[j] for j, c in row.items()), scale))
-    return LatticeFunction(H.lattice, tuple(out))
 
 
 def _product_valid_rows(M1: OperatorMatrix, M2: OperatorMatrix):
@@ -214,17 +199,6 @@ def adjointness_defect(M: OperatorMatrix, w: WeightTable):
     return R(worst, den * M.den)
 
 
-def monomial_table(exponents, lattice: Lattice) -> LatticeFunction:
-    """Value table of x^m over the lattice."""
-    def mono(x):
-        out = R(1)
-        for c, e in zip(x, exponents):
-            out *= R(c) ** e
-        return out
-
-    return LatticeFunction.from_callable(lattice, mono)
-
-
 def image_degree(stencils, M: int) -> int:
     """Largest total degree of the images of the monomials of degree <= M
     under the stencils, which share one lattice.
@@ -234,14 +208,19 @@ def image_degree(stencils, M: int) -> int:
     the bound, or bound - 1 when the stencil leaves a truncated box); the
     degree is the largest |alpha| with a nonzero coefficient, -1 when
     every image vanishes or no row has a defined image.  Each monomial
-    table is built once for all the stencils.
+    table is built once for all the stencils, as Python ints, and each
+    image is the stencil's integer numerators applied to it: the common
+    denominator changes no degree.
     """
     lattice = stencils[0].lattice
+    if any(H.lattice != lattice for H in stencils):
+        raise ValueError("stencils live on different lattices")
     N = stencils[0].op.params.N
     if N is not None and M > N:
         raise ValueError("need M <= N")
     sums = [sum(x) for x in lattice.points]
-    monomials = [monomial_table(e, lattice) for e in enumerate_degrees(lattice.n, M)]
+    monomials = [[math.prod(c**e for c, e in zip(x, exponents)) for x in lattice.points]
+                 for exponents in enumerate_degrees(lattice.n, M)]
     degree = -1
     for H in stencils:
         K = max((s for s, ok in zip(sums, H.valid_rows) if ok), default=-1)
@@ -249,10 +228,10 @@ def image_degree(stencils, M: int) -> int:
             raise ValueError("rows with a defined image do not form a simplex")
         if K < 0:
             continue
+        # the valid rows are the graded-lex prefix |x| <= K
+        rows = [row for row, ok in zip(H.rows, H.valid_rows) if ok]
         for mono in monomials:
-            image = apply_matrix(H, mono)
-            # the defined rows are the graded-lex prefix |x| <= K
-            defined = [v for v in image.values if v is not None]
-            coeffs = forward_differences(defined, lattice.n, K)
+            image = [sum(c * mono[j] for j, c in row.items()) for row in rows]
+            coeffs = forward_differences(image, lattice.n, K)
             degree = max([degree] + [s for s, c in zip(sums, coeffs) if c != 0])
     return degree

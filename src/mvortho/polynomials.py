@@ -27,6 +27,7 @@ All evaluation is exact rational arithmetic; no rounding ever occurs.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Sequence
 
@@ -208,6 +209,13 @@ def eigenpoly_tables(degrees, params, lattice: Lattice, factors: dict | None = N
     lattices of the same bundle, evaluates each factor once in all.  The
     factors are the family's, as in :func:`eigenpoly`, which stays the
     pointwise reference; every value equals it exactly.
+
+    Each factor slot, (j, m_j, shift) or (m_0, |m| - m_0), is scaled to
+    integers across the lattice once per call; a table is the product of
+    its slots' integers point by point, over the product of their
+    denominators, reduced by the gcd of all of them.  That is its integer
+    form (:meth:`LatticeFunction.integer_form`): the values over their lcm
+    denominator, which the integer kernels read.
     """
     FamilyParams.require(params)
     if lattice.n != params.n:
@@ -215,25 +223,31 @@ def eigenpoly_tables(degrees, params, lattice: Lattice, factors: dict | None = N
     degrees = [params.degree_index(m) for m in degrees]
     # (x_j, x_{>j}) of every point, for the pair factors j = 1..n-1
     coords = [[(x[j - 1], sum(x[j:])) for x in lattice.points] for j in range(1, params.n)]
-    sizes = [sum(x) for x in lattice.points]
+    sizes = [(sum(x),) for x in lattice.points]
     factors = {} if factors is None else factors
-    pair, radial = params.pair_factor, params.radial
+    slots: dict = {}
 
-    def factor(fn, *key):
-        value = factors.get(key)
-        if value is None:
-            value = factors[key] = fn(*key)
-        return value
+    def slot(fn, key: tuple, args: list) -> tuple:
+        """Numerators of the factor ``key + arg`` at every point, over one denominator."""
+        if key not in slots:
+            values = []
+            for arg in args:
+                value = factors.get(key + arg)
+                if value is None:
+                    value = factors[key + arg] = fn(*key, *arg)
+                values.append(value)
+            slots[key] = integer_scaled(values)
+        return slots[key]
 
     tables = []
     for m in degrees:
-        s1 = sum(m[1:])
-        values = [factor(radial, m[0], s1, size) for size in sizes]
+        nums, den = slot(params.radial, (m[0], sum(m[1:])), sizes)
         for j, points in enumerate(coords, start=1):
-            shift = sum(m[j + 1 :])
-            values = [v * factor(pair, j, m[j], shift, u, t)
-                      for v, (u, t) in zip(values, points)]
-        tables.append(LatticeFunction(lattice, tuple(values)))
+            fnums, fden = slot(params.pair_factor, (j, m[j], sum(m[j + 1 :])), points)
+            nums = list(map(operator.mul, nums, fnums))
+            den *= fden
+        g = math.gcd(den, *nums)
+        tables.append(LatticeFunction.from_integers(lattice, [v // g for v in nums], den // g))
     return tables
 
 

@@ -44,7 +44,6 @@ from .operators import (
     OperatorMatrix,
     OperatorSpec,
     adjointness_defect,
-    apply_matrix,
     commutator_defect,
     image_degree,
     operator_matrix,
@@ -237,10 +236,28 @@ def degree_invariance_report(ctx: SuiteContext, M: int) -> CheckReport:
 
 
 def residual_defect(H: OperatorMatrix, table: LatticeFunction, eig) -> tuple:
-    """Max |(H f)(x) - eig * f(x)| over the points with a defined image, and their count."""
-    image = apply_matrix(H, table)
-    residuals = [gv - eig * fv for fv, gv in zip(table.values, image.values) if gv is not None]
-    return max(map(abs, residuals), default=ZERO), len(residuals)
+    """Max |(H f)(x) - eig * f(x)| over the points with a defined image, and their count.
+
+    The image is defined on the valid rows of the stencil that read no
+    None entry of f.  With f = num/den and eig = p/q, row i compares
+    q * sum_j H[i][j] num_j with p * H.den * num_i in Python ints, and the
+    largest difference is the one rational, over q * H.den * den.
+    """
+    if table.lattice != H.lattice:
+        raise ValueError("table and operator live on different lattices")
+    num, den = table.integer_form()
+    eig = R(eig)
+    q, scale = eig.denominator, eig.numerator * H.den
+    partial = None in num
+    worst = checked = 0
+    for i, (row, ok) in enumerate(zip(H.rows, H.valid_rows)):
+        if not ok or num[i] is None or (partial and any(num[j] is None for j in row)):
+            continue
+        checked += 1
+        r = q * sum(c * num[j] for j, c in row.items()) - scale * num[i]
+        if r:
+            worst = max(worst, abs(r))
+    return R(worst, q * H.den * den), checked
 
 
 def eigen_check(ctx: SuiteContext, kind: str, m, index: int | None = None) -> CheckReport:

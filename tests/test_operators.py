@@ -16,9 +16,12 @@ from mvortho import (
     operator_matrix,
     weight_table,
 )
-from mvortho.core import enumerate_lattice, family_lattice
+from mvortho import verify as V
+from mvortho._backend import integer_scaled
+from mvortho.core import Lattice, enumerate_degrees, enumerate_lattice, family_lattice
 from mvortho.linalg import forward_differences
-from mvortho.operators import _moves, apply_matrix, image_degree, monomial_table
+from mvortho.operators import _moves, image_degree
+from mvortho.polynomials import eigenpoly_tables, eigenvalue
 
 HAHN = HahnParams((R(1), R(2), R(3)), R(2), 4)
 KRAW = KrawtchoukParams((R(1, 3), R(1, 2), R(1, 4)), 4)
@@ -51,7 +54,7 @@ def test_total_annihilates_constants():
         OperatorSpec(HAHN, "exchange", 2),
     ):
         image = apply_operator(spec, one)
-        assert image.max_abs() == 0
+        assert max_abs(image) == 0
 
 
 def test_exchange_annihilates_lower_variables():
@@ -59,7 +62,7 @@ def test_exchange_annihilates_lower_variables():
     lat = hahn_lattice()
     f = LatticeFunction.from_callable(lat, lambda x: R(x[0]) ** 2 + 3 * x[0])
     image = apply_operator(OperatorSpec(HAHN, "exchange", 2), f)
-    assert image.max_abs() == 0
+    assert max_abs(image) == 0
 
 
 def test_degree_one_sector_eigenfunction():
@@ -293,9 +296,35 @@ def test_apply_rejects_mismatched_lattice():
 # that the sparse kernels replaced, kept here as the slow oracle
 
 
+def apply_matrix(H, f):
+    """Matrix-vector product H f: one rational per row, None where the row is
+    invalid or reads an undefined entry of f."""
+    if f.lattice != H.lattice:
+        raise ValueError("table and operator live on different lattices")
+    num, den = integer_scaled(f.values)
+    out = []
+    for i, (row, ok) in enumerate(zip(H.rows, H.valid_rows)):
+        if not ok or num[i] is None or any(num[j] is None for j in row):
+            out.append(None)
+        else:
+            out.append(R(sum(c * num[j] for j, c in row.items()), den * H.den))
+    return LatticeFunction(H.lattice, tuple(out))
+
+
 def apply_operator(op, f):
     """The operator applied to a value table through its stencil."""
     return apply_matrix(operator_matrix(op, f.lattice), f)
+
+
+def max_abs(f):
+    """Largest |value| over the defined points of a table; 0 on an all-None table."""
+    return max((abs(v) for v in f.values if v is not None), default=R(0))
+
+
+def monomial_table(exponents, lattice):
+    """Value table of x^m over the lattice."""
+    return LatticeFunction.from_callable(
+        lattice, lambda x: math.prod((R(c) ** e for c, e in zip(x, exponents)), start=R(1)))
 
 
 def entries(M):
@@ -456,6 +485,79 @@ def test_sparse_stencil_matches_pointwise_moves(params, xmax):
         assert [list(r) for r in entries(M)] == dense
         assert apply_operator(spec, f) == pointwise_apply(spec, f)
         assert apply_operator(spec, g) == pointwise_apply(spec, g)
+
+
+def fraction_diagonal_stencil(op, lattice):
+    """(rows, den, valid) of the stencil with each diagonal summed as a rational
+    and every entry scaled to the lcm of all entries, diagonals included."""
+    rows, valid = [], []
+    for i, x in enumerate(lattice.points):
+        row, diag = {}, R(0)
+        for c, y in _moves(op, x):
+            pos = lattice.index.get(y)
+            if pos is None:
+                row = None
+                break
+            diag += c
+            row[pos] = -c
+        if row is not None and diag != 0:
+            row[i] = diag
+        rows.append(row or {})
+        valid.append(row is not None)
+    nums, den = integer_scaled([v for row in rows for v in row.values()])
+    nums = iter(nums)
+    return [{j: next(nums) for j in row} for row in rows], den, valid
+
+
+@pytest.mark.parametrize("params,xmax", ORACLE_CASES)
+def test_integer_diagonal_matches_fraction_diagonal(params, xmax):
+    lat = family_lattice(params, xmax=xmax)
+    for spec in specs_of(params):
+        M = operator_matrix(spec, lat)
+        rows, den, valid = fraction_diagonal_stencil(spec, lat)
+        # the same entries in the same order: the export writes them in row order
+        assert [list(row.items()) for row in M.rows] == [list(row.items()) for row in rows]
+        assert (M.den, list(M.valid_rows)) == (den, valid)
+
+
+def residual_through_apply(H, f, eig):
+    """Max |(H f)(x) - eig f(x)| over the defined rows of H f, and their count."""
+    image = apply_matrix(H, f)
+    residuals = [g - eig * v for v, g in zip(f.values, image.values) if g is not None]
+    return max(map(abs, residuals), default=R(0)), len(residuals)
+
+
+@pytest.mark.parametrize("params,xmax", ORACLE_CASES)
+def test_residual_kernel_matches_apply_matrix(params, xmax, monkeypatch):
+    lat = family_lattice(params, xmax=xmax)
+    degrees = enumerate_degrees(params.n, 3)
+    tables = eigenpoly_tables(degrees, params, lat)
+    for spec in specs_of(params):
+        H = operator_matrix(spec, lat)
+        for m, table in zip(degrees, tables):
+            eig = eigenvalue(params, spec.kind, spec.index, m)
+            exact = V.residual_defect(H, table, eig)
+            assert exact == residual_through_apply(H, table, eig)
+            assert exact[0] == 0 and exact[1] == sum(H.valid_rows)
+            wrong = V.residual_defect(H, table, eig + R(1, 7))
+            assert wrong == residual_through_apply(H, table, eig + R(1, 7))
+            assert wrong[0] > 0
+    # a table with an undefined entry: rows that read it have no image
+    values = list(tables[4].values)
+    values[lat.size // 2] = None
+    partial = LatticeFunction(lat, tuple(values))
+    for spec in specs_of(params):
+        H = operator_matrix(spec, lat)
+        eig = eigenvalue(params, spec.kind, spec.index, degrees[4])
+        got = V.residual_defect(H, partial, eig)
+        assert got == residual_through_apply(H, partial, eig)
+        assert got[1] < sum(H.valid_rows)
+    # a shifted eigenvalue makes the eigen check FAIL
+    monkeypatch.setattr(V, "eigenvalue", lambda *args: eigenvalue(*args) + R(1, 7))
+    assert V.eigen_suite(V.SuiteContext(params, 3, xmax), 3)[0].status == "fail"
+    other = Lattice(params.n, lat.bound - 1, lat.truncated)
+    with pytest.raises(ValueError, match="different lattices"):
+        V.residual_defect(H, eigenpoly_tables(degrees[:1], params, other)[0], R(0))
 
 
 # the perturbed runs use the Hahn and the n=2 Meixner case: the dense

@@ -466,6 +466,24 @@ def test_suite_builds_each_stencil_and_table_once(monkeypatch):
     assert {bound for bound, _ in tables} == {5, 6}
 
 
+@pytest.mark.parametrize("params, xmax", [(HAHN, None), (KRAW, None), (MEIX, 4)])
+def test_suite_tables_carry_their_lcm_integer_form(params, xmax):
+    """Every P_m table of a suite comes with its integer form, and that form
+    is the values over their lcm denominator: the Gram and the residuals get
+    no wider integers than rescaling the values would give them."""
+    from mvortho._backend import integer_scaled
+
+    ctx = V.SuiteContext(params, xmax=xmax)
+    for name in V.SUITE:
+        V.CHECKS[name](ctx)
+    assert {bound for bound, _ in ctx._tables} > {ctx.lattice.bound}
+    for table in [*ctx._tables.values(), *ctx._type_one.values()]:
+        nums, den = integer_scaled(table.values)
+        assert table.integer_form() == (tuple(nums), den)
+    fresh = V.SuiteContext(params, xmax=xmax).tables([(1,) * params.n])
+    assert all(table._integers is not None for table in fresh)
+
+
 def test_suite_evaluates_each_factor_once(monkeypatch):
     """One factor dict per context: no pair or radial factor key is evaluated
     twice in a whole suite, across the tables of every check and simplex."""
@@ -704,6 +722,15 @@ def test_cli_rejects_a_meixner_box_below_one(capsys):
      "krawtchouk takes no --b"),
     (["export", "--family", "krawtchouk", "--a", "1,2", "--N", "3", "--what", "weights",
       "--xmax", "0"], "krawtchouk takes no --xmax"),
+    # --m and --x take comma-separated integers
+    (["eval", "--family", "hahn", "--a", "1,2", "--b", "2", "--N", "3", "--m", "0,0",
+      "--x=1/2,1"], "--x must be comma-separated integers, got '1/2,1'"),
+    (["eval", "--family", "hahn", "--a", "1,2", "--b", "2", "--N", "3", "--m", "1/2,0",
+      "--x", "1,1"], "--m must be comma-separated integers, got '1/2,0'"),
+    (["eval", "--family", "hahn", "--a", "1,2", "--b", "2", "--N", "3", "--m", "0,0",
+      "--x", "1,,1"], "--x must be comma-separated integers, got '1,,1'"),
+    (["eval", "--family", "hahn", "--a", "1,2", "--b", "2", "--N", "3", "--m", "0,0",
+      "--x", "1,a"], "--x must be comma-separated integers, got '1,a'"),
 ])
 def test_cli_rejects_points_off_the_lattice_and_negative_degrees(argv, message, capsys):
     from mvortho.cli import main
