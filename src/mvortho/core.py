@@ -146,10 +146,6 @@ class LatticeFunction:
         return self._integers
 
     @classmethod
-    def from_callable(cls, lattice: Lattice, fn) -> "LatticeFunction":
-        return cls(lattice, tuple(fn(x) for x in lattice.points))
-
-    @classmethod
     def constant(cls, lattice: Lattice, c) -> "LatticeFunction":
         c = R(c)
         return cls(lattice, tuple(c for _ in lattice.points))

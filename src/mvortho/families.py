@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from ._backend import R, ONE, is_integral
 from .core import FamilyParams, positive_rational
 from .measures import hahn_weight, krawtchouk_weight, meixner_weight
-from .polynomials import hahn, hahn_pair, km_pair, krawtchouk, meixner
+from .polynomials import (hahn, hahn_pair, hahn_pair_grid, km_pair, km_pair_grid, krawtchouk,
+                          meixner)
 from .serialize import rational_str
 
 
@@ -84,8 +85,10 @@ class HahnParams(FamilyParams):
         return R(d) * (d + c - 1)
 
     @staticmethod
-    def pair_poly(m: int, u, v, alpha, gamma):
-        return hahn_pair(m, u, v, alpha, gamma)
+    def pair_grid(m: int, alpha, gamma, box: int) -> tuple:
+        """The family's pair polynomial of degree m as (grid, den): its value at
+        (u, v) is grid[u][v] / den, for u, v >= -1 and u + v <= box + 1."""
+        return hahn_pair_grid(m, alpha, gamma, box)
 
     @staticmethod
     def pair_rate(u, alpha):
@@ -117,8 +120,8 @@ class _KMPairs:
         return km_pair(mj, u, t - shift, self.a[j - 1], self.a_tail(j))
 
     @staticmethod
-    def pair_poly(m: int, u, v, alpha, gamma):
-        return km_pair(m, u, v, alpha, gamma)
+    def pair_grid(m: int, alpha, gamma, box: int) -> tuple:
+        return km_pair_grid(m, alpha, gamma, box)
 
     @staticmethod
     def pair_rate(u, alpha):

@@ -16,6 +16,15 @@ its arguments, scaled to their denominators, and one rational at the
 end.  The term-by-term closed forms stay in ``tests/test_polynomials.py``
 as the pointwise oracle; every value equals theirs exactly.
 
+A *grid* is one polynomial at every integer point an identity check
+reads, as Python ints over the row's denominator: the row is read once
+and summed against integer rising factorials, with no rational per
+point (:func:`hahn_grid`, :func:`hahn_pair_grid`, :func:`km_pair_grid`).
+The pair grids cover the points u, v >= -1 with u + v <= box + 1, the
+box of an identity and the shifts it reads; the entries of -1 are stored
+last, so ``grid[u][v]`` reads u = -1 or v = -1 at index -1.
+:func:`pair_backward_table` runs its chain of backward shifts in ints.
+
 Degree multi-indices are tuples m = (m_0, m_1, ..., m_{n-1}); m_0 is the
 degree of the radial (|x|-dependent) factor and m_i the degree of the
 i-th pair factor.  Empty shift sums are zero, so the top pair factor
@@ -31,7 +40,7 @@ import operator
 from functools import lru_cache
 from typing import Sequence
 
-from ._backend import R, ZERO, ONE, integer_scaled
+from ._backend import R, ONE, integer_scaled
 from .core import FamilyParams, Lattice, LatticeFunction, tail_sum
 
 # Rows kept per cached builder; a row is one (degree, parameters).
@@ -73,6 +82,11 @@ def _series_row(m: int, upper: tuple, lower: tuple, z) -> tuple:
     return tuple(nums), den, pole
 
 
+def _pole_error(pole: int) -> ZeroDivisionError:
+    return ZeroDivisionError(f"lower-parameter Pochhammer vanished at k = {pole + 1} "
+                             "before the series terminated")
+
+
 def _series(row: tuple, x):
     """Value at x of the series whose row is ``row`` (see :func:`_series_row`)."""
     nums, den, pole = row
@@ -81,10 +95,14 @@ def _series(row: tuple, x):
     if x.denominator == 1 and 0 <= x.numerator <= top:
         top = x.numerator  # (-x)_k vanishes for k > x
     elif pole is not None:
-        raise ZeroDivisionError(f"lower-parameter Pochhammer vanished at k = {pole + 1} "
-                                "before the series terminated")
+        raise _pole_error(pole)
     xs, xden = _rising_nums(x, top)
     return R(sum(c * s for c, s in zip(nums, xs)), den * xden)
+
+
+def _hahn_row(m: int, a, b, N) -> tuple:
+    a, b, N = R(a), R(b), R(N)
+    return _series_row(m, (m + a + b - 1,), (a, -N), ONE)
 
 
 def hahn(m: int, x, a, b, N):
@@ -95,8 +113,22 @@ def hahn(m: int, x, a, b, N):
     multivariate polynomials call this with non-integer or negative
     degree slots, and termination is enforced by the (-m)_k factor.
     """
-    a, b, N = R(a), R(b), R(N)
-    return _series(_series_row(m, (m + a + b - 1,), (a, -N), ONE), x)
+    return _series(_hahn_row(m, a, b, N), x)
+
+
+def hahn_grid(m: int, a, b, N, xs) -> tuple[list, int]:
+    """Numerators of ``hahn(m, x, a, b, N)`` at the integers x of ``xs``, in
+    that order, over one denominator.
+
+    Raises the ZeroDivisionError of :func:`hahn` when some x of ``xs`` is
+    a point where the series meets its pole before it terminates.
+    """
+    nums, den, pole = _hahn_row(m, a, b, N)
+    top = len(nums) - 1
+    if pole is not None and any(not 0 <= x <= top for x in xs):
+        raise _pole_error(pole)
+    # (-x)_k vanishes for k > x >= 0, so the full row is exact at every x
+    return [sum(map(operator.mul, nums, _rising_nums(x, top)[0])) for x in xs], den
 
 
 def krawtchouk(m: int, x, p, N):
@@ -148,6 +180,26 @@ def hahn_pair(m: int, u, v, alpha, gamma):
     return R(sum(c * us[m - k] * vs[k] for k, c in enumerate(row)), den * uden * vden)
 
 
+def hahn_pair_grid(m: int, alpha, gamma, box: int) -> tuple[list, int]:
+    """``hahn_pair(m, u, v, alpha, gamma)`` on the points u, v >= -1 with
+    u + v <= box + 1: (grid, den) with the value grid[u][v] / den."""
+    row, den = _hahn_pair_row(m, R(alpha), R(gamma))
+    return _pair_grid(row, m, box, True), den
+
+
+def _pair_grid(row: tuple, m: int, box: int, hahn_side: bool) -> list:
+    """Rows u = 0..box+1, -1 of the sums Sum_k row[k] (-u)_{m-k} (-v)_k
+    (hahn_side) or Sum_k row[k] (-u)_k (-v)_{m-k}, each over v = 0..box+1-u, -1."""
+    rising = {t: _rising_nums(t, m)[0] for t in range(-1, box + 3)}
+    flipped = {t: r[::-1] for t, r in rising.items()}
+    us, vs = (flipped, rising) if hahn_side else (rising, flipped)
+    grid = []
+    for u in [*range(box + 2), -1]:
+        cu = list(map(operator.mul, row, us[u]))
+        grid.append([sum(map(operator.mul, cu, vs[v])) for v in [*range(box + 2 - u), -1]])
+    return grid
+
+
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def _km_pair_row(m: int, ratio) -> tuple:
     """Numerators of c_k = (-1)^k C(m,k) ratio^k, k = 0..m, and their denominator."""
@@ -169,6 +221,16 @@ def km_pair(m: int, u, v, alpha, gamma):
     us, uden = _rising_nums(R(u), m)
     vs, vden = _rising_nums(R(v), m)
     return R(sum(c * us[k] * vs[m - k] for k, c in enumerate(row)), den * uden * vden)
+
+
+def km_pair_grid(m: int, alpha, gamma, box: int) -> tuple[list, int]:
+    """``km_pair(m, u, v, alpha, gamma)`` on the points u, v >= -1 with
+    u + v <= box + 1: (grid, den) with the value grid[u][v] / den."""
+    alpha = R(alpha)
+    if alpha == 0:
+        raise ValueError("alpha must be nonzero")
+    row, den = _km_pair_row(m, R(gamma) / alpha)
+    return _pair_grid(row, m, box, False), den
 
 
 def pair_product(i: int, m: Sequence[int], x: Sequence[int], params):
@@ -294,21 +356,23 @@ def pair_backward_table(m: int, alpha, gamma, box: int) -> LatticeFunction:
     must equal :func:`hahn_pair` exactly, with the same normalization.
     Boundary reads never occur: the coefficient of each shifted value
     vanishes at u = 0 resp. v = 0.
+
+    The chain runs in ints: a' = pa/qa and g' = pg/qg keep the
+    denominators of alpha and gamma, so each step multiplies the common
+    denominator by qa qg, and the table is reduced once at the end.
     """
     alpha, gamma = R(alpha), R(gamma)
-    lattice = Lattice(2, box)
-    values = {pt: ONE for pt in lattice.points}
+    qa, qg = alpha.denominator, gamma.denominator
+    P = [[1] * (box + 1 - u) for u in range(box + 1)]  # P[u][v], u + v <= box
+    den = 1
     for level in range(1, m + 1):
-        al = alpha + m - level
-        ga = gamma + m - level
-        new = {}
-        for (u, v) in lattice.points:
-            acc = ZERO
-            if v:
-                acc += v * (u + al) * values[(u, v - 1)]
-            if u:
-                acc -= u * (v + ga) * values[(u - 1, v)]
-            new[(u, v)] = acc
-        values = new
-    return LatticeFunction(lattice, tuple(values[pt] for pt in lattice.points))
-
+        pa = (alpha + m - level).numerator
+        pg = (gamma + m - level).numerator
+        P = [[(v * (u * qa + pa) * qg * P[u][v - 1] if v else 0)
+              - (u * (v * qg + pg) * qa * P[u - 1][v] if u else 0)
+              for v in range(box + 1 - u)] for u in range(box + 1)]
+        den *= qa * qg
+    lattice = Lattice(2, box)
+    nums = [P[u][v] for u, v in lattice.points]
+    g = math.gcd(den, *nums)
+    return LatticeFunction.from_integers(lattice, [v // g for v in nums], den // g)

@@ -21,17 +21,27 @@ built; the context fills its caches as checks ask, so one context
 serves one thread.  Nothing is cached beyond a context: a fresh context
 sees patched rates, weights or factors.  An identity check passes iff
 its largest |lhs - rhs| is exactly 0 (:func:`_exact`).
+
+The shift and recursion identities (``sv-shifts``, ``sv-difference-eq``,
+``pair-shifts``, ``pair-recursions``, ``generalized-recursions``,
+``rodrigues``) read every polynomial value once, as an integer grid over
+one denominator (see :mod:`mvortho.polynomials`), the chained products
+as the integer form of their context table.  Each coefficient column,
+a rate over u, v or u + v, is scaled to integers once.  An identity is
+then an integer combination at every point, and its largest residual
+gives one rational per (identity, degree).
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 
-from ._backend import R, ZERO, ONE
+from ._backend import R, ZERO, ONE, integer_scaled
 from .core import (Lattice, LatticeFunction, enumerate_degrees, family_lattice,
                    rising_factorial, tail_sum)
 from .measures import (
@@ -53,7 +63,9 @@ from .polynomials import (
     eigenpoly_tables,
     eigenvalue,
     hahn,
+    hahn_grid,
     hahn_pair,
+    hahn_pair_grid,
     pair_backward_table,
 )
 from .serialize import rational_str, sci_str
@@ -260,20 +272,6 @@ def residual_defect(H: OperatorMatrix, table: LatticeFunction, eig) -> tuple:
     return R(worst, q * H.den * den), checked
 
 
-def eigen_check(ctx: SuiteContext, kind: str, m, index: int | None = None) -> CheckReport:
-    """Residual of the eigenvalue equation for P_m under one operator."""
-    params = ctx.params
-
-    def body():
-        (table,) = ctx.tables([m])
-        eig = eigenvalue(params, kind, index, m)
-        worst, checked = residual_defect(ctx.stencil(kind, index), table, eig)
-        return _exact([worst], f"eigenvalue {rational_str(eig)} on {checked} points")
-
-    op_label = kind if kind != "exchange" else f"exchange{index}"
-    return _report("eigen", f"{params.label} m={tuple(m)} op={op_label}", body)
-
-
 def eigen_suite(ctx: SuiteContext, m_max: int) -> list[CheckReport]:
     """Eigen residuals for every |m| <= m_max and every operator."""
     params = ctx.params
@@ -356,6 +354,11 @@ def same_degree_overlap_check(ctx: SuiteContext, m: int) -> CheckReport:
 # shift and recursion identities
 
 
+def _worst(residuals, den):
+    """The largest |defect| of one identity whose residuals share the denominator den."""
+    return R(max(map(abs, residuals)), den)
+
+
 def sv_shift_check(a, b, N: int, deg_max: int) -> CheckReport:
     """Single-variable forward and backward shift relations.
 
@@ -366,15 +369,30 @@ def sv_shift_check(a, b, N: int, deg_max: int) -> CheckReport:
     a, b = R(a), R(b)
 
     def defects():
+        # every H read, as a grid: degrees 1..deg_max+1 at (a, b, N) on x = 0..N+1
+        # (the top one on x <= N), degrees 0..deg_max one step up on x = 0..N, -1
+        up, down = {}, []
         for m in range(deg_max + 1):
-            for x in range(N + 1):
-                if m >= 1:
-                    yield (hahn(m, x, a, b, N) - hahn(m, x + 1, a, b, N)
-                           - R(m) * (m + a + b - 1) / (a * N)
-                           * hahn(m - 1, x, a + 1, b + 1, N - 1))
-                yield ((N - x) * (x + a) * hahn(m, x, a + 1, b + 1, N - 1)
-                       - R(x) * (N - x + b) * hahn(m, x - 1, a + 1, b + 1, N - 1)
-                       - a * N * hahn(m + 1, x, a, b, N))
+            down.append(hahn_grid(m, a + 1, b + 1, N - 1, [*range(N + 1), -1]))
+            up[m + 1] = hahn_grid(m + 1, a, b, N, range(N + 2 if m < deg_max else N + 1))
+        xs = range(N + 1)
+        left, lden = integer_scaled([(N - x) * (x + a) for x in xs])
+        right, rden = integer_scaled([R(x) * (N - x + b) for x in xs])
+        aN = a * N
+        for m in range(deg_max + 1):
+            B, bden = down[m]
+            if m >= 1:
+                A, aden = up[m]
+                c = R(m) * (m + a + b - 1) / aN
+                C, cden = down[m - 1]
+                s, t = c.denominator * cden, c.numerator * aden
+                yield _worst([(A[x] - A[x + 1]) * s - t * C[x] for x in xs],
+                             aden * cden * c.denominator)
+            A, aden = up[m + 1]
+            s, t = rden * aN.denominator * aden, lden * aN.denominator * aden
+            w = aN.numerator * lden * rden * bden
+            yield _worst([left[x] * s * B[x] - right[x] * t * B[x - 1] - w * A[x] for x in xs],
+                         lden * rden * aN.denominator * aden * bden)
 
     inst = f"hahn-1v a={rational_str(a)} b={rational_str(b)} N={N} m<={deg_max}"
     return _report("sv-shifts", inst, lambda: _exact(defects()))
@@ -385,33 +403,55 @@ def sv_difference_equation_check(a, b, N: int, deg_max: int) -> CheckReport:
     a, b = R(a), R(b)
 
     def defects():
+        xs = range(N + 1)
+        left, lden = integer_scaled([(N - x) * (x + a) for x in xs])
+        right, rden = integer_scaled([R(x) * (N - x + b) for x in xs])
         for m in range(deg_max + 1):
-            for x in range(N + 1):
-                h = lambda t: hahn(m, t, a, b, N)
-                yield ((N - x) * (x + a) * (h(x) - h(x + 1))
-                       + R(x) * (N - x + b) * (h(x) - h(x - 1))
-                       - R(m) * (m + a + b - 1) * h(x))
+            H, hden = hahn_grid(m, a, b, N, [*range(N + 2), -1])
+            eig = R(m) * (m + a + b - 1)
+            s, t = rden * eig.denominator, lden * eig.denominator
+            w = eig.numerator * lden * rden
+            yield _worst([left[x] * s * (H[x] - H[x + 1]) + right[x] * t * (H[x] - H[x - 1])
+                          - w * H[x] for x in xs], lden * rden * eig.denominator * hden)
 
     return _report("sv-difference-eq", f"hahn-1v N={N} m<={deg_max}", lambda: _exact(defects()))
+
+
+def _triangle(box: int) -> list:
+    return [(u, v) for u in range(box + 1) for v in range(box + 1 - u)]
 
 
 def pair_shift_check(alpha, gamma, deg_max: int, box: int, family) -> CheckReport:
     """Forward/backward shift relations for the pair polynomials of
     ``family`` (a family class or bundle; see its ``pair_shift``)."""
     alpha, gamma = R(alpha), R(gamma)
-    P, rate = family.pair_poly, family.pair_rate
 
     def defects():
+        grids = {}
+
+        def grid(m, al, ga):
+            if (m, al, ga) not in grids:
+                grids[m, al, ga] = family.pair_grid(m, al, ga, box)
+            return grids[m, al, ga]
+
+        points = _triangle(box)
+        ru, ruden = integer_scaled([family.pair_rate(u, alpha) for u in range(box + 1)])
+        rv, rvden = integer_scaled([family.pair_rate(v, gamma) for v in range(box + 1)])
         for m in range(deg_max + 1):
             c, d, alpha1, gamma1 = family.pair_shift(m, alpha, gamma)
-            for u in range(box + 1):
-                for v in range(box + 1 - u):
-                    if m >= 1:
-                        yield (P(m, u, v + 1, alpha, gamma) - P(m, u + 1, v, alpha, gamma)
-                               - c * P(m - 1, u, v, alpha1, gamma1))
-                    yield (v * rate(u, alpha) * P(m, u, v - 1, alpha1, gamma1)
-                           - u * rate(v, gamma) * P(m, u - 1, v, alpha1, gamma1)
-                           - d * P(m + 1, u, v, alpha, gamma))
+            A, aden = grid(m, alpha, gamma)
+            if m >= 1:
+                B, bden = grid(m - 1, alpha1, gamma1)
+                s, t = c.denominator * bden, c.numerator * aden
+                yield _worst([(A[u][v + 1] - A[u + 1][v]) * s - t * B[u][v] for u, v in points],
+                             aden * bden * c.denominator)
+            B, bden = grid(m, alpha1, gamma1)
+            C, cden = grid(m + 1, alpha, gamma)
+            su = [r * rvden * d.denominator * cden for r in ru]
+            sv = [r * ruden * d.denominator * cden for r in rv]
+            t = d.numerator * ruden * rvden * bden
+            yield _worst([v * su[u] * B[u][v - 1] - u * sv[v] * B[u - 1][v] - t * C[u][v]
+                          for u, v in points], ruden * rvden * d.denominator * bden * cden)
 
     inst = (
         f"{family.pair_name}-pair alpha={rational_str(alpha)} gamma={rational_str(gamma)} "
@@ -428,14 +468,19 @@ def pair_recursion_check(alpha, gamma, deg_max: int, box: int, family) -> CheckR
     rate = family.pair_rate
 
     def defects():
+        points = _triangle(box)
+        ru, ruden = integer_scaled([rate(u, alpha) for u in range(box + 1)])
+        rv, rvden = integer_scaled([rate(v, gamma) for v in range(box + 1)])
         for m in range(deg_max + 1):
-            P = lambda uu, vv: family.pair_poly(m, uu, vv, alpha, gamma)
-            for u in range(box + 1):
-                for v in range(box + 1 - u):
-                    fwd = rate(u, alpha) * P(u + 1, v) + rate(v, gamma) * P(u, v + 1)
-                    yield fwd - rate(u + v + m, alpha + gamma) * P(u, v)
-                    bwd = R(u) * P(u - 1, v) + R(v) * P(u, v - 1)
-                    yield bwd - (R(u + v) - m) * P(u, v)
+            A, aden = family.pair_grid(m, alpha, gamma, box)
+            rs, rsden = integer_scaled([rate(s + m, alpha + gamma) for s in range(box + 1)])
+            su = [r * rvden * rsden for r in ru]
+            sv = [r * ruden * rsden for r in rv]
+            ss = [r * ruden * rvden for r in rs]
+            yield _worst([su[u] * A[u + 1][v] + sv[v] * A[u][v + 1] - ss[u + v] * A[u][v]
+                          for u, v in points], ruden * rvden * rsden * aden)
+            yield _worst([u * A[u - 1][v] + v * A[u][v - 1] - (u + v - m) * A[u][v]
+                          for u, v in points], aden)
 
     inst = f"{family.pair_name}-pair m<={deg_max} box={box}"
     return _report("pair-recursions", inst, lambda: _exact(defects()))
@@ -459,26 +504,36 @@ def generalized_recursion_check(ctx: SuiteContext, i: int, m) -> CheckReport:
     if not 1 <= i <= params.n - 1:
         raise ValueError(f"sector index i = {i} outside [1, {params.n - 1}]")
 
-    def defects():
-        n = params.n
+    def body():
         deg = sum(m[i:])
-        a_sum = sum(params.a[i - 1 :], ZERO)
-        (chain,) = ctx.tables([(0,) * i + tuple(m[i:])], ctx.lattice.bound + 1)
+        a_sum = sum(params.a[i - 1:], ZERO)
+        bound = ctx.lattice.bound
+        (chain,) = ctx.tables([(0,) * i + tuple(m[i:])], bound + 1)
+        nums, den = chain.integer_form()
+        index = chain.lattice.index
+        sites = range(i - 1, params.n)  # 0-based k - 1 for k = i..n
+        # the rate columns over x_k = 0..bound and over sum x_k, on one denominator
+        columns = [integer_scaled([params.pair_rate(t, params.a[k]) for t in range(bound + 1)])
+                   for k in sites]
+        columns.append(integer_scaled([params.pair_rate(t + deg, a_sum) for t in range(bound + 1)]))
+        scale = math.lcm(*(d for _, d in columns))
+        *rates, right = [[r * (scale // d) for r in col] for col, d in columns]
+        fwd, bwd = [], []
         for x in ctx.lattice.points:
-            base = chain(x)
-            fwd = ZERO
-            bwd = ZERO
-            for k in range(i, n + 1):
-                xk = x[k - 1]
-                fwd += params.pair_rate(xk, params.a[k - 1]) * chain(x[: k - 1] + (xk + 1,) + x[k:])
+            base = nums[index[x]]
+            tail = sum(x[i - 1:])
+            f = -right[tail] * base
+            b = -(tail - deg) * base
+            for k, rate in zip(sites, rates):
+                xk = x[k]
+                f += rate[xk] * nums[index[x[:k] + (xk + 1,) + x[k + 1:]]]
                 if xk:
-                    bwd += xk * chain(x[: k - 1] + (xk - 1,) + x[k:])
-            tailx = sum(x[i - 1 :])
-            yield fwd - params.pair_rate(tailx + deg, a_sum) * base
-            yield bwd - (tailx - deg) * base
+                    b += xk * nums[index[x[:k] + (xk - 1,) + x[k + 1:]]]
+            fwd.append(f)
+            bwd.append(b)
+        return _exact([_worst(fwd, scale * den), _worst(bwd, den)])
 
-    return _report("generalized-recursions", f"{params.label} i={i} m={tuple(m)}",
-                   lambda: _exact(defects()))
+    return _report("generalized-recursions", f"{params.label} i={i} m={tuple(m)}", body)
 
 
 def rodrigues_check(m_max: int, alpha, gamma, box: int) -> CheckReport:
@@ -487,8 +542,10 @@ def rodrigues_check(m_max: int, alpha, gamma, box: int) -> CheckReport:
     def defects():
         for m in range(m_max + 1):
             built = pair_backward_table(m, alpha, gamma, box)
-            for (u, v), got in zip(built.lattice.points, built.values):
-                yield got - hahn_pair(m, u, v, alpha, gamma)
+            nums, den = built.integer_form()
+            G, gden = hahn_pair_grid(m, alpha, gamma, box)
+            points = built.lattice.points
+            yield _worst([p * gden - G[u][v] * den for (u, v), p in zip(points, nums)], den * gden)
 
     inst = f"alpha={rational_str(R(alpha))} gamma={rational_str(R(gamma))} m<={m_max} box={box}"
     return _report("rodrigues", inst, lambda: _exact(defects()))
@@ -544,8 +601,6 @@ def gram_check(ctx: SuiteContext, m_max: int) -> CheckReport:
     the box on Meixner.
     """
     params = ctx.params
-    if params.N is not None and m_max > params.N:
-        raise ValueError("need m_max <= N")
     degrees = enumerate_degrees(params.n, m_max)
 
     def body():
@@ -688,7 +743,8 @@ class SuiteContext:
     """One instance, the suite's defaults for it, and the objects its checks read.
 
     The defaults are resolved once: xmax 12 on the truncated Meixner box
-    (which needs xmax >= 1), m_max 3 (at most N), the degrees of the
+    (which needs xmax >= 1), m_max 3 (a given m_max must be at most N on a
+    bounded lattice; the default is min(N, 3)), the degrees of the
     invariance and Gram checks, the box of the pair identities, and one
     seeded stream for every random draw.  The Meixner Gram degree stays
     at min(m_max, 1): the exact entries would allow m_max, but the
@@ -714,6 +770,8 @@ class SuiteContext:
         self.xmax = xmax
         if m_max is None:
             m_max = 3 if unbounded else min(params.N, 3)
+        elif not unbounded and m_max > params.N:
+            raise ValueError(f"need m_max <= N, got m_max = {m_max} and N = {params.N}")
         self.m_max = m_max
         self.invariance_degree = min(2, m_max if unbounded else params.N)
         self.gram_degree = min(m_max, 1) if unbounded else m_max

@@ -4,9 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvortho import R, enumerate_lattice, multinomial, rising_factorial, tail_param, tail_sum
+from mvortho import (R, LatticeFunction, enumerate_lattice, multinomial, rising_factorial,
+                     tail_param, tail_sum)
 from mvortho.core import Lattice
 from mvortho.families import HahnParams, KrawtchoukParams, MeixnerParams
+
+
+def table_of(lattice, fn):
+    """The table of fn(x) over the lattice, one call per point."""
+    return LatticeFunction(lattice, tuple(fn(x) for x in lattice.points))
+
 
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=12

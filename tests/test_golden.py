@@ -74,10 +74,11 @@ def test_single_check_prints_the_suites_reports(name):
 
 @pytest.mark.parametrize("N", [4, 5])
 def test_shifts_on_small_hahn_lattices(N):
-    # the single-variable shifts need degree <= N - 2, as in the suite
+    # the single-variable shifts need degree <= N - 2, as in the suite; the
+    # largest m_max, N, asks the pair identities for degree min(5, N + 2)
     argv = ["--family", "hahn", "--a", "1,2,1/2", "--b", "2", "--N", str(N),
             "--check", "shifts"]
-    for extra in ([], ["--m-max", "5"]):
+    for extra in ([], ["--m-max", str(N)]):
         reports = reports_of(argv + extra)
         assert [r["name"] for r in reports][:2] == ["sv-shifts", "sv-difference-eq"]
         assert all(r["status"] == "pass" for r in reports)

@@ -20,6 +20,7 @@ from mvortho import (
 )
 from mvortho.core import family_lattice
 from mvortho.measures import meixner_normalization, meixner_shell_mass
+from test_core import table_of
 
 small_pos = st.integers(1, 12).flatmap(
     lambda p: st.integers(1, 12).map(lambda q: R(p, q))
@@ -257,7 +258,7 @@ def test_inner_product_examples():
         def val(x):
             return p.a_tail(i) * x[i - 1] - p.a[i - 1] * sum(x[i:])
 
-        return LatticeFunction.from_callable(lat, val)
+        return table_of(lat, val)
 
     G = gram_matrix([LatticeFunction.constant(lat, 1), t(1), t(2)], w)
     assert G[0][0] == 1

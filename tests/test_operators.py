@@ -22,6 +22,7 @@ from mvortho.core import Lattice, enumerate_degrees, enumerate_lattice, family_l
 from mvortho.linalg import forward_differences
 from mvortho.operators import _moves, image_degree
 from mvortho.polynomials import eigenpoly_tables, eigenvalue
+from test_core import table_of
 
 HAHN = HahnParams((R(1), R(2), R(3)), R(2), 4)
 KRAW = KrawtchoukParams((R(1, 3), R(1, 2), R(1, 4)), 4)
@@ -60,7 +61,7 @@ def test_total_annihilates_constants():
 def test_exchange_annihilates_lower_variables():
     # exchange(i) kills any function of x_1..x_{i-1}
     lat = hahn_lattice()
-    f = LatticeFunction.from_callable(lat, lambda x: R(x[0]) ** 2 + 3 * x[0])
+    f = table_of(lat, lambda x: R(x[0]) ** 2 + 3 * x[0])
     image = apply_operator(OperatorSpec(HAHN, "exchange", 2), f)
     assert max_abs(image) == 0
 
@@ -74,7 +75,7 @@ def test_degree_one_sector_eigenfunction():
         def t(x):
             return at * x[i - 1] - ai * sum(x[i:])
 
-        f = LatticeFunction.from_callable(lat, t)
+        f = table_of(lat, t)
         image = apply_operator(OperatorSpec(HAHN, "exchange", i), f)
         for fx, gx in zip(f.values, image.values):
             assert gx == (ai + at) * fx
@@ -129,7 +130,7 @@ def test_apply_operator_never_reads_outside_bounded_lattice():
     # total application succeeds on every point of the simplex; any
     # out-of-lattice read would raise through the None path
     lat = hahn_lattice()
-    f = LatticeFunction.from_callable(lat, lambda x: R(sum(x)) ** 2)
+    f = table_of(lat, lambda x: R(sum(x)) ** 2)
     image = apply_operator(OperatorSpec(HAHN, "total"), f)
     assert all(v is not None for v in image.values)
 
@@ -323,7 +324,7 @@ def max_abs(f):
 
 def monomial_table(exponents, lattice):
     """Value table of x^m over the lattice."""
-    return LatticeFunction.from_callable(
+    return table_of(
         lattice, lambda x: math.prod((R(c) ** e for c, e in zip(x, exponents)), start=R(1)))
 
 

@@ -24,7 +24,10 @@ from mvortho import (
     pair_product,
     rising_factorial,
 )
+from mvortho._backend import integer_scaled
 from mvortho.core import Lattice, enumerate_degrees, enumerate_lattice
+from mvortho.polynomials import hahn_grid, hahn_pair_grid, km_pair_grid
+from test_core import table_of
 
 small_pos = st.integers(1, 10).flatmap(
     lambda p: st.integers(1, 10).map(lambda q: R(p, q))
@@ -246,6 +249,38 @@ class TestRodrigues:
         for (u, v), got in zip(t.lattice.points, t.values):
             assert got == hahn_pair(3, u, v, R(2), R(3))
 
+    @pytest.mark.parametrize(
+        "alpha, gamma", [(R(1, 2), R(7, 3)), (R(3), R(1, 5)), (R(-3, 2), R(2, 5))])
+    def test_integer_chain_matches_fraction_chain(self, alpha, gamma):
+        for m in range(7):
+            table = pair_backward_table(m, alpha, gamma, 5)
+            oracle = fraction_backward_table(m, alpha, gamma, 5)
+            assert table == oracle
+            nums, den = integer_scaled(oracle.values)
+            assert table.integer_form() == (tuple(nums), den)
+
+
+def fraction_backward_table(m, alpha, gamma, box, level_shift=0):
+    """The backward-shift chain one Fraction at a time, the reference for the
+    integer chain of pair_backward_table; ``level_shift`` moves the
+    parameters of every level, a chain that must miss the pair polynomial."""
+    alpha, gamma = R(alpha), R(gamma)
+    lattice = Lattice(2, box)
+    values = {pt: R(1) for pt in lattice.points}
+    for level in range(1, m + 1):
+        al = alpha + m - level + level_shift
+        ga = gamma + m - level + level_shift
+        new = {}
+        for (u, v) in lattice.points:
+            acc = R(0)
+            if v:
+                acc += v * (u + al) * values[(u, v - 1)]
+            if u:
+                acc -= u * (v + ga) * values[(u - 1, v)]
+            new[(u, v)] = acc
+        values = new
+    return LatticeFunction(lattice, tuple(values[pt] for pt in lattice.points))
+
 
 class TestMultivariate:
     hahn_params = HahnParams((R(1, 2), R(3, 2), R(2)), R(5, 4), 5)
@@ -371,7 +406,7 @@ class TestMultivariate:
 def oracle_tables(degrees, params, lattice):
     """The pointwise evaluator, point by point: the reference for the tables."""
     return [
-        LatticeFunction.from_callable(lattice, lambda x, m=m: eigenpoly(m, x, params))
+        table_of(lattice, lambda x, m=m: eigenpoly(m, x, params))
         for m in degrees
     ]
 
@@ -516,6 +551,44 @@ class TestRowKernelsMatchOracle:
                                        (km_pair, oracle_km_pair)):
                         assert outcome(fast, m, u, v, alpha, gamma) == outcome(
                             slow, m, u, v, alpha, gamma)
+
+    @pytest.mark.parametrize("alpha, gamma", PAIR_PARAMS)
+    def test_pair_grids(self, alpha, gamma):
+        """grid[u][v] / den is the pair polynomial at every u, v >= -1 with
+        u + v <= box + 1, the -1 entries at index -1 of a row and of the grid."""
+        box = 4
+        for m in range(6):
+            for grid_of, fn in ((hahn_pair_grid, hahn_pair), (km_pair_grid, km_pair)):
+                grid, den = grid_of(m, alpha, gamma, box)
+                assert len(grid) == box + 3
+                for u in range(-1, box + 2):
+                    assert len(grid[u]) == box + 3 - max(u, 0) + (u < 0)
+                    for v in range(-1, box + 2 - u):
+                        assert R(grid[u][v], den) == fn(m, u, v, alpha, gamma)
+        with pytest.raises(ValueError, match="alpha"):
+            km_pair_grid(1, 0, 1, box)
+
+    @pytest.mark.parametrize("a, b, N", [
+        (R(1), R(2), 10), (R(3, 2), R(5, 4), 7), (R(1, 2), R(1, 3), R(-7, 2)),
+        (R(-1), R(2), 10), (R(-2), R(-1), -4)])
+    def test_hahn_grid(self, a, b, N):
+        xs = [*range(12), -1, -2]
+        for m in range(8):
+            expected = [outcome(hahn, m, x, a, b, N) for x in xs]
+            if ZeroDivisionError in expected:
+                with pytest.raises(ZeroDivisionError):
+                    hahn_grid(m, a, b, N, xs)
+                continue
+            nums, den = hahn_grid(m, a, b, N, xs)
+            assert [outcome(lambda: R(v, den)) for v in nums] == expected
+
+    def test_hahn_grid_raises_only_where_the_points_meet_the_pole(self):
+        # (a)_k = (-1)_k vanishes at k = 2: x = 0, 1 terminate before it
+        nums, den = hahn_grid(3, -1, 2, 10, [0, 1])
+        assert [R(v, den) for v in nums] == [1, R(19, 10)]
+        for x in (2, 10, -1):
+            with pytest.raises(ZeroDivisionError, match="k = 2"):
+                hahn_grid(3, -1, 2, 10, [0, 1, x])
 
     def test_pair_polynomials_at_rational_points(self):
         for m in range(6):

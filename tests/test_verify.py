@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvortho import (R, HahnParams, KrawtchoukParams, LatticeFunction, MeixnerParams, eigenpoly,
-                     eigenpoly_tables, weight_table)
+                     eigenpoly_tables, eigenvalue, weight_table)
 from mvortho import verify as V
 from mvortho.core import enumerate_degrees, enumerate_lattice, family_lattice, rising_factorial
 from mvortho.linalg import forward_differences
@@ -36,18 +36,29 @@ def test_compatibility_and_boundary():
     assert V.boundary_safety_check(V.SuiteContext(MEIX)).status == "skipped"
 
 
+def eigen_check(ctx, kind, m, index=None):
+    """Residual of the eigenvalue equation for P_m under one operator, as a report."""
+    def body():
+        (table,) = ctx.tables([m])
+        worst, _ = V.residual_defect(ctx.stencil(kind, index),
+                                     table, eigenvalue(ctx.params, kind, index, m))
+        return V._exact([worst])
+
+    return V._report("eigen", f"{ctx.params.label} m={tuple(m)}", body)
+
+
 def test_eigen_check_single_instances():
-    r = V.eigen_check(V.SuiteContext(HAHN), "total", (1, 1, 0))
+    r = eigen_check(V.SuiteContext(HAHN), "total", (1, 1, 0))
     assert r.status == "pass" and r.max_defect == 0
-    r = V.eigen_check(V.SuiteContext(HAHN), "exchange", (1, 1, 0), index=2)
+    r = eigen_check(V.SuiteContext(HAHN), "exchange", (1, 1, 0), index=2)
     assert r.status == "pass"
-    r = V.eigen_check(V.SuiteContext(MEIX, xmax=10), "total", (2, 1))
+    r = eigen_check(V.SuiteContext(MEIX, xmax=10), "total", (2, 1))
     assert r.status == "pass"
 
 
 def test_eigen_check_m0_zero_mode():
     for kind, index in (("total", None), ("single", None), ("exchange", 1)):
-        r = V.eigen_check(V.SuiteContext(HAHN), kind, (0, 0, 0), index=index)
+        r = eigen_check(V.SuiteContext(HAHN), kind, (0, 0, 0), index=index)
         assert r.status == "pass" and r.max_defect == 0
 
 
@@ -57,7 +68,7 @@ def test_degree_one_total_eigenvalue_is_parameter_sum():
 
     for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         assert eigenvalue(HAHN, "total", None, m) == HAHN.a_total + HAHN.b
-        assert V.eigen_check(V.SuiteContext(HAHN), "total", m).status == "pass"
+        assert eigen_check(V.SuiteContext(HAHN), "total", m).status == "pass"
 
 
 def test_eigen_suite_and_degeneracy():
@@ -731,6 +742,11 @@ def test_cli_rejects_a_meixner_box_below_one(capsys):
       "--x", "1,,1"], "--x must be comma-separated integers, got '1,,1'"),
     (["eval", "--family", "hahn", "--a", "1,2", "--b", "2", "--N", "3", "--m", "0,0",
       "--x", "1,a"], "--x must be comma-separated integers, got '1,a'"),
+    # an m_max above N, before any check runs, with one message for every check
+    (["verify", "--family", "hahn", "--a", "1,2,3", "--b", "2", "--N", "5", "--m-max", "9"],
+     "need m_max <= N, got m_max = 9 and N = 5"),
+    (["verify", "--family", "hahn", "--a", "1,2,3", "--b", "2", "--N", "5", "--m-max", "9",
+      "--check", "gram"], "need m_max <= N, got m_max = 9 and N = 5"),
 ])
 def test_cli_rejects_points_off_the_lattice_and_negative_degrees(argv, message, capsys):
     from mvortho.cli import main
@@ -764,3 +780,19 @@ def test_cli_accepts_the_lattice_edge():
     assert main(["eval", "--family", "meixner", "--a", "1/2,1/3", "--beta", "2",
                  "--m", "1,1", "--x", "20,0"]) == 0
     assert main(["verify", *hahn, "--m-max", "0", "--check", "eigen"]) == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "mvortho", "verify", "--family", "hahn", "--a", "1,2",
+            "--b", "2", "--N", "3", "--check", "normalization"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("PASS  normalization")
