@@ -10,6 +10,7 @@ included when --timings is passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 
@@ -26,8 +27,8 @@ from .serialize import (
     matrix_json,
     matrix_triplets,
     parse_rational,
+    ratio_strs,
     rational_str,
-    value_str,
     weight_table_json,
     weight_table_rows,
 )
@@ -108,26 +109,21 @@ def cmd_eval(args) -> int:
         _emit(args, rational_str(value) + "\n")
         return 0
     lattice = family_lattice(params, xmax=_non_negative(args, "xmax"))
-    table = eigenpoly_table(m, params, lattice)
+    values = ratio_strs(*eigenpoly_table(m, params, lattice).integer_form())
     if args.format == "json":
         payload = {
             "family": params.family,
             "m": list(m),
             "points": [list(p) for p in lattice.points],
-            "values": [value_str(v) for v in table.values],
+            "values": values,
         }
         _emit(args, json_text(payload))
     elif args.format == "csv":
         header = [f"x{i+1}" for i in range(lattice.n)] + ["value"]
-        rows = [
-            list(map(str, p)) + [value_str(v)]
-            for p, v in zip(lattice.points, table.values)
-        ]
+        rows = [list(map(str, p)) + [v] for p, v in zip(lattice.points, values)]
         _emit(args, csv_text(header, rows))
     else:
-        lines = [
-            f"{p} {rational_str(v)}" for p, v in zip(lattice.points, table.values)
-        ]
+        lines = [f"{p} {v}" for p, v in zip(lattice.points, values)]
         _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -198,7 +194,11 @@ def cmd_export(args) -> int:
     raise ValueError(f"unknown export target {args.what!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: argparse sizes its
+    help formatter for every argument it adds, and parsing leaves the
+    parser unchanged, so every call of :func:`main` reuses it."""
     parser = argparse.ArgumentParser(
         prog="mvortho",
         description="Exact multivariate Hahn/Krawtchouk/Meixner systems: "

@@ -112,7 +112,7 @@ class Lattice:
         return len(self.points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeFunction:
     """Total map from an enumerated lattice to rationals.
 
@@ -121,29 +121,42 @@ class LatticeFunction:
     leaving a truncated box (see operators); exact summation helpers
     refuse such entries rather than treating them as zero.  The integer
     kernels read the table through :meth:`integer_form`, which is built
-    once per table.
+    once per table.  A table built from its integer form
+    (:meth:`from_integers`) forms its rationals on the first read of
+    :attr:`values`, and only then.
     """
 
     lattice: Lattice
-    values: tuple
-    _integers: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _values: tuple | None
+    _integers: tuple | None = field(default=None, repr=False)
 
     @classmethod
     def from_integers(cls, lattice: Lattice, nums, den: int) -> "LatticeFunction":
         """The table nums[i] / den, which keeps (nums, den) as its integer
         form; den must be the lcm of the reduced denominators of the values."""
-        f = cls(lattice, tuple(R(v, den) for v in nums))
-        object.__setattr__(f, "_integers", (tuple(nums), den))
-        return f
+        return cls(lattice, None, (tuple(nums), den))
+
+    @property
+    def values(self) -> tuple:
+        """The values in the lattice's canonical order."""
+        if self._values is None:
+            nums, den = self._integers
+            object.__setattr__(self, "_values", tuple(R(v, den) for v in nums))
+        return self._values
 
     def integer_form(self) -> tuple:
         """(numerators, denominator): the values as Python ints over their lcm
         denominator, as :func:`mvortho._backend.integer_scaled` gives them
         (None entries stay None)."""
         if self._integers is None:
-            nums, den = integer_scaled(self.values)
+            nums, den = integer_scaled(self._values)
             object.__setattr__(self, "_integers", (tuple(nums), den))
         return self._integers
+
+    def __eq__(self, other):
+        if not isinstance(other, LatticeFunction):
+            return NotImplemented
+        return self.lattice == other.lattice and self.values == other.values
 
     @classmethod
     def constant(cls, lattice: Lattice, c) -> "LatticeFunction":

@@ -16,14 +16,26 @@ its arguments, scaled to their denominators, and one rational at the
 end.  The term-by-term closed forms stay in ``tests/test_polynomials.py``
 as the pointwise oracle; every value equals theirs exactly.
 
-A *grid* is one polynomial at every integer point an identity check
-reads, as Python ints over the row's denominator: the row is read once
-and summed against integer rising factorials, with no rational per
-point (:func:`hahn_grid`, :func:`hahn_pair_grid`, :func:`km_pair_grid`).
-The pair grids cover the points u, v >= -1 with u + v <= box + 1, the
-box of an identity and the shifts it reads; the entries of -1 are stored
-last, so ``grid[u][v]`` reads u = -1 or v = -1 at index -1.
-:func:`pair_backward_table` runs its chain of backward shifts in ints.
+At integer points every value is an integer sum over the row's
+denominator.  Two kernels compute such sums, with no rational per
+point: :func:`_series_grid` for a single-variable series at a list of
+integers x, and :func:`_pair_sums` for a pair polynomial at a list of
+integer points (u, v), any signs.  A *grid* is one polynomial at every
+integer point an identity check reads (:func:`hahn_grid`,
+:func:`hahn_pair_grid`, :func:`km_pair_grid`).  The pair grids cover the
+points u, v >= -1 with u + v <= box + 1, the box of an identity and the
+shifts it reads; the entries of -1 are stored last, so ``grid[u][v]``
+reads u = -1 or v = -1 at index -1.  :func:`pair_backward_table` runs
+its chain of backward shifts in ints.
+
+The eigenpolynomial tables are built from *slots*: pair factor j of P_m
+with its degree shift, read at (x_j, x_{>j} - shift), and the radial
+factor, read at |x| - (|m| - m_0).  The families compute a slot at a
+list of arguments through the same kernels (:func:`hahn_pair_sums`,
+:func:`km_pair_sums` and the single-variable grids), and
+:func:`eigenpoly_tables` multiplies the slots' integers point by point
+(see there).  Rows are looked up through this module at every call, so
+a patched row reaches the grids and the tables alike.
 
 Degree multi-indices are tuples m = (m_0, m_1, ..., m_{n-1}); m_0 is the
 degree of the radial (|x|-dependent) factor and m_i the degree of the
@@ -38,6 +50,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 from ._backend import R, ONE, integer_scaled
@@ -116,14 +129,14 @@ def hahn(m: int, x, a, b, N):
     return _series(_hahn_row(m, a, b, N), x)
 
 
-def hahn_grid(m: int, a, b, N, xs) -> tuple[list, int]:
-    """Numerators of ``hahn(m, x, a, b, N)`` at the integers x of ``xs``, in
-    that order, over one denominator.
+def _series_grid(row: tuple, xs) -> tuple[list, int]:
+    """Numerators of the series of ``row`` at the integers x of ``xs``, in
+    that order, over the row's denominator.
 
-    Raises the ZeroDivisionError of :func:`hahn` when some x of ``xs`` is
-    a point where the series meets its pole before it terminates.
+    Raises the ZeroDivisionError of :func:`_series` when some x of ``xs``
+    is a point where the series meets its pole before it terminates.
     """
-    nums, den, pole = _hahn_row(m, a, b, N)
+    nums, den, pole = row
     top = len(nums) - 1
     if pole is not None and any(not 0 <= x <= top for x in xs):
         raise _pole_error(pole)
@@ -131,20 +144,46 @@ def hahn_grid(m: int, a, b, N, xs) -> tuple[list, int]:
     return [sum(map(operator.mul, nums, _rising_nums(x, top)[0])) for x in xs], den
 
 
-def krawtchouk(m: int, x, p, N):
-    """Single-variable Krawtchouk polynomial: 2F1(-m, -x; -N | 1/p)."""
+def hahn_grid(m: int, a, b, N, xs) -> tuple[list, int]:
+    """Numerators of ``hahn(m, x, a, b, N)`` at the integers x of ``xs``, in
+    that order, over one denominator (see :func:`_series_grid`)."""
+    return _series_grid(_hahn_row(m, a, b, N), xs)
+
+
+def _krawtchouk_row(m: int, p, N) -> tuple:
     p = R(p)
     if p == 0:
         raise ValueError("p must be nonzero")
-    return _series(_series_row(m, (), (-R(N),), 1 / p), x)
+    return _series_row(m, (), (-R(N),), 1 / p)
+
+
+def krawtchouk(m: int, x, p, N):
+    """Single-variable Krawtchouk polynomial: 2F1(-m, -x; -N | 1/p)."""
+    return _series(_krawtchouk_row(m, p, N), x)
+
+
+def krawtchouk_grid(m: int, p, N, xs) -> tuple[list, int]:
+    """Numerators of ``krawtchouk(m, x, p, N)`` at the integers x of ``xs``,
+    over one denominator."""
+    return _series_grid(_krawtchouk_row(m, p, N), xs)
+
+
+def _meixner_row(m: int, c, beta) -> tuple:
+    c = R(c)
+    if c == 0:
+        raise ValueError("c must be nonzero")
+    return _series_row(m, (), (R(beta),), 1 - 1 / c)
 
 
 def meixner(m: int, x, c, beta):
     """Single-variable Meixner polynomial: 2F1(-m, -x; beta | 1 - 1/c)."""
-    c = R(c)
-    if c == 0:
-        raise ValueError("c must be nonzero")
-    return _series(_series_row(m, (), (R(beta),), 1 - 1 / c), x)
+    return _series(_meixner_row(m, c, beta), x)
+
+
+def meixner_grid(m: int, c, beta, xs) -> tuple[list, int]:
+    """Numerators of ``meixner(m, x, c, beta)`` at the integers x of ``xs``,
+    over one denominator."""
+    return _series_grid(_meixner_row(m, c, beta), xs)
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
@@ -187,17 +226,33 @@ def hahn_pair_grid(m: int, alpha, gamma, box: int) -> tuple[list, int]:
     return _pair_grid(row, m, box, True), den
 
 
-def _pair_grid(row: tuple, m: int, box: int, hahn_side: bool) -> list:
-    """Rows u = 0..box+1, -1 of the sums Sum_k row[k] (-u)_{m-k} (-v)_k
-    (hahn_side) or Sum_k row[k] (-u)_k (-v)_{m-k}, each over v = 0..box+1-u, -1."""
-    rising = {t: _rising_nums(t, m)[0] for t in range(-1, box + 3)}
+def hahn_pair_sums(m: int, alpha, gamma, points) -> tuple[list, int]:
+    """Numerators of ``hahn_pair(m, u, v, alpha, gamma)`` at the integer
+    points (u, v) of ``points``, in that order, over one denominator."""
+    row, den = _hahn_pair_row(m, R(alpha), R(gamma))
+    return _pair_sums(row, m, points, True), den
+
+
+def _pair_sums(row: tuple, m: int, points, hahn_side: bool) -> list:
+    """Sum_k row[k] (-u)_{m-k} (-v)_k (hahn_side) or Sum_k row[k] (-u)_k (-v)_{m-k}
+    at each integer point (u, v) of ``points``, in that order.
+
+    Any integers are allowed: the eigenpolynomial tables read v down to
+    minus the degree shift of their pair factor.
+    """
+    rising = {t: _rising_nums(t, m)[0] for t in set(chain.from_iterable(points))}
     flipped = {t: r[::-1] for t, r in rising.items()}
     us, vs = (flipped, rising) if hahn_side else (rising, flipped)
-    grid = []
-    for u in [*range(box + 2), -1]:
-        cu = list(map(operator.mul, row, us[u]))
-        grid.append([sum(map(operator.mul, cu, vs[v])) for v in [*range(box + 2 - u), -1]])
-    return grid
+    weighted = {u: list(map(operator.mul, row, us[u])) for u in {u for u, _ in points}}
+    return [sum(map(operator.mul, weighted[u], vs[v])) for u, v in points]
+
+
+def _pair_grid(row: tuple, m: int, box: int, hahn_side: bool) -> list:
+    """Rows u = 0..box+1, -1 of the pair sums (see :func:`_pair_sums`), each
+    over v = 0..box+1-u, -1."""
+    lines = [[(u, v) for v in [*range(box + 2 - u), -1]] for u in [*range(box + 2), -1]]
+    sums = iter(_pair_sums(row, m, [p for line in lines for p in line], hahn_side))
+    return [[next(sums) for _ in line] for line in lines]
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
@@ -209,15 +264,19 @@ def _km_pair_row(m: int, ratio) -> tuple:
     return tuple(nums), den
 
 
+def _km_row(m: int, alpha, gamma) -> tuple:
+    alpha = R(alpha)
+    if alpha == 0:
+        raise ValueError("alpha must be nonzero")
+    return _km_pair_row(m, R(gamma) / alpha)
+
+
 def km_pair(m: int, u, v, alpha, gamma):
     """Pair polynomial shared by the Krawtchouk and Meixner systems.
 
     Sum_{k=0..m} (-1)^k C(m,k) (gamma/alpha)^k (-u)_k (-v)_{m-k}.
     """
-    alpha = R(alpha)
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    row, den = _km_pair_row(m, R(gamma) / alpha)
+    row, den = _km_row(m, alpha, gamma)
     us, uden = _rising_nums(R(u), m)
     vs, vden = _rising_nums(R(v), m)
     return R(sum(c * us[k] * vs[m - k] for k, c in enumerate(row)), den * uden * vden)
@@ -226,11 +285,15 @@ def km_pair(m: int, u, v, alpha, gamma):
 def km_pair_grid(m: int, alpha, gamma, box: int) -> tuple[list, int]:
     """``km_pair(m, u, v, alpha, gamma)`` on the points u, v >= -1 with
     u + v <= box + 1: (grid, den) with the value grid[u][v] / den."""
-    alpha = R(alpha)
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    row, den = _km_pair_row(m, R(gamma) / alpha)
+    row, den = _km_row(m, alpha, gamma)
     return _pair_grid(row, m, box, False), den
+
+
+def km_pair_sums(m: int, alpha, gamma, points) -> tuple[list, int]:
+    """Numerators of ``km_pair(m, u, v, alpha, gamma)`` at the integer points
+    (u, v) of ``points``, in that order, over one denominator."""
+    row, den = _km_row(m, alpha, gamma)
+    return _pair_sums(row, m, points, False), den
 
 
 def pair_product(i: int, m: Sequence[int], x: Sequence[int], params):
@@ -263,49 +326,52 @@ def eigenpoly_tables(degrees, params, lattice: Lattice, factors: dict | None = N
                      ) -> list[LatticeFunction]:
     """Value tables of P_m over an enumerated lattice, one per m in ``degrees``.
 
-    P_m(x) is built factor by factor, and each distinct factor is
-    evaluated once: pair factor j depends only on (j, m_j, shift, x_j,
-    x_{>j}) with shift = sum_{k>j} m_k, the radial factor only on (m_0,
-    |m| - m_0, |x|).  ``factors`` maps these 5- and 3-tuples to their
-    values; a caller that passes the same dict to several calls, on any
-    lattices of the same bundle, evaluates each factor once in all.  The
-    factors are the family's, as in :func:`eigenpoly`, which stays the
-    pointwise reference; every value equals it exactly.
+    P_m(x) is built factor by factor.  A *slot* is one factor of P_m as a
+    function of the point: pair slot (j, m_j, shift), with shift =
+    sum_{k>j} m_k, read at (x_j, x_{>j}), and the radial slot (m_0,
+    |m| - m_0) read at |x|.  The family computes a slot at a list of
+    integer arguments (``pair_slot``, ``radial_slot``): one integer sum per
+    argument against the slot's cached coefficient row, over that row's
+    denominator, with no rational per value.  ``factors`` maps each slot to
+    (denominator, {argument: numerator}); a caller that passes the same
+    dict to several calls, on any lattices of the same bundle, evaluates
+    each (slot, argument) once in all.  The factors are the family's, as
+    in :func:`eigenpoly`, which stays the pointwise reference; every value
+    equals it exactly.
 
-    Each factor slot, (j, m_j, shift) or (m_0, |m| - m_0), is scaled to
-    integers across the lattice once per call; a table is the product of
-    its slots' integers point by point, over the product of their
-    denominators, reduced by the gcd of all of them.  That is its integer
-    form (:meth:`LatticeFunction.integer_form`): the values over their lcm
-    denominator, which the integer kernels read.
+    A table is the product of its slots' integers point by point, over
+    the product of their denominators, reduced by the gcd of all of them.
+    That is its integer form (:meth:`LatticeFunction.integer_form`): the
+    values over their lcm denominator, which the integer kernels read.
+    The table forms its rationals only when its ``values`` are read.
     """
     FamilyParams.require(params)
     if lattice.n != params.n:
         raise ValueError(f"lattice has {lattice.n} coordinates, params have {params.n}")
     degrees = [params.degree_index(m) for m in degrees]
-    # (x_j, x_{>j}) of every point, for the pair factors j = 1..n-1
+    # (x_j, x_{>j}) of every point, for the pair slots j = 1..n-1
     coords = [[(x[j - 1], sum(x[j:])) for x in lattice.points] for j in range(1, params.n)]
-    sizes = [(sum(x),) for x in lattice.points]
+    sizes = [sum(x) for x in lattice.points]
     factors = {} if factors is None else factors
     slots: dict = {}
 
-    def slot(fn, key: tuple, args: list) -> tuple:
-        """Numerators of the factor ``key + arg`` at every point, over one denominator."""
+    def slot(method, key: tuple, args: list) -> tuple:
+        """Numerators of the slot ``key`` at every point, over its denominator."""
         if key not in slots:
-            values = []
-            for arg in args:
-                value = factors.get(key + arg)
-                if value is None:
-                    value = factors[key + arg] = fn(*key, *arg)
-                values.append(value)
-            slots[key] = integer_scaled(values)
+            den, known = factors.get(key, (None, {}))
+            missing = [arg for arg in dict.fromkeys(args) if arg not in known]
+            if missing:
+                nums, den = method(*key, missing)
+                known.update(zip(missing, nums))
+                factors[key] = den, known
+            slots[key] = [known[arg] for arg in args], den
         return slots[key]
 
     tables = []
     for m in degrees:
-        nums, den = slot(params.radial, (m[0], sum(m[1:])), sizes)
-        for j, points in enumerate(coords, start=1):
-            fnums, fden = slot(params.pair_factor, (j, m[j], sum(m[j + 1 :])), points)
+        nums, den = slot(params.radial_slot, (m[0], sum(m[1:])), sizes)
+        for j, args in enumerate(coords, start=1):
+            fnums, fden = slot(params.pair_slot, (j, m[j], sum(m[j + 1 :])), args)
             nums = list(map(operator.mul, nums, fnums))
             den *= fden
         g = math.gcd(den, *nums)

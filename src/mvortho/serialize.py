@@ -22,6 +22,16 @@ def rational_str(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def ratio_strs(nums, den: int) -> list[str]:
+    """The values nums[i] / den (den > 0) as :func:`rational_str` writes
+    them, from their integers: one gcd per value, no rational."""
+    out = []
+    for num in nums:
+        g = math.gcd(num, den)
+        out.append(str(num // g) if g == den else f"{num // g}/{den // g}")
+    return out
+
+
 def sci_str(q) -> str:
     """``f"{float(q):.3e}"``, also for rationals too large for a float.
 
@@ -92,8 +102,11 @@ def matrix_triplets(M, as_float: bool = False):
     """Sparse triplet rows (row, col, value) of an OperatorMatrix, column order."""
     rows = []
     for i, row in enumerate(M.rows):
-        for j, v in sorted(row.items()):
-            rows.append([str(i), str(j), value_str(R(v, M.den), as_float)])
+        cols = sorted(row)
+        nums = [row[j] for j in cols]
+        values = ([value_str(R(v, M.den), True) for v in nums] if as_float
+                  else ratio_strs(nums, M.den))
+        rows += ([str(i), str(j), v] for j, v in zip(cols, values))
     return ["row", "col", "value"], rows
 
 

@@ -1,0 +1,134 @@
+"""The command line as a process-wide entry point: one parser for every
+call, and no input that ends in anything but exit code 0, 1 or 2."""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mvortho import cli
+
+HAHN = ["--family", "hahn", "--a", "1,2,1/2", "--b", "2", "--N", "4"]
+KRAW = ["--family", "krawtchouk", "--a", "1/2,1/3", "--N", "3"]
+MEIX = ["--family", "meixner", "--a", "1/5,1/4", "--beta", "2", "--xmax", "3"]
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one ``main`` call; argparse exits too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_main_reuses_one_parser_and_prints_what_a_fresh_parser_prints(tmp_path):
+    """Consecutive calls with different subcommands and flags, --output on
+    the first only, give the bytes of calls that each build a new parser."""
+    def calls(output):
+        return [
+            ["eval", *HAHN, "--m", "1,0,1", "--format", "json", "--output", str(output)],
+            ["eval", *HAHN, "--m", "0,1,1"],
+            ["verify", *KRAW, "--check", "eigen", "--m-max", "1", "--format", "json"],
+            ["eval", *HAHN, "--m", "0,1,1", "--x", "1,0,2"],
+            ["export", *MEIX, "--what", "weights", "--float"],
+            ["eval", *MEIX, "--m", "1,0"],
+            ["eval", *HAHN, "--m", "1,0,0", "--x"],  # argparse: --x needs a value
+            ["export", *HAHN, "--what", "operator", "--op", "exchange1", "--format", "csv"],
+            ["export", *KRAW, "--what", "gram", "--format", "json", "--xmax", "2"],  # foreign
+            ["eval", *KRAW, "--m", "1,1", "--format", "csv"],
+        ]
+
+    fresh = []
+    for argv in calls(tmp_path / "fresh.json"):
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    cli.build_parser.cache_clear()
+    reused = [run(argv) for argv in calls(tmp_path / "reused.json")]
+    assert cli.build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [rc for rc, _, _ in reused] == [0, 0, 0, 0, 0, 0, 2, 0, 2, 0]
+    assert reused[0][1] == "" and reused[1][1].startswith("(0, 0, 0) ")
+    assert (tmp_path / "reused.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+
+# Malformed values beside the good ones: text the parsers must refuse with
+# one error line, never with a traceback.
+BAD_RATIONALS = st.sampled_from(["0", "-1", "1/0", "0/0", "1.5", "1e3", "", " ", "a", "1/2/3",
+                                 "-1/2", "1/-2", "1" + "0" * 40, "nan", "inf", "\u00bd"])
+BAD_INTS = st.sampled_from(["-1", "0", "x", "1/2", "", "1.0", "-3"])
+BAD_POINTS = st.lists(st.sampled_from(["0", "1", "2", "-1", "9", "", "a", "1/2"]),
+                      min_size=1, max_size=4).map(",".join)
+FOREIGN = [("--b", "2"), ("--beta", "2"), ("--N", "3"), ("--xmax", "2"), ("--n", "2")]
+CHECKS = ("normalization", "eigen", "gram", "commutators", "boundary", "glue",
+          "completeness", "limits")
+
+
+@st.composite
+def argvs(draw):
+    """A call of eval, verify or export on a small instance.  Each value is
+    good seven times in eight and otherwise malformed; some calls carry a
+    flag their family does not take."""
+    def pick(good, bad):
+        return draw(bad) if draw(st.sampled_from(range(8))) == 7 else draw(st.sampled_from(good))
+
+    def point(n, total):
+        return ",".join(map(str, draw(st.lists(st.integers(0, total), min_size=n,
+                                               max_size=n).filter(lambda x: sum(x) <= total))))
+
+    command = draw(st.sampled_from(["eval", "verify", "export"]))
+    family = pick(["hahn", "krawtchouk", "meixner"], st.just("charlier"))
+    n = draw(st.integers(2, 3))
+    a_good = ["1/5", "1/4", "1/9"] if family == "meixner" else ["1", "2", "1/2", "7/3"]
+    argv = [command, "--family", family,
+            "--a", ",".join(pick(a_good, BAD_RATIONALS) for _ in range(n))]
+    if family in ("hahn", "krawtchouk", "charlier"):
+        argv += ["--N", pick([str(n + 1), "4"], BAD_INTS)]
+    if family in ("hahn", "charlier"):
+        argv += ["--b", pick(["2", "1/2"], BAD_RATIONALS)]
+    if family == "meixner":
+        argv += ["--beta", pick(["2", "5/2"], BAD_RATIONALS), "--xmax", pick(["1", "3"], BAD_INTS)]
+    if draw(st.sampled_from(range(8))) == 7:
+        argv += draw(st.sampled_from(FOREIGN))
+    if command == "eval":
+        argv += ["--m", pick([point(n, 2)], BAD_POINTS),
+                 "--format", pick(["text", "csv", "json"], st.just("yaml"))]
+        if draw(st.booleans()):
+            argv += ["--x", pick([point(n, 3)], BAD_POINTS)]
+    elif command == "verify":
+        argv += ["--check", pick(CHECKS, st.just("no-such-check")),
+                 "--m-max", pick(["0", "1"], BAD_INTS),
+                 "--format", pick(["text", "json"], st.just("yaml"))]
+    else:
+        argv += ["--what", pick(["weights", "operator", "gram"], st.just("table")),
+                 "--op", pick(["total", "single", "exchange1"],
+                              st.sampled_from(["exchange0", "exchange7", "exchange",
+                                               "exchangex", "double"])),
+                 "--format", pick(["csv", "json"], st.just("yaml"))]
+        if draw(st.booleans()):
+            argv += ["--m-max", pick(["0", "1", "2"], BAD_INTS)]
+        if draw(st.booleans()):
+            argv.append("--float")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def one_parser():
+    cli.build_parser.cache_clear()
+    cli.build_parser()
+    yield
+    assert cli.build_parser.cache_info().misses == 1
+
+
+@given(argvs())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_every_call_exits_0_1_or_2_with_at_most_one_error_line(one_parser, argv):
+    rc, _, err = run(argv)
+    assert rc in (0, 1, 2), (argv, rc, err)
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) <= 1, (argv, err)
+    assert (rc == 2) == ("error:" in err), (argv, err)

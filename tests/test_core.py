@@ -132,3 +132,20 @@ def test_params_accept_strings_and_expose_tails():
     assert p.a_total == R(4)
     assert p.a_tail(1) == R(7, 2)
     assert p.n == 3
+
+
+def test_tables_from_integers_form_their_values_on_first_read():
+    """A table built from its integer form keeps only the integers until
+    ``values`` is read; then the values are nums[i] / den at every point."""
+    from mvortho import eigenpoly_tables
+    from mvortho.core import family_lattice
+
+    params = HahnParams((R(1), R(2), R(1, 2)), R(2), 4)
+    lattice = family_lattice(params)
+    tables = eigenpoly_tables([(0, 0, 0), (1, 0, 1), (0, 2, 1)], params, lattice)
+    tables.append(LatticeFunction.from_integers(lattice, range(lattice.size), 6))
+    forms = [table.integer_form() for table in tables]
+    assert all(table._values is None for table in tables)
+    for table, (nums, den) in zip(tables, forms):
+        assert table.values == tuple(R(v, den) for v in nums)
+        assert table.values is table.values and table.integer_form() == (nums, den)

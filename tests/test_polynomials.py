@@ -26,8 +26,10 @@ from mvortho import (
 )
 from mvortho._backend import integer_scaled
 from mvortho.core import Lattice, enumerate_degrees, enumerate_lattice
-from mvortho.polynomials import hahn_grid, hahn_pair_grid, km_pair_grid
+from mvortho.polynomials import (hahn_grid, hahn_pair_grid, hahn_pair_sums, km_pair_grid,
+                                 km_pair_sums, krawtchouk_grid, meixner_grid)
 from test_core import table_of
+from test_operators import ORACLE_CASES
 
 small_pos = st.integers(1, 10).flatmap(
     lambda p: st.integers(1, 10).map(lambda q: R(p, q))
@@ -450,6 +452,29 @@ class TestTables:
             t.values for t in oracle_tables(degrees, params, lattice)
         ]
 
+    @pytest.mark.parametrize("params, xmax", ORACLE_CASES)
+    def test_slot_tables_equal_pointwise_eigenpoly(self, params, xmax, monkeypatch):
+        """Tables built from integer factor slots equal ``eigenpoly`` at every
+        point for every |m| <= 3, and their integer form is the values over
+        their lcm denominator.  On the n = 3 cases the pair slots read
+        v = x_{>j} - shift down to -3; the top pair (n = 2) has no shift."""
+        family = type(params)
+        pair_slot, reads = family.pair_slot, []
+
+        def recorded(self, j, mj, shift, args):
+            reads.extend(t - shift for _, t in args)
+            return pair_slot(self, j, mj, shift, args)
+
+        monkeypatch.setattr(family, "pair_slot", recorded)
+        lattice = family_lattice(params, xmax=xmax)
+        degrees = enumerate_degrees(params.n, 3)
+        tables = eigenpoly_tables(degrees, params, lattice)
+        assert min(reads) == (-3 if params.n == 3 else 0)
+        for m, table in zip(degrees, tables):
+            nums, den = integer_scaled(table.values)
+            assert table.integer_form() == (tuple(nums), den)
+            assert table.values == tuple(eigenpoly(m, x, params) for x in lattice.points)
+
     def test_tables_reject_bad_input(self):
         p = TestMultivariate.hahn_params
         lattice = family_lattice(p)
@@ -567,6 +592,29 @@ class TestRowKernelsMatchOracle:
                         assert R(grid[u][v], den) == fn(m, u, v, alpha, gamma)
         with pytest.raises(ValueError, match="alpha"):
             km_pair_grid(1, 0, 1, box)
+
+    @pytest.mark.parametrize("alpha, gamma", PAIR_PARAMS)
+    def test_pair_sums(self, alpha, gamma):
+        """The pair sums at any integer points, in the order given, repeats
+        and v far below -1 included, as the shifted pair slots read them."""
+        points = [(u, v) for u in (3, 0, 5, 1) for v in (2, -4, 0, -1, 6, -2, 2)]
+        for m in range(6):
+            for sums_of, fn in ((hahn_pair_sums, hahn_pair), (km_pair_sums, km_pair)):
+                nums, den = sums_of(m, alpha, gamma, points)
+                assert [R(v, den) for v in nums] == [fn(m, u, v, alpha, gamma)
+                                                    for u, v in points]
+        with pytest.raises(ValueError, match="alpha"):
+            km_pair_sums(1, 0, 1, points)
+
+    def test_krawtchouk_and_meixner_grids(self):
+        xs = [*range(12), -1, -3, 4]
+        for m in range(7):  # the Krawtchouk row meets its pole at k = N + 1 = 7
+            for grid_of, fn, args in ((krawtchouk_grid, krawtchouk, (R(2, 5), 6)),
+                                      (krawtchouk_grid, krawtchouk, (R(3), R(9, 2))),
+                                      (meixner_grid, meixner, (R(1, 3), R(5, 2))),
+                                      (meixner_grid, meixner, (R(3, 4), R(7)))):
+                nums, den = grid_of(m, *args, xs)
+                assert [R(v, den) for v in nums] == [fn(m, x, *args) for x in xs]
 
     @pytest.mark.parametrize("a, b, N", [
         (R(1), R(2), 10), (R(3, 2), R(5, 4), 7), (R(1, 2), R(1, 3), R(-7, 2)),

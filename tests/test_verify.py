@@ -496,28 +496,32 @@ def test_suite_tables_carry_their_lcm_integer_form(params, xmax):
 
 
 def test_suite_evaluates_each_factor_once(monkeypatch):
-    """One factor dict per context: no pair or radial factor key is evaluated
-    twice in a whole suite, across the tables of every check and simplex."""
+    """One dict of slot integers per context: no pair or radial slot is
+    evaluated twice at one argument in a whole suite, across the tables of
+    every check and simplex."""
     params = HahnParams((R(1), R(2), R(3)), R(2), 5)
-    keys = []
+    evaluated = []
 
     def counted(method):
-        def wrapper(self, *key):
-            keys.append((method.__name__, key))
-            return method(self, *key)
+        def wrapper(self, *key_and_args):
+            *key, args = key_and_args
+            evaluated.extend((method.__name__, *key, arg) for arg in args)
+            return method(self, *key_and_args)
         return wrapper
 
-    for name in ("pair_factor", "radial"):
+    for name in ("pair_slot", "radial_slot"):
         monkeypatch.setattr(HahnParams, name, counted(getattr(HahnParams, name)))
     reports = V.run_suite(params)
     assert not any(r.status == "fail" for r in reports)
-    assert {name for name, _ in keys} == {"pair_factor", "radial"}
-    assert len(keys) == len(set(keys))
+    assert {name for name, *_ in evaluated} == {"pair_slot", "radial_slot"}
+    assert len(evaluated) == len(set(evaluated))
 
 
 def test_suite_evaluates_each_type_one_value_once(monkeypatch):
-    """A type-one table depends on x only through x_J: the suite evaluates
-    each (J, m, x_J) once, 7 subsets x degrees 0..3 x values 0..N."""
+    """A type-one table depends on x only through x_J and on J only through
+    a_J: the suite evaluates each (m, a_J, x_J) once.  With a = 1, 2, 3 the
+    7 subsets give 6 sums a_J ({3} and {1, 2} share 3), so 6 sums x degrees
+    0..3 x values 0..N."""
     params = HahnParams((R(1), R(2), R(3)), R(2), 5)
     type_one, calls = HahnParams.type_one, []
 
@@ -528,7 +532,7 @@ def test_suite_evaluates_each_type_one_value_once(monkeypatch):
     monkeypatch.setattr(HahnParams, "type_one", counted)
     reports = V.run_suite(params)
     assert not any(r.status == "fail" for r in reports)
-    assert len(calls) == 7 * 4 * (params.N + 1) == 168
+    assert len(calls) == len(set(calls)) == 6 * 4 * (params.N + 1) == 144
 
 
 def test_perturbed_pair_row_fails_eigen_and_pair_shifts(monkeypatch):
