@@ -10,7 +10,9 @@ tables are built in it from the integers of their factor slots, each an
 integer sum over its coefficient row's denominator, so no rational is
 formed per factor value; the kernels and the exporters that read the
 tables rescale nothing, and a table forms its rationals only when its
-values are read.
+values are read.  The operator stencils are written from the family's rate
+constants scaled once to integers, and the degree test takes Newton
+differences of integer images: no rational is formed per stencil entry.
 """
 
 from __future__ import annotations

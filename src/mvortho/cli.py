@@ -34,10 +34,6 @@ from .serialize import (
 )
 from . import verify as V
 
-def _parse_rational_list(text: str):
-    return tuple(parse_rational(part) for part in text.split(","))
-
-
 def _parse_int_list(text: str, flag: str):
     try:
         return tuple(int(part) for part in text.split(","))
@@ -66,7 +62,7 @@ def _non_negative(args, dest: str):
 
 def build_params(args):
     """The family bundle: --a, then the family's own fields (--b, --N, --beta)."""
-    a = _parse_rational_list(args.a)
+    a = tuple(parse_rational(part, "--a") for part in args.a.split(","))
     if args.n is not None and len(a) != args.n:
         raise ValueError(f"--a has {len(a)} entries but --n is {args.n}")
     family = FAMILIES[args.family]
@@ -80,7 +76,8 @@ def build_params(args):
     values = [getattr(args, name) for name in names]
     if None in values:
         raise ValueError(f"{args.family} needs " + " and ".join(f"--{k}" for k in names))
-    return family(a, *(v if isinstance(v, int) else parse_rational(v) for v in values))
+    return family(a, *(v if isinstance(v, int) else parse_rational(v, f"--{name}")
+                       for name, v in zip(names, values)))
 
 
 def _family_args(p):
@@ -153,7 +150,7 @@ def cmd_verify(args) -> int:
 def _parse_op(text: str):
     if text in ("total", "single"):
         return text, None
-    if text.startswith("exchange"):
+    if text.startswith("exchange") and text[len("exchange"):].isdecimal():
         return "exchange", int(text[len("exchange"):])
     raise ValueError(f"unknown operator {text!r} (total, single, exchangeK)")
 
@@ -181,8 +178,7 @@ def cmd_export(args) -> int:
         mm = _non_negative(args, "m_max")
         if mm is None:
             mm = 1 if params.N is None else min(params.N, 3)
-        if params.N is not None and mm > params.N:
-            raise ValueError("need m_max <= N")
+        params.check_m_max(mm)
         w = weight_table(params, xmax=_non_negative(args, "xmax"))
         degrees = enumerate_degrees(params.n, mm)
         G = gram_matrix(eigenpoly_tables(degrees, params, w.lattice), w)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from ._backend import R, ZERO, integer_scaled
@@ -111,6 +112,13 @@ class Lattice:
     def size(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def steps(self) -> tuple:
+        """(up, down): up[j][i] and down[j][i] index x + e_j and x - e_j for
+        the i-th point x, None off the lattice; the stencils read them."""
+        return tuple([[self.index.get(x[:j] + (x[j] + d,) + x[j + 1:]) for x in self.points]
+                      for j in range(self.n)] for d in (1, -1))
+
 
 @dataclass(frozen=True, eq=False)
 class LatticeFunction:
@@ -185,7 +193,11 @@ class FamilyParams:
 
     The subclasses in :mod:`mvortho.families` add their own parameters and
     carry their family's formulas as methods.  ``N`` is the lattice bound,
-    None on the unbounded Meixner lattice.
+    None on the unbounded Meixner lattice.  Each declares its rates as the
+    seven rationals ``rate_form = (u0, u1, v1, d0, d1, e1, e)`` of
+    B_j = (u0 + u1 |x|)(v1 x_j + a_j), D_j = x_j (d0 + d1 |x|) and
+    c_jk = x_j (e1 x_k + e a_k), which the integer stencils
+    (:func:`mvortho.operators.operator_matrix`) and the rates below read.
     """
 
     a: tuple
@@ -230,6 +242,26 @@ class FamilyParams:
         """Instance label of the reports, e.g. ``krawtchouk n=3 N=4 a=(1/2,1/3,2)``."""
         a = ",".join(rational_str(v) for v in self.a)
         return f"{self.family} n={self.n} {self.bound_label} a=({a})"
+
+    def up_rate(self, x, j: int):
+        """Birth rate B_j(x) of site j."""
+        u0, u1, v1 = self.rate_form[:3]
+        return (u0 + u1 * sum(x)) * (v1 * x[j] + self.a[j])
+
+    def down_rate(self, x, j: int):
+        """Death rate D_j(x) of site j."""
+        d0, d1 = self.rate_form[3:5]
+        return x[j] * (d0 + d1 * sum(x))
+
+    def exchange_coeff(self, x, j: int, k: int):
+        """Rate c_jk(x) of the move x - e_j + e_k."""
+        e1, e = self.rate_form[5:]
+        return x[j] * (e1 * x[k] + e * self.a[k])
+
+    def check_m_max(self, m_max: int) -> None:
+        """Raise unless the degree bound m_max is at most N on a bounded lattice."""
+        if self.N is not None and m_max > self.N:
+            raise ValueError(f"need m_max <= N, got m_max = {m_max} and N = {self.N}")
 
     def degree_index(self, m: Sequence[int]) -> tuple[int, ...]:
         """m as a tuple of n non-negative ints, with |m| <= N on a bounded lattice."""

@@ -10,7 +10,8 @@ of one construction: a Karlin-McGregor operator
 and eigenpolynomials P_m(x) built as pair factors in (x_j, x_{>j}) times
 a radial factor in |x|.  Each class holds its family's rates, weight,
 factors, eigenvalue constants and label; every other module reads the
-family through these methods only.  The factors come pointwise
+family through these methods only.  The rates are seven constants of one
+form (``rate_form``, see :class:`mvortho.core.FamilyParams`).  The factors come pointwise
 (``pair_factor``, ``radial``: the reference that ``eigenpoly`` reads) and
 as integer slots over a list of arguments (``pair_slot``,
 ``radial_slot``: what the value tables read).  Krawtchouk and Meixner
@@ -53,14 +54,9 @@ class HahnParams(FamilyParams):
     def label(self) -> str:
         return f"{super().label} b={rational_str(self.b)}"
 
-    def up_rate(self, x, j: int):
-        return R(self.N - sum(x)) * (x[j] + self.a[j])
-
-    def down_rate(self, x, j: int):
-        return R(x[j]) * (self.N - sum(x) + self.b)
-
-    def exchange_coeff(self, x, j: int, k: int):
-        return R(x[j]) * (x[k] + self.a[k])
+    @property
+    def rate_form(self) -> tuple:
+        return self.N, -1, 1, self.N + self.b, -1, 1, 1
 
     def weight(self, x):
         return hahn_weight(x, self)
@@ -125,9 +121,6 @@ class _KMPairs:
 
     pair_name = "km"
 
-    def down_rate(self, x, j: int):
-        return R(x[j])
-
     def pair_factor(self, j: int, mj: int, shift: int, u, t):
         """Pair factor j of degree mj at (x_j, x_{>j}) = (u, t), with
         shift = sum_{k>j} m_k; the tail slot stays a_{>j}."""
@@ -164,11 +157,9 @@ class KrawtchoukParams(_KMPairs, FamilyParams):
         super().__post_init__()
         self._check_bound()
 
-    def up_rate(self, x, j: int):
-        return R(self.N - sum(x)) * self.a[j]
-
-    def exchange_coeff(self, x, j: int, k: int):
-        return R(x[j]) * self.a[k]
+    @property
+    def rate_form(self) -> tuple:
+        return self.N, -1, 0, 1, 0, 0, 1
 
     def weight(self, x):
         return krawtchouk_weight(x, self)
@@ -223,11 +214,9 @@ class MeixnerParams(_KMPairs, FamilyParams):
     def integral_beta(self) -> bool:
         return is_integral(self.beta)
 
-    def up_rate(self, x, j: int):
-        return (self.beta + sum(x)) * self.a[j]
-
-    def exchange_coeff(self, x, j: int, k: int):
-        return -R(x[j]) * self.a[k]
+    @property
+    def rate_form(self) -> tuple:
+        return self.beta, 1, 0, 1, 0, 0, -1
 
     def weight(self, x):
         return meixner_weight(x, self)

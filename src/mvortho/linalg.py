@@ -9,9 +9,10 @@ degree <= M exactly when every D^alpha f(0) with |alpha| > M vanishes.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ._backend import R, integer_scaled
 from .core import enumerate_lattice
-
 
 def sparse_product(A, B) -> list[dict]:
     """Rows of A B for matrices given as sparse rows {column: value}."""
@@ -25,26 +26,40 @@ def sparse_product(A, B) -> list[dict]:
     return out
 
 
-def forward_differences(values, n: int, K: int) -> list:
-    """Newton coefficients D^alpha f(0), |alpha| <= K, of a table on {|x| <= K}.
-
-    ``values`` lists f in the graded-lex order of ``enumerate_lattice(n, K)``
-    and the coefficients come back in the same order, alpha in place of
-    x.  Differences are taken in place, axis by axis along each line of
-    the simplex, on integer numerators over the table's lcm denominator.
-    """
+@lru_cache(maxsize=64)
+def _newton_plan(n: int, K: int) -> tuple:
+    """(size, steps) of the simplex {|x| <= K}: the steps (x, x - e_a) of
+    f(x) -= f(x - e_a), pass k = 1..K along each axis a in turn over the
+    points with x_a >= k."""
     points = enumerate_lattice(n, K)
-    if len(values) != len(points):
-        raise ValueError(f"need {len(points)} values on the simplex |x| <= {K}")
     index = {p: i for i, p in enumerate(points)}
+    steps = []
+    for a in range(n):
+        # largest x_a first: a pass reads f(x - e_a) before it changes it
+        down = sorted(points, key=lambda x: -x[a])
+        for k in range(1, K + 1):
+            steps += [(index[x], index[x[:a] + (x[a] - 1,) + x[a + 1:]])
+                      for x in down if x[a] >= k]
+    return len(points), tuple(steps)
+
+
+def newton_differences(nums, n: int, K: int) -> list:
+    """Newton coefficients D^alpha f(0), |alpha| <= K, of an integer table on
+    {|x| <= K}, listed as f is in the graded-lex order of
+    ``enumerate_lattice(n, K)``, alpha in place of x.  After the K passes
+    along an axis, the t-th entry of each line of the simplex on that axis
+    holds the t-th difference of the line's values at its start."""
+    size, steps = _newton_plan(n, K)
+    if len(nums) != size:
+        raise ValueError(f"need {size} values on the simplex |x| <= {K}")
+    out = list(nums)
+    for i, j in steps:
+        out[i] -= out[j]
+    return out
+
+
+def forward_differences(values, n: int, K: int) -> list:
+    """:func:`newton_differences` of a table of rationals, on its integer
+    numerators over the table's lcm denominator."""
     num, den = integer_scaled(values)
-    for axis in range(n):
-        for x in points:
-            if x[axis]:
-                continue
-            line = [index[x[:axis] + (t,) + x[axis + 1:]]
-                    for t in range(K - sum(x) + 1)]
-            for k in range(1, len(line)):
-                for t in range(len(line) - 1, k - 1, -1):
-                    num[line[t]] -= num[line[t - 1]]
-    return [R(v, den) for v in num]
+    return [R(v, den) for v in newton_differences(num, n, K)]

@@ -8,8 +8,9 @@ nested chain of exchange operators:
 * total:       single + exchange(1)
 
 where E_j^+- shifts x_j by one.  The rates B_j, D_j and c_jk are the
-family's (:mod:`mvortho.families`); B_j and D_j are the birth and death
-rates of the j-th population group.
+family's, read from the seven constants of its rate form
+(:attr:`mvortho.core.FamilyParams.rate_form`); B_j and D_j are the birth
+and death rates of the j-th population group.
 On the bounded simplices every coefficient multiplying an out-of-domain
 shift vanishes exactly, so no out-of-lattice value is ever read.  On a
 truncated Meixner box the up-shift coefficient does not vanish at the
@@ -18,7 +19,8 @@ rather than silently zeroed, and matrix rows there are marked invalid.
 
 Each operator is built once per lattice as a sparse stencil
 (:class:`OperatorMatrix`): one row of at most 2n + n(n-1) + 1 integer
-numerators per point, over one common denominator.  Eigen residuals
+numerators per point, over one common denominator, written in Python
+ints from the rate form: no rational is formed per entry.  Eigen residuals
 (:func:`mvortho.verify.residual_defect`), export, commutators,
 self-adjointness and the degree test all read that one representation;
 products, images and Newton differences run in Python ints
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 from ._backend import R, integer_scaled
 from .core import Lattice, enumerate_degrees, family_lattice
-from .linalg import forward_differences, sparse_product
+from .linalg import newton_differences, sparse_product
 from .measures import WeightTable
 
 KINDS = ("total", "single", "exchange")
@@ -64,39 +66,6 @@ class OperatorSpec:
         return self.kind
 
 
-def _moves(op: OperatorSpec, x):
-    """Yield (coefficient, shifted point) pairs with nonzero coefficient.
-
-    A shifted point may fall outside a truncated box; the caller decides
-    how to handle that.  On bounded families all yielded points lie in
-    the simplex because the rates vanish on the relevant boundary.
-    """
-    params = op.params
-    n = params.n
-    if op.kind in ("total", "single"):
-        for j in range(n):
-            b = params.up_rate(x, j)
-            if b != 0:
-                yield b, x[:j] + (x[j] + 1,) + x[j + 1 :]
-            d = params.down_rate(x, j)
-            if d != 0:
-                yield d, x[:j] + (x[j] - 1,) + x[j + 1 :]
-    if op.kind in ("total", "exchange"):
-        lo = 0 if op.kind == "total" else op.index - 1
-        for j in range(lo, n):
-            if x[j] == 0:
-                continue
-            for k in range(lo, n):
-                if k == j:
-                    continue
-                c = params.exchange_coeff(x, j, k)
-                if c != 0:
-                    y = list(x)
-                    y[j] -= 1
-                    y[k] += 1
-                    yield c, tuple(y)
-
-
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Sparse matrix realization on the enumerated lattice.
@@ -119,38 +88,57 @@ class OperatorMatrix:
 
 
 def operator_matrix(op: OperatorSpec, lattice: Lattice | None = None) -> OperatorMatrix:
-    """The operator's stencil on the lattice, one sparse row per point."""
+    """The operator's stencil on the lattice, one sparse row per point.
+
+    The rate constants and a_1..a_n are scaled once to integers over their
+    lcm D, so each rate is an integer over D^2; the numerators, in move
+    order with each diagonal last, are divided once by g = gcd(D^2, all of
+    them), and den = D^2 / g is the lcm of the reduced denominators.  Only
+    up moves from |x| = bound leave the lattice: those rows are invalid.
+    """
     if lattice is None:
         lattice = family_lattice(op.params)
     if lattice.n != op.params.n:
         raise ValueError("lattice dimension does not match the parameters")
     if op.params.N is not None and lattice.bound != op.params.N:
         raise ValueError("lattice bound does not match N")
-    index = lattice.index
-    moves, valid = [], []
-    for x in lattice.points:
-        row = {}
-        for c, y in _moves(op, x):
-            pos = index.get(y)
-            if pos is None:
-                row = None
-                break
-            row[pos] = c
-        moves.append(row or {})
-        valid.append(row is not None)
-    # The diagonal, the sum of the row's move coefficients, has a denominator
-    # dividing the lcm of theirs, so the lcm of the moves is the stencil's.
-    nums, den = integer_scaled([c for row in moves for c in row.values()])
-    nums = iter(nums)
-    rows = []
-    for i, row in enumerate(moves):
-        row = {j: -next(nums) for j in row}
-        diag = -sum(row.values())
+    n, (ups, downs) = lattice.n, lattice.steps
+    (u0, u1, v1, d0, d1, e1, e, *a), D = integer_scaled([*op.params.rate_form, *op.params.a])
+    e1, ea = e1 * D, [e * ak for ak in a]
+    single = op.kind != "exchange"
+    # exchange moves run between the sites lo..n-1; the single part has none
+    lo = op.index - 1 if op.kind == "exchange" else 0 if op.kind == "total" else n
+    pairs = [(j, k) for j in range(lo, n) for k in range(lo, n) if k != j]
+    rows, valid = [], []
+    for i, x in enumerate(lattice.points):
+        s = sum(x)
+        up, down = u0 + u1 * s, D * (d0 + d1 * s)
+        births = [up * (v1 * c + ak) for c, ak in zip(x, a)] if single else ()
+        if s == lattice.bound and any(births):
+            rows.append({})
+            valid.append(False)
+            continue
+        row, diag = {}, 0
+        for j, b in enumerate(births):
+            d = x[j] * down
+            if b:
+                row[ups[j][i]] = -b
+            if d:
+                row[downs[j][i]] = -d
+            diag += b + d
+        for j, k in pairs:
+            c = x[j] * (e1 * x[k] + ea[k])
+            if c:
+                row[ups[k][downs[j][i]]] = -c
+                diag += c
         if diag:
             row[i] = diag
         rows.append(row)
-    rows = tuple(rows)
-    return OperatorMatrix(op, lattice, rows, den, tuple(valid))
+        valid.append(True)
+    g = math.gcd(D * D, *(v for row in rows for v in row.values()))
+    if g > 1:
+        rows = [{j: v // g for j, v in row.items()} for row in rows]
+    return OperatorMatrix(op, lattice, tuple(rows), D * D // g, tuple(valid))
 
 
 def _product_valid_rows(M1: OperatorMatrix, M2: OperatorMatrix):
@@ -232,6 +220,6 @@ def image_degree(stencils, M: int) -> int:
         rows = [row for row, ok in zip(H.rows, H.valid_rows) if ok]
         for mono in monomials:
             image = [sum(c * mono[j] for j, c in row.items()) for row in rows]
-            coeffs = forward_differences(image, lattice.n, K)
+            coeffs = newton_differences(image, lattice.n, K)
             degree = max([degree] + [s for s, c in zip(sums, coeffs) if c != 0])
     return degree

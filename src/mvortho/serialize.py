@@ -59,15 +59,14 @@ def sci_str(q) -> str:
     return f"{sign}{text[0]}.{text[1:]}e{exp:+03d}"
 
 
-def parse_rational(s: str):
-    """Parse 'p/q' or an integer string; decimals are rejected."""
-    s = s.strip()
-    if "." in s or "e" in s.lower():
-        raise ValueError(f"decimal notation not accepted: {s!r}")
-    if "/" in s:
-        num, den = s.split("/", 1)
-        return R(int(num), int(den))
-    return R(int(s))
+def parse_rational(s: str, what: str = "a rational"):
+    """Parse 'p/q' or an integer string; decimals and q = 0 are refused with
+    a message that names ``what`` and the text."""
+    num, slash, den = s.strip().partition("/")
+    try:
+        return R(int(num), int(den) if slash else 1)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{what} must be an integer or p/q with q != 0, got {s!r}") from None
 
 
 def value_str(q, as_float: bool = False) -> str:

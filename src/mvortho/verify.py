@@ -773,8 +773,7 @@ class SuiteContext:
         self.xmax = xmax
         if m_max is None:
             m_max = 3 if unbounded else min(params.N, 3)
-        elif not unbounded and m_max > params.N:
-            raise ValueError(f"need m_max <= N, got m_max = {m_max} and N = {params.N}")
+        params.check_m_max(m_max)
         self.m_max = m_max
         self.invariance_degree = min(2, m_max if unbounded else params.N)
         self.gram_degree = min(m_max, 1) if unbounded else m_max

@@ -132,3 +132,27 @@ def test_every_call_exits_0_1_or_2_with_at_most_one_error_line(one_parser, argv)
     assert "Traceback" not in err
     assert sum("error:" in line for line in err.splitlines()) <= 1, (argv, err)
     assert (rc == 2) == ("error:" in err), (argv, err)
+
+
+@pytest.mark.parametrize("text", ["1/2/3", "1/0", "x"])
+@pytest.mark.parametrize("flag", ["--a", "--b", "--beta"])
+def test_a_malformed_rational_names_its_flag_and_text(flag, text):
+    instance, m = (MEIX, "1,0") if flag == "--beta" else (HAHN, "1,0,0")
+    value = f"1,{text}" if flag == "--a" else text
+    # the flag given a second time overrides the instance's value
+    rc, out, err = run(["eval", *instance, "--m", m, flag, value])
+    assert (rc, out) == (2, "")
+    assert err == f"error: {flag} must be an integer or p/q with q != 0, got {text!r}\n"
+
+
+@pytest.mark.parametrize("op", ["exchange", "exchangeX", "exchange-1", "double"])
+def test_an_unknown_operator_is_a_usage_error(op):
+    rc, out, err = run(["export", *HAHN, "--what", "operator", "--op", op])
+    assert (rc, out) == (2, "")
+    assert err == f"error: unknown operator {op!r} (total, single, exchangeK)\n"
+
+
+def test_export_and_verify_refuse_m_max_above_N_alike():
+    message = "error: need m_max <= N, got m_max = 9 and N = 4\n"
+    assert run(["export", *HAHN, "--what", "gram", "--m-max", "9"]) == (2, "", message)
+    assert run(["verify", *HAHN, "--check", "gram", "--m-max", "9"]) == (2, "", message)

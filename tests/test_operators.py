@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvortho import (
     R,
@@ -18,9 +21,10 @@ from mvortho import (
 )
 from mvortho import verify as V
 from mvortho._backend import integer_scaled
-from mvortho.core import Lattice, enumerate_degrees, enumerate_lattice, family_lattice
-from mvortho.linalg import forward_differences
-from mvortho.operators import _moves, image_degree
+from mvortho.core import (FamilyParams, Lattice, enumerate_degrees, enumerate_lattice,
+                          family_lattice)
+from mvortho.linalg import forward_differences, newton_differences
+from mvortho.operators import image_degree
 from mvortho.polynomials import eigenpoly_tables, eigenvalue
 from test_core import table_of
 
@@ -271,16 +275,13 @@ def test_degree_invariance_meixner_box():
     assert image_degree([operator_matrix(OperatorSpec(MEIX, "total"), point)], 2) == -1
 
 
-def test_degree_needs_defined_rows_on_a_simplex(monkeypatch):
-    # with every up rate zero at (4, 0) that frontier row becomes exact
-    # while its neighbours on |x| = 4 do not
-    up_rate = MeixnerParams.up_rate
-
-    def patched(params, x, j):
-        return R(0) if x == (4, 0) else up_rate(params, x, j)
-
-    monkeypatch.setattr(MeixnerParams, "up_rate", patched)
-    total = operator_matrix(OperatorSpec(MEIX, "total"), family_lattice(MEIX, xmax=4))
+def test_degree_needs_defined_rows_on_a_simplex():
+    # the frontier row (4, 0) flagged exact while its neighbours on |x| = 4
+    # are not
+    lat = family_lattice(MEIX, xmax=4)
+    total = operator_matrix(OperatorSpec(MEIX, "total"), lat)
+    total = dataclasses.replace(total, valid_rows=tuple(
+        ok or x == (4, 0) for x, ok in zip(lat.points, total.valid_rows)))
     with pytest.raises(ValueError, match="simplex"):
         image_degree([total], 1)
 
@@ -295,6 +296,57 @@ def test_apply_rejects_mismatched_lattice():
 # ---------------------------------------------------------------------------
 # dense reference: the pointwise stencil walk and exact dense linear algebra
 # that the sparse kernels replaced, kept here as the slow oracle
+
+# The rates of each family in closed form, (B_j, D_j, c_jk) as functions of
+# (params, x, j[, k]): the oracle of the rates the bundles derive from their
+# rate form, and of the integer stencils.
+CLOSED_RATES = {
+    HahnParams: (lambda p, x, j: R(p.N - sum(x)) * (x[j] + p.a[j]),
+                 lambda p, x, j: R(x[j]) * (p.N - sum(x) + p.b),
+                 lambda p, x, j, k: R(x[j]) * (x[k] + p.a[k])),
+    KrawtchoukParams: (lambda p, x, j: R(p.N - sum(x)) * p.a[j],
+                       lambda p, x, j: R(x[j]),
+                       lambda p, x, j, k: R(x[j]) * p.a[k]),
+    MeixnerParams: (lambda p, x, j: (p.beta + sum(x)) * p.a[j],
+                    lambda p, x, j: R(x[j]),
+                    lambda p, x, j, k: -R(x[j]) * p.a[k]),
+}
+# the pointwise rates the bundles derive from their rate form
+FORM_RATES = (FamilyParams.up_rate, FamilyParams.down_rate, FamilyParams.exchange_coeff)
+
+
+def moves(op, x, rates=FORM_RATES):
+    """Yield (coefficient, shifted point) pairs with nonzero coefficient.
+
+    A shifted point may fall outside a truncated box; the caller decides
+    how to handle that.  On bounded families all yielded points lie in
+    the simplex because the rates vanish on the relevant boundary.
+    """
+    params = op.params
+    up_rate, down_rate, exchange_coeff = rates
+    n = params.n
+    if op.kind in ("total", "single"):
+        for j in range(n):
+            b = up_rate(params, x, j)
+            if b != 0:
+                yield b, x[:j] + (x[j] + 1,) + x[j + 1 :]
+            d = down_rate(params, x, j)
+            if d != 0:
+                yield d, x[:j] + (x[j] - 1,) + x[j + 1 :]
+    if op.kind in ("total", "exchange"):
+        lo = 0 if op.kind == "total" else op.index - 1
+        for j in range(lo, n):
+            if x[j] == 0:
+                continue
+            for k in range(lo, n):
+                if k == j:
+                    continue
+                c = exchange_coeff(params, x, j, k)
+                if c != 0:
+                    y = list(x)
+                    y[j] -= 1
+                    y[k] += 1
+                    yield c, tuple(y)
 
 
 def apply_matrix(H, f):
@@ -388,7 +440,7 @@ def pointwise_apply(op, f):
         acc = R(0)
         ok = fx is not None
         if ok:
-            for c, y in _moves(op, x):
+            for c, y in moves(op, x):
                 pos = index.get(y)
                 if pos is None or f.values[pos] is None:
                     ok = False
@@ -404,7 +456,7 @@ def dense_matrix(op, lattice):
     for i, x in enumerate(lattice.points):
         row = [R(0)] * lattice.size
         ok = True
-        for c, y in _moves(op, x):
+        for c, y in moves(op, x):
             pos = lattice.index.get(y)
             if pos is None:
                 ok = False
@@ -460,14 +512,20 @@ ORACLE_CASES = [
 ]
 
 
-EXCHANGE_COEFF = {cls: cls.exchange_coeff
-                  for cls in (HahnParams, KrawtchoukParams, MeixnerParams)}
+RATE_FORM = {cls: cls.rate_form for cls in CLOSED_RATES}
 
 
-def exchange_perturbed(params, x, j, k):
-    """exchange_coeff plus x_j^2 / 7 on site j = 0: breaks every identity."""
-    c = EXCHANGE_COEFF[type(params)](params, x, j, k)
-    return c + R(x[j]) ** 2 / 7 if j == 0 else c
+def perturb_birth_rate(monkeypatch, params):
+    """v1 + 1/7 in the family's rate form, so B_j gains (u0 + u1 |x|) x_j / 7:
+    this breaks every operator identity.  (A change of e1 or e alone keeps
+    the degree test: the exchange sum is degree-preserving whatever they are.)"""
+    form = RATE_FORM[type(params)].fget
+
+    def perturbed(p):
+        u0, u1, v1, *tail = form(p)
+        return (u0, u1, v1 + R(1, 7), *tail)
+
+    monkeypatch.setattr(type(params), "rate_form", property(perturbed))
 
 
 @pytest.mark.parametrize("params,xmax", ORACLE_CASES)
@@ -488,13 +546,13 @@ def test_sparse_stencil_matches_pointwise_moves(params, xmax):
         assert apply_operator(spec, g) == pointwise_apply(spec, g)
 
 
-def fraction_diagonal_stencil(op, lattice):
+def fraction_diagonal_stencil(op, lattice, rates=FORM_RATES):
     """(rows, den, valid) of the stencil with each diagonal summed as a rational
     and every entry scaled to the lcm of all entries, diagonals included."""
     rows, valid = [], []
     for i, x in enumerate(lattice.points):
         row, diag = {}, R(0)
-        for c, y in _moves(op, x):
+        for c, y in moves(op, x, rates):
             pos = lattice.index.get(y)
             if pos is None:
                 row = None
@@ -517,6 +575,46 @@ def test_integer_diagonal_matches_fraction_diagonal(params, xmax):
         M = operator_matrix(spec, lat)
         rows, den, valid = fraction_diagonal_stencil(spec, lat)
         # the same entries in the same order: the export writes them in row order
+        assert [list(row.items()) for row in M.rows] == [list(row.items()) for row in rows]
+        assert (M.den, list(M.valid_rows)) == (den, valid)
+
+
+RATIONALS = st.fractions(R(1, 9), 9, max_denominator=9)
+
+
+@st.composite
+def bundles(draw, family, n):
+    """A bundle of the family in n variables on its lattice: N <= 5, or a
+    Meixner box with xmax <= 5."""
+    if family is MeixnerParams:
+        # a_i <= 1/(n+1) keeps |a| < 1
+        a = st.fractions(R(1, 12), R(1, n + 1), max_denominator=12)
+        params = MeixnerParams(tuple(draw(st.lists(a, min_size=n, max_size=n))),
+                               draw(RATIONALS))
+        return params, family_lattice(params, xmax=draw(st.integers(0, 5)))
+    a = tuple(draw(st.lists(RATIONALS, min_size=n, max_size=n)))
+    N = draw(st.integers(n + 1, 5))
+    params = family(a, draw(RATIONALS), N) if family is HahnParams else family(a, N)
+    return params, family_lattice(params)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("family", list(CLOSED_RATES), ids=lambda cls: cls.family)
+@given(data=st.data())
+@settings(max_examples=4, deadline=None, derandomize=True)
+def test_integer_stencils_match_the_closed_form_rates(family, n, data):
+    params, lat = data.draw(bundles(family, n))
+    up, down, exchange = closed = CLOSED_RATES[family]
+    sites = range(params.n)
+    for x in lat.points:
+        for j in sites:
+            assert params.up_rate(x, j) == up(params, x, j)
+            assert params.down_rate(x, j) == down(params, x, j)
+            assert all(params.exchange_coeff(x, j, k) == exchange(params, x, j, k)
+                       for k in sites if k != j)
+    for spec in specs_of(params):
+        M = operator_matrix(spec, lat)
+        rows, den, valid = fraction_diagonal_stencil(spec, lat, closed)
         assert [list(row.items()) for row in M.rows] == [list(row.items()) for row in rows]
         assert (M.den, list(M.valid_rows)) == (den, valid)
 
@@ -570,7 +668,7 @@ def test_residual_kernel_matches_apply_matrix(params, xmax, monkeypatch):
 )
 def test_sparse_checks_match_dense_oracle(params, xmax, perturbed, monkeypatch):
     if perturbed:
-        monkeypatch.setattr(type(params), "exchange_coeff", exchange_perturbed)
+        perturb_birth_rate(monkeypatch, params)
     lat = family_lattice(params, xmax=xmax)
     w = weight_table(params, xmax=xmax)
     specs = specs_of(params)
@@ -587,11 +685,15 @@ def test_sparse_checks_match_dense_oracle(params, xmax, perturbed, monkeypatch):
     for M in (1, 2, 3):
         assert image_degree(list(built.values()), M) == max(
             image_degree([H], M) for H in built.values())
+    if perturbed:
+        total = built[specs[0]]
+        assert image_degree([total], 2) == 3 and adjointness_defect(total, w) > 0
+        assert all(commutator_defect(total, built[spec]) > 0 for spec in specs[1:])
 
 
 @pytest.mark.parametrize("params,xmax", [(HAHN, None), (KRAW, None), (MEIX, 5)])
-def test_perturbed_exchange_fails_every_operator_check(params, xmax, monkeypatch):
-    monkeypatch.setattr(type(params), "exchange_coeff", exchange_perturbed)
+def test_perturbed_birth_rate_fails_every_operator_check(params, xmax, monkeypatch):
+    perturb_birth_rate(monkeypatch, params)
     lat = family_lattice(params, xmax=xmax)
     total = operator_matrix(OperatorSpec(params, "total"), lat)
     assert not image_degree([total], 2) <= 2
@@ -629,3 +731,13 @@ def test_newton_expansion_rebuilds_random_table():
                              for alpha, c in zip(points, coeffs))
     with pytest.raises(ValueError):
         forward_differences(table[:-1], n, K)
+
+
+def test_integer_newton_differences_are_the_rational_ones_over_one():
+    rng = random.Random(4)
+    for n, K in ((2, 0), (2, 5), (3, 4), (4, 3)):
+        table = [rng.randint(-10**30, 10**30) for _ in enumerate_lattice(n, K)]
+        assert newton_differences(table, n, K) == forward_differences(list(map(R, table)), n, K)
+        assert newton_differences(tuple(table), n, K) == newton_differences(table, n, K)
+    with pytest.raises(ValueError):
+        newton_differences(table + [0], n, K)
