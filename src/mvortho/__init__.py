@@ -48,7 +48,6 @@ from .polynomials import (
     krawtchouk,
     meixner,
     pair_backward_table,
-    pair_product,
 )
 from .verify import CheckReport, run_suite
 
@@ -90,7 +89,6 @@ __all__ = [
     "multinomial",
     "operator_matrix",
     "pair_backward_table",
-    "pair_product",
     "rising_factorial",
     "run_suite",
     "tail_param",

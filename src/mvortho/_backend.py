@@ -5,12 +5,12 @@ Every scalar in this package is an exact rational, a stdlib
 records it in its environment line.  The hot kernels scale rationals to
 Python ints over one common denominator (:func:`integer_scaled`) and
 form one rational per result.  Value tables carry that integer form
-(:meth:`mvortho.core.LatticeFunction.integer_form`).  The eigenpolynomial
-tables are built in it from the integers of their factor slots, each an
-integer sum over its coefficient row's denominator, so no rational is
-formed per factor value; the kernels and the exporters that read the
-tables rescale nothing, and a table forms its rationals only when its
-values are read.  The operator stencils are written from the family's rate
+(:meth:`mvortho.core.LatticeFunction.integer_form`).  Every polynomial
+value, in a table or at one point, is built from the integers of its
+factor slots, each an integer sum over its coefficient row's
+denominator, so no rational is formed per factor value; the kernels and
+the exporters that read the tables rescale nothing, and a table forms
+its rationals only when its values are read.  The operator stencils are written from the family's rate
 constants scaled once to integers, and the degree test takes Newton
 differences of integer images: no rational is formed per stencil entry.
 """

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from ._backend import R, ZERO, integer_scaled
+from ._backend import R, ZERO, as_integer, integer_scaled
 from .serialize import rational_str
 
 
@@ -140,9 +140,11 @@ class LatticeFunction:
 
     @classmethod
     def from_integers(cls, lattice: Lattice, nums, den: int) -> "LatticeFunction":
-        """The table nums[i] / den, which keeps (nums, den) as its integer
-        form; den must be the lcm of the reduced denominators of the values."""
-        return cls(lattice, None, (tuple(nums), den))
+        """The table nums[i] / den, which keeps (nums, den) reduced by their
+        gcd as its integer form: den is then the lcm of the reduced
+        denominators of the values."""
+        g = math.gcd(den, *nums)
+        return cls(lattice, None, (tuple(v // g for v in nums), den // g))
 
     @property
     def values(self) -> tuple:
@@ -165,16 +167,6 @@ class LatticeFunction:
         if not isinstance(other, LatticeFunction):
             return NotImplemented
         return self.lattice == other.lattice and self.values == other.values
-
-    @classmethod
-    def constant(cls, lattice: Lattice, c) -> "LatticeFunction":
-        c = R(c)
-        return cls(lattice, tuple(c for _ in lattice.points))
-
-    @classmethod
-    def delta(cls, lattice: Lattice, at) -> "LatticeFunction":
-        i = lattice.index[tuple(at)]
-        return cls(lattice, tuple(R(1) if j == i else R(0) for j in range(lattice.size)))
 
     def __call__(self, x):
         return self.values[self.lattice.index[tuple(x)]]
@@ -274,9 +266,11 @@ class FamilyParams:
             raise ValueError(f"|m| = {sum(m)} exceeds N = {self.N}")
         return m
 
-    def check_point(self, x: Sequence[int]) -> None:
+    def check_point(self, x: Sequence[int]) -> tuple[int, ...]:
+        """x as a tuple of n ints; a non-integral coordinate raises ValueError."""
         if len(x) != self.n:
             raise ValueError(f"point needs {self.n} coordinates, got {len(x)}")
+        return tuple(map(as_integer, x))
 
     def hahn_limit(self, t):
         """(a, b, N) of the Hahn bundle whose t -> infinity limit this is."""

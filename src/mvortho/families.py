@@ -11,11 +11,11 @@ and eigenpolynomials P_m(x) built as pair factors in (x_j, x_{>j}) times
 a radial factor in |x|.  Each class holds its family's rates, weight,
 factors, eigenvalue constants and label; every other module reads the
 family through these methods only.  The rates are seven constants of one
-form (``rate_form``, see :class:`mvortho.core.FamilyParams`).  The factors come pointwise
-(``pair_factor``, ``radial``: the reference that ``eigenpoly`` reads) and
-as integer slots over a list of arguments (``pair_slot``,
-``radial_slot``: what the value tables read).  Krawtchouk and Meixner
-share their pair polynomials.
+form (``rate_form``, see :class:`mvortho.core.FamilyParams`).  Each
+factor is declared once, as an integer slot over a list of arguments
+(``pair_slot``, ``radial_slot``), and the type-one polynomial as a grid
+over the subset sums (``type_one``): what the value tables and
+``eigenpoly`` read.  Krawtchouk and Meixner share their pair polynomials.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from dataclasses import dataclass
 from ._backend import R, ONE, is_integral
 from .core import FamilyParams, positive_rational
 from .measures import hahn_weight, krawtchouk_weight, meixner_weight
-from .polynomials import (hahn, hahn_grid, hahn_pair, hahn_pair_grid, hahn_pair_sums, km_pair,
-                          km_pair_grid, km_pair_sums, krawtchouk, krawtchouk_grid, meixner,
-                          meixner_grid)
+from .polynomials import (hahn_grid, hahn_pair_grid, hahn_pair_sums, km_pair_grid,
+                          km_pair_sums, krawtchouk_grid, meixner_grid)
 from .serialize import rational_str
 
 
@@ -61,28 +60,22 @@ class HahnParams(FamilyParams):
     def weight(self, x):
         return hahn_weight(x, self)
 
-    def radial(self, m0: int, s1: int, size: int):
-        """Radial factor of P_m at |x| = size, with s1 = |m| - m_0."""
-        return hahn(m0, size - s1, self.a_total + 2 * s1, self.b, self.N - s1)
-
     def radial_slot(self, m0: int, s1: int, sizes) -> tuple:
-        """(numerators, den) of ``radial(m0, s1, size)`` at the integers of ``sizes``."""
+        """Radial factor of P_m, with s1 = |m| - m_0, as (numerators, den) at
+        the integers |x| of ``sizes``: hahn(m0, |x| - s1, |a| + 2 s1, b, N - s1)."""
         return hahn_grid(m0, self.a_total + 2 * s1, self.b, self.N - s1, [s - s1 for s in sizes])
 
-    def pair_factor(self, j: int, mj: int, shift: int, u, t):
-        """Pair factor j of degree mj at (x_j, x_{>j}) = (u, t), with
-        shift = sum_{k>j} m_k; Hahn also moves the tail slot to a_{>j} + 2 shift."""
-        return hahn_pair(mj, u, t - shift, self.a[j - 1], self.a_tail(j) + 2 * shift)
-
     def pair_slot(self, j: int, mj: int, shift: int, args) -> tuple:
-        """(numerators, den) of ``pair_factor(j, mj, shift, u, t)`` at the
-        integer points (u, t) of ``args``."""
+        """Pair factor j of degree mj, with shift = sum_{k>j} m_k, as
+        (numerators, den) at the integer points (x_j, x_{>j}) = (u, t) of
+        ``args``: read at (u, t - shift), with the tail slot at a_{>j} + 2 shift."""
         return hahn_pair_sums(mj, self.a[j - 1], self.a_tail(j) + 2 * shift,
                               [(u, t - shift) for u, t in args])
 
-    def type_one(self, m: int, xJ, aJ):
-        """Degree-m polynomial in the subset sum x_J, with a_J = sum_{j in J} a_j."""
-        return hahn(m, xJ, aJ, self.a_total + self.b - aJ, self.N)
+    def type_one(self, m: int, aJ, sums) -> tuple:
+        """Degree-m polynomial in the subset sum x_J, with a_J = sum_{j in J} a_j,
+        as (numerators, den) at the integers x_J of ``sums``."""
+        return hahn_grid(m, aJ, self.a_total + self.b - aJ, self.N, sums)
 
     @property
     def total_block(self):
@@ -121,12 +114,8 @@ class _KMPairs:
 
     pair_name = "km"
 
-    def pair_factor(self, j: int, mj: int, shift: int, u, t):
-        """Pair factor j of degree mj at (x_j, x_{>j}) = (u, t), with
-        shift = sum_{k>j} m_k; the tail slot stays a_{>j}."""
-        return km_pair(mj, u, t - shift, self.a[j - 1], self.a_tail(j))
-
     def pair_slot(self, j: int, mj: int, shift: int, args) -> tuple:
+        """As the Hahn pair slot, with the tail slot kept at a_{>j}."""
         return km_pair_sums(mj, self.a[j - 1], self.a_tail(j), [(u, t - shift) for u, t in args])
 
     @staticmethod
@@ -164,16 +153,12 @@ class KrawtchoukParams(_KMPairs, FamilyParams):
     def weight(self, x):
         return krawtchouk_weight(x, self)
 
-    def radial(self, m0: int, s1: int, size: int):
-        A = self.a_total
-        return krawtchouk(m0, size - s1, A / (A + 1), self.N - s1)
-
     def radial_slot(self, m0: int, s1: int, sizes) -> tuple:
         A = self.a_total
         return krawtchouk_grid(m0, A / (A + 1), self.N - s1, [s - s1 for s in sizes])
 
-    def type_one(self, m: int, xJ, aJ):
-        return krawtchouk(m, xJ, aJ / (1 + self.a_total), self.N)
+    def type_one(self, m: int, aJ, sums) -> tuple:
+        return krawtchouk_grid(m, aJ / (1 + self.a_total), self.N, sums)
 
     @property
     def total_block(self):
@@ -221,14 +206,11 @@ class MeixnerParams(_KMPairs, FamilyParams):
     def weight(self, x):
         return meixner_weight(x, self)
 
-    def radial(self, m0: int, s1: int, size: int):
-        return meixner(m0, size - s1, self.a_total, self.beta + s1)
-
     def radial_slot(self, m0: int, s1: int, sizes) -> tuple:
         return meixner_grid(m0, self.a_total, self.beta + s1, [s - s1 for s in sizes])
 
-    def type_one(self, m: int, xJ, aJ):
-        return meixner(m, xJ, aJ / (1 - self.a_total + aJ), self.beta)
+    def type_one(self, m: int, aJ, sums) -> tuple:
+        return meixner_grid(m, aJ / (1 - self.a_total + aJ), self.beta, sums)
 
     @property
     def total_block(self):

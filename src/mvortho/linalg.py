@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ._backend import R, integer_scaled
 from .core import enumerate_lattice
 
 def sparse_product(A, B) -> list[dict]:
@@ -56,10 +55,3 @@ def newton_differences(nums, n: int, K: int) -> list:
     for i, j in steps:
         out[i] -= out[j]
     return out
-
-
-def forward_differences(values, n: int, K: int) -> list:
-    """:func:`newton_differences` of a table of rationals, on its integer
-    numerators over the table's lcm denominator."""
-    num, den = integer_scaled(values)
-    return [R(v, den) for v in newton_differences(num, n, K)]

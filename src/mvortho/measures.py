@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from ._backend import R, ZERO, as_integer, integer_scaled
 from .core import (Lattice, LatticeFunction, enumerate_lattice, family_lattice, multinomial,
                    rising_factorial)
-from .linalg import forward_differences
+from .linalg import newton_differences
 
 
 def hahn_weight(x, params):
@@ -129,14 +129,18 @@ def lattice_inner_product(f: LatticeFunction, g: LatticeFunction, moments):
     f and g are tables of polynomials with deg f + deg g <= K on the
     simplex |x| <= K, and ``moments`` is ``meixner_moments(params, K)``.
     The Newton expansion f g = Sum_alpha D^alpha(f g)(0) C(x, alpha) on
-    that simplex (:func:`mvortho.linalg.forward_differences`) holds on all
-    of N_0^n, so the sum is Sum_alpha D^alpha(f g)(0) moments[alpha].
+    that simplex holds on all of N_0^n, so the sum is
+    Sum_alpha D^alpha(f g)(0) moments[alpha].  The differences are taken
+    on the product of the tables' integer forms
+    (:func:`mvortho.linalg.newton_differences`), against the moments
+    scaled to integers: one rational per inner product.
     """
     if g.lattice != f.lattice:
         raise ValueError("lattice_inner_product: f and g live on different lattices")
-    values = [a * b for a, b in zip(f.values, g.values)]
-    newton = forward_differences(values, f.lattice.n, f.lattice.bound)
-    return sum((d * mu for d, mu in zip(newton, moments, strict=True)), ZERO)
+    (fn, df), (gn, dg) = _defined(f.integer_form()), _defined(g.integer_form())
+    newton = newton_differences(list(map(operator.mul, fn, gn)), f.lattice.n, f.lattice.bound)
+    mn, dm = integer_scaled(moments)
+    return R(sum(d * mu for d, mu in zip(newton, mn, strict=True)), df * dg * dm)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,10 @@ times rising factorials of its arguments.  The coefficients of one
 (degree, parameters) form a *row*, built once in O(m) from the term
 ratios (Koekoek, Lesky & Swarttouw 2010, sections 9.5, 9.10, 9.11) and
 kept as Python ints over one lcm denominator in a bounded LRU cache.
-A value is one integer sum of the row against the rising factorials of
-its arguments, scaled to their denominators, and one rational at the
-end.  The term-by-term closed forms stay in ``tests/test_polynomials.py``
-as the pointwise oracle; every value equals theirs exactly.
+The term-by-term closed forms stay in ``tests/test_polynomials.py`` as
+the oracle; every value equals theirs exactly.
 
-At integer points every value is an integer sum over the row's
+Every value is read at integer points, as an integer sum over the row's
 denominator.  Two kernels compute such sums, with no rational per
 point: :func:`_series_grid` for a single-variable series at a list of
 integers x, and :func:`_pair_sums` for a pair polynomial at a list of
@@ -37,6 +35,12 @@ list of arguments through the same kernels (:func:`hahn_pair_sums`,
 (see there).  Rows are looked up through this module at every call, so
 a patched row reaches the grids and the tables alike.
 
+The pointwise evaluators (:func:`hahn`, :func:`krawtchouk`,
+:func:`meixner`, :func:`hahn_pair`, :func:`km_pair`, :func:`eigenpoly`)
+are one-point calls of the same kernels and of the same slot product,
+and form one rational per value.  They take integer points only: a
+non-integral point raises ValueError.
+
 Degree multi-indices are tuples m = (m_0, m_1, ..., m_{n-1}); m_0 is the
 degree of the radial (|x|-dependent) factor and m_i the degree of the
 i-th pair factor.  Empty shift sums are zero, so the top pair factor
@@ -53,8 +57,8 @@ from functools import lru_cache
 from itertools import chain
 from typing import Sequence
 
-from ._backend import R, ONE, integer_scaled
-from .core import FamilyParams, Lattice, LatticeFunction, tail_sum
+from ._backend import R, ONE, as_integer, integer_scaled
+from .core import FamilyParams, Lattice, LatticeFunction
 
 # Rows kept per cached builder; a row is one (degree, parameters).
 ROW_CACHE_SIZE = 4096
@@ -100,41 +104,34 @@ def _pole_error(pole: int) -> ZeroDivisionError:
                              "before the series terminated")
 
 
-def _series(row: tuple, x):
-    """Value at x of the series whose row is ``row`` (see :func:`_series_row`)."""
-    nums, den, pole = row
-    x = R(x)
-    top = len(nums) - 1
-    if x.denominator == 1 and 0 <= x.numerator <= top:
-        top = x.numerator  # (-x)_k vanishes for k > x
-    elif pole is not None:
-        raise _pole_error(pole)
-    xs, xden = _rising_nums(x, top)
-    return R(sum(c * s for c, s in zip(nums, xs)), den * xden)
-
-
 def _hahn_row(m: int, a, b, N) -> tuple:
     a, b, N = R(a), R(b), R(N)
     return _series_row(m, (m + a + b - 1,), (a, -N), ONE)
 
 
+def _one(sums: tuple):
+    """The value of a one-point grid or pair sum (numerators, den)."""
+    (num,), den = sums
+    return R(num, den)
+
+
 def hahn(m: int, x, a, b, N):
-    """Single-variable Hahn polynomial of degree m at x.
+    """Single-variable Hahn polynomial of degree m at the integer x.
 
     Terminating sum Sum_k (-m)_k (m+a+b-1)_k (-x)_k / ((a)_k (-N)_k k!).
     N may be any rational here: the shifted radial factors of the
     multivariate polynomials call this with non-integer or negative
     degree slots, and termination is enforced by the (-m)_k factor.
     """
-    return _series(_hahn_row(m, a, b, N), x)
+    return _one(hahn_grid(m, a, b, N, [as_integer(x)]))
 
 
 def _series_grid(row: tuple, xs) -> tuple[list, int]:
     """Numerators of the series of ``row`` at the integers x of ``xs``, in
     that order, over the row's denominator.
 
-    Raises the ZeroDivisionError of :func:`_series` when some x of ``xs``
-    is a point where the series meets its pole before it terminates.
+    Raises ZeroDivisionError when some x of ``xs`` is a point where the
+    series meets its pole (see :func:`_series_row`) before it terminates.
     """
     nums, den, pole = row
     top = len(nums) - 1
@@ -158,8 +155,8 @@ def _krawtchouk_row(m: int, p, N) -> tuple:
 
 
 def krawtchouk(m: int, x, p, N):
-    """Single-variable Krawtchouk polynomial: 2F1(-m, -x; -N | 1/p)."""
-    return _series(_krawtchouk_row(m, p, N), x)
+    """Single-variable Krawtchouk polynomial: 2F1(-m, -x; -N | 1/p), x an integer."""
+    return _one(krawtchouk_grid(m, p, N, [as_integer(x)]))
 
 
 def krawtchouk_grid(m: int, p, N, xs) -> tuple[list, int]:
@@ -176,8 +173,8 @@ def _meixner_row(m: int, c, beta) -> tuple:
 
 
 def meixner(m: int, x, c, beta):
-    """Single-variable Meixner polynomial: 2F1(-m, -x; beta | 1 - 1/c)."""
-    return _series(_meixner_row(m, c, beta), x)
+    """Single-variable Meixner polynomial: 2F1(-m, -x; beta | 1 - 1/c), x an integer."""
+    return _one(meixner_grid(m, c, beta, [as_integer(x)]))
 
 
 def meixner_grid(m: int, c, beta, xs) -> tuple[list, int]:
@@ -206,17 +203,14 @@ def _hahn_pair_row(m: int, alpha, gamma) -> tuple:
 
 
 def hahn_pair(m: int, u, v, alpha, gamma):
-    """Two-variable Hahn-side pair polynomial of degree m.
+    """Two-variable Hahn-side pair polynomial of degree m at the integers (u, v).
 
     Sum_{k=0..m} (-1)^k C(m,k) (gamma+k)_{m-k} (alpha+m-k)_k (-u)_{m-k} (-v)_k.
 
     Eigenfunction of the exchange operator restricted to the sector
     spanned by (u, v) = (x_i, x_{>i}); degree one gives alpha*v - gamma*u.
     """
-    row, den = _hahn_pair_row(m, R(alpha), R(gamma))
-    us, uden = _rising_nums(R(u), m)
-    vs, vden = _rising_nums(R(v), m)
-    return R(sum(c * us[m - k] * vs[k] for k, c in enumerate(row)), den * uden * vden)
+    return _one(hahn_pair_sums(m, alpha, gamma, [(as_integer(u), as_integer(v))]))
 
 
 def hahn_pair_grid(m: int, alpha, gamma, box: int) -> tuple[list, int]:
@@ -272,14 +266,12 @@ def _km_row(m: int, alpha, gamma) -> tuple:
 
 
 def km_pair(m: int, u, v, alpha, gamma):
-    """Pair polynomial shared by the Krawtchouk and Meixner systems.
+    """Pair polynomial shared by the Krawtchouk and Meixner systems, at the
+    integers (u, v).
 
     Sum_{k=0..m} (-1)^k C(m,k) (gamma/alpha)^k (-u)_k (-v)_{m-k}.
     """
-    row, den = _km_row(m, alpha, gamma)
-    us, uden = _rising_nums(R(u), m)
-    vs, vden = _rising_nums(R(v), m)
-    return R(sum(c * us[k] * vs[m - k] for k, c in enumerate(row)), den * uden * vden)
+    return _one(km_pair_sums(m, alpha, gamma, [(as_integer(u), as_integer(v))]))
 
 
 def km_pair_grid(m: int, alpha, gamma, box: int) -> tuple[list, int]:
@@ -296,30 +288,15 @@ def km_pair_sums(m: int, alpha, gamma, points) -> tuple[list, int]:
     return _pair_sums(row, m, points, False), den
 
 
-def pair_product(i: int, m: Sequence[int], x: Sequence[int], params):
-    """Product of pair factors j = i..n-1 with degree-shifted arguments.
-
-    The j-th factor is evaluated at (x_j, x_{>j} - sum_{k>j} m_k); the
-    Hahn family also shifts the tail parameter slot to
-    a_{>j} + 2*sum_{k>j} m_k, while Krawtchouk/Meixner keep a_{>j}.
-    """
-    n = params.n
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"sector index i = {i} outside [1, {n - 1}]")
-    m = params.degree_index(m)
-    params.check_point(x)
-    out = ONE
-    for j in range(i, n):
-        out *= params.pair_factor(j, m[j], sum(m[j + 1 :]), x[j - 1], tail_sum(x, j))
-    return out
-
-
 def eigenpoly(m: Sequence[int], x: Sequence[int], params):
-    """The eigenpolynomial P_m(x): pair factors times the radial factor."""
+    """The eigenpolynomial P_m(x) at one integer point: the product of its
+    slots at x, as :func:`eigenpoly_tables` forms it at every point.  A
+    product of the pair factors i..n-1 alone is P_m with m_0..m_{i-1} set
+    to 0."""
     FamilyParams.require(params)
     m = params.degree_index(m)
-    params.check_point(x)
-    return pair_product(1, m, x, params) * params.radial(m[0], sum(m[1:]), sum(x))
+    (nums, den), = _slot_products([m], params, [params.check_point(x)], {})
+    return R(nums[0], den)
 
 
 def eigenpoly_tables(degrees, params, lattice: Lattice, factors: dict | None = None
@@ -335,12 +312,13 @@ def eigenpoly_tables(degrees, params, lattice: Lattice, factors: dict | None = N
     denominator, with no rational per value.  ``factors`` maps each slot to
     (denominator, {argument: numerator}); a caller that passes the same
     dict to several calls, on any lattices of the same bundle, evaluates
-    each (slot, argument) once in all.  The factors are the family's, as
-    in :func:`eigenpoly`, which stays the pointwise reference; every value
-    equals it exactly.
+    each (slot, argument) once in all.  The term-by-term oracle in
+    ``tests/test_polynomials.py`` is the reference; every value equals it
+    exactly.
 
     A table is the product of its slots' integers point by point, over
-    the product of their denominators, reduced by the gcd of all of them.
+    the product of their denominators, reduced by the gcd of all of them
+    (:meth:`LatticeFunction.from_integers`).
     That is its integer form (:meth:`LatticeFunction.integer_form`): the
     values over their lcm denominator, which the integer kernels read.
     The table forms its rationals only when its ``values`` are read.
@@ -349,10 +327,16 @@ def eigenpoly_tables(degrees, params, lattice: Lattice, factors: dict | None = N
     if lattice.n != params.n:
         raise ValueError(f"lattice has {lattice.n} coordinates, params have {params.n}")
     degrees = [params.degree_index(m) for m in degrees]
+    products = _slot_products(degrees, params, lattice.points, {} if factors is None else factors)
+    return [LatticeFunction.from_integers(lattice, nums, den) for nums, den in products]
+
+
+def _slot_products(degrees, params, points, factors: dict) -> list[tuple]:
+    """(numerators, den) of P_m at the integer ``points`` for each m of
+    ``degrees``: the slot product of :func:`eigenpoly_tables`."""
     # (x_j, x_{>j}) of every point, for the pair slots j = 1..n-1
-    coords = [[(x[j - 1], sum(x[j:])) for x in lattice.points] for j in range(1, params.n)]
-    sizes = [sum(x) for x in lattice.points]
-    factors = {} if factors is None else factors
+    coords = [[(x[j - 1], sum(x[j:])) for x in points] for j in range(1, params.n)]
+    sizes = [sum(x) for x in points]
     slots: dict = {}
 
     def slot(method, key: tuple, args: list) -> tuple:
@@ -367,16 +351,15 @@ def eigenpoly_tables(degrees, params, lattice: Lattice, factors: dict | None = N
             slots[key] = [known[arg] for arg in args], den
         return slots[key]
 
-    tables = []
+    products = []
     for m in degrees:
         nums, den = slot(params.radial_slot, (m[0], sum(m[1:])), sizes)
         for j, args in enumerate(coords, start=1):
             fnums, fden = slot(params.pair_slot, (j, m[j], sum(m[j + 1 :])), args)
             nums = list(map(operator.mul, nums, fnums))
             den *= fden
-        g = math.gcd(den, *nums)
-        tables.append(LatticeFunction.from_integers(lattice, [v // g for v in nums], den // g))
-    return tables
+        products.append((nums, den))
+    return products
 
 
 def eigenpoly_table(m: Sequence[int], params, lattice: Lattice) -> LatticeFunction:
@@ -439,6 +422,4 @@ def pair_backward_table(m: int, alpha, gamma, box: int) -> LatticeFunction:
               for v in range(box + 1 - u)] for u in range(box + 1)]
         den *= qa * qg
     lattice = Lattice(2, box)
-    nums = [P[u][v] for u, v in lattice.points]
-    g = math.gcd(den, *nums)
-    return LatticeFunction.from_integers(lattice, [v // g for v in nums], den // g)
+    return LatticeFunction.from_integers(lattice, [P[u][v] for u, v in lattice.points], den)

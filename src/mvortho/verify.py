@@ -16,8 +16,8 @@ checks read on the lattice are all P_m tables of the context (a pair
 product is P_m with the other degrees 0), on the instance lattice or on
 another simplex, and all tables share one dict of factor-slot integers.
 A type-one polynomial depends on x only through the subset sum x_J and
-on J only through a_J, so its table is filled from one value per
-(m, a_J, x_J).  Checks only read what the context
+on J only through a_J, so its table is filled from one integer grid per
+(m, a_J) over x_J.  Checks only read what the context
 built; the context fills its caches as checks ask, so one context
 serves one thread.  Nothing is cached beyond a context: a fresh context
 sees patched rates, weights or factors.  An identity check passes iff
@@ -753,8 +753,8 @@ class SuiteContext:
 
     The lattice, the weight tables (one per box), the operator stencils,
     the eigenpolynomial tables (one per simplex bound and degree m), the
-    type-one tables (one per subset J and degree m, their values one per
-    degree m and parameter a_J), the Gram entries and the Meixner factorial
+    type-one tables (one per subset J and degree m, their values one grid
+    per degree m and parameter a_J), the Gram entries and the Meixner factorial
     moments are built on first use and kept for the life of the context.
     Every table, on whatever simplex, is filled from one factor dict that
     holds the integers of each pair and radial slot per argument (see
@@ -783,7 +783,7 @@ class SuiteContext:
         self._stencils: dict = {}
         self._tables: dict = {}
         self._type_one: dict = {}
-        self._type_one_sums: dict = {}
+        self._type_one_grids: dict = {}
         self._factors: dict = {}
         self._gram: list = []
         self._moments: dict = {}
@@ -851,18 +851,19 @@ class SuiteContext:
     def type_one(self, J: tuple, m: int) -> LatticeFunction:
         """Table of the degree-m type-one polynomial in x_J on the instance
         lattice, for a sorted subset J of 1..n.  It depends on x only through
-        x_J and on J only through a_J, so it is evaluated once per (m, a_J)
-        and value x_J = 0..bound; each J gets its own table."""
+        x_J and on J only through a_J, so it is one integer grid per (m, a_J)
+        over x_J = 0..bound (``params.type_one``); each J gets its own table,
+        reduced by the gcd of its integers."""
         key = (J, m)
         if key not in self._type_one:
             params, lattice = self.params, self.lattice
             a_J = sum((params.a[j - 1] for j in J), ZERO)
-            if (m, a_J) not in self._type_one_sums:
-                self._type_one_sums[m, a_J] = [params.type_one(m, s, a_J)
-                                               for s in range(lattice.bound + 1)]
-            by_sum = self._type_one_sums[m, a_J]
-            self._type_one[key] = LatticeFunction(
-                lattice, tuple(by_sum[sum(x[j - 1] for j in J)] for x in lattice.points))
+            if (m, a_J) not in self._type_one_grids:
+                self._type_one_grids[m, a_J] = params.type_one(m, a_J,
+                                                              list(range(lattice.bound + 1)))
+            by_sum, den = self._type_one_grids[m, a_J]
+            self._type_one[key] = LatticeFunction.from_integers(
+                lattice, [by_sum[sum(x[j - 1] for j in J)] for x in lattice.points], den)
         return self._type_one[key]
 
     def gram(self, m_max: int) -> list[list]:

@@ -11,13 +11,14 @@ a check fail.
 
 import pytest
 
-from mvortho import R, HahnParams, KrawtchoukParams, LatticeFunction, MeixnerParams
+from mvortho import R, HahnParams, KrawtchoukParams, MeixnerParams
 from mvortho import polynomials as P
 from mvortho import verify as V
 from mvortho._backend import ZERO
 from mvortho.core import Lattice
 from mvortho.polynomials import hahn, hahn_pair, km_pair
 from mvortho.serialize import rational_str
+from test_core import table_of
 from test_polynomials import fraction_backward_table
 
 HAHN = HahnParams((R(1), R(2), R(3)), R(2), 5)
@@ -263,7 +264,7 @@ def test_constant_chain_fails_only_the_lowering_recursion(monkeypatch):
     (sum a_k = a_sum) but misses the lowering one by D R."""
     def constant(self, degrees, bound=None):
         lattice = Lattice(self.params.n, bound, self.lattice.truncated)
-        return [LatticeFunction.constant(lattice, 1) for _ in degrees]
+        return [table_of(lattice, lambda x: R(1)) for _ in degrees]
 
     monkeypatch.setattr(V.SuiteContext, "tables", constant)
 

@@ -260,7 +260,7 @@ def test_inner_product_examples():
 
         return table_of(lat, val)
 
-    G = gram_matrix([LatticeFunction.constant(lat, 1), t(1), t(2)], w)
+    G = gram_matrix([table_of(lat, lambda x: R(1)), t(1), t(2)], w)
     assert G[0][0] == 1
     assert G[1][2] == G[2][1] == 0
     assert G[1][1] > 0 and G[2][2] > 0
@@ -270,11 +270,11 @@ def test_inner_product_rejects_mismatched_lattices():
     p = HahnParams((R(1), R(2)), R(2), 4)
     w = weight_table(p)
     other = family_lattice(HahnParams((R(1), R(2)), R(2), 5))
-    f = LatticeFunction.constant(other, 1)
+    f = table_of(other, lambda x: R(1))
     with pytest.raises(ValueError):
         gram_matrix([f], w)
     with pytest.raises(ValueError):
-        gram_matrix([LatticeFunction.constant(w.lattice, 1), f], w)
+        gram_matrix([table_of(w.lattice, lambda x: R(1)), f], w)
 
 
 def test_inner_product_rejects_undefined_entries():
@@ -286,7 +286,7 @@ def test_inner_product_rejects_undefined_entries():
     with pytest.raises(ValueError, match="undefined"):
         gram_matrix([f], w)
     with pytest.raises(ValueError, match="undefined"):
-        gram_matrix([LatticeFunction.constant(w.lattice, 1), f], w)
+        gram_matrix([table_of(w.lattice, lambda x: R(1)), f], w)
 
 
 def test_meixner_origin_weight_is_normalization_constant():

@@ -23,7 +23,7 @@ from mvortho import verify as V
 from mvortho._backend import integer_scaled
 from mvortho.core import (FamilyParams, Lattice, enumerate_degrees, enumerate_lattice,
                           family_lattice)
-from mvortho.linalg import forward_differences, newton_differences
+from mvortho.linalg import newton_differences
 from mvortho.operators import image_degree
 from mvortho.polynomials import eigenpoly_tables, eigenvalue
 from test_core import table_of
@@ -51,7 +51,7 @@ def test_operator_spec_validation():
 
 def test_total_annihilates_constants():
     lat = hahn_lattice()
-    one = LatticeFunction.constant(lat, 1)
+    one = table_of(lat, lambda x: R(1))
     for spec in (
         OperatorSpec(HAHN, "total"),
         OperatorSpec(HAHN, "single"),
@@ -105,7 +105,7 @@ def test_exchange_nesting_difference_only_touches_lower_sites():
     for point in lat.points:
         if min(point) == 0:
             continue
-        f = LatticeFunction.delta(lat, point)
+        f = table_of(lat, lambda x: R(int(x == point)))
         d1 = apply_operator(OperatorSpec(HAHN, "exchange", 1), f)
         d2 = apply_operator(OperatorSpec(HAHN, "exchange", 2), f)
         for x, v1, v2 in zip(lat.points, d1.values, d2.values):
@@ -141,7 +141,7 @@ def test_apply_operator_never_reads_outside_bounded_lattice():
 
 def test_meixner_frontier_flagged_invalid():
     lat = family_lattice(MEIX, xmax=6)
-    f = LatticeFunction.constant(lat, 1)
+    f = table_of(lat, lambda x: R(1))
     for kind, index in (("total", None), ("single", None)):
         image = apply_operator(OperatorSpec(MEIX, kind, index), f)
         for x, v in zip(lat.points, image.values):
@@ -159,7 +159,7 @@ def test_operator_matrix_matches_apply_on_deltas_and_random():
     spec = OperatorSpec(HAHN, "total")
     dense = entries(operator_matrix(spec, lat))
     for j, point in enumerate(lat.points):
-        image = apply_operator(spec, LatticeFunction.delta(lat, point))
+        image = apply_operator(spec, table_of(lat, lambda x: R(int(x == point))))
         for i in range(lat.size):
             assert dense[i][j] == image.values[i]
     rng = random.Random(11)
@@ -288,7 +288,7 @@ def test_degree_needs_defined_rows_on_a_simplex():
 
 def test_apply_rejects_mismatched_lattice():
     other = family_lattice(HahnParams((R(1), R(2), R(3)), R(2), 5))
-    f = LatticeFunction.constant(other, 1)
+    f = table_of(other, lambda x: R(1))
     with pytest.raises(ValueError):
         apply_operator(OperatorSpec(HAHN, "total"), f)
 
@@ -708,6 +708,13 @@ def binomial_product(x, alpha):
     for xi, ai in zip(x, alpha):
         out *= math.comb(xi, ai)
     return out
+
+
+def forward_differences(values, n: int, K: int) -> list:
+    """Newton coefficients of a table of rationals: :func:`newton_differences`
+    on its integer numerators over the table's lcm denominator."""
+    nums, den = integer_scaled(values)
+    return [R(v, den) for v in newton_differences(nums, n, K)]
 
 
 def test_forward_differences_of_binomial_basis_are_unit_vectors():

@@ -21,7 +21,6 @@ from mvortho import (
     krawtchouk,
     meixner,
     pair_backward_table,
-    pair_product,
     rising_factorial,
 )
 from mvortho._backend import integer_scaled
@@ -405,10 +404,17 @@ class TestMultivariate:
             eigenpoly((0, 1, 0), (1, 2), self.kraw_params)
 
 
+def pair_product(i, m, x, params):
+    """Pair factors i..n-1 of P_m at x: P_m with m_0..m_{i-1} set to 0."""
+    if not 1 <= i <= params.n - 1:
+        raise ValueError(f"sector index i = {i} outside [1, {params.n - 1}]")
+    return eigenpoly((0,) * i + tuple(m[i:]), x, params)
+
+
 def oracle_tables(degrees, params, lattice):
-    """The pointwise evaluator, point by point: the reference for the tables."""
+    """The term-by-term oracle, point by point: the reference for the tables."""
     return [
-        table_of(lattice, lambda x, m=m: eigenpoly(m, x, params))
+        table_of(lattice, lambda x, m=m: oracle_eigenpoly(m, x, params))
         for m in degrees
     ]
 
@@ -428,9 +434,10 @@ class TestTables:
         lattice = family_lattice(params, xmax=xmax)
         degrees = enumerate_degrees(params.n, 3)
         tables = eigenpoly_tables(degrees, params, lattice)
-        assert [t.values for t in tables] == [
-            t.values for t in oracle_tables(degrees, params, lattice)
-        ]
+        oracle = [t.values for t in oracle_tables(degrees, params, lattice)]
+        assert [t.values for t in tables] == oracle
+        assert [tuple(eigenpoly(m, x, params) for x in lattice.points)
+                for m in degrees] == oracle
         assert all(t.lattice is lattice for t in tables)
         assert eigenpoly_table(degrees[-1], params, lattice) == tables[-1]
 
@@ -454,9 +461,9 @@ class TestTables:
 
     @pytest.mark.parametrize("params, xmax", ORACLE_CASES)
     def test_slot_tables_equal_pointwise_eigenpoly(self, params, xmax, monkeypatch):
-        """Tables built from integer factor slots equal ``eigenpoly`` at every
-        point for every |m| <= 3, and their integer form is the values over
-        their lcm denominator.  On the n = 3 cases the pair slots read
+        """Tables built from integer factor slots equal the term-by-term
+        oracle at every point for every |m| <= 3, and their integer form is
+        the values over their lcm denominator.  On the n = 3 cases the pair slots read
         v = x_{>j} - shift down to -3; the top pair (n = 2) has no shift."""
         family = type(params)
         pair_slot, reads = family.pair_slot, []
@@ -473,7 +480,7 @@ class TestTables:
         for m, table in zip(degrees, tables):
             nums, den = integer_scaled(table.values)
             assert table.integer_form() == (tuple(nums), den)
-            assert table.values == tuple(eigenpoly(m, x, params) for x in lattice.points)
+            assert table.values == tuple(oracle_eigenpoly(m, x, params) for x in lattice.points)
 
     def test_tables_reject_bad_input(self):
         p = TestMultivariate.hahn_params
@@ -549,6 +556,34 @@ def oracle_km_pair(m, u, v, alpha, gamma):
                 for k in range(m + 1)), R(0))
 
 
+def oracle_pair_factor(params, j, mj, shift, u, t):
+    """Pair factor j of degree mj at (x_j, x_{>j}) = (u, t), with shift =
+    sum_{k>j} m_k, read at (u, t - shift); Hahn moves the tail slot to
+    a_{>j} + 2 shift, Krawtchouk and Meixner keep a_{>j}."""
+    if params.family == "hahn":
+        return oracle_hahn_pair(mj, u, t - shift, params.a[j - 1], params.a_tail(j) + 2 * shift)
+    return oracle_km_pair(mj, u, t - shift, params.a[j - 1], params.a_tail(j))
+
+
+def oracle_radial(params, m0, s1, size):
+    """Radial factor of P_m at |x| = size, with s1 = |m| - m_0."""
+    A = params.a_total
+    if params.family == "hahn":
+        return oracle_hahn(m0, size - s1, A + 2 * s1, params.b, params.N - s1)
+    if params.family == "krawtchouk":
+        return oracle_krawtchouk(m0, size - s1, A / (A + 1), params.N - s1)
+    return oracle_meixner(m0, size - s1, A, params.beta + s1)
+
+
+def oracle_eigenpoly(m, x, params):
+    """P_m(x) term by term: the pair factors times the radial factor, with each
+    family's factor parameters written out here rather than read from it."""
+    out = oracle_radial(params, m[0], sum(m[1:]), sum(x))
+    for j in range(1, params.n):
+        out *= oracle_pair_factor(params, j, m[j], sum(m[j + 1:]), x[j - 1], sum(x[j:]))
+    return out
+
+
 def outcome(fn, *args):
     """(value, its type), or ZeroDivisionError if that is raised; the oracle's
     values are Fractions, so equal outcomes mean equal Fraction values."""
@@ -563,9 +598,9 @@ class TestRowKernelsMatchOracle:
     # integral and non-integral (alpha, gamma); the shift checks read u, v = -1
     PAIR_PARAMS = [(R(1), R(2)), (R(3), R(5)), (R(1, 2), R(7, 3)), (R(9, 7), R(4)),
                    (R(-3, 2), R(2, 5))]
-    # rational x, and rational or negative degree slots as the shifted radial
+    # integer x, and rational or negative degree slots as the shifted radial
     # factors and the limit checks pass them
-    POINTS = list(range(-2, 11)) + [R(1, 2), R(7, 3), R(-5, 2), R(13, 4)]
+    POINTS = list(range(-2, 11))
 
     @pytest.mark.parametrize("alpha, gamma", PAIR_PARAMS)
     def test_pair_polynomials(self, alpha, gamma):
@@ -638,14 +673,23 @@ class TestRowKernelsMatchOracle:
             with pytest.raises(ZeroDivisionError, match="k = 2"):
                 hahn_grid(3, -1, 2, 10, [0, 1, x])
 
-    def test_pair_polynomials_at_rational_points(self):
-        for m in range(6):
-            for u, v in ((R(1, 2), 3), (2, R(-7, 3)), (R(5, 4), R(2, 3))):
-                for alpha, gamma in self.PAIR_PARAMS:
-                    assert hahn_pair(m, u, v, alpha, gamma) == oracle_hahn_pair(
-                        m, u, v, alpha, gamma)
-                    assert km_pair(m, u, v, alpha, gamma) == oracle_km_pair(
-                        m, u, v, alpha, gamma)
+    def test_evaluators_refuse_non_integral_points(self):
+        """Every value is an integer sum of a kernel, so a point off the
+        integers raises ValueError in all six evaluators; rational
+        parameters stay allowed."""
+        p = HahnParams((R(1, 2), R(3, 2)), R(5, 4), 5)
+        for q in (R(1, 2), R(7, 3), R(-5, 2), R(13, 4)):
+            for fn, args in ((hahn, (2, q, R(1, 2), R(1, 3), R(17, 2))),
+                             (krawtchouk, (2, q, R(2, 5), 6)),
+                             (meixner, (2, q, R(1, 3), R(5, 2))),
+                             (hahn_pair, (2, q, 3, R(1, 2), R(7, 3))),
+                             (hahn_pair, (2, 3, q, R(1, 2), R(7, 3))),
+                             (km_pair, (2, q, 3, R(1, 2), R(7, 3))),
+                             (km_pair, (2, 3, q, R(1, 2), R(7, 3))),
+                             (eigenpoly, ((1, 1), (q, 1), p)),
+                             (eigenpoly, ((0, 0), (1, q), p))):
+                with pytest.raises(ValueError, match="not an integer"):
+                    fn(*args)
 
     @pytest.mark.parametrize("a, b, N", [
         (R(1), R(2), 10), (R(3, 2), R(5, 4), 7), (R(1, 2), R(1, 3), R(17, 2)),
@@ -676,7 +720,7 @@ class TestRowKernelsMatchOracle:
         # (a)_k = (-1)_k vanishes at k = 2: only x = 0, 1 terminate before it
         assert hahn(3, 0, -1, 2, 10) == 1
         assert hahn(3, 1, -1, 2, 10) == R(19, 10)
-        for x in list(range(2, 11)) + [-1, R(1, 2)]:
+        for x in list(range(2, 11)) + [-1]:
             with pytest.raises(ZeroDivisionError):
                 hahn(3, x, -1, 2, 10)
             with pytest.raises(ZeroDivisionError):

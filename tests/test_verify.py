@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 from mvortho import (R, HahnParams, KrawtchoukParams, LatticeFunction, MeixnerParams, eigenpoly,
                      eigenpoly_tables, eigenvalue, weight_table)
 from mvortho import verify as V
-from mvortho.core import enumerate_degrees, enumerate_lattice, family_lattice, rising_factorial
-from mvortho.linalg import forward_differences
+from mvortho.core import (Lattice, enumerate_degrees, enumerate_lattice, family_lattice,
+                          rising_factorial)
 from mvortho.measures import (lattice_inner_product, meixner_moments, meixner_normalization,
                               meixner_weight)
+from test_core import table_of
 from test_measures import rising_over_factorial_coeffs, tail_power_sum
+from test_operators import forward_differences
 
 HAHN = HahnParams((R(1), R(2), R(3)), R(2), 4)
 HAHN2 = HahnParams((R(1), R(2)), R(3), 4)
@@ -110,8 +113,9 @@ def test_perturbed_type_one_fails_type_one(monkeypatch):
     """P + 1 is no eigenfunction of H_total for m >= 1 (H 1 = 0, eigenvalue != 0)."""
     type_one = HahnParams.type_one
 
-    def perturbed(self, m, xJ, aJ):
-        return type_one(self, m, xJ, aJ) + (1 if m else 0)
+    def perturbed(self, m, aJ, sums):
+        nums, den = type_one(self, m, aJ, sums)
+        return [v + (den if m else 0) for v in nums], den
 
     monkeypatch.setattr(HahnParams, "type_one", perturbed)
     params = HahnParams((R(1), R(2), R(3)), R(2), 5)
@@ -127,7 +131,7 @@ def test_orthogonal_subset_tables_fail_type_one_overlap(monkeypatch):
 
     def delta(self, J, m):
         at = self.lattice.points[points.setdefault(J, len(points))]
-        return LatticeFunction.delta(self.lattice, at)
+        return table_of(self.lattice, lambda x: R(int(x == at)))
 
     monkeypatch.setattr(V.SuiteContext, "type_one", delta)
     report = V.same_degree_overlap_check(V.SuiteContext(HAHN), 2)
@@ -308,6 +312,25 @@ def test_moments_of_another_beta_fail_meixner_gram(monkeypatch):
     lattice = family_lattice(params, xmax=2)
     one, radial = eigenpoly_tables([(0, 0), (1, 0)], params, lattice)
     assert lattice_inner_product(one, radial, V.meixner_moments(params, 2)) == R(-1, 2)
+
+
+def test_lattice_inner_product_matches_the_rational_newton_route():
+    """The integer kernel equals the Newton coefficients of f g taken in
+    rationals, against the moments, on tables of random rationals; an
+    undefined entry is refused."""
+    params = MeixnerParams((R(1, 5), R(1, 4), R(1, 3)), R(5, 2))
+    rng = random.Random(3)
+    for K in (0, 1, 2, 4):
+        lattice = Lattice(3, K, truncated=True)
+        moments = meixner_moments(params, K)
+        f, g = (table_of(lattice, lambda x: R(rng.randint(-9, 9), rng.randint(1, 9)))
+                for _ in range(2))
+        newton = forward_differences([a * b for a, b in zip(f.values, g.values)], 3, K)
+        assert lattice_inner_product(f, g, moments) == sum(
+            (d * mu for d, mu in zip(newton, moments, strict=True)), R(0))
+    undefined = LatticeFunction(lattice, (None,) + f.values[1:])
+    with pytest.raises(ValueError, match="undefined"):
+        lattice_inner_product(f, undefined, moments)
 
 
 def test_perturbed_km_pair_row_fails_meixner_orthogonality(monkeypatch):
@@ -519,20 +542,21 @@ def test_suite_evaluates_each_factor_once(monkeypatch):
 
 def test_suite_evaluates_each_type_one_value_once(monkeypatch):
     """A type-one table depends on x only through x_J and on J only through
-    a_J: the suite evaluates each (m, a_J, x_J) once.  With a = 1, 2, 3 the
-    7 subsets give 6 sums a_J ({3} and {1, 2} share 3), so 6 sums x degrees
-    0..3 x values 0..N."""
+    a_J: the suite evaluates one grid over x_J = 0..N per (m, a_J).  With
+    a = 1, 2, 3 the 7 subsets give 6 sums a_J ({3} and {1, 2} share 3), so
+    6 sums x degrees 0..3."""
     params = HahnParams((R(1), R(2), R(3)), R(2), 5)
     type_one, calls = HahnParams.type_one, []
 
-    def counted(self, m, xJ, aJ):
-        calls.append((m, xJ, aJ))
-        return type_one(self, m, xJ, aJ)
+    def counted(self, m, aJ, sums):
+        calls.append((m, aJ))
+        assert list(sums) == list(range(params.N + 1))
+        return type_one(self, m, aJ, sums)
 
     monkeypatch.setattr(HahnParams, "type_one", counted)
     reports = V.run_suite(params)
     assert not any(r.status == "fail" for r in reports)
-    assert len(calls) == len(set(calls)) == 6 * 4 * (params.N + 1) == 144
+    assert len(calls) == len(set(calls)) == 6 * 4 == 24
 
 
 def test_perturbed_pair_row_fails_eigen_and_pair_shifts(monkeypatch):
