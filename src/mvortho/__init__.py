@@ -15,7 +15,6 @@ from .core import (
     enumerate_degrees,
     enumerate_lattice,
     family_lattice,
-    multinomial,
     rising_factorial,
     tail_param,
     tail_sum,
@@ -86,7 +85,6 @@ __all__ = [
     "meixner",
     "meixner_tail_mass_bound",
     "meixner_weight",
-    "multinomial",
     "operator_matrix",
     "pair_backward_table",
     "rising_factorial",

@@ -10,8 +10,10 @@ value, in a table or at one point, is built from the integers of its
 factor slots, each an integer sum over its coefficient row's
 denominator, so no rational is formed per factor value; the kernels and
 the exporters that read the tables rescale nothing, and a table forms
-its rationals only when its values are read.  The operator stencils are written from the family's rate
-constants scaled once to integers, and the degree test takes Newton
+its rationals only when its values are read.  Weights are integer slot
+products too: the family's rows in each x_i and in |x|, each scaled to
+integers once.  The operator stencils are written from the family's
+rate constants scaled once to integers, and the degree test takes Newton
 differences of integer images: no rational is formed per stencil entry.
 """
 

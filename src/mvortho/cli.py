@@ -27,8 +27,8 @@ from .serialize import (
     matrix_json,
     matrix_triplets,
     parse_rational,
-    ratio_strs,
     rational_str,
+    value_strs,
     weight_table_json,
     weight_table_rows,
 )
@@ -39,17 +39,6 @@ def _parse_int_list(text: str, flag: str):
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from None
-
-
-def _lattice_point(params, text: str):
-    """--x as a point of the family's lattice: x >= 0, and |x| <= N if bounded."""
-    x = _parse_int_list(text, "--x")
-    params.check_point(x)
-    if any(c < 0 for c in x):
-        raise ValueError(f"coordinates must be non-negative, got {text}")
-    if params.N is not None and sum(x) > params.N:
-        raise ValueError(f"|x| = {sum(x)} exceeds N = {params.N}")
-    return x
 
 
 def _non_negative(args, dest: str):
@@ -102,11 +91,11 @@ def cmd_eval(args) -> int:
     params = build_params(args)
     m = _parse_int_list(args.m, "--m")
     if args.x is not None:
-        value = eigenpoly(m, _lattice_point(params, args.x), params)
+        value = eigenpoly(m, params.lattice_point(_parse_int_list(args.x, "--x")), params)
         _emit(args, rational_str(value) + "\n")
         return 0
     lattice = family_lattice(params, xmax=_non_negative(args, "xmax"))
-    values = ratio_strs(*eigenpoly_table(m, params, lattice).integer_form())
+    values = value_strs(*eigenpoly_table(m, params, lattice).integer_form())
     if args.format == "json":
         payload = {
             "family": params.family,
@@ -157,37 +146,28 @@ def _parse_op(text: str):
 
 def cmd_export(args) -> int:
     params = build_params(args)
-    as_float = args.float
+    xmax = _non_negative(args, "xmax")
     if args.what == "weights":
-        w = weight_table(params, xmax=_non_negative(args, "xmax"))
-        if args.format == "json":
-            _emit(args, json_text(weight_table_json(w, as_float)))
-        else:
-            _emit(args, csv_text(*weight_table_rows(w, as_float)))
-        return 0
-    if args.what == "operator":
+        data, writers = (weight_table(params, xmax=xmax),), (weight_table_json, weight_table_rows)
+    elif args.what == "operator":
         kind, index = _parse_op(args.op)
-        spec = OperatorSpec(params, kind, index)
-        M = operator_matrix(spec, family_lattice(params, xmax=_non_negative(args, "xmax")))
-        if args.format == "json":
-            _emit(args, json_text(matrix_json(M, as_float)))
-        else:
-            _emit(args, csv_text(*matrix_triplets(M, as_float)))
-        return 0
-    if args.what == "gram":
+        M = operator_matrix(OperatorSpec(params, kind, index), family_lattice(params, xmax=xmax))
+        data, writers = (M,), (matrix_json, matrix_triplets)
+    elif args.what == "gram":
         mm = _non_negative(args, "m_max")
         if mm is None:
             mm = 1 if params.N is None else min(params.N, 3)
         params.check_m_max(mm)
-        w = weight_table(params, xmax=_non_negative(args, "xmax"))
+        w = weight_table(params, xmax=xmax)
         degrees = enumerate_degrees(params.n, mm)
-        G = gram_matrix(eigenpoly_tables(degrees, params, w.lattice), w)
-        if args.format == "json":
-            _emit(args, json_text(gram_json(degrees, G, as_float)))
-        else:
-            _emit(args, csv_text(*gram_rows(degrees, G, as_float)))
-        return 0
-    raise ValueError(f"unknown export target {args.what!r}")
+        data = degrees, gram_matrix(eigenpoly_tables(degrees, params, w.lattice), w)
+        writers = gram_json, gram_rows
+    else:
+        raise ValueError(f"unknown export target {args.what!r}")
+    to_json, to_rows = writers
+    _emit(args, json_text(to_json(*data, args.float)) if args.format == "json"
+          else csv_text(*to_rows(*data, args.float)))
+    return 0
 
 
 @functools.cache

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from ._backend import R, ZERO, as_integer, integer_scaled
@@ -28,18 +29,9 @@ def rising_factorial(a, k: int):
     return out
 
 
-def multinomial(N: int, x: Sequence[int]) -> int:
-    """N! / (x_1! ... x_n! (N - |x|)!) for a lattice point with |x| <= N."""
-    if N < 0:
-        raise ValueError("multinomial needs N >= 0")
-    if any(c < 0 for c in x):
-        raise ValueError("coordinates must be non-negative")
-    rest = N - sum(x)
-    if rest < 0:
-        raise ValueError(f"|x| = {sum(x)} exceeds N = {N}")
-    return math.factorial(N) // (
-        math.prod(math.factorial(c) for c in x) * math.factorial(rest)
-    )
+def term_row(bound: int, ratio) -> list:
+    """[t_0, ..., t_bound] with t_0 = 1 and t_k = t_{k-1} * ratio(k)."""
+    return list(accumulate(range(1, bound + 1), lambda t, k: t * ratio(k), initial=R(1)))
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -139,12 +131,12 @@ class LatticeFunction:
     _integers: tuple | None = field(default=None, repr=False)
 
     @classmethod
-    def from_integers(cls, lattice: Lattice, nums, den: int) -> "LatticeFunction":
+    def from_integers(cls, lattice: Lattice, nums, den: int, **fields) -> "LatticeFunction":
         """The table nums[i] / den, which keeps (nums, den) reduced by their
         gcd as its integer form: den is then the lcm of the reduced
-        denominators of the values."""
+        denominators of the values.  ``fields`` are a subclass's own."""
         g = math.gcd(den, *nums)
-        return cls(lattice, None, (tuple(v // g for v in nums), den // g))
+        return cls(lattice, None, (tuple(v // g for v in nums), den // g), **fields)
 
     @property
     def values(self) -> tuple:
@@ -271,6 +263,15 @@ class FamilyParams:
         if len(x) != self.n:
             raise ValueError(f"point needs {self.n} coordinates, got {len(x)}")
         return tuple(map(as_integer, x))
+
+    def lattice_point(self, x: Sequence[int]) -> tuple[int, ...]:
+        """x as a point of the family's lattice: n non-negative ints, |x| <= N if bounded."""
+        x = self.check_point(x)
+        if any(c < 0 for c in x):
+            raise ValueError(f"coordinates must be non-negative, got {x}")
+        if self.N is not None and sum(x) > self.N:
+            raise ValueError(f"|x| = {sum(x)} exceeds N = {self.N}")
+        return x
 
     def hahn_limit(self, t):
         """(a, b, N) of the Hahn bundle whose t -> infinity limit this is."""

@@ -20,11 +20,12 @@ over the subset sums (``type_one``): what the value tables and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ._backend import R, ONE, is_integral
-from .core import FamilyParams, positive_rational
-from .measures import hahn_weight, krawtchouk_weight, meixner_weight
+from .core import FamilyParams, positive_rational, rising_factorial, term_row
+from .measures import meixner_normalization
 from .polynomials import (hahn_grid, hahn_pair_grid, hahn_pair_sums, km_pair_grid,
                           km_pair_sums, krawtchouk_grid, meixner_grid)
 from .serialize import rational_str
@@ -57,8 +58,13 @@ class HahnParams(FamilyParams):
     def rate_form(self) -> tuple:
         return self.N, -1, 1, self.N + self.b, -1, 1, 1
 
-    def weight(self, x):
-        return hahn_weight(x, self)
+    def weight_rows(self, bound: int) -> tuple:
+        """([r_1, ..., r_n], rho, c) of W(x) = c prod_i r_i(x_i) rho(|x|), k, s <= bound:
+        r_i(k) = (a_i)_k / k!, rho(s) = (b)_{N-s} / (N-s)!, c = N! / (|a|+b)_N."""
+        rows = [term_row(bound, lambda k, ai=ai: (ai + k - 1) / k) for ai in self.a]
+        radial = term_row(self.N, lambda k: (self.b + k - 1) / k)[::-1]
+        c = math.factorial(self.N) / rising_factorial(self.a_total + self.b, self.N)
+        return rows, radial, c
 
     def radial_slot(self, m0: int, s1: int, sizes) -> tuple:
         """Radial factor of P_m, with s1 = |m| - m_0, as (numerators, den) at
@@ -150,8 +156,11 @@ class KrawtchoukParams(_KMPairs, FamilyParams):
     def rate_form(self) -> tuple:
         return self.N, -1, 0, 1, 0, 0, 1
 
-    def weight(self, x):
-        return krawtchouk_weight(x, self)
+    def weight_rows(self, bound: int) -> tuple:
+        """r_i(k) = a_i^k / k!, rho(s) = 1 / (N-s)! and c = N! / (1+|a|)^N."""
+        rows = [term_row(bound, lambda k, ai=ai: ai / k) for ai in self.a]
+        radial = term_row(self.N, lambda k: R(1, k))[::-1]
+        return rows, radial, math.factorial(self.N) / (1 + self.a_total) ** self.N
 
     def radial_slot(self, m0: int, s1: int, sizes) -> tuple:
         A = self.a_total
@@ -203,8 +212,13 @@ class MeixnerParams(_KMPairs, FamilyParams):
     def rate_form(self) -> tuple:
         return self.beta, 1, 0, 1, 0, 0, -1
 
-    def weight(self, x):
-        return meixner_weight(x, self)
+    def weight_rows(self, bound: int) -> tuple:
+        """r_i(k) = a_i^k / k!, rho(s) = (beta)_s, and c = (1-|a|)^beta when beta
+        is integral, else 1: the weight is then unnormalized."""
+        rows = [term_row(bound, lambda k, ai=ai: ai / k) for ai in self.a]
+        radial = term_row(bound, lambda k: self.beta + k - 1)
+        norm = meixner_normalization(self)
+        return rows, radial, ONE if norm is None else norm
 
     def radial_slot(self, m0: int, s1: int, sizes) -> tuple:
         return meixner_grid(m0, self.a_total, self.beta + s1, [s - s1 for s in sizes])

@@ -7,7 +7,9 @@ tail, and inner products of polynomials over all of N_0^n are exact
 finite sums against its factorial moments.  The square root of the
 weight is deliberately never formed: every identity that involves it
 is verified through a rational equivalent (weight ratios, weighted
-self-adjointness).
+self-adjointness).  Each family declares its weight as integer slot
+products, W(x) = c prod_i r_i(x_i) rho(|x|) (``weight_rows``), and a
+weight table keeps the products' integers over one denominator.
 """
 
 from __future__ import annotations
@@ -17,35 +19,34 @@ import operator
 from dataclasses import dataclass
 
 from ._backend import R, ZERO, as_integer, integer_scaled
-from .core import (Lattice, LatticeFunction, enumerate_lattice, family_lattice, multinomial,
-                   rising_factorial)
+from .core import LatticeFunction, enumerate_lattice, family_lattice, rising_factorial
 from .linalg import newton_differences
 
 
-def hahn_weight(x, params):
-    """Hypergeometric multinomial weight at x, |x| <= N.
+def _weight_products(params, points, bound: int) -> tuple:
+    """The weight at ``points`` as (numerators, den): the product of the family's
+    rows at x_1, ..., x_n and |x|, each row scaled to integers once."""
+    rows, radial, c = params.weight_rows(bound)
+    (*rows, radial), dens = zip(*map(integer_scaled, [*rows, [c * v for v in radial]]))
+    return [math.prod(map(operator.getitem, rows, x), start=radial[sum(x)])
+            for x in points], math.prod(dens)
 
-    multinomial(N; x) * prod (a_i)_{x_i} * (b)_{N-|x|} / (|a|+b)_N
-    """
-    rest = params.N - sum(x)
-    if rest < 0:
-        raise ValueError(f"|x| = {sum(x)} exceeds N = {params.N}")
-    out = R(multinomial(params.N, x))
-    for ai, xi in zip(params.a, x):
-        out *= rising_factorial(ai, xi)
-    out *= rising_factorial(params.b, rest)
-    return out / rising_factorial(params.a_total + params.b, params.N)
+
+def _weight_at(x, params):
+    """The weight at one lattice point: one point of :func:`weight_table`."""
+    x = params.lattice_point(x)
+    (num,), den = _weight_products(params, [x], sum(x) if params.N is None else params.N)
+    return R(num, den)
+
+
+def hahn_weight(x, params):
+    """multinomial(N; x) prod (a_i)_{x_i} (b)_{N-|x|} / (|a|+b)_N at x, |x| <= N."""
+    return _weight_at(x, params)
 
 
 def krawtchouk_weight(x, params):
-    """Multinomial weight at x: multinomial(N; x) * prod a_i^{x_i} / (1+|a|)^N."""
-    rest = params.N - sum(x)
-    if rest < 0:
-        raise ValueError(f"|x| = {sum(x)} exceeds N = {params.N}")
-    out = R(multinomial(params.N, x))
-    for ai, xi in zip(params.a, x):
-        out *= R(ai) ** xi
-    return out / (1 + params.a_total) ** params.N
+    """multinomial(N; x) prod a_i^{x_i} / (1+|a|)^N at x, |x| <= N."""
+    return _weight_at(x, params)
 
 
 def meixner_normalization(params):
@@ -61,20 +62,8 @@ def meixner_normalization(params):
 
 
 def meixner_weight(x, params):
-    """Negative multinomial weight at x: (beta)_{|x|} prod a_i^{x_i}/x_i!.
-
-    The constant factor (1-|a|)^beta is applied when beta is integral;
-    otherwise the value is the unnormalized weight.
-    """
-    if any(c < 0 for c in x):
-        raise ValueError("coordinates must be non-negative")
-    out = rising_factorial(params.beta, sum(x))
-    for ai, xi in zip(params.a, x):
-        out *= R(ai) ** xi / math.factorial(xi)
-    norm = meixner_normalization(params)
-    if norm is not None:
-        out *= norm
-    return out
+    """(beta)_{|x|} prod a_i^{x_i} / x_i! at x, times (1-|a|)^beta if beta is integral."""
+    return _weight_at(x, params)
 
 
 def meixner_shell_mass(params, s: int):
@@ -143,37 +132,36 @@ def lattice_inner_product(f: LatticeFunction, g: LatticeFunction, moments):
     return R(sum(d * mu for d, mu in zip(newton, mn, strict=True)), df * dg * dm)
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    """Weight values tabulated over an enumerated lattice.
+@dataclass(frozen=True, eq=False)
+class WeightTable(LatticeFunction):
+    """Weight values tabulated over an enumerated lattice, built from their
+    integer form (:meth:`LatticeFunction.from_integers`).
 
     ``normalized`` records whether the Meixner constant was applied
     (always True for Hahn/Krawtchouk).  ``tail_bound`` is the exact
     bound on the mass outside a truncated box, None for exact domains.
     """
 
-    params: object
-    lattice: Lattice
-    values: tuple
-    normalized: bool
+    params: object = None
+    normalized: bool = True
     tail_bound: object = None
-
-    def __call__(self, x):
-        return self.values[self.lattice.index[tuple(x)]]
 
     @property
     def total(self):
-        return sum(self.values, ZERO)
+        nums, den = self.integer_form()
+        return R(sum(nums), den)
 
 
 def weight_table(params, xmax: int | None = None) -> WeightTable:
-    """Tabulate the family weight on its canonical (or truncated) lattice."""
+    """Tabulate the family weight on its canonical (or truncated) lattice, each
+    value an integer product of the family's weight rows over one denominator."""
     lattice = family_lattice(params, xmax=xmax)
-    values = tuple(params.weight(x) for x in lattice.points)
+    nums, den = _weight_products(params, lattice.points, lattice.bound)
     if not lattice.truncated:
-        return WeightTable(params, lattice, values, True)
+        return WeightTable.from_integers(lattice, nums, den, params=params)
     bound = meixner_tail_mass_bound(params, lattice.bound)
-    return WeightTable(params, lattice, values, params.integral_beta, bound)
+    return WeightTable.from_integers(lattice, nums, den, params=params,
+                                     normalized=params.integral_beta, tail_bound=bound)
 
 
 def _defined(scaled: tuple) -> tuple:
@@ -189,13 +177,12 @@ def gram_matrix(tables, w: WeightTable, known=()) -> list[list]:
 
     ``known`` is the Gram matrix of a leading run of ``tables``; its
     entries are kept, and only the new rows and columns are computed.
-    The tables are read in their integer form, and the weight is scaled
-    to integers once, not once per entry; the weight is folded into the
-    row table before the products.
+    The tables and the weight are read in their integer forms; the
+    weight is folded into the row table before the products.
     """
     if any(table.lattice != w.lattice for table in tables):
         raise ValueError("gram_matrix: a table and the weight live on different lattices")
-    wn, dw = _defined(integer_scaled(w.values))
+    wn, dw = w.integer_form()
     scaled = [_defined(table.integer_form()) for table in tables]
     size, done = len(tables), len(known)
     G = [list(row) + [ZERO] * (size - done) for row in known]

@@ -178,7 +178,7 @@ def adjointness_defect(M: OperatorMatrix, w: WeightTable):
     """
     if M.lattice != w.lattice:
         raise ValueError("stencil and weight live on different lattices")
-    wn, den = integer_scaled(w.values)
+    wn, den = w.integer_form()
     worst = 0
     for i, row in enumerate(M.rows):
         for j, v in row.items():

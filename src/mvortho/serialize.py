@@ -2,7 +2,16 @@
 
 Rationals cross every file boundary as exact strings "p/q" (or "p" for
 integers) -- never as decimals.  Floats are opt-in for plotting
-convenience and clearly labeled by the caller.
+convenience and clearly labeled by the caller; a value with integer form
+num/den is written as ``repr(num / den)``, which is its ``float``.
+
+:func:`json_text` writes the bytes of ``json.dumps(payload, indent=2,
+sort_keys=True) + "\n"`` for an acyclic payload of str, int, bool, None,
+float, list, tuple and dict (keys str, int, float, bool or None), and
+raises TypeError on any other type, as ``json.dumps`` does.  It lays out
+the containers itself and leaves the scalars to json's compact C
+encoder; a list of scalars, or of equal-length lists of scalars, is
+encoded whole and re-indented by ``str.replace``.
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ import csv
 import io
 import json
 import math
+from itertools import chain
 
 from ._backend import R
 
@@ -20,16 +30,6 @@ def rational_str(q) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def ratio_strs(nums, den: int) -> list[str]:
-    """The values nums[i] / den (den > 0) as :func:`rational_str` writes
-    them, from their integers: one gcd per value, no rational."""
-    out = []
-    for num in nums:
-        g = math.gcd(num, den)
-        out.append(str(num // g) if g == den else f"{num // g}/{den // g}")
-    return out
 
 
 def sci_str(q) -> str:
@@ -73,12 +73,22 @@ def value_str(q, as_float: bool = False) -> str:
     return repr(float(R(q))) if as_float else rational_str(q)
 
 
+def value_strs(nums, den: int, as_float: bool = False) -> list[str]:
+    """The values nums[i] / den (den > 0) as :func:`value_str` writes them,
+    from their integers: one gcd or one division per value, no rational."""
+    if as_float:
+        return [repr(num / den) for num in nums]
+    out = []
+    for num in nums:
+        g = math.gcd(num, den)
+        out.append(str(num // g) if g == den else f"{num // g}/{den // g}")
+    return out
+
+
 def weight_table_rows(w, as_float: bool = False):
     header = [f"x{i+1}" for i in range(w.lattice.n)] + ["weight"]
-    rows = [
-        list(map(str, x)) + [value_str(v, as_float)]
-        for x, v in zip(w.lattice.points, w.values)
-    ]
+    rows = [list(map(str, x)) + [v]
+            for x, v in zip(w.lattice.points, value_strs(*w.integer_form(), as_float))]
     return header, rows
 
 
@@ -90,7 +100,7 @@ def weight_table_json(w, as_float: bool = False) -> dict:
         "truncated": w.lattice.truncated,
         "normalized": w.normalized,
         "points": [list(x) for x in w.lattice.points],
-        "weights": [value_str(v, as_float) for v in w.values],
+        "weights": value_strs(*w.integer_form(), as_float),
     }
     if w.tail_bound is not None:
         out["tail_bound"] = value_str(w.tail_bound, as_float)
@@ -102,9 +112,7 @@ def matrix_triplets(M, as_float: bool = False):
     rows = []
     for i, row in enumerate(M.rows):
         cols = sorted(row)
-        nums = [row[j] for j in cols]
-        values = ([value_str(R(v, M.den), True) for v in nums] if as_float
-                  else ratio_strs(nums, M.den))
+        values = value_strs([row[j] for j in cols], M.den, as_float)
         rows += ([str(i), str(j), v] for j, v in zip(cols, values))
     return ["row", "col", "value"], rows
 
@@ -148,7 +156,54 @@ def csv_text(header, rows) -> str:
 
 
 def json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json(payload, "\n") + "\n"
+
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+_COMPACT = json.JSONEncoder(separators=(",", ":")).encode
+_SCALAR_TYPES = {str, int, float, bool, type(None)}
+
+
+def _key(k) -> str:
+    if not isinstance(k, (str, int, float)) and k is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+    return _ESCAPE(k if isinstance(k, str) else _COMPACT(k))
+
+
+def _json(o, nl: str) -> str:
+    """The indented JSON text of ``o``, after the line break and indent ``nl``."""
+    if not isinstance(o, (list, tuple, dict)):
+        return _COMPACT(o)
+    inner = nl + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return _rows(o, nl) or (
+            "[" + inner + ("," + inner).join([_json(v, inner) for v in o]) + nl + "]")
+    if not o:
+        return "{}"
+    return "{" + inner + ("," + inner).join(
+        [_key(k) + ": " + _json(v, inner) for k, v in sorted(o.items())]) + nl + "}"
+
+
+def _rows(o, nl: str):
+    """The indented text of a non-empty list of scalars, or of equal-length
+    non-empty lists of scalars, from its compact C encoding; None for any
+    other list, or when a string in it holds one of ``,[]``."""
+    inner, kinds = nl + "  ", set(map(type, o))
+    if kinds <= _SCALAR_TYPES:
+        text = _COMPACT(o)
+        if text.count(",") == len(o) - 1 and text.count("[") == text.count("]") == 1:
+            return "[" + inner + text[1:-1].replace(",", "," + inner) + nl + "]"
+    elif (kinds <= {list, tuple} and len(width := set(map(len, o))) == 1 and 0 not in width
+          and set(map(type, chain.from_iterable(o))) <= _SCALAR_TYPES):
+        text, rows, item = _COMPACT(o), len(o), inner + "  "
+        if (text.count(",") == rows * width.pop() - 1
+                and text.count("[") == text.count("]") == rows + 1):
+            body = (text[2:-2].replace("],[", "\0").replace(",", "," + item)
+                    .replace("\0", inner + "]," + inner + "[" + item))
+            return "[" + inner + "[" + item + body + inner + "]" + nl + "]"
+    return None
 
 
 def parse_weight_csv(text: str):
@@ -161,4 +216,3 @@ def parse_weight_csv(text: str):
         points.append(tuple(int(c) for c in row[:ncoords]))
         values.append(parse_rational(row[ncoords]))
     return points, values
-

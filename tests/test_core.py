@@ -4,10 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvortho import (R, LatticeFunction, enumerate_lattice, multinomial, rising_factorial,
-                     tail_param, tail_sum)
-from mvortho.core import Lattice
+from mvortho import (R, LatticeFunction, enumerate_lattice, rising_factorial, tail_param,
+                     tail_sum)
+from mvortho.core import Lattice, term_row
 from mvortho.families import HahnParams, KrawtchoukParams, MeixnerParams
+
+
+def multinomial(N, x):
+    """N! / (x_1! ... x_n! (N - |x|)!) for a lattice point with |x| <= N: the
+    coefficient of the closed-form weights in ``test_measures``."""
+    if N < 0 or any(c < 0 for c in x):
+        raise ValueError("multinomial needs N >= 0 and x >= 0")
+    rest = N - sum(x)
+    if rest < 0:
+        raise ValueError(f"|x| = {sum(x)} exceeds N = {N}")
+    return math.factorial(N) // (math.prod(map(math.factorial, x)) * math.factorial(rest))
 
 
 def table_of(lattice, fn):
@@ -69,6 +80,12 @@ def test_multinomial_theorem(n, N):
     # sum over the simplex of the multinomial coefficients is (n+1)^N
     total = sum(multinomial(N, x) for x in enumerate_lattice(n, N))
     assert total == (n + 1) ** N
+
+
+@given(rationals, st.integers(0, 6))
+def test_term_row_is_the_rising_factorial_row(a, bound):
+    assert term_row(bound, lambda k: a + k - 1) == [rising_factorial(a, k)
+                                                    for k in range(bound + 1)]
 
 
 def test_enumerate_lattice_small():

@@ -14,6 +14,13 @@ The ``operator_*.json`` files hold ``export --what operator --format
 json`` for every stencil of a Krawtchouk and a truncated Meixner
 instance, recorded from the stencils that summed one rational per
 coefficient, before the integer stencil kernel replaced them.
+
+The ``export_*`` and ``eval_*`` files hold the bytes of the calls in
+``EXPORTS``: eval tables in every format, weight tables in JSON and CSV,
+exact and ``--float``, and Gram matrices.  They were recorded from the
+writer that went through ``json.dumps(indent=2, sort_keys=True)`` and the
+weights that were formed as chains of rational products, before the
+hand-written JSON writer and the integer weight rows replaced them.
 """
 
 import contextlib
@@ -89,6 +96,35 @@ def test_operator_export_is_byte_identical(name, op):
                          "--format", "json"])
     assert rc == 0, err
     assert text == (GOLDEN / f"operator_{name}_{op}.json").read_text()
+
+
+MEIXNER_5_2 = ["--family", "meixner", "--a", "1/5,1/4", "--beta", "5/2", "--xmax", "4"]
+EVAL_DEGREES = {"hahn": "1,0,1", "krawtchouk": "0,2,1", "meixner": "1,1"}
+EXPORTS = {}
+for _name, _m in EVAL_DEGREES.items():
+    for _fmt, _ext in (("json", "json"), ("csv", "csv"), ("text", "txt")):
+        EXPORTS[f"eval_{_name}.{_ext}"] = ["eval", *INSTANCES[_name], "--m", _m,
+                                           "--format", _fmt]
+for _name, _inst in (*INSTANCES.items(), ("meixner_beta5_2", MEIXNER_5_2)):
+    for _fmt in ("json", "csv"):
+        for _float in ((), ("--float",)):
+            EXPORTS[f"export_weights_{_name}{'_float' * bool(_float)}.{_fmt}"] = [
+                "export", *_inst, "--what", "weights", "--format", _fmt, *_float]
+for _name, _inst in INSTANCES.items():
+    EXPORTS[f"export_gram_{_name}.json"] = ["export", *_inst, "--what", "gram",
+                                            "--format", "json"]
+EXPORTS["export_gram_hahn_float.json"] = [*EXPORTS["export_gram_hahn.json"], "--float"]
+EXPORTS["export_gram_hahn_float.csv"] = ["export", *INSTANCES["hahn"], "--what", "gram",
+                                         "--format", "csv", "--float"]
+EXPORTS["export_operator_krawtchouk_total_float.json"] = [
+    "export", *INSTANCES["krawtchouk"], "--what", "operator", "--format", "json", "--float"]
+
+
+@pytest.mark.parametrize("name", EXPORTS)
+def test_export_is_byte_identical(name):
+    rc, text, err = run(EXPORTS[name])
+    assert rc == 0, err
+    assert text == (GOLDEN / name).read_text()
 
 
 @pytest.mark.parametrize("N", [4, 5])

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from mvortho import (
@@ -18,29 +18,113 @@ from mvortho import (
     meixner_weight,
     weight_table,
 )
-from mvortho.core import family_lattice
+from mvortho.core import family_lattice, rising_factorial
 from mvortho.measures import meixner_normalization, meixner_shell_mass
-from test_core import table_of
+from test_core import multinomial, table_of
 
 small_pos = st.integers(1, 12).flatmap(
     lambda p: st.integers(1, 12).map(lambda q: R(p, q))
 )
 
 
+# The closed forms of the three weights, term by term: the oracle of the
+# integer weight rows (``weight_table`` and the one-point calls).
+
+
+def oracle_hahn_weight(x, a, b, N):
+    """multinomial(N; x) prod (a_i)_{x_i} (b)_{N-|x|} / (|a|+b)_N."""
+    out = R(multinomial(N, x))
+    for ai, xi in zip(a, x):
+        out *= rising_factorial(ai, xi)
+    out *= rising_factorial(b, N - sum(x))
+    return out / rising_factorial(sum(a, R(0)) + b, N)
+
+
+def oracle_krawtchouk_weight(x, a, N):
+    """multinomial(N; x) prod a_i^{x_i} / (1+|a|)^N."""
+    out = R(multinomial(N, x))
+    for ai, xi in zip(a, x):
+        out *= R(ai) ** xi
+    return out / (1 + sum(a, R(0))) ** N
+
+
+def oracle_meixner_weight(x, params):
+    """(beta)_{|x|} prod a_i^{x_i} / x_i!, times (1-|a|)^beta for integral beta."""
+    out = rising_factorial(params.beta, sum(x))
+    for ai, xi in zip(params.a, x):
+        out *= R(ai) ** xi / math.factorial(xi)
+    if params.beta.denominator == 1:
+        out *= (1 - params.a_total) ** int(params.beta)
+    return out
+
+
+def oracle_weight(x, params):
+    if params.family == "hahn":
+        return oracle_hahn_weight(x, params.a, params.b, params.N)
+    if params.family == "krawtchouk":
+        return oracle_krawtchouk_weight(x, params.a, params.N)
+    return oracle_meixner_weight(x, params)
+
+
+ONE_POINT = {"hahn": hahn_weight, "krawtchouk": krawtchouk_weight, "meixner": meixner_weight}
+
+
+@st.composite
+def weight_instances(draw):
+    """(params, xmax): every family, n = 2..4, N or xmax <= 6, integral and
+    non-integral beta."""
+    family = draw(st.sampled_from(sorted(ONE_POINT)))
+    n = draw(st.integers(2, 4))
+    a = tuple(draw(small_pos) for _ in range(n))
+    if family == "hahn":
+        return HahnParams(a, draw(small_pos), draw(st.integers(n + 1, 6))), None
+    if family == "krawtchouk":
+        return KrawtchoukParams(a, draw(st.integers(n + 1, 6))), None
+    beta = draw(st.one_of(st.integers(1, 4).map(R), small_pos))
+    return MeixnerParams(tuple(v / (n * (v + 1)) for v in a), beta), draw(st.integers(1, 6))
+
+
+def check_weights_against_oracle():
+    """Without shrinking, like the other oracle runs: a broken row fails
+    every draw, and shrinking would only rebuild tables."""
+
+    @given(weight_instances())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              phases=(Phase.explicit, Phase.generate))
+    def check(instance):
+        params, xmax = instance
+        w = weight_table(params, xmax=xmax)
+        oracle = tuple(oracle_weight(x, params) for x in w.lattice.points)
+        assert w.values == oracle
+        assert tuple(ONE_POINT[params.family](x, params) for x in w.lattice.points) == oracle
+        if params.N is not None:
+            assert w.total == 1
+
+    check()
+
+
+def test_weight_tables_match_the_closed_forms():
+    check_weights_against_oracle()
+
+
+@pytest.mark.parametrize("family", [HahnParams, KrawtchoukParams, MeixnerParams])
+def test_perturbed_radial_row_fails_the_weight_oracle(family, monkeypatch):
+    weight_rows = family.weight_rows
+
+    def perturbed(self, bound):
+        rows, radial, c = weight_rows(self, bound)
+        return rows, radial[:-1] + [radial[-1] + 1], c
+
+    monkeypatch.setattr(family, "weight_rows", perturbed)
+    with pytest.raises(AssertionError):
+        check_weights_against_oracle()
+
+
 def test_hahn_weight_hand_values():
     # hand evaluation of the n=2, N=1, a=(1,1), b=1 weight: all three
     # points carry 1/3.  N > n forbids that bundle, so evaluate the raw
     # formula; the bundled path is then checked on N=3.
-    from mvortho.core import multinomial, rising_factorial
-
-    def w(x, a, b, N):
-        rest = N - sum(x)
-        out = R(multinomial(N, x))
-        for ai, xi in zip(a, x):
-            out *= rising_factorial(ai, xi)
-        out *= rising_factorial(b, rest)
-        return out / rising_factorial(sum(a, R(0)) + b, N)
-
+    w = oracle_hahn_weight
     assert w((0, 0), (R(1), R(1)), R(1), 1) == R(1, 3)
     assert w((1, 0), (R(1), R(1)), R(1), 1) == R(1, 3)
     assert w((0, 1), (R(1), R(1)), R(1), 1) == R(1, 3)
@@ -60,14 +144,7 @@ def test_hahn_weight_normalizes(n, extra, data):
 
 def test_krawtchouk_weight_hand_values():
     # N=2 hand value embedded via the raw formula (params need N > n)
-    from mvortho.core import multinomial
-
-    def w(x, a, N):
-        out = R(multinomial(N, x))
-        for ai, xi in zip(a, x):
-            out *= R(ai) ** xi
-        return out / (1 + sum(a, R(0))) ** N
-
+    w = oracle_krawtchouk_weight
     assert w((1, 1), (R(1), R(2)), 2) == R(1, 4)
     assert w((0, 0), (R(1), R(1)), 1) == R(1, 3)
 

@@ -626,15 +626,18 @@ def test_limit_protocol_rejects_slow_convergence():
 
 @pytest.mark.parametrize("params", [HAHN, KRAW])
 def test_doubled_weight_fails_compatibility_and_adjointness(params, monkeypatch):
-    weight = type(params).weight
+    from mvortho import measures
+
+    products = measures._weight_products
     interior = (1, 1, 1)  # |x| = 3 < N = 4, every coordinate positive
 
-    def doubled(self, x):
-        return 2 * weight(self, x) if tuple(x) == interior else weight(self, x)
+    def doubled(params, points, bound):
+        nums, den = products(params, points, bound)
+        return [2 * v if tuple(x) == interior else v for x, v in zip(points, nums)], den
 
     assert V.compatibility_check(V.SuiteContext(params)).status == "pass"
     assert V.adjointness_check(V.SuiteContext(params)).status == "pass"
-    monkeypatch.setattr(type(params), "weight", doubled)
+    monkeypatch.setattr(measures, "_weight_products", doubled)
     compat = V.compatibility_check(V.SuiteContext(params))
     adjoint = V.adjointness_check(V.SuiteContext(params))
     assert compat.status == "fail" and compat.max_defect > 0
