@@ -5,6 +5,20 @@ Newton interpolation on the principal lattice {|x| <= K} (Chung and Yao,
 SIAM J. Numer. Anal. 14, 1977): every function there is uniquely
 Sum_{|alpha| <= K} D^alpha f(0) prod_i C(x_i, alpha_i), so it has total
 degree <= M exactly when every D^alpha f(0) with |alpha| > M vanishes.
+
+Slot packing (Kronecker substitution) stores small integers v_0 .. v_{c-1}
+as the one integer V = sum_t v_t 2^(W t), W bits per slot, so that one
+big-int multiply-add does the work of a whole row or of a whole set of
+monomials.  Sums and integer multiples of packed integers are the packed
+sums and multiples, slot by slot, so any integer-linear map (a stencil,
+a Newton difference) runs on them unchanged.  If every slot of the
+result has |v_t| < 2^(W-1), that is |v_t| <= bound with
+W = :func:`slot_width` (bound), the result is 0 exactly when every slot
+is 0, and :func:`unpack` recovers each slot.  The callers' bounds: a
+commutator row of stencils whose rows have absolute sums <= S and
+entries |.| <= E has slots <= 2 S E; the Newton coefficients of a stencil
+image of the monomials of degree <= M on {|x| <= K}, n variables, have
+slots <= S top 2^(n K), with top >= every monomial value.
 """
 
 from __future__ import annotations
@@ -13,16 +27,50 @@ from functools import lru_cache
 
 from .core import enumerate_lattice
 
-def sparse_product(A, B) -> list[dict]:
-    """Rows of A B for matrices given as sparse rows {column: value}."""
-    out = []
-    for row in A:
-        acc: dict = {}
-        for k, a in row.items():
-            for j, b in B[k].items():
-                acc[j] = acc.get(j, 0) + a * b
-        out.append(acc)
-    return out
+def slot_width(bound: int) -> int:
+    """The slot width W = bound.bit_length() + 1, the least W with
+    bound < 2^(W-1): every integer v with |v| <= bound fits a slot.
+
+    Why that suffices: let V = sum_{t < c} v_t 2^(W t) with every
+    |v_t| <= 2^(W-1) - 1.  If some v_t != 0 and T is the largest such t,
+    the lower slots add up to at most
+    (2^(W-1) - 1)(2^(W T) - 1)/(2^W - 1) < 2^(W T - 1) in absolute value,
+    less than |v_T 2^(W T)| >= 2^(W T); so V != 0, and
+    2^(W T - 1) < |V| < 2^(W (T+1) - 1).  Hence V = 0 exactly when every
+    slot is 0, and V determines its slots (:func:`unpack`).
+    """
+    return bound.bit_length() + 1
+
+
+def pack(slots, W: int) -> int:
+    """sum_t v_t 2^(W t) for the slots {t: v_t}, W bits each.
+
+    The slots are shifted relative to the lowest one and the sum shifted
+    once, so no intermediate is longer than the slot span."""
+    if not slots:
+        return 0
+    lo = min(slots)
+    return sum(v << (W * (t - lo)) for t, v in slots.items()) << (W * lo)
+
+
+def unpack(value: int, W: int, count: int) -> list:
+    """The slots v_0 .. v_{count-1} of value = sum_t v_t 2^(W t), each
+    in the balanced range [-2^(W-1), 2^(W-1)).
+
+    Why they are the packed slots when every |v_t| < 2^(W-1)
+    (:func:`slot_width`): adding the bias sum_t 2^(W-1) 2^(W t) turns
+    slot t into v_t + 2^(W-1), a digit in [0, 2^W), so the biased value
+    lies in [0, 2^(W count)) and its binary digits, W at a time, are the
+    shifted slots; conversely every integer in that range is such a
+    biased value, so a value outside it, one with slots beyond
+    ``count``, raises ValueError.
+    """
+    half, top = 1 << (W - 1), W * count
+    biased = value + half * (((1 << top) - 1) // ((1 << W) - 1))
+    if not 0 <= biased < 1 << top:
+        raise ValueError(f"value holds more than {count} slots of {W} bits")
+    digits = format(biased, "b").zfill(top)
+    return [int(digits[i:i + W], 2) - half for i in range(top - W, -1, -W)]
 
 
 @lru_cache(maxsize=64)

@@ -23,18 +23,31 @@ numerators per point, over one common denominator, written in Python
 ints from the rate form: no rational is formed per entry.  Eigen residuals
 (:func:`mvortho.verify.residual_defect`), export, commutators,
 self-adjointness and the degree test all read that one representation;
-products, images and Newton differences run in Python ints
-(:mod:`mvortho.linalg`) and one rational is formed per result.
+products, images and Newton differences run in Python ints and one
+rational is formed per result.
+
+The commutators and the degree test run on slot-packed integers
+(:mod:`mvortho.linalg`), W = ``slot_width(bound)`` bits per slot.  A
+commutator packs each stencil row over the columns once; with S the
+largest absolute row sum and E the largest |entry| of the stencils
+checked together, every entry of M1 M2 - M2 M1 is at most 2 S E in
+absolute value, which is the bound.  The degree test packs the monomials
+of degree <= M into one integer per point; an image entry is at most
+S top, top = max(1, bound)^M the largest monomial value, and each of the
+n K difference passes on {|x| <= K} at most doubles it, so the bound is
+S top 2^(n bound).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations
+from operator import mul
 
 from ._backend import R, integer_scaled
 from .core import Lattice, enumerate_degrees, family_lattice
-from .linalg import newton_differences, sparse_product
+from .linalg import newton_differences, pack, slot_width, unpack
 from .measures import WeightTable
 
 KINDS = ("total", "single", "exchange")
@@ -147,23 +160,57 @@ def _product_valid_rows(M1: OperatorMatrix, M2: OperatorMatrix):
     Row x of the product reads rows z of M2 wherever M1[x][z] != 0, so
     it is exact iff row x of M1 and all those rows of M2 are exact.
     """
+    if all(M2.valid_rows):
+        return M1.valid_rows
     return [ok and all(M2.valid_rows[j] for j in row)
             for row, ok in zip(M1.rows, M1.valid_rows)]
 
 
+def _row_bounds(stencils) -> tuple:
+    """(largest absolute row sum S, largest |entry| E) over the stencils."""
+    rows = [row.values() for H in stencils for row in H.rows]
+    return (max((sum(map(abs, row)) for row in rows), default=0),
+            max(map(abs, chain.from_iterable(rows)), default=0))
+
+
+def commutator_defects(stencils) -> list:
+    """Exact max |entry| of M1 M2 - M2 M1, over the rows valid for both
+    orders, for each pair of the stencils in ``combinations`` order.
+
+    Each stencil's rows are packed over the columns once, at one width
+    for all the pairs (bound 2 S E, see the module docstring).  Row x of
+    M1 M2 is then sum_k M1[x][k] P2[k], one big-int multiply-add per
+    stored entry, and the row commutes exactly when the two packed
+    products are equal; only a row that does not is unpacked, from its
+    lowest to its highest nonzero slot, for its exact largest entry.
+    """
+    if any(H.op.params != stencils[0].op.params or H.lattice != stencils[0].lattice
+           for H in stencils):
+        raise ValueError("stencils must share one parameter bundle and one lattice")
+    S, E = _row_bounds(stencils)
+    W = slot_width(2 * S * E)
+    # row k of each stencil as the one integer sum_j H[k][j] 2^(W j)
+    packed = [[pack(row, W) for row in H.rows] for H in stencils]
+    out = []
+    for (M1, P1), (M2, P2) in combinations(zip(stencils, packed), 2):
+        worst = 0
+        for row1, row2, ok12, ok21 in zip(M1.rows, M2.rows, _product_valid_rows(M1, M2),
+                                          _product_valid_rows(M2, M1)):
+            if not (ok12 and ok21):
+                continue
+            d = (sum(map(mul, row1.values(), map(P2.__getitem__, row1)))
+                 - sum(map(mul, row2.values(), map(P1.__getitem__, row2))))
+            if d:
+                low = ((d & -d).bit_length() - 1) // W
+                slots = unpack(d >> (W * low), W, abs(d).bit_length() // W + 1 - low)
+                worst = max(worst, *map(abs, slots))
+        out.append(R(worst, M1.den * M2.den))
+    return out
+
+
 def commutator_defect(M1: OperatorMatrix, M2: OperatorMatrix):
     """Exact max |entry| of M1 M2 - M2 M1 over rows valid for both orders."""
-    if M1.op.params != M2.op.params or M1.lattice != M2.lattice:
-        raise ValueError("stencils must share one parameter bundle and one lattice")
-    A = sparse_product(M1.rows, M2.rows)
-    B = sparse_product(M2.rows, M1.rows)
-    worst = 0
-    for a, b, ok12, ok21 in zip(A, B, _product_valid_rows(M1, M2),
-                                _product_valid_rows(M2, M1)):
-        if ok12 and ok21:
-            for j in a.keys() | b.keys():
-                worst = max(worst, abs(a.get(j, 0) - b.get(j, 0)))
-    return R(worst, M1.den * M2.den)
+    return commutator_defects([M1, M2])[0]
 
 
 def adjointness_defect(M: OperatorMatrix, w: WeightTable):
@@ -195,9 +242,12 @@ def image_degree(stencils, M: int) -> int:
     the rows with a defined image, which form the simplex |x| <= K (K is
     the bound, or bound - 1 when the stencil leaves a truncated box); the
     degree is the largest |alpha| with a nonzero coefficient, -1 when
-    every image vanishes or no row has a defined image.  Each monomial
-    table is built once for all the stencils, as Python ints, and each
-    image is the stencil's integer numerators applied to it: the common
+    every image vanishes or no row has a defined image.  The monomials
+    are packed into one integer per point, once for all the stencils
+    (bound S top 2^(n bound), see the module docstring); each stencil's
+    integer numerators are applied to the packed table once, and the
+    Newton differences, being linear, run on the packed images: a
+    coefficient is nonzero exactly when some monomial's is.  The common
     denominator changes no degree.
     """
     lattice = stencils[0].lattice
@@ -206,9 +256,13 @@ def image_degree(stencils, M: int) -> int:
     N = stencils[0].op.params.N
     if N is not None and M > N:
         raise ValueError("need M <= N")
-    sums = [sum(x) for x in lattice.points]
-    monomials = [[math.prod(c**e for c, e in zip(x, exponents)) for x in lattice.points]
-                 for exponents in enumerate_degrees(lattice.n, M)]
+    n, points = lattice.n, lattice.points
+    sums = [sum(x) for x in points]
+    exponents = enumerate_degrees(n, M)
+    W = slot_width(_row_bounds(stencils)[0] * max(1, lattice.bound) ** max(M, 0)
+                   << (n * lattice.bound))
+    monomials = [pack({t: math.prod(c**e for c, e in zip(x, exps))
+                       for t, exps in enumerate(exponents)}, W) for x in points]
     degree = -1
     for H in stencils:
         K = max((s for s, ok in zip(sums, H.valid_rows) if ok), default=-1)
@@ -217,9 +271,8 @@ def image_degree(stencils, M: int) -> int:
         if K < 0:
             continue
         # the valid rows are the graded-lex prefix |x| <= K
-        rows = [row for row, ok in zip(H.rows, H.valid_rows) if ok]
-        for mono in monomials:
-            image = [sum(c * mono[j] for j, c in row.items()) for row in rows]
-            coeffs = newton_differences(image, lattice.n, K)
-            degree = max([degree] + [s for s, c in zip(sums, coeffs) if c != 0])
+        image = [sum(map(mul, row.values(), map(monomials.__getitem__, row)))
+                 for row, ok in zip(H.rows, H.valid_rows) if ok]
+        coeffs = newton_differences(image, n, K)
+        degree = max(degree, max((s for s, c in zip(sums, coeffs) if c), default=-1))
     return degree

@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import math
-from itertools import chain
+from itertools import chain, repeat
 
 from ._backend import R
 
@@ -107,24 +107,28 @@ def weight_table_json(w, as_float: bool = False) -> dict:
     return out
 
 
-def matrix_triplets(M, as_float: bool = False):
-    """Sparse triplet rows (row, col, value) of an OperatorMatrix, column order."""
-    rows = []
+def _triplets(M, as_float: bool) -> list:
+    """(row, col, value) per stored entry of an OperatorMatrix, the indices
+    as ints, row by row and each row in column order."""
+    out = []
     for i, row in enumerate(M.rows):
         cols = sorted(row)
-        values = value_strs([row[j] for j in cols], M.den, as_float)
-        rows += ([str(i), str(j), v] for j, v in zip(cols, values))
-    return ["row", "col", "value"], rows
+        out += zip(repeat(i), cols, value_strs([row[j] for j in cols], M.den, as_float))
+    return out
+
+
+def matrix_triplets(M, as_float: bool = False):
+    """Sparse triplet rows (row, col, value) of an OperatorMatrix, column order."""
+    return ["row", "col", "value"], [[str(i), str(j), v] for i, j, v in _triplets(M, as_float)]
 
 
 def matrix_json(M, as_float: bool = False) -> dict:
-    header, triplets = matrix_triplets(M, as_float)
     return {
         "operator": M.op.label,
         "family": M.op.params.family,
         "size": M.size,
         "valid_rows": list(M.valid_rows),
-        "triplets": [[int(r), int(c), v] for r, c, v in triplets],
+        "triplets": _triplets(M, as_float),
     }
 
 

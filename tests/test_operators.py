@@ -13,18 +13,20 @@ from mvortho import (
     KrawtchoukParams,
     LatticeFunction,
     MeixnerParams,
+    OperatorMatrix,
     OperatorSpec,
     adjointness_defect,
     commutator_defect,
     operator_matrix,
     weight_table,
 )
+from mvortho import operators
 from mvortho import verify as V
 from mvortho._backend import integer_scaled
 from mvortho.core import (FamilyParams, Lattice, enumerate_degrees, enumerate_lattice,
                           family_lattice)
-from mvortho.linalg import newton_differences
-from mvortho.operators import image_degree
+from mvortho.linalg import newton_differences, pack, slot_width, unpack
+from mvortho.operators import commutator_defects, image_degree
 from mvortho.polynomials import eigenpoly_tables, eigenvalue
 from test_core import table_of
 
@@ -374,55 +376,40 @@ def max_abs(f):
     return max((abs(v) for v in f.values if v is not None), default=R(0))
 
 
-def monomial_table(exponents, lattice):
-    """Value table of x^m over the lattice."""
-    return table_of(
-        lattice, lambda x: math.prod((R(c) ** e for c, e in zip(x, exponents)), start=R(1)))
-
-
 def entries(M):
     """Dense rows of rationals of a stencil."""
     return tuple(tuple(R(row.get(j, 0), M.den) for j in range(M.size)) for row in M.rows)
 
 
 def mat_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    out = [[R(0)] * cols for _ in range(rows)]
-    for i in range(rows):
-        Ai = A[i]
-        row = out[i]
-        for k in range(inner):
-            a = Ai[k]
-            if a == 0:
-                continue
-            Bk = B[k]
-            for j in range(cols):
-                if Bk[j] != 0:
-                    row[j] += a * Bk[j]
+    """Dense integer product A B."""
+    out = []
+    for row in A:
+        acc = [0] * len(B[0])
+        for a, Bk in zip(row, B):
+            if a:
+                acc = [s + a * b for s, b in zip(acc, Bk)]
+        out.append(acc)
     return out
 
 
 def rank(A) -> int:
-    """Exact rank via fraction-exact Gaussian elimination."""
-    if not A:
-        return 0
-    M = [[R(v) for v in row] for row in A]
-    rows, cols = len(M), len(M[0])
+    """Exact rank of an integer matrix: fraction-free row echelon form, each
+    eliminated row divided by the gcd of its entries."""
+    M = [list(row) for row in A]
     r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if M[i][c] != 0), None)
+    for c in range(len(M[0]) if M else 0):
+        pivot = next((i for i in range(r, len(M)) if M[i][c]), None)
         if pivot is None:
             continue
         M[r], M[pivot] = M[pivot], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [v * inv for v in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        p = M[r]
+        for i in range(r + 1, len(M)):
+            if f := M[i][c]:
+                row = [p[c] * a - f * b for a, b in zip(M[i], p)]
+                g = math.gcd(*row)
+                M[i] = [v // g for v in row] if g > 1 else row
         r += 1
-        if r == rows:
-            break
     return r
 
 
@@ -468,8 +455,17 @@ def dense_matrix(op, lattice):
     return entries, valid
 
 
+def integer_dense(op, lattice):
+    """(rows, den, valid): :func:`dense_matrix` scaled once to integers over
+    the lcm den of its entries."""
+    rows, valid = dense_matrix(op, lattice)
+    nums, den = integer_scaled([v for row in rows for v in row])
+    size = lattice.size
+    return [nums[i * size:(i + 1) * size] for i in range(size)], den, valid
+
+
 def dense_commutator_defect(op1, op2, lattice):
-    (M1, v1), (M2, v2) = dense_matrix(op1, lattice), dense_matrix(op2, lattice)
+    (M1, d1, v1), (M2, d2, v2) = integer_dense(op1, lattice), integer_dense(op2, lattice)
 
     def product_valid(M, va, vb):
         return [ok and all(vb[j] for j, v in enumerate(row) if v != 0)
@@ -477,25 +473,27 @@ def dense_commutator_defect(op1, op2, lattice):
 
     A, B = mat_mul(M1, M2), mat_mul(M2, M1)
     keep = [a and b for a, b in zip(product_valid(M1, v1, v2), product_valid(M2, v2, v1))]
-    return max((abs(a - b) for ra, rb, ok in zip(A, B, keep) if ok
-                for a, b in zip(ra, rb)), default=R(0))
+    return R(max((abs(a - b) for ra, rb, ok in zip(A, B, keep) if ok
+                  for a, b in zip(ra, rb)), default=0), d1 * d2)
 
 
 def dense_adjointness_defect(op, w):
-    M, valid = dense_matrix(op, w.lattice)
+    M, den, valid = integer_dense(op, w.lattice)
+    wn, wden = integer_scaled(w.values)
     size = w.lattice.size
-    return max((abs(w.values[i] * M[i][j] - w.values[j] * M[j][i])
-                for i in range(size) for j in range(size) if valid[i] and valid[j]),
-               default=R(0))
+    return R(max((abs(wn[i] * M[i][j] - wn[j] * M[j][i])
+                  for i in range(size) for j in range(size) if valid[i] and valid[j]),
+                 default=0), wden * den)
 
 
 def dense_degree_invariant(op, M, lattice):
-    basis = [monomial_table(e, lattice) for e in enumerate_lattice(lattice.n, M)]
-    images = [pointwise_apply(op, b) for b in basis]
-    keep = [i for i in range(lattice.size)
-            if all(img.values[i] is not None for img in images)]
-    A = [[b.values[i] for b in basis] for i in keep]
-    return in_column_span(A, [[img.values[i] for img in images] for i in keep])
+    rows, _, valid = integer_dense(op, lattice)
+    basis = [[math.prod(c**e for c, e in zip(x, exponents)) for x in lattice.points]
+             for exponents in enumerate_lattice(lattice.n, M)]
+    keep = [i for i, ok in enumerate(valid) if ok]
+    A = [[b[i] for b in basis] for i in keep]
+    images = [[sum(c * b[j] for j, c in enumerate(rows[i]) if c) for b in basis] for i in keep]
+    return in_column_span(A, images)
 
 
 def specs_of(params):
@@ -689,6 +687,178 @@ def test_sparse_checks_match_dense_oracle(params, xmax, perturbed, monkeypatch):
         total = built[specs[0]]
         assert image_degree([total], 2) == 3 and adjointness_defect(total, w) > 0
         assert all(commutator_defect(total, built[spec]) > 0 for spec in specs[1:])
+
+
+# ---------------------------------------------------------------------------
+# the packed kernels against the dict-product commutator and the
+# per-monomial degree loop they replaced, kept here as the oracles
+
+
+def sparse_product(A, B) -> list[dict]:
+    """Rows of A B for matrices given as sparse rows {column: value}."""
+    out = []
+    for row in A:
+        acc: dict = {}
+        for k, a in row.items():
+            for j, b in B[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        out.append(acc)
+    return out
+
+
+def oracle_commutator_defect(M1, M2):
+    """Max |entry| of M1 M2 - M2 M1 from the two dict products, over the rows
+    of both products that read only exact rows."""
+    def product_valid(A, B):
+        return [ok and all(B.valid_rows[j] for j in row)
+                for row, ok in zip(A.rows, A.valid_rows)]
+
+    A, B = sparse_product(M1.rows, M2.rows), sparse_product(M2.rows, M1.rows)
+    worst = 0
+    for a, b, ok12, ok21 in zip(A, B, product_valid(M1, M2), product_valid(M2, M1)):
+        if ok12 and ok21:
+            worst = max([worst] + [abs(a.get(j, 0) - b.get(j, 0)) for j in a.keys() | b.keys()])
+    return R(worst, M1.den * M2.den)
+
+
+def oracle_image_degree(stencils, M: int) -> int:
+    """Largest image degree, one monomial table and one Newton expansion per
+    (stencil, monomial)."""
+    lattice = stencils[0].lattice
+    sums = [sum(x) for x in lattice.points]
+    monomials = [[math.prod(c**e for c, e in zip(x, exponents)) for x in lattice.points]
+                 for exponents in enumerate_degrees(lattice.n, M)]
+    degree = -1
+    for H in stencils:
+        K = max((s for s, ok in zip(sums, H.valid_rows) if ok), default=-1)
+        if K < 0:
+            continue
+        rows = [row for row, ok in zip(H.rows, H.valid_rows) if ok]
+        for mono in monomials:
+            image = [sum(c * mono[j] for j, c in row.items()) for row in rows]
+            coeffs = newton_differences(image, lattice.n, K)
+            degree = max([degree] + [s for s, c in zip(sums, coeffs) if c != 0])
+    return degree
+
+
+def assert_packed_kernels_match_oracles(stencils, degrees=(0, 1, 2, 3)):
+    pairs = list(combinations(stencils, 2))
+    assert commutator_defects(stencils) == [oracle_commutator_defect(*pair) for pair in pairs]
+    for pair in pairs:
+        assert commutator_defect(*pair) == oracle_commutator_defect(*pair)
+    for M in degrees:
+        assert image_degree(stencils, M) == oracle_image_degree(stencils, M)
+        for H in stencils:
+            assert image_degree([H], M) == oracle_image_degree([H], M)
+
+
+ENTRIES = st.integers(-9, 9) | st.integers(-10**15, 10**15)
+
+
+@st.composite
+def random_stencils(draw):
+    """2 or 3 stencils of random sparse integer rows on a small simplex, all
+    sharing one random K: the rows with |x| <= K are valid, as the degree
+    test needs, and each of the others is invalid (and empty, as in a built
+    stencil) or, for the commutator alone, a valid row too."""
+    n, bound = draw(st.integers(2, 3)), draw(st.integers(0, 4))
+    lattice = Lattice(n, bound, truncated=True)
+    params = MeixnerParams((R(1, 4),) * n, R(2))
+    K = draw(st.integers(-1, bound))
+    columns = st.integers(0, lattice.size - 1)
+    stencils = []
+    for _ in range(draw(st.integers(2, 3))):
+        valid = tuple(sum(x) <= K for x in lattice.points)
+        rows = tuple(draw(st.dictionaries(columns, ENTRIES, max_size=4)) if ok else {}
+                     for ok in valid)
+        stencils.append(OperatorMatrix(OperatorSpec(params, "total"), lattice, rows,
+                                       draw(st.integers(1, 30)), valid))
+    return stencils
+
+
+@given(stencils=random_stencils())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_packed_kernels_match_the_oracles_on_random_stencils(stencils):
+    assert_packed_kernels_match_oracles(stencils)
+
+
+@given(stencils=random_stencils(), data=st.data())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_packed_commutators_match_the_oracle_with_scattered_valid_rows(stencils, data):
+    # invalid rows anywhere, not only off a simplex: the commutator reads
+    # only rows whose product is exact
+    size = stencils[0].lattice.size
+    stencils = [dataclasses.replace(H, valid_rows=tuple(
+        data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))) for H in stencils]
+    pairs = list(combinations(stencils, 2))
+    assert commutator_defects(stencils) == [oracle_commutator_defect(*pair) for pair in pairs]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@given(data=st.data())
+@settings(max_examples=6, deadline=None, derandomize=True)
+def test_packed_kernels_match_the_oracles_on_a_meixner_box(n, data):
+    params, lat = data.draw(bundles(MeixnerParams, n))
+    assert_packed_kernels_match_oracles([operator_matrix(spec, lat) for spec in specs_of(params)])
+
+
+@pytest.mark.parametrize("params,xmax", ORACLE_CASES)
+def test_packed_kernels_match_the_oracles_under_a_perturbed_birth_rate(params, xmax,
+                                                                        monkeypatch):
+    perturb_birth_rate(monkeypatch, params)
+    lat = family_lattice(params, xmax=xmax)
+    stencils = [operator_matrix(spec, lat) for spec in specs_of(params)]
+    assert_packed_kernels_match_oracles(stencils, degrees=(1, 2, 3))
+    assert all(d > 0 for d in commutator_defects(stencils)[:len(stencils) - 1])
+    assert image_degree(stencils, 2) == 3
+
+
+def test_the_degree_test_needs_its_slot_width(monkeypatch):
+    """One row whose images of x_2 and x_1 have the Newton coefficients -8
+    and 1 at alpha = (2, 0): packed at 3 bits per slot (x_2 in slot 1, x_1
+    in slot 2) they cancel, -8 * 2^3 + 1 * 2^6 = 0, and the degree-2 image
+    reads as no image at all."""
+    lat = Lattice(2, 2, truncated=True)
+    rows = [{} for _ in lat.points]
+    rows[lat.index[(2, 0)]] = {lat.index[(0, 0)]: 7, lat.index[(1, 0)]: 1, lat.index[(0, 1)]: -8}
+    H = OperatorMatrix(OperatorSpec(MEIX, "total"), lat, tuple(rows), 1, (True,) * lat.size)
+    assert image_degree([H], 1) == oracle_image_degree([H], 1) == 2
+    monkeypatch.setattr(operators, "slot_width", lambda bound: 3)
+    assert image_degree([H], 1) == -1
+
+
+@given(W=st.integers(1, 90), data=st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_pack_unpack_round_trip_at_the_slot_limits(W, data):
+    top = (1 << (W - 1)) - 1
+    values = data.draw(st.lists(st.sampled_from([top, -top, 0]) | st.integers(-top, top),
+                                min_size=1, max_size=12))
+    assert slot_width(max(map(abs, values))) <= W
+    packed = pack(dict(enumerate(values)), W)
+    assert unpack(packed, W, len(values)) == values
+    assert (packed == 0) == (not any(values))
+    # sparse slots, the lowest one away from slot 0
+    sparse = {t + 3: v for t, v in enumerate(values) if v}
+    assert unpack(pack(sparse, W), W, len(values) + 3) == [sparse.get(t, 0)
+                                                          for t in range(len(values) + 3)]
+    with pytest.raises(ValueError):
+        unpack(pack({len(values): 1}, W), W, len(values))
+
+
+@given(bound=st.integers(1, 2**70), data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_a_slot_one_bit_narrower_than_the_bound_needs_unpacks_wrong(bound, data):
+    W = slot_width(bound)
+    assert bound < 1 << (W - 1) and (W == 1 or bound >= 1 << (W - 2))
+    # +bound >= 2^(W-2) lies outside the balanced range of W - 1 bits
+    values = [bound] + data.draw(st.lists(st.integers(-bound, bound), max_size=3))
+    assert unpack(pack(dict(enumerate(values)), W), W, len(values)) == values
+    if W > 1:
+        narrow = pack(dict(enumerate(values)), W - 1)
+        try:
+            assert unpack(narrow, W - 1, len(values) + 1) != values + [0]
+        except ValueError:
+            pass  # or no count + 1 balanced slots of W - 1 bits hold it
 
 
 @pytest.mark.parametrize("params,xmax", [(HAHN, None), (KRAW, None), (MEIX, 5)])

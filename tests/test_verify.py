@@ -81,6 +81,41 @@ def test_eigen_suite_and_degeneracy():
     assert "eigen-suite" in names and "eigen-degeneracy" in names
 
 
+def test_eigen_degeneracy_reads_the_total_stencil(monkeypatch):
+    """Each P_m must show its degree's eigenvalue on the total stencil: a
+    shifted eigenvalue, or a P_m that is no eigenfunction, fails the check."""
+    assert V.eigen_degeneracy_check(V.SuiteContext(HAHN2), 3).status == "pass"
+    ctx = V.SuiteContext(HAHN2)
+    table = ctx.tables([(1, 1)])[0]
+    nums, den = table.integer_form()
+    ctx._tables[(4, (1, 1))] = LatticeFunction.from_integers(table.lattice,
+                                                             [nums[0] + den, *nums[1:]], den)
+    report = V.eigen_degeneracy_check(ctx, 3)
+    assert (report.status, report.max_defect) == ("fail", None)
+    monkeypatch.setattr(V, "eigenvalue", lambda *args: eigenvalue(*args) + R(1, 7))
+    assert V.eigen_degeneracy_check(V.SuiteContext(HAHN2), 3).status == "fail"
+
+
+def test_eigen_checks_form_each_eigenvalue_once_per_partial_degree(monkeypatch):
+    """One eigenvalue per (operator, |m| or S_i): for n = 3, |m| <= 3, that is
+    4 total, 10 single (|m|, S_1), 4 exchange(1) and 4 exchange(2) values."""
+    calls = []
+
+    def counted(params, kind, index, m):
+        calls.append((kind, index, tuple(m)))
+        return eigenvalue(params, kind, index, m)
+
+    monkeypatch.setattr(V, "eigenvalue", counted)
+    params = KrawtchoukParams((R(1, 2), R(1, 3), R(2)), 6)
+    reports = V.run_checks(params, ["eigen"])
+    assert [r.status for r in reports] == ["pass", "pass"]
+    kinds = [kind if index is None else f"{kind}{index}" for kind, index, _ in calls]
+    assert sorted(kinds) == sorted(["total"] * 4 + ["single"] * 10
+                                   + ["exchange1"] * 4 + ["exchange2"] * 4)
+    reports = V.run_suite(params)
+    assert not any(r.status == "fail" for r in reports)
+
+
 def test_wrong_eigenvalue_fails():
     from mvortho import OperatorSpec, eigenpoly_table, operator_matrix
     from mvortho.core import family_lattice
