@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from mvortho import (
@@ -776,14 +776,18 @@ def random_stencils(draw):
     return stencils
 
 
+# no shrinking here: on a broken kernel shrinking a failing draw of random
+# stencils took 20-30 s per property
 @given(stencils=random_stencils())
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
 def test_packed_kernels_match_the_oracles_on_random_stencils(stencils):
     assert_packed_kernels_match_oracles(stencils)
 
 
 @given(stencils=random_stencils(), data=st.data())
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=20, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
 def test_packed_commutators_match_the_oracle_with_scattered_valid_rows(stencils, data):
     # invalid rows anywhere, not only off a simplex: the commutator reads
     # only rows whose product is exact
