@@ -116,7 +116,7 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     params = build_params(args)
-    names = V.SUITE if args.check is None else (args.check,)
+    names = V.SUITE if args.check is None else args.check
     reports = V.run_checks(params, names, _non_negative(args, "m_max"),
                            _non_negative(args, "xmax"), args.seed)
     failed = any(r.status == V.FAIL for r in reports)
@@ -192,7 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run identity checks")
     _family_args(p_verify)
-    p_verify.add_argument("--check", choices=tuple(V.CHECKS), help="run a single check")
+    p_verify.add_argument("--check", choices=tuple(V.CHECKS), action="append",
+                          help="run this registry entry instead of the whole suite; repeat "
+                          "the flag to run several, in the order given")
     p_verify.add_argument("--m-max", type=int, dest="m_max")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")

@@ -181,7 +181,8 @@ class FamilyParams:
     seven rationals ``rate_form = (u0, u1, v1, d0, d1, e1, e)`` of
     B_j = (u0 + u1 |x|)(v1 x_j + a_j), D_j = x_j (d0 + d1 |x|) and
     c_jk = x_j (e1 x_k + e a_k), which the integer stencils
-    (:func:`mvortho.operators.operator_matrix`) and the rates below read.
+    (:func:`mvortho.operators.operator_matrix`) and the integer rates of
+    the rate identities (:func:`mvortho.operators.integer_rates`) read.
     """
 
     a: tuple
@@ -226,21 +227,6 @@ class FamilyParams:
         """Instance label of the reports, e.g. ``krawtchouk n=3 N=4 a=(1/2,1/3,2)``."""
         a = ",".join(rational_str(v) for v in self.a)
         return f"{self.family} n={self.n} {self.bound_label} a=({a})"
-
-    def up_rate(self, x, j: int):
-        """Birth rate B_j(x) of site j."""
-        u0, u1, v1 = self.rate_form[:3]
-        return (u0 + u1 * sum(x)) * (v1 * x[j] + self.a[j])
-
-    def down_rate(self, x, j: int):
-        """Death rate D_j(x) of site j."""
-        d0, d1 = self.rate_form[3:5]
-        return x[j] * (d0 + d1 * sum(x))
-
-    def exchange_coeff(self, x, j: int, k: int):
-        """Rate c_jk(x) of the move x - e_j + e_k."""
-        e1, e = self.rate_form[5:]
-        return x[j] * (e1 * x[k] + e * self.a[k])
 
     def check_m_max(self, m_max: int) -> None:
         """Raise unless the degree bound m_max is at most N on a bounded lattice."""

@@ -18,7 +18,11 @@ is 0, and :func:`unpack` recovers each slot.  The callers' bounds: a
 commutator row of stencils whose rows have absolute sums <= S and
 entries |.| <= E has slots <= 2 S E; the Newton coefficients of a stencil
 image of the monomials of degree <= M on {|x| <= K}, n variables, have
-slots <= S top 2^(n K), with top >= every monomial value.
+slots <= S top 2^(n K), with top >= every monomial value.  An eigen
+residual row q sum_j H[i][j] num_j - p H.den num_i of a table num with
+eigenvalue p/q has |slot| <= q S max|num| + |p| H.den max|num|, since
+|sum_j H[i][j] num_j| <= (sum_j |H[i][j]|) max|num| <= S max|num|; over a
+batch of tables the bound is the largest of theirs.
 """
 
 from __future__ import annotations

@@ -21,10 +21,11 @@ Each operator is built once per lattice as a sparse stencil
 (:class:`OperatorMatrix`): one row of at most 2n + n(n-1) + 1 integer
 numerators per point, over one common denominator, written in Python
 ints from the rate form: no rational is formed per entry.  Eigen residuals
-(:func:`mvortho.verify.residual_defect`), export, commutators,
+(:func:`mvortho.verify.residual_defects`), export, commutators,
 self-adjointness and the degree test all read that one representation;
 products, images and Newton differences run in Python ints and one
-rational is formed per result.
+rational is formed per result.  The rate identities read the same
+integers point by point (:func:`integer_rates`).
 
 The commutators and the degree test run on slot-packed integers
 (:mod:`mvortho.linalg`), W = ``slot_width(bound)`` bits per slot.  A
@@ -100,6 +101,34 @@ class OperatorMatrix:
         return self.lattice.size
 
 
+def _scaled_rate_form(params) -> tuple:
+    """(u0, u1, v1, d0, d1, e1, e, a_1, ..., a_n) as integers over their lcm D, and D."""
+    return integer_scaled([*params.rate_form, *params.a])
+
+
+def integer_rates(params) -> tuple:
+    """(birth, death, exchange, D): the family's rates as integers at a point.
+
+    The rate constants and a_1..a_n are scaled once to integers over their
+    lcm D, as for the stencils, so that ``birth(x)[j]`` = B_j(x) D^2,
+    ``death(x)[j]`` = D_j(x) D and ``exchange(x, j, k)`` = c_jk(x) D^2.
+    """
+    (u0, u1, v1, d0, d1, e1, e, *a), D = _scaled_rate_form(params)
+
+    def birth(x) -> list:
+        up = u0 + u1 * sum(x)
+        return [up * (v1 * c + ak) for c, ak in zip(x, a)]
+
+    def death(x) -> list:
+        down = d0 + d1 * sum(x)
+        return [c * down for c in x]
+
+    def exchange(x, j: int, k: int) -> int:
+        return x[j] * (e1 * D * x[k] + e * a[k])
+
+    return birth, death, exchange, D
+
+
 def operator_matrix(op: OperatorSpec, lattice: Lattice | None = None) -> OperatorMatrix:
     """The operator's stencil on the lattice, one sparse row per point.
 
@@ -116,7 +145,7 @@ def operator_matrix(op: OperatorSpec, lattice: Lattice | None = None) -> Operato
     if op.params.N is not None and lattice.bound != op.params.N:
         raise ValueError("lattice bound does not match N")
     n, (ups, downs) = lattice.n, lattice.steps
-    (u0, u1, v1, d0, d1, e1, e, *a), D = integer_scaled([*op.params.rate_form, *op.params.a])
+    (u0, u1, v1, d0, d1, e1, e, *a), D = _scaled_rate_form(op.params)
     e1, ea = e1 * D, [e * ak for ak in a]
     single = op.kind != "exchange"
     # exchange moves run between the sites lo..n-1; the single part has none

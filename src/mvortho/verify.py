@@ -9,12 +9,13 @@ weight; the only tail bound left is the missing weight mass that
 
 Every check of an instance takes one :class:`SuiteContext`.  The
 context builds the lattice, the weight tables, the operator stencils,
-the eigenpolynomial tables, the type-one tables and the Gram entries on
-first use and hands the same objects to every later check, so a suite
-builds each of them once.  The eigenpolynomials and pair products the
-checks read on the lattice are all P_m tables of the context (a pair
-product is P_m with the other degrees 0), on the instance lattice or on
-another simplex, and all tables share one dict of factor-slot integers.
+the eigenpolynomial tables, the type-one tables, the Gram entries, the
+adjointness defects and the eigen residuals on first use and hands the
+same objects to every later check, so a suite builds each of them once.
+The eigenpolynomials and pair products the checks read on the lattice
+are all P_m tables of the context (a pair product is P_m with the other
+degrees 0), on the instance lattice or on another simplex, and all
+tables share one dict of factor-slot integers.
 A type-one polynomial depends on x only through the subset sum x_J and
 on J only through a_J, so its table is filled from one integer grid per
 (m, a_J) over x_J.  Checks only read what the context
@@ -41,10 +42,12 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
+from operator import lshift, mul
 
 from ._backend import R, ZERO, ONE, integer_scaled
 from .core import (Lattice, LatticeFunction, enumerate_degrees, family_lattice,
                    rising_factorial, tail_sum)
+from .linalg import slot_width, unpack
 from .measures import (
     gram_matrix,
     lattice_inner_product,
@@ -57,6 +60,7 @@ from .operators import (
     adjointness_defect,
     commutator_defects,
     image_degree,
+    integer_rates,
     operator_matrix,
 )
 from .polynomials import (
@@ -161,54 +165,66 @@ def compatibility_check(ctx: SuiteContext) -> CheckReport:
 
     W(x+e_j)/W(x) = B_j(x)/D_j(x+e_j) for all interior x and j, and the
     two-step ratio B_j/D_j * B_k/D_k is invariant under swapping j,k.
+    Both are compared cross-multiplied, in integers: the weight's integer
+    form over wden and the rates of :func:`integer_rates`, B_j over D^2
+    and D_j over D.  A weight-ratio residual is then an integer over
+    wden D^2 and a cycle residual, two rates of each kind per side, one
+    over D^6: one rational per identity.
     """
     params = ctx.params
 
-    def defects():
-        w = ctx.weights()
-        lattice = w.lattice
-        n = params.n
-        for x in lattice.points:
-            for j in range(n):
-                yj = x[:j] + (x[j] + 1,) + x[j + 1 :]
-                if yj not in lattice.index:
-                    continue
-                yield w(yj) * params.down_rate(yj, j) - w(x) * params.up_rate(x, j)
-                for k in range(j + 1, n):
-                    yk = x[:k] + (x[k] + 1,) + x[k + 1 :]
-                    yjk = yj[:k] + (yj[k] + 1,) + yj[k + 1 :]
-                    if yjk not in lattice.index:
-                        continue
-                    # B_j(x) B_k(x+e_j) / (D_j(x+e_j) D_k(x+e_j+e_k)) is
-                    # symmetric in j,k; compare cross-multiplied.
-                    yield (params.up_rate(x, j) * params.up_rate(yj, k)
-                           * params.down_rate(yk, k) * params.down_rate(yjk, j)
-                           - params.up_rate(x, k) * params.up_rate(yk, j)
-                           * params.down_rate(yj, j) * params.down_rate(yjk, k))
+    def body():
+        wn, wden = ctx.weights().integer_form()
+        lattice = ctx.lattice
+        birth, death, _, D = integer_rates(params)
+        B = [birth(x) for x in lattice.points]
+        Dn = [death(x) for x in lattice.points]
+        ups = lattice.steps[0]
+        pairs = list(combinations(range(params.n), 2))
+        ratio, cycle = [], []
+        for i in range(lattice.size):
+            for j, up in enumerate(ups):
+                yj = up[i]
+                if yj is not None:
+                    ratio.append(wn[yj] * D * Dn[yj][j] - wn[i] * B[i][j])
+            # B_j(x) B_k(x+e_j) / (D_j(x+e_j) D_k(x+e_j+e_k)) is symmetric
+            # in j,k; compare cross-multiplied
+            for j, k in pairs:
+                yj, yk = ups[j][i], ups[k][i]
+                yjk = None if yj is None else ups[k][yj]
+                if yjk is not None:
+                    cycle.append(B[i][j] * B[yj][k] * Dn[yk][k] * Dn[yjk][j]
+                                 - B[i][k] * B[yk][j] * Dn[yj][j] * Dn[yjk][k])
+        return _exact([_worst(ratio, wden * D * D), _worst(cycle, D**6)])
 
-    return _report("compatibility", params.label, lambda: _exact(defects()))
+    return _report("compatibility", params.label, body)
 
 
 def boundary_safety_check(ctx: SuiteContext) -> CheckReport:
-    """Every coefficient that would multiply an out-of-lattice shift is 0."""
+    """Every coefficient that would multiply an out-of-lattice shift is 0.
+
+    The rates are the integers of :func:`integer_rates`; a nonzero one
+    is reported as its rational value."""
     params = ctx.params
 
     def body():
         if params.N is None:
             return SKIP, None, "semi-infinite lattice; frontier entries are flagged instead"
+        birth, death, exchange, D = integer_rates(params)
         n = params.n
         for x in ctx.lattice.points:
             if sum(x) == params.N:
-                for j in range(n):
-                    if params.up_rate(x, j) != 0:
-                        return FAIL, params.up_rate(x, j), f"up rate nonzero at {x}"
+                for b in birth(x):
+                    if b:
+                        return FAIL, R(b, D * D), f"up rate nonzero at {x}"
+            deaths = death(x)
             for j in range(n):
                 if x[j] == 0:
-                    if params.down_rate(x, j) != 0:
-                        return FAIL, params.down_rate(x, j), f"down rate nonzero at {x}"
+                    if deaths[j]:
+                        return FAIL, R(deaths[j], D), f"down rate nonzero at {x}"
                     for k in range(n):
-                        if k != j and params.exchange_coeff(x, j, k) != 0:
-                            return FAIL, params.exchange_coeff(x, j, k), f"exchange nonzero at {x}"
+                        if k != j and (c := exchange(x, j, k)):
+                            return FAIL, R(c, D * D), f"exchange nonzero at {x}"
         return PASS, ZERO, ""
 
     return _report("boundary-safety", params.label, body)
@@ -220,8 +236,7 @@ def boundary_safety_check(ctx: SuiteContext) -> CheckReport:
 
 def adjointness_check(ctx: SuiteContext) -> CheckReport:
     def body():
-        w = ctx.weights()
-        return _exact(adjointness_defect(H, w) for H in ctx.stencils)
+        return _exact(ctx.adjointness(H.op.kind, H.op.index) for H in ctx.stencils)
 
     return _report("adjointness", ctx.params.label, body)
 
@@ -247,40 +262,78 @@ def degree_invariance_report(ctx: SuiteContext, M: int) -> CheckReport:
 # eigen checks
 
 
-def residual_defect(H: OperatorMatrix, table: LatticeFunction, eig) -> tuple:
-    """Max |(H f)(x) - eig * f(x)| over the points with a defined image, and their count.
+def residual_defects(H: OperatorMatrix, tables, eigenvalues) -> list:
+    """[(max |(H f)(x) - eig f(x)|, count of the rows checked)] for each table
+    f and its eigenvalue eig, over the points where H f is defined.
 
-    The image is defined on the valid rows of the stencil that read no
-    None entry of f.  With f = num/den and eig = p/q, row i compares
-    q * sum_j H[i][j] num_j with p * H.den * num_i in Python ints, and the
-    largest difference is the one rational, over q * H.den * den.
+    The image of f is defined on the valid rows of the stencil that read
+    no None entry of f.  With f = num/den and eig = p/q, row i compares
+    q sum_j H[i][j] num_j with p H.den num_i, and the largest difference of
+    a table is its one rational, over q H.den den.  The tables are packed
+    into slots, W = ``slot_width(bound)`` bits each (:mod:`mvortho.linalg`):
+    column j holds q num_j and the diagonal side p H.den num_i of every
+    table, so row i is one big-int multiply-add per stored entry, and it
+    passes for every table at once when sum_j H[i][j] QA[j] - PB[i] = 0.
+    Only a row that does not is unpacked, for the exact residual of each
+    table; a None entry packs as 0, and its table's slot is skipped on the
+    rows that read it.  The bound is max over the tables of
+    (S q + |p| H.den) max |num|, S the largest absolute row sum.
     """
-    if table.lattice != H.lattice:
+    if any(table.lattice != H.lattice for table in tables):
         raise ValueError("table and operator live on different lattices")
-    num, den = table.integer_form()
-    eig = R(eig)
-    q, scale = eig.denominator, eig.numerator * H.den
-    partial = None in num
-    worst = checked = 0
-    for i, (row, ok) in enumerate(zip(H.rows, H.valid_rows)):
-        if not ok or num[i] is None or (partial and any(num[j] is None for j in row)):
-            continue
-        checked += 1
-        r = q * sum(c * num[j] for j, c in row.items()) - scale * num[i]
-        if r:
-            worst = max(worst, abs(r))
-    return R(worst, q * H.den * den), checked
+    if not tables:
+        return []
+    forms = [table.integer_form() for table in tables]
+    eigs = list(map(R, eigenvalues))
+    qs = [e.denominator for e in eigs]
+    ps = [e.numerator * H.den for e in eigs]
+    filled = [[0 if v is None else v for v in nums] if None in nums else nums
+              for nums, _ in forms]
+    S = max((sum(map(abs, row.values())) for row in H.rows), default=0)
+    W = slot_width(max((max(map(abs, nums), default=0) * (S * q + abs(p))
+                        for nums, q, p in zip(filled, qs, ps)), default=0))
+    shifts = range(0, W * len(forms), W)
+    # column j of the tables, and the diagonal side of row i, as one integer each
+    QA = [sum(map(lshift, column, shifts))
+          for column in zip(*([q * v for v in nums] for nums, q in zip(filled, qs)))]
+    PB = [sum(map(lshift, column, shifts))
+          for column in zip(*([p * v for v in nums] for nums, p in zip(filled, ps)))]
+    # the rows each partial table has no image on
+    skipped = {t: {i for i, row in enumerate(H.rows)
+                   if nums[i] is None or any(nums[j] is None for j in row)}
+               for t, (nums, _) in enumerate(forms) if None in nums}
+    worst = [0] * len(forms)
+    valid = [i for i, ok in enumerate(H.valid_rows) if ok]
+    for i in valid:
+        row = H.rows[i]
+        d = sum(map(mul, row.values(), map(QA.__getitem__, row))) - PB[i]
+        if d:
+            low = ((d & -d).bit_length() - 1) // W
+            slots = unpack(d >> (W * low), W, abs(d).bit_length() // W + 1 - low)
+            for t, v in enumerate(slots, low):
+                if v and abs(v) > worst[t] and i not in skipped.get(t, ()):
+                    worst[t] = abs(v)
+    return [(R(w, q * H.den * den),
+             len(valid) - len(skipped[t].intersection(valid)) if t in skipped else len(valid))
+            for t, (w, q, (_, den)) in enumerate(zip(worst, qs, forms))]
+
+
+def residual_defect(H: OperatorMatrix, table: LatticeFunction, eig) -> tuple:
+    """Max |(H f)(x) - eig f(x)| over the points with a defined image, and
+    their count: :func:`residual_defects` of one table."""
+    return residual_defects(H, [table], [eig])[0]
 
 
 def eigen_suite(ctx: SuiteContext, m_max: int) -> list[CheckReport]:
-    """Eigen residuals for every |m| <= m_max and every operator."""
+    """Eigen residuals for every |m| <= m_max and every operator, one
+    :func:`residual_defects` call per operator."""
     params = ctx.params
 
     def body():
         degrees = enumerate_degrees(params.n, m_max)
         stencils = ctx.stencils
-        defects = (residual_defect(H, table, ctx.eigenvalue(H.op.kind, H.op.index, m))[0]
-                   for m, table in zip(degrees, ctx.tables(degrees)) for H in stencils)
+        defects = [worst for H in stencils
+                   for worst, _ in ctx.eigen_residuals(H.op.kind, H.op.index, degrees)]
         return _exact(defects, f"{len(degrees) * len(stencils)} (m, operator) pairs")
 
     return [_report("eigen-suite", f"{params.label} all |m|<={m_max}", body),
@@ -315,25 +368,27 @@ def eigen_degeneracy_check(ctx: SuiteContext, m_max: int) -> CheckReport:
 # type-one checks
 
 
-def type_one_check(ctx: SuiteContext, J, m: int) -> CheckReport:
-    """H_total on the subset polynomial: residual must vanish exactly."""
+def type_one_check(ctx: SuiteContext, J, m: int, batch=()) -> CheckReport:
+    """H_total on the subset polynomial: residual must vanish exactly.  The
+    residuals of the further (J, m) pairs of ``batch`` are formed in the
+    same kernel call (the suite passes all of its pairs)."""
     params = ctx.params
     J = tuple(sorted(set(J)))
     if not J or any(not 1 <= j <= params.n for j in J):
         raise ValueError(f"J must be a nonempty subset of 1..{params.n}")
 
     def body():
-        eig = ctx.eigenvalue("total", None, (m,) + (0,) * (params.n - 1))
-        return _exact([residual_defect(ctx.stencil("total"), ctx.type_one(J, m), eig)[0]])
+        return _exact([ctx.type_one_residuals([(J, m), *batch])[0][0]])
 
     return _report("type-one", f"{params.label} J={set(J)} m={m}", body)
 
 
 def type_one_suite(ctx: SuiteContext, m_max: int) -> list[CheckReport]:
-    """Type-one residuals for every subset J and m <= m_max."""
+    """Type-one residuals for every subset J and m <= m_max, in one kernel call."""
     sites = range(1, ctx.params.n + 1)
-    reports = [type_one_check(ctx, J, m) for size in sites
-               for J in combinations(sites, size) for m in range(m_max + 1)]
+    pairs = [(J, m) for size in sites for J in combinations(sites, size)
+             for m in range(m_max + 1)]
+    reports = [type_one_check(ctx, J, m, pairs) for J, m in pairs]
     reports.append(same_degree_overlap_check(ctx, max(1, min(m_max, 2))))
     return reports
 
@@ -363,8 +418,9 @@ def same_degree_overlap_check(ctx: SuiteContext, m: int) -> CheckReport:
 
 
 def _worst(residuals, den):
-    """The largest |defect| of one identity whose residuals share the denominator den."""
-    return R(max(map(abs, residuals)), den)
+    """The largest |defect| of one identity whose residuals share the denominator
+    den, 0 when there are none."""
+    return R(max(map(abs, residuals), default=0), den)
 
 
 def sv_shift_check(a, b, N: int, deg_max: int) -> CheckReport:
@@ -574,9 +630,7 @@ def glue_check(ctx: SuiteContext, i: int, m_i: int, m_im1: int) -> CheckReport:
     def body():
         m = [0] * params.n
         m[i - 1], m[i] = m_im1, m_i
-        (table,) = ctx.tables([m])
-        eig = ctx.eigenvalue("exchange", i - 1, m)
-        return _exact([residual_defect(ctx.stencil("exchange", i - 1), table, eig)[0]])
+        return _exact([ctx.eigen_residuals("exchange", i - 1, [tuple(m)])[0][0]])
 
     return _report("glue", f"{params.label} i={i} degrees=({m_i},{m_im1})", body)
 
@@ -623,23 +677,65 @@ def gram_check(ctx: SuiteContext, m_max: int) -> CheckReport:
 
 
 def completeness_check(ctx: SuiteContext) -> CheckReport:
-    """#{m : |m| <= N} equals |lattice| and the Gram matrix is nonsingular,
-    which holds once it is diagonal with positive entries.  The Gram
-    entries and tables of a preceding gram check are reused."""
+    """The P_m, |m| <= N, form a basis of the functions on the lattice, by the
+    paper's spectral argument.
+
+    It holds when #{m : |m| <= N} = L, the lattice size, and each P_m is a
+    nonzero common eigenvector of total and exchange(1) .. exchange(n-1)
+    (residual 0 on all L rows), these stencils are self-adjoint under
+    the weight W and W > 0: eigenvectors of a W-self-adjoint operator with
+    different eigenvalues are W-orthogonal, so when the joint eigenvalue
+    tuples are pairwise distinct the L nonzero P_m are orthogonal, hence
+    independent.  Those n eigenvalues fix |m| and every S_i = m_i + ... +
+    m_{n-1}, so they fix m; for special parameters where tuples coincide,
+    the Gram block of each such cluster must be diagonal with positive
+    entries.  The residuals are formed one total degree per kernel call
+    (one pack across degrees would need the slot width of the largest
+    table), and those of the eigen check, |m| <= m_max, are reused, as are
+    the adjointness defects.
+    """
     params = ctx.params
 
     def body():
         if params.N is None:
             return SKIP, None, "unbounded degree set on the semi-infinite lattice"
-        size = ctx.lattice.size
-        degrees = enumerate_degrees(params.n, params.N)
+        size, n = ctx.lattice.size, params.n
+        degrees = enumerate_degrees(n, params.N)
         if len(degrees) != size:
             return FAIL, None, "degree count differs from lattice size"
-        _, exact = ctx.orthogonality(params.N, combinations_with_replacement(range(size), 2))
-        defect = _orthogonality_defect(exact, degrees)
-        if defect:
-            return FAIL, None, f"Gram matrix not diagonal with positive entries: {defect}"
-        return PASS, ZERO, f"count {size}, Gram diagonal positive, full rank"
+        if min(ctx.weights().integer_form()[0]) <= 0:
+            return FAIL, None, "weight not positive at every point"
+        ops = [OperatorSpec(params, "total")] + [OperatorSpec(params, "exchange", i)
+                                                 for i in range(1, n)]
+        labels = ", ".join(op.label for op in ops)
+        adjoint = max(ctx.adjointness(op.kind, op.index) for op in ops)
+        if adjoint:
+            return FAIL, adjoint, f"{labels} not W-self-adjoint"
+        for d in range(params.N + 1):
+            shell = [m for m in degrees if sum(m) == d]
+            for m, table in zip(shell, ctx.tables(shell)):
+                if not any(table.integer_form()[0]):
+                    return FAIL, None, f"P_{m} vanishes"
+            for op in ops:
+                for m, (worst, checked) in zip(shell, ctx.eigen_residuals(op.kind, op.index,
+                                                                          shell)):
+                    if worst or checked != size:
+                        return FAIL, worst, f"P_{m} not an eigenvector of {op.label} on every row"
+        clusters = {}
+        for m in degrees:
+            joint = tuple(ctx.eigenvalue(op.kind, op.index, m) for op in ops)
+            clusters.setdefault(joint, []).append(m)
+        clusters = [ms for ms in clusters.values() if len(ms) > 1]
+        for ms in clusters:
+            G = gram_matrix(ctx.tables(ms), ctx.weights())
+            defect = _orthogonality_defect(
+                {(i, j): G[i][j] for i, j in combinations_with_replacement(range(len(ms)), 2)}, ms)
+            if defect:
+                return FAIL, None, f"Gram block of equal joint eigenvalues: {defect}"
+        spectrum = (f"equal joint eigenvalues in {len(clusters)} clusters, Gram blocks "
+                    "diagonal positive" if clusters else "joint eigenvalues distinct")
+        return PASS, ZERO, (f"count {size}, nonzero common eigenvectors of the W-self-adjoint "
+                            f"{labels}, W > 0, {spectrum}")
 
     return _report("completeness", params.label, body)
 
@@ -762,8 +858,13 @@ class SuiteContext:
     the eigenpolynomial tables (one per simplex bound and degree m), the
     type-one tables (one per subset J and degree m, their values one grid
     per degree m and parameter a_J), the Gram entries, the Meixner factorial
-    moments and the eigenvalues (one per operator and partial degree) are
-    built on first use and kept for the life of the context.
+    moments, the eigenvalues (one per operator and partial degree), the
+    adjointness defects (one per stencil) and the eigen residuals (one per
+    stencil and P_m or type-one table, the missing ones of a request formed
+    in one :func:`residual_defects` call) are built on first use and kept
+    for the life of the context.  So the eigen, glue and completeness
+    checks share their residuals, and the adjointness and completeness
+    checks their defects.
     Every table, on whatever simplex, is filled from one factor dict that
     holds the integers of each pair and radial slot per argument (see
     :func:`mvortho.polynomials.eigenpoly_tables`), so each (slot, argument)
@@ -796,6 +897,8 @@ class SuiteContext:
         self._gram: list = []
         self._moments: dict = {}
         self._eigenvalues: dict = {}
+        self._adjointness: dict = {}
+        self._residuals: dict = {}
 
     @cached_property
     def lattice(self):
@@ -841,6 +944,40 @@ class SuiteContext:
         if key not in self._eigenvalues:
             self._eigenvalues[key] = eigenvalue(self.params, kind, index, m)
         return self._eigenvalues[key]
+
+    def adjointness(self, kind: str, index: int | None = None):
+        """The stencil's self-adjointness defect under the weight."""
+        key = (kind, index)
+        if key not in self._adjointness:
+            self._adjointness[key] = adjointness_defect(self.stencil(kind, index), self.weights())
+        return self._adjointness[key]
+
+    def _residuals_of(self, name: str, H: OperatorMatrix, keys, tables, eigenvalue) -> list:
+        """(worst, checked) of the ``name`` table of each key under the stencil:
+        the missing keys in one :func:`residual_defects` call, over
+        ``tables(missing)`` and the eigenvalue of each."""
+        done = self._residuals.setdefault((name, H.op.kind, H.op.index), {})
+        missing = [k for k in dict.fromkeys(keys) if k not in done]
+        if missing:
+            found = residual_defects(H, tables(missing), [eigenvalue(k) for k in missing])
+            done.update(zip(missing, found))
+        return [done[k] for k in keys]
+
+    def eigen_residuals(self, kind: str, index: int | None, degrees) -> list:
+        """(worst, checked) of :func:`residual_defects` for P_m, m in ``degrees``
+        (tuples), under the stencil and its eigenvalue on P_m."""
+        return self._residuals_of("P_m", self.stencil(kind, index), degrees, self.tables,
+                                  lambda m: self.eigenvalue(kind, index, m))
+
+    def type_one_residuals(self, pairs) -> list:
+        """(worst, checked) of :func:`residual_defects` for the type-one table of
+        each (J, m) of ``pairs`` under the total stencil, with the eigenvalue
+        of P_(m, 0, ..., 0)."""
+        zeros = (0,) * (self.params.n - 1)
+        return self._residuals_of(
+            "type-one", self.stencil("total"), pairs,
+            lambda missing: [self.type_one(J, m) for J, m in missing],
+            lambda key: self.eigenvalue("total", None, (key[1],) + zeros))
 
     def stencil(self, kind: str, index: int | None = None) -> OperatorMatrix:
         key = (kind, index)

@@ -3,6 +3,7 @@ call, and no input that ends in anything but exit code 0, 1 or 2."""
 
 import contextlib
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -156,3 +157,21 @@ def test_export_and_verify_refuse_m_max_above_N_alike():
     message = "error: need m_max <= N, got m_max = 9 and N = 4\n"
     assert run(["export", *HAHN, "--what", "gram", "--m-max", "9"]) == (2, "", message)
     assert run(["verify", *HAHN, "--check", "gram", "--m-max", "9"]) == (2, "", message)
+
+
+def test_repeated_check_flags_run_each_entry_in_the_order_given():
+    """``--check A --check B`` prints the reports of ``--check A`` and then
+    those of ``--check B`` (it once ran only the last one)."""
+    names = ["completeness", "compatibility", "eigen", "boundary", "glue"]
+
+    def reports(*checks):
+        argv = ["verify", *HAHN, "--format", "json"]
+        for name in checks:
+            argv += ["--check", name]
+        rc, out, err = run(argv)
+        assert (rc, err) == (0, "")
+        return json.loads(out)["reports"]
+
+    combined = reports(*names)
+    assert combined == [r for name in names for r in reports(name)]
+    assert [r["name"] for r in combined[:2]] == ["completeness", "compatibility"]

@@ -7,8 +7,14 @@ a change pass.  One hand edit since: when the Meixner ``gram`` and
 ``pair-orthogonality`` checks moved from truncated-box tail bounds to
 exact sums against the factorial moments, the ``detail`` strings of
 those two reports in ``suite_meixner.json`` were edited by hand, and
-nothing else in any file changed.  Every single ``--check`` must print
-exactly the suite's reports for its registry entry.
+nothing else in any file changed.  A second one: when ``completeness``
+moved from the whole Gram matrix to the spectral argument (common
+eigenvectors of W-self-adjoint stencils with distinct joint
+eigenvalues), the ``detail`` string of that report in
+``suite_hahn.json`` and ``suite_krawtchouk.json`` was edited by hand;
+its status and max_defect, and nothing else in any file, changed.
+Every single ``--check`` must print exactly the suite's reports for its
+registry entry.
 
 The ``operator_*.json`` files hold ``export --what operator --format
 json`` for every stencil of a Krawtchouk and a truncated Meixner

@@ -21,6 +21,7 @@ from mvortho import (
 from mvortho.core import family_lattice, rising_factorial
 from mvortho.measures import meixner_normalization, meixner_shell_mass
 from test_core import multinomial, table_of
+from test_operators import form_down_rate, form_up_rate
 
 small_pos = st.integers(1, 12).flatmap(
     lambda p: st.integers(1, 12).map(lambda q: R(p, q))
@@ -322,7 +323,7 @@ def test_weight_ratio_identity(params, xmax):
             y = x[:j] + (x[j] + 1,) + x[j + 1 :]
             if y not in lat.index:
                 continue
-            assert w(y) * params.down_rate(y, j) == w(x) * params.up_rate(x, j)
+            assert w(y) * form_down_rate(params, y, j) == w(x) * form_up_rate(params, x, j)
 
 
 def test_inner_product_examples():

@@ -23,10 +23,9 @@ from mvortho import (
 from mvortho import operators
 from mvortho import verify as V
 from mvortho._backend import integer_scaled
-from mvortho.core import (FamilyParams, Lattice, enumerate_degrees, enumerate_lattice,
-                          family_lattice)
+from mvortho.core import Lattice, enumerate_degrees, enumerate_lattice, family_lattice
 from mvortho.linalg import newton_differences, pack, slot_width, unpack
-from mvortho.operators import commutator_defects, image_degree
+from mvortho.operators import commutator_defects, image_degree, integer_rates
 from mvortho.polynomials import eigenpoly_tables, eigenvalue
 from test_core import table_of
 
@@ -123,13 +122,13 @@ def test_boundary_coefficients_vanish_exactly():
         for x in lat.points:
             if sum(x) == params.N:
                 for j in range(n):
-                    assert params.up_rate(x, j) == 0
+                    assert form_up_rate(params, x, j) == 0
             for j in range(n):
                 if x[j] == 0:
-                    assert params.down_rate(x, j) == 0
+                    assert form_down_rate(params, x, j) == 0
                     for k in range(n):
                         if k != j:
-                            assert params.exchange_coeff(x, j, k) == 0
+                            assert form_exchange_coeff(params, x, j, k) == 0
 
 
 def test_apply_operator_never_reads_outside_bounded_lattice():
@@ -313,8 +312,29 @@ CLOSED_RATES = {
                     lambda p, x, j: R(x[j]),
                     lambda p, x, j, k: -R(x[j]) * p.a[k]),
 }
-# the pointwise rates the bundles derive from their rate form
-FORM_RATES = (FamilyParams.up_rate, FamilyParams.down_rate, FamilyParams.exchange_coeff)
+
+
+# The pointwise rates of the rate form, one rational each: the oracle of the
+# integer rates (``operators.integer_rates``) that the rate identities read.
+def form_up_rate(params, x, j: int):
+    """Birth rate B_j(x) of site j."""
+    u0, u1, v1 = params.rate_form[:3]
+    return (u0 + u1 * sum(x)) * (v1 * x[j] + params.a[j])
+
+
+def form_down_rate(params, x, j: int):
+    """Death rate D_j(x) of site j."""
+    d0, d1 = params.rate_form[3:5]
+    return x[j] * (d0 + d1 * sum(x))
+
+
+def form_exchange_coeff(params, x, j: int, k: int):
+    """Rate c_jk(x) of the move x - e_j + e_k."""
+    e1, e = params.rate_form[5:]
+    return x[j] * (e1 * x[k] + e * params.a[k])
+
+
+FORM_RATES = (form_up_rate, form_down_rate, form_exchange_coeff)
 
 
 def moves(op, x, rates=FORM_RATES):
@@ -603,13 +623,15 @@ def bundles(draw, family, n):
 def test_integer_stencils_match_the_closed_form_rates(family, n, data):
     params, lat = data.draw(bundles(family, n))
     up, down, exchange = closed = CLOSED_RATES[family]
+    birth, death, exchange_int, D = integer_rates(params)
     sites = range(params.n)
     for x in lat.points:
+        births, deaths = birth(x), death(x)
         for j in sites:
-            assert params.up_rate(x, j) == up(params, x, j)
-            assert params.down_rate(x, j) == down(params, x, j)
-            assert all(params.exchange_coeff(x, j, k) == exchange(params, x, j, k)
-                       for k in sites if k != j)
+            assert R(births[j], D * D) == form_up_rate(params, x, j) == up(params, x, j)
+            assert R(deaths[j], D) == form_down_rate(params, x, j) == down(params, x, j)
+            assert all(R(exchange_int(x, j, k), D * D) == form_exchange_coeff(params, x, j, k)
+                       == exchange(params, x, j, k) for k in sites if k != j)
     for spec in specs_of(params):
         M = operator_matrix(spec, lat)
         rows, den, valid = fraction_diagonal_stencil(spec, lat, closed)
@@ -622,6 +644,25 @@ def residual_through_apply(H, f, eig):
     image = apply_matrix(H, f)
     residuals = [g - eig * v for v, g in zip(f.values, image.values) if g is not None]
     return max(map(abs, residuals), default=R(0)), len(residuals)
+
+
+def oracle_residual_defect(H, table, eig) -> tuple:
+    """Max |(H f)(x) - eig f(x)| over the valid rows of H that read no None
+    entry of f, and their count: the per-row integer sum that the packed
+    ``verify.residual_defects`` replaced.  With f = num/den and eig = p/q,
+    row i compares q sum_j H[i][j] num_j with p H.den num_i."""
+    if table.lattice != H.lattice:
+        raise ValueError("table and operator live on different lattices")
+    num, den = table.integer_form()
+    eig = R(eig)
+    q, scale = eig.denominator, eig.numerator * H.den
+    worst = checked = 0
+    for i, (row, ok) in enumerate(zip(H.rows, H.valid_rows)):
+        if not ok or num[i] is None or any(num[j] is None for j in row):
+            continue
+        checked += 1
+        worst = max(worst, abs(q * sum(c * num[j] for j, c in row.items()) - scale * num[i]))
+    return R(worst, q * H.den * den), checked
 
 
 @pytest.mark.parametrize("params,xmax", ORACLE_CASES)
@@ -649,6 +690,13 @@ def test_residual_kernel_matches_apply_matrix(params, xmax, monkeypatch):
         got = V.residual_defect(H, partial, eig)
         assert got == residual_through_apply(H, partial, eig)
         assert got[1] < sum(H.valid_rows)
+        # one packed call over every table, the partial one and shifted
+        # eigenvalues among them, against the per-row oracle
+        batch = [*tables, partial, tables[1]]
+        eigs = [eigenvalue(params, spec.kind, spec.index, m) for m in degrees]
+        eigs += [eig, eigs[1] - R(3, 5)]
+        assert V.residual_defects(H, batch, eigs) == [
+            oracle_residual_defect(H, t, e) for t, e in zip(batch, eigs)]
     # a shifted eigenvalue makes the eigen check FAIL
     monkeypatch.setattr(V, "eigenvalue", lambda *args: eigenvalue(*args) + R(1, 7))
     assert V.eigen_suite(V.SuiteContext(params, 3, xmax), 3)[0].status == "fail"
@@ -796,6 +844,42 @@ def test_packed_commutators_match_the_oracle_with_scattered_valid_rows(stencils,
         data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))) for H in stencils]
     pairs = list(combinations(stencils, 2))
     assert commutator_defects(stencils) == [oracle_commutator_defect(*pair) for pair in pairs]
+
+
+@st.composite
+def residual_batches(draw):
+    """A random sparse stencil on a small simplex, with entries up to 10^15 and
+    invalid rows anywhere, and a batch of tables whose magnitudes run from 0
+    to 10^40, some with None entries, with eigenvalues of either sign."""
+    n, bound = draw(st.integers(2, 3)), draw(st.integers(0, 4))
+    lattice = Lattice(n, bound, truncated=True)
+    size = lattice.size
+    valid = tuple(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    columns = st.integers(0, size - 1)
+    rows = tuple(draw(st.dictionaries(columns, ENTRIES, max_size=4)) if ok else {}
+                 for ok in valid)
+    H = OperatorMatrix(OperatorSpec(MEIX, "total"), lattice, rows, draw(st.integers(1, 30)),
+                       valid)
+    tables, eigs = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        top = draw(st.sampled_from([0, 1, 10**3, 10**20, 10**40]))
+        holes = draw(st.sampled_from([0, 0, 4]))  # one entry in `holes` is None
+        values = [None if holes and draw(st.integers(0, holes)) == 0
+                  else R(draw(st.integers(-top, top)), draw(st.integers(1, 9)))
+                  for _ in range(size)]
+        tables.append(LatticeFunction(lattice, tuple(values)))
+        eigs.append(R(draw(st.integers(-10**6, 10**6)), draw(st.integers(1, 50))))
+    return H, tables, eigs
+
+
+# no shrinking, as for the commutator properties above
+@given(batch=residual_batches())
+@settings(max_examples=50, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+def test_packed_residuals_match_the_oracle_on_random_stencils(batch):
+    H, tables, eigs = batch
+    assert V.residual_defects(H, tables, eigs) == [
+        oracle_residual_defect(H, t, e) for t, e in zip(tables, eigs)]
 
 
 @pytest.mark.parametrize("n", [2, 3])

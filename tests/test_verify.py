@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvortho import (R, HahnParams, KrawtchoukParams, LatticeFunction, MeixnerParams, eigenpoly,
-                     eigenpoly_tables, eigenvalue, weight_table)
+                     eigenpoly_tables, eigenvalue, gram_matrix, weight_table)
 from mvortho import verify as V
 from mvortho.core import (Lattice, enumerate_degrees, enumerate_lattice, family_lattice,
                           rising_factorial)
@@ -16,7 +16,8 @@ from mvortho.measures import (lattice_inner_product, meixner_moments, meixner_no
                               meixner_weight)
 from test_core import table_of
 from test_measures import rising_over_factorial_coeffs, tail_power_sum
-from test_operators import forward_differences
+from test_operators import (form_down_rate, form_up_rate, forward_differences,
+                            perturb_birth_rate)
 
 HAHN = HahnParams((R(1), R(2), R(3)), R(2), 4)
 HAHN2 = HahnParams((R(1), R(2)), R(3), 4)
@@ -472,9 +473,107 @@ def test_meixner_product_tail_bound_dominates_true_tail():
     assert true_tail <= bound
 
 
-def test_completeness():
-    assert V.completeness_check(V.SuiteContext(HAHN2)).status == "pass"
+def oracle_completeness(ctx) -> tuple:
+    """(status, max_defect) of completeness from the whole Gram matrix: the
+    count of |m| <= N must be the lattice size and the Gram matrix of the
+    context's tables diagonal with positive entries.  The O(L^3) body that
+    the spectral check replaced."""
+    params = ctx.params
+    degrees = enumerate_degrees(params.n, params.N)
+    if len(degrees) != ctx.lattice.size:
+        return "fail", None
+    G = gram_matrix(ctx.tables(degrees), ctx.weights())
+    ok = all((G[i][j] > 0) if i == j else (G[i][j] == 0)
+             for i in range(len(G)) for j in range(i, len(G)))
+    return ("pass", 0) if ok else ("fail", None)
+
+
+def test_completeness(monkeypatch):
+    grams = []
+    gram = V.gram_matrix
+    monkeypatch.setattr(V, "gram_matrix", lambda *args: grams.append(args) or gram(*args))
+    report = V.completeness_check(V.SuiteContext(HAHN2))
+    assert (report.status, report.max_defect) == ("pass", 0)
+    assert report.detail == ("count 15, nonzero common eigenvectors of the W-self-adjoint "
+                             "total, exchange1, W > 0, joint eigenvalues distinct")
+    assert not grams  # distinct joint eigenvalues need no Gram entry
     assert V.completeness_check(V.SuiteContext(MEIX)).status == "skipped"
+
+
+COMPLETENESS_CASES = [
+    HAHN2, HAHN, HahnParams((R(1, 2), R(7, 3)), R(5, 4), 6),
+    HahnParams((R(1), R(2), R(3)), R(2), 6), KRAW,
+    KrawtchoukParams((R(1, 2), R(1, 3), R(2)), 6), KrawtchoukParams((R(3), R(2, 5)), 5),
+]
+
+
+@pytest.mark.parametrize("params", COMPLETENESS_CASES, ids=lambda p: p.label)
+def test_spectral_completeness_agrees_with_the_gram_oracle(params):
+    ctx = V.SuiteContext(params)
+    report = V.completeness_check(ctx)
+    assert (report.status, report.max_defect) == oracle_completeness(ctx) == ("pass", 0)
+
+
+@pytest.mark.parametrize("params", [HAHN, KRAW], ids=lambda p: p.family)
+def test_completeness_fails_on_a_zeroed_or_perturbed_table_or_rate(params, monkeypatch):
+    m = (0, 1, 1)
+    # a zeroed table is an eigenvector of every stencil, but no basis vector
+    ctx = V.SuiteContext(params)
+    (table,) = ctx.tables([m])
+    ctx._tables[params.N, m] = LatticeFunction.from_integers(table.lattice,
+                                                             [0] * table.lattice.size, 1)
+    report = V.completeness_check(ctx)
+    assert (report.status, report.detail) == ("fail", f"P_{m} vanishes")
+    assert oracle_completeness(ctx)[0] == "fail"
+    # one changed value: no eigenvector any more
+    ctx = V.SuiteContext(params)
+    nums, den = table.integer_form()
+    ctx._tables[params.N, m] = LatticeFunction.from_integers(table.lattice,
+                                                             [*nums[:-1], nums[-1] + den], den)
+    report = V.completeness_check(ctx)
+    assert report.status == "fail" and report.max_defect > 0
+    assert "not an eigenvector" in report.detail
+    # a perturbed rate constant: the stencils are no longer W-self-adjoint
+    perturb_birth_rate(monkeypatch, params)
+    report = V.completeness_check(V.SuiteContext(params))
+    assert report.status == "fail" and report.max_defect > 0
+    assert "not W-self-adjoint" in report.detail
+
+
+def collide(monkeypatch, m1, m2):
+    """Give P_m2 the joint eigenvalues of P_m1 in ``SuiteContext.eigenvalue``."""
+    eigenvalue = V.SuiteContext.eigenvalue
+
+    def collided(self, kind, index, m):
+        return eigenvalue(self, kind, index, m1 if tuple(m) == m2 else m)
+
+    monkeypatch.setattr(V.SuiteContext, "eigenvalue", collided)
+
+
+def test_completeness_takes_the_cluster_path_on_equal_joint_eigenvalues(monkeypatch):
+    """A forced collision of two joint eigenvalue tuples: the residuals are
+    the context's, formed against the closed-form eigenvalues before, so the
+    check passes on the Gram block of the cluster, and fails once a table
+    of the cluster is not orthogonal to the other (as a second eigenvector
+    of a degenerate eigenvalue need not be)."""
+    ctx = V.SuiteContext(HAHN2)
+    assert V.completeness_check(ctx).status == "pass"
+    m1, m2 = (0, 2), (1, 1)
+    collide(monkeypatch, m1, m2)
+    grams = []
+    gram = V.gram_matrix
+    monkeypatch.setattr(V, "gram_matrix", lambda *args: grams.append(args) or gram(*args))
+    report = V.completeness_check(ctx)
+    assert (report.status, report.max_defect) == ("pass", 0)
+    assert "equal joint eigenvalues in 1 clusters" in report.detail
+    assert [tables for tables, _ in grams] == [ctx.tables([m1, m2])]
+    (t1, t2) = ctx.tables([m1, m2])
+    (n1, d1), (n2, d2) = t1.integer_form(), t2.integer_form()
+    ctx._tables[HAHN2.N, m2] = LatticeFunction.from_integers(
+        t2.lattice, [a * d2 + b * d1 for a, b in zip(n1, n2)], d1 * d2)
+    report = V.completeness_check(ctx)
+    assert (report.status, report.detail) == (
+        "fail", f"Gram block of equal joint eigenvalues: off-diagonal {m1},{m2} nonzero")
 
 
 def test_completeness_fails_on_non_diagonal_gram(monkeypatch):
@@ -485,10 +584,33 @@ def test_completeness_fails_on_non_diagonal_gram(monkeypatch):
         G[0][1] = G[1][0] = R(1, 3)
         return G
 
+    ctx = V.SuiteContext(HAHN2)
+    assert V.completeness_check(ctx).status == "pass"
+    collide(monkeypatch, (0, 1), (1, 0))
     monkeypatch.setattr(V, "gram_matrix", gram_with_offdiagonal)
-    report = V.completeness_check(V.SuiteContext(HAHN2))
+    report = V.completeness_check(ctx)
     assert report.status == "fail"
-    assert "diagonal" in report.detail
+    assert "off-diagonal" in report.detail
+
+
+def test_suite_forms_each_residual_once_in_one_call_per_stencil_and_degree(monkeypatch):
+    """Hahn n=3 N=5, m_max 3: the eigen check makes one call per stencil over
+    the 20 P_m of |m| <= 3, type-one one call over its 28 (J, m) tables, glue
+    reads the eigen check's residuals, and completeness adds the degrees 4
+    and 5 on total, exchange1 and exchange2, one call per degree."""
+    calls = []
+    kernel = V.residual_defects
+
+    def counted(H, tables, eigenvalues):
+        calls.append((H.op.label, len(tables)))
+        return kernel(H, tables, eigenvalues)
+
+    monkeypatch.setattr(V, "residual_defects", counted)
+    reports = V.run_suite(HahnParams((R(1), R(2), R(3)), R(2), 5))
+    assert not any(r.status == "fail" for r in reports)
+    ops = ["total", "exchange1", "exchange2"]
+    assert calls == ([(op, 20) for op in ["total", "single", *ops[1:]]] + [("total", 28)]
+                     + [(op, 15) for op in ops] + [(op, 21) for op in ops])
 
 
 def test_context_gram_keeps_the_block_of_a_smaller_degree():
@@ -677,6 +799,106 @@ def test_doubled_weight_fails_compatibility_and_adjointness(params, monkeypatch)
     adjoint = V.adjointness_check(V.SuiteContext(params))
     assert compat.status == "fail" and compat.max_defect > 0
     assert adjoint.status == "fail" and adjoint.max_defect > 0
+
+
+def oracle_compatibility_defects(params, w, up=form_up_rate) -> tuple:
+    """The largest |defect| of the weight-ratio identity and of the cycle
+    condition, one rational per rate and point: the body that the integer
+    check replaced.  ``up`` is the birth rate (params, x, j)."""
+    lattice, n, down = w.lattice, params.n, form_down_rate
+    ratio, cycle = [R(0)], [R(0)]
+    for x in lattice.points:
+        for j in range(n):
+            yj = x[:j] + (x[j] + 1,) + x[j + 1:]
+            if yj not in lattice.index:
+                continue
+            ratio.append(w(yj) * down(params, yj, j) - w(x) * up(params, x, j))
+            for k in range(j + 1, n):
+                yk = x[:k] + (x[k] + 1,) + x[k + 1:]
+                yjk = yj[:k] + (yj[k] + 1,) + yj[k + 1:]
+                if yjk in lattice.index:
+                    cycle.append(up(params, x, j) * up(params, yj, k) * down(params, yk, k)
+                                 * down(params, yjk, j) - up(params, x, k) * up(params, yk, j)
+                                 * down(params, yj, j) * down(params, yjk, k))
+    return max(map(abs, ratio)), max(map(abs, cycle))
+
+
+def perturb_rate_constant(monkeypatch, params, slot: int, delta):
+    """The rate form with ``delta`` added to its constant number ``slot``."""
+    form = type(params).rate_form.fget
+
+    def perturbed(p):
+        out = list(form(p))
+        out[slot] += delta
+        return tuple(out)
+
+    monkeypatch.setattr(type(params), "rate_form", property(perturbed))
+
+
+@pytest.mark.parametrize("params, xmax", [(HAHN, None), (KRAW, None), (MEIX, 5), (MEIX, 1)])
+@pytest.mark.parametrize("slot", [0, 2, 3, 4])  # u0, v1, d0, d1
+def test_compatibility_matches_the_rational_oracle(params, xmax, slot, monkeypatch):
+    report = V.compatibility_check(V.SuiteContext(params, xmax=xmax))
+    assert (report.status, report.max_defect) == ("pass", 0)
+    assert oracle_compatibility_defects(params, weight_table(params, xmax=xmax)) == (0, 0)
+    perturb_rate_constant(monkeypatch, params, slot, R(1, 7))
+    report = V.compatibility_check(V.SuiteContext(params, xmax=xmax))
+    oracle = max(oracle_compatibility_defects(params, weight_table(params, xmax=xmax)))
+    assert (report.status, report.max_defect) == ("fail" if oracle else "pass", oracle)
+    # on the box |x| <= 1 only x = 0 has a move, where x_j = 0 hides v1
+    assert oracle > 0 or (xmax, slot) == (1, 2)
+
+
+@pytest.mark.parametrize("params, xmax", [(HAHN, None), (KRAW, None), (MEIX, 5)])
+def test_compatibility_fails_on_rates_outside_the_product_form(params, xmax, monkeypatch):
+    """Rate-form constants keep B_j(x) / D_j(x + e_j) a product of a function
+    of |x| and one of x_j, so they never break the cycle condition.  B_j
+    plus x_{j+1} (N - |x|), or plus x_{j+1} on Meixner, does, by more than
+    it breaks the weight ratio."""
+    n = params.n
+
+    def extra(x, j):
+        return x[(j + 1) % n] * (1 if params.N is None else params.N - sum(x))
+
+    rates = V.integer_rates
+
+    def perturbed(p):
+        birth, death, exchange, D = rates(p)
+        return ((lambda x: [b + D * D * extra(x, j) for j, b in enumerate(birth(x))]),
+                death, exchange, D)
+
+    monkeypatch.setattr(V, "integer_rates", perturbed)
+    report = V.compatibility_check(V.SuiteContext(params, xmax=xmax))
+    ratio, cycle = oracle_compatibility_defects(
+        params, weight_table(params, xmax=xmax),
+        lambda p, x, j: form_up_rate(p, x, j) + extra(x, j))
+    assert (report.status, report.max_defect) == ("fail", cycle)
+    assert cycle > ratio > 0
+
+
+def oracle_boundary_safety(params, lattice) -> tuple:
+    """(status, max_defect, detail) of boundary safety from the pointwise rates."""
+    n = params.n
+    for x in lattice.points:
+        if sum(x) == params.N:
+            for j in range(n):
+                if form_up_rate(params, x, j) != 0:
+                    return "fail", form_up_rate(params, x, j), f"up rate nonzero at {x}"
+        for j in range(n):
+            if x[j] == 0 and form_down_rate(params, x, j) != 0:
+                return "fail", form_down_rate(params, x, j), f"down rate nonzero at {x}"
+    return "pass", 0, ""
+
+
+@pytest.mark.parametrize("params", [HAHN, KRAW], ids=lambda p: p.family)
+@pytest.mark.parametrize("slot, delta", [(None, 0), (0, R(1, 3)), (1, R(-2, 5)), (2, R(1, 7))])
+def test_boundary_safety_matches_the_rational_oracle(params, slot, delta, monkeypatch):
+    if slot is not None:
+        perturb_rate_constant(monkeypatch, params, slot, delta)
+    report = V.boundary_safety_check(V.SuiteContext(params))
+    expected = oracle_boundary_safety(params, family_lattice(params))
+    assert (report.status, report.max_defect, report.detail) == expected
+    assert (expected[0] == "pass") == (slot in (None, 2))
 
 
 def rationals(top: int, den_max: int = 12):
