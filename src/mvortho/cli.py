@@ -90,11 +90,12 @@ def _emit(args, text: str) -> None:
 def cmd_eval(args) -> int:
     params = build_params(args)
     m = _parse_int_list(args.m, "--m")
+    xmax = _non_negative(args, "xmax")
     if args.x is not None:
         value = eigenpoly(m, params.lattice_point(_parse_int_list(args.x, "--x")), params)
         _emit(args, rational_str(value) + "\n")
         return 0
-    lattice = family_lattice(params, xmax=_non_negative(args, "xmax"))
+    lattice = family_lattice(params, xmax=xmax)
     values = value_strs(*eigenpoly_table(m, params, lattice).integer_form())
     if args.format == "json":
         payload = {

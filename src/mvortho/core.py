@@ -116,14 +116,11 @@ class Lattice:
 class LatticeFunction:
     """Total map from an enumerated lattice to rationals.
 
-    Values are stored in the lattice's canonical order.  An entry may be
-    None only to flag a point whose value could not be computed without
-    leaving a truncated box (see operators); exact summation helpers
-    refuse such entries rather than treating them as zero.  The integer
+    Values are stored in the lattice's canonical order.  The integer
     kernels read the table through :meth:`integer_form`, which is built
-    once per table.  A table built from its integer form
-    (:meth:`from_integers`) forms its rationals on the first read of
-    :attr:`values`, and only then.
+    once per table and refuses a table with an undefined (None) entry.
+    A table built from its integer form (:meth:`from_integers`) forms its
+    rationals on the first read of :attr:`values`, and only then.
     """
 
     lattice: Lattice
@@ -148,9 +145,11 @@ class LatticeFunction:
 
     def integer_form(self) -> tuple:
         """(numerators, denominator): the values as Python ints over their lcm
-        denominator, as :func:`mvortho._backend.integer_scaled` gives them
-        (None entries stay None)."""
+        denominator, as :func:`mvortho._backend.integer_scaled` gives them;
+        a ValueError when an entry is undefined (None)."""
         if self._integers is None:
+            if None in self._values:
+                raise ValueError("integer form of a table with undefined entries")
             nums, den = integer_scaled(self._values)
             object.__setattr__(self, "_integers", (tuple(nums), den))
         return self._integers

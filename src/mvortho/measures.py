@@ -126,7 +126,7 @@ def lattice_inner_product(f: LatticeFunction, g: LatticeFunction, moments):
     """
     if g.lattice != f.lattice:
         raise ValueError("lattice_inner_product: f and g live on different lattices")
-    (fn, df), (gn, dg) = _defined(f.integer_form()), _defined(g.integer_form())
+    (fn, df), (gn, dg) = f.integer_form(), g.integer_form()
     newton = newton_differences(list(map(operator.mul, fn, gn)), f.lattice.n, f.lattice.bound)
     mn, dm = integer_scaled(moments)
     return R(sum(d * mu for d, mu in zip(newton, mn, strict=True)), df * dg * dm)
@@ -164,32 +164,22 @@ def weight_table(params, xmax: int | None = None) -> WeightTable:
                                      normalized=params.integral_beta, tail_bound=bound)
 
 
-def _defined(scaled: tuple) -> tuple:
-    """``scaled``, an integer form (numerators, denominator), with every entry defined."""
-    if None in scaled[0]:
-        raise ValueError("inner product over a table with undefined entries")
-    return scaled
-
-
-def gram_matrix(tables, w: WeightTable, known=()) -> list[list]:
+def gram_matrix(tables, w: WeightTable) -> list[list]:
     """Symmetric matrix of the exact weighted inner products
     Sum_x tables[i](x) tables[j](x) W(x).
 
-    ``known`` is the Gram matrix of a leading run of ``tables``; its
-    entries are kept, and only the new rows and columns are computed.
     The tables and the weight are read in their integer forms; the
     weight is folded into the row table before the products.
     """
     if any(table.lattice != w.lattice for table in tables):
         raise ValueError("gram_matrix: a table and the weight live on different lattices")
     wn, dw = w.integer_form()
-    scaled = [_defined(table.integer_form()) for table in tables]
-    size, done = len(tables), len(known)
-    G = [list(row) + [ZERO] * (size - done) for row in known]
-    G += [[ZERO] * size for _ in range(size - done)]
+    scaled = [table.integer_form() for table in tables]
+    size = len(tables)
+    G = [[ZERO] * size for _ in range(size)]
     for i, (fn, df) in enumerate(scaled):
         fw = [a * c for a, c in zip(fn, wn)]
-        for j in range(max(i, done), size):
+        for j in range(i, size):
             gn, dg = scaled[j]
             G[i][j] = G[j][i] = R(sum(map(operator.mul, fw, gn)), df * dg * dw)
     return G

@@ -14,8 +14,8 @@ and death rates of the j-th population group.
 On the bounded simplices every coefficient multiplying an out-of-domain
 shift vanishes exactly, so no out-of-lattice value is ever read.  On a
 truncated Meixner box the up-shift coefficient does not vanish at the
-frontier |x| = xmax; those result entries are flagged invalid (None)
-rather than silently zeroed, and matrix rows there are marked invalid.
+frontier |x| = xmax; the stencil rows there are marked invalid and left
+empty rather than silently zeroed, and every kernel skips them.
 
 Each operator is built once per lattice as a sparse stencil
 (:class:`OperatorMatrix`): one row of at most 2n + n(n-1) + 1 integer

@@ -263,21 +263,19 @@ def degree_invariance_report(ctx: SuiteContext, M: int) -> CheckReport:
 
 
 def residual_defects(H: OperatorMatrix, tables, eigenvalues) -> list:
-    """[(max |(H f)(x) - eig f(x)|, count of the rows checked)] for each table
-    f and its eigenvalue eig, over the points where H f is defined.
+    """max |(H f)(x) - eig f(x)| over the valid rows of H, for each table f
+    and its eigenvalue eig: one rational per table.
 
-    The image of f is defined on the valid rows of the stencil that read
-    no None entry of f.  With f = num/den and eig = p/q, row i compares
-    q sum_j H[i][j] num_j with p H.den num_i, and the largest difference of
-    a table is its one rational, over q H.den den.  The tables are packed
-    into slots, W = ``slot_width(bound)`` bits each (:mod:`mvortho.linalg`):
-    column j holds q num_j and the diagonal side p H.den num_i of every
-    table, so row i is one big-int multiply-add per stored entry, and it
-    passes for every table at once when sum_j H[i][j] QA[j] - PB[i] = 0.
-    Only a row that does not is unpacked, for the exact residual of each
-    table; a None entry packs as 0, and its table's slot is skipped on the
-    rows that read it.  The bound is max over the tables of
-    (S q + |p| H.den) max |num|, S the largest absolute row sum.
+    With f = num/den and eig = p/q, row i compares q sum_j H[i][j] num_j
+    with p H.den num_i, and the largest difference of a table is its one
+    rational, over q H.den den.  The tables are packed into slots,
+    W = ``slot_width(bound)`` bits each (:mod:`mvortho.linalg`): column j
+    holds q num_j and the diagonal side p H.den num_i of every table, so
+    row i is one big-int multiply-add per stored entry, and it passes for
+    every table at once when sum_j H[i][j] QA[j] - PB[i] = 0.  Only a row
+    that does not is unpacked, for the exact residual of each table.  The
+    bound is max over the tables of (S q + |p| H.den) max |num|, S the
+    largest absolute row sum.
     """
     if any(table.lattice != H.lattice for table in tables):
         raise ValueError("table and operator live on different lattices")
@@ -287,41 +285,26 @@ def residual_defects(H: OperatorMatrix, tables, eigenvalues) -> list:
     eigs = list(map(R, eigenvalues))
     qs = [e.denominator for e in eigs]
     ps = [e.numerator * H.den for e in eigs]
-    filled = [[0 if v is None else v for v in nums] if None in nums else nums
-              for nums, _ in forms]
     S = max((sum(map(abs, row.values())) for row in H.rows), default=0)
     W = slot_width(max((max(map(abs, nums), default=0) * (S * q + abs(p))
-                        for nums, q, p in zip(filled, qs, ps)), default=0))
+                        for (nums, _), q, p in zip(forms, qs, ps)), default=0))
     shifts = range(0, W * len(forms), W)
     # column j of the tables, and the diagonal side of row i, as one integer each
     QA = [sum(map(lshift, column, shifts))
-          for column in zip(*([q * v for v in nums] for nums, q in zip(filled, qs)))]
+          for column in zip(*([q * v for v in nums] for (nums, _), q in zip(forms, qs)))]
     PB = [sum(map(lshift, column, shifts))
-          for column in zip(*([p * v for v in nums] for nums, p in zip(filled, ps)))]
-    # the rows each partial table has no image on
-    skipped = {t: {i for i, row in enumerate(H.rows)
-                   if nums[i] is None or any(nums[j] is None for j in row)}
-               for t, (nums, _) in enumerate(forms) if None in nums}
+          for column in zip(*([p * v for v in nums] for (nums, _), p in zip(forms, ps)))]
     worst = [0] * len(forms)
-    valid = [i for i, ok in enumerate(H.valid_rows) if ok]
-    for i in valid:
+    for i in [i for i, ok in enumerate(H.valid_rows) if ok]:
         row = H.rows[i]
         d = sum(map(mul, row.values(), map(QA.__getitem__, row))) - PB[i]
         if d:
             low = ((d & -d).bit_length() - 1) // W
             slots = unpack(d >> (W * low), W, abs(d).bit_length() // W + 1 - low)
             for t, v in enumerate(slots, low):
-                if v and abs(v) > worst[t] and i not in skipped.get(t, ()):
+                if abs(v) > worst[t]:
                     worst[t] = abs(v)
-    return [(R(w, q * H.den * den),
-             len(valid) - len(skipped[t].intersection(valid)) if t in skipped else len(valid))
-            for t, (w, q, (_, den)) in enumerate(zip(worst, qs, forms))]
-
-
-def residual_defect(H: OperatorMatrix, table: LatticeFunction, eig) -> tuple:
-    """Max |(H f)(x) - eig f(x)| over the points with a defined image, and
-    their count: :func:`residual_defects` of one table."""
-    return residual_defects(H, [table], [eig])[0]
+    return [R(w, q * H.den * den) for w, q, (_, den) in zip(worst, qs, forms)]
 
 
 def eigen_suite(ctx: SuiteContext, m_max: int) -> list[CheckReport]:
@@ -333,7 +316,7 @@ def eigen_suite(ctx: SuiteContext, m_max: int) -> list[CheckReport]:
         degrees = enumerate_degrees(params.n, m_max)
         stencils = ctx.stencils
         defects = [worst for H in stencils
-                   for worst, _ in ctx.eigen_residuals(H.op.kind, H.op.index, degrees)]
+                   for worst in ctx.eigen_residuals(H.op.kind, H.op.index, degrees)]
         return _exact(defects, f"{len(degrees) * len(stencils)} (m, operator) pairs")
 
     return [_report("eigen-suite", f"{params.label} all |m|<={m_max}", body),
@@ -344,22 +327,14 @@ def eigen_degeneracy_check(ctx: SuiteContext, m_max: int) -> CheckReport:
     """All P_m of equal total degree d share the total-operator eigenvalue.
 
     The eigenvalue lambda_d is formed once per degree
-    (:meth:`SuiteContext.eigenvalue`), and every P_m, |m| = d, must show it
-    on the total stencil: (H P_m)(x) = lambda_d P_m(x) at the first valid
-    row x where P_m(x) != 0, one row per m (the eigen suite checks every row).
+    (:meth:`SuiteContext.eigenvalue`), and every P_m, |m| = d, must have
+    residual 0 against it on the total stencil: the context's residuals,
+    which the eigen suite has formed.
     """
     params = ctx.params
 
     def body():
-        H = ctx.stencil("total")
-        degrees = enumerate_degrees(params.n, m_max)
-        for m, table in zip(degrees, ctx.tables(degrees)):
-            num, _ = table.integer_form()
-            i = next((i for i, ok in enumerate(H.valid_rows) if ok and num[i]), None)
-            if i is not None and R(sum(c * num[j] for j, c in H.rows[i].items()),
-                                   H.den * num[i]) != ctx.eigenvalue("total", None, m):
-                return FAIL, None
-        return PASS, ZERO
+        return _exact(ctx.eigen_residuals("total", None, enumerate_degrees(params.n, m_max)))
 
     return _report("eigen-degeneracy", f"{params.label} |m|<={m_max}", body)
 
@@ -368,27 +343,27 @@ def eigen_degeneracy_check(ctx: SuiteContext, m_max: int) -> CheckReport:
 # type-one checks
 
 
-def type_one_check(ctx: SuiteContext, J, m: int, batch=()) -> CheckReport:
-    """H_total on the subset polynomial: residual must vanish exactly.  The
-    residuals of the further (J, m) pairs of ``batch`` are formed in the
-    same kernel call (the suite passes all of its pairs)."""
+def type_one_check(ctx: SuiteContext, J, m: int) -> CheckReport:
+    """H_total on the subset polynomial: residual must vanish exactly."""
     params = ctx.params
     J = tuple(sorted(set(J)))
     if not J or any(not 1 <= j <= params.n for j in J):
         raise ValueError(f"J must be a nonempty subset of 1..{params.n}")
 
     def body():
-        return _exact([ctx.type_one_residuals([(J, m), *batch])[0][0]])
+        return _exact(ctx.type_one_residuals([(J, m)]))
 
     return _report("type-one", f"{params.label} J={set(J)} m={m}", body)
 
 
 def type_one_suite(ctx: SuiteContext, m_max: int) -> list[CheckReport]:
-    """Type-one residuals for every subset J and m <= m_max, in one kernel call."""
+    """Type-one residuals for every subset J and m <= m_max, formed in one
+    kernel call before the reports read them."""
     sites = range(1, ctx.params.n + 1)
     pairs = [(J, m) for size in sites for J in combinations(sites, size)
              for m in range(m_max + 1)]
-    reports = [type_one_check(ctx, J, m, pairs) for J, m in pairs]
+    ctx.type_one_residuals(pairs)
+    reports = [type_one_check(ctx, J, m) for J, m in pairs]
     reports.append(same_degree_overlap_check(ctx, max(1, min(m_max, 2))))
     return reports
 
@@ -630,7 +605,7 @@ def glue_check(ctx: SuiteContext, i: int, m_i: int, m_im1: int) -> CheckReport:
     def body():
         m = [0] * params.n
         m[i - 1], m[i] = m_im1, m_i
-        return _exact([ctx.eigen_residuals("exchange", i - 1, [tuple(m)])[0][0]])
+        return _exact(ctx.eigen_residuals("exchange", i - 1, [tuple(m)]))
 
     return _report("glue", f"{params.label} i={i} degrees=({m_i},{m_im1})", body)
 
@@ -711,15 +686,17 @@ def completeness_check(ctx: SuiteContext) -> CheckReport:
         adjoint = max(ctx.adjointness(op.kind, op.index) for op in ops)
         if adjoint:
             return FAIL, adjoint, f"{labels} not W-self-adjoint"
+        for op in ops:
+            if not all(ctx.stencil(op.kind, op.index).valid_rows):
+                return FAIL, None, f"image of {op.label} not defined on every row"
         for d in range(params.N + 1):
             shell = [m for m in degrees if sum(m) == d]
             for m, table in zip(shell, ctx.tables(shell)):
                 if not any(table.integer_form()[0]):
                     return FAIL, None, f"P_{m} vanishes"
             for op in ops:
-                for m, (worst, checked) in zip(shell, ctx.eigen_residuals(op.kind, op.index,
-                                                                          shell)):
-                    if worst or checked != size:
+                for m, worst in zip(shell, ctx.eigen_residuals(op.kind, op.index, shell)):
+                    if worst:
                         return FAIL, worst, f"P_{m} not an eigenvector of {op.label} on every row"
         clusters = {}
         for m in degrees:
@@ -859,12 +836,12 @@ class SuiteContext:
     type-one tables (one per subset J and degree m, their values one grid
     per degree m and parameter a_J), the Gram entries, the Meixner factorial
     moments, the eigenvalues (one per operator and partial degree), the
-    adjointness defects (one per stencil) and the eigen residuals (one per
-    stencil and P_m or type-one table, the missing ones of a request formed
-    in one :func:`residual_defects` call) are built on first use and kept
-    for the life of the context.  So the eigen, glue and completeness
-    checks share their residuals, and the adjointness and completeness
-    checks their defects.
+    adjointness defects (one per stencil) and the eigen residuals (one
+    rational per stencil and P_m or type-one table, the missing ones of a
+    request formed in one :func:`residual_defects` call) are built on first
+    use and kept for the life of the context.  So the eigen, degeneracy,
+    glue and completeness checks share their residuals, and the adjointness
+    and completeness checks their defects.
     Every table, on whatever simplex, is filled from one factor dict that
     holds the integers of each pair and radial slot per argument (see
     :func:`mvortho.polynomials.eigenpoly_tables`), so each (slot, argument)
@@ -953,7 +930,7 @@ class SuiteContext:
         return self._adjointness[key]
 
     def _residuals_of(self, name: str, H: OperatorMatrix, keys, tables, eigenvalue) -> list:
-        """(worst, checked) of the ``name`` table of each key under the stencil:
+        """The residual of the ``name`` table of each key under the stencil:
         the missing keys in one :func:`residual_defects` call, over
         ``tables(missing)`` and the eigenvalue of each."""
         done = self._residuals.setdefault((name, H.op.kind, H.op.index), {})
@@ -964,15 +941,15 @@ class SuiteContext:
         return [done[k] for k in keys]
 
     def eigen_residuals(self, kind: str, index: int | None, degrees) -> list:
-        """(worst, checked) of :func:`residual_defects` for P_m, m in ``degrees``
-        (tuples), under the stencil and its eigenvalue on P_m."""
+        """The :func:`residual_defects` of P_m, m in ``degrees`` (tuples),
+        under the stencil and its eigenvalue on P_m."""
         return self._residuals_of("P_m", self.stencil(kind, index), degrees, self.tables,
                                   lambda m: self.eigenvalue(kind, index, m))
 
     def type_one_residuals(self, pairs) -> list:
-        """(worst, checked) of :func:`residual_defects` for the type-one table of
-        each (J, m) of ``pairs`` under the total stencil, with the eigenvalue
-        of P_(m, 0, ..., 0)."""
+        """The :func:`residual_defects` of the type-one table of each (J, m) of
+        ``pairs`` under the total stencil, with the eigenvalue of
+        P_(m, 0, ..., 0)."""
         zeros = (0,) * (self.params.n - 1)
         return self._residuals_of(
             "type-one", self.stencil("total"), pairs,
@@ -1026,11 +1003,12 @@ class SuiteContext:
 
     def gram(self, m_max: int) -> list[list]:
         """Gram matrix of P_m, |m| <= m_max.  The degrees of a smaller m_max
-        are a graded-lex prefix, so their block is kept, not recomputed."""
+        are a graded-lex prefix, so their block is sliced from the kept
+        matrix; a larger m_max builds the whole matrix again."""
         degrees = enumerate_degrees(self.params.n, m_max)
         size = len(degrees)
         if size > len(self._gram):
-            self._gram = gram_matrix(self.tables(degrees), self.weights(), self._gram)
+            self._gram = gram_matrix(self.tables(degrees), self.weights())
         return [row[:size] for row in self._gram[:size]]
 
 

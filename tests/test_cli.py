@@ -175,3 +175,20 @@ def test_repeated_check_flags_run_each_entry_in_the_order_given():
     combined = reports(*names)
     assert combined == [r for name in names for r in reports(name)]
     assert [r["name"] for r in combined[:2]] == ["completeness", "compatibility"]
+
+
+@pytest.mark.parametrize("family", [HAHN, MEIX], ids=["hahn", "meixner"])
+def test_gram_and_pair_orthogonality_give_the_same_reports_in_either_order(family):
+    """The context's Gram matrix serves both checks: built for the smaller
+    degree first, it is rebuilt for the larger one, and the reports agree."""
+    def reports(*checks):
+        argv = ["verify", *family, "--format", "json"]
+        for name in checks:
+            argv += ["--check", name]
+        rc, out, err = run(argv)
+        assert (rc, err) == (0, "")
+        return json.loads(out)["reports"]
+
+    forward = reports("gram", "pair-orthogonality")
+    assert [r["name"] for r in forward] == ["gram", "pair-orthogonality"]
+    assert forward == reports("pair-orthogonality", "gram")[::-1]

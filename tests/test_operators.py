@@ -640,29 +640,27 @@ def test_integer_stencils_match_the_closed_form_rates(family, n, data):
 
 
 def residual_through_apply(H, f, eig):
-    """Max |(H f)(x) - eig f(x)| over the defined rows of H f, and their count."""
+    """Max |(H f)(x) - eig f(x)| over the defined rows of H f."""
     image = apply_matrix(H, f)
     residuals = [g - eig * v for v, g in zip(f.values, image.values) if g is not None]
-    return max(map(abs, residuals), default=R(0)), len(residuals)
+    return max(map(abs, residuals), default=R(0))
 
 
-def oracle_residual_defect(H, table, eig) -> tuple:
-    """Max |(H f)(x) - eig f(x)| over the valid rows of H that read no None
-    entry of f, and their count: the per-row integer sum that the packed
-    ``verify.residual_defects`` replaced.  With f = num/den and eig = p/q,
-    row i compares q sum_j H[i][j] num_j with p H.den num_i."""
+def oracle_residual_defect(H, table, eig):
+    """Max |(H f)(x) - eig f(x)| over the valid rows of H: the per-row integer
+    sum that the packed ``verify.residual_defects`` replaced.  With
+    f = num/den and eig = p/q, row i compares q sum_j H[i][j] num_j with
+    p H.den num_i."""
     if table.lattice != H.lattice:
         raise ValueError("table and operator live on different lattices")
     num, den = table.integer_form()
     eig = R(eig)
     q, scale = eig.denominator, eig.numerator * H.den
-    worst = checked = 0
+    worst = 0
     for i, (row, ok) in enumerate(zip(H.rows, H.valid_rows)):
-        if not ok or num[i] is None or any(num[j] is None for j in row):
-            continue
-        checked += 1
-        worst = max(worst, abs(q * sum(c * num[j] for j, c in row.items()) - scale * num[i]))
-    return R(worst, q * H.den * den), checked
+        if ok:
+            worst = max(worst, abs(q * sum(c * num[j] for j, c in row.items()) - scale * num[i]))
+    return R(worst, q * H.den * den)
 
 
 @pytest.mark.parametrize("params,xmax", ORACLE_CASES)
@@ -674,35 +672,29 @@ def test_residual_kernel_matches_apply_matrix(params, xmax, monkeypatch):
         H = operator_matrix(spec, lat)
         for m, table in zip(degrees, tables):
             eig = eigenvalue(params, spec.kind, spec.index, m)
-            exact = V.residual_defect(H, table, eig)
-            assert exact == residual_through_apply(H, table, eig)
-            assert exact[0] == 0 and exact[1] == sum(H.valid_rows)
-            wrong = V.residual_defect(H, table, eig + R(1, 7))
+            exact = V.residual_defects(H, [table], [eig])[0]
+            assert exact == residual_through_apply(H, table, eig) == 0
+            wrong = V.residual_defects(H, [table], [eig + R(1, 7)])[0]
             assert wrong == residual_through_apply(H, table, eig + R(1, 7))
-            assert wrong[0] > 0
-    # a table with an undefined entry: rows that read it have no image
-    values = list(tables[4].values)
-    values[lat.size // 2] = None
-    partial = LatticeFunction(lat, tuple(values))
-    for spec in specs_of(params):
-        H = operator_matrix(spec, lat)
-        eig = eigenvalue(params, spec.kind, spec.index, degrees[4])
-        got = V.residual_defect(H, partial, eig)
-        assert got == residual_through_apply(H, partial, eig)
-        assert got[1] < sum(H.valid_rows)
-        # one packed call over every table, the partial one and shifted
-        # eigenvalues among them, against the per-row oracle
-        batch = [*tables, partial, tables[1]]
+            assert wrong > 0
+        # one packed call over every table, shifted eigenvalues among them,
+        # against the per-row oracle
+        batch = [*tables, tables[1]]
         eigs = [eigenvalue(params, spec.kind, spec.index, m) for m in degrees]
-        eigs += [eig, eigs[1] - R(3, 5)]
+        eigs += [eigs[1] - R(3, 5)]
         assert V.residual_defects(H, batch, eigs) == [
             oracle_residual_defect(H, t, e) for t, e in zip(batch, eigs)]
+    # a table with an undefined entry has no integer form: the kernel refuses it
+    values = list(tables[4].values)
+    values[lat.size // 2] = None
+    with pytest.raises(ValueError, match="undefined"):
+        V.residual_defects(H, [tables[0], LatticeFunction(lat, tuple(values))], [0, 0])
     # a shifted eigenvalue makes the eigen check FAIL
     monkeypatch.setattr(V, "eigenvalue", lambda *args: eigenvalue(*args) + R(1, 7))
     assert V.eigen_suite(V.SuiteContext(params, 3, xmax), 3)[0].status == "fail"
     other = Lattice(params.n, lat.bound - 1, lat.truncated)
     with pytest.raises(ValueError, match="different lattices"):
-        V.residual_defect(H, eigenpoly_tables(degrees[:1], params, other)[0], R(0))
+        V.residual_defects(H, eigenpoly_tables(degrees[:1], params, other), [R(0)])
 
 
 # the perturbed runs use the Hahn and the n=2 Meixner case: the dense
@@ -850,7 +842,7 @@ def test_packed_commutators_match_the_oracle_with_scattered_valid_rows(stencils,
 def residual_batches(draw):
     """A random sparse stencil on a small simplex, with entries up to 10^15 and
     invalid rows anywhere, and a batch of tables whose magnitudes run from 0
-    to 10^40, some with None entries, with eigenvalues of either sign."""
+    to 10^40, with eigenvalues of either sign."""
     n, bound = draw(st.integers(2, 3)), draw(st.integers(0, 4))
     lattice = Lattice(n, bound, truncated=True)
     size = lattice.size
@@ -863,9 +855,7 @@ def residual_batches(draw):
     tables, eigs = [], []
     for _ in range(draw(st.integers(1, 6))):
         top = draw(st.sampled_from([0, 1, 10**3, 10**20, 10**40]))
-        holes = draw(st.sampled_from([0, 0, 4]))  # one entry in `holes` is None
-        values = [None if holes and draw(st.integers(0, holes)) == 0
-                  else R(draw(st.integers(-top, top)), draw(st.integers(1, 9)))
+        values = [R(draw(st.integers(-top, top)), draw(st.integers(1, 9)))
                   for _ in range(size)]
         tables.append(LatticeFunction(lattice, tuple(values)))
         eigs.append(R(draw(st.integers(-10**6, 10**6)), draw(st.integers(1, 50))))
