@@ -23,8 +23,6 @@ from .families import FAMILIES, HahnParams, KrawtchoukParams, MeixnerParams
 from .measures import (
     WeightTable,
     gram_matrix,
-    hahn_weight,
-    krawtchouk_weight,
     meixner_tail_mass_bound,
     meixner_weight,
     weight_table,
@@ -33,7 +31,6 @@ from .operators import (
     OperatorMatrix,
     OperatorSpec,
     adjointness_defect,
-    commutator_defect,
     operator_matrix,
 )
 from .polynomials import (
@@ -67,7 +64,6 @@ __all__ = [
     "OperatorSpec",
     "WeightTable",
     "adjointness_defect",
-    "commutator_defect",
     "eigenpoly",
     "eigenpoly_table",
     "eigenpoly_tables",
@@ -78,10 +74,8 @@ __all__ = [
     "gram_matrix",
     "hahn",
     "hahn_pair",
-    "hahn_weight",
     "km_pair",
     "krawtchouk",
-    "krawtchouk_weight",
     "meixner",
     "meixner_tail_mass_bound",
     "meixner_weight",

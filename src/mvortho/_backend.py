@@ -4,8 +4,8 @@ Every scalar in this package is an exact rational, a stdlib
 ``fractions.Fraction``.  ``BACKEND`` names it; ``perfbench/run.py``
 records it in its environment line.  The hot kernels scale rationals to
 Python ints over one common denominator (:func:`integer_scaled`) and
-form one rational per result.  Value tables carry that integer form
-(:meth:`mvortho.core.LatticeFunction.integer_form`).  Every polynomial
+form one rational per result.  A value table stores only that integer
+form (:class:`mvortho.core.LatticeFunction`).  Every polynomial
 value, in a table or at one point, is built from the integers of its
 factor slots, each an integer sum over its coefficient row's
 denominator, so no rational is formed per factor value; the kernels and
@@ -48,10 +48,9 @@ def is_integral(q) -> bool:
 
 def integer_scaled(values) -> tuple[list, int]:
     """Integer numerators of ``values`` over their lcm denominator, and that
-    denominator; None entries stay None."""
-    den = math.lcm(*(v.denominator for v in values if v is not None))
-    return [None if v is None else v.numerator * (den // v.denominator)
-            for v in values], den
+    denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def as_integer(q) -> int:

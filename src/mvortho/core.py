@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterator, Sequence
 
-from ._backend import R, ZERO, as_integer, integer_scaled
+from ._backend import R, ZERO, as_integer
 from .serialize import rational_str
 
 
@@ -112,52 +112,37 @@ class Lattice:
                       for j in range(self.n)] for d in (1, -1))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LatticeFunction:
-    """Total map from an enumerated lattice to rationals.
+    """Total map from an enumerated lattice to rationals, stored as its
+    integer form: the values in the lattice's canonical order are
+    nums[i] / den.
 
-    Values are stored in the lattice's canonical order.  The integer
-    kernels read the table through :meth:`integer_form`, which is built
-    once per table and refuses a table with an undefined (None) entry.
-    A table built from its integer form (:meth:`from_integers`) forms its
-    rationals on the first read of :attr:`values`, and only then.
+    The pair is reduced by gcd(den, *nums) on construction, so den is the
+    lcm of the reduced denominators of the values and the form is
+    canonical: two tables are equal exactly when their lattices and
+    values are.  The integer kernels read the pair (:meth:`integer_form`);
+    the rationals are formed on the first read of :attr:`values`.
     """
 
     lattice: Lattice
-    _values: tuple | None
-    _integers: tuple | None = field(default=None, repr=False)
+    nums: tuple = field(repr=False)
+    den: int
 
-    @classmethod
-    def from_integers(cls, lattice: Lattice, nums, den: int, **fields) -> "LatticeFunction":
-        """The table nums[i] / den, which keeps (nums, den) reduced by their
-        gcd as its integer form: den is then the lcm of the reduced
-        denominators of the values.  ``fields`` are a subclass's own."""
-        g = math.gcd(den, *nums)
-        return cls(lattice, None, (tuple(v // g for v in nums), den // g), **fields)
+    def __post_init__(self):
+        g = math.gcd(self.den, *self.nums)
+        object.__setattr__(self, "nums", tuple(v // g for v in self.nums))
+        object.__setattr__(self, "den", self.den // g)
 
-    @property
+    @cached_property
     def values(self) -> tuple:
         """The values in the lattice's canonical order."""
-        if self._values is None:
-            nums, den = self._integers
-            object.__setattr__(self, "_values", tuple(R(v, den) for v in nums))
-        return self._values
+        return tuple(R(v, self.den) for v in self.nums)
 
     def integer_form(self) -> tuple:
         """(numerators, denominator): the values as Python ints over their lcm
-        denominator, as :func:`mvortho._backend.integer_scaled` gives them;
-        a ValueError when an entry is undefined (None)."""
-        if self._integers is None:
-            if None in self._values:
-                raise ValueError("integer form of a table with undefined entries")
-            nums, den = integer_scaled(self._values)
-            object.__setattr__(self, "_integers", (tuple(nums), den))
-        return self._integers
-
-    def __eq__(self, other):
-        if not isinstance(other, LatticeFunction):
-            return NotImplemented
-        return self.lattice == other.lattice and self.values == other.values
+        denominator, as :func:`mvortho._backend.integer_scaled` gives them."""
+        return self.nums, self.den
 
     def __call__(self, x):
         return self.values[self.lattice.index[tuple(x)]]

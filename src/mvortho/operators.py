@@ -237,11 +237,6 @@ def commutator_defects(stencils) -> list:
     return out
 
 
-def commutator_defect(M1: OperatorMatrix, M2: OperatorMatrix):
-    """Exact max |entry| of M1 M2 - M2 M1 over rows valid for both orders."""
-    return commutator_defects([M1, M2])[0]
-
-
 def adjointness_defect(M: OperatorMatrix, w: WeightTable):
     """Exact self-adjointness defect of the stencil under the weight.
 

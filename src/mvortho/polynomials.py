@@ -32,8 +32,9 @@ factor, read at |x| - (|m| - m_0).  The families compute a slot at a
 list of arguments through the same kernels (:func:`hahn_pair_sums`,
 :func:`km_pair_sums` and the single-variable grids), and
 :func:`eigenpoly_tables` multiplies the slots' integers point by point
-(see there).  Rows are looked up through this module at every call, so
-a patched row reaches the grids and the tables alike.
+into the integer form that a table stores (see there).  Rows are looked
+up through this module at every call, so a patched row reaches the
+grids and the tables alike.
 
 The pointwise evaluators (:func:`hahn`, :func:`krawtchouk`,
 :func:`meixner`, :func:`hahn_pair`, :func:`km_pair`, :func:`eigenpoly`)
@@ -317,18 +318,18 @@ def eigenpoly_tables(degrees, params, lattice: Lattice, factors: dict | None = N
     exactly.
 
     A table is the product of its slots' integers point by point, over
-    the product of their denominators, reduced by the gcd of all of them
-    (:meth:`LatticeFunction.from_integers`).
-    That is its integer form (:meth:`LatticeFunction.integer_form`): the
-    values over their lcm denominator, which the integer kernels read.
-    The table forms its rationals only when its ``values`` are read.
+    the product of their denominators, which the table reduces by the gcd
+    of all of them (:class:`LatticeFunction`).  That is its integer form
+    (:meth:`LatticeFunction.integer_form`): the values over their lcm
+    denominator, which the integer kernels read.  The table forms its
+    rationals only when its ``values`` are read.
     """
     FamilyParams.require(params)
     if lattice.n != params.n:
         raise ValueError(f"lattice has {lattice.n} coordinates, params have {params.n}")
     degrees = [params.degree_index(m) for m in degrees]
     products = _slot_products(degrees, params, lattice.points, {} if factors is None else factors)
-    return [LatticeFunction.from_integers(lattice, nums, den) for nums, den in products]
+    return [LatticeFunction(lattice, nums, den) for nums, den in products]
 
 
 def _slot_products(degrees, params, points, factors: dict) -> list[tuple]:
@@ -422,4 +423,4 @@ def pair_backward_table(m: int, alpha, gamma, box: int) -> LatticeFunction:
               for v in range(box + 1 - u)] for u in range(box + 1)]
         den *= qa * qg
     lattice = Lattice(2, box)
-    return LatticeFunction.from_integers(lattice, [P[u][v] for u, v in lattice.points], den)
+    return LatticeFunction(lattice, [P[u][v] for u, v in lattice.points], den)

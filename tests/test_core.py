@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from mvortho import (R, LatticeFunction, enumerate_lattice, rising_factorial, tail_param,
                      tail_sum)
+from mvortho._backend import integer_scaled
 from mvortho.core import Lattice, term_row
 from mvortho.families import HahnParams, KrawtchoukParams, MeixnerParams
 
@@ -22,8 +24,9 @@ def multinomial(N, x):
 
 
 def table_of(lattice, fn):
-    """The table of fn(x) over the lattice, one call per point."""
-    return LatticeFunction(lattice, tuple(fn(x) for x in lattice.points))
+    """The table of fn(x) over the lattice, one call per point, through the
+    values' integer form."""
+    return LatticeFunction(lattice, *integer_scaled([fn(x) for x in lattice.points]))
 
 
 rationals = st.fractions(
@@ -152,17 +155,34 @@ def test_params_accept_strings_and_expose_tails():
 
 
 def test_tables_from_integers_form_their_values_on_first_read():
-    """A table built from its integer form keeps only the integers until
-    ``values`` is read; then the values are nums[i] / den at every point."""
+    """A table keeps only its integer form until ``values`` is read; then
+    the values are nums[i] / den at every point."""
     from mvortho import eigenpoly_tables
     from mvortho.core import family_lattice
 
     params = HahnParams((R(1), R(2), R(1, 2)), R(2), 4)
     lattice = family_lattice(params)
     tables = eigenpoly_tables([(0, 0, 0), (1, 0, 1), (0, 2, 1)], params, lattice)
-    tables.append(LatticeFunction.from_integers(lattice, range(lattice.size), 6))
+    tables.append(LatticeFunction(lattice, range(lattice.size), 6))
     forms = [table.integer_form() for table in tables]
-    assert all(table._values is None for table in tables)
+    assert all("values" not in vars(table) for table in tables)
     for table, (nums, den) in zip(tables, forms):
         assert table.values == tuple(R(v, den) for v in nums)
         assert table.values is table.values and table.integer_form() == (nums, den)
+
+
+@given(st.integers(1, 3), st.integers(0, 3),
+       st.lists(rationals, min_size=20, max_size=20), st.integers(1, 10**12))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_a_table_stores_its_canonical_integer_form(n, bound, values, k):
+    lattice = Lattice(n, bound)
+    values = values[:lattice.size]
+    table = LatticeFunction(lattice, *integer_scaled(values))
+    nums, den = table.integer_form()
+    # the form is reduced, so a common factor of the pair changes nothing
+    assert LatticeFunction(lattice, [k * v for v in nums], k * den) == table
+    # it is the lcm form of the values, the route of the integer kernels
+    assert (list(nums), den) == integer_scaled(values)
+    assert table.values == tuple(values)
+    assert all(table.values[i] == Fraction(nums[i], den) for i in range(lattice.size))
+    assert all(table(x) == v for x, v in zip(lattice.points, values))

@@ -12,12 +12,11 @@ from mvortho import (
     LatticeFunction,
     MeixnerParams,
     gram_matrix,
-    hahn_weight,
-    krawtchouk_weight,
     meixner_tail_mass_bound,
     meixner_weight,
     weight_table,
 )
+from mvortho._backend import integer_scaled
 from mvortho.core import family_lattice, rising_factorial
 from mvortho.measures import meixner_normalization, meixner_shell_mass
 from test_core import multinomial, table_of
@@ -29,7 +28,7 @@ small_pos = st.integers(1, 12).flatmap(
 
 
 # The closed forms of the three weights, term by term: the oracle of the
-# integer weight rows (``weight_table`` and the one-point calls).
+# integer weight rows (``weight_table`` and ``meixner_weight``).
 
 
 def oracle_hahn_weight(x, a, b, N):
@@ -67,14 +66,11 @@ def oracle_weight(x, params):
     return oracle_meixner_weight(x, params)
 
 
-ONE_POINT = {"hahn": hahn_weight, "krawtchouk": krawtchouk_weight, "meixner": meixner_weight}
-
-
 @st.composite
 def weight_instances(draw):
     """(params, xmax): every family, n = 2..4, N or xmax <= 6, integral and
     non-integral beta."""
-    family = draw(st.sampled_from(sorted(ONE_POINT)))
+    family = draw(st.sampled_from(["hahn", "krawtchouk", "meixner"]))
     n = draw(st.integers(2, 4))
     a = tuple(draw(small_pos) for _ in range(n))
     if family == "hahn":
@@ -97,8 +93,9 @@ def check_weights_against_oracle():
         w = weight_table(params, xmax=xmax)
         oracle = tuple(oracle_weight(x, params) for x in w.lattice.points)
         assert w.values == oracle
-        assert tuple(ONE_POINT[params.family](x, params) for x in w.lattice.points) == oracle
-        if params.N is not None:
+        if params.N is None:
+            assert tuple(meixner_weight(x, params) for x in w.lattice.points) == oracle
+        else:
             assert w.total == 1
 
     check()
@@ -131,7 +128,7 @@ def test_hahn_weight_hand_values():
     assert w((0, 1), (R(1), R(1)), R(1), 1) == R(1, 3)
 
     p = HahnParams((R(1), R(1)), R(1), 3)
-    assert hahn_weight((0, 0), p) == w((0, 0), p.a, p.b, 3)
+    assert weight_table(p)((0, 0)) == w((0, 0), p.a, p.b, 3)
 
 
 @given(st.integers(2, 3), st.integers(0, 3), st.data())
@@ -159,12 +156,15 @@ def test_krawtchouk_weight_normalizes(n, extra, data):
 
 
 def test_weight_rejects_overfull_point():
+    # a point off the simplex has no entry in the table
     p = HahnParams((R(1), R(2)), R(3), 4)
-    with pytest.raises(ValueError):
-        hahn_weight((3, 2), p)
+    with pytest.raises(KeyError):
+        weight_table(p)((3, 2))
     pk = KrawtchoukParams((R(1), R(2)), 4)
+    with pytest.raises(KeyError):
+        weight_table(pk)((3, 2))
     with pytest.raises(ValueError):
-        krawtchouk_weight((3, 2), pk)
+        meixner_weight((-1, 2), MeixnerParams((R(1, 4), R(1, 4)), R(2)))
 
 
 def test_meixner_weight_hand_values():
@@ -356,15 +356,16 @@ def test_inner_product_rejects_mismatched_lattices():
 
 
 def test_inner_product_rejects_undefined_entries():
+    # a table is its integer form, so a table with an undefined entry
+    # cannot be built and never reaches the inner product
     p = MeixnerParams((R(1, 4), R(1, 4)), R(2))
     w = weight_table(p, xmax=4)
-    vals = [R(1)] * w.lattice.size
-    vals[-1] = None
-    f = LatticeFunction(w.lattice, tuple(vals))
-    with pytest.raises(ValueError, match="undefined"):
-        gram_matrix([f], w)
-    with pytest.raises(ValueError, match="undefined"):
-        gram_matrix([table_of(w.lattice, lambda x: R(1)), f], w)
+    nums = [1] * w.lattice.size
+    nums[-1] = None
+    with pytest.raises(TypeError):
+        LatticeFunction(w.lattice, nums, 1)
+    with pytest.raises(AttributeError):
+        table_of(w.lattice, lambda x: None if sum(x) == 4 else R(1))
 
 
 def test_meixner_origin_weight_is_normalization_constant():
@@ -398,7 +399,8 @@ def test_integer_inner_product_matches_fraction_loop(family, data):
     w = weight_table(params, xmax=3)
     size = w.lattice.size
     tables = [
-        LatticeFunction(w.lattice, tuple(data.draw(signed_rational) for _ in range(size)))
+        LatticeFunction(w.lattice, *integer_scaled([data.draw(signed_rational)
+                                                     for _ in range(size)]))
         for _ in range(3)
     ]
     G = gram_matrix(tables, w)

@@ -280,7 +280,7 @@ def fraction_backward_table(m, alpha, gamma, box, level_shift=0):
                 acc -= u * (v + ga) * values[(u - 1, v)]
             new[(u, v)] = acc
         values = new
-    return LatticeFunction(lattice, tuple(values[pt] for pt in lattice.points))
+    return LatticeFunction(lattice, *integer_scaled([values[pt] for pt in lattice.points]))
 
 
 class TestMultivariate:

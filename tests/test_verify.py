@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,9 @@ from mvortho import (R, HahnParams, KrawtchoukParams, LatticeFunction, MeixnerPa
 from mvortho import verify as V
 from mvortho.core import (Lattice, enumerate_degrees, enumerate_lattice, family_lattice,
                           rising_factorial)
-from mvortho.measures import (lattice_inner_product, meixner_moments, meixner_normalization,
-                              meixner_weight)
+from mvortho.measures import lattice_inner_product, meixner_moments, meixner_normalization
 from test_core import table_of
-from test_measures import rising_over_factorial_coeffs, tail_power_sum
+from test_measures import oracle_meixner_weight, rising_over_factorial_coeffs, tail_power_sum
 from test_operators import (form_down_rate, form_up_rate, forward_differences,
                             perturb_birth_rate)
 
@@ -89,8 +89,7 @@ def test_eigen_degeneracy_reads_the_total_stencil(monkeypatch):
     ctx = V.SuiteContext(HAHN2)
     table = ctx.tables([(1, 1)])[0]
     nums, den = table.integer_form()
-    ctx._tables[(4, (1, 1))] = LatticeFunction.from_integers(table.lattice,
-                                                             [nums[0] + den, *nums[1:]], den)
+    ctx._tables[(4, (1, 1))] = LatticeFunction(table.lattice, [nums[0] + den, *nums[1:]], den)
     report = V.eigen_degeneracy_check(ctx, 3)
     assert report.status == "fail" and report.max_defect > 0
     monkeypatch.setattr(V, "eigenvalue", lambda *args: eigenvalue(*args) + R(1, 7))
@@ -159,6 +158,21 @@ def test_perturbed_type_one_fails_type_one(monkeypatch):
     failed = [r for r in reports if r.status == "fail"]
     assert len(reports) == 28 and len(failed) == 21
     assert all(not r.instance.endswith("m=0") for r in failed)
+
+
+def test_type_one_reports_time_the_residual_fill(monkeypatch):
+    """The one kernel call that fills the type-one residuals counts toward
+    the reports' time: a slow kernel shows in the sum of their wall times."""
+    kernel = V.residual_defects
+
+    def slow(*args):
+        time.sleep(0.2)
+        return kernel(*args)
+
+    monkeypatch.setattr(V, "residual_defects", slow)
+    reports = V.type_one_suite(V.SuiteContext(HAHN), 2)
+    times = [r.wall_time for r in reports if r.name == "type-one"]
+    assert sum(times) >= 0.2 and times[0] >= 0.2
 
 
 def test_orthogonal_subset_tables_fail_type_one_overlap(monkeypatch):
@@ -352,8 +366,7 @@ def test_moments_of_another_beta_fail_meixner_gram(monkeypatch):
 
 def test_lattice_inner_product_matches_the_rational_newton_route():
     """The integer kernel equals the Newton coefficients of f g taken in
-    rationals, against the moments, on tables of random rationals; an
-    undefined entry is refused."""
+    rationals, against the moments, on tables of random rationals."""
     params = MeixnerParams((R(1, 5), R(1, 4), R(1, 3)), R(5, 2))
     rng = random.Random(3)
     for K in (0, 1, 2, 4):
@@ -364,9 +377,6 @@ def test_lattice_inner_product_matches_the_rational_newton_route():
         newton = forward_differences([a * b for a, b in zip(f.values, g.values)], 3, K)
         assert lattice_inner_product(f, g, moments) == sum(
             (d * mu for d, mu in zip(newton, moments, strict=True)), R(0))
-    undefined = LatticeFunction(lattice, (None,) + f.values[1:])
-    with pytest.raises(ValueError, match="undefined"):
-        lattice_inner_product(f, undefined, moments)
 
 
 def test_perturbed_km_pair_row_fails_meixner_orthogonality(monkeypatch):
@@ -461,7 +471,7 @@ def test_meixner_product_tail_bound_dominates_true_tail():
     coeffs = poly_coefficients(lambda x: R(x[0]) - x[1], 2, 1)
     bound = meixner_product_tail_bound(weight_table(MEIX, xmax=30), coeffs, coeffs, 10)
     (a1, a2), beta = MEIX.a, MEIX.beta
-    edge = meixner_weight((0, 10), MEIX)  # W(0, s)
+    edge = oracle_meixner_weight((0, 10), MEIX)  # W(0, s)
     true_tail = R(0)
     for s in range(11, 200):
         edge *= (beta + s - 1) * a2 / s
@@ -469,7 +479,7 @@ def test_meixner_product_tail_bound_dominates_true_tail():
         for k in range(s + 1):
             true_tail += (R(k) - (s - k)) ** 2 * wx
             wx *= a1 * (s - k) / ((k + 1) * a2)
-    assert edge == meixner_weight((0, 199), MEIX)
+    assert edge == oracle_meixner_weight((0, 199), MEIX)
     assert true_tail <= bound
 
 
@@ -520,16 +530,14 @@ def test_completeness_fails_on_a_zeroed_or_perturbed_table_or_rate(params, monke
     # a zeroed table is an eigenvector of every stencil, but no basis vector
     ctx = V.SuiteContext(params)
     (table,) = ctx.tables([m])
-    ctx._tables[params.N, m] = LatticeFunction.from_integers(table.lattice,
-                                                             [0] * table.lattice.size, 1)
+    ctx._tables[params.N, m] = LatticeFunction(table.lattice, [0] * table.lattice.size, 1)
     report = V.completeness_check(ctx)
     assert (report.status, report.detail) == ("fail", f"P_{m} vanishes")
     assert oracle_completeness(ctx)[0] == "fail"
     # one changed value: no eigenvector any more
     ctx = V.SuiteContext(params)
     nums, den = table.integer_form()
-    ctx._tables[params.N, m] = LatticeFunction.from_integers(table.lattice,
-                                                             [*nums[:-1], nums[-1] + den], den)
+    ctx._tables[params.N, m] = LatticeFunction(table.lattice, [*nums[:-1], nums[-1] + den], den)
     report = V.completeness_check(ctx)
     assert report.status == "fail" and report.max_defect > 0
     assert "not an eigenvector" in report.detail
@@ -581,7 +589,7 @@ def test_completeness_takes_the_cluster_path_on_equal_joint_eigenvalues(monkeypa
     assert [tables for tables, _ in grams] == [ctx.tables([m1, m2])]
     (t1, t2) = ctx.tables([m1, m2])
     (n1, d1), (n2, d2) = t1.integer_form(), t2.integer_form()
-    ctx._tables[HAHN2.N, m2] = LatticeFunction.from_integers(
+    ctx._tables[HAHN2.N, m2] = LatticeFunction(
         t2.lattice, [a * d2 + b * d1 for a, b in zip(n1, n2)], d1 * d2)
     report = V.completeness_check(ctx)
     assert (report.status, report.detail) == (
@@ -683,7 +691,7 @@ def test_suite_tables_carry_their_lcm_integer_form(params, xmax):
         nums, den = integer_scaled(table.values)
         assert table.integer_form() == (tuple(nums), den)
     fresh = V.SuiteContext(params, xmax=xmax).tables([(1,) * params.n])
-    assert all(table._integers is not None for table in fresh)
+    assert all("values" not in vars(table) for table in fresh)
 
 
 def test_suite_evaluates_each_factor_once(monkeypatch):
