@@ -16,8 +16,6 @@ from .core import (
     enumerate_lattice,
     family_lattice,
     rising_factorial,
-    tail_param,
-    tail_sum,
 )
 from .families import FAMILIES, HahnParams, KrawtchoukParams, MeixnerParams
 from .measures import (
@@ -83,7 +81,5 @@ __all__ = [
     "pair_backward_table",
     "rising_factorial",
     "run_suite",
-    "tail_param",
-    "tail_sum",
     "weight_table",
 ]

@@ -49,6 +49,13 @@ def _non_negative(args, dest: str):
     return value
 
 
+def _box(params, xmax):
+    """The --xmax value, which the unbounded family's lattice needs."""
+    if xmax is None and params.N is None:
+        raise ValueError(f"{params.family} needs --xmax")
+    return xmax
+
+
 def build_params(args):
     """The family bundle: --a, then the family's own fields (--b, --N, --beta)."""
     a = tuple(parse_rational(part, "--a") for part in args.a.split(","))
@@ -95,7 +102,7 @@ def cmd_eval(args) -> int:
         value = eigenpoly(m, params.lattice_point(_parse_int_list(args.x, "--x")), params)
         _emit(args, rational_str(value) + "\n")
         return 0
-    lattice = family_lattice(params, xmax=xmax)
+    lattice = family_lattice(params, xmax=_box(params, xmax))
     values = value_strs(*eigenpoly_table(m, params, lattice).integer_form())
     if args.format == "json":
         payload = {
@@ -147,7 +154,7 @@ def _parse_op(text: str):
 
 def cmd_export(args) -> int:
     params = build_params(args)
-    xmax = _non_negative(args, "xmax")
+    xmax = _box(params, _non_negative(args, "xmax"))
     if args.what == "weights":
         data, writers = (weight_table(params, xmax=xmax),), (weight_table_json, weight_table_rows)
     elif args.what == "operator":

@@ -64,22 +64,6 @@ def enumerate_degrees(n: int, max_total: int) -> tuple[tuple[int, ...], ...]:
     return enumerate_lattice(n, max_total)
 
 
-def tail_sum(x: Sequence[int], i: int) -> int:
-    """x_{>i} = x_{i+1} + ... + x_n for 1 <= i <= n-1 (1-based i)."""
-    n = len(x)
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"tail index i = {i} outside [1, {n - 1}]")
-    return sum(x[i:])
-
-
-def tail_param(a: Sequence, i: int):
-    """a_{>i} = a_{i+1} + ... + a_n for 1 <= i <= n-1 (1-based i)."""
-    n = len(a)
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"tail index i = {i} outside [1, {n - 1}]")
-    return sum((R(v) for v in a[i:]), ZERO)
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Enumerated finite lattice {x in N_0^n : |x| <= bound}.
@@ -200,7 +184,10 @@ class FamilyParams:
         return sum(self.a, ZERO)
 
     def a_tail(self, i: int):
-        return tail_param(self.a, i)
+        """a_{>i} = a_{i+1} + ... + a_n for 1 <= i <= n-1 (1-based i)."""
+        if not 1 <= i <= self.n - 1:
+            raise ValueError(f"tail index i = {i} outside [1, {self.n - 1}]")
+        return sum(self.a[i:], ZERO)
 
     @property
     def bound_label(self) -> str:

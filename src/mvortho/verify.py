@@ -8,10 +8,11 @@ weight; the only tail bound left is the missing weight mass that
 ``normalization`` compares with :func:`mvortho.measures.meixner_tail_mass_bound`.
 
 Every check of an instance takes one :class:`SuiteContext`.  The
-context builds the lattice, the weight tables, the operator stencils,
-the eigenpolynomial tables, the type-one tables, the Gram entries, the
-adjointness defects and the eigen residuals on first use and hands the
-same objects to every later check, so a suite builds each of them once.
+context builds the lattice, the weight table, the operator stencils,
+the eigenpolynomial tables, the type-one tables, the adjointness defects
+and the eigen residuals on first use and hands the same objects to every
+later check, so a suite builds each of them once.  It stores no Gram
+matrix: each orthogonality check forms its own from the kept tables.
 The eigenpolynomials and pair products the checks read on the lattice
 are all P_m tables of the context (a pair product is P_m with the other
 degrees 0), on the instance lattice or on another simplex, and all
@@ -45,8 +46,7 @@ from itertools import combinations, combinations_with_replacement
 from operator import lshift, mul
 
 from ._backend import R, ZERO, ONE, integer_scaled
-from .core import (Lattice, LatticeFunction, enumerate_degrees, family_lattice,
-                   rising_factorial, tail_sum)
+from .core import Lattice, LatticeFunction, enumerate_degrees, family_lattice, rising_factorial
 from .linalg import slot_width, unpack
 from .measures import (
     gram_matrix,
@@ -140,15 +140,19 @@ def random_rational(rng: random.Random):
 
 def normalization_check(ctx: SuiteContext) -> CheckReport:
     """Bounded families: the weight sums to 1 exactly.  Meixner: partial
-    sums increase with the box and the missing mass obeys the tail bound."""
+    sums increase with the box and the missing mass obeys the tail bound.
+
+    The half box |x| <= xmax // 2 is a graded-lex prefix of the box, and
+    the family's weight rows give the same values at every bound, so its
+    sum is that of a prefix of the box table."""
     params = ctx.params
 
     def body():
         w = ctx.weights()
         if params.N is None:
-            half = ctx.weights(ctx.xmax // 2)
-            if not half.total < w.total:
-                return FAIL, w.total - half.total, "partial sums not increasing"
+            half = R(sum(w.nums[:math.comb(params.n + ctx.xmax // 2, params.n)]), w.den)
+            if not half < w.total:
+                return FAIL, w.total - half, "partial sums not increasing"
             if w.normalized:
                 missing = 1 - w.total
                 if not (0 < missing <= w.tail_bound):
@@ -667,13 +671,16 @@ def completeness_check(ctx: SuiteContext) -> CheckReport:
     the weight W and W > 0: eigenvectors of a W-self-adjoint operator with
     different eigenvalues are W-orthogonal, so when the joint eigenvalue
     tuples are pairwise distinct the L nonzero P_m are orthogonal, hence
-    independent.  Those n eigenvalues fix |m| and every S_i = m_i + ... +
-    m_{n-1}, so they fix m; for special parameters where tuples coincide,
-    the Gram block of each such cluster must be diagonal with positive
-    entries.  The residuals are formed one total degree per kernel call
-    (one pack across degrees would need the slot width of the largest
-    table), and those of the eigen check, |m| <= m_max, are reused, as are
-    the adjointness defects.
+    independent.  The tuples are distinct for every Hahn and Krawtchouk
+    bundle: the eigenvalue of total is block_eigenvalue(|m|, c) and that of
+    exchange(i) block_eigenvalue(S_i, c_i), S_i = m_i + ... + m_{n-1}, with
+    block constants c, c_i > 0, and block_eigenvalue(d, c) is then strictly
+    increasing in d (d(d + c - 1) rises by 2d + c per step, d c by c).  So
+    the tuple fixes |m| and every S_i, hence m; equal tuples FAIL.  The
+    residuals are formed one total degree per kernel call (one pack across
+    degrees would need the slot width of the largest table), and those of
+    the eigen check, |m| <= m_max, are reused, as are the adjointness
+    defects.
     """
     params = ctx.params
 
@@ -704,21 +711,11 @@ def completeness_check(ctx: SuiteContext) -> CheckReport:
                 for m, worst in zip(shell, ctx.eigen_residuals(op.kind, op.index, shell)):
                     if worst:
                         return FAIL, worst, f"P_{m} not an eigenvector of {op.label} on every row"
-        clusters = {}
-        for m in degrees:
-            joint = tuple(ctx.eigenvalue(op.kind, op.index, m) for op in ops)
-            clusters.setdefault(joint, []).append(m)
-        clusters = [ms for ms in clusters.values() if len(ms) > 1]
-        for ms in clusters:
-            G = gram_matrix(ctx.tables(ms), ctx.weights())
-            defect = _orthogonality_defect(
-                {(i, j): G[i][j] for i, j in combinations_with_replacement(range(len(ms)), 2)}, ms)
-            if defect:
-                return FAIL, None, f"Gram block of equal joint eigenvalues: {defect}"
-        spectrum = (f"equal joint eigenvalues in {len(clusters)} clusters, Gram blocks "
-                    "diagonal positive" if clusters else "joint eigenvalues distinct")
+        if len({tuple(ctx.eigenvalue(op.kind, op.index, m) for op in ops)
+                for m in degrees}) < size:
+            return FAIL, None, "joint eigenvalues not distinct"
         return PASS, ZERO, (f"count {size}, nonzero common eigenvectors of the W-self-adjoint "
-                            f"{labels}, W > 0, {spectrum}")
+                            f"{labels}, W > 0, joint eigenvalues distinct")
 
     return _report("completeness", params.label, body)
 
@@ -778,7 +775,7 @@ def rescaled_hahn_limit_value(m, x, params, scale):
         shift = sum(m[i + 1 :])
         alpha_t = a_t[i - 1]
         gamma_t = sum(a_t[i:], ZERO) + 2 * shift
-        fac = hahn_pair(m[i], x[i - 1], tail_sum(x, i) - shift, alpha_t, gamma_t)
+        fac = hahn_pair(m[i], x[i - 1], sum(x[i:]) - shift, alpha_t, gamma_t)
         den = rising_factorial(alpha_t, m[i])
         if m[i] % 2:
             den = -den
@@ -837,17 +834,18 @@ class SuiteContext:
     at min(m_max, 1): the exact entries would allow m_max, but the
     benchmark's recorded digests pin the report instances of degree 1.
 
-    The lattice, the weight tables (one per box), the operator stencils,
-    the eigenpolynomial tables (one per simplex bound and degree m), the
+    The lattice, the weight table, the operator stencils, the
+    eigenpolynomial tables (one per simplex bound and degree m), the
     type-one tables (one per subset J and degree m, their values one grid
-    per degree m and parameter a_J), the Gram entries, the Meixner factorial
-    moments, the eigenvalues (one per operator and partial degree), the
-    adjointness defects (one per stencil) and the eigen residuals (one
-    rational per stencil and P_m or type-one table, the missing ones of a
-    request formed in one :func:`residual_defects` call) are built on first
-    use and kept for the life of the context.  So the eigen, degeneracy,
+    per degree m and parameter a_J), the Meixner factorial moments, the
+    eigenvalues (one per operator and partial degree), the adjointness
+    defects (one per stencil) and the eigen residuals (one rational per
+    stencil and P_m or type-one table, the missing ones of a request formed
+    in one :func:`residual_defects` call) are built on first use and kept
+    for the life of the context.  So the eigen, degeneracy,
     glue and completeness checks share their residuals, and the adjointness
-    and completeness checks their defects.
+    and completeness checks their defects.  No Gram matrix is kept: each
+    orthogonality check forms its own from the kept tables and weight.
     Every table, on whatever simplex, is filled from one factor dict that
     holds the integers of each pair and radial slot per argument (see
     :func:`mvortho.polynomials.eigenpoly_tables`), so each (slot, argument)
@@ -871,13 +869,12 @@ class SuiteContext:
         self.gram_degree = min(m_max, 1) if unbounded else m_max
         self.box = min(xmax if unbounded else params.N, 6)
         self.rng = random.Random(seed)
-        self._weights: dict = {}
+        self._weights = None
         self._stencils: dict = {}
         self._tables: dict = {}
         self._type_one: dict = {}
         self._type_one_grids: dict = {}
         self._factors: dict = {}
-        self._gram: list = []
         self._moments: dict = {}
         self._eigenvalues: dict = {}
         self._adjointness: dict = {}
@@ -887,24 +884,25 @@ class SuiteContext:
     def lattice(self):
         return family_lattice(self.params, xmax=self.xmax)
 
-    def weights(self, xmax: int | None = None):
-        """The weight table on the instance lattice, or on the Meixner box |x| <= xmax."""
-        key = self.xmax if xmax is None else xmax
-        if key not in self._weights:
-            self._weights[key] = weight_table(self.params, xmax=key)
-        return self._weights[key]
+    def weights(self):
+        """The weight table on the instance lattice."""
+        if self._weights is None:
+            self._weights = weight_table(self.params, xmax=self.xmax)
+        return self._weights
 
     def orthogonality(self, m_max: int, pairs) -> tuple:
         """(largest |off-diagonal| box entry, exact entries) of the Gram
         matrix of P_m, |m| <= m_max, at the index ``pairs``.
 
-        The box entries are those of :meth:`gram` on the instance lattice.
-        The exact entries are the same on the bounded families; on the
-        Meixner box they are the inner products over all of N^n, exact
-        finite sums against the factorial moments of order <= K = 2 m_max
-        of tables on the simplex |x| <= K (the moments are built once per K).
+        The box entries are those of :func:`gram_matrix` of the instance
+        tables, formed on each call.  The exact entries are the same on the
+        bounded families; on the Meixner box they are the inner products
+        over all of N^n, exact finite sums against the factorial moments of
+        order <= K = 2 m_max of tables on the simplex |x| <= K (the moments
+        are built once per K).
         """
-        G = self.gram(m_max)
+        degrees = enumerate_degrees(self.params.n, m_max)
+        G = gram_matrix(self.tables(degrees), self.weights())
         box = {(i, j): G[i][j] for i, j in pairs}
         worst = max((abs(v) for (i, j), v in box.items() if i != j and v), default=ZERO)
         if not self.lattice.truncated:
@@ -912,7 +910,7 @@ class SuiteContext:
         K = 2 * m_max
         if K not in self._moments:
             self._moments[K] = meixner_moments(self.params, K)
-        tables = self.tables(enumerate_degrees(self.params.n, m_max), K)
+        tables = self.tables(degrees, K)
         return worst, {(i, j): lattice_inner_product(tables[i], tables[j], self._moments[K])
                        for i, j in box}
 
@@ -1006,16 +1004,6 @@ class SuiteContext:
             self._type_one[key] = LatticeFunction(
                 lattice, [by_sum[sum(x[j - 1] for j in J)] for x in lattice.points], den)
         return self._type_one[key]
-
-    def gram(self, m_max: int) -> list[list]:
-        """Gram matrix of P_m, |m| <= m_max.  The degrees of a smaller m_max
-        are a graded-lex prefix, so their block is sliced from the kept
-        matrix; a larger m_max builds the whole matrix again."""
-        degrees = enumerate_degrees(self.params.n, m_max)
-        size = len(degrees)
-        if size > len(self._gram):
-            self._gram = gram_matrix(self.tables(degrees), self.weights())
-        return [row[:size] for row in self._gram[:size]]
 
 
 def _shifts(ctx: SuiteContext) -> list[CheckReport]:

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvortho import (R, LatticeFunction, enumerate_lattice, rising_factorial, tail_param,
-                     tail_sum)
+from mvortho import FamilyParams, R, LatticeFunction, enumerate_lattice, rising_factorial
 from mvortho._backend import integer_scaled
 from mvortho.core import Lattice, term_row
 from mvortho.families import HahnParams, KrawtchoukParams, MeixnerParams
@@ -112,21 +111,21 @@ def test_enumerate_lattice_order(n, N):
 
 @pytest.mark.parametrize(
     "x, i, expected",
-    [((1, 2, 3), 1, 5), ((1, 2, 3), 2, 3), ((4, 0), 1, 0)],
+    [((1, 2, 3), 1, 5), ((1, 2, 3), 2, 3), ((4, 1), 1, 1)],
 )
 def test_tail_sum(x, i, expected):
-    assert tail_sum(x, i) == expected
+    assert FamilyParams(x).a_tail(i) == expected
 
 
 def test_tail_param():
-    assert tail_param((R(1, 2), R(1), R(2)), 1) == R(3)
-    assert tail_param((R(1, 2), R(1), R(2)), 2) == R(2)
+    assert FamilyParams((R(1, 2), R(1), R(2))).a_tail(1) == R(3)
+    assert FamilyParams((R(1, 2), R(1), R(2))).a_tail(2) == R(2)
 
 
 @pytest.mark.parametrize("i", [0, 3, -1])
 def test_tail_sum_rejects_bad_index(i):
     with pytest.raises(ValueError):
-        tail_sum((1, 2, 3), i)
+        FamilyParams((1, 2, 3)).a_tail(i)
 
 
 def test_lattice_index_round_trip():

@@ -229,7 +229,7 @@ def test_gram_bounded_families():
     ctx = V.SuiteContext(HAHN2)
     report = V.gram_check(ctx, 4)
     assert report.status == "pass" and report.max_defect == 0
-    G = ctx.gram(4)
+    G = gram_matrix(ctx.tables(enumerate_degrees(2, 4)), ctx.weights())
     for i in range(len(G)):
         assert G[i][i] > 0
         for j in range(len(G)):
@@ -325,7 +325,7 @@ def test_gram_meixner_within_tail_bounds():
         ctx = V.SuiteContext(params, xmax=xmax)
         assert V.gram_check(ctx, degree).status == "pass"
         degrees = enumerate_degrees(params.n, degree)
-        G = ctx.gram(degree)
+        G = gram_matrix(ctx.tables(degrees), ctx.weights())
         exact = eigenpoly_tables(degrees, params, family_lattice(params, xmax=2 * degree))
         moments = meixner_moments(params, 2 * degree)
         coeffs = [poly_coefficients(lambda x, m=m: eigenpoly(m, x, params), params.n, degree)
@@ -341,12 +341,14 @@ def test_gram_meixner_within_tail_bounds():
 def test_gram_meixner_degree_two_passes_at_every_box():
     # the entries are exact on all of N^n, whatever the box; at xmax = 1,
     # P_(0,2) vanishes at every box point, so its box diagonal is 0
-    assert V.SuiteContext(MEIX, xmax=1).gram(2)[3][3] == 0
+    degrees = enumerate_degrees(2, 2)
+    ctx = V.SuiteContext(MEIX, xmax=1)
+    assert gram_matrix(ctx.tables(degrees), ctx.weights())[3][3] == 0
     for xmax in range(1, 8):
         ctx = V.SuiteContext(MEIX, xmax=xmax)
         report = V.gram_check(ctx, 2)
         assert report.status == "pass", xmax
-        G = ctx.gram(2)
+        G = gram_matrix(ctx.tables(degrees), ctx.weights())
         assert report.max_defect == max(abs(G[i][j]) for i in range(len(G)) for j in range(i))
 
 
@@ -570,47 +572,44 @@ def collide(monkeypatch, m1, m2):
     monkeypatch.setattr(V.SuiteContext, "eigenvalue", collided)
 
 
-def test_completeness_takes_the_cluster_path_on_equal_joint_eigenvalues(monkeypatch):
+def test_completeness_fails_on_equal_joint_eigenvalues(monkeypatch):
     """A forced collision of two joint eigenvalue tuples: the residuals are
-    the context's, formed against the closed-form eigenvalues before, so the
-    check passes on the Gram block of the cluster, and fails once a table
-    of the cluster is not orthogonal to the other (as a second eigenvector
-    of a degenerate eigenvalue need not be)."""
+    the context's, formed against the closed-form eigenvalues before, so
+    only the spectrum is at fault, and the check fails without forming a
+    Gram entry."""
     ctx = V.SuiteContext(HAHN2)
     assert V.completeness_check(ctx).status == "pass"
-    m1, m2 = (0, 2), (1, 1)
-    collide(monkeypatch, m1, m2)
+    collide(monkeypatch, (0, 2), (1, 1))
     grams = []
     gram = V.gram_matrix
     monkeypatch.setattr(V, "gram_matrix", lambda *args: grams.append(args) or gram(*args))
     report = V.completeness_check(ctx)
-    assert (report.status, report.max_defect) == ("pass", 0)
-    assert "equal joint eigenvalues in 1 clusters" in report.detail
-    assert [tables for tables, _ in grams] == [ctx.tables([m1, m2])]
-    (t1, t2) = ctx.tables([m1, m2])
-    (n1, d1), (n2, d2) = t1.integer_form(), t2.integer_form()
-    ctx._tables[HAHN2.N, m2] = LatticeFunction(
-        t2.lattice, [a * d2 + b * d1 for a, b in zip(n1, n2)], d1 * d2)
-    report = V.completeness_check(ctx)
-    assert (report.status, report.detail) == (
-        "fail", f"Gram block of equal joint eigenvalues: off-diagonal {m1},{m2} nonzero")
+    assert (report.status, report.max_defect, report.detail) == (
+        "fail", None, "joint eigenvalues not distinct")
+    assert not grams
 
 
-def test_completeness_fails_on_non_diagonal_gram(monkeypatch):
-    gram = V.gram_matrix
+@st.composite
+def bounded_bundles(draw):
+    """An accepted Hahn or Krawtchouk bundle, n = 2..4 and N <= 6."""
+    n = draw(st.integers(2, 4))
+    a = tuple(draw(rationals(6)) for _ in range(n))
+    N = draw(st.integers(n + 1, 6))
+    if draw(st.booleans()):
+        return HahnParams(a, draw(rationals(6)), N)
+    return KrawtchoukParams(a, N)
 
-    def gram_with_offdiagonal(tables, w):
-        G = gram(tables, w)
-        G[0][1] = G[1][0] = R(1, 3)
-        return G
 
-    ctx = V.SuiteContext(HAHN2)
-    assert V.completeness_check(ctx).status == "pass"
-    collide(monkeypatch, (0, 1), (1, 0))
-    monkeypatch.setattr(V, "gram_matrix", gram_with_offdiagonal)
-    report = V.completeness_check(ctx)
-    assert report.status == "fail"
-    assert "off-diagonal" in report.detail
+@given(bounded_bundles())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_joint_eigenvalues_are_distinct_on_accepted_bundles(params):
+    """The eigenvalues of total and exchange(1..n-1) tell every |m| <= N apart,
+    which the completeness check relies on."""
+    ctx = V.SuiteContext(params)
+    ops = [("total", None)] + [("exchange", i) for i in range(1, params.n)]
+    degrees = enumerate_degrees(params.n, params.N)
+    joint = {tuple(ctx.eigenvalue(kind, index, m) for kind, index in ops) for m in degrees}
+    assert len(joint) == len(degrees)
 
 
 def test_suite_forms_each_residual_once_in_one_call_per_stencil_and_degree(monkeypatch):
@@ -631,20 +630,6 @@ def test_suite_forms_each_residual_once_in_one_call_per_stencil_and_degree(monke
     ops = ["total", "exchange1", "exchange2"]
     assert calls == ([(op, 20) for op in ["total", "single", *ops[1:]]] + [("total", 28)]
                      + [(op, 15) for op in ops] + [(op, 21) for op in ops])
-
-
-def test_context_gram_keeps_the_block_of_a_smaller_degree():
-    from mvortho import eigenpoly_tables, gram_matrix, weight_table
-    from mvortho.core import enumerate_degrees, family_lattice
-
-    ctx = V.SuiteContext(HAHN)
-    small = ctx.gram(2)
-    full = ctx.gram(HAHN.N)
-    tables = eigenpoly_tables(enumerate_degrees(3, HAHN.N), HAHN, family_lattice(HAHN))
-    fresh = gram_matrix(tables, weight_table(HAHN))
-    assert full == fresh
-    assert small == [row[:len(small)] for row in fresh[:len(small)]]
-    assert ctx.gram(3) == [row[:20] for row in fresh[:20]]
 
 
 def test_suite_builds_each_stencil_and_table_once(monkeypatch):
@@ -813,11 +798,54 @@ def test_doubled_weight_fails_compatibility_and_adjointness(params, monkeypatch)
 
     assert V.compatibility_check(V.SuiteContext(params)).status == "pass"
     assert V.adjointness_check(V.SuiteContext(params)).status == "pass"
+    assert V.normalization_check(V.SuiteContext(params)).status == "pass"
+    added = weight_table(params)(interior)
     monkeypatch.setattr(measures, "_weight_products", doubled)
     compat = V.compatibility_check(V.SuiteContext(params))
     adjoint = V.adjointness_check(V.SuiteContext(params))
+    norm = V.normalization_check(V.SuiteContext(params))
     assert compat.status == "fail" and compat.max_defect > 0
     assert adjoint.status == "fail" and adjoint.max_defect > 0
+    assert (norm.status, norm.max_defect) == ("fail", added)
+
+
+def test_meixner_normalization_fails_on_a_small_tail_bound_or_a_negative_weight(monkeypatch):
+    from mvortho import measures
+
+    ctx = V.SuiteContext(MEIX, xmax=6)
+    missing = 1 - ctx.weights().total
+    assert V.normalization_check(ctx).status == "pass"
+    # a tail bound below the missing mass
+    with monkeypatch.context() as patch:
+        patch.setattr(measures, "meixner_tail_mass_bound", lambda params, xmax: missing / 2)
+        report = V.normalization_check(V.SuiteContext(MEIX, xmax=6))
+    assert (report.status, report.max_defect, report.detail) == (
+        "fail", missing, "missing mass outside tail bound")
+    # one outer-shell weight that outweighs the rest of the box
+    products = measures._weight_products
+
+    def negative_corner(params, points, bound):
+        nums, den = products(params, points, bound)
+        return [-sum(nums) if tuple(x) == (bound, 0) else v for x, v in zip(points, nums)], den
+
+    monkeypatch.setattr(measures, "_weight_products", negative_corner)
+    ctx = V.SuiteContext(MEIX, xmax=6)
+    report = V.normalization_check(ctx)
+    w = ctx.weights()
+    assert (report.status, report.detail) == ("fail", "partial sums not increasing")
+    assert report.max_defect == w.total - R(sum(w.nums[:math.comb(2 + 3, 2)]), w.den) < 0
+
+
+@pytest.mark.parametrize("params", [MEIX, MeixnerParams((R(1, 5), R(1, 3), R(1, 6)), R(5, 2)),
+                                    MeixnerParams((R(2, 3), R(1, 4)), R(3))],
+                         ids=lambda p: p.label)
+@pytest.mark.parametrize("xmax", range(1, 7))
+def test_half_box_weight_is_a_prefix_of_the_box_table(params, xmax):
+    """The normalization check reads the half box |x| <= xmax // 2 as the
+    first comb(n + xmax // 2, n) entries of the box table."""
+    w = V.SuiteContext(params, xmax=xmax).weights()
+    prefix = R(sum(w.nums[:math.comb(params.n + xmax // 2, params.n)]), w.den)
+    assert prefix == weight_table(params, xmax=xmax // 2).total
 
 
 def oracle_compatibility_defects(params, w, up=form_up_rate) -> tuple:
@@ -1054,6 +1082,10 @@ def test_cli_rejects_a_meixner_box_below_one(capsys):
      "need m_max <= N, got m_max = 9 and N = 5"),
     (["verify", "--family", "hahn", "--a", "1,2,3", "--b", "2", "--N", "5", "--m-max", "9",
       "--check", "gram"], "need m_max <= N, got m_max = 9 and N = 5"),
+    # the Meixner lattice of a table or an export needs its box
+    *[([*argv, "--family", "meixner", "--a", "1/2,1/3", "--beta", "2"], "meixner needs --xmax")
+      for argv in (["eval", "--m", "1,1"], ["export", "--what", "weights"],
+                   ["export", "--what", "operator"], ["export", "--what", "gram"])],
 ])
 def test_cli_rejects_points_off_the_lattice_and_negative_degrees(argv, message, capsys):
     from mvortho.cli import main
