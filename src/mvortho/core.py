@@ -149,8 +149,10 @@ class FamilyParams:
     seven rationals ``rate_form = (u0, u1, v1, d0, d1, e1, e)`` of
     B_j = (u0 + u1 |x|)(v1 x_j + a_j), D_j = x_j (d0 + d1 |x|) and
     c_jk = x_j (e1 x_k + e a_k), which the integer stencils
-    (:func:`mvortho.operators.operator_matrix`) and the integer rates of
-    the rate identities (:func:`mvortho.operators.integer_rates`) read.
+    (:func:`mvortho.operators.operator_matrix`), the integer rates of the
+    rate identities (:func:`mvortho.operators.integer_rates`) and the
+    eigenvalues (:func:`mvortho.polynomials.eigenvalue`) read: a family
+    declares no eigenvalue.
     """
 
     a: tuple

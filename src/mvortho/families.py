@@ -9,13 +9,14 @@ of one construction: a Karlin-McGregor operator
 
 and eigenpolynomials P_m(x) built as pair factors in (x_j, x_{>j}) times
 a radial factor in |x|.  Each class holds its family's rates, weight,
-factors, eigenvalue constants and label; every other module reads the
-family through these methods only.  The rates are seven constants of one
-form (``rate_form``, see :class:`mvortho.core.FamilyParams`).  Each
-factor is declared once, as an integer slot over a list of arguments
-(``pair_slot``, ``radial_slot``), and the type-one polynomial as a grid
-over the subset sums (``type_one``): what the value tables and
-``eigenpoly`` read.  Krawtchouk and Meixner share their pair polynomials.
+factors and label; every other module reads the family through these
+methods only.  The rates are seven constants of one form (``rate_form``,
+see :class:`mvortho.core.FamilyParams`), which also fix the operators'
+eigenvalues (:func:`mvortho.polynomials.eigenvalue`): a family declares
+no eigenvalue.  Each factor is declared once, as an integer slot over a
+list of arguments (``pair_slot``, ``radial_slot``), and the type-one
+polynomial as a grid over the subset sums (``type_one``): what the value
+tables and ``eigenpoly`` read.  Krawtchouk and Meixner share their pair polynomials.
 """
 
 from __future__ import annotations
@@ -83,21 +84,7 @@ class HahnParams(FamilyParams):
         as (numerators, den) at the integers x_J of ``sums``."""
         return hahn_grid(m, aJ, self.a_total + self.b - aJ, self.N, sums)
 
-    @property
-    def total_block(self):
-        """Parameter sum c of the total operator, for block_eigenvalue."""
-        return self.a_total + self.b
-
-    @staticmethod
-    def block_eigenvalue(d: int, c):
-        """Eigenvalue at degree d on a block whose parameters sum to c."""
-        return R(d) * (d + c - 1)
-
-    @staticmethod
-    def pair_grid(m: int, alpha, gamma, box: int) -> tuple:
-        """The family's pair polynomial of degree m as (grid, den): its value at
-        (u, v) is grid[u][v] / den, for u, v >= -1 and u + v <= box + 1."""
-        return hahn_pair_grid(m, alpha, gamma, box)
+    pair_grid = staticmethod(hahn_pair_grid)
 
     @staticmethod
     def pair_rate(u, alpha):
@@ -124,9 +111,7 @@ class _KMPairs:
         """As the Hahn pair slot, with the tail slot kept at a_{>j}."""
         return km_pair_sums(mj, self.a[j - 1], self.a_tail(j), [(u, t - shift) for u, t in args])
 
-    @staticmethod
-    def pair_grid(m: int, alpha, gamma, box: int) -> tuple:
-        return km_pair_grid(m, alpha, gamma, box)
+    pair_grid = staticmethod(km_pair_grid)
 
     @staticmethod
     def pair_rate(u, alpha):
@@ -168,14 +153,6 @@ class KrawtchoukParams(_KMPairs, FamilyParams):
 
     def type_one(self, m: int, aJ, sums) -> tuple:
         return krawtchouk_grid(m, aJ / (1 + self.a_total), self.N, sums)
-
-    @property
-    def total_block(self):
-        return self.a_total + 1
-
-    @staticmethod
-    def block_eigenvalue(d: int, c):
-        return R(d) * c
 
     def hahn_limit(self, t):
         """a_j -> a_j t, b = t."""
@@ -225,14 +202,6 @@ class MeixnerParams(_KMPairs, FamilyParams):
 
     def type_one(self, m: int, aJ, sums) -> tuple:
         return meixner_grid(m, aJ / (1 - self.a_total + aJ), self.beta, sums)
-
-    @property
-    def total_block(self):
-        return self.a_total - 1
-
-    @staticmethod
-    def block_eigenvalue(d: int, c):
-        return -R(d) * c
 
     def hahn_limit(self, t):
         """a_j -> -a_j t, b = t, N -> -beta."""

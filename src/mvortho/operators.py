@@ -43,7 +43,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from functools import cached_property
+from itertools import combinations
 from operator import mul
 
 from ._backend import R, integer_scaled
@@ -99,6 +100,12 @@ class OperatorMatrix:
     @property
     def size(self) -> int:
         return self.lattice.size
+
+    @cached_property
+    def row_bounds(self) -> tuple:
+        """(largest absolute row sum S, largest |entry| E), scanned once."""
+        return (max((sum(map(abs, row.values())) for row in self.rows), default=0),
+                max((abs(v) for row in self.rows for v in row.values()), default=0))
 
 
 def _scaled_rate_form(params) -> tuple:
@@ -195,13 +202,6 @@ def _product_valid_rows(M1: OperatorMatrix, M2: OperatorMatrix):
             for row, ok in zip(M1.rows, M1.valid_rows)]
 
 
-def _row_bounds(stencils) -> tuple:
-    """(largest absolute row sum S, largest |entry| E) over the stencils."""
-    rows = [row.values() for H in stencils for row in H.rows]
-    return (max((sum(map(abs, row)) for row in rows), default=0),
-            max(map(abs, chain.from_iterable(rows)), default=0))
-
-
 def commutator_defects(stencils) -> list:
     """Exact max |entry| of M1 M2 - M2 M1, over the rows valid for both
     orders, for each pair of the stencils in ``combinations`` order.
@@ -216,7 +216,7 @@ def commutator_defects(stencils) -> list:
     if any(H.op.params != stencils[0].op.params or H.lattice != stencils[0].lattice
            for H in stencils):
         raise ValueError("stencils must share one parameter bundle and one lattice")
-    S, E = _row_bounds(stencils)
+    S, E = map(max, zip(*(H.row_bounds for H in stencils)))
     W = slot_width(2 * S * E)
     # row k of each stencil as the one integer sum_j H[k][j] 2^(W j)
     packed = [[pack(row, W) for row in H.rows] for H in stencils]
@@ -283,7 +283,7 @@ def image_degree(stencils, M: int) -> int:
     n, points = lattice.n, lattice.points
     sums = [sum(x) for x in points]
     exponents = enumerate_degrees(n, M)
-    W = slot_width(_row_bounds(stencils)[0] * max(1, lattice.bound) ** max(M, 0)
+    W = slot_width(max(H.row_bounds[0] for H in stencils) * max(1, lattice.bound) ** max(M, 0)
                    << (n * lattice.bound))
     monomials = [pack({t: math.prod(c**e for c, e in zip(x, exps))
                        for t, exps in enumerate(exponents)}, W) for x in points]

@@ -60,6 +60,7 @@ from typing import Sequence
 
 from ._backend import R, ONE, as_integer, integer_scaled
 from .core import FamilyParams, Lattice, LatticeFunction
+from .operators import OperatorSpec
 
 # Rows kept per cached builder; a row is one (degree, parameters).
 ROW_CACHE_SIZE = 4096
@@ -369,29 +370,33 @@ def eigenpoly_table(m: Sequence[int], params, lattice: Lattice) -> LatticeFuncti
 
 
 def eigenvalue(params, kind: str, index: int | None, m: Sequence[int]):
-    """Exact eigenvalue of an operator on the eigenpolynomial P_m.
+    """Exact eigenvalue of an operator on the eigenpolynomial P_m, read from
+    the family's rate form (u0, u1, v1, d0, d1, e1, e); no family declares
+    an eigenvalue (see :class:`mvortho.core.FamilyParams`).
 
-    kind 'total' uses the full degree |m|.  kind 'exchange' with sector
-    index i uses only the partial degree S_i = m_i + ... + m_{n-1}: the
-    radial factor and the pair factors below sector i are invisible to
-    an exchange confined to sites >= i.  kind 'single' is total minus
-    the full exchange part (the operators commute and share P_m).
+    total: on functions of s = |x| the exchange terms vanish, and
+    sum_j B_j = (u0 + u1 s)(v1 s + |a|) and sum_j D_j = s (d0 + d1 s) read
+    only s, so total acts there as a birth-death chain in s.  Its image of
+    s^d has s^(d+1) coefficient d (d1 - u1 v1), zero as the form keeps the
+    degree (d1 = u1 v1, which ``degree-invariance`` checks), and its s^d
+    coefficient d (d0 - u0 v1 - u1 |a| - d1 (d - 1)) is the eigenvalue at
+    d = |m|.  exchange(i) keeps x_i + ... + x_n and acts on functions of
+    t = x_{i+1} + ... + x_n as a birth-death chain in t, one unit moving
+    inside the sites i..n; the same computation gives
+    S (e1 (S - 1) + e (a_i + ... + a_n)) at the partial degree
+    S = S_i = m_i + ... + m_{n-1}, as the radial factor and the pair factors
+    below sector i are invisible to it.  single is total minus exchange(1)
+    (the operators commute and share P_m).
     """
+    OperatorSpec(params, kind, index)
     m = params.degree_index(m)
-
-    def exchange_eig(i: int):
-        return params.block_eigenvalue(sum(m[i:]), params.a[i - 1] + params.a_tail(i))
-
-    total_eig = params.block_eigenvalue(sum(m), params.total_block)
-    if kind == "total":
-        return total_eig
-    if kind == "single":
-        return total_eig - exchange_eig(1)
+    u0, u1, v1, d0, d1, e1, e = params.rate_form
     if kind == "exchange":
-        if index is None or not 1 <= index <= params.n - 1:
-            raise ValueError(f"exchange index must be in [1, {params.n - 1}]")
-        return exchange_eig(index)
-    raise ValueError(f"unknown operator kind {kind!r}")
+        S = sum(m[index:])
+        return S * (e1 * (S - 1) + e * sum(params.a[index - 1:]))
+    d = sum(m)
+    total = d * (d0 - u0 * v1 - u1 * params.a_total - d1 * (d - 1))
+    return total if kind == "total" else total - eigenvalue(params, "exchange", 1, m)
 
 
 def pair_backward_table(m: int, alpha, gamma, box: int) -> LatticeFunction:

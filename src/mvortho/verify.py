@@ -289,7 +289,7 @@ def residual_defects(H: OperatorMatrix, tables, eigenvalues) -> list:
     eigs = list(map(R, eigenvalues))
     qs = [e.denominator for e in eigs]
     ps = [e.numerator * H.den for e in eigs]
-    S = max((sum(map(abs, row.values())) for row in H.rows), default=0)
+    S = H.row_bounds[0]
     W = slot_width(max((max(map(abs, nums), default=0) * (S * q + abs(p))
                         for (nums, _), q, p in zip(forms, qs, ps)), default=0))
     shifts = range(0, W * len(forms), W)
@@ -672,15 +672,17 @@ def completeness_check(ctx: SuiteContext) -> CheckReport:
     different eigenvalues are W-orthogonal, so when the joint eigenvalue
     tuples are pairwise distinct the L nonzero P_m are orthogonal, hence
     independent.  The tuples are distinct for every Hahn and Krawtchouk
-    bundle: the eigenvalue of total is block_eigenvalue(|m|, c) and that of
-    exchange(i) block_eigenvalue(S_i, c_i), S_i = m_i + ... + m_{n-1}, with
-    block constants c, c_i > 0, and block_eigenvalue(d, c) is then strictly
-    increasing in d (d(d + c - 1) rises by 2d + c per step, d c by c).  So
-    the tuple fixes |m| and every S_i, hence m; equal tuples FAIL.  The
-    residuals are formed one total degree per kernel call (one pack across
-    degrees would need the slot width of the largest table), and those of
-    the eigen check, |m| <= m_max, are reused, as are the adjointness
-    defects.
+    bundle.  By the rate form (u0, u1, v1, d0, d1, e1, e) the eigenvalue of
+    total is d (c - d1 (d - 1)) at d = |m|, c = d0 - u0 v1 - u1 |a|, and that
+    of exchange(i) is S (e1 (S - 1) + e c_i) at S = S_i = m_i + ... + m_{n-1},
+    c_i = a_i + ... + a_n (:func:`mvortho.polynomials.eigenvalue`).  Those
+    bundles have c > 0, d1 <= 0, e = 1 and e1 >= 0, so the steps from d to
+    d + 1, c - 2 d1 d, and from S to S + 1, c_i + 2 e1 S, are positive: both
+    maps are strictly increasing.  So the tuple fixes |m| and every S_i,
+    hence m; equal tuples FAIL.  The residuals are formed one total degree
+    per kernel call (one pack across degrees would need the slot width of
+    the largest table), and those of the eigen check, |m| <= m_max, are
+    reused, as are the adjointness defects.
     """
     params = ctx.params
 

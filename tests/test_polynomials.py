@@ -587,6 +587,53 @@ def oracle_eigenpoly(m, x, params):
     return out
 
 
+def oracle_eigenvalue(params, kind, index, m):
+    """The paper's closed forms, with each family's block constants written
+    out here: lam(d, c) = d (d + c - 1) (Hahn), d c (Krawtchouk) or -d c
+    (Meixner), at d = |m| and c = |a| + b, |a| + 1 or |a| - 1 on total, at
+    d = S_i = m_i + ... + m_{n-1} and c = a_i + ... + a_n on exchange(i);
+    single is total - exchange(1)."""
+    A = params.a_total
+    lam, c = {"hahn": (lambda d, c: d * (d + c - 1), A + getattr(params, "b", 0)),
+              "krawtchouk": (lambda d, c: d * c, A + 1),
+              "meixner": (lambda d, c: -d * c, A - 1)}[params.family]
+    if kind == "exchange":
+        return lam(sum(m[index:]), sum(params.a[index - 1:]))
+    total = lam(sum(m), c)
+    return total if kind == "total" else total - oracle_eigenvalue(params, "exchange", 1, m)
+
+
+@st.composite
+def eigen_cases(draw):
+    """A Hahn, Krawtchouk or Meixner bundle with n = 2..4 and a degree |m| <= 6."""
+    n = draw(st.integers(2, 4))
+    m, left = [], draw(st.integers(0, 6))
+    for _ in range(n - 1):
+        m.append(draw(st.integers(0, left)))
+        left -= m[-1]
+    m = draw(st.permutations(m + [left]))
+    a = tuple(draw(small_pos) for _ in range(n))
+    family = draw(st.sampled_from(["hahn", "krawtchouk", "meixner"]))
+    if family == "meixner":
+        return MeixnerParams(tuple(v / (n * 11) for v in a), draw(small_pos)), m
+    N = draw(st.integers(max(n + 1, sum(m)), 9))
+    if family == "hahn":
+        return HahnParams(a, draw(small_pos), N), m
+    return KrawtchoukParams(a, N), m
+
+
+@given(eigen_cases())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_eigenvalues_from_the_rate_form_equal_the_closed_forms(case):
+    """The eigenvalues derived from the rate form equal the closed forms on
+    every operator: total, single and each exchange(i)."""
+    params, m = case
+    ops = [("total", None), ("single", None)] + [("exchange", i) for i in range(1, params.n)]
+    for kind, index in ops:
+        assert (outcome(eigenvalue, params, kind, index, m)
+                == outcome(oracle_eigenvalue, params, kind, index, m))
+
+
 def outcome(fn, *args):
     """(value, its type), or ZeroDivisionError if that is raised; the oracle's
     values are Fractions, so equal outcomes mean equal Fraction values."""
