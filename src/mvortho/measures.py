@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ._backend import R, ZERO, as_integer, integer_scaled
-from .core import LatticeFunction, enumerate_lattice, family_lattice, rising_factorial
+from .core import LatticeFunction, enumerate_lattice, family_lattice, rising_factorial, term_row
 from .linalg import newton_differences
 
 
@@ -55,32 +55,29 @@ def meixner_weight(x, params):
     return R(num, den)
 
 
-def meixner_shell_mass(params, s: int):
-    """Unnormalized weight mass of the shell |x| = s: (beta)_s |a|^s / s!."""
-    return rising_factorial(params.beta, s) * params.a_total**s / math.factorial(s)
-
-
 def meixner_tail_mass_bound(params, xmax: int):
     """Exact upper bound on the weight mass beyond |x| <= xmax.
 
-    For integral beta the bound is the exact tail: the negative binomial
-    series Sum_{s>=0} (beta)_s |a|^s / s! = (1-|a|)^{-beta} less the
-    shells s <= xmax.  Otherwise the term ratio |a|(beta+s)/(s+1) is
-    monotone in s with limit |a| < 1: the shells are summed exactly up to
-    the first s whose q = max(|a|, ratio) is below 1, and the rest is
-    bounded geometrically from there.  Scaled by (1-|a|)^beta when beta
-    is integral, like the weight.
+    The shell |x| = s holds the unnormalized mass (beta)_s |a|^s / s!, and
+    consecutive shells have the ratio |a|(beta+s)/(s+1).  For integral beta
+    the bound is the exact tail: the negative binomial series
+    Sum_{s>=0} (beta)_s |a|^s / s! = (1-|a|)^{-beta} less the shells
+    s <= xmax.  Otherwise the ratio is monotone in s with limit |a| < 1:
+    the shells are summed exactly up to the first s whose ratio is below 1,
+    and the rest is bounded geometrically from there, by q = max(|a|, ratio).
+    Scaled by (1-|a|)^beta when beta is integral, like the weight.
     """
-    A = params.a_total
+    A, beta = params.a_total, params.beta
+    shells = term_row(xmax + 1, lambda s: A * (beta + s - 1) / s)
     if params.integral_beta:
-        bound = (1 - A) ** -as_integer(params.beta) - sum(
-            meixner_shell_mass(params, s) for s in range(xmax + 1))
+        bound = (1 - A) ** -as_integer(beta) - sum(shells[:-1])
     else:
-        bound, s = ZERO, xmax + 1
-        while (q := max(A, A * (params.beta + s) / (s + 1))) >= 1:
-            bound += meixner_shell_mass(params, s)
+        bound, s, shell = ZERO, xmax + 1, shells[-1]
+        while (ratio := A * (beta + s) / (s + 1)) >= 1:
+            bound += shell
+            shell *= ratio
             s += 1
-        bound += meixner_shell_mass(params, s) / (1 - q)
+        bound += shell / (1 - max(A, ratio))
     norm = meixner_normalization(params)
     return bound if norm is None else bound * norm
 

@@ -7,23 +7,16 @@ inner products, exact finite sums against the factorial moments of the
 weight; the only tail bound left is the missing weight mass that
 ``normalization`` compares with :func:`mvortho.measures.meixner_tail_mass_bound`.
 
-Every check of an instance takes one :class:`SuiteContext`.  The
-context builds the lattice, the weight table, the operator stencils,
-the eigenpolynomial tables, the type-one tables, the adjointness defects
-and the eigen residuals on first use and hands the same objects to every
-later check, so a suite builds each of them once.  It stores no Gram
-matrix: each orthogonality check forms its own from the kept tables.
-The eigenpolynomials and pair products the checks read on the lattice
-are all P_m tables of the context (a pair product is P_m with the other
-degrees 0), on the instance lattice or on another simplex, and all
-tables share one dict of factor-slot integers.
-A type-one polynomial depends on x only through the subset sum x_J and
-on J only through a_J, so its table is filled from one integer grid per
-(m, a_J) over x_J.  Checks only read what the context
-built; the context fills its caches as checks ask, so one context
-serves one thread.  Nothing is cached beyond a context: a fresh context
-sees patched rates, weights or factors.  An identity check passes iff
-its largest |lhs - rhs| is exactly 0 (:func:`_exact`).
+Every check of an instance takes one :class:`SuiteContext`, which builds
+each object a check reads (weight, stencils, tables, defects, residuals)
+on first use and keeps it in one memo, so a suite builds each of them
+once.  The eigenpolynomials and pair products the checks read on the
+lattice are all P_m tables of the context (a pair product is P_m with the
+other degrees 0).  Checks only read what the context built; the context
+fills its memo as checks ask, so one context serves one thread.  Nothing
+is kept beyond a context: a fresh context sees patched rates, weights or
+factors.  An identity check passes iff its largest |lhs - rhs| is exactly
+0 (:func:`_exact`).
 
 The shift and recursion identities (``sv-shifts``, ``sv-difference-eq``,
 ``pair-shifts``, ``pair-recursions``, ``generalized-recursions``,
@@ -41,7 +34,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement
 from operator import lshift, mul
 
@@ -254,7 +247,14 @@ def commutator_check(ctx: SuiteContext) -> CheckReport:
 
 
 def degree_invariance_report(ctx: SuiteContext, M: int) -> CheckReport:
+    """Every stencil maps degree <= M to degree <= M, by :func:`image_degree`.
+    The rows with an image form a simplex |x| <= K, which shows no degree
+    above K: if some stencil has K <= M, the test can see nothing (SKIP)."""
     def body():
+        K = min(max(sum(x) for x, ok in zip(ctx.lattice.points, H.valid_rows) if ok)
+                for H in ctx.stencils)
+        if K <= M:
+            return SKIP, None, f"images only on |x| <= {K}, so no degree above M={M} shows"
         degree = image_degree(ctx.stencils, M)
         ok = degree <= M
         return (PASS if ok else FAIL), (ZERO if ok else None), f"largest image degree {degree}"
@@ -474,13 +474,7 @@ def pair_shift_check(alpha, gamma, deg_max: int, box: int, family) -> CheckRepor
     alpha, gamma = R(alpha), R(gamma)
 
     def defects():
-        grids = {}
-
-        def grid(m, al, ga):
-            if (m, al, ga) not in grids:
-                grids[m, al, ga] = family.pair_grid(m, al, ga, box)
-            return grids[m, al, ga]
-
+        grid = cache(lambda m, al, ga: family.pair_grid(m, al, ga, box))
         points = _triangle(box)
         ru, ruden = integer_scaled([family.pair_rate(u, alpha) for u in range(box + 1)])
         rv, rvden = integer_scaled([family.pair_rate(v, gamma) for v in range(box + 1)])
@@ -836,22 +830,28 @@ class SuiteContext:
     at min(m_max, 1): the exact entries would allow m_max, but the
     benchmark's recorded digests pin the report instances of degree 1.
 
-    The lattice, the weight table, the operator stencils, the
-    eigenpolynomial tables (one per simplex bound and degree m), the
-    type-one tables (one per subset J and degree m, their values one grid
-    per degree m and parameter a_J), the Meixner factorial moments, the
-    eigenvalues (one per operator and partial degree), the adjointness
-    defects (one per stencil) and the eigen residuals (one rational per
-    stencil and P_m or type-one table, the missing ones of a request formed
-    in one :func:`residual_defects` call) are built on first use and kept
-    for the life of the context.  So the eigen, degeneracy,
-    glue and completeness checks share their residuals, and the adjointness
-    and completeness checks their defects.  No Gram matrix is kept: each
+    Each object a check reads is built on first use and kept for the life
+    of the context in one memo, whose keys lead with the kind of object:
+
+        ("weights",)                           the weight table
+        ("stencil", kind, index)               an operator's stencil
+        ("adjointness", kind, index)           its self-adjointness defect
+        ("eigenvalue", kind, index, d)         its eigenvalue at partial degree d
+        ("P_m", bound, m)                      P_m on the simplex |x| <= bound
+        ("factors",)                           the slot integers of every P_m
+        ("type-one", J, m)                     a type-one table
+        ("type-one grid", m, a_J)              its integers over x_J = 0..bound
+        ("moments", K)                         Meixner factorial moments, order <= K
+        ("residual", table, kind, index, key)  a "P_m" or "type-one" eigen residual
+
+    The missing tables or residuals of one request are built in one
+    :func:`eigenpoly_tables` or :func:`residual_defects` call.  Every table
+    is filled from the one ("factors",) dict, which holds the integers of
+    each pair and radial slot per argument, so each (slot, argument) is
+    evaluated once per context.  The eigen, degeneracy, glue and
+    completeness checks share their residuals, and the adjointness and
+    completeness checks their defects.  No Gram matrix is kept: each
     orthogonality check forms its own from the kept tables and weight.
-    Every table, on whatever simplex, is filled from one factor dict that
-    holds the integers of each pair and radial slot per argument (see
-    :func:`mvortho.polynomials.eigenpoly_tables`), so each (slot, argument)
-    is evaluated once per context.
     """
 
     def __init__(self, params, m_max: int | None = None, xmax: int | None = None,
@@ -871,16 +871,21 @@ class SuiteContext:
         self.gram_degree = min(m_max, 1) if unbounded else m_max
         self.box = min(xmax if unbounded else params.N, 6)
         self.rng = random.Random(seed)
-        self._weights = None
-        self._stencils: dict = {}
-        self._tables: dict = {}
-        self._type_one: dict = {}
-        self._type_one_grids: dict = {}
-        self._factors: dict = {}
-        self._moments: dict = {}
-        self._eigenvalues: dict = {}
-        self._adjointness: dict = {}
-        self._residuals: dict = {}
+        self._memo: dict = {}
+
+    def _keep(self, key, build):
+        """The object kept under ``key``, ``build()`` on first use."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def _keep_all(self, keys, build) -> list:
+        """The objects kept under ``keys``, the missing ones from one
+        ``build(missing)`` call."""
+        missing = [key for key in dict.fromkeys(keys) if key not in self._memo]
+        if missing:
+            self._memo.update(zip(missing, build(missing)))
+        return [self._memo[key] for key in keys]
 
     @cached_property
     def lattice(self):
@@ -888,9 +893,7 @@ class SuiteContext:
 
     def weights(self):
         """The weight table on the instance lattice."""
-        if self._weights is None:
-            self._weights = weight_table(self.params, xmax=self.xmax)
-        return self._weights
+        return self._keep(("weights",), lambda: weight_table(self.params, xmax=self.xmax))
 
     def orthogonality(self, m_max: int, pairs) -> tuple:
         """(largest |off-diagonal| box entry, exact entries) of the Gram
@@ -910,10 +913,9 @@ class SuiteContext:
         if not self.lattice.truncated:
             return worst, box
         K = 2 * m_max
-        if K not in self._moments:
-            self._moments[K] = meixner_moments(self.params, K)
+        moments = self._keep(("moments", K), lambda: meixner_moments(self.params, K))
         tables = self.tables(degrees, K)
-        return worst, {(i, j): lattice_inner_product(tables[i], tables[j], self._moments[K])
+        return worst, {(i, j): lattice_inner_product(tables[i], tables[j], moments)
                        for i, j in box}
 
     def eigenvalue(self, kind: str, index: int | None, m):
@@ -922,29 +924,22 @@ class SuiteContext:
         S_index = m_index + ... + m_{n-1} (exchange) or both |m| and S_1
         (single), see :func:`mvortho.polynomials.eigenvalue`."""
         total, tail = sum(m), sum(m[index or 1:])
-        key = (kind, index, total if kind == "total" else
-               tail if kind == "exchange" else (total, tail))
-        if key not in self._eigenvalues:
-            self._eigenvalues[key] = eigenvalue(self.params, kind, index, m)
-        return self._eigenvalues[key]
+        degree = total if kind == "total" else tail if kind == "exchange" else (total, tail)
+        return self._keep(("eigenvalue", kind, index, degree),
+                          lambda: eigenvalue(self.params, kind, index, m))
 
     def adjointness(self, kind: str, index: int | None = None):
         """The stencil's self-adjointness defect under the weight."""
-        key = (kind, index)
-        if key not in self._adjointness:
-            self._adjointness[key] = adjointness_defect(self.stencil(kind, index), self.weights())
-        return self._adjointness[key]
+        return self._keep(("adjointness", kind, index),
+                          lambda: adjointness_defect(self.stencil(kind, index), self.weights()))
 
     def _residuals_of(self, name: str, H: OperatorMatrix, keys, tables, eigenvalue) -> list:
         """The residual of the ``name`` table of each key under the stencil:
         the missing keys in one :func:`residual_defects` call, over
         ``tables(missing)`` and the eigenvalue of each."""
-        done = self._residuals.setdefault((name, H.op.kind, H.op.index), {})
-        missing = [k for k in dict.fromkeys(keys) if k not in done]
-        if missing:
-            found = residual_defects(H, tables(missing), [eigenvalue(k) for k in missing])
-            done.update(zip(missing, found))
-        return [done[k] for k in keys]
+        tag = ("residual", name, H.op.kind, H.op.index)
+        return self._keep_all([(*tag, k) for k in keys], lambda missing: residual_defects(
+            H, tables([key[-1] for key in missing]), [eigenvalue(key[-1]) for key in missing]))
 
     def eigen_residuals(self, kind: str, index: int | None, degrees) -> list:
         """The :func:`residual_defects` of P_m, m in ``degrees`` (tuples),
@@ -963,11 +958,8 @@ class SuiteContext:
             lambda key: self.eigenvalue("total", None, (key[1],) + zeros))
 
     def stencil(self, kind: str, index: int | None = None) -> OperatorMatrix:
-        key = (kind, index)
-        if key not in self._stencils:
-            spec = OperatorSpec(self.params, kind, index)
-            self._stencils[key] = operator_matrix(spec, self.lattice)
-        return self._stencils[key]
+        return self._keep(("stencil", kind, index), lambda: operator_matrix(
+            OperatorSpec(self.params, kind, index), self.lattice))
 
     @property
     def stencils(self) -> list[OperatorMatrix]:
@@ -982,12 +974,11 @@ class SuiteContext:
         lattice = self.lattice
         if bound not in (None, lattice.bound):
             lattice = Lattice(self.params.n, bound, lattice.truncated)
-        keys = [(lattice.bound, self.params.degree_index(m)) for m in degrees]
-        missing = [key for key in dict.fromkeys(keys) if key not in self._tables]
-        if missing:
-            built = eigenpoly_tables([m for _, m in missing], self.params, lattice, self._factors)
-            self._tables.update(zip(missing, built))
-        return [self._tables[key] for key in keys]
+        factors = self._keep(("factors",), dict)
+        return self._keep_all(
+            [("P_m", lattice.bound, self.params.degree_index(m)) for m in degrees],
+            lambda missing: eigenpoly_tables([m for *_, m in missing], self.params, lattice,
+                                             factors))
 
     def type_one(self, J: tuple, m: int) -> LatticeFunction:
         """Table of the degree-m type-one polynomial in x_J on the instance
@@ -995,17 +986,12 @@ class SuiteContext:
         x_J and on J only through a_J, so it is one integer grid per (m, a_J)
         over x_J = 0..bound (``params.type_one``); each J gets its own table,
         reduced by the gcd of its integers."""
-        key = (J, m)
-        if key not in self._type_one:
-            params, lattice = self.params, self.lattice
-            a_J = sum((params.a[j - 1] for j in J), ZERO)
-            if (m, a_J) not in self._type_one_grids:
-                self._type_one_grids[m, a_J] = params.type_one(m, a_J,
-                                                              list(range(lattice.bound + 1)))
-            by_sum, den = self._type_one_grids[m, a_J]
-            self._type_one[key] = LatticeFunction(
-                lattice, [by_sum[sum(x[j - 1] for j in J)] for x in lattice.points], den)
-        return self._type_one[key]
+        lattice = self.lattice
+        a_J = sum((self.params.a[j - 1] for j in J), ZERO)
+        by_sum, den = self._keep(("type-one grid", m, a_J), lambda: self.params.type_one(
+            m, a_J, list(range(lattice.bound + 1))))
+        return self._keep(("type-one", J, m), lambda: LatticeFunction(
+            lattice, [by_sum[sum(x[j - 1] for j in J)] for x in lattice.points], den))
 
 
 def _shifts(ctx: SuiteContext) -> list[CheckReport]:

@@ -1,6 +1,7 @@
-"""Every name a module of the package imports is used there, and every
-name the package exports resolves: a deletion leaves no dead import or
-stale export behind."""
+"""Every name a module of the package imports is used there, every private
+helper it defines is referenced there, and every name the package exports
+resolves: a deletion leaves no dead import, orphaned helper or stale
+export behind."""
 
 import ast
 from pathlib import Path
@@ -43,6 +44,19 @@ def test_every_import_is_used(path):
     unused = [f"{name} (line {line})" for name, line in imported_names(tree).items()
               if name not in used]
     assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_helper_is_referenced(path):
+    """Each module-level ``_name`` function or class is read somewhere in its
+    module: a helper whose last caller went is deleted with it."""
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    orphans = [f"{node.name} (line {node.lineno})" for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")
+               and node.name not in used]
+    assert orphans == []
 
 
 def test_every_export_resolves():

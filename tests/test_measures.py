@@ -18,7 +18,7 @@ from mvortho import (
 )
 from mvortho._backend import integer_scaled
 from mvortho.core import family_lattice, rising_factorial
-from mvortho.measures import meixner_normalization, meixner_shell_mass
+from mvortho.measures import meixner_normalization
 from test_core import multinomial, table_of
 from test_operators import form_down_rate, form_up_rate
 
@@ -266,6 +266,11 @@ def test_tail_power_sum_against_brute_force():
         brute = sum(R(s) ** t * q**s for s in range(7, 400))
         # geometric remainder beyond s=400 is far below the gap we allow
         assert abs(exact - brute) < R(1, 10**40)
+
+
+def meixner_shell_mass(params, s: int):
+    """Unnormalized weight mass of the shell |x| = s: (beta)_s |a|^s / s!."""
+    return rising_factorial(params.beta, s) * params.a_total**s / math.factorial(s)
 
 
 def test_meixner_tail_mass_bound_is_exact_for_integer_beta():

@@ -89,7 +89,7 @@ def test_eigen_degeneracy_reads_the_total_stencil(monkeypatch):
     ctx = V.SuiteContext(HAHN2)
     table = ctx.tables([(1, 1)])[0]
     nums, den = table.integer_form()
-    ctx._tables[(4, (1, 1))] = LatticeFunction(table.lattice, [nums[0] + den, *nums[1:]], den)
+    ctx._memo["P_m", 4, (1, 1)] = LatticeFunction(table.lattice, [nums[0] + den, *nums[1:]], den)
     report = V.eigen_degeneracy_check(ctx, 3)
     assert report.status == "fail" and report.max_defect > 0
     monkeypatch.setattr(V, "eigenvalue", lambda *args: eigenvalue(*args) + R(1, 7))
@@ -532,14 +532,15 @@ def test_completeness_fails_on_a_zeroed_or_perturbed_table_or_rate(params, monke
     # a zeroed table is an eigenvector of every stencil, but no basis vector
     ctx = V.SuiteContext(params)
     (table,) = ctx.tables([m])
-    ctx._tables[params.N, m] = LatticeFunction(table.lattice, [0] * table.lattice.size, 1)
+    ctx._memo["P_m", params.N, m] = LatticeFunction(table.lattice, [0] * table.lattice.size, 1)
     report = V.completeness_check(ctx)
     assert (report.status, report.detail) == ("fail", f"P_{m} vanishes")
     assert oracle_completeness(ctx)[0] == "fail"
     # one changed value: no eigenvector any more
     ctx = V.SuiteContext(params)
     nums, den = table.integer_form()
-    ctx._tables[params.N, m] = LatticeFunction(table.lattice, [*nums[:-1], nums[-1] + den], den)
+    ctx._memo["P_m", params.N, m] = LatticeFunction(table.lattice,
+                                                    [*nums[:-1], nums[-1] + den], den)
     report = V.completeness_check(ctx)
     assert report.status == "fail" and report.max_defect > 0
     assert "not an eigenvector" in report.detail
@@ -555,7 +556,7 @@ def test_completeness_fails_on_a_stencil_row_without_an_image():
     image there, so its residuals do not cover every row: not a basis proof."""
     ctx = V.SuiteContext(HAHN)
     H = ctx.stencil("total")
-    ctx._stencils["total", None] = dataclasses.replace(
+    ctx._memo["stencil", "total", None] = dataclasses.replace(
         H, rows=(*H.rows[:-1], {}), valid_rows=(*H.valid_rows[:-1], False))
     report = V.completeness_check(ctx)
     assert report.status == "fail"
@@ -633,12 +634,17 @@ def test_suite_forms_each_residual_once_in_one_call_per_stencil_and_degree(monke
 
 
 def test_suite_builds_each_stencil_and_table_once(monkeypatch):
+    """Every object of the context's memo is built once per suite: each
+    stencil and (lattice, m) table, the weight table, one adjointness
+    defect per stencil (adjointness and completeness share them), and on
+    the Meixner box the factorial moments once per order K (gram and
+    pair-orthogonality share K = 2)."""
     from collections import Counter
 
     from mvortho.core import enumerate_degrees
 
     params = HahnParams((R(1), R(2), R(3)), R(2), 5)
-    built, tables = [], []
+    built, tables, calls = [], [], Counter()
     build, tabulate = V.operator_matrix, V.eigenpoly_tables
 
     def counted_build(op, lattice=None):
@@ -649,8 +655,19 @@ def test_suite_builds_each_stencil_and_table_once(monkeypatch):
         tables.extend((lattice.bound, tuple(m)) for m in degs)
         return tabulate(degs, params, lattice, factors)
 
+    def count(name, key):
+        inner = getattr(V, name)
+
+        def counted(*args, **kwargs):
+            calls[name, key(*args)] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(V, name, counted)
+
     monkeypatch.setattr(V, "operator_matrix", counted_build)
     monkeypatch.setattr(V, "eigenpoly_tables", counted_tables)
+    count("weight_table", lambda params: params.family)
+    count("adjointness_defect", lambda H, w: H.op.label)
+    count("meixner_moments", lambda params, K: K)
     reports = V.run_suite(params)
     assert reports and not any(r.status == "fail" for r in reports)
     assert sorted(built) == ["exchange1", "exchange2", "single", "total"]
@@ -659,6 +676,13 @@ def test_suite_builds_each_stencil_and_table_once(monkeypatch):
     assert max(Counter(tables).values()) == 1
     assert sorted(m for bound, m in tables if bound == 5) == sorted(enumerate_degrees(3, 5))
     assert {bound for bound, _ in tables} == {5, 6}
+    assert calls == Counter({("weight_table", "hahn"): 1, **{
+        ("adjointness_defect", op): 1 for op in ["total", "single", "exchange1", "exchange2"]}})
+    calls.clear()
+    reports = V.run_suite(MEIX, xmax=4)
+    assert reports and not any(r.status == "fail" for r in reports)
+    assert calls == Counter({("weight_table", "meixner"): 1, ("meixner_moments", 2): 1, **{
+        ("adjointness_defect", op): 1 for op in ["total", "single", "exchange1"]}})
 
 
 @pytest.mark.parametrize("params, xmax", [(HAHN, None), (KRAW, None), (MEIX, 4)])
@@ -671,8 +695,9 @@ def test_suite_tables_carry_their_lcm_integer_form(params, xmax):
     ctx = V.SuiteContext(params, xmax=xmax)
     for name in V.SUITE:
         V.CHECKS[name](ctx)
-    assert {bound for bound, _ in ctx._tables} > {ctx.lattice.bound}
-    for table in [*ctx._tables.values(), *ctx._type_one.values()]:
+    tables = {key: table for key, table in ctx._memo.items() if key[0] in ("P_m", "type-one")}
+    assert {key[1] for key in tables if key[0] == "P_m"} > {ctx.lattice.bound}
+    for table in tables.values():
         nums, den = integer_scaled(table.values)
         assert table.integer_form() == (tuple(nums), den)
     fresh = V.SuiteContext(params, xmax=xmax).tables([(1,) * params.n])
@@ -743,6 +768,22 @@ def test_degree_invariance_report_gives_image_degree():
     report = V.degree_invariance_report(V.SuiteContext(KRAW), 2)
     assert report.status == "pass" and report.max_defect == 0
     assert report.detail == "largest image degree 2"
+
+
+@pytest.mark.parametrize("xmax, status", [(3, "skipped"), (4, "fail")])
+def test_degree_invariance_skips_a_box_too_small_to_show_the_degree(xmax, status):
+    """A total stencil whose diagonal gains x_1^3: on the Meixner box its
+    rows with an image form |x| <= K = xmax - 1, which shows degree 3 only
+    when K > M = 2.  At xmax 3 the report may not read "pass"."""
+    ctx = V.SuiteContext(MeixnerParams((R(1, 5), R(1, 4)), R(2)), xmax=xmax)
+    H = ctx.stencil("total")
+    rows = [{**row, i: row.get(i, 0) + x[0] ** 3 * H.den} if ok and x[0] else row
+            for i, (row, x, ok) in enumerate(zip(H.rows, H.lattice.points, H.valid_rows))]
+    ctx._memo["stencil", "total", None] = dataclasses.replace(H, rows=tuple(rows))
+    report = V.degree_invariance_report(ctx, 2)
+    assert report.status == status
+    assert report.detail == ("images only on |x| <= 2, so no degree above M=2 shows"
+                             if status == "skipped" else "largest image degree 3")
 
 
 def test_pair_orthogonality_reports():
