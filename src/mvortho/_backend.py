@@ -1,20 +1,17 @@
 """Rational arithmetic backend.
 
 Every scalar in this package is an exact rational, a stdlib
-``fractions.Fraction``.  ``BACKEND`` names it; ``perfbench/run.py``
+``fractions.Fraction``; ``BACKEND`` names it, and ``perfbench/run.py``
 records it in its environment line.  The hot kernels scale rationals to
-Python ints over one common denominator (:func:`integer_scaled`) and
-form one rational per result.  A value table stores only that integer
-form (:class:`mvortho.core.LatticeFunction`).  Every polynomial
-value, in a table or at one point, is built from the integers of its
-factor slots, each an integer sum over its coefficient row's
-denominator, so no rational is formed per factor value; the kernels and
-the exporters that read the tables rescale nothing, and a table forms
-its rationals only when its values are read.  Weights are integer slot
-products too: the family's rows in each x_i and in |x|, each scaled to
-integers once.  The operator stencils are written from the family's
-rate constants scaled once to integers, and the degree test takes Newton
-differences of integer images: no rational is formed per stencil entry.
+Python ints over one common denominator (:func:`integer_scaled`) and form
+one rational per result.  A value table stores only that integer form
+(:class:`mvortho.core.LatticeFunction`) and forms its rationals when its
+values are read.  Polynomial values are built from the integers of their
+factor slots, weights from the family's weight rows and stencils from its
+rate constants, each scaled to integers once: no rational is formed per
+factor value, weight factor or stencil entry, and the kernels and
+exporters that read the tables rescale nothing.  Only family-free objects
+outlive a call (see :mod:`mvortho.core`).
 """
 
 from __future__ import annotations

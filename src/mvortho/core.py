@@ -1,18 +1,27 @@
-"""Combinatorial primitives, lattice enumeration, and parameter bundles.
+"""Combinatorial primitives, lattices, and parameter bundles.
 
 All quantities are exact: coordinates and degrees are Python ints,
 scalars are backend rationals (see :mod:`mvortho._backend`).  Everything
 here is a pure function of its inputs; values are immutable after
 construction and safe to share across threads.
+
+Kept per process, in bounded caches, each a pure function of its key:
+one :class:`Lattice` per shape (:func:`shared_lattice`), the coefficient
+rows of :mod:`mvortho.polynomials`, the Newton plans of :mod:`mvortho.linalg`
+and the command-line parser.  Stencils, weights, slot factors and tables
+hold family data: each context or call builds its own, through family
+methods and row builders looked up at each build, so patched rates,
+weights or rows reach every fresh context.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from ._backend import R, ZERO, as_integer
 from .serialize import rational_str
@@ -34,55 +43,31 @@ def term_row(bound: int, ratio) -> list:
     return list(accumulate(range(1, bound + 1), lambda t, k: t * ratio(k), initial=R(1)))
 
 
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` non-negative ints summing to `total`, lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def enumerate_lattice(n: int, N: int) -> tuple[tuple[int, ...], ...]:
-    """All x in N_0^n with |x| <= N, graded-lexicographic order.
-
-    Points are sorted by total |x| first, then lexicographically; the
-    result has binomial(N + n, n) entries.  This fixed order is the
-    canonical indexing used by every table and matrix in the package.
-    """
-    if n < 1 or N < 0:
-        raise ValueError("enumerate_lattice needs n >= 1 and N >= 0")
-    pts: list[tuple[int, ...]] = []
-    for s in range(N + 1):
-        pts.extend(compositions(s, n))
-    return tuple(pts)
-
-
-def enumerate_degrees(n: int, max_total: int) -> tuple[tuple[int, ...], ...]:
-    """Degree multi-indices with |m| <= max_total, same graded-lex order."""
-    return enumerate_lattice(n, max_total)
-
-
 @dataclass(frozen=True)
 class Lattice:
-    """Enumerated finite lattice {x in N_0^n : |x| <= bound}.
-
-    For the bounded families the bound is N and the lattice is the exact
-    domain.  For Meixner the true domain is all of N_0^n and a lattice
-    with ``truncated=True`` is a finite working box.
+    """Enumerated finite lattice {x in N_0^n : |x| <= bound}, its points
+    sorted by |x|, then lexicographically: the canonical indexing of every
+    table and matrix.  For the bounded families the bound is N and the
+    lattice is the exact domain; for Meixner (domain N_0^n) a lattice with
+    ``truncated=True`` is a finite working box.  Equality is by shape; the
+    points, the read-only ``index`` and the views are immutable and shared.
     """
 
     n: int
     bound: int
     truncated: bool = False
     points: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    index: dict = field(init=False, repr=False, compare=False)
+    index: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = enumerate_lattice(self.n, self.bound)
+        if self.n < 1 or self.bound < 0:
+            raise ValueError("a lattice needs n >= 1 and bound >= 0")
+        pts = [()]
+        for _ in range(self.n):
+            pts = [x + (c,) for x in pts for c in range(self.bound + 1 - sum(x))]
+        pts = tuple(sorted(pts, key=sum))  # a stable sort keeps the lex order within |x|
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "index", {p: i for i, p in enumerate(pts)})
+        object.__setattr__(self, "index", MappingProxyType({p: i for i, p in enumerate(pts)}))
 
     @property
     def size(self) -> int:
@@ -92,8 +77,35 @@ class Lattice:
     def steps(self) -> tuple:
         """(up, down): up[j][i] and down[j][i] index x + e_j and x - e_j for
         the i-th point x, None off the lattice; the stencils read them."""
-        return tuple([[self.index.get(x[:j] + (x[j] + d,) + x[j + 1:]) for x in self.points]
-                      for j in range(self.n)] for d in (1, -1))
+        return tuple(tuple(tuple(self.index.get(x[:j] + (x[j] + d,) + x[j + 1:])
+                                 for x in self.points) for j in range(self.n))
+                     for d in (1, -1))
+
+    @cached_property
+    def sizes(self) -> tuple:
+        """|x| of each point."""
+        return tuple(map(sum, self.points))
+
+    @cached_property
+    def pair_coords(self) -> tuple:
+        """[j - 1][i]: (x_j, x_{>j}) of the i-th point x, read by pair slot j = 1..n-1."""
+        return tuple(tuple((x[j - 1], sum(x[j:])) for x in self.points) for j in range(1, self.n))
+
+
+@lru_cache(maxsize=64)
+def shared_lattice(n: int, bound: int, truncated: bool) -> Lattice:
+    """The process's one lattice of this shape; positional arguments keep one key per shape."""
+    return Lattice(n, bound, truncated)
+
+
+def enumerate_lattice(n: int, N: int) -> tuple[tuple[int, ...], ...]:
+    """All x in N_0^n with |x| <= N in graded-lex order: the shared lattice's points."""
+    return shared_lattice(n, N, False).points
+
+
+def enumerate_degrees(n: int, max_total: int) -> tuple[tuple[int, ...], ...]:
+    """Degree multi-indices with |m| <= max_total, same graded-lex order."""
+    return enumerate_lattice(n, max_total)
 
 
 @dataclass(frozen=True)
@@ -244,7 +256,7 @@ def family_lattice(params, xmax: int | None = None) -> Lattice:
     caller-supplied truncation bound ``xmax``.
     """
     if params.N is not None:
-        return Lattice(params.n, params.N)
+        return shared_lattice(params.n, params.N, False)
     if xmax is None:
         raise ValueError("Meixner lattice needs an explicit xmax")
-    return Lattice(params.n, xmax, truncated=True)
+    return shared_lattice(params.n, xmax, True)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import enumerate_lattice
+from .core import shared_lattice
 
 def slot_width(bound: int) -> int:
     """The slot width W = bound.bit_length() + 1, the least W with
@@ -79,19 +79,14 @@ def unpack(value: int, W: int, count: int) -> list:
 
 @lru_cache(maxsize=64)
 def _newton_plan(n: int, K: int) -> tuple:
-    """(size, steps) of the simplex {|x| <= K}: the steps (x, x - e_a) of
-    f(x) -= f(x - e_a), pass k = 1..K along each axis a in turn over the
-    points with x_a >= k."""
-    points = enumerate_lattice(n, K)
-    index = {p: i for i, p in enumerate(points)}
-    steps = []
-    for a in range(n):
-        # largest x_a first: a pass reads f(x - e_a) before it changes it
-        down = sorted(points, key=lambda x: -x[a])
-        for k in range(1, K + 1):
-            steps += [(index[x], index[x[:a] + (x[a] - 1,) + x[a + 1:]])
-                      for x in down if x[a] >= k]
-    return len(points), tuple(steps)
+    """(size, steps) of the simplex {|x| <= K}: the index pairs (x, x - e_a)
+    of f(x) -= f(x - e_a), pass k = 1..K along each axis a in turn over the
+    points with x_a >= k, from the shared lattice's down steps, in reverse
+    graded-lex order: a pass reads f(x - e_a) before it changes it."""
+    simplex = shared_lattice(n, K, False)
+    points, downs = simplex.points, simplex.steps[1]
+    return simplex.size, tuple((i, downs[a][i]) for a in range(n) for k in range(1, K + 1)
+                               for i in range(simplex.size - 1, -1, -1) if points[i][a] >= k)
 
 
 def newton_differences(nums, n: int, K: int) -> list:

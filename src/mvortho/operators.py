@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from operator import mul
+from operator import and_, mul
 
 from ._backend import R, integer_scaled
 from .core import Lattice, enumerate_degrees, family_lattice
@@ -159,8 +159,7 @@ def operator_matrix(op: OperatorSpec, lattice: Lattice | None = None) -> Operato
     lo = op.index - 1 if op.kind == "exchange" else 0 if op.kind == "total" else n
     pairs = [(j, k) for j in range(lo, n) for k in range(lo, n) if k != j]
     rows, valid = [], []
-    for i, x in enumerate(lattice.points):
-        s = sum(x)
+    for i, (x, s) in enumerate(zip(lattice.points, lattice.sizes)):
         up, down = u0 + u1 * s, D * (d0 + d1 * s)
         births = [up * (v1 * c + ak) for c, ak in zip(x, a)] if single else ()
         if s == lattice.bound and any(births):
@@ -190,16 +189,15 @@ def operator_matrix(op: OperatorSpec, lattice: Lattice | None = None) -> Operato
     return OperatorMatrix(op, lattice, tuple(rows), D * D // g, tuple(valid))
 
 
-def _product_valid_rows(M1: OperatorMatrix, M2: OperatorMatrix):
-    """Rows where (M1 M2) equals the untruncated operator product.
+def compared_rows(M1: OperatorMatrix, M2: OperatorMatrix) -> list:
+    """The rows :func:`commutator_defects` compares: where M1 M2 and M2 M1
+    both equal the untruncated products.  Row x of M1 M2 reads the rows z of
+    M2 with M1[x][z] != 0, so it is exact iff they and row x of M1 are."""
+    def exact(A, B):
+        return A.valid_rows if all(B.valid_rows) else [
+            ok and all(B.valid_rows[j] for j in row) for row, ok in zip(A.rows, A.valid_rows)]
 
-    Row x of the product reads rows z of M2 wherever M1[x][z] != 0, so
-    it is exact iff row x of M1 and all those rows of M2 are exact.
-    """
-    if all(M2.valid_rows):
-        return M1.valid_rows
-    return [ok and all(M2.valid_rows[j] for j in row)
-            for row, ok in zip(M1.rows, M1.valid_rows)]
+    return list(map(and_, exact(M1, M2), exact(M2, M1)))
 
 
 def commutator_defects(stencils) -> list:
@@ -223,9 +221,8 @@ def commutator_defects(stencils) -> list:
     out = []
     for (M1, P1), (M2, P2) in combinations(zip(stencils, packed), 2):
         worst = 0
-        for row1, row2, ok12, ok21 in zip(M1.rows, M2.rows, _product_valid_rows(M1, M2),
-                                          _product_valid_rows(M2, M1)):
-            if not (ok12 and ok21):
+        for row1, row2, ok in zip(M1.rows, M2.rows, compared_rows(M1, M2)):
+            if not ok:
                 continue
             d = (sum(map(mul, row1.values(), map(P2.__getitem__, row1)))
                  - sum(map(mul, row2.values(), map(P1.__getitem__, row2))))
@@ -280,8 +277,7 @@ def image_degree(stencils, M: int) -> int:
     N = stencils[0].op.params.N
     if N is not None and M > N:
         raise ValueError("need M <= N")
-    n, points = lattice.n, lattice.points
-    sums = [sum(x) for x in points]
+    n, points, sums = lattice.n, lattice.points, lattice.sizes
     exponents = enumerate_degrees(n, M)
     W = slot_width(max(H.row_bounds[0] for H in stencils) * max(1, lattice.bound) ** max(M, 0)
                    << (n * lattice.bound))

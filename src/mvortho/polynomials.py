@@ -59,7 +59,7 @@ from itertools import chain
 from typing import Sequence
 
 from ._backend import R, ONE, as_integer, integer_scaled
-from .core import FamilyParams, Lattice, LatticeFunction
+from .core import FamilyParams, Lattice, LatticeFunction, shared_lattice
 from .operators import OperatorSpec
 
 # Rows kept per cached builder; a row is one (degree, parameters).
@@ -297,7 +297,9 @@ def eigenpoly(m: Sequence[int], x: Sequence[int], params):
     to 0."""
     FamilyParams.require(params)
     m = params.degree_index(m)
-    (nums, den), = _slot_products([m], params, [params.check_point(x)], {})
+    x = params.check_point(x)
+    coords = [[(x[j - 1], sum(x[j:]))] for j in range(1, params.n)]
+    (nums, den), = _slot_products([m], params, [sum(x)], coords, {})
     return R(nums[0], den)
 
 
@@ -329,16 +331,15 @@ def eigenpoly_tables(degrees, params, lattice: Lattice, factors: dict | None = N
     if lattice.n != params.n:
         raise ValueError(f"lattice has {lattice.n} coordinates, params have {params.n}")
     degrees = [params.degree_index(m) for m in degrees]
-    products = _slot_products(degrees, params, lattice.points, {} if factors is None else factors)
+    products = _slot_products(degrees, params, lattice.sizes, lattice.pair_coords,
+                              {} if factors is None else factors)
     return [LatticeFunction(lattice, nums, den) for nums, den in products]
 
 
-def _slot_products(degrees, params, points, factors: dict) -> list[tuple]:
-    """(numerators, den) of P_m at the integer ``points`` for each m of
-    ``degrees``: the slot product of :func:`eigenpoly_tables`."""
-    # (x_j, x_{>j}) of every point, for the pair slots j = 1..n-1
-    coords = [[(x[j - 1], sum(x[j:])) for x in points] for j in range(1, params.n)]
-    sizes = [sum(x) for x in points]
+def _slot_products(degrees, params, sizes, coords, factors: dict) -> list[tuple]:
+    """(numerators, den) of P_m, for each m of ``degrees``, at the integer
+    points with |x| in ``sizes`` and pair slot arguments ``coords`` (as
+    :attr:`Lattice.pair_coords`): the slot product of :func:`eigenpoly_tables`."""
     slots: dict = {}
 
     def slot(method, key: tuple, args: list) -> tuple:
@@ -427,5 +428,5 @@ def pair_backward_table(m: int, alpha, gamma, box: int) -> LatticeFunction:
               - (u * (v * qg + pg) * qa * P[u - 1][v] if u else 0)
               for v in range(box + 1 - u)] for u in range(box + 1)]
         den *= qa * qg
-    lattice = Lattice(2, box)
+    lattice = shared_lattice(2, box, False)
     return LatticeFunction(lattice, [P[u][v] for u, v in lattice.points], den)

@@ -13,10 +13,10 @@ on first use and keeps it in one memo, so a suite builds each of them
 once.  The eigenpolynomials and pair products the checks read on the
 lattice are all P_m tables of the context (a pair product is P_m with the
 other degrees 0).  Checks only read what the context built; the context
-fills its memo as checks ask, so one context serves one thread.  Nothing
-is kept beyond a context: a fresh context sees patched rates, weights or
-factors.  An identity check passes iff its largest |lhs - rhs| is exactly
-0 (:func:`_exact`).
+fills its memo as checks ask, so one context serves one thread.  Beyond a
+context only the family-free caches of :mod:`mvortho.core` are kept, so a
+fresh context sees patched rates, weights or factors.  An identity check
+passes iff its largest |lhs - rhs| is exactly 0 (:func:`_exact`).
 
 The shift and recursion identities (``sv-shifts``, ``sv-difference-eq``,
 ``pair-shifts``, ``pair-recursions``, ``generalized-recursions``,
@@ -39,7 +39,8 @@ from itertools import combinations, combinations_with_replacement
 from operator import lshift, mul
 
 from ._backend import R, ZERO, ONE, integer_scaled
-from .core import Lattice, LatticeFunction, enumerate_degrees, family_lattice, rising_factorial
+from .core import (LatticeFunction, enumerate_degrees, family_lattice, rising_factorial,
+                   shared_lattice)
 from .linalg import slot_width, unpack
 from .measures import (
     gram_matrix,
@@ -52,6 +53,7 @@ from .operators import (
     OperatorSpec,
     adjointness_defect,
     commutator_defects,
+    compared_rows,
     image_degree,
     integer_rates,
     operator_matrix,
@@ -239,9 +241,16 @@ def adjointness_check(ctx: SuiteContext) -> CheckReport:
 
 
 def commutator_check(ctx: SuiteContext) -> CheckReport:
+    """Each pair of stencils commutes on its compared rows; a pair with none
+    shows nothing, so unless some pair FAILs the report SKIPs and names it."""
     def body():
-        detail = "interior-restricted rows" if ctx.lattice.truncated else ""
-        return _exact(commutator_defects(ctx.stencils), detail)
+        result = _exact(commutator_defects(ctx.stencils),
+                        "interior-restricted rows" if ctx.lattice.truncated else "")
+        blind = [f"{M1.op.label}/{M2.op.label}" for M1, M2 in combinations(ctx.stencils, 2)
+                 if result[0] == PASS and not any(compared_rows(M1, M2))]
+        if blind:
+            return SKIP, None, f"no row valid for both products of {', '.join(blind)}"
+        return result
 
     return _report("commutators", ctx.params.label, body)
 
@@ -251,7 +260,7 @@ def degree_invariance_report(ctx: SuiteContext, M: int) -> CheckReport:
     The rows with an image form a simplex |x| <= K, which shows no degree
     above K: if some stencil has K <= M, the test can see nothing (SKIP)."""
     def body():
-        K = min(max(sum(x) for x, ok in zip(ctx.lattice.points, H.valid_rows) if ok)
+        K = min(max(s for s, ok in zip(ctx.lattice.sizes, H.valid_rows) if ok)
                 for H in ctx.stencils)
         if K <= M:
             return SKIP, None, f"images only on |x| <= {K}, so no degree above M={M} shows"
@@ -831,7 +840,8 @@ class SuiteContext:
     benchmark's recorded digests pin the report instances of degree 1.
 
     Each object a check reads is built on first use and kept for the life
-    of the context in one memo, whose keys lead with the kind of object:
+    of the context in one memo, whose keys lead with the kind of object
+    (the lattices it reads are the process's, see :mod:`mvortho.core`):
 
         ("weights",)                           the weight table
         ("stencil", kind, index)               an operator's stencil
@@ -971,9 +981,8 @@ class SuiteContext:
         """Tables of P_m for m in ``degrees`` on the instance lattice, or on the
         simplex |x| <= bound with the same truncation flag.  The missing ones
         are built in one call, from the context's factor dict."""
-        lattice = self.lattice
-        if bound not in (None, lattice.bound):
-            lattice = Lattice(self.params.n, bound, lattice.truncated)
+        lattice = self.lattice if bound is None else shared_lattice(
+            self.params.n, bound, self.lattice.truncated)
         factors = self._keep(("factors",), dict)
         return self._keep_all(
             [("P_m", lattice.bound, self.params.degree_index(m)) for m in degrees],

@@ -2,14 +2,20 @@
 call, and no input that ends in anything but exit code 0, 1 or 2."""
 
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvortho import cli
+from mvortho.core import shared_lattice
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 HAHN = ["--family", "hahn", "--a", "1,2,1/2", "--b", "2", "--N", "4"]
 KRAW = ["--family", "krawtchouk", "--a", "1/2,1/3", "--N", "3"]
@@ -55,6 +61,29 @@ def test_main_reuses_one_parser_and_prints_what_a_fresh_parser_prints(tmp_path):
     assert [rc for rc, _, _ in reused] == [0, 0, 0, 0, 0, 0, 2, 0, 2, 0]
     assert reused[0][1] == "" and reused[1][1].startswith("(0, 0, 0) ")
     assert (tmp_path / "reused.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+
+def test_export_calls_print_their_recorded_bytes_around_calls_on_other_shapes():
+    """The benchmark's hahn-export calls (Hahn n=4 N=5), then suites on two
+    other shapes, then the export calls again, in one process: each pass
+    prints the bytes whose digests the benchmark recorded, so a lattice
+    shared across calls changes no output, whichever call built it."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", BENCH / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    calls = bench.WORKLOADS["hahn-export"].calls(0)
+    expected = [entry["sha256"] for entry in bench.load_expected("hahn-export")]
+
+    def digests():
+        outputs = [run(argv) for argv in calls]
+        assert {(rc, err) for rc, _, err in outputs} == {(0, "")}
+        return [hashlib.sha256(out.encode()).hexdigest() for _, out, _ in outputs]
+
+    shared_lattice.cache_clear()
+    assert digests() == expected
+    for other in (KRAW, MEIX):
+        assert run(["verify", *other, "--format", "json"])[0] == 0
+    assert digests() == expected
 
 
 # Malformed values beside the good ones: text the parsers must refuse with

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mvortho import FamilyParams, R, LatticeFunction, enumerate_lattice, rising_factorial
 from mvortho._backend import integer_scaled
-from mvortho.core import Lattice, term_row
+from mvortho.core import Lattice, family_lattice, term_row
 from mvortho.families import HahnParams, KrawtchoukParams, MeixnerParams
 
 
@@ -135,6 +135,31 @@ def test_lattice_index_round_trip():
         assert lat.index[p] == k
 
 
+def test_family_lattice_shares_one_lattice_per_shape():
+    """Equal shapes give the one lattice of the process, whatever the family;
+    a different n, bound or truncation gives another.  A lattice built
+    directly is equal to the shared one but not it, and the shared views
+    are immutable."""
+    lattice = family_lattice(HahnParams((R(1), R(2), R(3)), R(2), 5))
+    assert family_lattice(KrawtchoukParams((R(1, 2), R(1, 3), R(2)), 5)) is lattice
+    assert enumerate_lattice(3, 5) is lattice.points
+    others = [family_lattice(HahnParams((R(1), R(2)), R(2), 5)),
+              family_lattice(HahnParams((R(1), R(2), R(3)), R(2), 6)),
+              family_lattice(MeixnerParams((R(1, 5), R(1, 5), R(1, 5)), R(2)), xmax=5)]
+    assert [(o.n, o.bound, o.truncated) for o in others] == [(2, 5, False), (3, 6, False),
+                                                            (3, 5, True)]
+    assert len({id(o) for o in [lattice, *others]}) == 4
+    assert Lattice(3, 5) == lattice and Lattice(3, 5) is not lattice
+    views = [lattice.points, lattice.sizes, lattice.pair_coords, *lattice.pair_coords,
+             lattice.steps, *lattice.steps, *(axis for side in lattice.steps for axis in side)]
+    assert all(type(view) is tuple for view in views)
+    assert lattice.sizes == tuple(sum(x) for x in lattice.points)
+    assert lattice.pair_coords == tuple(tuple((x[j - 1], sum(x[j:])) for x in lattice.points)
+                                        for j in (1, 2))
+    with pytest.raises(TypeError):
+        lattice.index[(9, 9, 9)] = 0
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         HahnParams((R(1), R(-1)), R(1), 4)
@@ -157,7 +182,6 @@ def test_tables_from_integers_form_their_values_on_first_read():
     """A table keeps only its integer form until ``values`` is read; then
     the values are nums[i] / den at every point."""
     from mvortho import eigenpoly_tables
-    from mvortho.core import family_lattice
 
     params = HahnParams((R(1), R(2), R(1, 2)), R(2), 4)
     lattice = family_lattice(params)

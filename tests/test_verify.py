@@ -786,6 +786,27 @@ def test_degree_invariance_skips_a_box_too_small_to_show_the_degree(xmax, status
                              if status == "skipped" else "largest image degree 3")
 
 
+def test_commutators_skip_a_pair_compared_on_no_row():
+    """On the Meixner box at xmax 1 the total/single pair has no row valid for
+    both products, so the report cannot PASS; it SKIPs and names the pair,
+    and stays FAIL when a pair compared on some row does not commute."""
+    meix = MeixnerParams((R(1, 5), R(1, 4)), R(2))
+    ctx = V.SuiteContext(meix, xmax=1)
+    report = V.commutator_check(ctx)
+    assert (report.status, report.max_defect) == ("skipped", None)
+    assert report.detail == "no row valid for both products of total/single"
+    # exchange1 with its row at x = (1, 0) doubled: total/exchange1 compare at x = 0
+    H = ctx.stencil("exchange", 1)
+    i = H.lattice.index[(1, 0)]
+    rows = [{j: 2 * v for j, v in row.items()} if k == i else row for k, row in enumerate(H.rows)]
+    ctx._memo["stencil", "exchange", 1] = dataclasses.replace(H, rows=tuple(rows))
+    report = V.commutator_check(ctx)
+    assert report.status == "fail" and report.max_defect > 0
+    report = V.commutator_check(V.SuiteContext(meix, xmax=2))
+    assert (report.status, report.max_defect, report.detail) == ("pass", 0,
+                                                                "interior-restricted rows")
+
+
 def test_pair_orthogonality_reports():
     assert V.pair_orthogonality_report(V.SuiteContext(HAHN), 1).status == "pass"
     assert V.pair_orthogonality_report(V.SuiteContext(HAHN), 2).status == "pass"
