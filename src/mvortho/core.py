@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import floordiv
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -127,7 +128,7 @@ class LatticeFunction:
 
     def __post_init__(self):
         g = math.gcd(self.den, *self.nums)
-        object.__setattr__(self, "nums", tuple(v // g for v in self.nums))
+        object.__setattr__(self, "nums", tuple(map(floordiv, self.nums, repeat(g))))
         object.__setattr__(self, "den", self.den // g)
 
     @cached_property

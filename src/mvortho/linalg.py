@@ -23,11 +23,24 @@ residual row q sum_j H[i][j] num_j - p H.den num_i of a table num with
 eigenvalue p/q has |slot| <= q S max|num| + |p| H.den max|num|, since
 |sum_j H[i][j] num_j| <= (sum_j |H[i][j]|) max|num| <= S max|num|; over a
 batch of tables the bound is the largest of theirs.
+
+A sparse row of slots is packed by :func:`pack`; T whole tables of L
+values each, one packed integer per column, by :func:`pack_columns`.  The
+flat sum_t v_t 2^(W t), added one slot at a time, rewrites a partial sum
+of up to T W bits at each of its T steps: O(T^2 W) bit operations per
+column.  :func:`pack_columns` instead combines neighbouring tables a, b
+into a + b 2^w, with w = W at the first level and doubled at each next
+one.  By associativity and distributivity of integer + and *, whatever
+the signs of the slots, the result is the same integer, and each of the
+ceil(log2 T) levels touches every bit of the column a bounded number of
+times: O(T W log T) per column.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
+from operator import add, lshift
 
 from .core import shared_lattice
 
@@ -55,6 +68,27 @@ def pack(slots, W: int) -> int:
         return 0
     lo = min(slots)
     return sum(v << (W * (t - lo)) for t, v in slots.items()) << (W * lo)
+
+
+def pack_columns(tables, W: int) -> list:
+    """[sum_t tables[t][j] 2^(W t) for each column j]: T >= 1 tables, iterables
+    of equal length, packed column by column, W bits per slot.
+
+    Neighbouring entries of a level are combined as a + (b << w), a whole
+    table at a time; w starts at W and doubles with each level.  Entry k
+    of level l then holds tables k 2^l .. (k+1) 2^l - 1 as
+    sum_t v_t 2^(W (t - k 2^l)): true at l = 0, and a + (b << W 2^l) for
+    the entries 2k and 2k+1 of level l is that sum for entry k of level
+    l+1; an odd entry out starts at table 2k 2^l = k 2^(l+1) already.  So
+    the last level's one entry is the flat sum, for any signs, in
+    O(T W log T) bit operations per column (module docstring)."""
+    level, w = list(tables), W
+    while len(level) > 1:
+        odd = level[-1:] if len(level) % 2 else []
+        level = [list(map(add, a, map(lshift, b, repeat(w))))
+                 for a, b in zip(level[::2], level[1::2])] + odd
+        w *= 2
+    return list(level[0])
 
 
 def unpack(value: int, W: int, count: int) -> list:

@@ -339,25 +339,35 @@ def eigenpoly_tables(degrees, params, lattice: Lattice, factors: dict | None = N
 def _slot_products(degrees, params, sizes, coords, factors: dict) -> list[tuple]:
     """(numerators, den) of P_m, for each m of ``degrees``, at the integer
     points with |x| in ``sizes`` and pair slot arguments ``coords`` (as
-    :attr:`Lattice.pair_coords`): the slot product of :func:`eigenpoly_tables`."""
+    :attr:`Lattice.pair_coords`): the slot product of :func:`eigenpoly_tables`.
+    A slot is evaluated at each distinct argument of its list once, and
+    spread to the points by their positions among those arguments."""
     slots: dict = {}
 
-    def slot(method, key: tuple, args: list) -> tuple:
+    def spread(args) -> tuple:
+        """(the distinct arguments of ``args``, the position of each argument among them)."""
+        at: dict = {}
+        return at, [at.setdefault(arg, len(at)) for arg in args]
+
+    def slot(method, key: tuple, spread_args: tuple) -> tuple:
         """Numerators of the slot ``key`` at every point, over its denominator."""
         if key not in slots:
+            distinct, positions = spread_args
             den, known = factors.get(key, (None, {}))
-            missing = [arg for arg in dict.fromkeys(args) if arg not in known]
+            missing = [arg for arg in distinct if arg not in known]
             if missing:
                 nums, den = method(*key, missing)
                 known.update(zip(missing, nums))
                 factors[key] = den, known
-            slots[key] = [known[arg] for arg in args], den
+            values = [known[arg] for arg in distinct]
+            slots[key] = list(map(values.__getitem__, positions)), den
         return slots[key]
 
+    radial, pairs = spread(sizes), [spread(args) for args in coords]
     products = []
     for m in degrees:
-        nums, den = slot(params.radial_slot, (m[0], sum(m[1:])), sizes)
-        for j, args in enumerate(coords, start=1):
+        nums, den = slot(params.radial_slot, (m[0], sum(m[1:])), radial)
+        for j, args in enumerate(pairs, start=1):
             fnums, fden = slot(params.pair_slot, (j, m[j], sum(m[j + 1 :])), args)
             nums = list(map(operator.mul, nums, fnums))
             den *= fden

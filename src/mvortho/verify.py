@@ -35,13 +35,13 @@ import random
 import time
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations, combinations_with_replacement
-from operator import lshift, mul
+from itertools import combinations, combinations_with_replacement, repeat
+from operator import mul
 
 from ._backend import R, ZERO, ONE, integer_scaled
 from .core import (LatticeFunction, enumerate_degrees, family_lattice, rising_factorial,
                    shared_lattice)
-from .linalg import slot_width, unpack
+from .linalg import pack_columns, slot_width, unpack
 from .measures import (
     gram_matrix,
     lattice_inner_product,
@@ -282,11 +282,14 @@ def residual_defects(H: OperatorMatrix, tables, eigenvalues) -> list:
     With f = num/den and eig = p/q, row i compares q sum_j H[i][j] num_j
     with p H.den num_i, and the largest difference of a table is its one
     rational, over q H.den den.  The tables are packed into slots,
-    W = ``slot_width(bound)`` bits each (:mod:`mvortho.linalg`): column j
-    holds q num_j and the diagonal side p H.den num_i of every table, so
+    W = ``slot_width(bound)`` bits each, column by column by
+    :func:`mvortho.linalg.pack_columns` in O(T W log T) per column: column
+    j holds q num_j and the diagonal side p H.den num_i of every table, so
     row i is one big-int multiply-add per stored entry, and it passes for
-    every table at once when sum_j H[i][j] QA[j] - PB[i] = 0.  Only a row
-    that does not is unpacked, for the exact residual of each table.  The
+    every table at once when sum_j H[i][j] QA[j] - PB[i] = 0; a q or p
+    shared by every table (one shell under total) scales the packed num
+    columns instead, so those tables are packed once.  Only a row
+    that does not pass is unpacked, for the exact residual of each table.  The
     bound is max over the tables of (S q + |p| H.den) max |num|, S the
     largest absolute row sum.
     """
@@ -301,12 +304,16 @@ def residual_defects(H: OperatorMatrix, tables, eigenvalues) -> list:
     S = H.row_bounds[0]
     W = slot_width(max((max(map(abs, nums), default=0) * (S * q + abs(p))
                         for (nums, _), q, p in zip(forms, qs, ps)), default=0))
-    shifts = range(0, W * len(forms), W)
-    # column j of the tables, and the diagonal side of row i, as one integer each
-    QA = [sum(map(lshift, column, shifts))
-          for column in zip(*([q * v for v in nums] for (nums, _), q in zip(forms, qs)))]
-    PB = [sum(map(lshift, column, shifts))
-          for column in zip(*([p * v for v in nums] for (nums, _), p in zip(forms, ps)))]
+    shared = len(set(qs)) == 1 or len(set(ps)) == 1
+    packed = pack_columns([nums for nums, _ in forms], W) if shared else None
+
+    def columns(scales) -> list:
+        """Column j of the tables, slot t scaled by scales[t], as one integer."""
+        if len(set(scales)) == 1:
+            return list(map(mul, packed, repeat(scales[0])))
+        return pack_columns([map(mul, nums, repeat(c)) for (nums, _), c in zip(forms, scales)], W)
+
+    QA, PB = columns(qs), columns(ps)
     worst = [0] * len(forms)
     for i in [i for i, ok in enumerate(H.valid_rows) if ok]:
         row = H.rows[i]
@@ -682,10 +689,27 @@ def completeness_check(ctx: SuiteContext) -> CheckReport:
     bundles have c > 0, d1 <= 0, e = 1 and e1 >= 0, so the steps from d to
     d + 1, c - 2 d1 d, and from S to S + 1, c_i + 2 e1 S, are positive: both
     maps are strictly increasing.  So the tuple fixes |m| and every S_i,
-    hence m; equal tuples FAIL.  The residuals are formed one total degree
-    per kernel call (one pack across degrees would need the slot width of
-    the largest table), and those of the eigen check, |m| <= m_max, are
-    reused, as are the adjointness defects.
+    hence m; equal tuples FAIL.
+
+    The exchange residuals are nested.  exchange(i) moves only the sites
+    i..n, so along each of its moves |x| and x_1 .. x_{i-1} are constant,
+    and with them the radial slot and the pair slots 1 .. i-1 of P_m,
+    which read only |x| and (x_j, x_{>j}) = (x_j, |x| - x_1 - ... - x_j).
+    P_m is those slots times the pair slots i .. n-1, which are P_m' for
+    m' = m with m_0 .. m_{i-1} set to 0 (:func:`eigenpoly`), and the
+    eigenvalue reads S_i alone, equal for m and m'.  So on every row,
+    (exchange(i) - lambda) P_m is those slots times (exchange(i) - lambda) P_m',
+    and the exchange(i) residuals are formed only for the m with
+    m_0 = ... = m_{i-1} = 0; total's are formed for every P_m.  The premise
+    is checked, not assumed: every off-diagonal entry of each exchange(i)
+    stencil must join two points of equal |x| and x_1 .. x_{i-1}.
+
+    The residuals are formed one total degree (shell) per kernel call
+    (one pack across degrees would need the slot width of the largest
+    table); those of the eigen check, |m| <= m_max, are reused, as are the
+    adjointness defects.  A shell above m_max is dropped from the context
+    once its residuals are formed, so at most one such shell of tables is
+    held at a time; the tables of |m| <= m_max stay for the other checks.
     """
     params = ctx.params
 
@@ -707,15 +731,23 @@ def completeness_check(ctx: SuiteContext) -> CheckReport:
         for op in ops:
             if not all(ctx.stencil(op.kind, op.index).valid_rows):
                 return FAIL, None, f"image of {op.label} not defined on every row"
+        for op in ops[1:]:
+            kept = [(s, x[:op.index - 1]) for x, s in zip(ctx.lattice.points, ctx.lattice.sizes)]
+            if any(kept[j] != kept[i]
+                   for i, row in enumerate(ctx.stencil(op.kind, op.index).rows) for j in row):
+                return FAIL, None, f"{op.label} changes |x| or some x_k, k < {op.index}"
         for d in range(params.N + 1):
             shell = [m for m in degrees if sum(m) == d]
             for m, table in zip(shell, ctx.tables(shell)):
                 if not any(table.integer_form()[0]):
                     return FAIL, None, f"P_{m} vanishes"
             for op in ops:
-                for m, worst in zip(shell, ctx.eigen_residuals(op.kind, op.index, shell)):
+                nested = [m for m in shell if not any(m[:op.index or 0])]
+                for m, worst in zip(nested, ctx.eigen_residuals(op.kind, op.index, nested)):
                     if worst:
                         return FAIL, worst, f"P_{m} not an eigenvector of {op.label} on every row"
+            if d > ctx.m_max:
+                ctx.drop_tables(shell)
         if len({tuple(ctx.eigenvalue(op.kind, op.index, m) for op in ops)
                 for m in degrees}) < size:
             return FAIL, None, "joint eigenvalues not distinct"
@@ -841,7 +873,9 @@ class SuiteContext:
 
     Each object a check reads is built on first use and kept for the life
     of the context in one memo, whose keys lead with the kind of object
-    (the lattices it reads are the process's, see :mod:`mvortho.core`):
+    (the lattices it reads are the process's, see :mod:`mvortho.core`);
+    only the completeness check drops tables, those of |m| > m_max, one
+    shell at a time (:meth:`drop_tables`):
 
         ("weights",)                           the weight table
         ("stencil", kind, index)               an operator's stencil
@@ -988,6 +1022,12 @@ class SuiteContext:
             [("P_m", lattice.bound, self.params.degree_index(m)) for m in degrees],
             lambda missing: eigenpoly_tables([m for *_, m in missing], self.params, lattice,
                                              factors))
+
+    def drop_tables(self, degrees) -> None:
+        """Forget the instance-lattice tables of ``degrees``; a later request
+        builds them again."""
+        for m in degrees:
+            self._memo.pop(("P_m", self.lattice.bound, self.params.degree_index(m)), None)
 
     def type_one(self, J: tuple, m: int) -> LatticeFunction:
         """Table of the degree-m type-one polynomial in x_J on the instance

@@ -2,10 +2,11 @@ import dataclasses
 import math
 import random
 from itertools import combinations
+from operator import lshift
 from typing import NamedTuple
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from mvortho import (
@@ -24,7 +25,7 @@ from mvortho import operators
 from mvortho import verify as V
 from mvortho._backend import integer_scaled
 from mvortho.core import Lattice, enumerate_degrees, enumerate_lattice, family_lattice
-from mvortho.linalg import newton_differences, pack, slot_width, unpack
+from mvortho.linalg import newton_differences, pack, pack_columns, slot_width, unpack
 from mvortho.operators import commutator_defects, image_degree, integer_rates
 from mvortho.polynomials import eigenpoly_tables, eigenvalue
 from test_core import table_of
@@ -919,6 +920,26 @@ def test_pack_unpack_round_trip_at_the_slot_limits(W, data):
                                                           for t in range(len(values) + 3)]
     with pytest.raises(ValueError):
         unpack(pack({len(values): 1}, W), W, len(values))
+
+
+@given(W=st.integers(1, 40), T=st.integers(1, 40), L=st.integers(1, 30),
+       seed=st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(W=1, T=1, L=1, seed=0)
+@example(W=40, T=40, L=30, seed=1)
+@example(W=7, T=39, L=2, seed=2)
+def test_tree_packed_columns_equal_the_flat_sum_and_unpack(W, T, L, seed):
+    """pack_columns forms the integers of the flat one-slot-at-a-time sum,
+    kept here as the oracle, for T odd or even, with slots at the limits
+    +-(2^(W-1) - 1) and 0 among them."""
+    rng, top = random.Random(seed), (1 << (W - 1)) - 1
+    tables = [[rng.choice([top, -top, 0, rng.randint(-top, top)]) for _ in range(L)]
+              for _ in range(T)]
+    shifts = range(0, W * T, W)
+    flat = [sum(map(lshift, column, shifts)) for column in zip(*tables)]
+    packed = pack_columns(tables, W)
+    assert packed == flat
+    assert [unpack(v, W, T) for v in packed] == [list(column) for column in zip(*tables)]
 
 
 @given(bound=st.integers(1, 2**70), data=st.data())

@@ -516,6 +516,9 @@ COMPLETENESS_CASES = [
     HAHN2, HAHN, HahnParams((R(1, 2), R(7, 3)), R(5, 4), 6),
     HahnParams((R(1), R(2), R(3)), R(2), 6), KRAW,
     KrawtchoukParams((R(1, 2), R(1, 3), R(2)), 6), KrawtchoukParams((R(3), R(2, 5)), 5),
+    # n = 4: exchange3 nests two sites deep
+    HahnParams((R(1), R(2), R(3), R(1, 2)), R(2), 5),
+    KrawtchoukParams((R(1, 2), R(1, 3), R(2), R(3, 2)), 5),
 ]
 
 
@@ -549,6 +552,49 @@ def test_completeness_fails_on_a_zeroed_or_perturbed_table_or_rate(params, monke
     report = V.completeness_check(V.SuiteContext(params))
     assert report.status == "fail" and report.max_defect > 0
     assert "not W-self-adjoint" in report.detail
+
+
+def test_completeness_keeps_only_the_tables_up_to_m_max():
+    """Each shell above m_max is dropped once its residuals are formed; the
+    tables the other checks reuse, |m| <= m_max, stay."""
+    ctx = V.SuiteContext(HAHN, m_max=2)
+    assert V.completeness_check(ctx).status == "pass"
+    assert sorted(key[2] for key in ctx._memo if key[0] == "P_m") == sorted(
+        enumerate_degrees(3, 2))
+
+
+def test_completeness_fails_on_a_perturbed_table_with_a_radial_degree():
+    """The exchange residuals are formed only for m_0 = 0, so a broken table
+    with m_0 != 0 must FAIL through total's residual, which covers every P_m."""
+    m = (1, 1, 0)
+    ctx = V.SuiteContext(HAHN)
+    nums, den = ctx.tables([m])[0].integer_form()
+    ctx._memo["P_m", HAHN.N, m] = LatticeFunction(ctx.lattice, [*nums[:-1], nums[-1] + den], den)
+    report = V.completeness_check(ctx)
+    assert (report.status, report.detail) == ("fail", f"P_{m} not an eigenvector of total on every row")
+    assert report.max_defect > 0
+
+
+def test_completeness_checks_that_exchange_keeps_the_lower_sites():
+    """The nesting reads exchange2 on P_(0, 0, m_2) alone, which ignores x_1;
+    an exchange2 entry moved from column y to y + e_1 leaves those residuals
+    as they were, so the premise pass (every move keeps |x| and x_1) is what
+    FAILs.  The adjointness defect is pre-set to 0 so that it does not
+    catch the move first."""
+    ctx = V.SuiteContext(HAHN)
+    H, points, index = ctx.stencil("exchange", 2), ctx.lattice.points, ctx.lattice.index
+    i, j = next((i, j) for i, row in enumerate(H.rows) for j in row
+                if j != i and sum(points[j]) < HAHN.N)
+    moved = index[(points[j][0] + 1, *points[j][1:])]
+    row = {(moved if k == j else k): v for k, v in H.rows[i].items()}
+    ctx._memo["stencil", "exchange", 2] = dataclasses.replace(
+        H, rows=(*H.rows[:i], row, *H.rows[i + 1:]))
+    ctx._memo["adjointness", "exchange", 2] = R(0)
+    report = V.completeness_check(ctx)
+    assert (report.status, report.detail) == ("fail", "exchange2 changes |x| or some x_k, k < 2")
+    # without the premise pass the nested residuals would not see it
+    nested = [m for m in enumerate_degrees(3, HAHN.N) if not any(m[:2])]
+    assert not any(ctx.eigen_residuals("exchange", 2, nested))
 
 
 def test_completeness_fails_on_a_stencil_row_without_an_image():
@@ -617,7 +663,9 @@ def test_suite_forms_each_residual_once_in_one_call_per_stencil_and_degree(monke
     """Hahn n=3 N=5, m_max 3: the eigen check makes one call per stencil over
     the 20 P_m of |m| <= 3, type-one one call over its 28 (J, m) tables, glue
     reads the eigen check's residuals, and completeness adds the degrees 4
-    and 5 on total, exchange1 and exchange2, one call per degree."""
+    and 5, one call per stencil and degree: total on every P_m of the shell
+    (15 and 21), exchange(i) only on those with m_0 = ... = m_{i-1} = 0
+    (exchange1 5 and 6, exchange2 1 and 1)."""
     calls = []
     kernel = V.residual_defects
 
@@ -630,7 +678,7 @@ def test_suite_forms_each_residual_once_in_one_call_per_stencil_and_degree(monke
     assert not any(r.status == "fail" for r in reports)
     ops = ["total", "exchange1", "exchange2"]
     assert calls == ([(op, 20) for op in ["total", "single", *ops[1:]]] + [("total", 28)]
-                     + [(op, 15) for op in ops] + [(op, 21) for op in ops])
+                     + list(zip(ops, [15, 5, 1])) + list(zip(ops, [21, 6, 1])))
 
 
 def test_suite_builds_each_stencil_and_table_once(monkeypatch):
