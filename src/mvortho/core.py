@@ -92,6 +92,20 @@ class Lattice:
         """[j - 1][i]: (x_j, x_{>j}) of the i-th point x, read by pair slot j = 1..n-1."""
         return tuple(tuple((x[j - 1], sum(x[j:])) for x in self.points) for j in range(1, self.n))
 
+    @cached_property
+    def slot_args(self) -> tuple:
+        """[j]: :func:`distinct_positions` of |x| (j = 0) or of (x_j, x_{>j})
+        (j = 1..n-1) over the points, where the slots of the eigenpolynomial
+        tables are read."""
+        return tuple(map(distinct_positions, (self.sizes, *self.pair_coords)))
+
+
+def distinct_positions(args) -> tuple:
+    """(the distinct values of ``args`` as a dict to their order of first
+    appearance, the position of each value of ``args`` among them)."""
+    at: dict = {}
+    return at, [at.setdefault(arg, len(at)) for arg in args]
+
 
 @lru_cache(maxsize=64)
 def shared_lattice(n: int, bound: int, truncated: bool) -> Lattice:

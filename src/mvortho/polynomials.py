@@ -59,7 +59,7 @@ from itertools import chain
 from typing import Sequence
 
 from ._backend import R, ONE, as_integer, integer_scaled
-from .core import FamilyParams, Lattice, LatticeFunction, shared_lattice
+from .core import FamilyParams, Lattice, LatticeFunction, distinct_positions, shared_lattice
 from .operators import OperatorSpec
 
 # Rows kept per cached builder; a row is one (degree, parameters).
@@ -298,8 +298,8 @@ def eigenpoly(m: Sequence[int], x: Sequence[int], params):
     FamilyParams.require(params)
     m = params.degree_index(m)
     x = params.check_point(x)
-    coords = [[(x[j - 1], sum(x[j:]))] for j in range(1, params.n)]
-    (nums, den), = _slot_products([m], params, [sum(x)], coords, {})
+    args = [[sum(x)]] + [[(x[j - 1], sum(x[j:]))] for j in range(1, params.n)]
+    (nums, den), = _slot_products([m], params, list(map(distinct_positions, args)), {})
     return R(nums[0], den)
 
 
@@ -331,39 +331,39 @@ def eigenpoly_tables(degrees, params, lattice: Lattice, factors: dict | None = N
     if lattice.n != params.n:
         raise ValueError(f"lattice has {lattice.n} coordinates, params have {params.n}")
     degrees = [params.degree_index(m) for m in degrees]
-    products = _slot_products(degrees, params, lattice.sizes, lattice.pair_coords,
+    products = _slot_products(degrees, params, lattice.slot_args,
                               {} if factors is None else factors)
     return [LatticeFunction(lattice, nums, den) for nums, den in products]
 
 
-def _slot_products(degrees, params, sizes, coords, factors: dict) -> list[tuple]:
-    """(numerators, den) of P_m, for each m of ``degrees``, at the integer
-    points with |x| in ``sizes`` and pair slot arguments ``coords`` (as
-    :attr:`Lattice.pair_coords`): the slot product of :func:`eigenpoly_tables`.
-    A slot is evaluated at each distinct argument of its list once, and
-    spread to the points by their positions among those arguments."""
+def _slot_values(method, key: tuple, args: tuple, factors: dict) -> tuple:
+    """Numerators of the slot ``key`` at every point, over its denominator,
+    with ``args`` the points' arguments as :func:`distinct_positions` gives
+    them: ``method`` evaluates the slot at the distinct arguments missing
+    from ``factors``, and the values are spread to the points by position."""
+    distinct, positions = args
+    den, known = factors.get(key, (None, {}))
+    missing = [arg for arg in distinct if arg not in known]
+    if missing:
+        nums, den = method(*key, missing)
+        known.update(zip(missing, nums))
+        factors[key] = den, known
+    values = [known[arg] for arg in distinct]
+    return list(map(values.__getitem__, positions)), den
+
+
+def _slot_products(degrees, params, slot_args, factors: dict) -> list[tuple]:
+    """(numerators, den) of P_m, for each m of ``degrees``, at the points
+    whose slot arguments are ``slot_args`` (as :attr:`Lattice.slot_args`):
+    the slot product of :func:`eigenpoly_tables`."""
     slots: dict = {}
 
-    def spread(args) -> tuple:
-        """(the distinct arguments of ``args``, the position of each argument among them)."""
-        at: dict = {}
-        return at, [at.setdefault(arg, len(at)) for arg in args]
-
-    def slot(method, key: tuple, spread_args: tuple) -> tuple:
-        """Numerators of the slot ``key`` at every point, over its denominator."""
+    def slot(method, key: tuple, args: tuple) -> tuple:
         if key not in slots:
-            distinct, positions = spread_args
-            den, known = factors.get(key, (None, {}))
-            missing = [arg for arg in distinct if arg not in known]
-            if missing:
-                nums, den = method(*key, missing)
-                known.update(zip(missing, nums))
-                factors[key] = den, known
-            values = [known[arg] for arg in distinct]
-            slots[key] = list(map(values.__getitem__, positions)), den
+            slots[key] = _slot_values(method, key, args, factors)
         return slots[key]
 
-    radial, pairs = spread(sizes), [spread(args) for args in coords]
+    radial, *pairs = slot_args
     products = []
     for m in degrees:
         nums, den = slot(params.radial_slot, (m[0], sum(m[1:])), radial)
@@ -373,6 +373,17 @@ def _slot_products(degrees, params, sizes, coords, factors: dict) -> list[tuple]
             den *= fden
         products.append((nums, den))
     return products
+
+
+def slot_table(params, lattice: Lattice, j: int, mj: int, shift: int,
+               factors: dict) -> tuple:
+    """(numerators at every point of ``lattice``, den) of one slot of
+    :func:`eigenpoly_tables`, read from and added to ``factors`` as there:
+    the radial slot (m_0, |m| - m_0) = (mj, shift) at j = 0, read at |x|,
+    and pair slot (j, mj, shift) otherwise, read at (x_j, x_{>j})."""
+    if j == 0:
+        return _slot_values(params.radial_slot, (mj, shift), lattice.slot_args[0], factors)
+    return _slot_values(params.pair_slot, (j, mj, shift), lattice.slot_args[j], factors)
 
 
 def eigenpoly_table(m: Sequence[int], params, lattice: Lattice) -> LatticeFunction:

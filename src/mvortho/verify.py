@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement, repeat
-from operator import mul
+from operator import eq, mul
 
 from ._backend import R, ZERO, ONE, integer_scaled
 from .core import (LatticeFunction, enumerate_degrees, family_lattice, rising_factorial,
@@ -67,6 +67,7 @@ from .polynomials import (
     hahn_pair,
     hahn_pair_grid,
     pair_backward_table,
+    slot_table,
 )
 from .serialize import rational_str, sci_str
 
@@ -304,14 +305,18 @@ def residual_defects(H: OperatorMatrix, tables, eigenvalues) -> list:
     S = H.row_bounds[0]
     W = slot_width(max((max(map(abs, nums), default=0) * (S * q + abs(p))
                         for (nums, _), q, p in zip(forms, qs, ps)), default=0))
-    shared = len(set(qs)) == 1 or len(set(ps)) == 1
-    packed = pack_columns([nums for nums, _ in forms], W) if shared else None
+    packed = None
 
     def columns(scales) -> list:
-        """Column j of the tables, slot t scaled by scales[t], as one integer."""
-        if len(set(scales)) == 1:
-            return list(map(mul, packed, repeat(scales[0])))
-        return pack_columns([map(mul, nums, repeat(c)) for (nums, _), c in zip(forms, scales)], W)
+        """Column j of the tables, slot t scaled by scales[t], as one integer;
+        the unscaled columns are packed once, the first time a side has one scale."""
+        nonlocal packed
+        if len(set(scales)) > 1:
+            return pack_columns([map(mul, nums, repeat(c))
+                                 for (nums, _), c in zip(forms, scales)], W)
+        if packed is None:
+            packed = pack_columns([nums for nums, _ in forms], W)
+        return list(map(mul, packed, repeat(scales[0])))
 
     QA, PB = columns(qs), columns(ps)
     worst = [0] * len(forms)
@@ -691,25 +696,35 @@ def completeness_check(ctx: SuiteContext) -> CheckReport:
     maps are strictly increasing.  So the tuple fixes |m| and every S_i,
     hence m; equal tuples FAIL.
 
-    The exchange residuals are nested.  exchange(i) moves only the sites
-    i..n, so along each of its moves |x| and x_1 .. x_{i-1} are constant,
-    and with them the radial slot and the pair slots 1 .. i-1 of P_m,
-    which read only |x| and (x_j, x_{>j}) = (x_j, |x| - x_1 - ... - x_j).
-    P_m is those slots times the pair slots i .. n-1, which are P_m' for
-    m' = m with m_0 .. m_{i-1} set to 0 (:func:`eigenpoly`), and the
-    eigenvalue reads S_i alone, equal for m and m'.  So on every row,
-    (exchange(i) - lambda) P_m is those slots times (exchange(i) - lambda) P_m',
-    and the exchange(i) residuals are formed only for the m with
-    m_0 = ... = m_{i-1} = 0; total's are formed for every P_m.  The premise
-    is checked, not assumed: every off-diagonal entry of each exchange(i)
-    stencil must join two points of equal |x| and x_1 .. x_{i-1}.
+    Above m_max the exchange residuals are nested.  exchange(i) moves only
+    the sites i..n, so along each of its moves |x| and x_1 .. x_{i-1} are
+    constant, and with them any function of |x| and of (x_j, x_{>j}) =
+    (x_j, |x| - x_1 - ... - x_j) for j < i.  Let p < n - 1 be the first
+    index with m_p != 0 and hat be m with m_p set to 0.  P_m is slot p of m
+    (the radial slot, read at |x|, for p = 0; pair slot p, read at
+    (x_p, x_{>p}), otherwise) times P_hat: the slots before p are of degree
+    0, hence 1, and those after p are the same for m and hat.  For every
+    i > p that slot is constant along the moves of exchange(i), and the
+    eigenvalue reads S_i alone, equal for m and hat, so on every row
+    (exchange(i) - lambda) P_m is slot p times (exchange(i) - lambda) P_hat.
+    By induction on the nonzero entries of m_0 .. m_{i-1}, P_m is then an
+    eigenvector of exchange(i) when P_m' is, m' = m with m_0 .. m_{i-1} set
+    to 0; so the exchange(i) residuals are formed only for the m with
+    m_0 = ... = m_{i-1} = 0, and total's for every P_m.  Both halves of the
+    premise are checked, not assumed: every off-diagonal entry of each
+    exchange(i) stencil must join two points of equal |x| and x_1 .. x_{i-1},
+    and each table must equal slot p, from the context's factor dict, times
+    the table of P_hat, cross-multiplied in integers at every point.  Every
+    hat has m_0 = 0, so the integer forms of those tables are kept until
+    the check ends.  Up to m_max every residual is read: the eigen check
+    formed them.
 
     The residuals are formed one total degree (shell) per kernel call
     (one pack across degrees would need the slot width of the largest
-    table); those of the eigen check, |m| <= m_max, are reused, as are the
-    adjointness defects.  A shell above m_max is dropped from the context
-    once its residuals are formed, so at most one such shell of tables is
-    held at a time; the tables of |m| <= m_max stay for the other checks.
+    table), and the adjointness defects are reused.  A shell above m_max is
+    dropped from the context once it is checked, so at most one such shell
+    of tables is held at a time; the tables of |m| <= m_max stay for the
+    other checks.
     """
     params = ctx.params
 
@@ -736,17 +751,34 @@ def completeness_check(ctx: SuiteContext) -> CheckReport:
             if any(kept[j] != kept[i]
                    for i, row in enumerate(ctx.stencil(op.kind, op.index).rows) for j in row):
                 return FAIL, None, f"{op.label} changes |x| or some x_k, k < {op.index}"
+        below: dict = {}  # integer forms of the P_m with m_0 = 0 of the shells so far
         for d in range(params.N + 1):
             shell = [m for m in degrees if sum(m) == d]
-            for m, table in zip(shell, ctx.tables(shell)):
-                if not any(table.integer_form()[0]):
+            forms = [table.integer_form() for table in ctx.tables(shell)]
+            for m, (nums, _) in zip(shell, forms):
+                if not any(nums):
                     return FAIL, None, f"P_{m} vanishes"
+            nest = d > ctx.m_max
             for op in ops:
-                nested = [m for m in shell if not any(m[:op.index or 0])]
+                nested = [m for m in shell if not (nest and any(m[:op.index or 0]))]
                 for m, worst in zip(nested, ctx.eigen_residuals(op.kind, op.index, nested)):
                     if worst:
                         return FAIL, worst, f"P_{m} not an eigenvector of {op.label} on every row"
-            if d > ctx.m_max:
+            slots: dict = {}
+            for m, (nums, den) in zip(shell, forms):
+                p = next((k for k, mk in enumerate(m[:n - 1]) if mk), None)
+                if nest and p is not None:
+                    # slot p of m times P_hat, cross-multiplied: nums sden hden = snums hnums den
+                    hat, key = (*m[:p], 0, *m[p + 1:]), (p, m[p], d - m[p])
+                    if key not in slots:
+                        slots[key] = ctx.slot(*key)
+                    (snums, sden), (hnums, hden) = slots[key], below[hat]
+                    if not all(map(eq, map(mul, nums, repeat(sden * hden)),
+                                   map(mul, map(mul, snums, hnums), repeat(den)))):
+                        return FAIL, None, f"P_{m} is not slot {p} times P_{hat}"
+                if not m[0]:
+                    below[m] = nums, den
+            if nest:
                 ctx.drop_tables(shell)
         if len({tuple(ctx.eigenvalue(op.kind, op.index, m) for op in ops)
                 for m in degrees}) < size:
@@ -1022,6 +1054,12 @@ class SuiteContext:
             [("P_m", lattice.bound, self.params.degree_index(m)) for m in degrees],
             lambda missing: eigenpoly_tables([m for *_, m in missing], self.params, lattice,
                                              factors))
+
+    def slot(self, j: int, mj: int, shift: int) -> tuple:
+        """(numerators, den) of a slot of the P_m at every point of the
+        instance lattice (:func:`mvortho.polynomials.slot_table`), from the
+        factor dict the tables are built from."""
+        return slot_table(self.params, self.lattice, j, mj, shift, self._keep(("factors",), dict))
 
     def drop_tables(self, degrees) -> None:
         """Forget the instance-lattice tables of ``degrees``; a later request

@@ -1,6 +1,8 @@
-"""The summary of tools/bench_pairs.py on canned run records."""
+"""tools/bench_pairs.py: its run specs, its summary on canned run records, and
+how a frontier run records a timeout, a crash or its reports."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,36 @@ def test_summary_lists_runs_in_pair_order_with_quartiles_and_wins():
 def test_spread_of_an_even_count_uses_inclusive_quartiles():
     assert bench_pairs.spread([4.0, 1.0, 3.0, 2.0]) == pytest.approx(
         {"median": 2.5, "q1": 1.75, "q3": 3.25, "runs": [4.0, 1.0, 3.0, 2.0]})
+
+
+def test_launcher_stops_a_run_at_the_limit_and_passes_a_crash_through():
+    env = {"PATH": "/usr/bin:/bin"}
+    slow = bench_pairs.launch([sys.executable, "-c", "import time; time.sleep(30)"],
+                              Path.cwd(), env, limit=0.2)
+    assert slow["timeout"] and slow["wall_s"] < 10 and "returncode" not in slow
+    crash = bench_pairs.launch([sys.executable, "-c", "import sys; sys.exit(3)"],
+                               Path.cwd(), env)
+    assert (crash["returncode"], crash["stdout"]) == (3, "") and "timeout" not in crash
+
+
+@pytest.mark.parametrize("run, expected", [
+    ({"timeout": True, "wall_s": 60.1, "peak_rss_mb": 300.0},
+     {"timeout_s": 60, "peak_rss_mb": 300.0}),
+    ({"returncode": 1, "stdout": "", "wall_s": 0.5, "peak_rss_mb": 20.0},
+     {"failed": True, "returncode": 1, "wall_s": 0.5}),
+    ({"returncode": 1, "stdout": '{"reports": [{"name": "completeness", "status": "fail", '
+                                 '"wall_time": 0.25}]}', "wall_s": 0.5, "peak_rss_mb": 20.0},
+     {"wall_s": 0.5, "completeness_s": 0.25, "peak_rss_mb": 20.0, "all_passed": False}),
+])
+def test_a_frontier_run_records_a_timeout_a_crash_or_its_reports(monkeypatch, run, expected):
+    monkeypatch.setattr(bench_pairs, "launch", lambda argv, cwd, env: run)
+    assert bench_pairs.suite_once(Path.cwd(), 3, 4) == expected
+
+
+@pytest.mark.parametrize("text, spec", [
+    ("hahn-suite", ("hahn-suite", 0, 10)),
+    ("hahn-suite:3", ("hahn-suite", 3, 10)),
+    ("meixner-suite:0:5", ("meixner-suite", 0, 5)),
+])
+def test_a_run_spec_defaults_to_seed_0_and_ten_pairs(text, spec):
+    assert bench_pairs.run_spec(text) == spec

@@ -575,6 +575,26 @@ def test_completeness_fails_on_a_perturbed_table_with_a_radial_degree():
     assert report.max_defect > 0
 
 
+@pytest.mark.parametrize("m, other, p, hat", [
+    ((1, 1, 0), (1, 0, 1), 0, (0, 1, 0)),
+    ((0, 1, 1), (0, 2, 0), 1, (0, 0, 1)),
+])
+def test_completeness_checks_that_each_table_factors_through_its_nested_one(m, other, p, hat):
+    """P_m set to the table of another P of the same |m| and S_1: total's
+    residual and every exchange residual formed for m stay 0, and the
+    exchange(i) residuals that would differ, i > p, are read from P_hat.
+    So the factor pass (P_m is slot p times P_hat) is what FAILs: two equal
+    tables are no basis.  m_max 1 puts |m| = 2 among the nested shells."""
+    ctx = V.SuiteContext(HAHN, m_max=1)
+    ctx._memo["P_m", HAHN.N, m] = ctx.tables([other])[0]
+    report = V.completeness_check(ctx)
+    assert (report.status, report.detail) == ("fail", f"P_{m} is not slot {p} times P_{hat}")
+    # every residual completeness formed for m is 0
+    assert not any(ctx.eigen_residuals(op, i, [m]) != [0]
+                   for op, i in [("total", None), ("exchange", 1), ("exchange", 2)]
+                   if not any(m[:i or 0]))
+
+
 def test_completeness_checks_that_exchange_keeps_the_lower_sites():
     """The nesting reads exchange2 on P_(0, 0, m_2) alone, which ignores x_1;
     an exchange2 entry moved from column y to y + e_1 leaves those residuals

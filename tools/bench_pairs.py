@@ -2,17 +2,18 @@
 written as one ``BENCH_<PR>.json``.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --output BENCH_24.json \\
-        --run hahn-suite:0:10 --run hahn-suite:3:10 --run meixner-suite:0:5 \\
+        --run hahn-suite --run hahn-suite:3 --run meixner-suite:0:5 \\
         --tier1 2 --frontier 3:24 --frontier 4:14 --frontier-parent 3:24
 
 Run it from the root of the checkout to measure (the *change*).  The
 parent revision is exported with ``git archive`` into a temporary
 directory (``--scratch``), so both sides run from committed-looking trees
 with their own ``perfbench/``.  Each ``--run WORKLOAD[:SEED[:PAIRS]]``
-(default: every workload of ``BENCHMARK.json`` at seed 0, ``--pairs``
-pairs) runs ``perfbench/run.py --workload W --seed S --seconds X --trace
-0`` once per side per pair, the parent first in even pairs and the change
-first in odd ones, so a drift in host speed hits both sides alike.
+(default: every workload of ``BENCHMARK.json``; seed 0 and 10 pairs
+unless given) runs ``perfbench/run.py --workload W --seed S --seconds 28
+--trace 0`` once per side per pair, the parent first in even pairs and
+the change first in odd ones, so a drift in host speed hits both sides
+alike.
 
 The output keeps the layout of the earlier ``BENCH_*.json`` files: per
 workload (keyed ``name`` at seed 0, ``name seed=S`` otherwise) and side,
@@ -23,7 +24,10 @@ alternating tier-1 runs per side.  ``--frontier n:N`` adds the full Hahn
 suite ``verify --format json --timings`` at a = (1, 2, 3, 1/2)[:n], b = 2:
 process wall time, the ``completeness`` time, peak RSS and whether every
 report passed, for the change, and for the parent too where the instance
-is also given to ``--frontier-parent``.  ``--traced K --layer NAME`` adds
+is also given to ``--frontier-parent``; a run still going after the 60 s
+limit is stopped and recorded as a timeout, with its peak RSS so far, and
+one that exits without a JSON report as failed, with its return code.
+``--traced K --layer NAME`` adds
 K alternating pairs of ``--trace 1`` runs per workload at seed 0 and the
 spread of each named per-layer metric.  Only the standard library is used.
 """
@@ -46,16 +50,24 @@ ROOT = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 FRONTIER_A = ("1", "2", "3", "1/2")
+SECONDS = 28  # the run length of every BENCH file
+PAIRS = 10
+TIME_LIMIT_S = 60  # the frontier's limit on one full suite
 # Runs one command and prints its wall time and peak RSS: ru_maxrss of the
-# children of this small launcher is that of the one command.
+# children of this small launcher is that of the one command.  A command
+# still running at the time limit is killed, and reported with "timeout".
 LAUNCHER = """
 import json, resource, subprocess, sys, time
 t0 = time.perf_counter()
-proc = subprocess.run(sys.argv[3:], cwd=sys.argv[2], capture_output=True, text=True,
-                      timeout=float(sys.argv[1]))
-print(json.dumps({"returncode": proc.returncode, "wall_s": time.perf_counter() - t0,
-                  "stdout": proc.stdout,
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024}))
+try:
+    proc = subprocess.run(sys.argv[3:], cwd=sys.argv[2], capture_output=True, text=True,
+                          timeout=float(sys.argv[1]))
+    out = {"returncode": proc.returncode, "stdout": proc.stdout}
+except subprocess.TimeoutExpired:
+    out = {"timeout": True}
+out["wall_s"] = time.perf_counter() - t0
+out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(json.dumps(out))
 """
 
 
@@ -137,22 +149,41 @@ def tier1(trees: dict, runs: int) -> dict:
     return out
 
 
-def suite_once(tree: Path, n: int, N: int, timeout: float) -> dict:
-    """The full Hahn suite at (n, N) in a fresh process, through the launcher."""
+def launch(argv: list, cwd: Path, env: dict, limit: float = TIME_LIMIT_S) -> dict:
+    """One command in a fresh process, through the launcher: its wall time
+    and peak RSS, and its return code and stdout, or ``"timeout": True``
+    when it ran past ``limit`` seconds and was stopped."""
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER, str(limit), str(cwd), *argv],
+                          capture_output=True, text=True, check=True, env=env)
+    return json.loads(proc.stdout)
+
+
+def suite_once(tree: Path, n: int, N: int) -> dict:
+    """The full Hahn suite at (n, N) in a fresh process: wall time,
+    completeness time, peak RSS and whether every report passed; a timeout
+    or a run without a JSON report is recorded as such."""
     argv = [sys.executable, "-m", "mvortho", "verify", "--family", "hahn", "--n", str(n),
             "--N", str(N), "--a", ",".join(FRONTIER_A[:n]), "--b", "2", "--format", "json",
             "--timings"]
+    run = launch(argv, tree, _env(tree))
+    if run.get("timeout"):
+        return {"timeout_s": TIME_LIMIT_S, "peak_rss_mb": run["peak_rss_mb"]}
     try:
-        proc = subprocess.run([sys.executable, "-c", LAUNCHER, str(timeout), str(tree), *argv],
-                              capture_output=True, text=True, check=True, env=_env(tree))
-    except subprocess.CalledProcessError:
-        return {"timeout_s": timeout}
-    run = json.loads(proc.stdout)
-    reports = json.loads(run["stdout"])["reports"]
+        reports = json.loads(run["stdout"])["reports"]
+    except (ValueError, KeyError, TypeError):
+        return {"failed": True, "returncode": run["returncode"], "wall_s": run["wall_s"]}
     return {"wall_s": run["wall_s"],
             "completeness_s": sum(r["wall_time"] for r in reports if r["name"] == "completeness"),
             "peak_rss_mb": run["peak_rss_mb"],
             "all_passed": run["returncode"] == 0 and all(r["status"] != "fail" for r in reports)}
+
+
+def run_spec(text: str) -> tuple:
+    """(workload, seed, pairs) of ``WORKLOAD[:SEED[:PAIRS]]``, seed 0 and
+    ``PAIRS`` pairs unless given."""
+    name, *given = text.split(":")
+    seed, pairs = given + ["0", str(PAIRS)][len(given):]
+    return name, int(seed), int(pairs)
 
 
 def main(argv=None) -> int:
@@ -161,8 +192,6 @@ def main(argv=None) -> int:
     parser.add_argument("--output", required=True, type=Path)
     parser.add_argument("--run", action="append", default=[],
                         help="WORKLOAD[:SEED[:PAIRS]]; repeat for several")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=28.0)
     parser.add_argument("--traced", type=int, default=0,
                         help="alternating --trace 1 pairs per workload at seed 0")
     parser.add_argument("--layer", action="append", default=[],
@@ -170,17 +199,13 @@ def main(argv=None) -> int:
     parser.add_argument("--tier1", type=int, default=0, help="tier-1 runs per side")
     parser.add_argument("--frontier", action="append", default=[], help="n:N")
     parser.add_argument("--frontier-parent", action="append", default=[], help="n:N")
-    parser.add_argument("--frontier-timeout", type=float, default=150.0)
     parser.add_argument("--scratch", type=Path, default=None,
                         help="directory for the parent's tree (default: the system's)")
     args = parser.parse_args(argv)
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
-    specs = []
-    for text in args.run or [w["name"] for w in declared["workloads"]]:
-        name, seed, pairs = (text.split(":") + ["0", str(args.pairs)])[:3]
-        specs.append((name, int(seed), int(pairs)))
+    specs = list(map(run_spec, args.run or [w["name"] for w in declared["workloads"]]))
 
     with tempfile.TemporaryDirectory(dir=args.scratch) as tmp:
         parent = Path(tmp) / "parent"
@@ -190,15 +215,15 @@ def main(argv=None) -> int:
         for name, seed, pairs in specs:
             for k in range(pairs):
                 for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-                    run = bench_once(trees[side], name, seed, args.seconds)
+                    run = bench_once(trees[side], name, seed, SECONDS)
                     env = env or run["env"]
                     records.append({"workload": name, "seed": seed, "pair": k, "side": side,
                                     **run})
                     print(f"{name} seed={seed} pair {k} {side}: "
                           f"wall_s {run['metrics']['wall_s']:.6f}", file=sys.stderr)
         bench = {
-            "command": f"python3 perfbench/run.py --workload W --seed S --seconds "
-                       f"{args.seconds:g} --trace 0",
+            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} "
+                       "--trace 0",
             "pairs": "per workload and seed as listed, alternating which side runs first; "
                      f"parent = commit {sha[:7]}",
             "quartiles": "statistics.quantiles(n=4, method='inclusive') over the run medians",
@@ -228,15 +253,15 @@ def main(argv=None) -> int:
             for text in args.frontier:
                 n, N = map(int, text.split(":"))
                 row = {"n": n, "N": N, "a": ",".join(FRONTIER_A[:n]), "b": "2",
-                       "change": suite_once(ROOT, n, N, args.frontier_timeout)}
+                       "change": suite_once(ROOT, n, N)}
                 if text in args.frontier_parent:
-                    row["parent"] = suite_once(parent, n, N, args.frontier_timeout)
+                    row["parent"] = suite_once(parent, n, N)
                 rows.append(row)
                 print(f"frontier {text}: {row}", file=sys.stderr)
             bench["frontier"] = {
                 "command": "python -m mvortho verify --family hahn --n n --N N --a A --b 2 "
                            "--format json --timings, one fresh process each",
-                "time_limit_s": 60, "instances": rows}
+                "time_limit_s": TIME_LIMIT_S, "instances": rows}
     args.output.write_text(json.dumps(bench, indent=1) + "\n")
     return 0
 
