@@ -41,7 +41,7 @@ from operator import eq, mul
 from ._backend import R, ZERO, ONE, integer_scaled
 from .core import (LatticeFunction, enumerate_degrees, family_lattice, rising_factorial,
                    shared_lattice)
-from .linalg import pack_columns, slot_width, unpack
+from .linalg import newton_differences, pack_columns, slot_width, unpack
 from .measures import (
     gram_matrix,
     lattice_inner_product,
@@ -84,10 +84,6 @@ class CheckReport:
     max_defect: object = None
     wall_time: float = 0.0
     detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status != FAIL
 
     def to_dict(self, with_timing: bool = False) -> dict:
         out = {
@@ -817,66 +813,63 @@ def pair_orthogonality_report(ctx: SuiteContext, m: int) -> CheckReport:
 # limit transitions
 
 
-def _limit_protocol(deviations, t_values) -> tuple:
-    """First-order-in-1/t guard: each step must shrink by t_{k+1}/(2 t_k)."""
-    for k in range(len(deviations) - 1):
-        d0, d1 = abs(deviations[k]), abs(deviations[k + 1])
-        if d0 == 0 and d1 == 0:
-            continue
-        # |d1| <= |d0| * 2 t_k / t_{k+1}, exactly in rationals
-        if d1 * R(t_values[k + 1]) > 2 * d0 * R(t_values[k]):
-            return FAIL, max(abs(d) for d in deviations)
-    return PASS, abs(deviations[-1])
+def limit_check(m, x, params) -> CheckReport:
+    """The Hahn -> Krawtchouk or Meixner limit of P_m(x), exactly.
 
-
-def rescaled_hahn_limit_value(m, x, params, scale):
-    """Multivariate Hahn value at the blown-up parameters of which ``params``
-    is the limit (``params.hahn_limit``), rescaled per factor.
-
-    Krawtchouk target: a_j -> a_j t, b = t; Meixner target: a_j -> -a_j t,
-    b = t, N -> -beta.  Each pair factor is divided by (-1)^{m_i} (alpha_t)_{m_i},
-    which keeps it finite and oriented like the limit family's factor.
+    Along ``params.hahn_limit(t)`` = (t a', t, N_t), N_t = N or -beta, the
+    Hahn pair factor i has coefficients (gamma_t + k)_{m_i - k}
+    (alpha_t + m_i - k)_k of degree m_i in t, and the radial factor's term
+    k, (-m_0)_k (m_0 + c_t + t - 1)_k (-X)_k / ((c_t)_k (s_1 - N_t)_k k!) with
+    c_t = |a_t| + 2 s_1, times (c_t)_{m_0} is (c_t + k)_{m_0 - k} times a
+    polynomial of degree k.  So A(t) = P_m(x) (c_t)_{m_0} has degree <= |m|,
+    as has B(t) = prod_{i>=1} (-1)^{m_i} (alpha_{t,i})_{m_i} (c_t)_{m_0}, the
+    pair rescaling times the same (c_t)_{m_0}, with leading coefficient
+    prod (-a'_i)^{m_i} |a'|^{m_0} != 0.  The limit of A/B is the ratio of
+    the t^{|m|} coefficients, and that of A is its |m|-th difference over
+    |m|! at the |m| + 2 integers T .. T + |m| + 1, T above every root
+    -(2 s_1 + j) / |a'| of (c_t)_{m_0}, the only denominators of A; the
+    last sample checks the degree (Delta^{|m|+1} A = 0).  The check passes
+    when the limit is P_m(x).
     """
-    a_t, b_t, N_t = params.hahn_limit(R(scale))
-    s1 = sum(m[1:])
-    val = ONE
-    for i in range(1, len(a_t)):
-        shift = sum(m[i + 1 :])
-        alpha_t = a_t[i - 1]
-        gamma_t = sum(a_t[i:], ZERO) + 2 * shift
-        fac = hahn_pair(m[i], x[i - 1], sum(x[i:]) - shift, alpha_t, gamma_t)
-        den = rising_factorial(alpha_t, m[i])
-        if m[i] % 2:
-            den = -den
-        val *= fac / den
-    radial = hahn(m[0], sum(x) - s1, sum(a_t, ZERO) + 2 * s1, b_t, N_t - s1)
-    return val * radial
-
-
-def limit_check(t_values, m, x, params) -> CheckReport:
-    """Hahn -> Krawtchouk or Meixner limit of P_m(x) at increasing scales t."""
 
     def body():
-        target = eigenpoly(m, x, params)
-        devs = [rescaled_hahn_limit_value(m, x, params, t) - target for t in t_values]
-        return _limit_protocol(devs, t_values)
+        d, s1 = sum(m), sum(m[1:])
+        slopes = params.hahn_limit(ONE)[0]
+        roots = [-(2 * s1 + j) / sum(slopes) for j in range(m[0])]
+        T = math.floor(max(roots, default=ZERO)) + 1
+        A = []
+        for t in range(T, T + d + 2):
+            a_t, b_t, N_t = params.hahn_limit(R(t))
+            c_t = sum(a_t, ZERO) + 2 * s1
+            value = rising_factorial(c_t, m[0]) * hahn(m[0], sum(x) - s1, c_t, b_t, N_t - s1)
+            for i in range(1, len(a_t)):
+                shift = sum(m[i + 1:])
+                value *= hahn_pair(m[i], x[i - 1], sum(x[i:]) - shift, a_t[i - 1],
+                                   sum(a_t[i:], ZERO) + 2 * shift)
+            A.append(value)
+        nums, den = integer_scaled(A)
+        delta = newton_differences(nums, 1, d + 1)
+        if delta[d + 1]:
+            return FAIL, abs(R(delta[d + 1], den)), f"A(t) has degree above |m| = {d}"
+        lead = math.factorial(d) * sum(slopes) ** m[0]
+        lead *= math.prod((-c) ** k for c, k in zip(slopes, m[1:]))
+        return _exact([R(delta[d], den) / lead - eigenpoly(m, x, params)])
 
-    inst = (f"{params.family}-limit n={params.n} {params.bound_label} m={tuple(m)} "
-            f"x={tuple(x)} t={list(t_values)}")
+    inst = f"{params.family}-limit n={params.n} {params.bound_label} m={tuple(m)} x={tuple(x)}"
     return _report("limit", inst, body)
 
 
 def limit_suite(params, rng: random.Random) -> list[CheckReport]:
     """Three random (m, x) draws for the limit transition of a Krawtchouk
-    or Meixner bundle at t = 10^2, 10^4, 10^6: m in {0,1,2}^n redrawn until
-    |m| <= N, x on the lattice (the box |x| <= 8 for Meixner)."""
+    or Meixner bundle: m in {0,1,2}^n redrawn until |m| <= N, x on the
+    lattice (the box |x| <= 8 for Meixner)."""
     n = params.n
     bound = 8 if params.N is None else params.N
     reports = []
     for _ in range(3):
         m = _random_point(rng, n, 2, params.N)
         x = _random_point(rng, n, bound, bound)
-        reports.append(limit_check((100, 10_000, 1_000_000), m, x, params))
+        reports.append(limit_check(m, x, params))
     return reports
 
 

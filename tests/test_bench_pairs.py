@@ -1,5 +1,6 @@
-"""tools/bench_pairs.py: its run specs, its summary on canned run records, and
-how a frontier run records a timeout, a crash or its reports."""
+"""tools/bench_pairs.py: its run specs, its summary on canned run records, how
+a frontier run records a timeout, a crash or its reports, and its count of
+the lines of ``src/``."""
 
 import importlib.util
 import sys
@@ -82,3 +83,21 @@ def test_a_frontier_run_records_a_timeout_a_crash_or_its_reports(monkeypatch, ru
 ])
 def test_a_run_spec_defaults_to_seed_0_and_ten_pairs(text, spec):
     assert bench_pairs.run_spec(text) == spec
+
+
+def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
+    """Two canned trees: only ``src/mvortho/*.py`` counts, a last line
+    without a newline is not counted (as ``wc -l``), and a tree without
+    modules counts 0."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree, files in ((parent, {"core.py": "a\nb\nc\n", "cli.py": "x = 1\n\n"}),
+                        (change, {"core.py": "a\nb\n", "cli.py": "x = 1\ny = 2"})):
+        (tree / "src" / "mvortho").mkdir(parents=True)
+        for name, text in files.items():
+            (tree / "src" / "mvortho" / name).write_text(text)
+        (tree / "src" / "mvortho" / "notes.txt").write_text("not\ncounted\n")
+        (tree / "tests").mkdir()
+        (tree / "tests" / "test_core.py").write_text("not\ncounted\n")
+    assert bench_pairs.src_lines(parent) == 5
+    assert bench_pairs.src_lines(change) == 3
+    assert bench_pairs.src_lines(tmp_path) == 0

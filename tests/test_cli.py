@@ -1,5 +1,6 @@
 """The command line as a process-wide entry point: one parser for every
-call, and no input that ends in anything but exit code 0, 1 or 2."""
+call, and no input that ends in anything but exit code 0, 1 or 2; and the
+outputs that other programs read back."""
 
 import contextlib
 import hashlib
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvortho import cli
+from mvortho import R, HahnParams, KrawtchoukParams, MeixnerParams, cli, weight_table
 from mvortho.core import shared_lattice
+from mvortho.serialize import parse_weight_csv
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -221,3 +223,35 @@ def test_gram_and_pair_orthogonality_give_the_same_reports_in_either_order(famil
     forward = reports("gram", "pair-orthogonality")
     assert [r["name"] for r in forward] == ["gram", "pair-orthogonality"]
     assert forward == reports("pair-orthogonality", "gram")[::-1]
+
+
+def test_timings_add_a_float_wall_time_to_every_report_and_nothing_else():
+    """``verify --format json --timings``, whose ``wall_time`` the frontier
+    runs of ``tools/bench_pairs.py`` read: every report carries a float
+    >= 0, and without the flag the key is absent and the output unchanged."""
+    argv = ["verify", *KRAW, "--format", "json"]
+    (rc, plain, err), (trc, timed, terr) = run(argv), run(argv + ["--timings"])
+    assert (rc, err, trc, terr) == (0, "", 0, "")
+    plain, timed = json.loads(plain), json.loads(timed)
+    assert plain["reports"] and all("wall_time" not in r for r in plain["reports"])
+    for report in timed["reports"]:
+        wall = report.pop("wall_time")
+        assert isinstance(wall, float) and wall >= 0
+    assert timed == plain
+
+
+@pytest.mark.parametrize("argv, params, xmax", [
+    (HAHN, HahnParams((R(1), R(2), R(1, 2)), R(2), 4), None),
+    (KRAW, KrawtchoukParams((R(1, 2), R(1, 3)), 3), None),
+    (MEIX, MeixnerParams((R(1, 5), R(1, 4)), R(2)), 3),
+], ids=["hahn", "krawtchouk", "meixner"])
+def test_the_weights_csv_parses_back_to_the_weight_table(argv, params, xmax):
+    """``parse_weight_csv``, which the benchmark's output check reads every
+    weights CSV with, gives back the lattice points and exact weights."""
+    rc, text, err = run(["export", *argv, "--what", "weights", "--format", "csv"])
+    assert (rc, err) == (0, "")
+    points, values = parse_weight_csv(text)
+    w = weight_table(params, xmax=xmax)
+    assert (points, values) == (list(w.lattice.points), list(w.values))
+    if params.N is not None:
+        assert sum(values) == 1

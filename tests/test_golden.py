@@ -161,7 +161,8 @@ def test_limits_draw_degrees_within_N(seed):
     rc, text, err = run(["verify", *argv])
     assert rc == 0, err
     reports = json.loads(text)["reports"]
-    assert len(reports) == 3 and all(r["status"] == "pass" for r in reports)
+    assert len(reports) == 3
+    assert all((r["status"], r["max_defect"]) == ("pass", "0") for r in reports)
     for r in reports:
         m = re.search(r"m=\(([^)]*)\)", r["instance"]).group(1)
         assert sum(int(d) for d in m.split(",")) <= 4

@@ -238,6 +238,20 @@ def test_gram_bounded_families():
     assert V.gram_check(V.SuiteContext(KRAW), 3).status == "pass"
 
 
+@pytest.mark.parametrize("params, bound", [(HAHN2, 4), (KRAW, 4), (MEIX, 2)],
+                         ids=lambda p: getattr(p, "family", p))
+def test_gram_fails_on_a_zeroed_table(params, bound):
+    """A zeroed P_(1,0) has a zero diagonal entry and zero off-diagonal ones:
+    gram FAILs at the diagonal.  On Meixner the exact entries read the
+    tables on the simplex |x| <= 2 m_max = 2, so that one is zeroed."""
+    ctx = V.SuiteContext(params, xmax=None if params.N else 3)
+    m = (1,) + (0,) * (params.n - 1)
+    (table,) = ctx.tables([m], bound)
+    ctx._memo["P_m", bound, m] = LatticeFunction(table.lattice, [0] * table.lattice.size, 1)
+    report = V.gram_check(ctx, 1)
+    assert (report.status, report.detail) == ("fail", f"non-positive diagonal at {m}")
+
+
 # The tail-bound route that the factorial moments replaced in the Meixner
 # gram and pair-orthogonality checks, kept as the oracle for the exact sums.
 
@@ -552,6 +566,20 @@ def test_completeness_fails_on_a_zeroed_or_perturbed_table_or_rate(params, monke
     report = V.completeness_check(V.SuiteContext(params))
     assert report.status == "fail" and report.max_defect > 0
     assert "not W-self-adjoint" in report.detail
+
+
+@pytest.mark.parametrize("params", [HAHN, KRAW], ids=lambda p: p.family)
+def test_completeness_fails_on_a_weight_not_positive_somewhere(params):
+    """W > 0 is a premise of the spectral argument: one weight set to 0,
+    at an interior point, FAILs before any residual is read."""
+    ctx = V.SuiteContext(params)
+    w = ctx.weights()
+    i = ctx.lattice.index[(1, 1, 1)]
+    ctx._memo["weights",] = dataclasses.replace(w, nums=(*w.nums[:i], 0, *w.nums[i + 1:]))
+    report = V.completeness_check(ctx)
+    assert (report.status, report.max_defect, report.detail) == (
+        "fail", None, "weight not positive at every point")
+    assert not any(key[0] == "residual" for key in ctx._memo)
 
 
 def test_completeness_keeps_only_the_tables_up_to_m_max():
@@ -883,17 +911,64 @@ def test_pair_orthogonality_reports():
     assert V.pair_orthogonality_report(V.SuiteContext(meix3, xmax=20), 1).status == "pass"
 
 
+KRAW5 = KrawtchoukParams((R(1, 3), R(1, 2), R(1, 4)), 5)
+
+
 def test_limit_checks():
-    ts = (100, 10_000, 1_000_000)
-    a3 = (R(1, 3), R(1, 2), R(1, 4))
-    kraw = KrawtchoukParams(a3, 5)
-    assert V.limit_check(ts, (1, 1, 0), (1, 1, 2), kraw).status == "pass"
-    assert V.limit_check(ts, (0, 0, 0), (1, 0, 1), kraw).status == "pass"
-    meix = MeixnerParams((R(1, 4), R(1, 4)), R(2))
-    assert V.limit_check(ts, (1, 1), (2, 1), meix).status == "pass"
-    assert V.limit_check(ts, (0, 3), (2, 1), meix).status == "pass"
+    for m, x, params in (((1, 1, 0), (1, 1, 2), KRAW5), ((0, 0, 0), (1, 0, 1), KRAW5),
+                         ((1, 1), (2, 1), MEIX), ((0, 3), (2, 1), MEIX)):
+        report = V.limit_check(m, x, params)
+        assert (report.status, report.max_defect, report.detail) == ("pass", 0, "")
+        assert report.instance.endswith(f"m={m} x={x}")
     with pytest.raises(ValueError, match="krawtchouk and meixner"):
-        V.limit_check(ts, (1, 0, 0), (1, 0, 1), HAHN)
+        V.limit_check((1, 0, 0), (1, 0, 1), HAHN)
+
+
+# The first-order ladder that decided ``limits`` before the exact limit,
+# kept as a consistency oracle for it.
+LADDER = (10**2, 10**4, 10**6)
+
+
+def ladder_protocol(deviations, t_values) -> str:
+    """First-order-in-1/t guard: each step must shrink by t_{k+1}/(2 t_k)."""
+    for k in range(len(deviations) - 1):
+        if abs(deviations[k + 1]) * t_values[k + 1] > 2 * abs(deviations[k]) * t_values[k]:
+            return "fail"
+    return "pass"
+
+
+def ladder_value(m, x, params, t):
+    """The Hahn P_m(x) at ``params.hahn_limit(t)``, each pair factor divided
+    by (-1)^{m_i} (alpha_t)_{m_i}, which keeps it finite as t grows."""
+    from mvortho import hahn, hahn_pair
+
+    a_t, b_t, N_t = params.hahn_limit(R(t))
+    s1 = sum(m[1:])
+    value = hahn(m[0], sum(x) - s1, sum(a_t) + 2 * s1, b_t, N_t - s1)
+    for i in range(1, len(a_t)):
+        shift = sum(m[i + 1:])
+        value *= hahn_pair(m[i], x[i - 1], sum(x[i:]) - shift, a_t[i - 1],
+                           sum(a_t[i:]) + 2 * shift)
+        value /= (-1) ** m[i] * rising_factorial(a_t[i - 1], m[i])
+    return value
+
+
+@pytest.mark.parametrize("params", [
+    KrawtchoukParams((R(1, 2), R(1, 3), R(2)), 4), MeixnerParams((R(1, 5), R(1, 4)), R(2)),
+    MeixnerParams((R(1, 8), R(1, 4), R(1, 3)), R(5, 2))], ids=lambda p: p.label)
+def test_the_exact_limit_agrees_with_the_ladder_on_every_draw(params, monkeypatch):
+    """On every draw of ``limit_suite``, seeds 0..5, the exact limit is
+    P_m(x) and the Hahn values on the old ladder still converge to it."""
+    draws, check = [], V.limit_check
+    monkeypatch.setattr(V, "limit_check", lambda m, x, p: draws.append((m, x)) or check(m, x, p))
+    for seed in range(6):
+        for report in V.limit_suite(params, random.Random(seed)):
+            assert (report.status, report.max_defect) == ("pass", 0)
+    assert len(draws) == 18
+    for m, x in draws:
+        target = eigenpoly(m, x, params)
+        assert ladder_protocol([ladder_value(m, x, params, t) - target for t in LADDER],
+                               LADDER) == "pass"
 
 
 def test_limit_single_variable_sanity():
@@ -903,16 +978,40 @@ def test_limit_single_variable_sanity():
     a, N = R(2, 5), 6
     for m in (1, 2, 3):
         for x in (0, 2, 5):
-            devs = []
-            for t in (10**2, 10**4, 10**6):
-                devs.append(hahn(m, x, a * t, (1 - a) * t, N) - krawtchouk(m, x, a, N))
-            status, _ = V._limit_protocol(devs, (10**2, 10**4, 10**6))
-            assert status == "pass"
+            devs = [hahn(m, x, a * t, (1 - a) * t, N) - krawtchouk(m, x, a, N) for t in LADDER]
+            assert ladder_protocol(devs, LADDER) == "pass"
 
 
 def test_limit_protocol_rejects_slow_convergence():
-    status, _ = V._limit_protocol([R(1), R(1, 2)], (100, 10_000))
-    assert status == "fail"
+    assert ladder_protocol([R(1), R(1, 2)], (100, 10_000)) == "fail"
+
+
+def test_a_perturbed_km_pair_row_fails_the_limit(monkeypatch):
+    """c_m + 1 in every Krawtchouk/Meixner pair row moves P_m(x), not the
+    Hahn values the limit is taken from."""
+    from mvortho import polynomials as P
+
+    cached = P._km_pair_row
+
+    def perturbed(m, ratio):
+        nums, den = cached(m, ratio)
+        return nums[:-1] + (nums[-1] + den,), den
+
+    monkeypatch.setattr(P, "_km_pair_row", perturbed)
+    for m, x, params in (((1, 1, 0), (1, 1, 2), KRAW5), ((0, 2), (2, 1), MEIX)):
+        report = V.limit_check(m, x, params)
+        assert report.status == "fail" and report.max_defect > 0 and not report.detail
+
+
+@pytest.mark.parametrize("b_t, detail", [
+    (lambda t: R(1), ""),  # b held at 1: a polynomial A of the right degree, a wrong limit
+    (lambda t: t * t, "A(t) has degree above |m| = 2"),  # deg A = 3: the extra sample
+])
+def test_a_krawtchouk_limit_without_b_equal_to_t_fails(b_t, detail, monkeypatch):
+    monkeypatch.setattr(KrawtchoukParams, "hahn_limit",
+                        lambda self, t: (tuple(v * t for v in self.a), b_t(t), self.N))
+    report = V.limit_check((1, 1, 0), (1, 1, 2), KRAW5)
+    assert (report.status, report.detail) == ("fail", detail) and report.max_defect > 0
 
 
 @pytest.mark.parametrize("params", [HAHN, KRAW])

@@ -29,7 +29,9 @@ limit is stopped and recorded as a timeout, with its peak RSS so far, and
 one that exits without a JSON report as failed, with its return code.
 ``--traced K --layer NAME`` adds
 K alternating pairs of ``--trace 1`` runs per workload at seed 0 and the
-spread of each named per-layer metric.  Only the standard library is used.
+spread of each named per-layer metric.  ``src_lines`` gives, per side, the
+lines of ``src/mvortho/*.py`` as ``wc -l`` counts them.  Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -178,6 +180,11 @@ def suite_once(tree: Path, n: int, N: int) -> dict:
             "all_passed": run["returncode"] == 0 and all(r["status"] != "fail" for r in reports)}
 
 
+def src_lines(tree: Path) -> int:
+    """The newlines in ``src/mvortho/*.py`` of ``tree``: the total of ``wc -l``."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "mvortho").glob("*.py"))
+
+
 def run_spec(text: str) -> tuple:
     """(workload, seed, pairs) of ``WORKLOAD[:SEED[:PAIRS]]``, seed 0 and
     ``PAIRS`` pairs unless given."""
@@ -229,6 +236,7 @@ def main(argv=None) -> int:
             "quartiles": "statistics.quantiles(n=4, method='inclusive') over the run medians",
             "workloads": summary(records, better),
             "env": {key: env[key] for key in ("python", "backend", "nproc", "cpu")} if env else {},
+            "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
         }
         if args.traced:
             traced = {}
