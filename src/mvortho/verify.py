@@ -12,11 +12,13 @@ each object a check reads (weight, stencils, tables, defects, residuals)
 on first use and keeps it in one memo, so a suite builds each of them
 once.  The eigenpolynomials and pair products the checks read on the
 lattice are all P_m tables of the context (a pair product is P_m with the
-other degrees 0).  Checks only read what the context built; the context
-fills its memo as checks ask, so one context serves one thread.  Beyond a
-context only the family-free caches of :mod:`mvortho.core` are kept, so a
-fresh context sees patched rates, weights or factors.  An identity check
-passes iff its largest |lhs - rhs| is exactly 0 (:func:`_exact`).
+other degrees 0).  Checks only read what the context built, save the
+tables above m_max that completeness builds from the context's slots and
+lets go; the context fills its memo as checks ask, so one context serves
+one thread.  Beyond a context only the family-free caches of
+:mod:`mvortho.core` are kept, so a fresh context sees patched rates,
+weights or factors.  An identity check passes iff its largest
+|lhs - rhs| is exactly 0 (:func:`_exact`).
 
 The shift and recursion identities (``sv-shifts``, ``sv-difference-eq``,
 ``pair-shifts``, ``pair-recursions``, ``generalized-recursions``,
@@ -36,7 +38,7 @@ import time
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement, repeat
-from operator import eq, mul
+from operator import mul
 
 from ._backend import R, ZERO, ONE, integer_scaled
 from .core import (LatticeFunction, enumerate_degrees, family_lattice, rising_factorial,
@@ -692,35 +694,42 @@ def completeness_check(ctx: SuiteContext) -> CheckReport:
     maps are strictly increasing.  So the tuple fixes |m| and every S_i,
     hence m; equal tuples FAIL.
 
-    Above m_max the exchange residuals are nested.  exchange(i) moves only
-    the sites i..n, so along each of its moves |x| and x_1 .. x_{i-1} are
-    constant, and with them any function of |x| and of (x_j, x_{>j}) =
-    (x_j, |x| - x_1 - ... - x_j) for j < i.  Let p < n - 1 be the first
-    index with m_p != 0 and hat be m with m_p set to 0.  P_m is slot p of m
-    (the radial slot, read at |x|, for p = 0; pair slot p, read at
-    (x_p, x_{>p}), otherwise) times P_hat: the slots before p are of degree
-    0, hence 1, and those after p are the same for m and hat.  For every
-    i > p that slot is constant along the moves of exchange(i), and the
-    eigenvalue reads S_i alone, equal for m and hat, so on every row
-    (exchange(i) - lambda) P_m is slot p times (exchange(i) - lambda) P_hat.
-    By induction on the nonzero entries of m_0 .. m_{i-1}, P_m is then an
-    eigenvector of exchange(i) when P_m' is, m' = m with m_0 .. m_{i-1} set
-    to 0; so the exchange(i) residuals are formed only for the m with
-    m_0 = ... = m_{i-1} = 0, and total's for every P_m.  Both halves of the
-    premise are checked, not assumed: every off-diagonal entry of each
-    exchange(i) stencil must join two points of equal |x| and x_1 .. x_{i-1},
-    and each table must equal slot p, from the context's factor dict, times
-    the table of P_hat, cross-multiplied in integers at every point.  Every
-    hat has m_0 = 0, so the integer forms of those tables are kept until
-    the check ends.  Up to m_max every residual is read: the eigen check
-    formed them.
+    Up to m_max the tables and their residuals are the context's, which
+    the eigen check formed.  Above m_max each table is built here from its
+    nested factor, checked and let go, and never enters the memo.  Let p
+    be the first index with m_p != 0 and hat be m with m_p set to 0, so
+    hat has m_0 = 0 and |hat| < |m|.  The table of P_m is slot p of m
+    (``ctx.slot``: the radial slot, read at |x|, for p = 0; pair slot p,
+    read at (x_p, x_{>p}), otherwise) times the held table of P_hat, point
+    by point; P_(0, ..., 0, m_{n-1}) is slot n-1 times P_0.
+
+    These tables are sound by construction: the check reasons only about
+    the tables it holds, and each of them is slot p times P_hat exactly.
+    exchange(i) moves only the sites i..n, so along each of its moves |x|
+    and x_1 .. x_{i-1} are constant, and with them any function of |x| and
+    of (x_j, x_{>j}) = (x_j, |x| - x_1 - ... - x_j) for j < i; the premise
+    is checked: every off-diagonal entry of each exchange(i) stencil must
+    join two points of equal |x| and x_1 .. x_{i-1}.  For every i > p slot
+    p is constant along the moves of exchange(i), and the eigenvalue reads
+    S_i alone, equal for m and hat, so on every row (exchange(i) - lambda)
+    P_m is slot p times (exchange(i) - lambda) P_hat.  By induction on the
+    nonzero entries of m_0 .. m_{i-1}, P_m is then an eigenvector of
+    exchange(i) when P_m' is, m' = m with m_0 .. m_{i-1} set to 0; so above
+    m_max the exchange(i) residuals are formed only for the m with
+    m_0 = ... = m_{i-1} = 0, and total's for every P_m.  Every hat has
+    m_0 = 0, so the integer forms of those tables are kept until the check
+    ends.
+
+    They equal :func:`mvortho.polynomials.eigenpoly_tables`, the product
+    of every slot of m: the slot product is associative, a slot of degree
+    0 is exactly 1, and the slots of m and hat after p are the same, so
+    both products are slot p times the slots of m after p (a test keeps
+    ``eigenpoly_tables`` as the oracle).
 
     The residuals are formed one total degree (shell) per kernel call
     (one pack across degrees would need the slot width of the largest
-    table), and the adjointness defects are reused.  A shell above m_max is
-    dropped from the context once it is checked, so at most one such shell
-    of tables is held at a time; the tables of |m| <= m_max stay for the
-    other checks.
+    table), and the adjointness defects are reused, so at most one shell
+    of tables above m_max is held at a time.
     """
     params = ctx.params
 
@@ -748,34 +757,31 @@ def completeness_check(ctx: SuiteContext) -> CheckReport:
                    for i, row in enumerate(ctx.stencil(op.kind, op.index).rows) for j in row):
                 return FAIL, None, f"{op.label} changes |x| or some x_k, k < {op.index}"
         below: dict = {}  # integer forms of the P_m with m_0 = 0 of the shells so far
+
+        def nested(m):
+            """The table of slot p of m times the held P_hat."""
+            p = next(k for k, mk in enumerate(m) if mk)
+            snums, sden = ctx.slot(p, m[p], sum(m) - m[p])
+            hnums, hden = below[(*m[:p], 0, *m[p + 1:])]
+            return LatticeFunction(ctx.lattice, list(map(mul, snums, hnums)), sden * hden)
+
         for d in range(params.N + 1):
             shell = [m for m in degrees if sum(m) == d]
-            forms = [table.integer_form() for table in ctx.tables(shell)]
-            for m, (nums, _) in zip(shell, forms):
-                if not any(nums):
-                    return FAIL, None, f"P_{m} vanishes"
             nest = d > ctx.m_max
+            tables = dict(zip(shell, map(nested, shell) if nest else ctx.tables(shell)))
+            for m, table in tables.items():
+                if not any(table.nums):
+                    return FAIL, None, f"P_{m} vanishes"
             for op in ops:
-                nested = [m for m in shell if not (nest and any(m[:op.index or 0]))]
-                for m, worst in zip(nested, ctx.eigen_residuals(op.kind, op.index, nested)):
+                H, read = ctx.stencil(op.kind, op.index), [
+                    m for m in shell if not (nest and any(m[:op.index or 0]))]
+                worsts = (residual_defects(H, [tables[m] for m in read],
+                                           [ctx.eigenvalue(op.kind, op.index, m) for m in read])
+                          if nest else ctx.eigen_residuals(op.kind, op.index, read))
+                for m, worst in zip(read, worsts):
                     if worst:
                         return FAIL, worst, f"P_{m} not an eigenvector of {op.label} on every row"
-            slots: dict = {}
-            for m, (nums, den) in zip(shell, forms):
-                p = next((k for k, mk in enumerate(m[:n - 1]) if mk), None)
-                if nest and p is not None:
-                    # slot p of m times P_hat, cross-multiplied: nums sden hden = snums hnums den
-                    hat, key = (*m[:p], 0, *m[p + 1:]), (p, m[p], d - m[p])
-                    if key not in slots:
-                        slots[key] = ctx.slot(*key)
-                    (snums, sden), (hnums, hden) = slots[key], below[hat]
-                    if not all(map(eq, map(mul, nums, repeat(sden * hden)),
-                                   map(mul, map(mul, snums, hnums), repeat(den)))):
-                        return FAIL, None, f"P_{m} is not slot {p} times P_{hat}"
-                if not m[0]:
-                    below[m] = nums, den
-            if nest:
-                ctx.drop_tables(shell)
+            below.update((m, table.integer_form()) for m, table in tables.items() if not m[0])
         if len({tuple(ctx.eigenvalue(op.kind, op.index, m) for op in ops)
                 for m in degrees}) < size:
             return FAIL, None, "joint eigenvalues not distinct"
@@ -859,12 +865,11 @@ def limit_check(m, x, params) -> CheckReport:
     return _report("limit", inst, body)
 
 
-def limit_suite(params, rng: random.Random) -> list[CheckReport]:
+def limit_suite(params, rng: random.Random, bound: int) -> list[CheckReport]:
     """Three random (m, x) draws for the limit transition of a Krawtchouk
     or Meixner bundle: m in {0,1,2}^n redrawn until |m| <= N, x on the
-    lattice (the box |x| <= 8 for Meixner)."""
+    simplex |x| <= bound, the instance lattice (N, or the Meixner box)."""
     n = params.n
-    bound = 8 if params.N is None else params.N
     reports = []
     for _ in range(3):
         m = _random_point(rng, n, 2, params.N)
@@ -899,8 +904,8 @@ class SuiteContext:
     Each object a check reads is built on first use and kept for the life
     of the context in one memo, whose keys lead with the kind of object
     (the lattices it reads are the process's, see :mod:`mvortho.core`);
-    only the completeness check drops tables, those of |m| > m_max, one
-    shell at a time (:meth:`drop_tables`):
+    tables above m_max never enter the memo (the completeness check builds
+    each from its nested factor, see :func:`completeness_check`):
 
         ("weights",)                           the weight table
         ("stencil", kind, index)               an operator's stencil
@@ -1054,12 +1059,6 @@ class SuiteContext:
         factor dict the tables are built from."""
         return slot_table(self.params, self.lattice, j, mj, shift, self._keep(("factors",), dict))
 
-    def drop_tables(self, degrees) -> None:
-        """Forget the instance-lattice tables of ``degrees``; a later request
-        builds them again."""
-        for m in degrees:
-            self._memo.pop(("P_m", self.lattice.bound, self.params.degree_index(m)), None)
-
     def type_one(self, J: tuple, m: int) -> LatticeFunction:
         """Table of the degree-m type-one polynomial in x_J on the instance
         lattice, for a sorted subset J of 1..n.  It depends on x only through
@@ -1130,7 +1129,7 @@ CHECKS = {
     "gram": lambda c: [gram_check(c, c.gram_degree)],
     "pair-orthogonality": lambda c: [pair_orthogonality_report(c, 1)],
     "completeness": lambda c: [completeness_check(c)],
-    "limits": lambda c: limit_suite(c.params, c.rng),
+    "limits": lambda c: limit_suite(c.params, c.rng, c.lattice.bound),
 }
 SUITE = tuple(name for name in CHECKS if name != "limits")
 

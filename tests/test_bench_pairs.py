@@ -101,3 +101,39 @@ def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
     assert bench_pairs.src_lines(parent) == 5
     assert bench_pairs.src_lines(change) == 3
     assert bench_pairs.src_lines(tmp_path) == 0
+
+
+DURATIONS = """\
+........................................................................ [100%]
+============================== slowest durations ===============================
+{slow}
+(146 durations < 1s hidden.)
+{passed} passed in {wall}s
+"""
+
+
+def test_tier1_records_the_tests_over_the_budget_per_run(monkeypatch):
+    """Canned pytest output, two runs per side: the command asks for the
+    durations over ``SLOW_S`` seconds, and each run records the ones it
+    printed, with their phase, or none."""
+    slow = {"parent": ["1.25s call     tests/test_core.py::test_a[x-1]\n"
+                       "1.03s setup    tests/test_serialize.py::test_b", ""],
+            "change": ["1.10s call     tests/test_core.py::test_a[x-1]", ""]}
+    commands = []
+
+    class Done:
+        def __init__(self, cwd):
+            side = Path(cwd).name
+            self.stdout = DURATIONS.format(slow=slow[side].pop(0), passed=559, wall="20.50")
+
+    def run(argv, cwd, **kwargs):
+        commands.append(argv)
+        return Done(cwd)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    out = bench_pairs.tier1({"parent": Path("parent"), "change": Path("change")}, 2)
+    assert all("--durations=0" in argv and "--durations-min=1.0" in argv for argv in commands)
+    assert out["parent"] == {"passed": 559, "wall_s": [20.5, 20.5], "slow": [
+        {"call tests/test_core.py::test_a[x-1]": 1.25,
+         "setup tests/test_serialize.py::test_b": 1.03}, {}]}
+    assert out["change"]["slow"] == [{"call tests/test_core.py::test_a[x-1]": 1.1}, {}]

@@ -2,6 +2,7 @@
 call, and no input that ends in anything but exit code 0, 1 or 2; and the
 outputs that other programs read back."""
 
+import ast
 import contextlib
 import hashlib
 import importlib.util
@@ -255,3 +256,25 @@ def test_the_weights_csv_parses_back_to_the_weight_table(argv, params, xmax):
     assert (points, values) == (list(w.lattice.points), list(w.values))
     if params.N is not None:
         assert sum(values) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--family", "hahn", "--n", "3", "--a", "1,2", "--b", "2", "--N", "4", "--m", "1,0"],
+     "--a has 2 entries but --n is 3"),
+    (["eval", "--family", "hahn", "--a", "1,2", "--N", "4", "--m", "1,0"],
+     "hahn needs --b and --N"),
+    (["eval", *HAHN, "--m", "1,-1,0"], "degrees must be non-negative"),
+])
+def test_an_input_error_exits_2_with_its_message(argv, message):
+    assert run(argv) == (2, "", f"error: {message}\n")
+
+
+def test_meixner_limits_draw_their_points_from_the_xmax_box():
+    """``--check limits`` on Meixner reads every x from the lattice of
+    ``--xmax``, as the other checks do."""
+    rc, out, _ = run(["verify", "--family", "meixner", "--a", "1/5,1/4", "--beta", "2",
+                      "--xmax", "2", "--check", "limits", "--format", "json"])
+    instances = [r["instance"] for r in json.loads(out)["reports"]]
+    assert rc == 0 and len(instances) == 3
+    points = [ast.literal_eval(text.split("x=")[1]) for text in instances]
+    assert all(len(x) == 2 and sum(x) <= 2 for x in points)

@@ -603,24 +603,66 @@ def test_completeness_fails_on_a_perturbed_table_with_a_radial_degree():
     assert report.max_defect > 0
 
 
-@pytest.mark.parametrize("m, other, p, hat", [
-    ((1, 1, 0), (1, 0, 1), 0, (0, 1, 0)),
-    ((0, 1, 1), (0, 2, 0), 1, (0, 0, 1)),
-])
-def test_completeness_checks_that_each_table_factors_through_its_nested_one(m, other, p, hat):
-    """P_m set to the table of another P of the same |m| and S_1: total's
-    residual and every exchange residual formed for m stay 0, and the
-    exchange(i) residuals that would differ, i > p, are read from P_hat.
-    So the factor pass (P_m is slot p times P_hat) is what FAILs: two equal
-    tables are no basis.  m_max 1 puts |m| = 2 among the nested shells."""
-    ctx = V.SuiteContext(HAHN, m_max=1)
-    ctx._memo["P_m", HAHN.N, m] = ctx.tables([other])[0]
+@pytest.mark.parametrize("m_max, verdict", [
+    (1, ("pass", None)),
+    (2, ("fail", "P_(1, 1, 0) not an eigenvector of exchange2 on every row")),
+], ids=["m_max1", "m_max2"])
+def test_completeness_reads_a_stored_table_only_up_to_m_max(m_max, verdict):
+    """P_(1, 1, 0) stored as the table of P_(1, 0, 1), of the same |m| and
+    S_1.  At m_max 1 that shell is built from its nested factors, so the
+    stored entry is never read and the check passes; no table or residual
+    above m_max enters the memo.  At m_max 2 the stored entry is read, and
+    its exchange2 residual FAILs, as S_2 differs."""
+    m = (1, 1, 0)
+    ctx = V.SuiteContext(HAHN, m_max=m_max)
+    (swapped,) = ctx.tables([(1, 0, 1)])
+    ctx._memo["P_m", HAHN.N, m] = swapped
     report = V.completeness_check(ctx)
-    assert (report.status, report.detail) == ("fail", f"P_{m} is not slot {p} times P_{hat}")
-    # every residual completeness formed for m is 0
-    assert not any(ctx.eigen_residuals(op, i, [m]) != [0]
-                   for op, i in [("total", None), ("exchange", 1), ("exchange", 2)]
-                   if not any(m[:i or 0]))
+    assert (report.status, report.detail if report.status == "fail" else None) == verdict
+    assert ctx._memo["P_m", HAHN.N, m] is swapped
+    assert {key for key in ctx._memo if key[0] in ("P_m", "residual") and sum(key[-1]) > m_max
+            } <= {("P_m", HAHN.N, m), ("P_m", HAHN.N, (1, 0, 1))}
+
+
+def test_completeness_fails_on_a_nested_table_built_from_a_perturbed_slot():
+    """A construction fault: the radial slot (m_0, shift) = (1, 1), read only
+    by the tables of |m| = 2 > m_max, with one value changed.  The exchange
+    residuals of those tables are nested, but total's is formed on each."""
+    ctx = V.SuiteContext(HAHN, m_max=1)
+    slot = ctx.slot
+
+    def perturbed(j, mj, shift):
+        nums, den = slot(j, mj, shift)
+        return ([*nums[:-1], nums[-1] + den], den) if (j, mj, shift) == (0, 1, 1) else (nums, den)
+
+    ctx.slot = perturbed
+    report = V.completeness_check(ctx)
+    assert (report.status, report.detail) == (
+        "fail", "P_(1, 1, 0) not an eigenvector of total on every row")
+    assert report.max_defect > 0
+
+
+@pytest.mark.parametrize("params", [
+    HahnParams((R(1), R(2), R(3, 2)), R(2), 6), KrawtchoukParams((R(1, 2), R(1, 3), R(2)), 6),
+    HahnParams((R(1), R(2), R(3), R(1, 2)), R(2), 5),
+    KrawtchoukParams((R(1, 2), R(1, 3), R(2), R(3, 2)), 5)], ids=lambda p: p.label)
+def test_the_nested_tables_equal_eigenpoly_tables(params, monkeypatch):
+    """At m_max 0 completeness builds every table of |m| >= 1 as slot p times
+    P_hat; total's residual call of each shell receives them all (P_0 from
+    the context), and each equals the slot product of
+    :func:`eigenpoly_tables`, the oracle."""
+    built, kernel = [], V.residual_defects
+
+    def spy(H, tables, eigenvalues):
+        if H.op.kind == "total":
+            built.extend(tables)
+        return kernel(H, tables, eigenvalues)
+
+    monkeypatch.setattr(V, "residual_defects", spy)
+    ctx = V.SuiteContext(params, m_max=0)
+    assert V.completeness_check(ctx).status == "pass"
+    degrees = enumerate_degrees(params.n, params.N)
+    assert built == eigenpoly_tables(degrees, params, ctx.lattice)
 
 
 def test_completeness_checks_that_exchange_keeps_the_lower_sites():
@@ -767,10 +809,11 @@ def test_suite_builds_each_stencil_and_table_once(monkeypatch):
     reports = V.run_suite(params)
     assert reports and not any(r.status == "fail" for r in reports)
     assert sorted(built) == ["exchange1", "exchange2", "single", "total"]
-    # each (lattice, m) once: every |m| <= N on the instance lattice, and the
+    # each (lattice, m) once: every |m| <= m_max on the instance lattice (the
+    # tables above it completeness builds from their nested factors), and the
     # chained products of generalized-recursions one shell further out
     assert max(Counter(tables).values()) == 1
-    assert sorted(m for bound, m in tables if bound == 5) == sorted(enumerate_degrees(3, 5))
+    assert sorted(m for bound, m in tables if bound == 5) == sorted(enumerate_degrees(3, 3))
     assert {bound for bound, _ in tables} == {5, 6}
     assert calls == Counter({("weight_table", "hahn"): 1, **{
         ("adjointness_defect", op): 1 for op in ["total", "single", "exchange1", "exchange2"]}})
@@ -962,7 +1005,7 @@ def test_the_exact_limit_agrees_with_the_ladder_on_every_draw(params, monkeypatc
     draws, check = [], V.limit_check
     monkeypatch.setattr(V, "limit_check", lambda m, x, p: draws.append((m, x)) or check(m, x, p))
     for seed in range(6):
-        for report in V.limit_suite(params, random.Random(seed)):
+        for report in V.limit_suite(params, random.Random(seed), params.N or 8):
             assert (report.status, report.max_defect) == ("pass", 0)
     assert len(draws) == 18
     for m, x in draws:
@@ -1235,6 +1278,25 @@ def test_text_row_and_details_format_huge_values():
         assert sci_str(q) == f"{float(q):.3e}"
     row = V.CheckReport("gram", "inst", "fail", max_defect=R(10**30, 7)).text_row()
     assert f"~{float(R(10**30, 7)):.3e}" in row
+
+
+@pytest.mark.parametrize("q, estimate", [
+    (R(10**400 - 1), 400),  # the float estimate of floor(log10 q) is one too high
+    (R(10**400 * 868289 + 1, 868289), 399),  # one too low, just above 10^400
+])
+def test_sci_str_corrects_the_exponent_estimate_beyond_the_float_range(q, estimate):
+    """Both corrections of the exponent, against decimal arithmetic at
+    1,000 digits as the exact oracle."""
+    from decimal import Decimal, localcontext
+
+    from mvortho.serialize import sci_str
+
+    assert math.floor(math.log10(q.numerator) - math.log10(q.denominator)) == estimate
+    with localcontext() as context:
+        context.prec = 1000
+        expected = format(Decimal(q.numerator) / Decimal(q.denominator), ".3e")
+    assert sci_str(q) == expected == "1.000e+400"
+    assert sci_str(-q) == "-" + expected
 
 
 def test_cli_rejects_point_of_wrong_dimension(capsys):

@@ -20,8 +20,10 @@ workload (keyed ``name`` at seed 0, ``name seed=S`` otherwise) and side,
 each end-to-end metric's median, quartiles and runs in pair order, the
 operations attempted and failed, and per metric the pairs the change won
 (better in the direction ``BENCHMARK.json`` gives).  ``--tier1 K`` adds K
-alternating tier-1 runs per side.  ``--frontier n:N`` adds the full Hahn
-suite ``verify --format json --timings`` at a = (1, 2, 3, 1/2)[:n], b = 2:
+alternating tier-1 runs per side, each with the tests that took over
+``SLOW_S`` seconds (pytest's ``--durations``).  ``--frontier n:N`` adds
+the full Hahn suite ``verify --format json --timings`` at
+a = (1, 2, 3, 1/2)[:n], b = 2:
 process wall time, the ``completeness`` time, peak RSS and whether every
 report passed, for the change, and for the parent too where the instance
 is also given to ``--frontier-parent``; a run still going after the 60 s
@@ -49,8 +51,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SLOW_S = 1.0  # the per-test budget of tier-1
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-         "-p", "no:cacheprovider"]
+         "-p", "no:cacheprovider", "--durations=0", f"--durations-min={SLOW_S}"]
 FRONTIER_A = ("1", "2", "3", "1/2")
 SECONDS = 28  # the run length of every BENCH file
 PAIRS = 10
@@ -137,9 +140,17 @@ def summary(records: list, better: dict) -> dict:
     return out
 
 
+def slow_tests(stdout: str) -> dict:
+    """The phases over ``SLOW_S`` seconds in pytest's ``--durations`` report,
+    as {"<phase> <test id>": seconds}."""
+    return {f"{phase} {test}": float(s) for s, phase, test in
+            re.findall(r"^([\d.]+)s (setup|call|teardown) +(\S+)$", stdout, re.MULTILINE)}
+
+
 def tier1(trees: dict, runs: int) -> dict:
-    """Alternating tier-1 runs: tests passed and pytest's wall time per side."""
-    out = {side: {"passed": None, "wall_s": []} for side in trees}
+    """Alternating tier-1 runs: tests passed, pytest's wall time and the
+    tests over ``SLOW_S`` seconds of each run, per side."""
+    out = {side: {"passed": None, "wall_s": [], "slow": []} for side in trees}
     for k in range(runs):
         for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
             proc = subprocess.run(TIER1, cwd=trees[side], capture_output=True, text=True,
@@ -148,6 +159,7 @@ def tier1(trees: dict, runs: int) -> dict:
             passed = re.search(r"(\d+) passed", tail)
             out[side]["passed"] = int(passed.group(1)) if passed else 0
             out[side]["wall_s"].append(float(re.search(r" in ([\d.]+)s", tail).group(1)))
+            out[side]["slow"].append(slow_tests(proc.stdout))
     return out
 
 
@@ -254,7 +266,8 @@ def main(argv=None) -> int:
                                "workloads": traced}
         if args.tier1:
             bench["tier1"] = {"command": "PYTHONPATH=src " + " ".join(["python", *TIER1[1:]]),
-                              "runs": "alternating which side runs first; pytest's wall time",
+                              "runs": "alternating which side runs first; pytest's wall "
+                                      f"time; slow: per run, the tests over {SLOW_S} s",
                               **tier1(trees, args.tier1)}
         if args.frontier:
             rows = []
