@@ -30,16 +30,17 @@ The eigenpolynomial tables are built from *slots*: pair factor j of P_m
 with its degree shift, read at (x_j, x_{>j} - shift), and the radial
 factor, read at |x| - (|m| - m_0).  The families compute a slot at a
 list of arguments through the same kernels (:func:`hahn_pair_sums`,
-:func:`km_pair_sums` and the single-variable grids), and
-:func:`eigenpoly_tables` multiplies the slots' integers point by point
-into the integer form that a table stores (see there).  Rows are looked
-up through this module at every call, so a patched row reaches the
-grids and the tables alike.
+:func:`km_pair_sums` and the single-variable grids).  The tables are
+nested: :func:`eigenpoly_tables` builds each P_m as its first slot of
+nonzero degree times the table of P_m with that degree set to 0 (see
+there).  Rows are looked up through this module at every call, so
+a patched row reaches the grids and the tables alike.
 
 The pointwise evaluators (:func:`hahn`, :func:`krawtchouk`,
-:func:`meixner`, :func:`hahn_pair`, :func:`km_pair`, :func:`eigenpoly`)
-are one-point calls of the same kernels and of the same slot product,
-and form one rational per value.  They take integer points only: a
+:func:`meixner`, :func:`hahn_pair`, :func:`km_pair`) are one-point calls
+of the same kernels, and form one rational per value; :func:`eigenpoly`
+is the product of all n slots at one point, degree-0 slots included,
+the oracle of the nested tables.  They take integer points only: a
 non-integral point raises ValueError.
 
 Degree multi-indices are tuples m = (m_0, m_1, ..., m_{n-1}); m_0 is the
@@ -59,7 +60,7 @@ from itertools import chain
 from typing import Sequence
 
 from ._backend import R, ONE, as_integer, integer_scaled
-from .core import FamilyParams, Lattice, LatticeFunction, distinct_positions, shared_lattice
+from .core import FamilyParams, Lattice, LatticeFunction, shared_lattice
 from .operators import OperatorSpec
 
 # Rows kept per cached builder; a row is one (degree, parameters).
@@ -291,54 +292,82 @@ def km_pair_sums(m: int, alpha, gamma, points) -> tuple[list, int]:
 
 
 def eigenpoly(m: Sequence[int], x: Sequence[int], params):
-    """The eigenpolynomial P_m(x) at one integer point: the product of its
-    slots at x, as :func:`eigenpoly_tables` forms it at every point.  A
-    product of the pair factors i..n-1 alone is P_m with m_0..m_{i-1} set
-    to 0."""
+    """The eigenpolynomial P_m(x) at one integer point: the product of all n
+    of its slots at x (see :func:`eigenpoly_tables`), the degree-0 ones
+    included, and the slow oracle of the nested tables."""
     FamilyParams.require(params)
     m = params.degree_index(m)
     x = params.check_point(x)
-    args = [[sum(x)]] + [[(x[j - 1], sum(x[j:]))] for j in range(1, params.n)]
-    (nums, den), = _slot_products([m], params, list(map(distinct_positions, args)), {})
-    return R(nums[0], den)
+    slots = [params.radial_slot(m[0], sum(m[1:]), [sum(x)])] + [
+        params.pair_slot(j, m[j], sum(m[j + 1:]), [(x[j - 1], sum(x[j:]))])
+        for j in range(1, params.n)]
+    return math.prod(map(_one, slots), start=ONE)
 
 
 def eigenpoly_tables(degrees, params, lattice: Lattice, factors: dict | None = None
                      ) -> list[LatticeFunction]:
     """Value tables of P_m over an enumerated lattice, one per m in ``degrees``.
 
-    P_m(x) is built factor by factor.  A *slot* is one factor of P_m as a
-    function of the point: pair slot (j, m_j, shift), with shift =
-    sum_{k>j} m_k, read at (x_j, x_{>j}), and the radial slot (m_0,
-    |m| - m_0) read at |x|.  The family computes a slot at a list of
-    integer arguments (``pair_slot``, ``radial_slot``): one integer sum per
-    argument against the slot's cached coefficient row, over that row's
-    denominator, with no rational per value.  ``factors`` maps each slot to
-    (denominator, {argument: numerator}); a caller that passes the same
-    dict to several calls, on any lattices of the same bundle, evaluates
-    each (slot, argument) once in all.  The term-by-term oracle in
-    ``tests/test_polynomials.py`` is the reference; every value equals it
-    exactly.
+    P_m(x) is a product of *slots*, one factor of P_m each as a function of
+    the point: pair slot (j, m_j, shift), with shift = sum_{k>j} m_k, read
+    at (x_j, x_{>j}), and the radial slot (m_0, |m| - m_0) read at |x|.  The
+    family computes a slot at a list of integer arguments (``pair_slot``,
+    ``radial_slot``): one integer sum per argument against the slot's
+    cached coefficient row, over that row's denominator, with no rational
+    per value.  ``factors`` maps each slot to (denominator, {argument:
+    numerator}); a caller that passes the same dict to several calls, on
+    any lattices of the same bundle, evaluates each (slot, argument) once
+    in all.  The term-by-term oracle in ``tests/test_polynomials.py`` is
+    the reference; every value equals it exactly.
 
-    A table is the product of its slots' integers point by point, over
-    the product of their denominators, which the table reduces by the gcd
-    of all of them (:class:`LatticeFunction`).  That is its integer form
-    (:meth:`LatticeFunction.integer_form`): the values over their lcm
+    The tables are nested, as the minor operators act on fewer and fewer
+    variables.  Let p be the first index with m_p != 0 and hat be m with
+    m_p set to 0, so hat has m_0 = 0 and |hat| < |m|.  The slots of m and
+    hat after p are the same, and a slot of degree 0 is exactly 1, so P_m
+    is slot p of m times P_hat, point by point; P_(0, ..., 0, m_{n-1}) is
+    slot n-1 times P_0 = 1.  So each table is one product of integers,
+    over the product of the two denominators, which the table reduces by
+    the gcd of all of them (:class:`LatticeFunction`).  That is its integer
+    form (:meth:`LatticeFunction.integer_form`): the values over their lcm
     denominator, which the integer kernels read.  The table forms its
-    rationals only when its ``values`` are read.
+    rationals only when its ``values`` are read.  Every table with m_0 = 0
+    a call builds keeps its integer form in ``factors[lattice]``, keyed by
+    m, so a later call with the same dict reads its hats there; a hat
+    neither held nor requested is built the same way.
     """
     FamilyParams.require(params)
     if lattice.n != params.n:
         raise ValueError(f"lattice has {lattice.n} coordinates, params have {params.n}")
     degrees = [params.degree_index(m) for m in degrees]
-    products = _slot_products(degrees, params, lattice.slot_args,
-                              {} if factors is None else factors)
-    return [LatticeFunction(lattice, nums, den) for nums, den in products]
+    factors = {} if factors is None else factors
+    held = factors.setdefault(lattice, {})
+    return [LatticeFunction(lattice, *held[m]) if m in held
+            else _nested_table(m, params, lattice, factors) for m in degrees]
+
+
+def _nested_table(m: tuple, params, lattice: Lattice, factors: dict) -> LatticeFunction:
+    """P_m as slot p of m times P_hat, held or built first (see
+    :func:`eigenpoly_tables`); kept in ``factors[lattice]`` if m_0 = 0."""
+    held = factors[lattice]
+    if not any(m):
+        table = LatticeFunction(lattice, [1] * lattice.size, 1)
+    else:
+        p = next(k for k, mk in enumerate(m) if mk)
+        key = (m[p], sum(m) - m[p]) if p == 0 else (p, m[p], sum(m) - m[p])
+        method = params.pair_slot if p else params.radial_slot
+        nums, den = _slot_values(method, key, lattice.slot_args[p], factors)
+        hat = (*m[:p], 0, *m[p + 1:])
+        hnums, hden = (held[hat] if hat in held
+                       else _nested_table(hat, params, lattice, factors).integer_form())
+        table = LatticeFunction(lattice, list(map(operator.mul, nums, hnums)), den * hden)
+    if not m[0]:
+        held[m] = table.integer_form()
+    return table
 
 
 def _slot_values(method, key: tuple, args: tuple, factors: dict) -> tuple:
     """Numerators of the slot ``key`` at every point, over its denominator,
-    with ``args`` the points' arguments as :func:`distinct_positions` gives
+    with ``args`` the points' arguments as :attr:`Lattice.slot_args` gives
     them: ``method`` evaluates the slot at the distinct arguments missing
     from ``factors``, and the values are spread to the points by position."""
     distinct, positions = args
@@ -350,40 +379,6 @@ def _slot_values(method, key: tuple, args: tuple, factors: dict) -> tuple:
         factors[key] = den, known
     values = [known[arg] for arg in distinct]
     return list(map(values.__getitem__, positions)), den
-
-
-def _slot_products(degrees, params, slot_args, factors: dict) -> list[tuple]:
-    """(numerators, den) of P_m, for each m of ``degrees``, at the points
-    whose slot arguments are ``slot_args`` (as :attr:`Lattice.slot_args`):
-    the slot product of :func:`eigenpoly_tables`."""
-    slots: dict = {}
-
-    def slot(method, key: tuple, args: tuple) -> tuple:
-        if key not in slots:
-            slots[key] = _slot_values(method, key, args, factors)
-        return slots[key]
-
-    radial, *pairs = slot_args
-    products = []
-    for m in degrees:
-        nums, den = slot(params.radial_slot, (m[0], sum(m[1:])), radial)
-        for j, args in enumerate(pairs, start=1):
-            fnums, fden = slot(params.pair_slot, (j, m[j], sum(m[j + 1 :])), args)
-            nums = list(map(operator.mul, nums, fnums))
-            den *= fden
-        products.append((nums, den))
-    return products
-
-
-def slot_table(params, lattice: Lattice, j: int, mj: int, shift: int,
-               factors: dict) -> tuple:
-    """(numerators at every point of ``lattice``, den) of one slot of
-    :func:`eigenpoly_tables`, read from and added to ``factors`` as there:
-    the radial slot (m_0, |m| - m_0) = (mj, shift) at j = 0, read at |x|,
-    and pair slot (j, mj, shift) otherwise, read at (x_j, x_{>j})."""
-    if j == 0:
-        return _slot_values(params.radial_slot, (mj, shift), lattice.slot_args[0], factors)
-    return _slot_values(params.pair_slot, (j, mj, shift), lattice.slot_args[j], factors)
 
 
 def eigenpoly_table(m: Sequence[int], params, lattice: Lattice) -> LatticeFunction:

@@ -13,9 +13,9 @@ on first use and keeps it in one memo, so a suite builds each of them
 once.  The eigenpolynomials and pair products the checks read on the
 lattice are all P_m tables of the context (a pair product is P_m with the
 other degrees 0).  Checks only read what the context built, save the
-tables above m_max that completeness builds from the context's slots and
-lets go; the context fills its memo as checks ask, so one context serves
-one thread.  Beyond a context only the family-free caches of
+tables above m_max that completeness builds from the context's factor
+dict and lets go; the context fills its memo as checks ask, so one
+context serves one thread.  Beyond a context only the family-free caches of
 :mod:`mvortho.core` are kept, so a fresh context sees patched rates,
 weights or factors.  An identity check passes iff its largest
 |lhs - rhs| is exactly 0 (:func:`_exact`).
@@ -69,7 +69,6 @@ from .polynomials import (
     hahn_pair,
     hahn_pair_grid,
     pair_backward_table,
-    slot_table,
 )
 from .serialize import rational_str, sci_str
 
@@ -695,16 +694,15 @@ def completeness_check(ctx: SuiteContext) -> CheckReport:
     hence m; equal tuples FAIL.
 
     Up to m_max the tables and their residuals are the context's, which
-    the eigen check formed.  Above m_max each table is built here from its
-    nested factor, checked and let go, and never enters the memo.  Let p
-    be the first index with m_p != 0 and hat be m with m_p set to 0, so
-    hat has m_0 = 0 and |hat| < |m|.  The table of P_m is slot p of m
-    (``ctx.slot``: the radial slot, read at |x|, for p = 0; pair slot p,
-    read at (x_p, x_{>p}), otherwise) times the held table of P_hat, point
-    by point; P_(0, ..., 0, m_{n-1}) is slot n-1 times P_0.
+    the eigen check formed.  Above m_max the tables of each shell come
+    from one :func:`eigenpoly_tables` call on the context's factor dict,
+    are checked and let go, and never enter the memo.  Each is nested:
+    with p the first index of m with m_p != 0 and hat = m with m_p set to
+    0, P_m is slot p of m times the held table of P_hat, which has m_0 = 0
+    and |hat| < |m| (see there).  The held table of each hat is the one
+    this check read, as the context's tables and the held forms come from
+    the same calls.
 
-    These tables are sound by construction: the check reasons only about
-    the tables it holds, and each of them is slot p times P_hat exactly.
     exchange(i) moves only the sites i..n, so along each of its moves |x|
     and x_1 .. x_{i-1} are constant, and with them any function of |x| and
     of (x_j, x_{>j}) = (x_j, |x| - x_1 - ... - x_j) for j < i; the premise
@@ -716,15 +714,7 @@ def completeness_check(ctx: SuiteContext) -> CheckReport:
     nonzero entries of m_0 .. m_{i-1}, P_m is then an eigenvector of
     exchange(i) when P_m' is, m' = m with m_0 .. m_{i-1} set to 0; so above
     m_max the exchange(i) residuals are formed only for the m with
-    m_0 = ... = m_{i-1} = 0, and total's for every P_m.  Every hat has
-    m_0 = 0, so the integer forms of those tables are kept until the check
-    ends.
-
-    They equal :func:`mvortho.polynomials.eigenpoly_tables`, the product
-    of every slot of m: the slot product is associative, a slot of degree
-    0 is exactly 1, and the slots of m and hat after p are the same, so
-    both products are slot p times the slots of m after p (a test keeps
-    ``eigenpoly_tables`` as the oracle).
+    m_0 = ... = m_{i-1} = 0, and total's for every P_m.
 
     The residuals are formed one total degree (shell) per kernel call
     (one pack across degrees would need the slot width of the largest
@@ -756,19 +746,11 @@ def completeness_check(ctx: SuiteContext) -> CheckReport:
             if any(kept[j] != kept[i]
                    for i, row in enumerate(ctx.stencil(op.kind, op.index).rows) for j in row):
                 return FAIL, None, f"{op.label} changes |x| or some x_k, k < {op.index}"
-        below: dict = {}  # integer forms of the P_m with m_0 = 0 of the shells so far
-
-        def nested(m):
-            """The table of slot p of m times the held P_hat."""
-            p = next(k for k, mk in enumerate(m) if mk)
-            snums, sden = ctx.slot(p, m[p], sum(m) - m[p])
-            hnums, hden = below[(*m[:p], 0, *m[p + 1:])]
-            return LatticeFunction(ctx.lattice, list(map(mul, snums, hnums)), sden * hden)
-
         for d in range(params.N + 1):
             shell = [m for m in degrees if sum(m) == d]
             nest = d > ctx.m_max
-            tables = dict(zip(shell, map(nested, shell) if nest else ctx.tables(shell)))
+            tables = dict(zip(shell, eigenpoly_tables(shell, params, ctx.lattice, ctx.factors)
+                              if nest else ctx.tables(shell)))
             for m, table in tables.items():
                 if not any(table.nums):
                     return FAIL, None, f"P_{m} vanishes"
@@ -781,7 +763,6 @@ def completeness_check(ctx: SuiteContext) -> CheckReport:
                 for m, worst in zip(read, worsts):
                     if worst:
                         return FAIL, worst, f"P_{m} not an eigenvector of {op.label} on every row"
-            below.update((m, table.integer_form()) for m, table in tables.items() if not m[0])
         if len({tuple(ctx.eigenvalue(op.kind, op.index, m) for op in ops)
                 for m in degrees}) < size:
             return FAIL, None, "joint eigenvalues not distinct"
@@ -905,14 +886,15 @@ class SuiteContext:
     of the context in one memo, whose keys lead with the kind of object
     (the lattices it reads are the process's, see :mod:`mvortho.core`);
     tables above m_max never enter the memo (the completeness check builds
-    each from its nested factor, see :func:`completeness_check`):
+    them from the factor dict, see :func:`completeness_check`):
 
         ("weights",)                           the weight table
         ("stencil", kind, index)               an operator's stencil
         ("adjointness", kind, index)           its self-adjointness defect
         ("eigenvalue", kind, index, d)         its eigenvalue at partial degree d
         ("P_m", bound, m)                      P_m on the simplex |x| <= bound
-        ("factors",)                           the slot integers of every P_m
+        ("factors",)                           the slot integers of every P_m, and
+                                               [lattice]: the forms of its P_m, m_0 = 0
         ("type-one", J, m)                     a type-one table
         ("type-one grid", m, a_J)              its integers over x_J = 0..bound
         ("moments", K)                         Meixner factorial moments, order <= K
@@ -922,7 +904,8 @@ class SuiteContext:
     :func:`eigenpoly_tables` or :func:`residual_defects` call.  Every table
     is filled from the one ("factors",) dict, which holds the integers of
     each pair and radial slot per argument, so each (slot, argument) is
-    evaluated once per context.  The eigen, degeneracy, glue and
+    evaluated once per context, and the held tables the nested tables read
+    (see :func:`eigenpoly_tables`).  The eigen, degeneracy, glue and
     completeness checks share their residuals, and the adjointness and
     completeness checks their defects.  No Gram matrix is kept: each
     orthogonality check forms its own from the kept tables and weight.
@@ -1047,17 +1030,15 @@ class SuiteContext:
         are built in one call, from the context's factor dict."""
         lattice = self.lattice if bound is None else shared_lattice(
             self.params.n, bound, self.lattice.truncated)
-        factors = self._keep(("factors",), dict)
         return self._keep_all(
             [("P_m", lattice.bound, self.params.degree_index(m)) for m in degrees],
             lambda missing: eigenpoly_tables([m for *_, m in missing], self.params, lattice,
-                                             factors))
+                                             self.factors))
 
-    def slot(self, j: int, mj: int, shift: int) -> tuple:
-        """(numerators, den) of a slot of the P_m at every point of the
-        instance lattice (:func:`mvortho.polynomials.slot_table`), from the
-        factor dict the tables are built from."""
-        return slot_table(self.params, self.lattice, j, mj, shift, self._keep(("factors",), dict))
+    @property
+    def factors(self) -> dict:
+        """The dict every table of the context is built from (see ``("factors",)``)."""
+        return self._keep(("factors",), dict)
 
     def type_one(self, J: tuple, m: int) -> LatticeFunction:
         """Table of the degree-m type-one polynomial in x_J on the instance
@@ -1091,7 +1072,7 @@ def _generalized_recursions(ctx: SuiteContext) -> list[CheckReport]:
     n = ctx.params.n
     reports = []
     for i in (1, n - 1):
-        m = (0,) + tuple(ctx.rng.randint(0, 2) for _ in range(n - 1))
+        m = (0,) + _random_point(ctx.rng, n - 1, 2, ctx.params.N)
         reports.append(generalized_recursion_check(ctx, i, m))
     return reports
 

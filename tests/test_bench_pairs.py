@@ -137,3 +137,40 @@ def test_tier1_records_the_tests_over_the_budget_per_run(monkeypatch):
         {"call tests/test_core.py::test_a[x-1]": 1.25,
          "setup tests/test_serialize.py::test_b": 1.03}, {}]}
     assert out["change"]["slow"] == [{"call tests/test_core.py::test_a[x-1]": 1.1}, {}]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--frontier", "3"], "expected n:N, got '3'"),
+    (["--frontier", "3:x"], "expected n:N, got '3:x'"),
+    (["--frontier", "3:24:1"], "expected n:N, got '3:24:1'"),
+    (["--frontier", "5:10"], "n must be in 2..4, got '5:10'"),
+    (["--frontier", "1:10"], "n must be in 2..4, got '1:10'"),
+    (["--frontier", "3:24", "--frontier-parent", "4:16"],
+     "--frontier-parent 4:16 is not given to --frontier"),
+])
+def test_bad_frontier_arguments_exit_2_before_anything_runs(monkeypatch, capsys, argv, message):
+    """A malformed instance, an n that ``FRONTIER_A`` does not cover, or a
+    parent instance not also given to ``--frontier`` is a usage error,
+    raised before the parent's tree is exported."""
+    def export(rev, dest):
+        raise AssertionError("exported")
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--output", "unused.json", *argv])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and message in err
+
+
+def test_frontier_instances_match_by_value(monkeypatch):
+    """``03:24`` and ``3:24`` are one instance, so the parent runs it too:
+    the arguments pass the check and the run goes on to the export."""
+    def export(rev, dest):
+        raise RuntimeError("exported")
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    assert bench_pairs.frontier_spec("03:24") == (3, 24)
+    with pytest.raises(RuntimeError, match="exported"):
+        bench_pairs.main(["--output", "unused.json", "--frontier", "3:24",
+                          "--frontier-parent", "03:24"])

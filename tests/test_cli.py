@@ -269,6 +269,18 @@ def test_an_input_error_exits_2_with_its_message(argv, message):
     assert run(argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("family", [["hahn", "--b", "2"], ["krawtchouk"]], ids=lambda f: f[0])
+def test_generalized_recursions_draw_their_degrees_within_N(family):
+    """At seed 95 the i = 1 chain first draws (0, 2, 2, 2), of |m| = 6 > N = 5,
+    and draws again: the chains checked stay within N."""
+    rc, out, err = run(["verify", "--family", *family, "--a", "1,2,3,1/2", "--N", "5",
+                        "--seed", "95", "--check", "generalized-recursions", "--format", "json"])
+    assert (rc, err) == (0, "")
+    instances = [r["instance"] for r in json.loads(out)["reports"]]
+    assert len(instances) == 2
+    assert all(sum(ast.literal_eval(text.split("m=")[1])) <= 5 for text in instances)
+
+
 def test_meixner_limits_draw_their_points_from_the_xmax_box():
     """``--check limits`` on Meixner reads every x from the lattice of
     ``--xmax``, as the other checks do."""

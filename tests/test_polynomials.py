@@ -419,6 +419,21 @@ def oracle_tables(degrees, params, lattice):
     ]
 
 
+def all_slot_tables(degrees, params, lattice):
+    """The tables as the product of all n slots of P_m at every point, the
+    degree-0 slots included."""
+    points = lattice.points
+    tables = []
+    for m in degrees:
+        nums, den = params.radial_slot(m[0], sum(m[1:]), [sum(x) for x in points])
+        for j in range(1, params.n):
+            fnums, fden = params.pair_slot(j, m[j], sum(m[j + 1:]),
+                                           [(x[j - 1], sum(x[j:])) for x in points])
+            nums, den = [u * v for u, v in zip(nums, fnums)], den * fden
+        tables.append(LatticeFunction(lattice, nums, den))
+    return tables
+
+
 class TestTables:
     @pytest.mark.parametrize(
         "params, xmax",
@@ -467,7 +482,9 @@ class TestTables:
         """Tables built from integer factor slots equal the term-by-term
         oracle at every point for every |m| <= 3, and their integer form is
         the values over their lcm denominator.  On the n = 3 cases the pair slots read
-        v = x_{>j} - shift down to -3; the top pair (n = 2) has no shift."""
+        v = x_{>j} - shift down to -2 (pair slot 1 of m = (0, 1, 2)); the nested
+        tables never evaluate a degree-0 slot, such as pair slot 1 of (0, 0, 3) at
+        v = -3.  The top pair (n = 2) has no shift."""
         family = type(params)
         pair_slot, reads = family.pair_slot, []
 
@@ -479,11 +496,30 @@ class TestTables:
         lattice = family_lattice(params, xmax=xmax)
         degrees = enumerate_degrees(params.n, 3)
         tables = eigenpoly_tables(degrees, params, lattice)
-        assert min(reads) == (-3 if params.n == 3 else 0)
+        assert min(reads) == (-2 if params.n == 3 else 0)
         for m, table in zip(degrees, tables):
             nums, den = integer_scaled(table.values)
             assert table.integer_form() == (tuple(nums), den)
             assert table.values == tuple(oracle_eigenpoly(m, x, params) for x in lattice.points)
+
+    @pytest.mark.parametrize("params", [
+        HahnParams((R(1), R(2), R(3, 2)), R(2), 6), KrawtchoukParams((R(1, 2), R(1, 3), R(2)), 6),
+        HahnParams((R(1), R(2), R(3), R(1, 2)), R(2), 5),
+        KrawtchoukParams((R(1, 2), R(1, 3), R(2), R(3, 2)), 5),
+        MeixnerParams((R(1, 8), R(1, 8), R(1, 4)), R(5, 2)),
+    ], ids=lambda p: p.label)
+    def test_tables_equal_the_all_slot_product(self, params):
+        """Every table of |m| <= N (|m| <= 5 on the Meixner box xmax = 5)
+        equals the product of its radial slot and every pair slot, degree-0
+        slots included, at every point: the oracle of the nesting P_m = slot
+        p times P_hat.  Built in graded order the hats are held from earlier
+        in the call; in reverse order each hat is built first and read from
+        the held forms later."""
+        lattice = family_lattice(params, xmax=5)
+        degrees = enumerate_degrees(params.n, params.N or 5)
+        oracle = all_slot_tables(degrees, params, lattice)
+        assert eigenpoly_tables(degrees, params, lattice) == oracle
+        assert eigenpoly_tables(degrees[::-1], params, lattice) == oracle[::-1]
 
     def test_tables_reject_bad_input(self):
         p = TestMultivariate.hahn_params

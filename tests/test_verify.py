@@ -415,7 +415,8 @@ def test_perturbed_km_pair_row_fails_meixner_orthogonality(monkeypatch):
     assert report.detail == "off-diagonal (0, 0),(0, 1) nonzero"
     lattice = family_lattice(params, xmax=2)
     one, pair = eigenpoly_tables([(0, 0), (0, 1)], params, lattice)
-    assert lattice_inner_product(one, pair, V.meixner_moments(params, 2)) == R(-16, 11)
+    # P_(0, 0) = 1 is built without a slot, so only P_(0, 1) reads a perturbed row
+    assert lattice_inner_product(one, pair, V.meixner_moments(params, 2)) == R(-8, 11)
     assert V.pair_orthogonality_report(V.SuiteContext(meix3, xmax=4), 1).status == "fail"
 
 
@@ -624,45 +625,38 @@ def test_completeness_reads_a_stored_table_only_up_to_m_max(m_max, verdict):
             } <= {("P_m", HAHN.N, m), ("P_m", HAHN.N, (1, 0, 1))}
 
 
-def test_completeness_fails_on_a_nested_table_built_from_a_perturbed_slot():
+def test_completeness_fails_on_a_nested_table_built_from_a_perturbed_slot(monkeypatch):
     """A construction fault: the radial slot (m_0, shift) = (1, 1), read only
-    by the tables of |m| = 2 > m_max, with one value changed.  The exchange
-    residuals of those tables are nested, but total's is formed on each."""
+    by P_(1, 0, 1) and P_(1, 1, 0), of |m| = 2 > m_max, with its value at
+    |x| = N changed.  The exchange residuals of those tables are nested, but
+    total's is formed on each, and FAILs on the first of them."""
+    radial_slot = HahnParams.radial_slot
+
+    def perturbed(self, m0, s1, sizes):
+        nums, den = radial_slot(self, m0, s1, sizes)
+        return ([*nums[:-1], nums[-1] + den], den) if (m0, s1) == (1, 1) else (nums, den)
+
+    monkeypatch.setattr(HahnParams, "radial_slot", perturbed)
+    report = V.completeness_check(V.SuiteContext(HAHN, m_max=1))
+    assert (report.status, report.detail) == (
+        "fail", "P_(1, 0, 1) not an eigenvector of total on every row")
+    assert report.max_defect > 0
+
+
+def test_completeness_fails_on_a_poisoned_held_table():
+    """Above m_max a table is slot p times the held integer form of its hat:
+    P_(1, 1, 0) is the radial slot times the held P_(0, 1, 0), and no other
+    table of |m| = 2 reads that form.  At m_max 1, one value of it changed
+    must FAIL through total's residual on P_(1, 1, 0), formed on every table."""
     ctx = V.SuiteContext(HAHN, m_max=1)
-    slot = ctx.slot
-
-    def perturbed(j, mj, shift):
-        nums, den = slot(j, mj, shift)
-        return ([*nums[:-1], nums[-1] + den], den) if (j, mj, shift) == (0, 1, 1) else (nums, den)
-
-    ctx.slot = perturbed
+    ctx.tables(enumerate_degrees(3, 1))
+    held = ctx.factors[ctx.lattice]
+    nums, den = held[0, 1, 0]
+    held[0, 1, 0] = (*nums[:-1], nums[-1] + den), den
     report = V.completeness_check(ctx)
     assert (report.status, report.detail) == (
         "fail", "P_(1, 1, 0) not an eigenvector of total on every row")
     assert report.max_defect > 0
-
-
-@pytest.mark.parametrize("params", [
-    HahnParams((R(1), R(2), R(3, 2)), R(2), 6), KrawtchoukParams((R(1, 2), R(1, 3), R(2)), 6),
-    HahnParams((R(1), R(2), R(3), R(1, 2)), R(2), 5),
-    KrawtchoukParams((R(1, 2), R(1, 3), R(2), R(3, 2)), 5)], ids=lambda p: p.label)
-def test_the_nested_tables_equal_eigenpoly_tables(params, monkeypatch):
-    """At m_max 0 completeness builds every table of |m| >= 1 as slot p times
-    P_hat; total's residual call of each shell receives them all (P_0 from
-    the context), and each equals the slot product of
-    :func:`eigenpoly_tables`, the oracle."""
-    built, kernel = [], V.residual_defects
-
-    def spy(H, tables, eigenvalues):
-        if H.op.kind == "total":
-            built.extend(tables)
-        return kernel(H, tables, eigenvalues)
-
-    monkeypatch.setattr(V, "residual_defects", spy)
-    ctx = V.SuiteContext(params, m_max=0)
-    assert V.completeness_check(ctx).status == "pass"
-    degrees = enumerate_degrees(params.n, params.N)
-    assert built == eigenpoly_tables(degrees, params, ctx.lattice)
 
 
 def test_completeness_checks_that_exchange_keeps_the_lower_sites():
@@ -809,11 +803,11 @@ def test_suite_builds_each_stencil_and_table_once(monkeypatch):
     reports = V.run_suite(params)
     assert reports and not any(r.status == "fail" for r in reports)
     assert sorted(built) == ["exchange1", "exchange2", "single", "total"]
-    # each (lattice, m) once: every |m| <= m_max on the instance lattice (the
-    # tables above it completeness builds from their nested factors), and the
-    # chained products of generalized-recursions one shell further out
+    # each (lattice, m) once: every |m| <= N on the instance lattice (the
+    # context's up to m_max, completeness's one shell at a time above it),
+    # and the chained products of generalized-recursions one shell further out
     assert max(Counter(tables).values()) == 1
-    assert sorted(m for bound, m in tables if bound == 5) == sorted(enumerate_degrees(3, 3))
+    assert sorted(m for bound, m in tables if bound == 5) == sorted(enumerate_degrees(3, 5))
     assert {bound for bound, _ in tables} == {5, 6}
     assert calls == Counter({("weight_table", "hahn"): 1, **{
         ("adjointness_defect", op): 1 for op in ["total", "single", "exchange1", "exchange2"]}})

@@ -26,7 +26,9 @@ the full Hahn suite ``verify --format json --timings`` at
 a = (1, 2, 3, 1/2)[:n], b = 2:
 process wall time, the ``completeness`` time, peak RSS and whether every
 report passed, for the change, and for the parent too where the instance
-is also given to ``--frontier-parent``; a run still going after the 60 s
+is also given to ``--frontier-parent`` (which must name only instances of
+``--frontier``, each n in 2..4; any other value exits 2 before anything
+runs); a run still going after the 60 s
 limit is stopped and recorded as a timeout, with its peak RSS so far, and
 one that exits without a JSON report as failed, with its return code.
 ``--traced K --layer NAME`` adds
@@ -205,6 +207,17 @@ def run_spec(text: str) -> tuple:
     return name, int(seed), int(pairs)
 
 
+def frontier_spec(text: str) -> tuple:
+    """(n, N) of ``n:N``, with n in 2..4, the instances ``FRONTIER_A`` covers."""
+    try:
+        n, N = map(int, text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected n:N, got {text!r}") from None
+    if not 2 <= n <= len(FRONTIER_A):
+        raise argparse.ArgumentTypeError(f"n must be in 2..{len(FRONTIER_A)}, got {text!r}")
+    return n, N
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD~1", help="revision to compare against")
@@ -216,11 +229,15 @@ def main(argv=None) -> int:
     parser.add_argument("--layer", action="append", default=[],
                         help="per-layer metric the traced pairs record; repeat for several")
     parser.add_argument("--tier1", type=int, default=0, help="tier-1 runs per side")
-    parser.add_argument("--frontier", action="append", default=[], help="n:N")
-    parser.add_argument("--frontier-parent", action="append", default=[], help="n:N")
+    parser.add_argument("--frontier", action="append", default=[], type=frontier_spec,
+                        help="n:N")
+    parser.add_argument("--frontier-parent", action="append", default=[], type=frontier_spec,
+                        help="n:N, also given to --frontier")
     parser.add_argument("--scratch", type=Path, default=None,
                         help="directory for the parent's tree (default: the system's)")
     args = parser.parse_args(argv)
+    for n, N in set(args.frontier_parent) - set(args.frontier):
+        parser.error(f"--frontier-parent {n}:{N} is not given to --frontier")
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
@@ -271,14 +288,13 @@ def main(argv=None) -> int:
                               **tier1(trees, args.tier1)}
         if args.frontier:
             rows = []
-            for text in args.frontier:
-                n, N = map(int, text.split(":"))
+            for n, N in args.frontier:
                 row = {"n": n, "N": N, "a": ",".join(FRONTIER_A[:n]), "b": "2",
                        "change": suite_once(ROOT, n, N)}
-                if text in args.frontier_parent:
+                if (n, N) in args.frontier_parent:
                     row["parent"] = suite_once(parent, n, N)
                 rows.append(row)
-                print(f"frontier {text}: {row}", file=sys.stderr)
+                print(f"frontier {n}:{N}: {row}", file=sys.stderr)
             bench["frontier"] = {
                 "command": "python -m mvortho verify --family hahn --n n --N N --a A --b 2 "
                            "--format json --timings, one fresh process each",
