@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import fields
 
 from .core import enumerate_degrees, family_lattice
 from .families import FAMILIES
@@ -62,7 +61,7 @@ def build_params(args):
     if args.n is not None and len(a) != args.n:
         raise ValueError(f"--a has {len(a)} entries but --n is {args.n}")
     family = FAMILIES[args.family]
-    names = [f.name for f in fields(family)][1:]
+    names = family._fields[1:]
     # a bounded family takes --N; only the unbounded one takes the box --xmax
     takes = set(names) if "N" in names else {*names, "xmax"}
     foreign = [k for k in ("b", "N", "beta", "xmax") if getattr(args, k) is not None

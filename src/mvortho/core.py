@@ -5,6 +5,16 @@ scalars are backend rationals (see :mod:`mvortho._backend`).  Everything
 here is a pure function of its inputs; values are immutable after
 construction and safe to share across threads.
 
+The ten value classes of the package (lattices, tables, parameter
+bundles, operator specs and stencils, reports) derive from :class:`Value`:
+equal exactly when their classes and their constructor fields
+(``_fields``) are, hashed to match, and immutable after ``__init__``;
+views computed on first read (``functools.cached_property``) are kept
+in the instance ``__dict__``.  Each writes its own ``__init__`` because
+start-up is measured: generating these methods with the standard
+library's class decorator, whose import loads ``inspect``, took about
+half of the command line's set-up time.
+
 Kept per process, in bounded caches, each a pure function of its key:
 one :class:`Lattice` per shape (:func:`shared_lattice`), the coefficient
 rows of :mod:`mvortho.polynomials`, the Newton plans of :mod:`mvortho.linalg`
@@ -17,12 +27,11 @@ weights or rows reach every fresh context.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
 from operator import floordiv
 from types import MappingProxyType
-from typing import Mapping, Sequence
 
 from ._backend import R, ZERO, as_integer
 from .serialize import rational_str
@@ -44,8 +53,38 @@ def term_row(bound: int, ratio) -> list:
     return list(accumulate(range(1, bound + 1), lambda t, k: t * ratio(k), initial=R(1)))
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Value:
+    """Base of the value classes: equality by class and ``_fields``, a
+    matching hash, the repr ``Name(field=value, ...)``, and no assignment
+    after ``__init__``."""
+
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other is self:  # the shared lattices, compared on every kernel call
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Lattice(Value):
     """Enumerated finite lattice {x in N_0^n : |x| <= bound}, its points
     sorted by |x|, then lexicographically: the canonical indexing of every
     table and matrix.  For the bounded families the bound is N and the
@@ -54,21 +93,17 @@ class Lattice:
     points, the read-only ``index`` and the views are immutable and shared.
     """
 
-    n: int
-    bound: int
-    truncated: bool = False
-    points: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    index: Mapping = field(init=False, repr=False, compare=False)
+    _fields = ("n", "bound", "truncated")
 
-    def __post_init__(self):
-        if self.n < 1 or self.bound < 0:
+    def __init__(self, n: int, bound: int, truncated: bool = False):
+        if n < 1 or bound < 0:
             raise ValueError("a lattice needs n >= 1 and bound >= 0")
         pts = [()]
-        for _ in range(self.n):
-            pts = [x + (c,) for x in pts for c in range(self.bound + 1 - sum(x))]
+        for _ in range(n):
+            pts = [x + (c,) for x in pts for c in range(bound + 1 - sum(x))]
         pts = tuple(sorted(pts, key=sum))  # a stable sort keeps the lex order within |x|
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "index", MappingProxyType({p: i for i, p in enumerate(pts)}))
+        vars(self).update(n=n, bound=bound, truncated=truncated, points=pts,
+                          index=MappingProxyType({p: i for i, p in enumerate(pts)}))
 
     @property
     def size(self) -> int:
@@ -123,8 +158,7 @@ def enumerate_degrees(n: int, max_total: int) -> tuple[tuple[int, ...], ...]:
     return enumerate_lattice(n, max_total)
 
 
-@dataclass(frozen=True)
-class LatticeFunction:
+class LatticeFunction(Value):
     """Total map from an enumerated lattice to rationals, stored as its
     integer form: the values in the lattice's canonical order are
     nums[i] / den.
@@ -136,14 +170,12 @@ class LatticeFunction:
     the rationals are formed on the first read of :attr:`values`.
     """
 
-    lattice: Lattice
-    nums: tuple = field(repr=False)
-    den: int
+    _fields = ("lattice", "nums", "den")
 
-    def __post_init__(self):
-        g = math.gcd(self.den, *self.nums)
-        object.__setattr__(self, "nums", tuple(map(floordiv, self.nums, repeat(g))))
-        object.__setattr__(self, "den", self.den // g)
+    def __init__(self, lattice: Lattice, nums, den: int):
+        g = math.gcd(den, *nums)
+        vars(self).update(lattice=lattice, nums=tuple(map(floordiv, nums, repeat(g))),
+                          den=den // g)
 
     @cached_property
     def values(self) -> tuple:
@@ -166,8 +198,7 @@ def positive_rational(value, what: str):
     return q
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(Value):
     """What the three families share: positive rationals a_1..a_n, n >= 2.
 
     The subclasses in :mod:`mvortho.families` add their own parameters and
@@ -182,15 +213,15 @@ class FamilyParams:
     declares no eigenvalue.
     """
 
-    a: tuple
+    _fields = ("a",)
 
     # Only the Hahn family has its single-variable shift identities and the
     # Rodrigues construction of its pair polynomials checked.
     hahn_checks = False
 
-    def __post_init__(self):
-        a = tuple(positive_rational(v, "a_i") for v in self.a)
-        object.__setattr__(self, "a", a)
+    def __init__(self, a):
+        a = tuple(positive_rational(v, "a_i") for v in a)
+        vars(self).update(a=a)
         if len(a) < 2:
             raise ValueError("need n >= 2 variables")
 

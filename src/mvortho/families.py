@@ -22,7 +22,6 @@ tables and ``eigenpoly`` read.  Krawtchouk and Meixner share their pair polynomi
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._backend import R, ONE, is_integral
 from .core import FamilyParams, positive_rational, rising_factorial, term_row
@@ -32,23 +31,20 @@ from .polynomials import (hahn_grid, hahn_pair_grid, hahn_pair_sums, km_pair_gri
 from .serialize import rational_str
 
 
-@dataclass(frozen=True)
 class HahnParams(FamilyParams):
     """Hahn family: positive rationals a_1..a_n, b, integer N > n >= 2.
 
     B_j = (N-|x|)(x_j+a_j),  D_j = x_j(N-|x|+b),  c_jk = x_j(x_k+a_k)
     """
 
-    b: object
-    N: int
-
+    _fields = ("a", "b", "N")
     family = "hahn"
     pair_name = "hahn"
     hahn_checks = True
 
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "b", positive_rational(self.b, "b"))
+    def __init__(self, a, b, N: int):
+        super().__init__(a)
+        vars(self).update(b=positive_rational(b, "b"), N=N)
         self._check_bound()
 
     @property
@@ -122,19 +118,18 @@ class _KMPairs:
         return -R(m) * (alpha + gamma) / alpha, -alpha, alpha, gamma
 
 
-@dataclass(frozen=True)
 class KrawtchoukParams(_KMPairs, FamilyParams):
     """Krawtchouk family: positive rationals a_1..a_n, integer N > n >= 2.
 
     B_j = (N-|x|) a_j,  D_j = x_j,  c_jk = x_j a_k
     """
 
-    N: int
-
+    _fields = ("a", "N")
     family = "krawtchouk"
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, a, N: int):
+        super().__init__(a)
+        vars(self).update(N=N)
         self._check_bound()
 
     @property
@@ -159,21 +154,19 @@ class KrawtchoukParams(_KMPairs, FamilyParams):
         return tuple(v * t for v in self.a), t, self.N
 
 
-@dataclass(frozen=True)
 class MeixnerParams(_KMPairs, FamilyParams):
     """Meixner family: positive rationals a_1..a_n with |a| < 1, beta > 0.
 
     B_j = (beta+|x|) a_j,  D_j = x_j,  c_jk = -x_j a_k
     """
 
-    beta: object
-
+    _fields = ("a", "beta")
     family = "meixner"
     N = None
 
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "beta", positive_rational(self.beta, "beta"))
+    def __init__(self, a, beta):
+        super().__init__(a)
+        vars(self).update(beta=positive_rational(beta, "beta"))
         if self.a_total >= 1:
             raise ValueError(f"need |a| < 1, got |a| = {self.a_total}")
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 
 from ._backend import R, ZERO, as_integer, integer_scaled
@@ -118,7 +117,6 @@ def lattice_inner_product(f: LatticeFunction, g: LatticeFunction, moments):
     return R(sum(d * mu for d, mu in zip(newton, mn, strict=True)), df * dg * dm)
 
 
-@dataclass(frozen=True)
 class WeightTable(LatticeFunction):
     """Weight values tabulated over an enumerated lattice, as their integer
     form, for the family bundle ``params``.
@@ -128,7 +126,11 @@ class WeightTable(LatticeFunction):
     mass outside a truncated box, None on an exact domain.
     """
 
-    params: object
+    _fields = ("lattice", "nums", "den", "params")
+
+    def __init__(self, lattice, nums, den: int, params):
+        super().__init__(lattice, nums, den)
+        vars(self).update(params=params)
 
     @property
     def normalized(self) -> bool:

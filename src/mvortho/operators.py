@@ -42,37 +42,32 @@ S top 2^(n bound).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from operator import and_, mul
 
 from ._backend import R, integer_scaled
-from .core import Lattice, enumerate_degrees, family_lattice
+from .core import Lattice, Value, enumerate_degrees, family_lattice
 from .linalg import newton_differences, pack, slot_width, unpack
 from .measures import WeightTable
 
 KINDS = ("total", "single", "exchange")
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(Value):
     """A family operator: kind 'total', 'single', or 'exchange' with index."""
 
-    params: object
-    kind: str
-    index: int | None = None
+    _fields = ("params", "kind", "index")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.kind == "exchange":
-            if self.index is None or not 1 <= self.index <= self.params.n - 1:
-                raise ValueError(
-                    f"exchange index must lie in [1, {self.params.n - 1}]"
-                )
-        elif self.index is not None:
-            raise ValueError(f"kind {self.kind!r} takes no index")
+    def __init__(self, params, kind: str, index: int | None = None):
+        if kind not in KINDS:
+            raise ValueError(f"unknown operator kind {kind!r}")
+        if kind == "exchange":
+            if index is None or not 1 <= index <= params.n - 1:
+                raise ValueError(f"exchange index must lie in [1, {params.n - 1}]")
+        elif index is not None:
+            raise ValueError(f"kind {kind!r} takes no index")
+        vars(self).update(params=params, kind=kind, index=index)
 
     @property
     def label(self) -> str:
@@ -81,8 +76,7 @@ class OperatorSpec:
         return self.kind
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
+class OperatorMatrix(Value):
     """Sparse matrix realization on the enumerated lattice.
 
     Row x holds the coefficients of (Hf)(x) as a functional of f:
@@ -91,11 +85,11 @@ class OperatorMatrix:
     box are flagged invalid and left empty.
     """
 
-    op: OperatorSpec
-    lattice: Lattice
-    rows: tuple
-    den: int
-    valid_rows: tuple
+    _fields = ("op", "lattice", "rows", "den", "valid_rows")
+
+    def __init__(self, op: OperatorSpec, lattice: Lattice, rows: tuple, den: int,
+                 valid_rows: tuple):
+        vars(self).update(op=op, lattice=lattice, rows=rows, den=den, valid_rows=valid_rows)
 
     @property
     def size(self) -> int:

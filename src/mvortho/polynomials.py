@@ -55,9 +55,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain
-from typing import Sequence
 
 from ._backend import R, ONE, as_integer, integer_scaled
 from .core import FamilyParams, Lattice, LatticeFunction, shared_lattice

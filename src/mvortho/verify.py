@@ -35,14 +35,13 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement, repeat
 from operator import mul
 
 from ._backend import R, ZERO, ONE, integer_scaled
-from .core import (LatticeFunction, enumerate_degrees, family_lattice, rising_factorial,
-                   shared_lattice)
+from .core import (LatticeFunction, Value, enumerate_degrees, family_lattice,
+                   rising_factorial, shared_lattice)
 from .linalg import newton_differences, pack_columns, slot_width, unpack
 from .measures import (
     gram_matrix,
@@ -75,16 +74,15 @@ from .serialize import rational_str, sci_str
 PASS, FAIL, SKIP = "pass", "fail", "skipped"
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Value):
     """Outcome of one verification: name, instance, status, exact defect."""
 
-    name: str
-    instance: str
-    status: str
-    max_defect: object = None
-    wall_time: float = 0.0
-    detail: str = ""
+    _fields = ("name", "instance", "status", "max_defect", "wall_time", "detail")
+
+    def __init__(self, name: str, instance: str, status: str, max_defect=None,
+                 wall_time: float = 0.0, detail: str = ""):
+        vars(self).update(name=name, instance=instance, status=status, max_defect=max_defect,
+                          wall_time=wall_time, detail=detail)
 
     def to_dict(self, with_timing: bool = False) -> dict:
         out = {
@@ -389,7 +387,9 @@ def type_one_suite(ctx: SuiteContext, m_max: int) -> list[CheckReport]:
     ctx.type_one_residuals(pairs)
     fill = time.perf_counter() - t0
     reports = [type_one_check(ctx, J, m) for J, m in pairs]
-    reports[0].wall_time += fill
+    first = reports[0]
+    reports[0] = CheckReport(first.name, first.instance, first.status, first.max_defect,
+                             first.wall_time + fill, first.detail)
     reports.append(same_degree_overlap_check(ctx, max(1, min(m_max, 2))))
     return reports
 

@@ -1,6 +1,6 @@
 """tools/bench_pairs.py: its run specs, its summary on canned run records, how
-a frontier run records a timeout, a crash or its reports, and its count of
-the lines of ``src/``."""
+a frontier run records a timeout, a crash or its reports, the order of its
+start-up runs, and its count of the lines of ``src/``."""
 
 import importlib.util
 import sys
@@ -174,3 +174,34 @@ def test_frontier_instances_match_by_value(monkeypatch):
     with pytest.raises(RuntimeError, match="exported"):
         bench_pairs.main(["--output", "unused.json", "--frontier", "3:24",
                           "--frontier-parent", "03:24"])
+
+
+def test_startup_alternates_the_sides_and_times_with_and_without_site(monkeypatch):
+    """Canned import times, two runs per side: one unrecorded import per side
+    first, then the sides alternate, each run once with ``site`` and once
+    with ``-S``, from the side's ``src``, with the bytecode cache written;
+    the block holds the spread of each."""
+    calls = []
+
+    class Done:
+        def __init__(self, argv):
+            self.stdout = f"{len(calls) / 1000}\n"
+
+    def run(argv, **kwargs):
+        assert argv[0] == sys.executable and "mvortho.cli" in argv[-2]
+        assert "PYTHONDONTWRITEBYTECODE" not in kwargs["env"]
+        calls.append((Path(argv[-1]).parent.name, "-S" in argv[1:-3]))
+        return Done(argv)
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    out = bench_pairs.startup({"parent": Path("parent"), "change": Path("change")}, 2)
+    assert calls == [("parent", False), ("change", False),
+                     ("parent", False), ("parent", True), ("change", False), ("change", True),
+                     ("change", False), ("change", True), ("parent", False), ("parent", True)]
+    # the n-th call reads n ms: the two unrecorded imports took 1 and 2
+    assert out == {"parent": {"site": bench_pairs.spread([0.003, 0.009]),
+                              "no_site": bench_pairs.spread([0.004, 0.010])},
+                   "change": {"site": bench_pairs.spread([0.005, 0.007]),
+                              "no_site": bench_pairs.spread([0.006, 0.008])}}
+    assert set(out["change"]["site"]) == {"median", "q1", "q3", "runs"}

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvortho import FamilyParams, R, LatticeFunction, enumerate_lattice, rising_factorial
+from mvortho import (FamilyParams, R, LatticeFunction, OperatorMatrix, enumerate_lattice,
+                     rising_factorial)
 from mvortho._backend import integer_scaled
 from mvortho.core import Lattice, family_lattice, term_row
 from mvortho.families import HahnParams, KrawtchoukParams, MeixnerParams
@@ -176,6 +177,69 @@ def test_params_accept_strings_and_expose_tails():
     assert p.a_total == R(4)
     assert p.a_tail(1) == R(7, 2)
     assert p.n == 3
+
+
+def value_objects():
+    """One object of each of the ten value classes."""
+    from mvortho import CheckReport, OperatorSpec, operator_matrix, weight_table
+
+    hahn = HahnParams((R(1), R(2)), R(2), 3)
+    lattice = Lattice(2, 3)
+    total = OperatorSpec(hahn, "total")
+    return [lattice, LatticeFunction(lattice, [1] * lattice.size, 1), FamilyParams((1, 2)), hahn,
+            KrawtchoukParams((R(1, 5), R(1, 4)), 3), MeixnerParams((R(1, 5), R(1, 4)), 3),
+            weight_table(hahn), total, operator_matrix(total), CheckReport("gram", "i", "pass")]
+
+
+def test_value_classes_compare_by_class_and_fields():
+    """Equality reads the class as well as the constructor fields: Krawtchouk
+    and Meixner bundles with equal field tuples differ.  Equal objects hash
+    alike, and the repr names the class and its fields."""
+    a = (R(1, 5), R(1, 4))
+    kraw, meix = KrawtchoukParams(a, 3), MeixnerParams(a, 3)
+    assert kraw._values() == meix._values() and kraw != meix and not kraw == meix
+    for obj in value_objects():
+        twin = type(obj)(*obj._values())
+        assert twin == obj and not twin != obj
+        if not isinstance(obj, OperatorMatrix):  # a stencil's rows are dicts
+            assert hash(twin) == hash(obj)
+    assert len({HahnParams(a, 2, 3), HahnParams(a, R(2), 3), HahnParams(a, 3, 3)}) == 2
+    assert Lattice(2, 3) != Lattice(2, 3, True) and Lattice(2, 3) != (2, 3, False)
+    assert repr(HahnParams(a, 2, 3)).startswith("HahnParams(a=")
+    assert repr(Lattice(2, 3)) == "Lattice(n=2, bound=3, truncated=False)"
+
+
+@pytest.mark.parametrize("obj", value_objects(), ids=lambda obj: type(obj).__name__)
+def test_value_objects_refuse_assignment_and_deletion(obj):
+    """No field can be set or deleted after construction, and no attribute
+    added; the views a cached property keeps stay readable."""
+    name = obj._fields[0]
+    before = getattr(obj, name)
+    with pytest.raises(AttributeError):
+        setattr(obj, name, before)
+    with pytest.raises(AttributeError):
+        delattr(obj, name)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert getattr(obj, name) is before
+    if isinstance(obj, Lattice):
+        assert obj.steps is obj.steps and obj.sizes is obj.sizes
+
+
+def test_value_classes_take_their_fields_by_position_or_keyword():
+    from mvortho import CheckReport, OperatorSpec
+
+    lattice = Lattice(n=2, bound=3, truncated=True)
+    assert lattice == Lattice(2, 3, True) and Lattice(2, 3) == Lattice(2, 3, truncated=False)
+    params = HahnParams(a=(1, 2, 3), b=2, N=4)
+    assert params == HahnParams((1, 2, 3), 2, 4)
+    assert OperatorSpec(params=params, kind="exchange", index=2) == OperatorSpec(params,
+                                                                                "exchange", 2)
+    assert OperatorSpec(params, "total").index is None
+    report = CheckReport(name="gram", instance="i", status="pass", max_defect=None,
+                         wall_time=0.0, detail="")
+    assert report == CheckReport("gram", "i", "pass")
+    assert (report.max_defect, report.wall_time, report.detail) == (None, 0.0, "")
 
 
 def test_tables_from_integers_form_their_values_on_first_read():

@@ -1,9 +1,12 @@
 """Every name a module of the package imports is used there, every private
 helper it defines is referenced there, and every name the package exports
 resolves: a deletion leaves no dead import, orphaned helper or stale
-export behind."""
+export behind.  The command line's import path loads none of the standard
+modules that cost start-up and that nothing in the package needs."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +65,18 @@ def test_every_private_helper_is_referenced(path):
 def test_every_export_resolves():
     assert len(set(mvortho.__all__)) == len(mvortho.__all__)
     assert [name for name in mvortho.__all__ if not hasattr(mvortho, name)] == []
+
+
+# Prints the modules loaded once ``mvortho.cli`` is imported from the given source directory.
+PROBE = "import sys; sys.path.insert(0, sys.argv[1]); import mvortho.cli; print(*sys.modules)"
+
+
+def test_the_cli_imports_no_dataclasses_inspect_or_typing():
+    """In a fresh interpreter without ``site`` (which may load ``typing``
+    itself), importing the command line loads argparse, showing the probe
+    sees its imports, and none of dataclasses, inspect or typing."""
+    loaded = set(subprocess.run([sys.executable, "-S", "-c", PROBE, str(SRC.parent)],
+                                capture_output=True, text=True, check=True,
+                                timeout=30).stdout.split())
+    assert "argparse" in loaded
+    assert {"dataclasses", "inspect", "typing"} & loaded == set()

@@ -33,7 +33,11 @@ limit is stopped and recorded as a timeout, with its peak RSS so far, and
 one that exits without a JSON report as failed, with its return code.
 ``--traced K --layer NAME`` adds
 K alternating pairs of ``--trace 1`` runs per workload at seed 0 and the
-spread of each named per-layer metric.  ``src_lines`` gives, per side, the
+spread of each named per-layer metric.  ``--startup K`` adds K alternating
+runs per side, each timing ``import mvortho.cli`` inside two fresh
+interpreters from cached bytecode, one with ``site`` and one without
+(``-S``): a module that ``site`` loads on one host is paid for by the
+import on another.  ``src_lines`` gives, per side, the
 lines of ``src/mvortho/*.py`` as ``wc -l`` counts them.  Only the standard
 library is used.
 """
@@ -75,6 +79,14 @@ except subprocess.TimeoutExpired:
 out["wall_s"] = time.perf_counter() - t0
 out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 print(json.dumps(out))
+"""
+# Prints the seconds that ``import mvortho.cli`` takes, from the source directory given.
+STARTUP = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+t0 = time.perf_counter()
+import mvortho.cli
+print(time.perf_counter() - t0)
 """
 
 
@@ -165,6 +177,27 @@ def tier1(trees: dict, runs: int) -> dict:
     return out
 
 
+def startup(trees: dict, runs: int) -> dict:
+    """Alternating start-up runs: per side, the spread of the seconds
+    ``import mvortho.cli`` takes with ``site`` and without it (``-S``).  One
+    unrecorded import per side first writes the bytecode cache."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+
+    def once(side: str, flags: list) -> float:
+        argv = [sys.executable, *flags, "-c", STARTUP, str(trees[side] / "src")]
+        return float(subprocess.run(argv, capture_output=True, text=True, check=True,
+                                    env=env).stdout)
+
+    for side in trees:
+        once(side, [])
+    out = {side: {"site": [], "no_site": []} for side in trees}
+    for k in range(runs):
+        for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+            out[side]["site"].append(once(side, []))
+            out[side]["no_site"].append(once(side, ["-S"]))
+    return {side: {key: spread(r) for key, r in rs.items()} for side, rs in out.items()}
+
+
 def launch(argv: list, cwd: Path, env: dict, limit: float = TIME_LIMIT_S) -> dict:
     """One command in a fresh process, through the launcher: its wall time
     and peak RSS, and its return code and stdout, or ``"timeout": True``
@@ -229,6 +262,8 @@ def main(argv=None) -> int:
     parser.add_argument("--layer", action="append", default=[],
                         help="per-layer metric the traced pairs record; repeat for several")
     parser.add_argument("--tier1", type=int, default=0, help="tier-1 runs per side")
+    parser.add_argument("--startup", type=int, default=0,
+                        help="runs per side timing import mvortho.cli with and without site")
     parser.add_argument("--frontier", action="append", default=[], type=frontier_spec,
                         help="n:N")
     parser.add_argument("--frontier-parent", action="append", default=[], type=frontier_spec,
@@ -286,6 +321,12 @@ def main(argv=None) -> int:
                               "runs": "alternating which side runs first; pytest's wall "
                                       f"time; slow: per run, the tests over {SLOW_S} s",
                               **tier1(trees, args.tier1)}
+        if args.startup:
+            bench["startup"] = {"command": "python [-S] -c 'import mvortho.cli', timed inside "
+                                           "the interpreter, from cached bytecode",
+                                "runs": "alternating which side runs first; site: without -S, "
+                                        "no_site: with -S",
+                                **startup(trees, args.startup)}
         if args.frontier:
             rows = []
             for n, N in args.frontier:
