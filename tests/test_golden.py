@@ -27,6 +27,10 @@ exact and ``--float``, and Gram matrices.  They were recorded from the
 writer that went through ``json.dumps(indent=2, sort_keys=True)`` and the
 weights that were formed as chains of rational products, before the
 hand-written JSON writer and the integer weight rows replaced them.
+The ``export_operator_*`` stencils of a four-variable Hahn instance in
+JSON, and of the Krawtchouk and truncated Meixner instances in CSV, were
+recorded from the writer that listed every (row, col, value) triplet
+before one walk over the stencil rows wrote their text.
 """
 
 import contextlib
@@ -124,6 +128,16 @@ EXPORTS["export_gram_hahn_float.csv"] = ["export", *INSTANCES["hahn"], "--what",
                                          "--format", "csv", "--float"]
 EXPORTS["export_operator_krawtchouk_total_float.json"] = [
     "export", *INSTANCES["krawtchouk"], "--what", "operator", "--format", "json", "--float"]
+HAHN_4 = ["--family", "hahn", "--a", "1,2,3,1/2", "--b", "2", "--N", "5"]
+for _op in ("total", "exchange3"):
+    EXPORTS[f"export_operator_hahn4_{_op}.json"] = ["export", *HAHN_4, "--what", "operator",
+                                                    "--op", _op, "--format", "json"]
+for _float in ((), ("--float",)):
+    EXPORTS[f"export_operator_krawtchouk_total{'_float' * bool(_float)}.csv"] = [
+        "export", *INSTANCES["krawtchouk"], "--what", "operator", "--format", "csv", *_float]
+# the frontier rows of the Meixner box are invalid and write no triplet
+EXPORTS["export_operator_meixner_total.csv"] = [
+    "export", *INSTANCES["meixner"], "--what", "operator", "--format", "csv"]
 
 
 @pytest.mark.parametrize("name", EXPORTS)
