@@ -19,17 +19,18 @@ from .measures import gram_matrix, weight_table
 from .operators import OperatorSpec, operator_matrix
 from .polynomials import eigenpoly, eigenpoly_table, eigenpoly_tables
 from .serialize import (
-    csv_text,
+    gram_csv,
     gram_json,
-    gram_rows,
     json_text,
+    lattice_json,
+    matrix_csv,
     matrix_json,
-    matrix_triplets,
     parse_rational,
     rational_str,
+    table_csv,
     value_strs,
+    weight_table_csv,
     weight_table_json,
-    weight_table_rows,
 )
 from . import verify as V
 
@@ -94,30 +95,28 @@ def _emit(args, text: str) -> None:
 
 
 def cmd_eval(args) -> int:
+    """One value (--x) or the table over the lattice, in the chosen format;
+    the one value's JSON and CSV are the table's, restricted to its point."""
     params = build_params(args)
     m = _parse_int_list(args.m, "--m")
     xmax = _non_negative(args, "xmax")
-    if args.x is not None:
-        value = eigenpoly(m, params.lattice_point(_parse_int_list(args.x, "--x")), params)
-        _emit(args, rational_str(value) + "\n")
-        return 0
-    lattice = family_lattice(params, xmax=_box(params, xmax))
-    values = value_strs(*eigenpoly_table(m, params, lattice).integer_form())
-    if args.format == "json":
-        payload = {
-            "family": params.family,
-            "m": list(m),
-            "points": [list(p) for p in lattice.points],
-            "values": values,
-        }
-        _emit(args, json_text(payload))
-    elif args.format == "csv":
-        header = [f"x{i+1}" for i in range(lattice.n)] + ["value"]
-        rows = [list(map(str, p)) + [v] for p, v in zip(lattice.points, values)]
-        _emit(args, csv_text(header, rows))
+    if args.x is None:
+        lattice = family_lattice(params, xmax=_box(params, xmax))
+        points = lattice.points
+        values = value_strs(*eigenpoly_table(m, params, lattice).integer_form())
     else:
-        lines = [f"{p} {v}" for p, v in zip(lattice.points, values)]
-        _emit(args, "\n".join(lines) + "\n")
+        points = (params.lattice_point(_parse_int_list(args.x, "--x")),)
+        values = [rational_str(eigenpoly(m, points[0], params))]
+    fields = {"family": params.family, "m": list(m), "values": values}
+    if args.format == "json":
+        _emit(args, lattice_json(fields, lattice) if args.x is None
+              else json_text({**fields, "points": [list(points[0])]}))
+    elif args.format == "csv":
+        _emit(args, table_csv(points, values, "value"))
+    elif args.x is None:
+        _emit(args, "".join(f"{p} {v}\n" for p, v in zip(points, values)))
+    else:
+        _emit(args, values[0] + "\n")
     return 0
 
 
@@ -155,11 +154,11 @@ def cmd_export(args) -> int:
     params = build_params(args)
     xmax = _box(params, _non_negative(args, "xmax"))
     if args.what == "weights":
-        data, writers = (weight_table(params, xmax=xmax),), (weight_table_json, weight_table_rows)
+        data, writers = (weight_table(params, xmax=xmax),), (weight_table_json, weight_table_csv)
     elif args.what == "operator":
         kind, index = _parse_op(args.op)
         M = operator_matrix(OperatorSpec(params, kind, index), family_lattice(params, xmax=xmax))
-        data, writers = (M,), (matrix_json, matrix_triplets)
+        data, writers = (M,), (matrix_json, matrix_csv)
     elif args.what == "gram":
         mm = _non_negative(args, "m_max")
         if mm is None:
@@ -168,12 +167,11 @@ def cmd_export(args) -> int:
         w = weight_table(params, xmax=xmax)
         degrees = enumerate_degrees(params.n, mm)
         data = degrees, gram_matrix(eigenpoly_tables(degrees, params, w.lattice), w)
-        writers = gram_json, gram_rows
+        writers = gram_json, gram_csv
     else:
         raise ValueError(f"unknown export target {args.what!r}")
-    to_json, to_rows = writers
-    _emit(args, json_text(to_json(*data, args.float)) if args.format == "json"
-          else csv_text(*to_rows(*data, args.float)))
+    to_json, to_csv = writers
+    _emit(args, (to_json if args.format == "json" else to_csv)(*data, args.float))
     return 0
 
 

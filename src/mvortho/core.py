@@ -17,7 +17,8 @@ half of the command line's set-up time.
 
 Kept per process, in bounded caches, each a pure function of its key:
 one :class:`Lattice` per shape (:func:`shared_lattice`), the coefficient
-rows of :mod:`mvortho.polynomials`, the Newton plans of :mod:`mvortho.linalg`
+rows of :mod:`mvortho.polynomials`, the Newton plans of :mod:`mvortho.linalg`,
+the JSON text of each lattice's points (:func:`mvortho.serialize.points_json`)
 and the command-line parser.  Stencils, weights, slot factors and tables
 hold family data: each context or call builds its own, through family
 methods and row builders looked up at each build, so patched rates,

@@ -12,6 +12,16 @@ raises TypeError on any other type, as ``json.dumps`` does.  It lays out
 the containers itself and leaves the scalars to json's compact C
 encoder; a list of scalars, or of equal-length lists of scalars, is
 encoded whole and re-indented by ``str.replace``.
+
+The export writers return their documents' text.  They write the blocks
+they can without ``json_text``, byte for byte as it would: each lattice's
+``points`` block is rendered once per process and indent
+(:func:`points_json`, a bounded cache of family-free text), and a
+stencil's triplets are written by :func:`matrix_triplets`, which formats
+each distinct numerator once and then walks the rows once, each in column
+order, for the JSON document and the CSV rows alike.  ``json_text``
+keeps the contract above: these writers only place such blocks in the
+layout it writes.
 """
 
 from __future__ import annotations
@@ -20,7 +30,8 @@ import csv
 import io
 import json
 import math
-from itertools import chain, repeat
+from functools import lru_cache
+from itertools import chain
 
 from ._backend import R
 
@@ -85,54 +96,88 @@ def value_strs(nums, den: int, as_float: bool = False) -> list[str]:
     return out
 
 
-def weight_table_rows(w, as_float: bool = False):
-    header = [f"x{i+1}" for i in range(w.lattice.n)] + ["weight"]
-    rows = [list(map(str, x)) + [v]
-            for x, v in zip(w.lattice.points, value_strs(*w.integer_form(), as_float))]
-    return header, rows
+_FIELD = "\n  "  # the line break and indent of a top-level field
 
 
-def weight_table_json(w, as_float: bool = False) -> dict:
-    out = {
+@lru_cache(maxsize=64)
+def points_json(lattice, nl: str) -> str:
+    """The JSON text of the lattice's points after the line break and indent
+    ``nl``, as :func:`json_text` writes a list of coordinate lists; rendered
+    once per lattice shape and indent, as it holds no family data."""
+    return _json(lattice.points, nl)
+
+
+def _document(fields: dict, key: str, block: str) -> str:
+    """``json_text`` of ``fields`` (str keys) plus the entry ``key``, whose
+    value's text at a top-level field's indent is ``block``."""
+    texts = {k: _json(v, _FIELD) for k, v in fields.items()}
+    texts[key] = block
+    return "{" + _FIELD + ("," + _FIELD).join(
+        [_ESCAPE(k) + ": " + texts[k] for k in sorted(texts)]) + "\n}\n"
+
+
+def lattice_json(fields: dict, lattice) -> str:
+    """``json_text`` of ``fields`` plus the lattice's points under "points"."""
+    return _document(fields, "points", points_json(lattice, _FIELD))
+
+
+def table_csv(points, values, column: str) -> str:
+    """A table as CSV: the coordinates x1..xn of each point, then its value."""
+    header = [f"x{i+1}" for i in range(len(points[0]))] + [column]
+    return csv_text(header, [[*map(str, x), v] for x, v in zip(points, values)])
+
+
+def weight_table_csv(w, as_float: bool = False) -> str:
+    return table_csv(w.lattice.points, value_strs(*w.integer_form(), as_float), "weight")
+
+
+def weight_table_json(w, as_float: bool = False) -> str:
+    fields = {
         "family": w.params.family,
         "n": w.lattice.n,
         "bound": w.lattice.bound,
         "truncated": w.lattice.truncated,
         "normalized": w.normalized,
-        "points": [list(x) for x in w.lattice.points],
         "weights": value_strs(*w.integer_form(), as_float),
     }
     if w.tail_bound is not None:
-        out["tail_bound"] = value_str(w.tail_bound, as_float)
-    return out
+        fields["tail_bound"] = value_str(w.tail_bound, as_float)
+    return lattice_json(fields, w.lattice)
 
 
-def _triplets(M, as_float: bool) -> list:
-    """(row, col, value) per stored entry of an OperatorMatrix, the indices
-    as ints, row by row and each row in column order."""
-    out = []
+# (row prefix, text between column and value, text after the value,
+# separator) of one stored entry, in the JSON document and in the CSV rows
+_TRIPLET_JSON = ("[\n      {},\n      ", ',\n      "', '"\n    ]', ",\n    ")
+_TRIPLET_CSV = ("{},", ",", "\n", "")
+
+
+def matrix_triplets(M, as_float: bool = False, layout: tuple = _TRIPLET_CSV) -> str:
+    """The stored entries (row, col, value) of an OperatorMatrix as text in
+    ``layout``, row by row and each row in column order.  The distinct
+    numerators are written once each by :func:`value_strs`, and a row's
+    index once, in the one walk over the rows that writes the entries."""
+    nums = list({v for row in M.rows for v in row.values()})
+    text = dict(zip(nums, value_strs(nums, M.den, as_float)))
+    row_form, mid, end, sep = layout
+    parts = []
     for i, row in enumerate(M.rows):
-        cols = sorted(row)
-        out += zip(repeat(i), cols, value_strs([row[j] for j in cols], M.den, as_float))
-    return out
+        start = row_form.format(i)
+        parts += [f"{start}{j}{mid}{text[row[j]]}{end}" for j in sorted(row)]
+    return sep.join(parts)
 
 
-def matrix_triplets(M, as_float: bool = False):
-    """Sparse triplet rows (row, col, value) of an OperatorMatrix, column order."""
-    return ["row", "col", "value"], [[str(i), str(j), v] for i, j, v in _triplets(M, as_float)]
+def matrix_csv(M, as_float: bool = False) -> str:
+    return "row,col,value\n" + matrix_triplets(M, as_float)
 
 
-def matrix_json(M, as_float: bool = False) -> dict:
-    return {
-        "operator": M.op.label,
-        "family": M.op.params.family,
-        "size": M.size,
-        "valid_rows": list(M.valid_rows),
-        "triplets": _triplets(M, as_float),
-    }
+def matrix_json(M, as_float: bool = False) -> str:
+    body = matrix_triplets(M, as_float, _TRIPLET_JSON)
+    fields = {"operator": M.op.label, "family": M.op.params.family, "size": M.size,
+              "valid_rows": M.valid_rows}
+    return _document(fields, "triplets", f"[\n    {body}\n  ]" if body else "[]")
 
 
-def gram_rows(degrees, G, as_float: bool = False):
+def gram_csv(degrees, G, as_float: bool = False) -> str:
     header = ["m_row", "m_col", "value"]
     rows = []
     for i, mi in enumerate(degrees):
@@ -141,14 +186,14 @@ def gram_rows(degrees, G, as_float: bool = False):
                 [",".join(map(str, mi)), ",".join(map(str, mj)),
                  value_str(G[i][j], as_float)]
             )
-    return header, rows
+    return csv_text(header, rows)
 
 
-def gram_json(degrees, G, as_float: bool = False) -> dict:
-    return {
+def gram_json(degrees, G, as_float: bool = False) -> str:
+    return json_text({
         "degrees": [list(m) for m in degrees],
         "gram": [[value_str(v, as_float) for v in row] for row in G],
-    }
+    })
 
 
 def csv_text(header, rows) -> str:

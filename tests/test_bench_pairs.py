@@ -1,8 +1,10 @@
 """tools/bench_pairs.py: its run specs, its summary on canned run records, how
 a frontier run records a timeout, a crash or its reports, the order of its
-start-up runs, and its count of the lines of ``src/``."""
+start-up runs and of its worker peak-RSS runs, and its count of the lines
+of ``src/``."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -205,3 +207,41 @@ def test_startup_alternates_the_sides_and_times_with_and_without_site(monkeypatc
                    "change": {"site": bench_pairs.spread([0.005, 0.007]),
                               "no_site": bench_pairs.spread([0.006, 0.008])}}
     assert set(out["change"]["site"]) == {"median", "q1", "q3", "runs"}
+
+
+def test_worker_rss_alternates_the_sides_and_records_the_workers_own_peak(monkeypatch):
+    """A canned launcher, two runs per side: one unrecorded run per side
+    first, then the sides alternate, each the side's worker given the
+    workload's seed-0 calls on stdin; the block holds the spread of the
+    peak RSS each worker reports."""
+    monkeypatch.syspath_prepend(str(bench_pairs.ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    calls = []
+
+    def launch(argv, cwd, env, stdin):
+        spec = json.loads(stdin)
+        assert argv == [sys.executable, str(cwd / "perfbench" / "worker.py")]
+        assert spec == {"src": str(cwd / "src"), "bench": str(cwd / "perfbench"),
+                        "calls": WORKLOADS["meixner-suite"].calls(0), "xmax": 4,
+                        "trace": False}
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+        calls.append(cwd.name)
+        return {"returncode": 0, "stdout": json.dumps({"peak_rss_mb": float(len(calls))}),
+                "wall_s": 0.1, "peak_rss_mb": 99.0}
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(bench_pairs, "launch", launch)
+    trees = {"parent": Path("parent"), "change": Path("change")}
+    out = bench_pairs.worker_rss(trees, ["meixner-suite"], 2)
+    assert calls == ["parent", "change", "parent", "change", "change", "parent"]
+    assert out == {"meixner-suite": {"parent": bench_pairs.spread([3.0, 6.0]),
+                                     "change": bench_pairs.spread([4.0, 5.0])}}
+
+
+def test_worker_rss_stops_at_a_failed_worker(monkeypatch):
+    monkeypatch.setattr(bench_pairs, "launch",
+                        lambda argv, cwd, env, stdin: {"returncode": 1, "stdout": ""})
+    with pytest.raises(RuntimeError, match="hahn-export worker on the parent side failed"):
+        bench_pairs.worker_rss({"parent": Path("parent"), "change": Path("change")},
+                               ["hahn-export"], 1)

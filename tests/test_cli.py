@@ -258,6 +258,42 @@ def test_the_weights_csv_parses_back_to_the_weight_table(argv, params, xmax):
         assert sum(values) == 1
 
 
+ONE_POINT = ["eval", *HAHN, "--m", "1,0,1"]
+X = (1, 0, 2)
+
+
+def table_row(fmt):
+    """The table's output for ONE_POINT in ``fmt``, and the index of X in it."""
+    rc, text, err = run([*ONE_POINT, "--format", fmt])
+    assert (rc, err) == (0, "")
+    return text, shared_lattice(3, 4, False).index[X]
+
+
+def one_point(fmt):
+    rc, text, err = run([*ONE_POINT, "--x", ",".join(map(str, X)), "--format", fmt])
+    assert (rc, err) == (0, "")
+    return text
+
+
+def test_one_point_in_json_is_the_table_document_at_that_point():
+    table, i = table_row("json")
+    doc = json.loads(table)
+    doc.update(points=[doc["points"][i]], values=[doc["values"][i]])
+    assert one_point("json") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_one_point_in_csv_is_the_header_and_the_tables_row():
+    table, i = table_row("csv")
+    lines = table.splitlines(keepends=True)
+    assert one_point("csv") == lines[0] + lines[1 + i]
+
+
+def test_one_point_in_text_is_the_bare_value():
+    table, i = table_row("text")
+    point, value = table.splitlines()[i].split(") ")
+    assert point + ")" == str(X) and one_point("text") == value + "\n" == "4/11\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["eval", "--family", "hahn", "--n", "3", "--a", "1,2", "--b", "2", "--N", "4", "--m", "1,0"],
      "--a has 2 entries but --n is 3"),

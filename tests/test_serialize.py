@@ -1,7 +1,11 @@
-"""The JSON writer against the stdlib encoder it replaces.
+"""The JSON writer against the stdlib encoder it replaces, and the export
+writers against the generic writers.
 
 ``json_text(p)`` must be exactly ``json.dumps(p, indent=2,
-sort_keys=True) + "\\n"``, the stdlib call being the oracle.
+sort_keys=True) + "\\n"``, the stdlib call being the oracle.  The point
+blocks, rendered once per lattice and indent, must be the stdlib's text
+of the points; the stencil writers, which walk the rows once, must print
+what ``json_text`` and ``csv_text`` print for the list of triplets.
 """
 
 import json
@@ -11,8 +15,12 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from mvortho import serialize
-from mvortho.serialize import json_text
+from mvortho import R, serialize
+from mvortho.core import shared_lattice
+from mvortho.families import HahnParams, KrawtchoukParams, MeixnerParams
+from mvortho.operators import OperatorSpec, operator_matrix
+from mvortho.serialize import (csv_text, json_text, matrix_csv, matrix_json, points_json,
+                               value_str)
 
 # the characters the writer's fast paths key on, escapes, and non-ASCII
 SPECIAL = '",\\[]{}:\x00\x1f\n\t é€\U0001f600'
@@ -85,3 +93,58 @@ def test_unsupported_types_raise_type_error_like_json(payload):
     with pytest.raises(TypeError) as got:
         json_text(payload)
     assert str(got.value) == str(expected.value)
+
+
+SHAPES = [(2, 0, False), (2, 3, True), (3, 4, False), (4, 2, False)]
+INDENTS = ["\n", "\n  ", "\n    "]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_a_point_block_is_the_stdlib_text_of_the_points_at_each_indent(shape):
+    lattice = shared_lattice(*shape)
+    oracle = json.dumps([list(x) for x in lattice.points], indent=2)
+    for nl in INDENTS * 2:  # the second round reads the cache
+        assert points_json(lattice, nl) == oracle.replace("\n", nl)
+
+
+def test_a_repeated_point_block_is_a_cache_hit():
+    lattice = shared_lattice(3, 2, False)
+    text = points_json(lattice, "\n  ")
+    before = points_json.cache_info()
+    assert points_json(lattice, "\n  ") is text
+    after = points_json.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_the_point_block_cache_is_bounded():
+    maxsize = points_json.cache_info().maxsize
+    assert maxsize is not None
+    lattice = shared_lattice(2, 1, False)
+    for k in range(maxsize + 5):
+        points_json(lattice, "\n" + " " * k)
+    assert points_json.cache_info().currsize == maxsize
+
+
+A = (R(1), R(2), R(1, 2))
+MEIXNER = MeixnerParams((R(1, 5), R(1, 4)), R(2))
+STENCILS = [
+    (HahnParams(A, R(2), 4), shared_lattice(3, 4, False), ("total", None)),
+    (HahnParams(A, R(2), 4), shared_lattice(3, 4, False), ("exchange", 2)),
+    (KrawtchoukParams(A, 4), shared_lattice(3, 4, False), ("single", None)),
+    # the frontier rows of the box are invalid and empty
+    (MEIXNER, shared_lattice(2, 3, True), ("total", None)),
+    # every row of the one-point box is: no triplet at all
+    (MEIXNER, shared_lattice(2, 0, True), ("total", None)),
+]
+
+
+@pytest.mark.parametrize("params,lattice,op", STENCILS)
+@pytest.mark.parametrize("as_float", [False, True])
+def test_the_stencil_writers_print_the_triplet_lists_text(params, lattice, op, as_float):
+    M = operator_matrix(OperatorSpec(params, *op), lattice)
+    triplets = [[i, j, value_str(R(row[j], M.den), as_float)]
+                for i, row in enumerate(M.rows) for j in sorted(row)]
+    assert matrix_json(M, as_float) == json_text({
+        "operator": M.op.label, "family": params.family, "size": M.size,
+        "valid_rows": list(M.valid_rows), "triplets": triplets})
+    assert matrix_csv(M, as_float) == csv_text(["row", "col", "value"], triplets)

@@ -21,7 +21,12 @@ each end-to-end metric's median, quartiles and runs in pair order, the
 operations attempted and failed, and per metric the pairs the change won
 (better in the direction ``BENCHMARK.json`` gives).  ``--tier1 K`` adds K
 alternating tier-1 runs per side, each with the tests that took over
-``SLOW_S`` seconds (pytest's ``--durations``).  ``--frontier n:N`` adds
+``SLOW_S`` seconds (pytest's ``--durations``).  ``--worker-rss K`` adds K
+alternating runs per side of ``perfbench/worker.py`` on each workload's
+seed-0 calls, each spawned from a small launcher, and the spread of the
+peak RSS each worker reports: on Linux a child's ``ru_maxrss`` starts from
+its parent's RSS at the fork, so the workers that ``run.py`` spawns also
+report the records ``run.py`` holds.  ``--frontier n:N`` adds
 the full Hahn suite ``verify --format json --timings`` at
 a = (1, 2, 3, 1/2)[:n], b = 2:
 process wall time, the ``completeness`` time, peak RSS and whether every
@@ -67,12 +72,13 @@ TIME_LIMIT_S = 60  # the frontier's limit on one full suite
 # Runs one command and prints its wall time and peak RSS: ru_maxrss of the
 # children of this small launcher is that of the one command.  A command
 # still running at the time limit is killed, and reported with "timeout".
+# The launcher hands the command its own stdin.
 LAUNCHER = """
 import json, resource, subprocess, sys, time
 t0 = time.perf_counter()
 try:
-    proc = subprocess.run(sys.argv[3:], cwd=sys.argv[2], capture_output=True, text=True,
-                          timeout=float(sys.argv[1]))
+    proc = subprocess.run(sys.argv[3:], cwd=sys.argv[2], input=sys.stdin.read(),
+                          capture_output=True, text=True, timeout=float(sys.argv[1]))
     out = {"returncode": proc.returncode, "stdout": proc.stdout}
 except subprocess.TimeoutExpired:
     out = {"timeout": True}
@@ -198,13 +204,48 @@ def startup(trees: dict, runs: int) -> dict:
     return {side: {key: spread(r) for key, r in rs.items()} for side, rs in out.items()}
 
 
-def launch(argv: list, cwd: Path, env: dict, limit: float = TIME_LIMIT_S) -> dict:
-    """One command in a fresh process, through the launcher: its wall time
-    and peak RSS, and its return code and stdout, or ``"timeout": True``
-    when it ran past ``limit`` seconds and was stopped."""
+def launch(argv: list, cwd: Path, env: dict, limit: float = TIME_LIMIT_S,
+           stdin: str = "") -> dict:
+    """One command in a fresh process, through the launcher, with ``stdin``
+    as its input: its wall time and peak RSS, and its return code and
+    stdout, or ``"timeout": True`` when it ran past ``limit`` seconds and
+    was stopped."""
     proc = subprocess.run([sys.executable, "-c", LAUNCHER, str(limit), str(cwd), *argv],
-                          capture_output=True, text=True, check=True, env=env)
+                          input=stdin, capture_output=True, text=True, check=True, env=env)
     return json.loads(proc.stdout)
+
+
+def worker_rss(trees: dict, names: list, runs: int) -> dict:
+    """Per workload, alternating runs of the side's ``perfbench/worker.py``
+    on the workload's seed-0 calls, each spawned from the launcher: per
+    side, the spread of the peak RSS the worker reports, its own
+    ``ru_maxrss``.  One unrecorded run per side first writes the bytecode
+    cache."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+
+    def once(side: str, name: str) -> float:
+        tree, workload = trees[side], WORKLOADS[name]
+        spec = {"src": str(tree / "src"), "bench": str(tree / "perfbench"),
+                "calls": workload.calls(0), "xmax": workload.xmax(), "trace": False}
+        run = launch([sys.executable, str(tree / "perfbench" / "worker.py")], tree, env,
+                     stdin=json.dumps(spec))
+        if run.get("returncode") != 0:
+            raise RuntimeError(f"{name} worker on the {side} side failed: {run}")
+        return json.loads(run["stdout"])["peak_rss_mb"]
+
+    out = {}
+    for name in names:
+        for side in trees:
+            once(side, name)
+        rss = {side: [] for side in trees}
+        for k in range(runs):
+            for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+                rss[side].append(once(side, name))
+        out[name] = {side: spread(r) for side, r in rss.items()}
+    return out
 
 
 def suite_once(tree: Path, n: int, N: int) -> dict:
@@ -264,6 +305,9 @@ def main(argv=None) -> int:
     parser.add_argument("--tier1", type=int, default=0, help="tier-1 runs per side")
     parser.add_argument("--startup", type=int, default=0,
                         help="runs per side timing import mvortho.cli with and without site")
+    parser.add_argument("--worker-rss", type=int, default=0,
+                        help="runs per side and workload of perfbench/worker.py from a "
+                        "small launcher, recording the worker's own peak RSS")
     parser.add_argument("--frontier", action="append", default=[], type=frontier_spec,
                         help="n:N")
     parser.add_argument("--frontier-parent", action="append", default=[], type=frontier_spec,
@@ -327,6 +371,14 @@ def main(argv=None) -> int:
                                 "runs": "alternating which side runs first; site: without -S, "
                                         "no_site: with -S",
                                 **startup(trees, args.startup)}
+        if args.worker_rss:
+            names = list(dict.fromkeys(name for name, _, _ in specs))
+            bench["worker_rss"] = {
+                "command": "python perfbench/worker.py, given the workload's seed-0 calls "
+                           "on stdin, spawned from a small launcher",
+                "runs": "alternating which side runs first; peak_rss_mb as the worker "
+                        "reports it (ru_maxrss)",
+                "workloads": worker_rss(trees, names, args.worker_rss)}
         if args.frontier:
             rows = []
             for n, N in args.frontier:
