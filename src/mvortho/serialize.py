@@ -154,8 +154,8 @@ _TRIPLET_CSV = ("{},", ",", "\n", "")
 def matrix_triplets(M, as_float: bool = False, layout: tuple = _TRIPLET_CSV) -> str:
     """The stored entries (row, col, value) of an OperatorMatrix as text in
     ``layout``, row by row and each row in column order.  The distinct
-    numerators are written once each by :func:`value_strs`, and a row's
-    index once, in the one walk over the rows that writes the entries."""
+    numerators are gathered and written once each by :func:`value_strs`;
+    then one walk over the rows writes the entries, each row's index once."""
     nums = list({v for row in M.rows for v in row.values()})
     text = dict(zip(nums, value_strs(nums, M.den, as_float)))
     row_form, mid, end, sep = layout
