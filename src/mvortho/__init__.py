@@ -29,13 +29,13 @@ from .operators import (
     OperatorMatrix,
     OperatorSpec,
     adjointness_defect,
+    eigenvalue,
     operator_matrix,
 )
 from .polynomials import (
     eigenpoly,
     eigenpoly_table,
     eigenpoly_tables,
-    eigenvalue,
     hahn,
     hahn_pair,
     km_pair,

@@ -30,8 +30,10 @@ def R(num=0, den=None):
         return Fraction(num.strip())
     if isinstance(num, (int, Fraction)):
         return Fraction(num)
-    # any numbers.Rational-like value; floats have no numerator and are refused
-    return Fraction(num.numerator, num.denominator)
+    try:  # any numbers.Rational-like value
+        return Fraction(num.numerator, num.denominator)
+    except AttributeError:
+        raise TypeError(f"{num!r} is not exact: give an int, a Fraction or 'p/q'") from None
 
 
 ZERO = R(0)

@@ -207,10 +207,9 @@ class FamilyParams(Value):
     None on the unbounded Meixner lattice.  Each declares its rates as the
     seven rationals ``rate_form = (u0, u1, v1, d0, d1, e1, e)`` of
     B_j = (u0 + u1 |x|)(v1 x_j + a_j), D_j = x_j (d0 + d1 |x|) and
-    c_jk = x_j (e1 x_k + e a_k), which the integer stencils
-    (:func:`mvortho.operators.operator_matrix`), the integer rates of the
-    rate identities (:func:`mvortho.operators.integer_rates`) and the
-    eigenvalues (:func:`mvortho.polynomials.eigenvalue`) read: a family
+    c_jk = x_j (e1 x_k + e a_k), which only :mod:`mvortho.operators` reads,
+    for its integer stencils, the integer rates of the rate identities and
+    the eigenvalues (:func:`mvortho.operators.eigenvalue`): a family
     declares no eigenvalue.
     """
 
@@ -266,8 +265,12 @@ class FamilyParams(Value):
             raise ValueError(f"need m_max <= N, got m_max = {m_max} and N = {self.N}")
 
     def degree_index(self, m: Sequence[int]) -> tuple[int, ...]:
-        """m as a tuple of n non-negative ints, with |m| <= N on a bounded lattice."""
-        m = tuple(int(d) for d in m)
+        """m as a tuple of n non-negative ints, with |m| <= N on a bounded
+        lattice; a non-integral entry raises ValueError."""
+        for d in m:
+            if d != int(d):
+                raise ValueError(f"degree {d} is not an integer")
+        m = tuple(map(int, m))
         if len(m) != self.n:
             raise ValueError(f"degree index needs {self.n} entries, got {len(m)}")
         if any(d < 0 for d in m):

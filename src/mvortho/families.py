@@ -12,7 +12,7 @@ a radial factor in |x|.  Each class holds its family's rates, weight,
 factors and label; every other module reads the family through these
 methods only.  The rates are seven constants of one form (``rate_form``,
 see :class:`mvortho.core.FamilyParams`), which also fix the operators'
-eigenvalues (:func:`mvortho.polynomials.eigenvalue`): a family declares
+eigenvalues (:func:`mvortho.operators.eigenvalue`): a family declares
 no eigenvalue.  Each factor is declared once, as an integer slot over a
 list of arguments (``pair_slot``, ``radial_slot``), and the type-one
 polynomial as a grid over the subset sums (``type_one``): what the value

@@ -14,15 +14,9 @@ sums and multiples, slot by slot, so any integer-linear map (a stencil,
 a Newton difference) runs on them unchanged.  If every slot of the
 result has |v_t| < 2^(W-1), that is |v_t| <= bound with
 W = :func:`slot_width` (bound), the result is 0 exactly when every slot
-is 0, and :func:`unpack` recovers each slot.  The callers' bounds: a
-commutator row of stencils whose rows have absolute sums <= S and
-entries |.| <= E has slots <= 2 S E; the Newton coefficients of a stencil
-image of the monomials of degree <= M on {|x| <= K}, n variables, have
-slots <= S top 2^(n K), with top >= every monomial value.  An eigen
-residual row q sum_j H[i][j] num_j - p H.den num_i of a table num with
-eigenvalue p/q has |slot| <= q S max|num| + |p| H.den max|num|, since
-|sum_j H[i][j] num_j| <= (sum_j |H[i][j]|) max|num| <= S max|num|; over a
-batch of tables the bound is the largest of theirs.
+is 0, and :func:`unpack` recovers each slot.  This module holds the
+primitives only: each caller proves its bound beside its kernel (the
+stencil kernels of :mod:`mvortho.operators`).
 
 A sparse row of slots is packed by :func:`pack`; T whole tables of L
 values each, one packed integer per column, by :func:`pack_columns`.  The

@@ -10,7 +10,9 @@ nested chain of exchange operators:
 where E_j^+- shifts x_j by one.  The rates B_j, D_j and c_jk are the
 family's, read from the seven constants of its rate form
 (:attr:`mvortho.core.FamilyParams.rate_form`); B_j and D_j are the birth
-and death rates of the j-th population group.
+and death rates of the j-th population group.  This module is the one
+reader of the rate form: the stencils, the integer rates and the
+eigenvalues on P_m (:func:`eigenvalue`) all come from it.
 On the bounded simplices every coefficient multiplying an out-of-domain
 shift vanishes exactly, so no out-of-lattice value is ever read.  On a
 truncated Meixner box the up-shift coefficient does not vanish at the
@@ -21,16 +23,19 @@ Each operator is built once per lattice as a sparse stencil
 (:class:`OperatorMatrix`): one row of at most 2n + n(n-1) + 1 integer
 numerators per point, over one common denominator, written in Python
 ints from the rate form: no rational is formed per entry.  Eigen residuals
-(:func:`mvortho.verify.residual_defects`), export, commutators,
-self-adjointness and the degree test all read that one representation;
-products, images and Newton differences run in Python ints and one
-rational is formed per result.  The rate identities read the same
-integers point by point (:func:`integer_rates`).
+(:func:`residual_defects`), export, commutators, self-adjointness and the
+degree test all read that one representation; products, images and Newton
+differences run in Python ints and one rational is formed per result.  The
+rate identities read the same integers point by point (:func:`integer_rates`).
 
-The commutators and the degree test run on slot-packed integers
-(:mod:`mvortho.linalg`), W = ``slot_width(bound)`` bits per slot.  A
-commutator packs each stencil row over the columns once; with S the
-largest absolute row sum and E the largest |entry| of the stencils
+The eigen residuals, the commutators and the degree test run on
+slot-packed integers (:mod:`mvortho.linalg`), W = ``slot_width(bound)``
+bits per slot, S being the largest absolute row sum of the stencils.  An
+eigen residual packs its tables column by column; row i of a table num
+with eigenvalue p/q is q sum_j H[i][j] num_j - p H.den num_i, and
+|sum_j H[i][j] num_j| <= S max|num|, so the bound is the largest over the
+tables of (S q + |p| H.den) max|num|.  A commutator packs each stencil
+row over the columns once; with E the largest |entry| of the stencils
 checked together, every entry of M1 M2 - M2 M1 is at most 2 S E in
 absolute value, which is the bound.  The degree test packs the monomials
 of degree <= M into one integer per point; an image entry is at most
@@ -43,12 +48,12 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import and_, mul
 
 from ._backend import R, integer_scaled
-from .core import Lattice, Value, enumerate_degrees, family_lattice
-from .linalg import newton_differences, pack, slot_width, unpack
+from .core import Lattice, Value, enumerate_degrees
+from .linalg import newton_differences, pack, pack_columns, slot_width, unpack
 from .measures import WeightTable
 
 KINDS = ("total", "single", "exchange")
@@ -130,7 +135,35 @@ def integer_rates(params) -> tuple:
     return birth, death, exchange, D
 
 
-def operator_matrix(op: OperatorSpec, lattice: Lattice | None = None) -> OperatorMatrix:
+def eigenvalue(params, kind: str, index: int | None, m):
+    """Exact eigenvalue of the operator on P_m, read from the family's rate form.
+
+    total: on functions of s = |x| the exchange terms vanish, and
+    sum_j B_j = (u0 + u1 s)(v1 s + |a|) and sum_j D_j = s (d0 + d1 s) read
+    only s, so total acts there as a birth-death chain in s.  Its image of
+    s^d has s^(d+1) coefficient d (d1 - u1 v1), zero as the form keeps the
+    degree (d1 = u1 v1, which ``degree-invariance`` checks), and its s^d
+    coefficient d (d0 - u0 v1 - u1 |a| - d1 (d - 1)) is the eigenvalue at
+    d = |m|.  exchange(i) keeps x_i + ... + x_n and acts on functions of
+    t = x_{i+1} + ... + x_n as a birth-death chain in t, one unit moving
+    inside the sites i..n; the same computation gives
+    S (e1 (S - 1) + e (a_i + ... + a_n)) at the partial degree
+    S = S_i = m_i + ... + m_{n-1}, as the radial factor and the pair factors
+    below sector i are invisible to it.  single is total minus exchange(1)
+    (the operators commute and share P_m).
+    """
+    OperatorSpec(params, kind, index)
+    m = params.degree_index(m)
+    u0, u1, v1, d0, d1, e1, e = params.rate_form
+    if kind == "exchange":
+        S = sum(m[index:])
+        return S * (e1 * (S - 1) + e * sum(params.a[index - 1:]))
+    d = sum(m)
+    total = d * (d0 - u0 * v1 - u1 * params.a_total - d1 * (d - 1))
+    return total if kind == "total" else total - eigenvalue(params, "exchange", 1, m)
+
+
+def operator_matrix(op: OperatorSpec, lattice: Lattice) -> OperatorMatrix:
     """The operator's stencil on the lattice, one sparse row per point.
 
     The rate constants and a_1..a_n are scaled once to integers over their
@@ -139,8 +172,6 @@ def operator_matrix(op: OperatorSpec, lattice: Lattice | None = None) -> Operato
     them), and den = D^2 / g is the lcm of the reduced denominators.  Only
     up moves from |x| = bound leave the lattice: those rows are invalid.
     """
-    if lattice is None:
-        lattice = family_lattice(op.params)
     if lattice.n != op.params.n:
         raise ValueError("lattice dimension does not match the parameters")
     if op.params.N is not None and lattice.bound != op.params.N:
@@ -226,6 +257,60 @@ def commutator_defects(stencils) -> list:
                 worst = max(worst, *map(abs, slots))
         out.append(R(worst, M1.den * M2.den))
     return out
+
+
+def residual_defects(H: OperatorMatrix, tables, eigenvalues) -> list:
+    """max |(H f)(x) - eig f(x)| over the valid rows of H, for each table f
+    and its eigenvalue eig: one rational per table.
+
+    With f = num/den and eig = p/q, row i compares q sum_j H[i][j] num_j
+    with p H.den num_i, and the largest difference of a table is its one
+    rational, over q H.den den.  The tables are packed column by column
+    (:func:`pack_columns`, O(T W log T) per column, bound: see the module
+    docstring): column j holds q num_j and the diagonal side p H.den num_i
+    of every table, so row i is one big-int multiply-add per stored entry,
+    and it passes for every table at once when
+    sum_j H[i][j] QA[j] - PB[i] = 0; a q or p shared by every table (one
+    shell under total) scales the packed num columns instead, so those
+    tables are packed once.  Only a row that does not pass is unpacked, for
+    the exact residual of each table.
+    """
+    if any(table.lattice != H.lattice for table in tables):
+        raise ValueError("table and operator live on different lattices")
+    if not tables:
+        return []
+    forms = [table.integer_form() for table in tables]
+    eigs = list(map(R, eigenvalues))
+    qs = [e.denominator for e in eigs]
+    ps = [e.numerator * H.den for e in eigs]
+    S = H.row_bounds[0]
+    W = slot_width(max((max(map(abs, nums), default=0) * (S * q + abs(p))
+                        for (nums, _), q, p in zip(forms, qs, ps)), default=0))
+    packed = None
+
+    def columns(scales) -> list:
+        """Column j of the tables, slot t scaled by scales[t], as one integer;
+        the unscaled columns are packed once, the first time a side has one scale."""
+        nonlocal packed
+        if len(set(scales)) > 1:
+            return pack_columns([map(mul, nums, repeat(c))
+                                 for (nums, _), c in zip(forms, scales)], W)
+        if packed is None:
+            packed = pack_columns([nums for nums, _ in forms], W)
+        return list(map(mul, packed, repeat(scales[0])))
+
+    QA, PB = columns(qs), columns(ps)
+    worst = [0] * len(forms)
+    for i in [i for i, ok in enumerate(H.valid_rows) if ok]:
+        row = H.rows[i]
+        d = sum(map(mul, row.values(), map(QA.__getitem__, row))) - PB[i]
+        if d:
+            low = ((d & -d).bit_length() - 1) // W
+            slots = unpack(d >> (W * low), W, abs(d).bit_length() // W + 1 - low)
+            for t, v in enumerate(slots, low):
+                if abs(v) > worst[t]:
+                    worst[t] = abs(v)
+    return [R(w, q * H.den * den) for w, q, (_, den) in zip(worst, qs, forms)]
 
 
 def adjointness_defect(M: OperatorMatrix, w: WeightTable):

@@ -48,7 +48,9 @@ degree of the radial (|x|-dependent) factor and m_i the degree of the
 i-th pair factor.  Empty shift sums are zero, so the top pair factor
 (i = n-1) carries no shift.
 
-All evaluation is exact rational arithmetic; no rounding ever occurs.
+All evaluation is exact rational arithmetic; no rounding ever occurs.  The
+module reads nothing above :mod:`mvortho.core`: an eigenvalue on P_m is a
+fact of the operators (:func:`mvortho.operators.eigenvalue`).
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ from itertools import chain
 
 from ._backend import R, ONE, as_integer, integer_scaled
 from .core import FamilyParams, Lattice, LatticeFunction, shared_lattice
-from .operators import OperatorSpec
 
 # Rows kept per cached builder; a row is one (degree, parameters).
 ROW_CACHE_SIZE = 4096
@@ -384,36 +385,6 @@ def _slot_values(method, key: tuple, args: tuple, factors: dict) -> tuple:
 def eigenpoly_table(m: Sequence[int], params, lattice: Lattice) -> LatticeFunction:
     """Value table of P_m over an enumerated lattice."""
     return eigenpoly_tables([m], params, lattice)[0]
-
-
-def eigenvalue(params, kind: str, index: int | None, m: Sequence[int]):
-    """Exact eigenvalue of an operator on the eigenpolynomial P_m, read from
-    the family's rate form (u0, u1, v1, d0, d1, e1, e); no family declares
-    an eigenvalue (see :class:`mvortho.core.FamilyParams`).
-
-    total: on functions of s = |x| the exchange terms vanish, and
-    sum_j B_j = (u0 + u1 s)(v1 s + |a|) and sum_j D_j = s (d0 + d1 s) read
-    only s, so total acts there as a birth-death chain in s.  Its image of
-    s^d has s^(d+1) coefficient d (d1 - u1 v1), zero as the form keeps the
-    degree (d1 = u1 v1, which ``degree-invariance`` checks), and its s^d
-    coefficient d (d0 - u0 v1 - u1 |a| - d1 (d - 1)) is the eigenvalue at
-    d = |m|.  exchange(i) keeps x_i + ... + x_n and acts on functions of
-    t = x_{i+1} + ... + x_n as a birth-death chain in t, one unit moving
-    inside the sites i..n; the same computation gives
-    S (e1 (S - 1) + e (a_i + ... + a_n)) at the partial degree
-    S = S_i = m_i + ... + m_{n-1}, as the radial factor and the pair factors
-    below sector i are invisible to it.  single is total minus exchange(1)
-    (the operators commute and share P_m).
-    """
-    OperatorSpec(params, kind, index)
-    m = params.degree_index(m)
-    u0, u1, v1, d0, d1, e1, e = params.rate_form
-    if kind == "exchange":
-        S = sum(m[index:])
-        return S * (e1 * (S - 1) + e * sum(params.a[index - 1:]))
-    d = sum(m)
-    total = d * (d0 - u0 * v1 - u1 * params.a_total - d1 * (d - 1))
-    return total if kind == "total" else total - eigenvalue(params, "exchange", 1, m)
 
 
 def pair_backward_table(m: int, alpha, gamma, box: int) -> LatticeFunction:

@@ -15,8 +15,8 @@ encoded whole and re-indented by ``str.replace``.
 
 The export writers return their documents' text.  They write the blocks
 they can without ``json_text``, byte for byte as it would: each lattice's
-``points`` block is rendered once per process and indent
-(:func:`points_json`, a bounded cache of family-free text), and a
+``points`` block is rendered once per process (:func:`points_json`, a
+bounded cache of family-free text), and a
 stencil's triplets are written by :func:`matrix_triplets`, which formats
 each distinct numerator once and then walks the rows once, each in column
 order, for the JSON document and the CSV rows alike.  ``json_text``
@@ -100,11 +100,11 @@ _FIELD = "\n  "  # the line break and indent of a top-level field
 
 
 @lru_cache(maxsize=64)
-def points_json(lattice, nl: str) -> str:
-    """The JSON text of the lattice's points after the line break and indent
-    ``nl``, as :func:`json_text` writes a list of coordinate lists; rendered
-    once per lattice shape and indent, as it holds no family data."""
-    return _json(lattice.points, nl)
+def points_json(lattice) -> str:
+    """The JSON text of the lattice's points at a top-level field's indent,
+    as :func:`json_text` writes a list of coordinate lists; rendered once
+    per lattice shape, as it holds no family data."""
+    return _json(lattice.points, _FIELD)
 
 
 def _document(fields: dict, key: str, block: str) -> str:
@@ -118,7 +118,7 @@ def _document(fields: dict, key: str, block: str) -> str:
 
 def lattice_json(fields: dict, lattice) -> str:
     """``json_text`` of ``fields`` plus the lattice's points under "points"."""
-    return _document(fields, "points", points_json(lattice, _FIELD))
+    return _document(fields, "points", points_json(lattice))
 
 
 def table_csv(points, values, column: str) -> str:

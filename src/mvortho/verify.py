@@ -1,11 +1,13 @@
 """Identity verification harness.
 
 Every check is exact: a pass requires the defect to be exactly zero (no
-epsilon anywhere).  On the truncated Meixner box the orthogonality
-checks (``gram``, ``pair-orthogonality``) decide on the full-lattice
-inner products, exact finite sums against the factorial moments of the
-weight; the only tail bound left is the missing weight mass that
-``normalization`` compares with :func:`mvortho.measures.meixner_tail_mass_bound`.
+epsilon anywhere).  On the truncated Meixner box the orthogonality checks
+(``gram``, ``pair-orthogonality``) decide on the full-lattice inner
+products, exact finite sums against the factorial moments of the weight;
+the only tail bound left is the missing weight mass that ``normalization``
+compares with :func:`mvortho.measures.meixner_tail_mass_bound`.  This
+module keeps the context, the registry and the checks; the kernels they run
+live in their layers (the stencil kernels in :mod:`mvortho.operators`).
 
 Every check of an instance takes one :class:`SuiteContext`, which builds
 each object a check reads (weight, stencils, tables, defects, residuals)
@@ -36,13 +38,12 @@ import math
 import random
 import time
 from functools import cache, cached_property
-from itertools import combinations, combinations_with_replacement, repeat
-from operator import mul
+from itertools import combinations, combinations_with_replacement
 
 from ._backend import R, ZERO, ONE, integer_scaled
 from .core import (LatticeFunction, Value, enumerate_degrees, family_lattice,
                    rising_factorial, shared_lattice)
-from .linalg import newton_differences, pack_columns, slot_width, unpack
+from .linalg import newton_differences
 from .measures import (
     gram_matrix,
     lattice_inner_product,
@@ -55,14 +56,15 @@ from .operators import (
     adjointness_defect,
     commutator_defects,
     compared_rows,
+    eigenvalue,
     image_degree,
     integer_rates,
     operator_matrix,
+    residual_defects,
 )
 from .polynomials import (
     eigenpoly,
     eigenpoly_tables,
-    eigenvalue,
     hahn,
     hahn_grid,
     hahn_pair,
@@ -269,62 +271,6 @@ def degree_invariance_report(ctx: SuiteContext, M: int) -> CheckReport:
 
 # ---------------------------------------------------------------------------
 # eigen checks
-
-
-def residual_defects(H: OperatorMatrix, tables, eigenvalues) -> list:
-    """max |(H f)(x) - eig f(x)| over the valid rows of H, for each table f
-    and its eigenvalue eig: one rational per table.
-
-    With f = num/den and eig = p/q, row i compares q sum_j H[i][j] num_j
-    with p H.den num_i, and the largest difference of a table is its one
-    rational, over q H.den den.  The tables are packed into slots,
-    W = ``slot_width(bound)`` bits each, column by column by
-    :func:`mvortho.linalg.pack_columns` in O(T W log T) per column: column
-    j holds q num_j and the diagonal side p H.den num_i of every table, so
-    row i is one big-int multiply-add per stored entry, and it passes for
-    every table at once when sum_j H[i][j] QA[j] - PB[i] = 0; a q or p
-    shared by every table (one shell under total) scales the packed num
-    columns instead, so those tables are packed once.  Only a row
-    that does not pass is unpacked, for the exact residual of each table.  The
-    bound is max over the tables of (S q + |p| H.den) max |num|, S the
-    largest absolute row sum.
-    """
-    if any(table.lattice != H.lattice for table in tables):
-        raise ValueError("table and operator live on different lattices")
-    if not tables:
-        return []
-    forms = [table.integer_form() for table in tables]
-    eigs = list(map(R, eigenvalues))
-    qs = [e.denominator for e in eigs]
-    ps = [e.numerator * H.den for e in eigs]
-    S = H.row_bounds[0]
-    W = slot_width(max((max(map(abs, nums), default=0) * (S * q + abs(p))
-                        for (nums, _), q, p in zip(forms, qs, ps)), default=0))
-    packed = None
-
-    def columns(scales) -> list:
-        """Column j of the tables, slot t scaled by scales[t], as one integer;
-        the unscaled columns are packed once, the first time a side has one scale."""
-        nonlocal packed
-        if len(set(scales)) > 1:
-            return pack_columns([map(mul, nums, repeat(c))
-                                 for (nums, _), c in zip(forms, scales)], W)
-        if packed is None:
-            packed = pack_columns([nums for nums, _ in forms], W)
-        return list(map(mul, packed, repeat(scales[0])))
-
-    QA, PB = columns(qs), columns(ps)
-    worst = [0] * len(forms)
-    for i in [i for i, ok in enumerate(H.valid_rows) if ok]:
-        row = H.rows[i]
-        d = sum(map(mul, row.values(), map(QA.__getitem__, row))) - PB[i]
-        if d:
-            low = ((d & -d).bit_length() - 1) // W
-            slots = unpack(d >> (W * low), W, abs(d).bit_length() // W + 1 - low)
-            for t, v in enumerate(slots, low):
-                if abs(v) > worst[t]:
-                    worst[t] = abs(v)
-    return [R(w, q * H.den * den) for w, q, (_, den) in zip(worst, qs, forms)]
 
 
 def eigen_suite(ctx: SuiteContext, m_max: int) -> list[CheckReport]:
@@ -687,7 +633,7 @@ def completeness_check(ctx: SuiteContext) -> CheckReport:
     bundle.  By the rate form (u0, u1, v1, d0, d1, e1, e) the eigenvalue of
     total is d (c - d1 (d - 1)) at d = |m|, c = d0 - u0 v1 - u1 |a|, and that
     of exchange(i) is S (e1 (S - 1) + e c_i) at S = S_i = m_i + ... + m_{n-1},
-    c_i = a_i + ... + a_n (:func:`mvortho.polynomials.eigenvalue`).  Those
+    c_i = a_i + ... + a_n (:func:`mvortho.operators.eigenvalue`).  Those
     bundles have c > 0, d1 <= 0, e = 1 and e1 >= 0, so the steps from d to
     d + 1, c - 2 d1 d, and from S to S + 1, c_i + 2 e1 S, are positive: both
     maps are strictly increasing.  So the tuple fixes |m| and every S_i,
@@ -896,7 +842,6 @@ class SuiteContext:
         ("factors",)                           the slot integers of every P_m, and
                                                [lattice]: the forms of its P_m, m_0 = 0
         ("type-one", J, m)                     a type-one table
-        ("type-one grid", m, a_J)              its integers over x_J = 0..bound
         ("moments", K)                         Meixner factorial moments, order <= K
         ("residual", table, kind, index, key)  a "P_m" or "type-one" eigen residual
 
@@ -979,7 +924,7 @@ class SuiteContext:
         """The operator's eigenvalue on P_m, formed once per operator and
         partial degree: the eigenvalue reads m only through |m| (total),
         S_index = m_index + ... + m_{n-1} (exchange) or both |m| and S_1
-        (single), see :func:`mvortho.polynomials.eigenvalue`."""
+        (single), see :func:`mvortho.operators.eigenvalue`."""
         total, tail = sum(m), sum(m[index or 1:])
         degree = total if kind == "total" else tail if kind == "exchange" else (total, tail)
         return self._keep(("eigenvalue", kind, index, degree),
@@ -1042,16 +987,16 @@ class SuiteContext:
 
     def type_one(self, J: tuple, m: int) -> LatticeFunction:
         """Table of the degree-m type-one polynomial in x_J on the instance
-        lattice, for a sorted subset J of 1..n.  It depends on x only through
-        x_J and on J only through a_J, so it is one integer grid per (m, a_J)
-        over x_J = 0..bound (``params.type_one``); each J gets its own table,
+        lattice, for a sorted subset J of 1..n: one integer grid over the
+        sums of x_J (``params.type_one``, which reads J only through a_J),
         reduced by the gcd of its integers."""
-        lattice = self.lattice
-        a_J = sum((self.params.a[j - 1] for j in J), ZERO)
-        by_sum, den = self._keep(("type-one grid", m, a_J), lambda: self.params.type_one(
-            m, a_J, list(range(lattice.bound + 1))))
-        return self._keep(("type-one", J, m), lambda: LatticeFunction(
-            lattice, [by_sum[sum(x[j - 1] for j in J)] for x in lattice.points], den))
+        def build() -> LatticeFunction:
+            lattice, a_J = self.lattice, sum((self.params.a[j - 1] for j in J), ZERO)
+            by_sum, den = self.params.type_one(m, a_J, list(range(lattice.bound + 1)))
+            return LatticeFunction(
+                lattice, [by_sum[sum(x[j - 1] for j in J)] for x in lattice.points], den)
+
+        return self._keep(("type-one", J, m), build)
 
 
 def _shifts(ctx: SuiteContext) -> list[CheckReport]:

@@ -24,6 +24,13 @@ def record(workload, seed, pair, side, wall, ok=1.0, attempted=10, failed=0):
             "failed": failed}
 
 
+def test_pairs_alternate_which_side_runs_first():
+    """The one order every alternating block runs its sides in: the parent
+    first in even pairs, so a drift in host speed hits both sides alike."""
+    assert [bench_pairs.order(k) for k in range(4)] == [
+        ("parent", "change"), ("change", "parent")] * 2
+
+
 def test_summary_lists_runs_in_pair_order_with_quartiles_and_wins():
     parent = [0.030, 0.028, 0.029, 0.031, 0.027]
     change = [0.026, 0.027, 0.030, 0.025, 0.026]

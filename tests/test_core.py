@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvortho import (FamilyParams, R, LatticeFunction, OperatorMatrix, enumerate_lattice,
-                     rising_factorial)
+from mvortho import (FamilyParams, R, LatticeFunction, OperatorMatrix, eigenpoly,
+                     enumerate_lattice, rising_factorial)
 from mvortho._backend import integer_scaled
 from mvortho.core import Lattice, family_lattice, term_row
 from mvortho.families import HahnParams, KrawtchoukParams, MeixnerParams
@@ -172,6 +172,33 @@ def test_params_validation():
         MeixnerParams((R(1, 2), R(1, 2)), R(1))  # |a| < 1
 
 
+HAHN_123 = HahnParams((1, 2, 3), 2, 5)
+
+
+@pytest.mark.parametrize("d", [Fraction(3, 2), 1.9])
+def test_a_non_integral_degree_is_refused_by_name(d):
+    """A degree is never truncated: P_(3/2, 0, 0) is no P_(1, 0, 0)."""
+    p = HAHN_123
+    for call in (lambda: p.degree_index((d, 0, 0)), lambda: eigenpoly((d, 0, 0), (1, 0, 0), p)):
+        with pytest.raises(ValueError, match=f"^degree {d} is not an integer$"):
+            call()
+
+
+def test_integral_degrees_pass_as_ints():
+    m = HAHN_123.degree_index((Fraction(2), 1.0, 0))
+    assert m == (2, 1, 0) and all(type(d) is int for d in m)
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: R(0.5), "0.5"),
+    (lambda: HahnParams((0.5, 1), 2, 5), "0.5"),
+    (lambda: eigenpoly((1, 0, 0), (1.0, 0, 0), HAHN_123), "1.0"),  # through as_integer
+], ids=["R", "params", "point"])
+def test_a_float_is_refused_with_a_type_error_that_names_it(call, value):
+    with pytest.raises(TypeError, match=rf"^{value} is not exact: give an int, a Fraction or 'p/q'$"):
+        call()
+
+
 def test_params_accept_strings_and_expose_tails():
     p = HahnParams(("1/2", "3/2", "2"), "5/4", 5)
     assert p.a_total == R(4)
@@ -188,7 +215,8 @@ def value_objects():
     total = OperatorSpec(hahn, "total")
     return [lattice, LatticeFunction(lattice, [1] * lattice.size, 1), FamilyParams((1, 2)), hahn,
             KrawtchoukParams((R(1, 5), R(1, 4)), 3), MeixnerParams((R(1, 5), R(1, 4)), 3),
-            weight_table(hahn), total, operator_matrix(total), CheckReport("gram", "i", "pass")]
+            weight_table(hahn), total, operator_matrix(total, family_lattice(hahn)),
+            CheckReport("gram", "i", "pass")]
 
 
 def test_value_classes_compare_by_class_and_fields():

@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used there, every private
 helper it defines is referenced there, and every name the package exports
 resolves: a deletion leaves no dead import, orphaned helper or stale
-export behind.  The command line's import path loads none of the standard
-modules that cost start-up and that nothing in the package needs."""
+export behind.  The layers import downwards only, as their source reads.
+The command line's import path loads none of the standard modules that
+cost start-up and that nothing in the package needs."""
 
 import ast
 import subprocess
@@ -65,6 +66,50 @@ def test_every_private_helper_is_referenced(path):
 def test_every_export_resolves():
     assert len(set(mvortho.__all__)) == len(mvortho.__all__)
     assert [name for name in mvortho.__all__ if not hasattr(mvortho, name)] == []
+
+
+def package_imports(name: str) -> set:
+    """The package modules that module ``name`` imports, directly or through
+    another package module, read from the ``from .x import`` and
+    ``from . import x`` statements of their source: nothing is imported."""
+    seen, todo = set(), [name]
+    while todo:
+        for node in ast.walk(ast.parse((SRC / f"{todo.pop()}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for module in [node.module] if node.module else [a.name for a in node.names]:
+                    if module not in seen:
+                        seen.add(module)
+                        todo.append(module)
+    return seen
+
+
+# the modules below the suite: every one but verify and the entry points
+LAYERS = [p.stem for p in MODULES if p.stem not in ("verify", "cli", "__init__", "__main__")]
+
+
+def test_polynomials_import_nothing_above_core():
+    """The eigenvalues are facts of the operators, so the polynomial layer
+    reads neither the operators, the measures nor the suite."""
+    assert package_imports("polynomials") & {"operators", "measures", "verify"} == set()
+    assert "core" in package_imports("polynomials")
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_no_layer_imports_the_suite(name):
+    assert "verify" not in package_imports(name)
+
+
+def test_only_the_operators_read_the_rate_form():
+    """The families declare their rate form, and only :mod:`mvortho.operators`
+    reads it: the stencils, the integer rates and the eigenvalues."""
+    readers, declared = set(), set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "rate_form":
+                readers.add(path.stem)
+            elif isinstance(node, ast.FunctionDef) and node.name == "rate_form":
+                declared.add(path.stem)
+    assert (readers, declared) == ({"operators"}, {"families"})
 
 
 # Prints the modules loaded once ``mvortho.cli`` is imported from the given source directory.

@@ -25,8 +25,8 @@ from mvortho import verify as V
 from mvortho._backend import integer_scaled
 from mvortho.core import Lattice, enumerate_degrees, enumerate_lattice, family_lattice
 from mvortho.linalg import newton_differences, pack, pack_columns, slot_width, unpack
-from mvortho.operators import commutator_defects, image_degree, integer_rates
-from mvortho.polynomials import eigenpoly_tables, eigenvalue
+from mvortho.operators import commutator_defects, eigenvalue, image_degree, integer_rates
+from mvortho.polynomials import eigenpoly_tables
 from test_core import table_of
 
 HAHN = HahnParams((R(1), R(2), R(3)), R(2), 4)
@@ -196,7 +196,7 @@ def test_all_pairs_commute_bounded(params):
 
 
 def test_self_commutator_is_zero():
-    M = operator_matrix(OperatorSpec(HAHN, "total"))
+    M = operator_matrix(OperatorSpec(HAHN, "total"), family_lattice(HAHN))
     assert commutator_defects([M, M])[0] == 0
 
 
@@ -251,8 +251,8 @@ def test_adjointness_meixner_interior():
 
 
 def test_degree_invariance():
-    total = operator_matrix(OperatorSpec(HAHN, "total"))
-    exchange = operator_matrix(OperatorSpec(HAHN, "exchange", 1))
+    total = operator_matrix(OperatorSpec(HAHN, "total"), family_lattice(HAHN))
+    exchange = operator_matrix(OperatorSpec(HAHN, "exchange", 1), family_lattice(HAHN))
     for M in (0, 1, 2):
         assert image_degree([total], M) <= M
         assert image_degree([exchange], M) <= M
@@ -650,7 +650,7 @@ def residual_through_apply(H, f, eig):
 
 def oracle_residual_defect(H, table, eig):
     """Max |(H f)(x) - eig f(x)| over the valid rows of H: the per-row integer
-    sum that the packed ``verify.residual_defects`` replaced.  With
+    sum that the packed ``operators.residual_defects`` replaced.  With
     f = num/den and eig = p/q, row i compares q sum_j H[i][j] num_j with
     p H.den num_i."""
     if table.lattice != H.lattice:
@@ -674,9 +674,9 @@ def test_residual_kernel_matches_apply_matrix(params, xmax, monkeypatch):
         H = operator_matrix(spec, lat)
         for m, table in zip(degrees, tables):
             eig = eigenvalue(params, spec.kind, spec.index, m)
-            exact = V.residual_defects(H, [table], [eig])[0]
+            exact = operators.residual_defects(H, [table], [eig])[0]
             assert exact == residual_through_apply(H, table, eig) == 0
-            wrong = V.residual_defects(H, [table], [eig + R(1, 7)])[0]
+            wrong = operators.residual_defects(H, [table], [eig + R(1, 7)])[0]
             assert wrong == residual_through_apply(H, table, eig + R(1, 7))
             assert wrong > 0
         # one packed call over every table, shifted eigenvalues among them,
@@ -684,14 +684,14 @@ def test_residual_kernel_matches_apply_matrix(params, xmax, monkeypatch):
         batch = [*tables, tables[1]]
         eigs = [eigenvalue(params, spec.kind, spec.index, m) for m in degrees]
         eigs += [eigs[1] - R(3, 5)]
-        assert V.residual_defects(H, batch, eigs) == [
+        assert operators.residual_defects(H, batch, eigs) == [
             oracle_residual_defect(H, t, e) for t, e in zip(batch, eigs)]
     # a shifted eigenvalue makes the eigen check FAIL
     monkeypatch.setattr(V, "eigenvalue", lambda *args: eigenvalue(*args) + R(1, 7))
     assert V.eigen_suite(V.SuiteContext(params, 3, xmax), 3)[0].status == "fail"
     other = Lattice(params.n, lat.bound - 1, lat.truncated)
     with pytest.raises(ValueError, match="different lattices"):
-        V.residual_defects(H, eigenpoly_tables(degrees[:1], params, other), [R(0)])
+        operators.residual_defects(H, eigenpoly_tables(degrees[:1], params, other), [R(0)])
 
 
 # the perturbed runs use the Hahn and the n=2 Meixner case: the dense
@@ -866,7 +866,7 @@ def residual_batches(draw):
           phases=(Phase.explicit, Phase.generate))
 def test_packed_residuals_match_the_oracle_on_random_stencils(batch):
     H, tables, eigs = batch
-    assert V.residual_defects(H, tables, eigs) == [
+    assert operators.residual_defects(H, tables, eigs) == [
         oracle_residual_defect(H, t, e) for t, e in zip(tables, eigs)]
 
 

@@ -96,22 +96,23 @@ def test_unsupported_types_raise_type_error_like_json(payload):
 
 
 SHAPES = [(2, 0, False), (2, 3, True), (3, 4, False), (4, 2, False)]
-INDENTS = ["\n", "\n  ", "\n    "]
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_a_point_block_is_the_stdlib_text_of_the_points_at_each_indent(shape):
+    """The block is rendered at the one indent the writers place it at, a
+    top-level field's."""
     lattice = shared_lattice(*shape)
-    oracle = json.dumps([list(x) for x in lattice.points], indent=2)
-    for nl in INDENTS * 2:  # the second round reads the cache
-        assert points_json(lattice, nl) == oracle.replace("\n", nl)
+    oracle = json.dumps([list(x) for x in lattice.points], indent=2).replace("\n", "\n  ")
+    for _ in range(2):  # the second round reads the cache
+        assert points_json(lattice) == oracle
 
 
 def test_a_repeated_point_block_is_a_cache_hit():
     lattice = shared_lattice(3, 2, False)
-    text = points_json(lattice, "\n  ")
+    text = points_json(lattice)
     before = points_json.cache_info()
-    assert points_json(lattice, "\n  ") is text
+    assert points_json(lattice) is text
     after = points_json.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
@@ -119,9 +120,11 @@ def test_a_repeated_point_block_is_a_cache_hit():
 def test_the_point_block_cache_is_bounded():
     maxsize = points_json.cache_info().maxsize
     assert maxsize is not None
-    lattice = shared_lattice(2, 1, False)
-    for k in range(maxsize + 5):
-        points_json(lattice, "\n" + " " * k)
+    shapes = [(n, bound, truncated) for n in (2, 3) for bound in range(maxsize // 4 + 2)
+              for truncated in (False, True)]
+    assert len(shapes) > maxsize
+    for shape in shapes:
+        points_json(shared_lattice(*shape))
     assert points_json.cache_info().currsize == maxsize
 
 

@@ -862,9 +862,9 @@ def test_suite_evaluates_each_factor_once(monkeypatch):
 
 def test_suite_evaluates_each_type_one_value_once(monkeypatch):
     """A type-one table depends on x only through x_J and on J only through
-    a_J: the suite evaluates one grid over x_J = 0..N per (m, a_J).  With
-    a = 1, 2, 3 the 7 subsets give 6 sums a_J ({3} and {1, 2} share 3), so
-    6 sums x degrees 0..3."""
+    a_J: the suite evaluates one grid over x_J = 0..N per (J, m), so 7
+    subsets x degrees 0..3.  With a = 1, 2, 3, {3} and {1, 2} share a_J = 3,
+    and each evaluates its own grid."""
     params = HahnParams((R(1), R(2), R(3)), R(2), 5)
     type_one, calls = HahnParams.type_one, []
 
@@ -876,7 +876,9 @@ def test_suite_evaluates_each_type_one_value_once(monkeypatch):
     monkeypatch.setattr(HahnParams, "type_one", counted)
     reports = V.run_suite(params)
     assert not any(r.status == "fail" for r in reports)
-    assert len(calls) == len(set(calls)) == 6 * 4 == 24
+    assert len(calls) == 7 * 4 == 28
+    assert [calls.count((m, R(3))) for m in range(4)] == [2] * 4
+    assert len(set(calls)) == 6 * 4
 
 
 def test_perturbed_pair_row_fails_eigen_and_pair_shifts(monkeypatch):

@@ -101,6 +101,18 @@ def _env(tree: Path) -> dict:
     return {**os.environ, "PYTHONPATH": str(tree / "src")}
 
 
+def bytecode_env() -> dict:
+    """This process's environment with bytecode writing allowed, so that one
+    unrecorded run per side fills the cache the recorded runs read."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+
+
+def order(k: int) -> tuple:
+    """The sides in the order pair k runs them: the parent first in even
+    pairs, the change first in odd ones."""
+    return ("parent", "change") if k % 2 == 0 else ("change", "parent")
+
+
 def export(rev: str, dest: Path) -> str:
     """Extract the tree of ``rev`` into ``dest``; return its full commit id."""
     sha = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, capture_output=True,
@@ -172,7 +184,7 @@ def tier1(trees: dict, runs: int) -> dict:
     tests over ``SLOW_S`` seconds of each run, per side."""
     out = {side: {"passed": None, "wall_s": [], "slow": []} for side in trees}
     for k in range(runs):
-        for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+        for side in order(k):
             proc = subprocess.run(TIER1, cwd=trees[side], capture_output=True, text=True,
                                   env=_env(trees[side]))
             tail = proc.stdout.strip().splitlines()[-1]
@@ -187,7 +199,7 @@ def startup(trees: dict, runs: int) -> dict:
     """Alternating start-up runs: per side, the spread of the seconds
     ``import mvortho.cli`` takes with ``site`` and without it (``-S``).  One
     unrecorded import per side first writes the bytecode cache."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env = bytecode_env()
 
     def once(side: str, flags: list) -> float:
         argv = [sys.executable, *flags, "-c", STARTUP, str(trees[side] / "src")]
@@ -198,7 +210,7 @@ def startup(trees: dict, runs: int) -> dict:
         once(side, [])
     out = {side: {"site": [], "no_site": []} for side in trees}
     for k in range(runs):
-        for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+        for side in order(k):
             out[side]["site"].append(once(side, []))
             out[side]["no_site"].append(once(side, ["-S"]))
     return {side: {key: spread(r) for key, r in rs.items()} for side, rs in out.items()}
@@ -224,7 +236,7 @@ def worker_rss(trees: dict, names: list, runs: int) -> dict:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
 
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env = bytecode_env()
 
     def once(side: str, name: str) -> float:
         tree, workload = trees[side], WORKLOADS[name]
@@ -242,7 +254,7 @@ def worker_rss(trees: dict, names: list, runs: int) -> dict:
             once(side, name)
         rss = {side: [] for side in trees}
         for k in range(runs):
-            for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+            for side in order(k):
                 rss[side].append(once(side, name))
         out[name] = {side: spread(r) for side, r in rss.items()}
     return out
@@ -329,7 +341,7 @@ def main(argv=None) -> int:
         records, env = [], None
         for name, seed, pairs in specs:
             for k in range(pairs):
-                for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+                for side in order(k):
                     run = bench_once(trees[side], name, seed, SECONDS)
                     env = env or run["env"]
                     records.append({"workload": name, "seed": seed, "pair": k, "side": side,
@@ -351,7 +363,7 @@ def main(argv=None) -> int:
             for name in dict.fromkeys(name for name, seed, _ in specs if seed == 0):
                 runs = {"parent": [], "change": []}
                 for k in range(args.traced):
-                    for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+                    for side in order(k):
                         metrics = bench_once(trees[side], name, 0, 2.0, trace=1)["metrics"]
                         runs[side].append({layer: metrics[layer] for layer in args.layer})
                 traced[name] = {side: {layer: spread([r[layer] for r in rs])
