@@ -232,6 +232,7 @@ def boundary_safety_check(ctx: SuiteContext) -> CheckReport:
 
 
 def adjointness_check(ctx: SuiteContext) -> CheckReport:
+    """Each stencil of :attr:`SuiteContext.stencils` is W-self-adjoint."""
     def body():
         return _exact(ctx.adjointness(H.op.kind, H.op.index) for H in ctx.stencils)
 
@@ -239,8 +240,8 @@ def adjointness_check(ctx: SuiteContext) -> CheckReport:
 
 
 def commutator_check(ctx: SuiteContext) -> CheckReport:
-    """Each pair of stencils commutes on its compared rows; a pair with none
-    shows nothing, so unless some pair FAILs the report SKIPs and names it."""
+    """Each pair of the context's stencils commutes on its compared rows; a pair
+    with none shows nothing, so unless some pair FAILs the report SKIPs and names it."""
     def body():
         result = _exact(commutator_defects(ctx.stencils),
                         "interior-restricted rows" if ctx.lattice.truncated else "")
@@ -274,8 +275,8 @@ def degree_invariance_report(ctx: SuiteContext, M: int) -> CheckReport:
 
 
 def eigen_suite(ctx: SuiteContext, m_max: int) -> list[CheckReport]:
-    """Eigen residuals for every |m| <= m_max and every operator, one
-    :func:`residual_defects` call per operator."""
+    """Eigen residuals for every |m| <= m_max under each of
+    :attr:`SuiteContext.stencils`, one :func:`residual_defects` call each."""
     params = ctx.params
 
     def body():
@@ -624,8 +625,8 @@ def completeness_check(ctx: SuiteContext) -> CheckReport:
     paper's spectral argument.
 
     It holds when #{m : |m| <= N} = L, the lattice size, and each P_m is a
-    nonzero common eigenvector of total and exchange(1) .. exchange(n-1)
-    (residual 0 on all L rows), these stencils are self-adjoint under
+    nonzero common eigenvector of the context's stencils, total and exchange(1)
+    .. exchange(n-1) (residual 0 on all L rows), these are self-adjoint under
     the weight W and W > 0: eigenvectors of a W-self-adjoint operator with
     different eigenvalues are W-orthogonal, so when the joint eigenvalue
     tuples are pairwise distinct the L nonzero P_m are orthogonal, hence
@@ -678,20 +679,18 @@ def completeness_check(ctx: SuiteContext) -> CheckReport:
             return FAIL, None, "degree count differs from lattice size"
         if min(ctx.weights().integer_form()[0]) <= 0:
             return FAIL, None, "weight not positive at every point"
-        ops = [OperatorSpec(params, "total")] + [OperatorSpec(params, "exchange", i)
-                                                 for i in range(1, n)]
-        labels = ", ".join(op.label for op in ops)
-        adjoint = max(ctx.adjointness(op.kind, op.index) for op in ops)
+        stencils = ctx.stencils
+        labels = ", ".join(H.op.label for H in stencils)
+        adjoint = max(ctx.adjointness(H.op.kind, H.op.index) for H in stencils)
         if adjoint:
             return FAIL, adjoint, f"{labels} not W-self-adjoint"
-        for op in ops:
-            if not all(ctx.stencil(op.kind, op.index).valid_rows):
-                return FAIL, None, f"image of {op.label} not defined on every row"
-        for op in ops[1:]:
-            kept = [(s, x[:op.index - 1]) for x, s in zip(ctx.lattice.points, ctx.lattice.sizes)]
-            if any(kept[j] != kept[i]
-                   for i, row in enumerate(ctx.stencil(op.kind, op.index).rows) for j in row):
-                return FAIL, None, f"{op.label} changes |x| or some x_k, k < {op.index}"
+        for H in stencils:
+            if not all(H.valid_rows):
+                return FAIL, None, f"image of {H.op.label} not defined on every row"
+        for H in stencils[1:]:
+            kept = [(s, x[:H.op.index - 1]) for x, s in zip(ctx.lattice.points, ctx.lattice.sizes)]
+            if any(kept[j] != kept[i] for i, row in enumerate(H.rows) for j in row):
+                return FAIL, None, f"{H.op.label} changes |x| or some x_k, k < {H.op.index}"
         for d in range(params.N + 1):
             shell = [m for m in degrees if sum(m) == d]
             nest = d > ctx.m_max
@@ -700,16 +699,15 @@ def completeness_check(ctx: SuiteContext) -> CheckReport:
             for m, table in tables.items():
                 if not any(table.nums):
                     return FAIL, None, f"P_{m} vanishes"
-            for op in ops:
-                H, read = ctx.stencil(op.kind, op.index), [
-                    m for m in shell if not (nest and any(m[:op.index or 0]))]
+            for H in stencils:
+                op, read = H.op, [m for m in shell if not (nest and any(m[:H.op.index or 0]))]
                 worsts = (residual_defects(H, [tables[m] for m in read],
                                            [ctx.eigenvalue(op.kind, op.index, m) for m in read])
                           if nest else ctx.eigen_residuals(op.kind, op.index, read))
                 for m, worst in zip(read, worsts):
                     if worst:
                         return FAIL, worst, f"P_{m} not an eigenvector of {op.label} on every row"
-        if len({tuple(ctx.eigenvalue(op.kind, op.index, m) for op in ops)
+        if len({tuple(ctx.eigenvalue(H.op.kind, H.op.index, m) for H in stencils)
                 for m in degrees}) < size:
             return FAIL, None, "joint eigenvalues not distinct"
         return PASS, ZERO, (f"count {size}, nonzero common eigenvectors of the W-self-adjoint "
@@ -921,10 +919,7 @@ class SuiteContext:
                        for i, j in box}
 
     def eigenvalue(self, kind: str, index: int | None, m):
-        """The operator's eigenvalue on P_m, formed once per operator and
-        partial degree: the eigenvalue reads m only through |m| (total),
-        S_index = m_index + ... + m_{n-1} (exchange) or both |m| and S_1
-        (single), see :func:`mvortho.operators.eigenvalue`."""
+        """The operator's eigenvalue on P_m, once per operator and partial degrees it reads."""
         total, tail = sum(m), sum(m[index or 1:])
         degree = total if kind == "total" else tail if kind == "exchange" else (total, tail)
         return self._keep(("eigenvalue", kind, index, degree),
@@ -965,8 +960,13 @@ class SuiteContext:
 
     @property
     def stencils(self) -> list[OperatorMatrix]:
-        """The n+1 operators: total, single, exchange(1) .. exchange(n-1)."""
-        return [self.stencil("total"), self.stencil("single")] + [
+        """The commuting family the checks read: total, exchange(1) .. exchange(n-1).
+        single = total - exchange(1) entry by entry as rationals, with the same valid rows
+        (exchange rows are all valid), so its eigen residual at lambda_total - lambda_exchange(1),
+        its W-adjointness and its image degree follow from theirs; [single, X] = [total, X] -
+        [exchange(1), X] for each exchange X, and [single, total] = -[exchange(1), total], on
+        the Meixner box over a subset of the rows exchange(1)/total compares."""
+        return [self.stencil("total")] + [
             self.stencil("exchange", i) for i in range(1, self.params.n)]
 
     def tables(self, degrees, bound: int | None = None) -> list[LatticeFunction]:

@@ -77,8 +77,11 @@ def test_launcher_stops_a_run_at_the_limit_and_passes_a_crash_through():
     ({"returncode": 1, "stdout": "", "wall_s": 0.5, "peak_rss_mb": 20.0},
      {"failed": True, "returncode": 1, "wall_s": 0.5}),
     ({"returncode": 1, "stdout": '{"reports": [{"name": "completeness", "status": "fail", '
-                                 '"wall_time": 0.25}]}', "wall_s": 0.5, "peak_rss_mb": 20.0},
-     {"wall_s": 0.5, "completeness_s": 0.25, "peak_rss_mb": 20.0, "all_passed": False}),
+                                 '"wall_time": 0.25}, {"name": "commutators", "status": '
+                                 '"pass", "wall_time": 0.125}]}',
+      "wall_s": 0.5, "peak_rss_mb": 20.0},
+     {"wall_s": 0.5, "completeness_s": 0.25, "commutators_s": 0.125, "peak_rss_mb": 20.0,
+      "all_passed": False}),
 ])
 def test_a_frontier_run_records_a_timeout_a_crash_or_its_reports(monkeypatch, run, expected):
     monkeypatch.setattr(bench_pairs, "launch", lambda argv, cwd, env: run)

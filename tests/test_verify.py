@@ -98,7 +98,8 @@ def test_eigen_degeneracy_reads_the_total_stencil(monkeypatch):
 
 def test_eigen_checks_form_each_eigenvalue_once_per_partial_degree(monkeypatch):
     """One eigenvalue per (operator, |m| or S_i): for n = 3, |m| <= 3, that is
-    4 total, 10 single (|m|, S_1), 4 exchange(1) and 4 exchange(2) values."""
+    4 total, 4 exchange(1) and 4 exchange(2) values; single is no stencil of
+    the suite, so none of its values is formed."""
     calls = []
 
     def counted(params, kind, index, m):
@@ -110,8 +111,7 @@ def test_eigen_checks_form_each_eigenvalue_once_per_partial_degree(monkeypatch):
     reports = V.run_checks(params, ["eigen"])
     assert [r.status for r in reports] == ["pass", "pass"]
     kinds = [kind if index is None else f"{kind}{index}" for kind, index, _ in calls]
-    assert sorted(kinds) == sorted(["total"] * 4 + ["single"] * 10
-                                   + ["exchange1"] * 4 + ["exchange2"] * 4)
+    assert sorted(kinds) == sorted(["total"] * 4 + ["exchange1"] * 4 + ["exchange2"] * 4)
     reports = V.run_suite(params)
     assert not any(r.status == "fail" for r in reports)
 
@@ -745,12 +745,12 @@ def test_joint_eigenvalues_are_distinct_on_accepted_bundles(params):
 
 
 def test_suite_forms_each_residual_once_in_one_call_per_stencil_and_degree(monkeypatch):
-    """Hahn n=3 N=5, m_max 3: the eigen check makes one call per stencil over
-    the 20 P_m of |m| <= 3, type-one one call over its 28 (J, m) tables, glue
-    reads the eigen check's residuals, and completeness adds the degrees 4
-    and 5, one call per stencil and degree: total on every P_m of the shell
-    (15 and 21), exchange(i) only on those with m_0 = ... = m_{i-1} = 0
-    (exchange1 5 and 6, exchange2 1 and 1)."""
+    """Hahn n=3 N=5, m_max 3: the eigen check makes one call per stencil
+    (total, exchange1, exchange2) over the 20 P_m of |m| <= 3, type-one one
+    call over its 28 (J, m) tables, glue reads the eigen check's residuals,
+    and completeness adds the degrees 4 and 5, one call per stencil and
+    degree: total on every P_m of the shell (15 and 21), exchange(i) only on
+    those with m_0 = ... = m_{i-1} = 0 (exchange1 5 and 6, exchange2 1 and 1)."""
     calls = []
     kernel = V.residual_defects
 
@@ -762,14 +762,15 @@ def test_suite_forms_each_residual_once_in_one_call_per_stencil_and_degree(monke
     reports = V.run_suite(HahnParams((R(1), R(2), R(3)), R(2), 5))
     assert not any(r.status == "fail" for r in reports)
     ops = ["total", "exchange1", "exchange2"]
-    assert calls == ([(op, 20) for op in ["total", "single", *ops[1:]]] + [("total", 28)]
+    assert calls == ([(op, 20) for op in ops] + [("total", 28)]
                      + list(zip(ops, [15, 5, 1])) + list(zip(ops, [21, 6, 1])))
 
 
 def test_suite_builds_each_stencil_and_table_once(monkeypatch):
     """Every object of the context's memo is built once per suite: each
-    stencil and (lattice, m) table, the weight table, one adjointness
-    defect per stencil (adjointness and completeness share them), and on
+    stencil of total and exchange(1..n-1), none of single, each (lattice, m)
+    table, the weight table, one adjointness defect per stencil (adjointness
+    and completeness share them), and on
     the Meixner box the factorial moments once per order K (gram and
     pair-orthogonality share K = 2)."""
     from collections import Counter
@@ -803,7 +804,7 @@ def test_suite_builds_each_stencil_and_table_once(monkeypatch):
     count("meixner_moments", lambda params, K: K)
     reports = V.run_suite(params)
     assert reports and not any(r.status == "fail" for r in reports)
-    assert sorted(built) == ["exchange1", "exchange2", "single", "total"]
+    assert sorted(built) == ["exchange1", "exchange2", "total"]
     # each (lattice, m) once: every |m| <= N on the instance lattice (the
     # context's up to m_max, completeness's one shell at a time above it),
     # and the chained products of generalized-recursions one shell further out
@@ -811,12 +812,12 @@ def test_suite_builds_each_stencil_and_table_once(monkeypatch):
     assert sorted(m for bound, m in tables if bound == 5) == sorted(enumerate_degrees(3, 5))
     assert {bound for bound, _ in tables} == {5, 6}
     assert calls == Counter({("weight_table", "hahn"): 1, **{
-        ("adjointness_defect", op): 1 for op in ["total", "single", "exchange1", "exchange2"]}})
+        ("adjointness_defect", op): 1 for op in ["total", "exchange1", "exchange2"]}})
     calls.clear()
     reports = V.run_suite(MEIX, xmax=4)
     assert reports and not any(r.status == "fail" for r in reports)
     assert calls == Counter({("weight_table", "meixner"): 1, ("meixner_moments", 2): 1, **{
-        ("adjointness_defect", op): 1 for op in ["total", "single", "exchange1"]}})
+        ("adjointness_defect", op): 1 for op in ["total", "exchange1"]}})
 
 
 @pytest.mark.parametrize("params, xmax", [(HAHN, None), (KRAW, None), (MEIX, 4)])
@@ -923,15 +924,53 @@ def test_degree_invariance_skips_a_box_too_small_to_show_the_degree(xmax, status
                              if status == "skipped" else "largest image degree 3")
 
 
+@pytest.mark.parametrize("params, xmax", [
+    (HahnParams((R(1), R(2), R(3)), R(2), 5), None),
+    (HahnParams((R(1), R(2), R(3), R(1, 2)), R(2), 5), None),
+    (KrawtchoukParams((R(1, 2), R(1, 3), R(2)), 6), None),
+    (MeixnerParams((R(1, 5), R(1, 4)), R(2)), 1),
+    (MeixnerParams((R(1, 5), R(1, 4)), R(2)), 4),
+])
+def test_single_is_total_minus_exchange1_with_the_p_m_as_eigenvectors(params, xmax):
+    """single is no stencil of the suite, since every check of it follows from
+    total and exchange(1) by linearity (:attr:`SuiteContext.stencils`); that
+    rests on single = total - exchange(1) at every (row, column) as rationals,
+    with the same valid rows (an invalid row is empty in both).  The P_m,
+    |m| <= 3, are still eigenvectors of single, as ``export --op single`` ships it."""
+    ctx = V.SuiteContext(params, xmax=xmax)
+    single, total = ctx.stencil("single"), ctx.stencil("total")
+    exchange = ctx.stencil("exchange", 1)
+    assert single.valid_rows == total.valid_rows and all(exchange.valid_rows)
+    for s, t, e, ok in zip(single.rows, total.rows, exchange.rows, single.valid_rows):
+        if not ok:
+            assert not s and not t
+            continue
+        for j in set(s) | set(t) | set(e):
+            assert R(s.get(j, 0), single.den) == (R(t.get(j, 0), total.den)
+                                                  - R(e.get(j, 0), exchange.den))
+    degrees = enumerate_degrees(params.n, 3)
+    eigs = [eigenvalue(params, "single", None, m) for m in degrees]
+    assert not any(V.residual_defects(single, ctx.tables(degrees), eigs))
+
+
 def test_commutators_skip_a_pair_compared_on_no_row():
-    """On the Meixner box at xmax 1 the total/single pair has no row valid for
-    both products, so the report cannot PASS; it SKIPs and names the pair,
-    and stays FAIL when a pair compared on some row does not commute."""
+    """A pair with no row valid for both products shows nothing, so the report
+    cannot PASS; it SKIPs and names the pair, and stays FAIL when a pair
+    compared on some row does not commute.  On the Meixner box at xmax 1
+    total/exchange1 are compared at x = 0, so the real stencils PASS."""
     meix = MeixnerParams((R(1, 5), R(1, 4)), R(2))
     ctx = V.SuiteContext(meix, xmax=1)
     report = V.commutator_check(ctx)
+    assert (report.status, report.max_defect, report.detail) == ("pass", 0,
+                                                                "interior-restricted rows")
+    # exchange1 with every row invalid: total/exchange1 compare on no row
+    H = ctx.stencil("exchange", 1)
+    blind = V.SuiteContext(meix, xmax=1)
+    blind._memo["stencil", "exchange", 1] = OperatorMatrix(
+        H.op, H.lattice, tuple({} for _ in H.rows), H.den, (False,) * H.size)
+    report = V.commutator_check(blind)
     assert (report.status, report.max_defect) == ("skipped", None)
-    assert report.detail == "no row valid for both products of total/single"
+    assert report.detail == "no row valid for both products of total/exchange1"
     # exchange1 with its row at x = (1, 0) doubled: total/exchange1 compare at x = 0
     H = ctx.stencil("exchange", 1)
     i = H.lattice.index[(1, 0)]

@@ -29,8 +29,8 @@ its parent's RSS at the fork, so the workers that ``run.py`` spawns also
 report the records ``run.py`` holds.  ``--frontier n:N`` adds
 the full Hahn suite ``verify --format json --timings`` at
 a = (1, 2, 3, 1/2)[:n], b = 2:
-process wall time, the ``completeness`` time, peak RSS and whether every
-report passed, for the change, and for the parent too where the instance
+process wall time, the ``completeness`` and ``commutators`` times, peak
+RSS and whether every report passed, for the change, and for the parent too where the instance
 is also given to ``--frontier-parent`` (which must name only instances of
 ``--frontier``, each n in 2..4; any other value exits 2 before anything
 runs); a run still going after the 60 s
@@ -261,9 +261,9 @@ def worker_rss(trees: dict, names: list, runs: int) -> dict:
 
 
 def suite_once(tree: Path, n: int, N: int) -> dict:
-    """The full Hahn suite at (n, N) in a fresh process: wall time,
-    completeness time, peak RSS and whether every report passed; a timeout
-    or a run without a JSON report is recorded as such."""
+    """The full Hahn suite at (n, N) in a fresh process: wall time, the
+    completeness and commutators times, peak RSS and whether every report
+    passed; a timeout or a run without a JSON report is recorded as such."""
     argv = [sys.executable, "-m", "mvortho", "verify", "--family", "hahn", "--n", str(n),
             "--N", str(N), "--a", ",".join(FRONTIER_A[:n]), "--b", "2", "--format", "json",
             "--timings"]
@@ -275,7 +275,8 @@ def suite_once(tree: Path, n: int, N: int) -> dict:
     except (ValueError, KeyError, TypeError):
         return {"failed": True, "returncode": run["returncode"], "wall_s": run["wall_s"]}
     return {"wall_s": run["wall_s"],
-            "completeness_s": sum(r["wall_time"] for r in reports if r["name"] == "completeness"),
+            **{f"{name}_s": sum(r["wall_time"] for r in reports if r["name"] == name)
+               for name in ("completeness", "commutators")},
             "peak_rss_mb": run["peak_rss_mb"],
             "all_passed": run["returncode"] == 0 and all(r["status"] != "fail" for r in reports)}
 
