@@ -30,8 +30,8 @@ report the records ``run.py`` holds.  ``--frontier n:N`` adds
 the full Hahn suite ``verify --format json --timings`` at
 a = (1, 2, 3, 1/2)[:n], b = 2:
 process wall time, the ``completeness`` and ``commutators`` times, peak
-RSS and whether every report passed, for the change, and for the parent too where the instance
-is also given to ``--frontier-parent`` (which must name only instances of
+RSS and whether every report passed, for the change, and for the parent
+too where the instance is also given to ``--frontier-parent`` (which must name only instances of
 ``--frontier``, each n in 2..4; any other value exits 2 before anything
 runs); a run still going after the 60 s
 limit is stopped and recorded as a timeout, with its peak RSS so far, and
