@@ -10,8 +10,8 @@ values are read.  Polynomial values are built from the integers of their
 factor slots, weights from the family's weight rows and stencils from its
 rate constants, each scaled to integers once: no rational is formed per
 factor value, weight factor or stencil entry, and the kernels and
-exporters that read the tables rescale nothing.  Only family-free objects
-outlive a call (see :mod:`mvortho.core`).
+exporters that read the tables rescale nothing.  What outlives a call is
+listed in :mod:`mvortho.core`.
 """
 
 from __future__ import annotations

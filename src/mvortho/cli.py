@@ -17,7 +17,7 @@ from .core import enumerate_degrees, family_lattice
 from .families import FAMILIES
 from .measures import gram_matrix, weight_table
 from .operators import OperatorSpec, operator_matrix
-from .polynomials import eigenpoly, eigenpoly_table, eigenpoly_tables
+from .polynomials import eigenpoly, eigenpoly_tables
 from .serialize import (
     gram_csv,
     gram_json,
@@ -57,23 +57,42 @@ def _box(params, xmax):
 
 
 def build_params(args):
-    """The family bundle: --a, then the family's own fields (--b, --N, --beta)."""
-    a = tuple(parse_rational(part, "--a") for part in args.a.split(","))
-    if args.n is not None and len(a) != args.n:
-        raise ValueError(f"--a has {len(a)} entries but --n is {args.n}")
-    family = FAMILIES[args.family]
+    """The family bundle: --a, then the family's own fields (--b, --N, --beta).
+    The process keeps the latest ``BUNDLE_CACHE_SIZE`` bundles, keyed by the
+    seven flags they are parsed from, so a later call on the same flags gets
+    the same object (see :func:`_bundle`)."""
+    return _bundle(args.family, args.a, args.n, args.b, args.N, args.beta, args.xmax)
+
+
+BUNDLE_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=BUNDLE_CACHE_SIZE)
+def _bundle(name: str, a_text: str, n, b, N, beta, xmax):
+    """The bundle of :func:`build_params`, from the seven flags it reads; an
+    error is raised again on every call, as lru_cache keeps no exception."""
+    a = tuple(parse_rational(part, "--a") for part in a_text.split(","))
+    if n is not None and len(a) != n:
+        raise ValueError(f"--a has {len(a)} entries but --n is {n}")
+    family = FAMILIES[name]
     names = family._fields[1:]
+    flags = {"b": b, "N": N, "beta": beta, "xmax": xmax}
     # a bounded family takes --N; only the unbounded one takes the box --xmax
     takes = set(names) if "N" in names else {*names, "xmax"}
-    foreign = [k for k in ("b", "N", "beta", "xmax") if getattr(args, k) is not None
-               and k not in takes]
+    foreign = [k for k, v in flags.items() if v is not None and k not in takes]
     if foreign:
-        raise ValueError(f"{args.family} takes no --{foreign[0]}")
-    values = [getattr(args, name) for name in names]
+        raise ValueError(f"{name} takes no --{foreign[0]}")
+    values = [flags[k] for k in names]
     if None in values:
-        raise ValueError(f"{args.family} needs " + " and ".join(f"--{k}" for k in names))
-    return family(a, *(v if isinstance(v, int) else parse_rational(v, f"--{name}")
-                       for name, v in zip(names, values)))
+        raise ValueError(f"{name} needs " + " and ".join(f"--{k}" for k in names))
+    return family(a, *(v if isinstance(v, int) else parse_rational(v, f"--{k}")
+                       for k, v in zip(names, values)))
+
+
+@functools.lru_cache(maxsize=1)
+def _eval_factors(params) -> dict:
+    """The factor dict of :func:`cmd_eval`'s tables, one per bundle."""
+    return {}
 
 
 def _family_args(p):
@@ -96,14 +115,18 @@ def _emit(args, text: str) -> None:
 
 def cmd_eval(args) -> int:
     """One value (--x) or the table over the lattice, in the chosen format;
-    the one value's JSON and CSV are the table's, restricted to its point."""
+    the one value's JSON and CSV are the table's, restricted to its point.
+    The tables of the process's latest bundle are built from one factor dict,
+    so a later call reads the slot values and the nested tables P_hat that
+    earlier calls built (see :func:`eigenpoly_tables`)."""
     params = build_params(args)
     m = _parse_int_list(args.m, "--m")
     xmax = _non_negative(args, "xmax")
     if args.x is None:
         lattice = family_lattice(params, xmax=_box(params, xmax))
         points = lattice.points
-        values = value_strs(*eigenpoly_table(m, params, lattice).integer_form())
+        table, = eigenpoly_tables([m], params, lattice, _eval_factors(params))
+        values = value_strs(*table.integer_form())
     else:
         points = (params.lattice_point(_parse_int_list(args.x, "--x")),)
         values = [rational_str(eigenpoly(m, points[0], params))]

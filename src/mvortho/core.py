@@ -18,11 +18,13 @@ half of the command line's set-up time.
 Kept per process, in bounded caches, each a pure function of its key:
 one :class:`Lattice` per shape (:func:`shared_lattice`), the coefficient
 rows of :mod:`mvortho.polynomials`, the Newton plans of :mod:`mvortho.linalg`,
-the JSON text of each lattice's points (:func:`mvortho.serialize.points_json`)
-and the command-line parser.  Stencils, weights, slot factors and tables
-hold family data: each context or call builds its own, through family
-methods and row builders looked up at each build, so patched rates,
-weights or rows reach every fresh context.
+the JSON text of each lattice's points (:func:`mvortho.serialize.points_json`),
+the stencils of :mod:`mvortho.operators`, keyed by the scaled rate form
+they are written from, and the command-line parser and parsed bundles.
+Weights, slot factors and tables hold family data: each context or call
+builds its own, through family methods and row builders looked up at each
+build, so patched weights or rows reach every fresh context; only the
+command line's ``eval`` keeps one factor dict, for its latest bundle.
 """
 
 from __future__ import annotations

@@ -19,10 +19,14 @@ truncated Meixner box the up-shift coefficient does not vanish at the
 frontier |x| = xmax; the stencil rows there are marked invalid and left
 empty rather than silently zeroed, and every kernel skips them.
 
-Each operator is built once per lattice as a sparse stencil
-(:class:`OperatorMatrix`): one row of at most 2n + n(n-1) + 1 integer
-numerators per point, over one common denominator, written in Python
-ints from the rate form: no rational is formed per entry.  Eigen residuals
+Each operator is a sparse stencil (:class:`OperatorMatrix`): one row of at
+most 2n + n(n-1) + 1 integer numerators per point, over one common
+denominator, written in Python ints from the rate form: no rational is
+formed per entry.  The process keeps the last ``STENCIL_CACHE_SIZE``
+stencils, keyed by the operator, the lattice and the scaled rate form the
+rows are written from, so a later call on the same bundle reuses a stencil
+and its ``row_bounds``; a patched ``rate_form`` changes the key and never
+reads a stencil of the old rates.  Eigen residuals
 (:func:`residual_defects`), export, commutators, self-adjointness and the
 degree test all read that one representation; products, images and Newton
 differences run in Python ints and one rational is formed per result.  The
@@ -47,7 +51,7 @@ S top 2^(n bound).
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, repeat
 from operator import and_, mul
 
@@ -57,6 +61,9 @@ from .linalg import newton_differences, pack, pack_columns, slot_width, unpack
 from .measures import WeightTable
 
 KINDS = ("total", "single", "exchange")
+# Stencils kept per process: the n + 1 operators of one bundle up to n = 7,
+# or the families of two small bundles.
+STENCIL_CACHE_SIZE = 8
 
 
 class OperatorSpec(Value):
@@ -108,8 +115,10 @@ class OperatorMatrix(Value):
 
 
 def _scaled_rate_form(params) -> tuple:
-    """(u0, u1, v1, d0, d1, e1, e, a_1, ..., a_n) as integers over their lcm D, and D."""
-    return integer_scaled([*params.rate_form, *params.a])
+    """(u0, u1, v1, d0, d1, e1, e, a_1, ..., a_n) as a tuple of integers over
+    their lcm D, and D."""
+    nums, D = integer_scaled([*params.rate_form, *params.a])
+    return tuple(nums), D
 
 
 def integer_rates(params) -> tuple:
@@ -171,13 +180,22 @@ def operator_matrix(op: OperatorSpec, lattice: Lattice) -> OperatorMatrix:
     order with each diagonal last, are divided once by g = gcd(D^2, all of
     them), and den = D^2 / g is the lcm of the reduced denominators.  Only
     up moves from |x| = bound leave the lattice: those rows are invalid.
+    The stencil is kept per process (see the module docstring) and shared
+    by every caller, so no caller may change its rows.
     """
     if lattice.n != op.params.n:
         raise ValueError("lattice dimension does not match the parameters")
     if op.params.N is not None and lattice.bound != op.params.N:
         raise ValueError("lattice bound does not match N")
+    return _stencil(op, lattice, _scaled_rate_form(op.params))
+
+
+@lru_cache(maxsize=STENCIL_CACHE_SIZE)
+def _stencil(op: OperatorSpec, lattice: Lattice, form: tuple) -> OperatorMatrix:
+    """The row walk of :func:`operator_matrix`, reading the rates from ``form``
+    (:func:`_scaled_rate_form`) only, so that the key holds every rate it reads."""
     n, (ups, downs) = lattice.n, lattice.steps
-    (u0, u1, v1, d0, d1, e1, e, *a), D = _scaled_rate_form(op.params)
+    (u0, u1, v1, d0, d1, e1, e, *a), D = form
     e1, ea = e1 * D, [e * ak for ak in a]
     single = op.kind != "exchange"
     # exchange moves run between the sites lo..n-1; the single part has none

@@ -828,9 +828,10 @@ class SuiteContext:
 
     Each object a check reads is built on first use and kept for the life
     of the context in one memo, whose keys lead with the kind of object
-    (the lattices it reads are the process's, see :mod:`mvortho.core`);
-    tables above m_max never enter the memo (the completeness check builds
-    them from the factor dict, see :func:`completeness_check`):
+    (the lattices and stencils it reads are the process's, see
+    :mod:`mvortho.core`); tables above m_max never enter the memo (the
+    completeness check builds them from the factor dict, see
+    :func:`completeness_check`):
 
         ("weights",)                           the weight table
         ("stencil", kind, index)               an operator's stencil

@@ -1,6 +1,6 @@
 """tools/bench_pairs.py: its run specs, its summary on canned run records, how
 a frontier run records a timeout, a crash or its reports, the order of its
-start-up runs and of its worker peak-RSS runs, and its count of the lines
+frontier, start-up and worker peak-RSS runs, and its count of the lines
 of ``src/``."""
 
 import importlib.util
@@ -152,18 +152,24 @@ def test_tier1_records_the_tests_over_the_budget_per_run(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--frontier", "3"], "expected n:N, got '3'"),
-    (["--frontier", "3:x"], "expected n:N, got '3:x'"),
-    (["--frontier", "3:24:1"], "expected n:N, got '3:24:1'"),
+    (["--frontier", "3"], "expected n:N, or n:N:K, got '3'"),
+    (["--frontier", "3:x"], "expected n:N, or n:N:K, got '3:x'"),
+    (["--frontier", "3:24:1:2"], "expected n:N, or n:N:K, got '3:24:1:2'"),
     (["--frontier", "5:10"], "n must be in 2..4, got '5:10'"),
     (["--frontier", "1:10"], "n must be in 2..4, got '1:10'"),
     (["--frontier", "3:24", "--frontier-parent", "4:16"],
-     "--frontier-parent 4:16 is not given to --frontier"),
+     "--frontier-parent 4:16:1 is not given to --frontier"),
+    (["--frontier", "3:24:0"], "K must be >= 1, got '3:24:0'"),
+    (["--frontier", "3:24:-2"], "K must be >= 1, got '3:24:-2'"),
+    (["--frontier", "3:24:x"], "expected n:N, or n:N:K, got '3:24:x'"),
+    (["--frontier", "3:24:3", "--frontier-parent", "3:24"],
+     "--frontier-parent 3:24:1 is not given to --frontier"),
 ])
 def test_bad_frontier_arguments_exit_2_before_anything_runs(monkeypatch, capsys, argv, message):
-    """A malformed instance, an n that ``FRONTIER_A`` does not cover, or a
-    parent instance not also given to ``--frontier`` is a usage error,
-    raised before the parent's tree is exported."""
+    """A malformed instance, an n that ``FRONTIER_A`` does not cover, a run
+    count K below 1, or a parent instance (with its K) not also given to
+    ``--frontier`` is a usage error, raised before the parent's tree is
+    exported."""
     def export(rev, dest):
         raise AssertionError("exported")
 
@@ -182,10 +188,45 @@ def test_frontier_instances_match_by_value(monkeypatch):
         raise RuntimeError("exported")
 
     monkeypatch.setattr(bench_pairs, "export", export)
-    assert bench_pairs.frontier_spec("03:24") == (3, 24)
+    assert bench_pairs.frontier_spec("03:24") == (3, 24, 1)
+    assert bench_pairs.frontier_spec("3:24:03") == (3, 24, 3)
     with pytest.raises(RuntimeError, match="exported"):
         bench_pairs.main(["--output", "unused.json", "--frontier", "3:24",
-                          "--frontier-parent", "03:24"])
+                          "--frontier-parent", "03:24:1"])
+
+
+def test_frontier_alternates_k_runs_per_side_and_records_their_medians(monkeypatch):
+    """Canned suite runs: 3:24:3 alternates with the parent, the parent first
+    in even runs; 4:10:2 runs the change alone.  Each side keeps its runs in
+    order and the median of each measure every run recorded, so a timeout
+    leaves only the peak RSS to the median."""
+    calls = []
+
+    def suite_once(tree, n, N):
+        calls.append((tree.name, n, N))
+        k = sum(1 for call in calls if call == (tree.name, n, N))
+        if (tree.name, n, k) == ("change", 4, 2):
+            return {"timeout_s": 60, "peak_rss_mb": 900.0}
+        wall = 10.0 * k + (tree.name == "parent")
+        return {"wall_s": wall, "completeness_s": wall / 2, "commutators_s": 1.0,
+                "peak_rss_mb": 100.0 + k, "all_passed": True}
+
+    monkeypatch.setattr(bench_pairs, "suite_once", suite_once)
+    rows = bench_pairs.frontier({"parent": Path("parent"), "change": Path("change")},
+                                [(3, 24, 3), (4, 10, 2)], [(3, 24, 3)])
+    assert calls == [("parent", 3, 24), ("change", 3, 24), ("change", 3, 24),
+                     ("parent", 3, 24), ("parent", 3, 24), ("change", 3, 24),
+                     ("change", 4, 10), ("change", 4, 10)]
+    three, four = rows
+    assert (three["n"], three["N"], three["a"], three["b"], three["runs"]) == (3, 24, "1,2,3",
+                                                                              "2", 3)
+    assert [r["wall_s"] for r in three["parent"]["runs"]] == [11.0, 21.0, 31.0]
+    assert three["change"]["median"] == {"wall_s": 20.0, "completeness_s": 10.0,
+                                         "commutators_s": 1.0, "peak_rss_mb": 102.0}
+    assert three["parent"]["median"]["wall_s"] == 21.0
+    assert "parent" not in four and four["change"]["runs"][1] == {"timeout_s": 60,
+                                                                  "peak_rss_mb": 900.0}
+    assert four["change"]["median"] == {"peak_rss_mb": 500.5}
 
 
 def test_startup_alternates_the_sides_and_times_with_and_without_site(monkeypatch):

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvortho import R, HahnParams, KrawtchoukParams, MeixnerParams, cli, weight_table
-from mvortho.core import shared_lattice
-from mvortho.serialize import parse_weight_csv
+from mvortho.core import enumerate_degrees, shared_lattice
+from mvortho.polynomials import eigenpoly_tables
+from mvortho.serialize import lattice_json, parse_weight_csv, value_strs
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -64,6 +65,27 @@ def test_main_reuses_one_parser_and_prints_what_a_fresh_parser_prints(tmp_path):
     assert [rc for rc, _, _ in reused] == [0, 0, 0, 0, 0, 0, 2, 0, 2, 0]
     assert reused[0][1] == "" and reused[1][1].startswith("(0, 0, 0) ")
     assert (tmp_path / "reused.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+
+def test_eval_tables_do_not_depend_on_the_order_of_the_calls():
+    """Every |m| <= 3 of Hahn n=3 N=5, first in reverse graded order (each
+    call then builds its hats) and then in graded order (each call reads the
+    tables earlier calls kept): every output is a fresh table's document."""
+    instance = ["--family", "hahn", "--a", "1,2,3", "--b", "2", "--N", "5"]
+    params, degrees = HahnParams((R(1), R(2), R(3)), R(2), 5), enumerate_degrees(3, 3)
+    lattice = shared_lattice(3, 5, False)
+    expected = {m: lattice_json({"family": "hahn", "m": list(m), "values": value_strs(
+        *eigenpoly_tables([m], params, lattice)[0].integer_form())}, lattice) for m in degrees}
+    cli._eval_factors.cache_clear()
+    for m in [*reversed(degrees), *degrees]:
+        assert run(["eval", *instance, "--m", ",".join(map(str, m)), "--format", "json"]) == (
+            0, expected[m], "")
+
+
+def test_a_bad_bundle_is_refused_on_every_call():
+    """A bundle that raises is not kept: the same flags fail again alike."""
+    argv = ["eval", "--family", "hahn", "--a", "1,-2", "--b", "2", "--N", "4", "--m", "1,0"]
+    assert run(argv) == run(argv) == (2, "", "error: a_i must be positive, got -2\n")
 
 
 def test_export_calls_print_their_recorded_bytes_around_calls_on_other_shapes():

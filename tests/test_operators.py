@@ -969,6 +969,22 @@ def test_perturbed_birth_rate_fails_every_operator_check(params, xmax, monkeypat
         assert commutator_defects([total, operator_matrix(other, lat)])[0] > 0
 
 
+def test_a_kept_stencil_is_never_read_under_other_rates(monkeypatch):
+    """The process keeps each stencil under its scaled rate form too: the
+    same bundle under a perturbed birth rate gets a new total stencil, which
+    no longer commutes with exchange(1), and once the rate is restored the
+    first stencil comes back."""
+    lat, total = family_lattice(KRAW), OperatorSpec(KRAW, "total")
+    first = operator_matrix(total, lat)
+    with monkeypatch.context() as patch:
+        perturb_birth_rate(patch, KRAW)
+        perturbed = operator_matrix(total, lat)
+        assert perturbed.rows != first.rows
+        exchange1 = operator_matrix(OperatorSpec(KRAW, "exchange", 1), lat)
+        assert commutator_defects([perturbed, exchange1])[0] > 0
+    assert operator_matrix(total, lat) is first
+
+
 def binomial_product(x, alpha):
     out = 1
     for xi, ai in zip(x, alpha):

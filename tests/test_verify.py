@@ -820,6 +820,32 @@ def test_suite_builds_each_stencil_and_table_once(monkeypatch):
         ("adjointness_defect", op): 1 for op in ["total", "exchange1"]}})
 
 
+def test_no_suite_check_or_export_changes_a_kept_stencil():
+    """The process keeps the stencils and every caller shares them: after a
+    whole suite and the operator export of each kind on Hahn n=3 N=5, every
+    kept stencil is the same object, with the rows, denominator and valid
+    rows it was built with."""
+    import contextlib
+    import io
+
+    from mvortho import cli
+    from mvortho.operators import OperatorSpec
+
+    params = HahnParams((R(1), R(2), R(3)), R(2), 5)
+    lattice = family_lattice(params)
+    specs = [OperatorSpec(params, "total"), OperatorSpec(params, "single"),
+             *(OperatorSpec(params, "exchange", i) for i in (1, 2))]
+    kept = [V.operator_matrix(spec, lattice) for spec in specs]
+    before = [([dict(row) for row in H.rows], H.den, H.valid_rows) for H in kept]
+    assert not any(r.status == "fail" for r in V.run_suite(params))
+    for op in ("total", "single", "exchange1", "exchange2"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["export", "--family", "hahn", "--a", "1,2,3", "--b", "2",
+                             "--N", "5", "--what", "operator", "--op", op]) == 0
+    assert all(V.operator_matrix(spec, lattice) is H for spec, H in zip(specs, kept))
+    assert [(list(H.rows), H.den, H.valid_rows) for H in kept] == before
+
+
 @pytest.mark.parametrize("params, xmax", [(HAHN, None), (KRAW, None), (MEIX, 4)])
 def test_suite_tables_carry_their_lcm_integer_form(params, xmax):
     """Every P_m table of a suite comes with its integer form, and that form

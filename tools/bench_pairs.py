@@ -3,7 +3,7 @@ written as one ``BENCH_<PR>.json``.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --output BENCH_24.json \\
         --run hahn-suite --run hahn-suite:3 --run meixner-suite:0:5 \\
-        --tier1 2 --frontier 3:24 --frontier 4:14 --frontier-parent 3:24
+        --tier1 2 --frontier 3:24:3 --frontier 4:14 --frontier-parent 3:24:3
 
 Run it from the root of the checkout to measure (the *change*).  The
 parent revision is exported with ``git archive`` into a temporary
@@ -26,14 +26,15 @@ alternating runs per side of ``perfbench/worker.py`` on each workload's
 seed-0 calls, each spawned from a small launcher, and the spread of the
 peak RSS each worker reports: on Linux a child's ``ru_maxrss`` starts from
 its parent's RSS at the fork, so the workers that ``run.py`` spawns also
-report the records ``run.py`` holds.  ``--frontier n:N`` adds
-the full Hahn suite ``verify --format json --timings`` at
-a = (1, 2, 3, 1/2)[:n], b = 2:
-process wall time, the ``completeness`` and ``commutators`` times, peak
-RSS and whether every report passed, for the change, and for the parent
-too where the instance is also given to ``--frontier-parent`` (which must name only instances of
-``--frontier``, each n in 2..4; any other value exits 2 before anything
-runs); a run still going after the 60 s
+report the records ``run.py`` holds.  ``--frontier n:N[:K]`` adds K runs
+(1 unless given) of the full Hahn suite ``verify --format json --timings``
+at a = (1, 2, 3, 1/2)[:n], b = 2: process wall time, the ``completeness``
+and ``commutators`` times, peak RSS and whether every report passed, for
+the change, and alternating with the parent where the same n:N[:K] is also
+given to ``--frontier-parent`` (which must name only instances of
+``--frontier``, each n in 2..4 and K >= 1; any other value exits 2 before
+anything runs); per side, each run in order and the median of each measure
+every run recorded.  A run still going after the 60 s
 limit is stopped and recorded as a timeout, with its peak RSS so far, and
 one that exits without a JSON report as failed, with its return code.
 ``--traced K --layer NAME`` adds
@@ -69,6 +70,7 @@ FRONTIER_A = ("1", "2", "3", "1/2")
 SECONDS = 28  # the run length of every BENCH file
 PAIRS = 10
 TIME_LIMIT_S = 60  # the frontier's limit on one full suite
+FRONTIER_MEASURES = ("wall_s", "completeness_s", "commutators_s", "peak_rss_mb")
 # Runs one command and prints its wall time and peak RSS: ru_maxrss of the
 # children of this small launcher is that of the one command.  A command
 # still running at the time limit is killed, and reported with "timeout".
@@ -281,6 +283,30 @@ def suite_once(tree: Path, n: int, N: int) -> dict:
             "all_passed": run["returncode"] == 0 and all(r["status"] != "fail" for r in reports)}
 
 
+def frontier(trees: dict, specs: list, with_parent: list) -> list:
+    """One row per (n, N, K) of ``specs``: K runs of :func:`suite_once` per
+    side, alternating with the parent's where the spec is in ``with_parent``;
+    per side, the runs in order and the median of each of
+    ``FRONTIER_MEASURES`` that every run recorded."""
+    rows = []
+    for spec in specs:
+        n, N, runs = spec
+        records = {side: [] for side in ("parent", "change")
+                   if side == "change" or spec in with_parent}
+        for k in range(runs):
+            for side in order(k):
+                if side in records:
+                    records[side].append(suite_once(trees[side], n, N))
+        row = {"n": n, "N": N, "a": ",".join(FRONTIER_A[:n]), "b": "2", "runs": runs}
+        for side, rs in records.items():
+            row[side] = {"runs": rs, "median": {
+                key: statistics.median(r[key] for r in rs) for key in FRONTIER_MEASURES
+                if all(key in r for r in rs)}}
+        print(f"frontier {n}:{N}:{runs}: {row}", file=sys.stderr)
+        rows.append(row)
+    return rows
+
+
 def src_lines(tree: Path) -> int:
     """The newlines in ``src/mvortho/*.py`` of ``tree``: the total of ``wc -l``."""
     return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "mvortho").glob("*.py"))
@@ -295,14 +321,20 @@ def run_spec(text: str) -> tuple:
 
 
 def frontier_spec(text: str) -> tuple:
-    """(n, N) of ``n:N``, with n in 2..4, the instances ``FRONTIER_A`` covers."""
+    """(n, N, K) of ``n:N[:K]``, with n in 2..4, the instances ``FRONTIER_A``
+    covers, and K >= 1 runs per side, 1 unless given."""
+    parts = text.split(":")
     try:
-        n, N = map(int, text.split(":"))
+        if len(parts) not in (2, 3):
+            raise ValueError
+        n, N, runs = map(int, parts + ["1"][len(parts) - 2:])
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected n:N, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected n:N, or n:N:K, got {text!r}") from None
     if not 2 <= n <= len(FRONTIER_A):
         raise argparse.ArgumentTypeError(f"n must be in 2..{len(FRONTIER_A)}, got {text!r}")
-    return n, N
+    if runs < 1:
+        raise argparse.ArgumentTypeError(f"K must be >= 1, got {text!r}")
+    return n, N, runs
 
 
 def main(argv=None) -> int:
@@ -322,14 +354,14 @@ def main(argv=None) -> int:
                         help="runs per side and workload of perfbench/worker.py from a "
                         "small launcher, recording the worker's own peak RSS")
     parser.add_argument("--frontier", action="append", default=[], type=frontier_spec,
-                        help="n:N")
+                        help="n:N[:K], K runs per side")
     parser.add_argument("--frontier-parent", action="append", default=[], type=frontier_spec,
-                        help="n:N, also given to --frontier")
+                        help="n:N[:K], also given to --frontier")
     parser.add_argument("--scratch", type=Path, default=None,
                         help="directory for the parent's tree (default: the system's)")
     args = parser.parse_args(argv)
-    for n, N in set(args.frontier_parent) - set(args.frontier):
-        parser.error(f"--frontier-parent {n}:{N} is not given to --frontier")
+    for n, N, runs in set(args.frontier_parent) - set(args.frontier):
+        parser.error(f"--frontier-parent {n}:{N}:{runs} is not given to --frontier")
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
@@ -393,18 +425,12 @@ def main(argv=None) -> int:
                         "reports it (ru_maxrss)",
                 "workloads": worker_rss(trees, names, args.worker_rss)}
         if args.frontier:
-            rows = []
-            for n, N in args.frontier:
-                row = {"n": n, "N": N, "a": ",".join(FRONTIER_A[:n]), "b": "2",
-                       "change": suite_once(ROOT, n, N)}
-                if (n, N) in args.frontier_parent:
-                    row["parent"] = suite_once(parent, n, N)
-                rows.append(row)
-                print(f"frontier {n}:{N}: {row}", file=sys.stderr)
             bench["frontier"] = {
                 "command": "python -m mvortho verify --family hahn --n n --N N --a A --b 2 "
                            "--format json --timings, one fresh process each",
-                "time_limit_s": TIME_LIMIT_S, "instances": rows}
+                "runs": "per instance and side, alternating which side runs first",
+                "time_limit_s": TIME_LIMIT_S,
+                "instances": frontier(trees, args.frontier, args.frontier_parent)}
     args.output.write_text(json.dumps(bench, indent=1) + "\n")
     return 0
 
