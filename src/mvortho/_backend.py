@@ -7,11 +7,11 @@ Python ints over one common denominator (:func:`integer_scaled`) and form
 one rational per result.  A value table stores only that integer form
 (:class:`mvortho.core.LatticeFunction`) and forms its rationals when its
 values are read.  Polynomial values are built from the integers of their
-factor slots, weights from the family's weight rows and stencils from its
-rate constants, each scaled to integers once: no rational is formed per
-factor value, weight factor or stencil entry, and the kernels and
-exporters that read the tables rescale nothing.  What outlives a call is
-listed in :mod:`mvortho.core`.
+factor slots (whose rows are built in ints, keyed by int pairs), weights
+from the family's weight rows and stencils from its rate constants, each
+scaled to integers once: no rational is formed per row term, factor
+value, weight factor or stencil entry, and the kernels and exporters that
+read the tables rescale nothing.  What outlives a call is in :mod:`mvortho.core`.
 """
 
 from __future__ import annotations

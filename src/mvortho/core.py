@@ -241,8 +241,9 @@ class FamilyParams(Value):
     def n(self) -> int:
         return len(self.a)
 
-    @property
+    @cached_property
     def a_total(self):
+        """|a|, summed once; equality and the hash read ``_fields`` only."""
         return sum(self.a, ZERO)
 
     def a_tail(self, i: int):

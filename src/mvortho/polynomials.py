@@ -8,9 +8,10 @@ shifts, times a single-variable polynomial in |x|.
 
 Each polynomial is a sum over k of an argument-free coefficient c_k
 times rising factorials of its arguments.  The coefficients of one
-(degree, parameters) form a *row*, built once in O(m) from the term
-ratios (Koekoek, Lesky & Swarttouw 2010, sections 9.5, 9.10, 9.11) and
-kept as Python ints over one lcm denominator in a bounded LRU cache.
+(degree, parameters) form a *row*, built once in O(m) in Python ints
+from the term ratios (Koekoek, Lesky & Swarttouw 2010, sections 9.5,
+9.10, 9.11) and kept as ints over one denominator in a bounded LRU
+cache keyed by reduced (numerator, denominator) int pairs, not Fractions.
 The term-by-term closed forms stay in ``tests/test_polynomials.py`` as
 the oracle; every value equals theirs exactly.
 
@@ -61,46 +62,60 @@ from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain
 
-from ._backend import R, ONE, as_integer, integer_scaled
+from ._backend import R, ONE, as_integer
 from .core import FamilyParams, Lattice, LatticeFunction, shared_lattice
 
 # Rows kept per cached builder; a row is one (degree, parameters).
 ROW_CACHE_SIZE = 4096
 
 
-def _rising_nums(x, m: int) -> tuple[list, int]:
-    """Numerators of (-x)_i, i = 0..m, over their common denominator q^m (x = p/q)."""
-    p, q = x.numerator, x.denominator
+def _rising_nums(x: int, m: int) -> list:
+    """(-x)_i, i = 0..m, for the integer x."""
     out = [1]
     for j in range(m):
-        out.append(out[-1] * (j * q - p))
-    return [c * q ** (m - i) for i, c in enumerate(out)], q**m
+        out.append(out[-1] * (j - x))
+    return out
+
+
+# The reduced int pair (numerator, denominator) of an int or a Fraction.
+_ints = operator.attrgetter("numerator", "denominator")
+
+
+def _key(p: int, q: int) -> tuple:
+    """The reduced int pair of p/q, with a positive denominator."""
+    g = math.gcd(p, q)
+    return (p // g, q // g) if q > 0 else (-p // g, -q // g)
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
-def _series_row(m: int, upper: tuple, lower: tuple, z) -> tuple:
-    """Row of Sum_k (-m)_k prod (upper)_k (-x)_k / (prod (lower)_k k!) z^k.
+def _series_row(m: int, upper: tuple, lower: tuple, z: tuple) -> tuple:
+    """Row of Sum_k (-m)_k prod (upper)_k (-x)_k / (prod (lower)_k k!) z^k,
+    each parameter and z a reduced int pair (p, q) of the rational p/q.
 
     Returns (numerators of c_k, their denominator, pole).  The row stops
     at the first vanishing upper factor: the series terminates there for
     every x.  It also stops at the first vanishing lower factor, at index
     ``pole``: the terms past it exist only for the x whose own factor
-    (-x)_k terminates the series first.
+    (-x)_k terminates the series first.  Each term is reduced by one gcd.
     """
     if m < 0:
         raise ValueError("degree m must be >= 0")
-    row, pole = [ONE], None
+    zp = z[0] * math.prod(q for _, q in lower)
+    zq = z[1] * math.prod(q for _, q in upper)
+    terms, pole = [(1, 1)], None
     for j in range(m):
-        num = math.prod((u + j for u in upper), start=R(j - m))
+        num = math.prod((p + j * q for p, q in upper), start=j - m)
         if num == 0:
             break
-        den = math.prod((l + j for l in lower), start=R(j + 1))
+        den = math.prod((p + j * q for p, q in lower), start=j + 1)
         if den == 0:
             pole = j
             break
-        row.append(row[-1] * num * z / den)
-    nums, den = integer_scaled(row)
-    return tuple(nums), den, pole
+        num, den = terms[-1][0] * num * zp, terms[-1][1] * den * zq
+        g = math.gcd(num, den)
+        terms.append((num // g, den // g))
+    den = math.lcm(*(d for _, d in terms))  # a term's sign may sit in d: den // d keeps it
+    return tuple(n * (den // d) for n, d in terms), den, pole
 
 
 def _pole_error(pole: int) -> ZeroDivisionError:
@@ -109,8 +124,9 @@ def _pole_error(pole: int) -> ZeroDivisionError:
 
 
 def _hahn_row(m: int, a, b, N) -> tuple:
-    a, b, N = R(a), R(b), R(N)
-    return _series_row(m, (m + a + b - 1,), (a, -N), ONE)
+    (pa, qa), (pb, qb), (pN, qN) = _ints(a), _ints(b), _ints(N)
+    upper = _key((m - 1) * qa * qb + pa * qb + pb * qa, qa * qb)
+    return _series_row(m, (upper,), ((pa, qa), (-pN, qN)), (1, 1))
 
 
 def _one(sums: tuple):
@@ -127,7 +143,7 @@ def hahn(m: int, x, a, b, N):
     multivariate polynomials call this with non-integer or negative
     degree slots, and termination is enforced by the (-m)_k factor.
     """
-    return _one(hahn_grid(m, a, b, N, [as_integer(x)]))
+    return _one(hahn_grid(m, R(a), R(b), R(N), [as_integer(x)]))
 
 
 def _series_grid(row: tuple, xs) -> tuple[list, int]:
@@ -142,7 +158,7 @@ def _series_grid(row: tuple, xs) -> tuple[list, int]:
     if pole is not None and any(not 0 <= x <= top for x in xs):
         raise _pole_error(pole)
     # (-x)_k vanishes for k > x >= 0, so the full row is exact at every x
-    return [sum(map(operator.mul, nums, _rising_nums(x, top)[0])) for x in xs], den
+    return [sum(map(operator.mul, nums, _rising_nums(x, top))) for x in xs], den
 
 
 def hahn_grid(m: int, a, b, N, xs) -> tuple[list, int]:
@@ -152,15 +168,14 @@ def hahn_grid(m: int, a, b, N, xs) -> tuple[list, int]:
 
 
 def _krawtchouk_row(m: int, p, N) -> tuple:
-    p = R(p)
     if p == 0:
         raise ValueError("p must be nonzero")
-    return _series_row(m, (), (-R(N),), 1 / p)
+    return _series_row(m, (), ((-N.numerator, N.denominator),), _key(p.denominator, p.numerator))
 
 
 def krawtchouk(m: int, x, p, N):
     """Single-variable Krawtchouk polynomial: 2F1(-m, -x; -N | 1/p), x an integer."""
-    return _one(krawtchouk_grid(m, p, N, [as_integer(x)]))
+    return _one(krawtchouk_grid(m, R(p), R(N), [as_integer(x)]))
 
 
 def krawtchouk_grid(m: int, p, N, xs) -> tuple[list, int]:
@@ -170,15 +185,14 @@ def krawtchouk_grid(m: int, p, N, xs) -> tuple[list, int]:
 
 
 def _meixner_row(m: int, c, beta) -> tuple:
-    c = R(c)
     if c == 0:
         raise ValueError("c must be nonzero")
-    return _series_row(m, (), (R(beta),), 1 - 1 / c)
+    return _series_row(m, (), (_ints(beta),), _key(c.numerator - c.denominator, c.numerator))
 
 
 def meixner(m: int, x, c, beta):
     """Single-variable Meixner polynomial: 2F1(-m, -x; beta | 1 - 1/c), x an integer."""
-    return _one(meixner_grid(m, c, beta, [as_integer(x)]))
+    return _one(meixner_grid(m, R(c), R(beta), [as_integer(x)]))
 
 
 def meixner_grid(m: int, c, beta, xs) -> tuple[list, int]:
@@ -188,22 +202,25 @@ def meixner_grid(m: int, c, beta, xs) -> tuple[list, int]:
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
-def _hahn_pair_row(m: int, alpha, gamma) -> tuple:
+def _hahn_pair_row(m: int, alpha: tuple, gamma: tuple) -> tuple:
     """Numerators of c_k = (-1)^k C(m,k) (gamma+k)_{m-k} (alpha+m-k)_k,
-    k = 0..m, and their denominator."""
+    k = 0..m, and their denominator, for alpha = pa/qa and gamma = pg/qg
+    as reduced int pairs: the integers c_k (qa qg)^m, reduced by one gcd."""
     if m < 0:
         raise ValueError("degree m must be >= 0")
-    tails = [ONE]  # (gamma+k)_{m-k}, from k = m down to 0
+    (pa, qa), (pg, qg) = alpha, gamma
+    tails = [1]  # qa^(m-k) (pg + k qg) ... (pg + (m-1) qg), from k = m down to 0
     for k in range(m - 1, -1, -1):
-        tails.append(tails[-1] * (gamma + k))
-    row, heads = [], ONE  # heads = (alpha+m-k)_k
+        tails.append(tails[-1] * (pg + k * qg) * qa)
+    row, heads = [], 1  # heads = qg^k (pa + (m-1) qa) ... (pa + (m-k) qa)
     for k in range(m + 1):
         if k:
-            heads *= alpha + m - k
+            heads *= (pa + (m - k) * qa) * qg
         c = math.comb(m, k) * tails[m - k] * heads
         row.append(-c if k % 2 else c)
-    nums, den = integer_scaled(row)
-    return tuple(nums), den
+    den = (qa * qg) ** m
+    g = math.gcd(den, *row)
+    return tuple(c // g for c in row), den // g
 
 
 def hahn_pair(m: int, u, v, alpha, gamma):
@@ -214,20 +231,20 @@ def hahn_pair(m: int, u, v, alpha, gamma):
     Eigenfunction of the exchange operator restricted to the sector
     spanned by (u, v) = (x_i, x_{>i}); degree one gives alpha*v - gamma*u.
     """
-    return _one(hahn_pair_sums(m, alpha, gamma, [(as_integer(u), as_integer(v))]))
+    return _one(hahn_pair_sums(m, R(alpha), R(gamma), [(as_integer(u), as_integer(v))]))
 
 
 def hahn_pair_grid(m: int, alpha, gamma, box: int) -> tuple[list, int]:
     """``hahn_pair(m, u, v, alpha, gamma)`` on the points u, v >= -1 with
     u + v <= box + 1: (grid, den) with the value grid[u][v] / den."""
-    row, den = _hahn_pair_row(m, R(alpha), R(gamma))
+    row, den = _hahn_pair_row(m, _ints(alpha), _ints(gamma))
     return _pair_grid(row, m, box, True), den
 
 
 def hahn_pair_sums(m: int, alpha, gamma, points) -> tuple[list, int]:
     """Numerators of ``hahn_pair(m, u, v, alpha, gamma)`` at the integer
     points (u, v) of ``points``, in that order, over one denominator."""
-    row, den = _hahn_pair_row(m, R(alpha), R(gamma))
+    row, den = _hahn_pair_row(m, _ints(alpha), _ints(gamma))
     return _pair_sums(row, m, points, True), den
 
 
@@ -238,7 +255,7 @@ def _pair_sums(row: tuple, m: int, points, hahn_side: bool) -> list:
     Any integers are allowed: the eigenpolynomial tables read v down to
     minus the degree shift of their pair factor.
     """
-    rising = {t: _rising_nums(t, m)[0] for t in set(chain.from_iterable(points))}
+    rising = {t: _rising_nums(t, m) for t in set(chain.from_iterable(points))}
     flipped = {t: r[::-1] for t, r in rising.items()}
     us, vs = (flipped, rising) if hahn_side else (rising, flipped)
     weighted = {u: list(map(operator.mul, row, us[u])) for u in {u for u, _ in points}}
@@ -254,19 +271,21 @@ def _pair_grid(row: tuple, m: int, box: int, hahn_side: bool) -> list:
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
-def _km_pair_row(m: int, ratio) -> tuple:
-    """Numerators of c_k = (-1)^k C(m,k) ratio^k, k = 0..m, and their denominator."""
+def _km_pair_row(m: int, ratio: tuple) -> tuple:
+    """Numerators of c_k = (-1)^k C(m,k) ratio^k, k = 0..m, and their
+    denominator, for ratio = p/q as a reduced int pair: C(m,k) (-p)^k q^(m-k)
+    over q^m, reduced as c_0 = 1 and p, q are coprime."""
     if m < 0:
         raise ValueError("degree m must be >= 0")
-    nums, den = integer_scaled([math.comb(m, k) * (-ratio) ** k for k in range(m + 1)])
-    return tuple(nums), den
+    p, q = ratio
+    return tuple(math.comb(m, k) * (-p) ** k * q ** (m - k) for k in range(m + 1)), q**m
 
 
 def _km_row(m: int, alpha, gamma) -> tuple:
-    alpha = R(alpha)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    return _km_pair_row(m, R(gamma) / alpha)
+    return _km_pair_row(m, _key(gamma.numerator * alpha.denominator,
+                                gamma.denominator * alpha.numerator))
 
 
 def km_pair(m: int, u, v, alpha, gamma):
@@ -275,7 +294,7 @@ def km_pair(m: int, u, v, alpha, gamma):
 
     Sum_{k=0..m} (-1)^k C(m,k) (gamma/alpha)^k (-u)_k (-v)_{m-k}.
     """
-    return _one(km_pair_sums(m, alpha, gamma, [(as_integer(u), as_integer(v))]))
+    return _one(km_pair_sums(m, R(alpha), R(gamma), [(as_integer(u), as_integer(v))]))
 
 
 def km_pair_grid(m: int, alpha, gamma, box: int) -> tuple[list, int]:
@@ -400,19 +419,18 @@ def pair_backward_table(m: int, alpha, gamma, box: int) -> LatticeFunction:
     Boundary reads never occur: the coefficient of each shifted value
     vanishes at u = 0 resp. v = 0.
 
-    The chain runs in ints: a' = pa/qa and g' = pg/qg keep the
-    denominators of alpha and gamma, so each step multiplies the common
-    denominator by qa qg, and the table is reduced once at the end.
+    The chain runs in ints: for alpha = pa/qa and gamma = pg/qg, a level's
+    a' = (pa + (m - level) qa)/qa and g' = (pg + (m - level) qg)/qg, so each
+    step multiplies the common denominator by qa qg, and the table is
+    reduced once at the end.
     """
-    alpha, gamma = R(alpha), R(gamma)
-    qa, qg = alpha.denominator, gamma.denominator
+    (pa, qa), (pg, qg) = _ints(R(alpha)), _ints(R(gamma))
     P = [[1] * (box + 1 - u) for u in range(box + 1)]  # P[u][v], u + v <= box
     den = 1
     for level in range(1, m + 1):
-        pa = (alpha + m - level).numerator
-        pg = (gamma + m - level).numerator
-        P = [[(v * (u * qa + pa) * qg * P[u][v - 1] if v else 0)
-              - (u * (v * qg + pg) * qa * P[u - 1][v] if u else 0)
+        pa_level, pg_level = pa + (m - level) * qa, pg + (m - level) * qg
+        P = [[(v * (u * qa + pa_level) * qg * P[u][v - 1] if v else 0)
+              - (u * (v * qg + pg_level) * qa * P[u - 1][v] if u else 0)
               for v in range(box + 1 - u)] for u in range(box + 1)]
         den *= qa * qg
     lattice = shared_lattice(2, box, False)

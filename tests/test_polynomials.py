@@ -1,7 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from mvortho import (
@@ -23,6 +24,7 @@ from mvortho import (
     pair_backward_table,
     rising_factorial,
 )
+from mvortho import polynomials as P
 from mvortho._backend import integer_scaled
 from mvortho.core import Lattice, enumerate_degrees, enumerate_lattice
 from mvortho.polynomials import (hahn_grid, hahn_pair_grid, hahn_pair_sums, km_pair_grid,
@@ -559,6 +561,44 @@ def terminating_sum(m, num_factors, den_factors, z=None):
     return total
 
 
+def fraction_series_row(m, upper, lower, z):
+    """The Fraction recurrence of ``polynomials._series_row``, parameters and
+    z as rationals: c_{j+1} = c_j (j - m) prod (u + j) z / ((j + 1) prod (l + j))."""
+    row, pole = [R(1)], None
+    for j in range(m):
+        num = math.prod((u + j for u in upper), start=R(j - m))
+        if num == 0:
+            break
+        den = math.prod((l + j for l in lower), start=R(j + 1))
+        if den == 0:
+            pole = j
+            break
+        row.append(row[-1] * num * z / den)
+    nums, den = integer_scaled(row)
+    return tuple(nums), den, pole
+
+
+def fraction_hahn_pair_row(m, alpha, gamma):
+    """The Fraction recurrence of ``polynomials._hahn_pair_row``."""
+    tails = [R(1)]  # (gamma+k)_{m-k}, from k = m down to 0
+    for k in range(m - 1, -1, -1):
+        tails.append(tails[-1] * (gamma + k))
+    row, heads = [], R(1)  # heads = (alpha+m-k)_k
+    for k in range(m + 1):
+        if k:
+            heads *= alpha + m - k
+        c = math.comb(m, k) * tails[m - k] * heads
+        row.append(-c if k % 2 else c)
+    nums, den = integer_scaled(row)
+    return tuple(nums), den
+
+
+def fraction_km_pair_row(m, ratio):
+    """The Fraction form of ``polynomials._km_pair_row``."""
+    nums, den = integer_scaled([math.comb(m, k) * (-ratio) ** k for k in range(m + 1)])
+    return tuple(nums), den
+
+
 def oracle_hahn(m, x, a, b, N):
     a, b, N, x = R(a), R(b), R(N), R(x)
     return terminating_sum(
@@ -811,3 +851,80 @@ class TestRowKernelsMatchOracle:
                 hahn(3, x, -1, 2, 10)
             with pytest.raises(ZeroDivisionError):
                 oracle_hahn(3, x, -1, 2, 10)
+
+
+signed_small = st.builds(R, st.integers(-7, 7), st.integers(1, 4))
+
+
+def pair(q):
+    return q.numerator, q.denominator
+
+
+class TestIntegerRows:
+    """The int rows equal the Fraction recurrences they replaced, as the
+    unique reduced form: den > 0 and gcd(den, *nums) = 1."""
+
+    @given(st.integers(0, 8), signed_small, signed_small, signed_small, signed_small)
+    @example(3, R(1), R(-4), R(10), R(1))  # (m + a + b - 1 + j) vanishes at j = 1
+    @example(3, R(-1), R(2), R(10), R(1))  # pole of (a)_k at a = -1
+    @example(7, R(1), R(1), R(6), R(2, 5))  # Krawtchouk pole at k = N + 1
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_int_rows_equal_the_fraction_rows(self, m, a, b, c, d):
+        rows = [(P._hahn_row(m, a, b, c), fraction_series_row(m, (m + a + b - 1,), (a, -c), R(1))),
+                (P._hahn_pair_row(m, pair(a), pair(b)), fraction_hahn_pair_row(m, a, b))]
+        if d:
+            rows += [(P._krawtchouk_row(m, d, c), fraction_series_row(m, (), (-c,), 1 / d)),
+                     (P._meixner_row(m, d, c), fraction_series_row(m, (), (c,), 1 - 1 / d)),
+                     (P._km_row(m, d, a), fraction_km_pair_row(m, a / d))]
+        for row, oracle in rows:
+            assert row == oracle
+            nums, den = row[:2]
+            assert den > 0 and math.gcd(den, *nums) == 1
+
+    def test_the_examples_stop_their_rows_early(self):
+        """Each example above stops its row where its comment says."""
+        nums, _, pole = P._hahn_row(3, R(1), R(-4), 10)
+        assert (len(nums), pole) == (2, None)
+        assert P._hahn_row(3, R(-1), R(2), 10)[2] == 1
+        assert P._krawtchouk_row(7, R(2, 5), 6)[2] == 6
+
+    def test_the_row_path_forms_no_fraction(self, monkeypatch):
+        """The uncached row bodies form no Fraction; an equal parameter given
+        as an int and as a Fraction is one cache key."""
+        made = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        for m in range(6):
+            P._series_row.__wrapped__(m, ((7, 2),), ((1, 3), (-5, 1)), (1, 1))
+            P._series_row.__wrapped__(m, (), ((-2, 1),), (-5, 2))  # pole at j = 2
+            P._series_row.__wrapped__(m, ((-1, 1),), ((1, 2),), (0, 1))  # stops at j = 1
+            P._hahn_pair_row.__wrapped__(m, (3, 2), (-7, 3))
+            P._km_pair_row.__wrapped__(m, (-4, 9))
+        assert made == []
+        R(1, 2)
+        assert made == [(1, 2)]
+        monkeypatch.undo()
+
+        for builder, calls in ((P._hahn_pair_row, lambda q: hahn_pair_grid(2, q, R(5, 2), 3)),
+                               (P._series_row, lambda q: hahn_grid(2, q, R(1, 2), q + 2, [0])),
+                               (P._km_pair_row, lambda q: km_pair_sums(2, q, 2 * q, [(1, 1)]))):
+            builder.cache_clear()
+            calls(3)
+            calls(R(3))
+            assert builder.cache_info()[:2] == (1, 1)
+
+    def test_the_evaluators_still_read_strings_and_refuse_floats(self):
+        cases = [(hahn, (2, 1), ("1/2", "1/3", "5"), (R(1, 2), R(1, 3), 5)),
+                 (krawtchouk, (2, 1), ("2/5", "6"), (R(2, 5), 6)),
+                 (meixner, (2, 1), ("1/3", "5/2"), (R(1, 3), R(5, 2))),
+                 (hahn_pair, (2, 1, 2), ("1/2", "7/3"), (R(1, 2), R(7, 3))),
+                 (km_pair, (2, 1, 2), ("1/2", "7/3"), (R(1, 2), R(7, 3)))]
+        for fn, head, text, exact in cases:
+            assert fn(*head, *text) == fn(*head, *exact)
+            with pytest.raises(TypeError, match="not exact"):
+                fn(*head, 0.5, *exact[1:])
