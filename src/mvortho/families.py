@@ -26,8 +26,7 @@ import math
 from ._backend import R, ONE, is_integral
 from .core import FamilyParams, positive_rational, rising_factorial, term_row
 from .measures import meixner_normalization
-from .polynomials import (hahn_grid, hahn_pair_grid, hahn_pair_sums, km_pair_grid,
-                          km_pair_sums, krawtchouk_grid, meixner_grid)
+from .polynomials import hahn_grid, hahn_pair_sums, km_pair_sums, krawtchouk_grid, meixner_grid
 from .serialize import rational_str
 
 
@@ -80,7 +79,7 @@ class HahnParams(FamilyParams):
         as (numerators, den) at the integers x_J of ``sums``."""
         return hahn_grid(m, aJ, self.a_total + self.b - aJ, self.N, sums)
 
-    pair_grid = staticmethod(hahn_pair_grid)
+    pair_sums = staticmethod(hahn_pair_sums)
 
     @staticmethod
     def pair_rate(u, alpha):
@@ -107,7 +106,7 @@ class _KMPairs:
         """As the Hahn pair slot, with the tail slot kept at a_{>j}."""
         return km_pair_sums(mj, self.a[j - 1], self.a_tail(j), [(u, t - shift) for u, t in args])
 
-    pair_grid = staticmethod(km_pair_grid)
+    pair_sums = staticmethod(km_pair_sums)
 
     @staticmethod
     def pair_rate(u, alpha):

@@ -19,13 +19,11 @@ Every value is read at integer points, as an integer sum over the row's
 denominator.  Two kernels compute such sums, with no rational per
 point: :func:`_series_grid` for a single-variable series at a list of
 integers x, and :func:`_pair_sums` for a pair polynomial at a list of
-integer points (u, v), any signs.  A *grid* is one polynomial at every
-integer point an identity check reads (:func:`hahn_grid`,
-:func:`hahn_pair_grid`, :func:`km_pair_grid`).  The pair grids cover the
-points u, v >= -1 with u + v <= box + 1, the box of an identity and the
-shifts it reads; the entries of -1 are stored last, so ``grid[u][v]``
-reads u = -1 or v = -1 at index -1.  :func:`pair_backward_table` runs
-its chain of backward shifts in ints.
+integer points (u, v), any signs.  An identity check reads a pair
+polynomial as a table on a shared simplex of :mod:`mvortho.core` and its
+neighbours through :attr:`Lattice.steps`, as the stencils do;
+:func:`pair_backward_table` runs its chain of backward shifts in ints on
+the same layout.
 
 The eigenpolynomial tables are built from *slots*: pair factor j of P_m
 with its degree shift, read at (x_j, x_{>j} - shift), and the radial
@@ -35,7 +33,7 @@ list of arguments through the same kernels (:func:`hahn_pair_sums`,
 nested: :func:`eigenpoly_tables` builds each P_m as its first slot of
 nonzero degree times the table of P_m with that degree set to 0 (see
 there).  Rows are looked up through this module at every call, so
-a patched row reaches the grids and the tables alike.
+a patched row reaches the checks and the tables alike.
 
 The pointwise evaluators (:func:`hahn`, :func:`krawtchouk`,
 :func:`meixner`, :func:`hahn_pair`, :func:`km_pair`) are one-point calls
@@ -234,13 +232,6 @@ def hahn_pair(m: int, u, v, alpha, gamma):
     return _one(hahn_pair_sums(m, R(alpha), R(gamma), [(as_integer(u), as_integer(v))]))
 
 
-def hahn_pair_grid(m: int, alpha, gamma, box: int) -> tuple[list, int]:
-    """``hahn_pair(m, u, v, alpha, gamma)`` on the points u, v >= -1 with
-    u + v <= box + 1: (grid, den) with the value grid[u][v] / den."""
-    row, den = _hahn_pair_row(m, _ints(alpha), _ints(gamma))
-    return _pair_grid(row, m, box, True), den
-
-
 def hahn_pair_sums(m: int, alpha, gamma, points) -> tuple[list, int]:
     """Numerators of ``hahn_pair(m, u, v, alpha, gamma)`` at the integer
     points (u, v) of ``points``, in that order, over one denominator."""
@@ -260,14 +251,6 @@ def _pair_sums(row: tuple, m: int, points, hahn_side: bool) -> list:
     us, vs = (flipped, rising) if hahn_side else (rising, flipped)
     weighted = {u: list(map(operator.mul, row, us[u])) for u in {u for u, _ in points}}
     return [sum(map(operator.mul, weighted[u], vs[v])) for u, v in points]
-
-
-def _pair_grid(row: tuple, m: int, box: int, hahn_side: bool) -> list:
-    """Rows u = 0..box+1, -1 of the pair sums (see :func:`_pair_sums`), each
-    over v = 0..box+1-u, -1."""
-    lines = [[(u, v) for v in [*range(box + 2 - u), -1]] for u in [*range(box + 2), -1]]
-    sums = iter(_pair_sums(row, m, [p for line in lines for p in line], hahn_side))
-    return [[next(sums) for _ in line] for line in lines]
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
@@ -295,13 +278,6 @@ def km_pair(m: int, u, v, alpha, gamma):
     Sum_{k=0..m} (-1)^k C(m,k) (gamma/alpha)^k (-u)_k (-v)_{m-k}.
     """
     return _one(km_pair_sums(m, R(alpha), R(gamma), [(as_integer(u), as_integer(v))]))
-
-
-def km_pair_grid(m: int, alpha, gamma, box: int) -> tuple[list, int]:
-    """``km_pair(m, u, v, alpha, gamma)`` on the points u, v >= -1 with
-    u + v <= box + 1: (grid, den) with the value grid[u][v] / den."""
-    row, den = _km_row(m, alpha, gamma)
-    return _pair_grid(row, m, box, False), den
 
 
 def km_pair_sums(m: int, alpha, gamma, points) -> tuple[list, int]:
@@ -416,8 +392,10 @@ def pair_backward_table(m: int, alpha, gamma, box: int) -> LatticeFunction:
 
     with the parameters stepping down to (alpha, gamma).  The result
     must equal :func:`hahn_pair` exactly, with the same normalization.
-    Boundary reads never occur: the coefficient of each shifted value
-    vanishes at u = 0 resp. v = 0.
+    The chain runs on the points of ``shared_lattice(2, box)`` in their
+    order, reading (u-1, v) and (u, v-1) through ``lattice.steps[1]``; a
+    read off the lattice never occurs, as the coefficient of each shifted
+    value vanishes at u = 0 resp. v = 0.
 
     The chain runs in ints: for alpha = pa/qa and gamma = pg/qg, a level's
     a' = (pa + (m - level) qa)/qa and g' = (pg + (m - level) qg)/qg, so each
@@ -425,13 +403,13 @@ def pair_backward_table(m: int, alpha, gamma, box: int) -> LatticeFunction:
     reduced once at the end.
     """
     (pa, qa), (pg, qg) = _ints(R(alpha)), _ints(R(gamma))
-    P = [[1] * (box + 1 - u) for u in range(box + 1)]  # P[u][v], u + v <= box
-    den = 1
+    lattice = shared_lattice(2, box, False)
+    down_u, down_v = lattice.steps[1]
+    P, den = [1] * lattice.size, 1
     for level in range(1, m + 1):
         pa_level, pg_level = pa + (m - level) * qa, pg + (m - level) * qg
-        P = [[(v * (u * qa + pa_level) * qg * P[u][v - 1] if v else 0)
-              - (u * (v * qg + pg_level) * qa * P[u - 1][v] if u else 0)
-              for v in range(box + 1 - u)] for u in range(box + 1)]
+        P = [(v and v * (u * qa + pa_level) * qg * P[down_v[i]])
+             - (u and u * (v * qg + pg_level) * qa * P[down_u[i]])
+             for i, (u, v) in enumerate(lattice.points)]
         den *= qa * qg
-    lattice = shared_lattice(2, box, False)
-    return LatticeFunction(lattice, [P[u][v] for u, v in lattice.points], den)
+    return LatticeFunction(lattice, P, den)

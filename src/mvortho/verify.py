@@ -24,12 +24,14 @@ weights or factors.  An identity check passes iff its largest
 
 The shift and recursion identities (``sv-shifts``, ``sv-difference-eq``,
 ``pair-shifts``, ``pair-recursions``, ``generalized-recursions``,
-``rodrigues``) read every polynomial value once, as an integer grid over
-one denominator (see :mod:`mvortho.polynomials`), the chained products
-as the integer form of their context table.  Each coefficient column,
-a rate over u, v or u + v, is scaled to integers once.  An identity is
-then an integer combination at every point, and its largest residual
-gives one rational per (identity, degree).
+``rodrigues``) read every polynomial value once, as integers over one
+denominator: a single-variable one on a grid of x, a pair one as a table
+on a shared simplex, whose neighbours are read through
+:attr:`Lattice.steps` (see :mod:`mvortho.polynomials`), the chained
+products as the integer form of their context table.  Each coefficient
+column, a rate over u, v or u + v, is scaled to integers once.  An
+identity is then an integer combination at every point, and its largest
+residual gives one rational per (identity, degree).
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from .polynomials import (
     hahn,
     hahn_grid,
     hahn_pair,
-    hahn_pair_grid,
+    hahn_pair_sums,
     pair_backward_table,
 )
 from .serialize import rational_str, sci_str
@@ -429,35 +431,36 @@ def sv_difference_equation_check(a, b, N: int, deg_max: int) -> CheckReport:
     return _report("sv-difference-eq", f"hahn-1v N={N} m<={deg_max}", lambda: _exact(defects()))
 
 
-def _triangle(box: int) -> list:
-    return [(u, v) for u in range(box + 1) for v in range(box + 1 - u)]
-
-
 def pair_shift_check(alpha, gamma, deg_max: int, box: int, family) -> CheckReport:
     """Forward/backward shift relations for the pair polynomials of
     ``family`` (a family class or bundle; see its ``pair_shift``)."""
     alpha, gamma = R(alpha), R(gamma)
 
     def defects():
-        grid = cache(lambda m, al, ga: family.pair_grid(m, al, ga, box))
-        points = _triangle(box)
+        # the box is the graded-lex prefix of outer: a point has one index in both
+        outer = shared_lattice(2, box + 1, False)
+        table = cache(lambda m, al, ga: family.pair_sums(m, al, ga, outer.points))
+        (up_u, up_v), (down_u, down_v) = outer.steps
+        points = shared_lattice(2, box, False).points
         ru, ruden = integer_scaled([family.pair_rate(u, alpha) for u in range(box + 1)])
         rv, rvden = integer_scaled([family.pair_rate(v, gamma) for v in range(box + 1)])
         for m in range(deg_max + 1):
             c, d, alpha1, gamma1 = family.pair_shift(m, alpha, gamma)
-            A, aden = grid(m, alpha, gamma)
+            A, aden = table(m, alpha, gamma)
             if m >= 1:
-                B, bden = grid(m - 1, alpha1, gamma1)
+                B, bden = table(m - 1, alpha1, gamma1)
                 s, t = c.denominator * bden, c.numerator * aden
-                yield _worst([(A[u][v + 1] - A[u + 1][v]) * s - t * B[u][v] for u, v in points],
+                yield _worst([(A[up_v[p]] - A[up_u[p]]) * s - t * B[p] for p in range(len(points))],
                              aden * bden * c.denominator)
-            B, bden = grid(m, alpha1, gamma1)
-            C, cden = grid(m + 1, alpha, gamma)
+            B, bden = table(m, alpha1, gamma1)
+            C, cden = table(m + 1, alpha, gamma)
             su = [r * rvden * d.denominator * cden for r in ru]
             sv = [r * ruden * d.denominator * cden for r in rv]
             t = d.numerator * ruden * rvden * bden
-            yield _worst([v * su[u] * B[u][v - 1] - u * sv[v] * B[u - 1][v] - t * C[u][v]
-                          for u, v in points], ruden * rvden * d.denominator * bden * cden)
+            # a read at u - 1 or v - 1 has the coefficient u or v, 0 off the lattice
+            yield _worst([(v and v * su[u] * B[down_v[p]]) - (u and u * sv[v] * B[down_u[p]])
+                          - t * C[p] for p, (u, v) in enumerate(points)],
+                         ruden * rvden * d.denominator * bden * cden)
 
     inst = (
         f"{family.pair_name}-pair alpha={rational_str(alpha)} gamma={rational_str(gamma)} "
@@ -466,27 +469,49 @@ def pair_shift_check(alpha, gamma, deg_max: int, box: int, family) -> CheckRepor
     return _report("pair-shifts", inst, lambda: _exact(defects()))
 
 
+def _recursion_defects(nums, den, lattice, outer, start: int, a, deg: int, rate) -> list:
+    """The largest defects of the forward and backward recursions of
+    :func:`generalized_recursion_check` over the sites start..n-1 (0-based),
+    with their parameters ``a`` and degree ``deg``, at every point of
+    ``lattice``, for the table of ``nums`` over ``den`` on ``outer``: one
+    shell further out, with ``lattice`` as its graded-lex prefix, so a point
+    has one index in both.  The rate columns share one denominator."""
+    up, down = outer.steps
+    sites = range(start, lattice.n)
+    ticks, a_sum = range(lattice.bound + 1), sum(a, ZERO)
+    columns = [integer_scaled([rate(t, ak) for t in ticks]) for ak in a]
+    columns.append(integer_scaled([rate(t + deg, a_sum) for t in ticks]))
+    scale = math.lcm(*(d for _, d in columns))
+    *rates, right = [[r * (scale // d) for r in col] for col, d in columns]
+    fwd, bwd = [], []
+    for p, x in enumerate(lattice.points):
+        base = nums[p]
+        tail = sum(x[start:])
+        f = -right[tail] * base
+        b = -(tail - deg) * base
+        for k, rate_k in zip(sites, rates):
+            xk = x[k]
+            f += rate_k[xk] * nums[up[k][p]]
+            if xk:
+                b += xk * nums[down[k][p]]
+        fwd.append(f)
+        bwd.append(b)
+    return [_worst(fwd, scale * den), _worst(bwd, den)]
+
+
 def pair_recursion_check(alpha, gamma, deg_max: int, box: int, family) -> CheckReport:
     """Forward/backward three-term recursions for the pair polynomials:
     rate(u, alpha) P(u+1, v) + rate(v, gamma) P(u, v+1) = rate(u+v+m, alpha+gamma) P
-    and u P(u-1, v) + v P(u, v-1) = (u+v-m) P."""
+    and u P(u-1, v) + v P(u, v-1) = (u+v-m) P: the recursions of the chained
+    pair product (:func:`generalized_recursion_check`) on the two sites (u, v)."""
     alpha, gamma = R(alpha), R(gamma)
-    rate = family.pair_rate
 
     def defects():
-        points = _triangle(box)
-        ru, ruden = integer_scaled([rate(u, alpha) for u in range(box + 1)])
-        rv, rvden = integer_scaled([rate(v, gamma) for v in range(box + 1)])
+        lattice, outer = shared_lattice(2, box, False), shared_lattice(2, box + 1, False)
         for m in range(deg_max + 1):
-            A, aden = family.pair_grid(m, alpha, gamma, box)
-            rs, rsden = integer_scaled([rate(s + m, alpha + gamma) for s in range(box + 1)])
-            su = [r * rvden * rsden for r in ru]
-            sv = [r * ruden * rsden for r in rv]
-            ss = [r * ruden * rvden for r in rs]
-            yield _worst([su[u] * A[u + 1][v] + sv[v] * A[u][v + 1] - ss[u + v] * A[u][v]
-                          for u, v in points], ruden * rvden * rsden * aden)
-            yield _worst([u * A[u - 1][v] + v * A[u][v - 1] - (u + v - m) * A[u][v]
-                          for u, v in points], aden)
+            A, aden = family.pair_sums(m, alpha, gamma, outer.points)
+            yield from _recursion_defects(A, aden, lattice, outer, 0, (alpha, gamma), m,
+                                          family.pair_rate)
 
     inst = f"{family.pair_name}-pair m<={deg_max} box={box}"
     return _report("pair-recursions", inst, lambda: _exact(defects()))
@@ -511,35 +536,9 @@ def generalized_recursion_check(ctx: SuiteContext, i: int, m) -> CheckReport:
         raise ValueError(f"sector index i = {i} outside [1, {params.n - 1}]")
 
     def body():
-        deg = sum(m[i:])
-        a_sum = sum(params.a[i - 1:], ZERO)
-        bound = ctx.lattice.bound
-        (chain,) = ctx.tables([(0,) * i + tuple(m[i:])], bound + 1)
-        nums, den = chain.integer_form()
-        # the instance lattice is a graded-lex prefix of the chain's, so a
-        # point has one index in both
-        up, down = chain.lattice.steps
-        sites = range(i - 1, params.n)  # 0-based k - 1 for k = i..n
-        # the rate columns over x_k = 0..bound and over sum x_k, on one denominator
-        columns = [integer_scaled([params.pair_rate(t, params.a[k]) for t in range(bound + 1)])
-                   for k in sites]
-        columns.append(integer_scaled([params.pair_rate(t + deg, a_sum) for t in range(bound + 1)]))
-        scale = math.lcm(*(d for _, d in columns))
-        *rates, right = [[r * (scale // d) for r in col] for col, d in columns]
-        fwd, bwd = [], []
-        for p, x in enumerate(ctx.lattice.points):
-            base = nums[p]
-            tail = sum(x[i - 1:])
-            f = -right[tail] * base
-            b = -(tail - deg) * base
-            for k, rate in zip(sites, rates):
-                xk = x[k]
-                f += rate[xk] * nums[up[k][p]]
-                if xk:
-                    b += xk * nums[down[k][p]]
-            fwd.append(f)
-            bwd.append(b)
-        return _exact([_worst(fwd, scale * den), _worst(bwd, den)])
+        (chain,) = ctx.tables([(0,) * i + tuple(m[i:])], ctx.lattice.bound + 1)
+        return _exact(_recursion_defects(*chain.integer_form(), ctx.lattice, chain.lattice,
+                                         i - 1, params.a[i - 1:], sum(m[i:]), params.pair_rate))
 
     return _report("generalized-recursions", f"{params.label} i={i} m={tuple(m)}", body)
 
@@ -551,9 +550,8 @@ def rodrigues_check(m_max: int, alpha, gamma, box: int) -> CheckReport:
         for m in range(m_max + 1):
             built = pair_backward_table(m, alpha, gamma, box)
             nums, den = built.integer_form()
-            G, gden = hahn_pair_grid(m, alpha, gamma, box)
-            points = built.lattice.points
-            yield _worst([p * gden - G[u][v] * den for (u, v), p in zip(points, nums)], den * gden)
+            G, gden = hahn_pair_sums(m, alpha, gamma, built.lattice.points)
+            yield _worst([p * gden - g * den for p, g in zip(nums, G)], den * gden)
 
     inst = f"alpha={rational_str(R(alpha))} gamma={rational_str(R(gamma))} m<={m_max} box={box}"
     return _report("rodrigues", inst, lambda: _exact(defects()))
@@ -920,10 +918,13 @@ class SuiteContext:
                        for i, j in box}
 
     def eigenvalue(self, kind: str, index: int | None, m):
-        """The operator's eigenvalue on P_m, once per operator and partial degrees it reads."""
-        total, tail = sum(m), sum(m[index or 1:])
-        degree = total if kind == "total" else tail if kind == "exchange" else (total, tail)
-        return self._keep(("eigenvalue", kind, index, degree),
+        """The operator's eigenvalue on P_m, once per operator and the partial
+        degree it reads: |m| for total, S_i = m_i + ... + m_{n-1} for
+        exchange(i).  single, no stencil of the checks, is refused."""
+        if kind == "single":
+            raise ValueError("the context keeps the eigenvalues of total and exchange(i), "
+                             "the kinds its stencils serve, not single")
+        return self._keep(("eigenvalue", kind, index, sum(m[index or 0:])),
                           lambda: eigenvalue(self.params, kind, index, m))
 
     def adjointness(self, kind: str, index: int | None = None):

@@ -100,7 +100,7 @@ def test_a_run_spec_defaults_to_seed_0_and_ten_pairs(text, spec):
 def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
     """Two canned trees: only ``src/mvortho/*.py`` counts, a last line
     without a newline is not counted (as ``wc -l``), and a tree without
-    modules counts 0."""
+    modules counts 0; the same per module, in total and by name."""
     parent, change = tmp_path / "parent", tmp_path / "change"
     for tree, files in ((parent, {"core.py": "a\nb\nc\n", "cli.py": "x = 1\n\n"}),
                         (change, {"core.py": "a\nb\n", "cli.py": "x = 1\ny = 2"})):
@@ -113,6 +113,9 @@ def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
     assert bench_pairs.src_lines(parent) == 5
     assert bench_pairs.src_lines(change) == 3
     assert bench_pairs.src_lines(tmp_path) == 0
+    assert bench_pairs.src_module_lines(parent) == {"cli.py": 2, "core.py": 3}
+    assert bench_pairs.src_module_lines(change) == {"cli.py": 1, "core.py": 2}
+    assert bench_pairs.src_module_lines(tmp_path) == {}
 
 
 DURATIONS = """\

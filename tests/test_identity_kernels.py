@@ -1,7 +1,9 @@
-"""The scalar identity checks on integer grids against their Fraction oracle.
+"""The scalar identity checks on integers against their Fraction oracle.
 
-The six checks below read every pair, Hahn and chain value once, as
-integer grids over one denominator, and form one rational per
+The six checks below read every pair, Hahn and chain value once, over one
+denominator: the single-variable values as integer grids, the pair and
+chain values as tables on the shared simplices, whose neighbours they
+read through ``Lattice.steps``.  They form one rational per
 (identity, degree).  The oracle bodies here evaluate the same identities
 one Fraction at a time through the pointwise functions, as the checks
 did before.  Both must give the same report, exact ``max_defect``
@@ -140,7 +142,7 @@ def oracle_rodrigues_check(m_max, alpha, gamma, box):
 
 
 def pair_poly(family):
-    """The pointwise pair polynomial that ``family.pair_grid`` tabulates."""
+    """The pointwise pair polynomial whose sums ``family.pair_sums`` gives."""
     return hahn_pair if family.pair_name == "hahn" else km_pair
 
 
@@ -196,6 +198,56 @@ def test_direct_calls_match_the_oracle(monkeypatch):
 
     fast, slow = both_routes(monkeypatch, run)
     assert fast == slow
+
+
+# ---------------------------------------------------------------------------
+# the pair checks read the shared simplices, and share the chain's kernel
+
+
+@pytest.mark.parametrize("family", [HahnParams, KrawtchoukParams, MeixnerParams])
+def test_the_pair_checks_read_no_point_below_zero(family, monkeypatch):
+    """Every point the pair checks pass to ``family.pair_sums`` has u, v >= 0
+    and u + v <= box + 1: the box and its forward neighbours, on one simplex."""
+    box, read = 4, []
+    pair_sums = family.pair_sums
+
+    def recorded(m, alpha, gamma, points):
+        read.extend(points)
+        return pair_sums(m, alpha, gamma, points)
+
+    monkeypatch.setattr(family, "pair_sums", staticmethod(recorded))
+    reports = [V.pair_shift_check(R(1, 2), R(7, 3), 3, box, family),
+               V.pair_recursion_check(R(3, 4), R(5, 3), 3, box, family)]
+    assert [r.status for r in reports] == ["pass", "pass"]
+    assert read and all(u >= 0 and v >= 0 and u + v <= box + 1 for u, v in read)
+    assert max(u + v for u, v in read) == box + 1
+
+
+ALPHA, GAMMA, BOX = R(1, 3), R(1, 2), 4
+TWO_SITES = [(HahnParams((ALPHA, GAMMA), R(2), BOX), None),
+             (KrawtchoukParams((ALPHA, GAMMA), BOX), None),
+             (MeixnerParams((ALPHA, GAMMA), R(3, 2)), BOX)]
+
+
+@pytest.mark.parametrize("params, xmax", TWO_SITES)
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_the_pair_and_chain_recursions_agree_on_two_sites(params, xmax, perturbed,
+                                                          monkeypatch):
+    """pair-recursions on (alpha, gamma) is the chain recursion of
+    generalized-recursions on the two-site bundle a = (alpha, gamma), degree
+    by degree: the same status and exact largest defect over k <= box, as
+    passed and with the family's pair rate + 1."""
+    family = type(params)
+    if perturbed:
+        pair_rate = family.pair_rate
+        monkeypatch.setattr(family, "pair_rate",
+                            staticmethod(lambda u, a: pair_rate(u, a) + 1))
+    pair = V.pair_recursion_check(ALPHA, GAMMA, BOX, BOX, params)
+    ctx = V.SuiteContext(params, xmax=xmax)
+    chains = [V.generalized_recursion_check(ctx, 1, (0, k)) for k in range(BOX + 1)]
+    status = "fail" if any(r.status == "fail" for r in chains) else "pass"
+    assert (pair.status, pair.max_defect) == (status, max(r.max_defect for r in chains))
+    assert pair.status == ("fail" if perturbed else "pass")
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from mvortho import (
 from mvortho import polynomials as P
 from mvortho._backend import integer_scaled
 from mvortho.core import Lattice, enumerate_degrees, enumerate_lattice
-from mvortho.polynomials import (hahn_grid, hahn_pair_grid, hahn_pair_sums, km_pair_grid,
-                                 km_pair_sums, krawtchouk_grid, meixner_grid)
+from mvortho.polynomials import (hahn_grid, hahn_pair_sums, km_pair_sums, krawtchouk_grid,
+                                 meixner_grid)
 from test_core import table_of
 from test_operators import ORACLE_CASES
 
@@ -721,7 +721,7 @@ def outcome(fn, *args):
 
 
 class TestRowKernelsMatchOracle:
-    # integral and non-integral (alpha, gamma); the shift checks read u, v = -1
+    # integral and non-integral (alpha, gamma), read at u, v = -1 too
     PAIR_PARAMS = [(R(1), R(2)), (R(3), R(5)), (R(1, 2), R(7, 3)), (R(9, 7), R(4)),
                    (R(-3, 2), R(2, 5))]
     # integer x, and rational or negative degree slots as the shifted radial
@@ -737,22 +737,6 @@ class TestRowKernelsMatchOracle:
                                        (km_pair, oracle_km_pair)):
                         assert outcome(fast, m, u, v, alpha, gamma) == outcome(
                             slow, m, u, v, alpha, gamma)
-
-    @pytest.mark.parametrize("alpha, gamma", PAIR_PARAMS)
-    def test_pair_grids(self, alpha, gamma):
-        """grid[u][v] / den is the pair polynomial at every u, v >= -1 with
-        u + v <= box + 1, the -1 entries at index -1 of a row and of the grid."""
-        box = 4
-        for m in range(6):
-            for grid_of, fn in ((hahn_pair_grid, hahn_pair), (km_pair_grid, km_pair)):
-                grid, den = grid_of(m, alpha, gamma, box)
-                assert len(grid) == box + 3
-                for u in range(-1, box + 2):
-                    assert len(grid[u]) == box + 3 - max(u, 0) + (u < 0)
-                    for v in range(-1, box + 2 - u):
-                        assert R(grid[u][v], den) == fn(m, u, v, alpha, gamma)
-        with pytest.raises(ValueError, match="alpha"):
-            km_pair_grid(1, 0, 1, box)
 
     @pytest.mark.parametrize("alpha, gamma", PAIR_PARAMS)
     def test_pair_sums(self, alpha, gamma):
@@ -910,7 +894,8 @@ class TestIntegerRows:
         assert made == [(1, 2)]
         monkeypatch.undo()
 
-        for builder, calls in ((P._hahn_pair_row, lambda q: hahn_pair_grid(2, q, R(5, 2), 3)),
+        for builder, calls in ((P._hahn_pair_row,
+                                lambda q: hahn_pair_sums(2, q, R(5, 2), [(1, 1)])),
                                (P._series_row, lambda q: hahn_grid(2, q, R(1, 2), q + 2, [0])),
                                (P._km_pair_row, lambda q: km_pair_sums(2, q, 2 * q, [(1, 1)]))):
             builder.cache_clear()

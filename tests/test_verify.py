@@ -116,6 +116,16 @@ def test_eigen_checks_form_each_eigenvalue_once_per_partial_degree(monkeypatch):
     assert not any(r.status == "fail" for r in reports)
 
 
+def test_the_context_refuses_single_eigenvalues():
+    """The context keys an eigenvalue by the one partial degree its operator
+    reads; single reads two and is no stencil of the checks, so it is refused."""
+    ctx = V.SuiteContext(KrawtchoukParams((R(1, 2), R(1, 3), R(2)), 6))
+    with pytest.raises(ValueError, match="total and exchange"):
+        ctx.eigenvalue("single", None, (1, 0, 1))
+    assert ctx.eigenvalue("total", None, (1, 0, 1)) == eigenvalue(ctx.params, "total", None,
+                                                                   (1, 0, 1))
+
+
 def test_wrong_eigenvalue_fails():
     from mvortho import OperatorSpec, eigenpoly_table, operator_matrix
     from mvortho.core import family_lattice

@@ -44,7 +44,8 @@ runs per side, each timing ``import mvortho.cli`` inside two fresh
 interpreters from cached bytecode, one with ``site`` and one without
 (``-S``): a module that ``site`` loads on one host is paid for by the
 import on another.  ``src_lines`` gives, per side, the
-lines of ``src/mvortho/*.py`` as ``wc -l`` counts them.  Only the standard
+lines of ``src/mvortho/*.py`` as ``wc -l`` counts them, and
+``src_module_lines`` the same count per module.  Only the standard
 library is used.
 """
 
@@ -307,9 +308,16 @@ def frontier(trees: dict, specs: list, with_parent: list) -> list:
     return rows
 
 
+def src_module_lines(tree: Path) -> dict:
+    """{module file name: its newlines, as ``wc -l`` counts them} over
+    ``src/mvortho/*.py`` of ``tree``, sorted by name."""
+    return {path.name: path.read_bytes().count(b"\n")
+            for path in sorted((tree / "src" / "mvortho").glob("*.py"))}
+
+
 def src_lines(tree: Path) -> int:
     """The newlines in ``src/mvortho/*.py`` of ``tree``: the total of ``wc -l``."""
-    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "mvortho").glob("*.py"))
+    return sum(src_module_lines(tree).values())
 
 
 def run_spec(text: str) -> tuple:
@@ -390,6 +398,7 @@ def main(argv=None) -> int:
             "workloads": summary(records, better),
             "env": {key: env[key] for key in ("python", "backend", "nproc", "cpu")} if env else {},
             "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
+            "src_module_lines": {side: src_module_lines(tree) for side, tree in trees.items()},
         }
         if args.traced:
             traced = {}
