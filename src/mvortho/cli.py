@@ -5,12 +5,28 @@ floats are opt-in via --float and only for export.  Exit codes: 0 all
 good, 1 at least one check failed, 2 usage error.  Identical arguments
 (and seed) produce byte-identical output; wall-clock timings are only
 included when --timings is passed.
+
+One process may serve many calls of :func:`main`, so it keeps what every
+call would otherwise pay for again: the parser (:func:`build_parser`),
+the latest parsed bundles (:func:`build_params`), the factor dict of
+``eval``'s latest bundle, and a frozen start-up heap.  The first call of
+:func:`main` in a process calls ``gc.freeze()``: the objects of the
+interpreter, the imports, the parser and whatever the caller built before
+leave the generations the collector scans, so a collection inside a call
+no longer walks them.  Objects created afterwards are collected as
+before; the collector stays on with its thresholds.  Only :func:`main`
+touches the collector: a library call such as ``run_suite`` leaves it
+alone.  A call names its subcommand first, and that subcommand's parser
+reads the rest of it; any other call, and any call that parser leaves
+arguments over from, is read by the full parser, so every help and error
+text is the full parser's.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 
 from .core import enumerate_degrees, family_lattice
@@ -202,7 +218,8 @@ def cmd_export(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: argparse sizes its
     help formatter for every argument it adds, and parsing leaves the
-    parser unchanged, so every call of :func:`main` reuses it."""
+    parser unchanged, so every call of :func:`main` reuses it.  Its
+    ``subcommands`` maps each subcommand to the parser of its arguments."""
     parser = argparse.ArgumentParser(
         prog="mvortho",
         description="Exact multivariate Hahn/Krawtchouk/Meixner systems: "
@@ -241,12 +258,33 @@ def build_parser() -> argparse.ArgumentParser:
                           help="emit floats instead of exact rationals")
     p_export.add_argument("--output", help="write to a file instead of stdout")
     p_export.set_defaults(fn=cmd_export)
+    parser.subcommands = sub.choices
     return parser
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _freeze_start_up_heap() -> None:
+    """``gc.freeze()``, on the first call of :func:`main` in a process only."""
+    gc.freeze()
+
+
+def _parse(argv: list):
+    """The namespace of ``argv``, read by its subcommand's parser when that
+    parser reads all of ``argv[1:]``, and by the full parser otherwise,
+    which then prints the help or error text it always printed."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    _freeze_start_up_heap()
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.fn(args)
     except (ValueError, ZeroDivisionError, OverflowError, OSError) as exc:

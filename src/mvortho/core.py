@@ -256,9 +256,10 @@ class FamilyParams(Value):
     def bound_label(self) -> str:
         return f"N={self.N}"
 
-    @property
+    @cached_property
     def label(self) -> str:
-        """Instance label of the reports, e.g. ``krawtchouk n=3 N=4 a=(1/2,1/3,2)``."""
+        """Instance label of the reports, e.g. ``krawtchouk n=3 N=4 a=(1/2,1/3,2)``,
+        formatted once per bundle as ``a_total`` is summed once."""
         a = ",".join(rational_str(v) for v in self.a)
         return f"{self.family} n={self.n} {self.bound_label} a=({a})"
 

@@ -22,6 +22,7 @@ tables and ``eigenpoly`` read.  Krawtchouk and Meixner share their pair polynomi
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 from ._backend import R, ONE, is_integral
 from .core import FamilyParams, positive_rational, rising_factorial, term_row
@@ -46,9 +47,11 @@ class HahnParams(FamilyParams):
         vars(self).update(b=positive_rational(b, "b"), N=N)
         self._check_bound()
 
-    @property
+    @cached_property
     def label(self) -> str:
-        return f"{super().label} b={rational_str(self.b)}"
+        # the shared part through its function: super().label would store
+        # that part under this name before this property stores the whole
+        return f"{FamilyParams.label.func(self)} b={rational_str(self.b)}"
 
     @property
     def rate_form(self) -> tuple:

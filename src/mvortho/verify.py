@@ -545,6 +545,7 @@ def generalized_recursion_check(ctx: SuiteContext, i: int, m) -> CheckReport:
 
 def rodrigues_check(m_max: int, alpha, gamma, box: int) -> CheckReport:
     """Backward-shift chain reproduces the closed-form pair polynomial."""
+    alpha, gamma = R(alpha), R(gamma)
 
     def defects():
         for m in range(m_max + 1):
@@ -553,7 +554,7 @@ def rodrigues_check(m_max: int, alpha, gamma, box: int) -> CheckReport:
             G, gden = hahn_pair_sums(m, alpha, gamma, built.lattice.points)
             yield _worst([p * gden - g * den for p, g in zip(nums, G)], den * gden)
 
-    inst = f"alpha={rational_str(R(alpha))} gamma={rational_str(R(gamma))} m<={m_max} box={box}"
+    inst = f"alpha={rational_str(alpha)} gamma={rational_str(gamma)} m<={m_max} box={box}"
     return _report("rodrigues", inst, lambda: _exact(defects()))
 
 

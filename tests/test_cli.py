@@ -37,6 +37,58 @@ def run(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
+def load_bench():
+    """The benchmark's ``run.py``, for its workloads and recorded digests."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", BENCH / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def full_parser_run(argv):
+    """(exit code, stdout, stderr) of ``argv`` read by the full parser and
+    handed to its command, as every call of ``main`` once did."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = cli.build_parser().parse_args(argv)
+            rc = args.fn(args)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_main_prints_what_the_full_parser_and_its_command_print():
+    """``main`` reads a call through its subcommand's parser; the exit code,
+    output and error text are those of the full parser on every workload
+    call of the benchmark and on the help and usage-error paths, a trailing
+    unknown flag (which the subcommand's parser leaves over) among them."""
+    calls = [argv for w in load_bench().WORKLOADS.values() for argv in w.calls(0)]
+    calls += [
+        [],
+        ["--help"],
+        ["eval", "--help"],
+        ["frobnicate", *HAHN],
+        ["eval", "--family", "hahn", "--b", "2", "--N", "4", "--m", "1,0,0"],  # no --a
+        ["eval", *HAHN, "--m", "1,0,0", "--x"],
+        ["eval", *HAHN, "--m", "1,0,0", "--bogus"],
+    ]
+    for argv in calls:
+        expected = full_parser_run(argv)
+        assert run(argv) == expected, argv
+        assert expected[0] in (0, 2)
+    assert run(calls[-1])[2].splitlines()[-1] == "mvortho: error: unrecognized arguments: --bogus"
+
+
+def test_main_freezes_the_start_up_heap_on_its_first_call_only(monkeypatch):
+    frozen = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(True))
+    cli._freeze_start_up_heap.cache_clear()
+    argv = ["eval", *HAHN, "--m", "1,0,1", "--x", "1,0,2"]
+    assert run(argv) == run(argv) == (0, "4/11\n", "")
+    assert frozen == [True]
+
+
 def test_main_reuses_one_parser_and_prints_what_a_fresh_parser_prints(tmp_path):
     """Consecutive calls with different subcommands and flags, --output on
     the first only, give the bytes of calls that each build a new parser."""
@@ -93,9 +145,7 @@ def test_export_calls_print_their_recorded_bytes_around_calls_on_other_shapes():
     other shapes, then the export calls again, in one process: each pass
     prints the bytes whose digests the benchmark recorded, so a lattice
     shared across calls changes no output, whichever call built it."""
-    spec = importlib.util.spec_from_file_location("perfbench_run", BENCH / "run.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = load_bench()
     calls = bench.WORKLOADS["hahn-export"].calls(0)
     expected = [entry["sha256"] for entry in bench.load_expected("hahn-export")]
 

@@ -206,6 +206,29 @@ def test_params_accept_strings_and_expose_tails():
     assert p.n == 3
 
 
+def test_a_bundle_formats_its_label_once(monkeypatch):
+    """The three families' report labels, formatted on the first read and
+    kept: a second read formats nothing, and equality ignores the kept text."""
+    import mvortho.core as core_module
+    import mvortho.families as families_module
+
+    bundles = {
+        "hahn n=3 N=5 a=(1,2,1/2) b=7/3": HahnParams(("1", "2", "1/2"), "7/3", 5),
+        "krawtchouk n=2 N=3 a=(1/2,1/3)": KrawtchoukParams(("1/2", "1/3"), 3),
+        "meixner n=2 beta=5/2 a=(1/5,1/4)": MeixnerParams(("1/5", "1/4"), "5/2"),
+    }
+    assert {p.label: p for p in bundles.values()} == bundles
+
+    def no_formatting(value):
+        raise AssertionError(f"{value} formatted again")
+
+    monkeypatch.setattr(core_module, "rational_str", no_formatting)
+    monkeypatch.setattr(families_module, "rational_str", no_formatting)
+    for label, p in bundles.items():
+        assert p.label == label
+        assert p == type(p)(*p._values()) and hash(p) == hash(type(p)(*p._values()))
+
+
 def value_objects():
     """One object of each of the ten value classes."""
     from mvortho import CheckReport, OperatorSpec, operator_matrix, weight_table

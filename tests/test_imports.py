@@ -3,7 +3,8 @@ helper it defines is referenced there, and every name the package exports
 resolves: a deletion leaves no dead import, orphaned helper or stale
 export behind.  The layers import downwards only, as their source reads.
 The command line's import path loads none of the standard modules that
-cost start-up and that nothing in the package needs."""
+cost start-up and that nothing in the package needs, and only the command
+line touches the collector."""
 
 import ast
 import subprocess
@@ -110,6 +111,17 @@ def test_only_the_operators_read_the_rate_form():
             elif isinstance(node, ast.FunctionDef) and node.name == "rate_form":
                 declared.add(path.stem)
     assert (readers, declared) == ({"operators"}, {"families"})
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "cli"], ids=lambda p: p.name)
+def test_only_the_cli_touches_the_collector(path):
+    """``cli.main`` freezes the start-up heap once per process; a library call
+    such as ``run_suite`` must leave the collector as its caller set it."""
+    tree = ast.parse(path.read_text())
+    assert "gc" not in imported_names(tree)
+    assert not any(isinstance(node, ast.ImportFrom) and node.module == "gc"
+                   for node in ast.walk(tree))
+    assert not any(isinstance(node, ast.Name) and node.id == "gc" for node in ast.walk(tree))
 
 
 # Prints the modules loaded once ``mvortho.cli`` is imported from the given source directory.

@@ -221,7 +221,10 @@ def test_generalized_recursions(params, xmax):
 
 
 def test_rodrigues_report():
-    assert V.rodrigues_check(6, R(1, 2), R(7, 3), 6).status == "pass"
+    report = V.rodrigues_check(6, R(1, 2), R(7, 3), 6)
+    assert report.status == "pass"
+    # the parameters as strings, which pair_shift_check takes as well
+    assert V.rodrigues_check(6, "1/2", "7/3", 6).to_dict() == report.to_dict()
 
 
 def test_glue_checks():
