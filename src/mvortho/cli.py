@@ -13,13 +13,15 @@ the latest parsed bundles (:func:`build_params`), the factor dict of
 :func:`main` in a process calls ``gc.freeze()``: the objects of the
 interpreter, the imports, the parser and whatever the caller built before
 leave the generations the collector scans, so a collection inside a call
-no longer walks them.  Objects created afterwards are collected as
-before; the collector stays on with its thresholds.  Only :func:`main`
-touches the collector: a library call such as ``run_suite`` leaves it
-alone.  A call names its subcommand first, and that subcommand's parser
-reads the rest of it; any other call, and any call that parser leaves
-arguments over from, is read by the full parser, so every help and error
-text is the full parser's.
+no longer walks them (some 15k objects after the imports).  Objects
+created afterwards are collected as before; the collector stays on with
+its thresholds.  Only :func:`main` touches the collector: a library call
+such as ``run_suite`` leaves it alone.
+
+When a call names its subcommand first, that subcommand's parser reads
+the rest of it.  Every other call, and every call from which that parser
+leaves arguments over, is read by the full parser, so each help and
+error text is the one the full parser prints.
 """
 
 from __future__ import annotations

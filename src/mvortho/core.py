@@ -25,6 +25,10 @@ Weights, slot factors and tables hold family data: each context or call
 builds its own, through family methods and row builders looked up at each
 build, so patched weights or rows reach every fresh context; only the
 command line's ``eval`` keeps one factor dict, for its latest bundle.
+The command line also freezes the start-up heap on its first call
+(``gc.freeze()``, see :mod:`mvortho.cli`): what the process built before
+that call stays out of the collector's scans; nothing in this package
+below the command line touches the collector.
 """
 
 from __future__ import annotations
