@@ -225,8 +225,8 @@ def test_a_bundle_formats_its_label_once(monkeypatch):
     monkeypatch.setattr(core_module, "rational_str", no_formatting)
     monkeypatch.setattr(families_module, "rational_str", no_formatting)
     for label, p in bundles.items():
-        assert p.label == label
-        assert p == type(p)(*p._values()) and hash(p) == hash(type(p)(*p._values()))
+        twin = type(p)(*p._values())
+        assert p.label == label and p == twin and hash(p) == hash(twin)
 
 
 def value_objects():
