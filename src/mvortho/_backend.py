@@ -11,7 +11,12 @@ factor slots (whose rows are built in ints, keyed by int pairs), weights
 from the family's weight rows and stencils from its rate constants, each
 scaled to integers once: no rational is formed per row term, factor
 value, weight factor or stencil entry, and the kernels and exporters that
-read the tables rescale nothing.  What outlives a call is in :mod:`mvortho.core`.
+read the tables rescale nothing.  A rational is formed only for a value
+that a report or an export prints: a check that only compares a value
+with 0, or hashes it, reads its integer form or its int pair, and
+:func:`R` returns a ``Fraction`` as it is.  A zero result, such as the
+defect of an identity that holds or a zero Gram entry, is the shared
+``ZERO``.  What outlives a call is in :mod:`mvortho.core`.
 """
 
 from __future__ import annotations
@@ -23,12 +28,17 @@ BACKEND = "fractions"
 
 
 def R(num=0, den=None):
-    """Build an exact rational from ints, 'p/q' strings, or rationals."""
+    """Build an exact rational from ints, 'p/q' strings, or rationals.
+
+    A ``Fraction`` is returned as it is, and num/den with num = 0 and
+    den != 0 is the shared ``ZERO``."""
     if den is not None:
-        return Fraction(num, den)
+        return Fraction(num, den) if num or not den else ZERO
+    if isinstance(num, Fraction):
+        return num
     if isinstance(num, str):
         return Fraction(num.strip())
-    if isinstance(num, (int, Fraction)):
+    if isinstance(num, int):
         return Fraction(num)
     try:  # any numbers.Rational-like value
         return Fraction(num.numerator, num.denominator)
@@ -36,7 +46,7 @@ def R(num=0, den=None):
         raise TypeError(f"{num!r} is not exact: give an int, a Fraction or 'p/q'") from None
 
 
-ZERO = R(0)
+ZERO = Fraction(0)
 ONE = R(1)
 
 

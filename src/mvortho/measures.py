@@ -159,7 +159,8 @@ def gram_matrix(tables, w: WeightTable) -> list[list]:
     Sum_x tables[i](x) tables[j](x) W(x).
 
     The tables and the weight are read in their integer forms; the
-    weight is folded into the row table before the products.
+    weight is folded into the row table before the products, and each
+    entry is one rational (a zero entry is the shared ``ZERO``).
     """
     if any(table.lattice != w.lattice for table in tables):
         raise ValueError("gram_matrix: a table and the weight live on different lattices")

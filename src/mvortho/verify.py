@@ -119,8 +119,9 @@ def _report(name: str, instance: str, body) -> CheckReport:
 
 
 def _exact(defects, detail: str = "") -> tuple:
-    """(PASS iff every defect is exactly 0, the largest |defect|, detail)."""
-    worst = max(map(abs, defects), default=ZERO)
+    """(PASS iff every defect is exactly 0, the largest |defect|, detail);
+    a zero defect is skipped, so that none is copied by ``abs``."""
+    worst = max((abs(d) for d in defects if d), default=ZERO)
     return (PASS if worst == 0 else FAIL), worst, detail
 
 
@@ -585,12 +586,13 @@ def glue_check(ctx: SuiteContext, i: int, m_i: int, m_im1: int) -> CheckReport:
 def _orthogonality_defect(entries: dict, labels) -> str:
     """The first entry (i, j) of ``entries`` that breaks orthogonality, or "".
 
-    An off-diagonal entry must be exactly 0 and a diagonal one positive.
+    An off-diagonal entry must be exactly 0 and a diagonal one positive:
+    its numerator tells, the denominator being positive.
     """
     for (i, j), value in entries.items():
-        if i != j and value != 0:
+        if i != j and value.numerator:
             return f"off-diagonal {labels[i]},{labels[j]} nonzero"
-        if i == j and value <= 0:
+        if i == j and value.numerator <= 0:
             return f"non-positive diagonal at {labels[i]}"
     return ""
 
@@ -706,8 +708,9 @@ def completeness_check(ctx: SuiteContext) -> CheckReport:
                 for m, worst in zip(read, worsts):
                     if worst:
                         return FAIL, worst, f"P_{m} not an eigenvector of {op.label} on every row"
-        if len({tuple(ctx.eigenvalue(H.op.kind, H.op.index, m) for H in stencils)
-                for m in degrees}) < size:
+        # each tuple as int pairs, which hash faster than rationals
+        if len({tuple(ctx.eigenvalue(H.op.kind, H.op.index, m).as_integer_ratio()
+                      for H in stencils) for m in degrees}) < size:
             return FAIL, None, "joint eigenvalues not distinct"
         return PASS, ZERO, (f"count {size}, nonzero common eigenvectors of the W-self-adjoint "
                             f"{labels}, W > 0, joint eigenvalues distinct")
@@ -839,6 +842,8 @@ class SuiteContext:
         ("P_m", bound, m)                      P_m on the simplex |x| <= bound
         ("factors",)                           the slot integers of every P_m, and
                                                [lattice]: the forms of its P_m, m_0 = 0
+        ("subset-sums", J)                     a_J and the column of x_J, for the
+                                               type-one tables of the subset J
         ("type-one", J, m)                     a type-one table
         ("moments", K)                         Meixner factorial moments, order <= K
         ("residual", table, kind, index, key)  a "P_m" or "type-one" eigen residual
@@ -992,12 +997,14 @@ class SuiteContext:
         """Table of the degree-m type-one polynomial in x_J on the instance
         lattice, for a sorted subset J of 1..n: one integer grid over the
         sums of x_J (``params.type_one``, which reads J only through a_J),
-        reduced by the gcd of its integers."""
+        spread over the context's column of x_J, and reduced by the gcd of
+        its integers."""
         def build() -> LatticeFunction:
-            lattice, a_J = self.lattice, sum((self.params.a[j - 1] for j in J), ZERO)
-            by_sum, den = self.params.type_one(m, a_J, list(range(lattice.bound + 1)))
-            return LatticeFunction(
-                lattice, [by_sum[sum(x[j - 1] for j in J)] for x in lattice.points], den)
+            a_J, column = self._keep(("subset-sums", J), lambda: (
+                sum((self.params.a[j - 1] for j in J), ZERO),
+                [sum(x[j - 1] for j in J) for x in self.lattice.points]))
+            by_sum, den = self.params.type_one(m, a_J, list(range(self.lattice.bound + 1)))
+            return LatticeFunction(self.lattice, list(map(by_sum.__getitem__, column)), den)
 
         return self._keep(("type-one", J, m), build)
 

@@ -299,3 +299,13 @@ def test_worker_rss_stops_at_a_failed_worker(monkeypatch):
     with pytest.raises(RuntimeError, match="hahn-export worker on the parent side failed"):
         bench_pairs.worker_rss({"parent": Path("parent"), "change": Path("change")},
                                ["hahn-export"], 1)
+
+
+def test_two_fraction_counts_of_one_tree_agree():
+    """Two fresh processes count the same Fractions for one warm run of the
+    meixner-suite calls; a workload that does not run ``verify`` is skipped."""
+    trees = {"parent": bench_pairs.ROOT, "change": bench_pairs.ROOT}
+    out = bench_pairs.fraction_counts(trees, ["meixner-suite", "hahn-export"], 1)
+    assert list(out) == ["meixner-suite"]
+    (first,), (second,) = out["meixner-suite"].values()
+    assert first == second > 0

@@ -11,6 +11,7 @@ from mvortho import (R, HahnParams, KrawtchoukParams, LatticeFunction, MeixnerPa
                      OperatorMatrix, WeightTable, eigenpoly, eigenpoly_tables, eigenvalue,
                      gram_matrix, weight_table)
 from mvortho import verify as V
+from mvortho._backend import integer_scaled
 from mvortho.core import (Lattice, enumerate_degrees, enumerate_lattice, family_lattice,
                           rising_factorial)
 from mvortho.measures import lattice_inner_product, meixner_moments, meixner_normalization
@@ -295,16 +296,24 @@ def poly_coefficients(fn, nvars: int, deg: int) -> dict:
     return {e: c for e, c in out.items() if c != 0}
 
 
-def eval_coeffs(coeffs: dict, x):
-    return sum((c * math.prod(R(xi) ** e for xi, e in zip(x, exps))
-                for exps, c in coeffs.items()), R(0))
+def integer_coeffs(coeffs: dict) -> tuple:
+    """([(exponents, integer coefficient)], den): the coefficients of a
+    polynomial scaled to integers over their lcm den."""
+    nums, den = integer_scaled(list(coeffs.values()))
+    return list(zip(coeffs, nums)), den
+
+
+def eval_integer(terms, x) -> int:
+    """den times the polynomial at x, for ``integer_coeffs``' (terms, den)."""
+    return sum(c * math.prod(xi**e for xi, e in zip(x, exps)) for exps, c in terms)
 
 
 def meixner_product_tail_bound(w, coeff_p: dict, coeff_q: dict, xmax: int):
     """Rigorous bound on sum_{|x| > xmax} |p(x) q(x)| W(x).
 
     ``w`` is the Meixner weight table on a box |x| <= xmax + extend.
-    Exact sums of |p q| W over its points with |x| > xmax; beyond the
+    Exact sums of |p q| W over its points with |x| > xmax, evaluated on the
+    integer forms of p, q and W; beyond the
     box |p q| is dominated by sum_j C_j s^j (C_j the sum of the absolute
     coefficients of p q of degree j), and the remaining series has an
     exact closed form for integral beta, or a geometric bound otherwise.
@@ -319,8 +328,11 @@ def meixner_product_tail_bound(w, coeff_p: dict, coeff_q: dict, xmax: int):
     for exps, c in prod.items():
         Cj[sum(exps)] += abs(c)
 
-    head = sum((abs(eval_coeffs(coeff_p, x) * eval_coeffs(coeff_q, x)) * wx
-                for x, wx in zip(w.lattice.points, w.values) if sum(x) > xmax), R(0))
+    # the box part in integers: |p q| W over dp dq dw at each point
+    (p, dp), (q, dq) = integer_coeffs(coeff_p), integer_coeffs(coeff_q)
+    wn, dw = w.integer_form()
+    head = R(sum(abs(eval_integer(p, x) * eval_integer(q, x)) * wx
+                 for x, wx in zip(w.lattice.points, wn) if sum(x) > xmax), dp * dq * dw)
     S = w.lattice.bound
     A = params.a_total
     tail = R(0)
@@ -864,8 +876,6 @@ def test_suite_tables_carry_their_lcm_integer_form(params, xmax):
     """Every P_m table of a suite comes with its integer form, and that form
     is the values over their lcm denominator: the Gram and the residuals get
     no wider integers than rescaling the values would give them."""
-    from mvortho._backend import integer_scaled
-
     ctx = V.SuiteContext(params, xmax=xmax)
     for name in V.SUITE:
         V.CHECKS[name](ctx)
@@ -919,6 +929,35 @@ def test_suite_evaluates_each_type_one_value_once(monkeypatch):
     assert len(calls) == 7 * 4 == 28
     assert [calls.count((m, R(3))) for m in range(4)] == [2] * 4
     assert len(set(calls)) == 6 * 4
+
+
+def per_point_type_one(ctx, J, m) -> LatticeFunction:
+    """The type-one table that ``SuiteContext.type_one`` replaced: the old
+    comprehension, which sums x_J again at every point for every (J, m)."""
+    lattice, a_J = ctx.lattice, sum((ctx.params.a[j - 1] for j in J), R(0))
+    by_sum, den = ctx.params.type_one(m, a_J, list(range(lattice.bound + 1)))
+    return LatticeFunction(
+        lattice, [by_sum[sum(x[j - 1] for j in J)] for x in lattice.points], den)
+
+
+@pytest.mark.parametrize("params, xmax", [(HAHN, None), (KRAW, None), (MEIX, 4)],
+                         ids=["hahn", "krawtchouk", "meixner-box"])
+def test_type_one_tables_from_the_subset_sum_column_match_the_per_point_oracle(params, xmax):
+    """Every J and m <= 3: the table spread over the context's one column of
+    x_J per J equals the old comprehension, and each value is the grid of
+    ``params.type_one`` at that point's x_J alone."""
+    ctx = V.SuiteContext(params, xmax=xmax)
+    sites = range(1, params.n + 1)
+    subsets = [J for size in sites for J in itertools.combinations(sites, size)]
+    for J in subsets:
+        a_J = sum((params.a[j - 1] for j in J), R(0))
+        for m in range(4):
+            table = ctx.type_one(J, m)
+            assert table == per_point_type_one(ctx, J, m), (J, m)
+            for x, value in zip(ctx.lattice.points, table.values):
+                (num,), den = params.type_one(m, a_J, [sum(x[j - 1] for j in J)])
+                assert value == R(num, den), (J, m, x)
+    assert [key[1] for key in ctx._memo if key[0] == "subset-sums"] == subsets
 
 
 def test_perturbed_pair_row_fails_eigen_and_pair_shifts(monkeypatch):

@@ -43,7 +43,10 @@ spread of each named per-layer metric.  ``--startup K`` adds K alternating
 runs per side, each timing ``import mvortho.cli`` inside two fresh
 interpreters from cached bytecode, one with ``site`` and one without
 (``-S``): a module that ``site`` loads on one host is paid for by the
-import on another.  ``src_lines`` gives, per side, the
+import on another.  ``--fractions K`` adds K runs per side of
+each listed workload whose calls run ``verify``, each a fresh process that
+runs the seed-0 calls once to warm its caches and counts the Fractions
+one more run of them forms.  ``src_lines`` gives, per side, the
 lines of ``src/mvortho/*.py`` as ``wc -l`` counts them, and
 ``src_module_lines`` the same count per module.  Only the standard
 library is used.
@@ -96,6 +99,33 @@ sys.path.insert(0, sys.argv[1])
 t0 = time.perf_counter()
 import mvortho.cli
 print(time.perf_counter() - t0)
+"""
+# Prints how many Fractions one warm run of the CLI calls given as JSON on
+# stdin forms, importing mvortho from the source directory given: the calls
+# run once to fill the process's caches, then once more with every
+# Fraction.__new__ counted, which every Fraction operation goes through.
+FRACTIONS = """
+import contextlib, fractions, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from mvortho import cli
+calls = json.load(sys.stdin)
+
+def run():
+    for argv in calls:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv)
+
+run()
+new, count = fractions.Fraction.__new__, 0
+
+def counted(cls, *args, **kwargs):
+    global count
+    count += 1
+    return new(cls, *args, **kwargs)
+
+fractions.Fraction.__new__ = counted
+run()
+print(count)
 """
 
 
@@ -263,6 +293,31 @@ def worker_rss(trees: dict, names: list, runs: int) -> dict:
     return out
 
 
+def fraction_count(tree: Path, calls: list) -> int:
+    """The Fractions that one warm run of the CLI ``calls`` forms, counted in
+    a fresh process importing mvortho from ``tree`` (``FRACTIONS``)."""
+    proc = subprocess.run([sys.executable, "-c", FRACTIONS, str(tree / "src")],
+                          input=json.dumps(calls), capture_output=True, text=True, check=True)
+    return int(proc.stdout)
+
+
+def fraction_counts(trees: dict, names: list, runs: int) -> dict:
+    """Per workload of ``names`` whose calls run ``verify``, ``runs`` runs per
+    side of :func:`fraction_count` on its seed-0 calls: per side, the count
+    of each run in order."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    out = {}
+    for name in names:
+        calls = WORKLOADS[name].calls(0)
+        if any(argv[0] != "verify" for argv in calls):
+            continue
+        out[name] = {side: [fraction_count(tree, calls) for _ in range(runs)]
+                     for side, tree in trees.items()}
+    return out
+
+
 def suite_once(tree: Path, n: int, N: int) -> dict:
     """The full Hahn suite at (n, N) in a fresh process: wall time, the
     completeness and commutators times, peak RSS and whether every report
@@ -361,6 +416,9 @@ def main(argv=None) -> int:
     parser.add_argument("--worker-rss", type=int, default=0,
                         help="runs per side and workload of perfbench/worker.py from a "
                         "small launcher, recording the worker's own peak RSS")
+    parser.add_argument("--fractions", type=int, default=0,
+                        help="runs per side and verify workload counting the Fractions "
+                        "one warm seed-0 run of its calls forms")
     parser.add_argument("--frontier", action="append", default=[], type=frontier_spec,
                         help="n:N[:K], K runs per side")
     parser.add_argument("--frontier-parent", action="append", default=[], type=frontier_spec,
@@ -433,6 +491,13 @@ def main(argv=None) -> int:
                 "runs": "alternating which side runs first; peak_rss_mb as the worker "
                         "reports it (ru_maxrss)",
                 "workloads": worker_rss(trees, names, args.worker_rss)}
+        if args.fractions:
+            names = list(dict.fromkeys(name for name, _, _ in specs))
+            bench["fractions"] = {
+                "command": "the workload's seed-0 calls through mvortho.cli.main, run once, "
+                           "then once more counting every Fraction.__new__",
+                "runs": "per side, the count of each run",
+                "workloads": fraction_counts(trees, names, args.fractions)}
         if args.frontier:
             bench["frontier"] = {
                 "command": "python -m mvortho verify --family hahn --n n --N N --a A --b 2 "
